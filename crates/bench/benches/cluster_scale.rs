@@ -1,6 +1,7 @@
 //! Cluster-scale benchmark baseline: fleet-simulation throughput
 //! (parallel vs. sequential) and the determiner's branch-and-bound
-//! savings, written to `BENCH_cluster.json` at the repo root.
+//! savings under both channel models, written to `BENCH_cluster.json` at
+//! the repo root.
 //!
 //! Run with `cargo bench --bench cluster_scale`; set `BENCH_QUICK=1` for
 //! the CI smoke variant (small fleets, few samples). The checked-in JSON
@@ -12,7 +13,10 @@
 use std::cell::RefCell;
 use std::time::Duration;
 
-use bless::{determine_config, determine_config_exhaustive, BlessParams, DeployedApp};
+use bless::{
+    determine_config, determine_config_exhaustive, determine_config_model, BlessParams,
+    DeployedApp, Squad,
+};
 use cluster::{run_chaos, run_cluster_opts, ChaosOptions, ClusterOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 use dnn_models::{ModelKind, Phase};
@@ -191,12 +195,16 @@ fn bench_fleet10k() -> Fleet10k {
 }
 
 struct DeterminerRow {
+    /// `"scalar"` or `"per_resource"` (the channel model searched under).
+    model: &'static str,
     apps: usize,
     kernels_per_app: usize,
     space: usize,
     evaluated: usize,
     pruned: usize,
-    exhaustive_ms: f64,
+    /// The uncut search's time; `None` where no public exhaustive twin
+    /// exists (per-resource rows).
+    exhaustive_ms: Option<f64>,
     pruned_ms: f64,
 }
 
@@ -377,6 +385,22 @@ fn bench_chaos(c: &mut Criterion, rows: &mut Vec<ChaosRow>) {
     g.finish();
 }
 
+/// `k` equal-quota apps cycling through [`KINDS`] on `spec`, and a squad
+/// of `per_app` kernels from each.
+fn determiner_squad(k: usize, per_app: usize, spec: &GpuSpec) -> (Vec<DeployedApp>, Squad) {
+    let apps: Vec<DeployedApp> = (0..k)
+        .map(|i| {
+            DeployedApp::new(
+                cache::profile(KINDS[i % KINDS.len()], Phase::Inference, spec),
+                1.0 / k as f64,
+                None,
+            )
+        })
+        .collect();
+    let squad = slice_squad(&apps, &vec![1; k], &vec![per_app; k]);
+    (apps, squad)
+}
+
 fn bench_determiner(c: &mut Criterion, rows: &mut Vec<DeterminerRow>) {
     let spec = GpuSpec::a100();
     let per_app = 12;
@@ -384,16 +408,7 @@ fn bench_determiner(c: &mut Criterion, rows: &mut Vec<DeterminerRow>) {
     let mut g = c.benchmark_group("determiner_search");
     g.sample_size(if quick() { 10 } else { 50 });
     for k in 2..=max_apps {
-        let apps: Vec<DeployedApp> = (0..k)
-            .map(|i| {
-                DeployedApp::new(
-                    cache::profile(KINDS[i % KINDS.len()], Phase::Inference, &spec),
-                    1.0 / k as f64,
-                    None,
-                )
-            })
-            .collect();
-        let squad = slice_squad(&apps, &vec![1; k], &vec![per_app; k]);
+        let (apps, squad) = determiner_squad(k, per_app, &spec);
         let fast = determine_config(&squad, &apps, spec.num_sms);
         let slow = determine_config_exhaustive(&squad, &apps, spec.num_sms);
         assert_eq!(
@@ -413,16 +428,49 @@ fn bench_determiner(c: &mut Criterion, rows: &mut Vec<DeterminerRow>) {
             b.iter(|| timed(&pr_t, || determine_config(&squad, &apps, spec.num_sms)))
         });
         rows.push(DeterminerRow {
+            model: "scalar",
             apps: k,
             kernels_per_app: per_app,
             space: slow.evaluated,
             evaluated: fast.evaluated,
             pruned: fast.pruned,
-            exhaustive_ms: min_ms(&ex_t),
+            exhaustive_ms: Some(min_ms(&ex_t)),
             pruned_ms: min_ms(&pr_t),
         });
     }
+
+    // The per-resource search: same squads on the per-channel model, up
+    // to the exact-search limit of six apps. `evaluated` includes the
+    // hill-climb seed's candidates, so `evaluated + pruned` slightly
+    // exceeds `space` (NSP + C(17, K-1) splits).
+    let pr_spec = GpuSpec::a100_per_resource();
+    let max_apps = if quick() { 3 } else { 6 };
+    for k in 2..=max_apps {
+        let (apps, squad) = determiner_squad(k, per_app, &pr_spec);
+        let search =
+            || determine_config_model(&squad, &apps, pr_spec.num_sms, &pr_spec.channel_model);
+        let choice = search();
+        let t = RefCell::new(Vec::new());
+        g.bench_function(format!("per_resource_{k}apps"), |b| {
+            b.iter(|| timed(&t, search))
+        });
+        rows.push(DeterminerRow {
+            model: "per_resource",
+            apps: k,
+            kernels_per_app: per_app,
+            space: 1 + binomial(17, k - 1),
+            evaluated: choice.evaluated,
+            pruned: choice.pruned,
+            exhaustive_ms: None,
+            pruned_ms: min_ms(&t),
+        });
+    }
     g.finish();
+}
+
+/// `C(n, r)`.
+fn binomial(n: usize, r: usize) -> usize {
+    (0..r).fold(1, |c, i| c * (n - i) / (i + 1))
 }
 
 fn write_json(fleet: &[FleetRow], det: &[DeterminerRow], chaos: &[ChaosRow], f10k: &Fleet10k) {
@@ -431,6 +479,7 @@ fn write_json(fleet: &[FleetRow], det: &[DeterminerRow], chaos: &[ChaosRow], f10
     out.push_str("  \"bench\": \"cluster_scale\",\n");
     out.push_str("  \"regenerate\": \"cargo bench --bench cluster_scale\",\n");
     out.push_str(&format!("  \"quick\": {},\n", quick()));
+    out.push_str(&format!("  \"host_cpus\": {workers},\n"));
     out.push_str(&format!("  \"workers\": {workers},\n"));
     if workers == 1 {
         // A single-worker "parallel" run is just the sequential path with
@@ -533,14 +582,16 @@ fn write_json(fleet: &[FleetRow], det: &[DeterminerRow], chaos: &[ChaosRow], f10
     out.push_str("  \"determiner\": [\n");
     for (i, r) in det.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"apps\": {}, \"kernels_per_app\": {}, \"space\": {}, \"evaluated\": {}, \
-             \"pruned\": {}, \"exhaustive_ms\": {:.4}, \"pruned_ms\": {:.4}}}{}\n",
+            "    {{\"model\": \"{}\", \"apps\": {}, \"kernels_per_app\": {}, \"space\": {}, \
+             \"evaluated\": {}, \"pruned\": {}, \"exhaustive_ms\": {}, \"pruned_ms\": {:.4}}}{}\n",
+            r.model,
             r.apps,
             r.kernels_per_app,
             r.space,
             r.evaluated,
             r.pruned,
-            r.exhaustive_ms,
+            r.exhaustive_ms
+                .map_or_else(|| "null".to_string(), |ms| format!("{ms:.4}")),
             r.pruned_ms,
             if i + 1 < det.len() { "," } else { "" }
         ));

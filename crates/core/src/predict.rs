@@ -157,12 +157,16 @@ pub struct ConfigChoice {
     pub config: ExecConfig,
     /// Its predicted squad duration.
     pub predicted: SimDuration,
-    /// Number of candidate configurations evaluated.
+    /// Number of candidate configurations evaluated: NSP, every SP
+    /// composition the search reached, and (per-resource path only) the
+    /// hill-climb seed's candidates.
     pub evaluated: usize,
     /// Number of SP compositions skipped by the branch-and-bound cut
-    /// (0 on the exhaustive and hill-climbing paths). For any squad,
-    /// `evaluated + pruned` equals the exhaustive candidate count, and the
-    /// chosen configuration is identical to the exhaustive search's.
+    /// (0 on the exhaustive and hill-climbing paths). On the scalar path
+    /// `evaluated + pruned` equals the exhaustive candidate count; on the
+    /// per-resource path it exceeds it by exactly the seed's evaluations.
+    /// Either way the chosen configuration is identical to the exhaustive
+    /// search's.
     pub pruned: usize,
 }
 
@@ -175,7 +179,7 @@ pub struct ConfigChoice {
 /// hill-climbing is used (the paper only determines optimal partitions at
 /// runtime for small squads; REEF+ cannot do this at all, §6.4).
 pub fn determine_config(squad: &Squad, apps: &[DeployedApp], num_sms: u32) -> ConfigChoice {
-    determine_config_inner(squad, apps, num_sms, true)
+    determine(squad, apps, num_sms, None, true)
 }
 
 /// [`determine_config`] with the branch-and-bound cut disabled: every SP
@@ -188,13 +192,20 @@ pub fn determine_config_exhaustive(
     apps: &[DeployedApp],
     num_sms: u32,
 ) -> ConfigChoice {
-    determine_config_inner(squad, apps, num_sms, false)
+    determine(squad, apps, num_sms, None, false)
 }
 
-fn determine_config_inner(
+/// `stacked[i][p-1]`: entry `i`'s stacked kernel duration on `p` slices.
+type Stacked = [SimDuration; PARTITIONS];
+
+/// The one determiner behind every entry point: `channels` selects the
+/// per-resource estimators (`None` is the scalar model) and `prune` the
+/// branch-and-bound cut.
+fn determine(
     squad: &Squad,
     apps: &[DeployedApp],
     num_sms: u32,
+    channels: Option<&ChannelParams>,
     prune: bool,
 ) -> ConfigChoice {
     let k = squad.entries.len();
@@ -211,7 +222,10 @@ fn determine_config_inner(
         };
     }
 
-    let nsp = predict_workload_equivalence(squad, apps, num_sms);
+    let nsp = match channels {
+        None => predict_workload_equivalence(squad, apps, num_sms),
+        Some(params) => predict_workload_equivalence_channels(squad, apps, num_sms, params),
+    };
     if k == 1 {
         // A solo squad always runs unrestricted on the whole GPU.
         return ConfigChoice {
@@ -225,89 +239,60 @@ fn determine_config_inner(
     // Precompute per-entry stacked durations at every partition size so
     // each SP candidate costs O(K). Each cell is an O(1) prefix-table
     // range sum for the usual contiguous kernel selections.
-    let stacked: Vec<Vec<SimDuration>> = squad
+    let stacked: Vec<Stacked> = squad
         .entries
         .iter()
-        .map(|e| {
-            (0..PARTITIONS)
-                .map(|p| stacked_duration(&apps[e.app], p, &e.kernels))
-                .collect()
-        })
+        .map(|e| std::array::from_fn(|p| stacked_duration(&apps[e.app], p, &e.kernels)))
         .collect();
-
-    let eval_sp = |parts: &[u32]| -> SimDuration {
-        parts
+    let means: Vec<ChannelDemand> = match channels {
+        None => Vec::new(),
+        Some(_) => squad
+            .entries
             .iter()
-            .enumerate()
-            .map(|(i, &p)| stacked[i][p as usize - 1])
-            .max()
-            .unwrap_or(SimDuration::ZERO)
+            .map(|e| entry_mean_demand(&apps[e.app], &e.kernels))
+            .collect(),
     };
+    let channels = channels.map(|params| Channels {
+        params,
+        means: &means,
+    });
+    let eval_sp = |parts: &[u32]| -> SimDuration {
+        match channels {
+            None => parts
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| stacked[i][p as usize - 1])
+                .max()
+                .unwrap_or(SimDuration::ZERO),
+            Some(ch) => ch.eval(&stacked, parts),
+        }
+    };
+    let quotas = || -> Vec<f64> { squad.entries.iter().map(|e| apps[e.app].quota).collect() };
 
     let mut evaluated = 1; // NSP
     let mut pruned = 0usize;
-    let mut best_sp: Option<(Vec<u32>, SimDuration)> = None;
-    let consider =
-        |parts: &[u32], dur: SimDuration, best: &mut Option<(Vec<u32>, SimDuration)>| match best {
-            Some((_, d)) if *d <= dur => {}
-            _ => *best = Some((parts.to_vec(), dur)),
-        };
-
-    if k <= EXACT_SEARCH_MAX_APPS {
-        // Exact search over all compositions of PARTITIONS into k parts,
-        // visited in the same lexicographic order as
-        // [`enumerate_compositions`]; with `prune` set, subtrees whose
-        // best possible completion already cannot beat the incumbent are
-        // cut (see [`SpSearch::descend`]) — the argmin is provably
-        // unchanged because `consider` only replaces on strictly smaller
-        // durations.
-        let mut search = SpSearch {
-            stacked: &stacked,
-            best_at_most: best_at_most(&stacked),
-            k,
-            prune,
-            evaluated: 0,
-            pruned: 0,
-            best: None,
-            parts: vec![1u32; k],
-        };
-        search.descend(0, PARTITIONS as u32, SimDuration::ZERO);
+    let best_sp = if k <= EXACT_SEARCH_MAX_APPS {
+        // Exact search over all compositions of PARTITIONS into k parts
+        // in lexicographic order, cutting subtrees that provably hold no
+        // argmin (see [`SpSearch::descend`]). Per-resource squads also
+        // cut against NSP (SP only wins strictly below it) and strictly
+        // above a hill-climbed seed (an upper bound on the optimum).
+        let mut limit = None;
+        if prune && channels.is_some() {
+            let seed = hill_climb(&stacked, &quotas(), eval_sp);
+            evaluated += seed.evaluated;
+            limit = Some(nsp.min(seed.dur + SimDuration::from_nanos(1)));
+        }
+        let mut search = SpSearch::new(&stacked, channels, prune, limit);
+        search.descend(0, PARTITIONS as u32, SimDuration::ZERO, [0.0; NUM_CHANNELS]);
         evaluated += search.evaluated;
         pruned = search.pruned;
-        best_sp = search.best;
+        search.best
     } else {
-        // Quota-proportional seed + greedy hill climbing: repeatedly move
-        // one slice from the entry with the most slack to the bottleneck.
-        let quotas: Vec<f64> = squad.entries.iter().map(|e| apps[e.app].quota).collect();
-        let mut parts = proportional_partitions(&quotas, PARTITIONS as u32);
-        let mut dur = eval_sp(&parts);
-        evaluated += 1;
-        consider(&parts, dur, &mut best_sp);
-        // Find the bottleneck entry (max stacked duration) each round; an
-        // empty `parts` (degenerate squad) simply never enters the loop.
-        while let Some((bottleneck, _)) = parts
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (i, stacked[i][p as usize - 1]))
-            .max_by_key(|&(_, d)| d)
-        {
-            // Take a slice from the entry whose duration is smallest after
-            // losing one (and that has a slice to spare).
-            let donor = (0..k)
-                .filter(|&i| i != bottleneck && parts[i] > 1)
-                .min_by_key(|&i| stacked[i][parts[i] as usize - 2]);
-            let Some(donor) = donor else { break };
-            parts[donor] -= 1;
-            parts[bottleneck] += 1;
-            let new_dur = eval_sp(&parts);
-            evaluated += 1;
-            if new_dur >= dur {
-                break;
-            }
-            dur = new_dur;
-            consider(&parts, dur, &mut best_sp);
-        }
-    }
+        let climb = hill_climb(&stacked, &quotas(), eval_sp);
+        evaluated += climb.evaluated;
+        Some((climb.parts, climb.dur))
+    };
 
     match best_sp {
         Some((parts, dur)) if dur < nsp => ConfigChoice {
@@ -325,24 +310,134 @@ fn determine_config_inner(
     }
 }
 
-/// Per-entry prefix minima of the stacked-duration tables:
+/// A hill-climbed SP composition, its prediction, and the number of
+/// candidates evaluated to reach it.
+struct Climb {
+    parts: Vec<u32>,
+    dur: SimDuration,
+    evaluated: usize,
+}
+
+/// Quota-proportional seed + greedy hill climbing: repeatedly move one
+/// slice from the entry with the most slack to the bottleneck while `eval`
+/// keeps strictly improving.
+fn hill_climb(stacked: &[Stacked], quotas: &[f64], eval: impl Fn(&[u32]) -> SimDuration) -> Climb {
+    let mut parts = proportional_partitions(quotas, PARTITIONS as u32);
+    let mut dur = eval(&parts);
+    let mut evaluated = 1;
+    // Find the bottleneck entry (max stacked duration) each round; an
+    // empty `parts` (degenerate squad) simply never enters the loop.
+    while let Some((bottleneck, _)) = parts
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| (i, stacked[i][p as usize - 1]))
+        .max_by_key(|&(_, d)| d)
+    {
+        // Take a slice from the entry whose duration is smallest after
+        // losing one (and that has a slice to spare).
+        let donor = (0..parts.len())
+            .filter(|&i| i != bottleneck && parts[i] > 1)
+            .min_by_key(|&i| stacked[i][parts[i] as usize - 2]);
+        let Some(donor) = donor else { break };
+        parts[donor] -= 1;
+        parts[bottleneck] += 1;
+        let new_dur = eval(&parts);
+        evaluated += 1;
+        if new_dur >= dur {
+            parts[donor] += 1;
+            parts[bottleneck] -= 1;
+            break;
+        }
+        dur = new_dur;
+    }
+    Climb {
+        parts,
+        dur,
+        evaluated,
+    }
+}
+
+/// Per-entry prefix minima of the duration floors:
 /// `best_at_most[i][s-1]` is the fastest entry `i` can possibly run when
 /// granted *at most* `s` partition slices. This is the branch-and-bound
 /// lower bound for entries the composition prefix has not assigned yet —
 /// exact without assuming the profiled tables are monotone in SMs.
-fn best_at_most(stacked: &[Vec<SimDuration>]) -> Vec<Vec<SimDuration>> {
-    stacked
+fn best_at_most(floor: &[Stacked]) -> Vec<Stacked> {
+    floor
         .iter()
         .map(|row| {
             let mut best = SimDuration::MAX;
-            row.iter()
-                .map(|&d| {
-                    best = best.min(d);
-                    best
-                })
-                .collect()
+            row.map(|d| {
+                best = best.min(d);
+                best
+            })
         })
         .collect()
+}
+
+/// Per-channel traffic totals, indexed by [`Channel`].
+type Traffic = [f64; NUM_CHANNELS];
+
+/// The per-resource SP evaluator: channel curves plus each squad entry's
+/// mean demand vector.
+#[derive(Clone, Copy)]
+struct Channels<'a> {
+    params: &'a ChannelParams,
+    means: &'a [ChannelDemand],
+}
+
+impl Channels<'_> {
+    /// Entry share of the GPU on `p` slices of a full composition.
+    fn share(p: u32) -> f64 {
+        p as f64 / PARTITIONS as f64
+    }
+
+    /// `traffic` plus entry `i`'s mean demand at `p` slices: one step of
+    /// the in-order traffic sum of [`predict_interference_free_channels`].
+    fn add(&self, mut traffic: Traffic, i: usize, p: u32) -> Traffic {
+        let share = Self::share(p);
+        for (t, d) in traffic.iter_mut().zip(&self.means[i].0) {
+            *t += d * share;
+        }
+        traffic
+    }
+
+    /// The slowest of entries `0..parts.len()` at their assigned slices,
+    /// each inflated by its slowdown under `traffic` with the compute
+    /// channel isolated (Eq. 1 with channels).
+    fn worst(&self, stacked: &[Stacked], parts: &[u32], mut traffic: Traffic) -> SimDuration {
+        traffic[Channel::Compute as usize] = 0.0;
+        parts
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                let slow = self
+                    .params
+                    .slowdown(&self.means[i], Self::share(p), &traffic);
+                stacked[i][p as usize - 1].mul_f64(slow)
+            })
+            .max()
+            .unwrap_or(SimDuration::ZERO)
+    }
+
+    /// The prediction for a full composition, bit-identical to
+    /// [`predict_interference_free_channels`] on it.
+    fn eval(&self, stacked: &[Stacked], parts: &[u32]) -> SimDuration {
+        let traffic = (0..parts.len()).fold([0.0; NUM_CHANNELS], |t, i| self.add(t, i, parts[i]));
+        self.worst(stacked, parts, traffic)
+    }
+
+    /// Lower bound on the assigned entries' durations in any completion
+    /// of the prefix `assigned`, whose in-order traffic is `traffic`:
+    /// every unassigned entry joins at its minimum share of one slice, in
+    /// the same entry order. Each real share is at least that, the float
+    /// sums run the same operations on no larger terms, the slowdown is
+    /// monotone in traffic, and `mul_f64` is monotone in its factor — so
+    /// no completion can predict an assigned entry faster.
+    fn prefix_bound(&self, stacked: &[Stacked], assigned: &[u32], traffic: Traffic) -> SimDuration {
+        let floor = (assigned.len()..self.means.len()).fold(traffic, |t, j| self.add(t, j, 1));
+        self.worst(stacked, assigned, floor)
+    }
 }
 
 /// Number of compositions of `total` into `slots` positive parts:
@@ -358,12 +453,22 @@ fn compositions(total: u32, slots: u32) -> usize {
     c as usize
 }
 
-/// Depth-first branch-and-bound over SP compositions.
+/// Depth-first branch-and-bound over SP compositions, for both channel
+/// models.
 struct SpSearch<'a> {
-    /// `stacked[i][p-1]`: entry `i`'s stacked duration on `p` slices.
-    stacked: &'a [Vec<SimDuration>],
-    /// Prefix minima of `stacked` (see [`best_at_most`]).
-    best_at_most: Vec<Vec<SimDuration>>,
+    stacked: &'a [Stacked],
+    /// Lower bounds on each entry's predicted duration per slice count:
+    /// the stacks themselves for the scalar model; under per-resource
+    /// inflation (every slowdown ≥ 1) the stacks times 1.0, rounded as
+    /// `mul_f64` rounds.
+    floor: Vec<Stacked>,
+    /// Prefix minima of `floor` (see [`best_at_most`]).
+    best_at_most: Vec<Stacked>,
+    /// Per-resource evaluator; `None` is the scalar model.
+    channels: Option<Channels<'a>>,
+    /// A cut limit besides the incumbent: subtrees whose bound reaches it
+    /// are cut too.
+    limit: Option<SimDuration>,
     k: usize,
     prune: bool,
     evaluated: usize,
@@ -372,13 +477,45 @@ struct SpSearch<'a> {
     parts: Vec<u32>,
 }
 
-impl SpSearch<'_> {
+impl<'a> SpSearch<'a> {
+    fn new(
+        stacked: &'a [Stacked],
+        channels: Option<Channels<'a>>,
+        prune: bool,
+        limit: Option<SimDuration>,
+    ) -> Self {
+        let floor: Vec<Stacked> = match channels {
+            None => stacked.to_vec(),
+            Some(_) => stacked
+                .iter()
+                .map(|row| row.map(|d| d.mul_f64(1.0)))
+                .collect(),
+        };
+        SpSearch {
+            stacked,
+            best_at_most: best_at_most(&floor),
+            floor,
+            channels,
+            limit,
+            k: stacked.len(),
+            prune,
+            evaluated: 0,
+            pruned: 0,
+            best: None,
+            parts: vec![1u32; stacked.len()],
+        }
+    }
+
     /// Assigns slices to entry `idx` given `remaining` unassigned slices;
-    /// `partial_max` is the duration floor set by entries `0..idx`.
-    fn descend(&mut self, idx: usize, remaining: u32, partial_max: SimDuration) {
+    /// `partial_max` is the largest `floor` of entries `0..idx` and
+    /// `traffic` their in-order per-resource traffic.
+    fn descend(&mut self, idx: usize, remaining: u32, partial_max: SimDuration, traffic: Traffic) {
         if idx == self.k - 1 {
             self.parts[idx] = remaining;
-            let dur = partial_max.max(self.stacked[idx][remaining as usize - 1]);
+            let dur = match self.channels {
+                None => partial_max.max(self.stacked[idx][remaining as usize - 1]),
+                Some(ch) => ch.worst(self.stacked, &self.parts, ch.add(traffic, idx, remaining)),
+            };
             self.evaluated += 1;
             match &self.best {
                 Some((_, d)) if *d <= dur => {}
@@ -387,27 +524,49 @@ impl SpSearch<'_> {
             return;
         }
         let slots_after = (self.k - idx - 1) as u32;
-        for p in 1..=(remaining - slots_after) {
-            let new_max = partial_max.max(self.stacked[idx][p as usize - 1]);
-            if self.prune {
-                if let Some((_, incumbent)) = &self.best {
-                    // Lower-bound any completion of this prefix: assigned
-                    // entries contribute `new_max`; each unassigned entry
-                    // runs at best with every spare slice granted to it.
-                    let rem = remaining - p;
-                    let max_share = (rem - (slots_after - 1)) as usize;
-                    let mut bound = new_max;
-                    for j in idx + 1..self.k {
-                        bound = bound.max(self.best_at_most[j][max_share - 1]);
-                    }
-                    if bound >= *incumbent {
-                        self.pruned += compositions(rem, slots_after);
-                        continue;
-                    }
+        let last = remaining - slots_after;
+        for p in 1..=last {
+            self.parts[idx] = p;
+            let new_max = partial_max.max(self.floor[idx][p as usize - 1]);
+            let new_traffic = match self.channels {
+                None => traffic,
+                Some(ch) => ch.add(traffic, idx, p),
+            };
+            let incumbent = self.best.as_ref().map(|(_, d)| *d);
+            let limit = [incumbent, self.limit].into_iter().flatten().min();
+            if let Some(limit) = limit.filter(|_| self.prune) {
+                // Lower-bound any completion of this prefix, cheapest
+                // term first. Each unassigned entry runs at best with
+                // every spare slice granted to it...
+                let rem = remaining - p;
+                let max_share = (rem - (slots_after - 1)) as usize;
+                let unassigned = self.best_at_most[idx + 1..]
+                    .iter()
+                    .map(|row| row[max_share - 1])
+                    .max()
+                    .unwrap_or(SimDuration::ZERO);
+                if unassigned >= limit {
+                    // ...and a larger share for entry `idx` leaves them
+                    // fewer spare slices, so this term only rises while
+                    // the limit cannot fall: no later subtree can pass.
+                    self.pruned += (p..=last)
+                        .map(|q| compositions(remaining - q, slots_after))
+                        .sum::<usize>();
+                    break;
+                }
+                // Assigned entries run no faster than their floors, and
+                // per-resource ones no faster than the inflated prefix
+                // bound (which dominates the floors).
+                if new_max >= limit
+                    || self.channels.is_some_and(|ch| {
+                        ch.prefix_bound(self.stacked, &self.parts[..=idx], new_traffic) >= limit
+                    })
+                {
+                    self.pruned += compositions(rem, slots_after);
+                    continue;
                 }
             }
-            self.parts[idx] = p;
-            self.descend(idx + 1, remaining - p, new_max);
+            self.descend(idx + 1, remaining - p, new_max, new_traffic);
         }
     }
 }
@@ -463,27 +622,7 @@ pub fn determine_config_memo(
     apps: &[DeployedApp],
     num_sms: u32,
 ) -> ConfigChoice {
-    let signature = squad
-        .entries
-        .iter()
-        .map(|e| contiguous_range(&e.kernels).map(|(start, end)| (e.app, start, end - start)))
-        .collect::<Option<Vec<_>>>();
-    let Some(sig) = signature else {
-        memo.misses += 1;
-        return determine_config(squad, apps, num_sms);
-    };
-    let key: MemoKey = (num_sms, sig);
-    if let Some(choice) = memo.map.get(&key) {
-        memo.hits += 1;
-        return choice.clone();
-    }
-    memo.misses += 1;
-    let choice = determine_config(squad, apps, num_sms);
-    if memo.map.len() >= MEMO_CAPACITY {
-        memo.map.clear();
-    }
-    memo.map.insert(key, choice.clone());
-    choice
+    determine_config_memo_model(memo, squad, apps, num_sms, &ChannelModel::Scalar)
 }
 
 // ---------------------------------------------------------------------------
@@ -660,11 +799,15 @@ pub fn predict_workload_equivalence_model(
 /// delegates to the original search (bit-identical, pruning intact);
 /// per-resource evaluates candidates with the channel-aware estimators.
 ///
-/// The per-resource SP search is exhaustive up to
-/// [`EXACT_SEARCH_MAX_APPS`] — the branch-and-bound cut is *not* applied
-/// because the cross-partition slowdown breaks the stacked-duration lower
-/// bound — and falls back to the proportional-seed hill climb beyond
-/// that, mirroring the scalar path's shape.
+/// Both models share one branch-and-bound SP search up to
+/// [`EXACT_SEARCH_MAX_APPS`] and the proportional-seed hill climb beyond
+/// it. The stacked-duration bound stays admissible under per-resource
+/// inflation: every channel slowdown is ≥ 1 and monotone in traffic,
+/// `mul_f64` is monotone, and the prefix bound sums traffic in the same
+/// order as the full prediction with every unassigned share at its
+/// one-slice minimum (see `Channels::prefix_bound`). The per-resource
+/// search additionally cuts subtrees bounded at or above NSP and strictly
+/// above a hill-climbed seed; the argmin is still the exhaustive one.
 pub fn determine_config_model(
     squad: &Squad,
     apps: &[DeployedApp],
@@ -673,131 +816,7 @@ pub fn determine_config_model(
 ) -> ConfigChoice {
     match model {
         ChannelModel::Scalar => determine_config(squad, apps, num_sms),
-        ChannelModel::PerResource(p) => determine_config_channels(squad, apps, num_sms, p),
-    }
-}
-
-fn determine_config_channels(
-    squad: &Squad,
-    apps: &[DeployedApp],
-    num_sms: u32,
-    params: &ChannelParams,
-) -> ConfigChoice {
-    let k = squad.entries.len();
-    assert!(
-        k <= PARTITIONS,
-        "a squad cannot have more participants ({k}) than SM partitions ({PARTITIONS})"
-    );
-    if k == 0 {
-        return ConfigChoice {
-            config: ExecConfig::Nsp,
-            predicted: SimDuration::ZERO,
-            evaluated: 0,
-            pruned: 0,
-        };
-    }
-    let nsp = predict_workload_equivalence_channels(squad, apps, num_sms, params);
-    if k == 1 {
-        return ConfigChoice {
-            config: ExecConfig::Nsp,
-            predicted: nsp,
-            evaluated: 1,
-            pruned: 0,
-        };
-    }
-
-    let stacked: Vec<Vec<SimDuration>> = squad
-        .entries
-        .iter()
-        .map(|e| {
-            (0..PARTITIONS)
-                .map(|p| stacked_duration(&apps[e.app], p, &e.kernels))
-                .collect()
-        })
-        .collect();
-    let means: Vec<ChannelDemand> = squad
-        .entries
-        .iter()
-        .map(|e| entry_mean_demand(&apps[e.app], &e.kernels))
-        .collect();
-
-    // Channel-aware SP evaluation sharing the precomputed stacks: the
-    // same math as `predict_interference_free_channels`, O(K) per
-    // candidate.
-    let eval_sp = |parts: &[u32]| -> SimDuration {
-        let total_parts: u32 = parts.iter().sum::<u32>().max(1);
-        let mut traffic = [0.0f64; NUM_CHANNELS];
-        for (mean, &p) in means.iter().zip(parts) {
-            let share = p as f64 / total_parts as f64;
-            for (t, d) in traffic.iter_mut().zip(&mean.0) {
-                *t += d * share;
-            }
-        }
-        traffic[Channel::Compute as usize] = 0.0;
-        let mut worst = SimDuration::ZERO;
-        for (i, &p) in parts.iter().enumerate() {
-            let share = p as f64 / total_parts as f64;
-            let slow = params.slowdown(&means[i], share, &traffic);
-            worst = worst.max(stacked[i][p as usize - 1].mul_f64(slow));
-        }
-        worst
-    };
-
-    let mut evaluated = 1; // NSP
-    let mut best_sp: Option<(Vec<u32>, SimDuration)> = None;
-    let consider =
-        |parts: &[u32], dur: SimDuration, best: &mut Option<(Vec<u32>, SimDuration)>| match best {
-            Some((_, d)) if *d <= dur => {}
-            _ => *best = Some((parts.to_vec(), dur)),
-        };
-
-    if k <= EXACT_SEARCH_MAX_APPS {
-        let mut parts = vec![1u32; k];
-        enumerate_compositions(PARTITIONS as u32, k, &mut parts, 0, &mut |p| {
-            evaluated += 1;
-            consider(p, eval_sp(p), &mut best_sp);
-        });
-    } else {
-        let quotas: Vec<f64> = squad.entries.iter().map(|e| apps[e.app].quota).collect();
-        let mut parts = proportional_partitions(&quotas, PARTITIONS as u32);
-        let mut dur = eval_sp(&parts);
-        evaluated += 1;
-        consider(&parts, dur, &mut best_sp);
-        while let Some((bottleneck, _)) = parts
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (i, stacked[i][p as usize - 1]))
-            .max_by_key(|&(_, d)| d)
-        {
-            let donor = (0..k)
-                .filter(|&i| i != bottleneck && parts[i] > 1)
-                .min_by_key(|&i| stacked[i][parts[i] as usize - 2]);
-            let Some(donor) = donor else { break };
-            parts[donor] -= 1;
-            parts[bottleneck] += 1;
-            let new_dur = eval_sp(&parts);
-            evaluated += 1;
-            if new_dur >= dur {
-                break;
-            }
-            dur = new_dur;
-            consider(&parts, dur, &mut best_sp);
-        }
-    }
-
-    match best_sp {
-        Some((parts, dur)) if dur < nsp => ConfigChoice {
-            config: ExecConfig::Sp { partitions: parts },
-            predicted: dur,
-            evaluated,
-            pruned: 0,
-        },
-        _ => ConfigChoice {
-            config: ExecConfig::Nsp,
-            predicted: nsp,
-            evaluated,
-            pruned: 0,
-        },
+        ChannelModel::PerResource(p) => determine(squad, apps, num_sms, Some(p), true),
     }
 }
 
@@ -836,9 +855,9 @@ pub fn determine_config_memo_model(
 }
 
 /// Reference enumerator of compositions of `total` into `k` positive
-/// parts, in the lexicographic order [`SpSearch`] visits them. Doubles as
-/// the specification the pruned search's unit tests check against and as
-/// the exhaustive walk of the channel-aware determiner.
+/// parts, in the lexicographic order [`SpSearch`] visits them: the
+/// exhaustive walk of the per-resource differential twin.
+#[cfg(test)]
 fn enumerate_compositions(
     total: u32,
     k: usize,
@@ -1230,24 +1249,195 @@ mod tests {
         }
     }
 
-    /// The per-resource determiner returns a well-formed choice: full
-    /// partition coverage for SP, a positive prediction, and the same
-    /// candidate space as the scalar exhaustive walk (`pruned` stays 0 —
-    /// the stacked-duration bound is invalid under slowdown inflation, so
-    /// nothing is cut).
+    /// The per-resource exhaustive twin: NSP plus every SP composition,
+    /// each predicted by the per-resource Eq. 1, keeping the first strict
+    /// minimum in lexicographic order. The per-entry mean demands and
+    /// stacks are hoisted out of the walk; the winner is re-checked
+    /// against the public [`predict_interference_free_channels`].
+    fn determine_config_channels_exhaustive(
+        squad: &Squad,
+        apps: &[DeployedApp],
+        num_sms: u32,
+        params: &ChannelParams,
+    ) -> ConfigChoice {
+        let k = squad.entries.len();
+        assert!((2..=EXACT_SEARCH_MAX_APPS).contains(&k));
+        let nsp = predict_workload_equivalence_channels(squad, apps, num_sms, params);
+        let means: Vec<ChannelDemand> = squad
+            .entries
+            .iter()
+            .map(|e| entry_mean_demand(&apps[e.app], &e.kernels))
+            .collect();
+        let stacks: Vec<Vec<SimDuration>> = squad
+            .entries
+            .iter()
+            .map(|e| {
+                (0..PARTITIONS)
+                    .map(|p| stacked_duration(&apps[e.app], p, &e.kernels))
+                    .collect()
+            })
+            .collect();
+        let mut evaluated = 1;
+        let mut best: Option<(Vec<u32>, SimDuration)> = None;
+        let mut parts = vec![1u32; k];
+        enumerate_compositions(PARTITIONS as u32, k, &mut parts, 0, &mut |parts| {
+            evaluated += 1;
+            let mut traffic = [0.0f64; NUM_CHANNELS];
+            for (mean, &p) in means.iter().zip(parts) {
+                let share = p as f64 / PARTITIONS as f64;
+                for (t, d) in traffic.iter_mut().zip(&mean.0) {
+                    *t += d * share;
+                }
+            }
+            traffic[Channel::Compute as usize] = 0.0;
+            let mut dur = SimDuration::ZERO;
+            for (i, &p) in parts.iter().enumerate() {
+                let share = p as f64 / PARTITIONS as f64;
+                let slow = params.slowdown(&means[i], share, &traffic);
+                dur = dur.max(stacks[i][p as usize - 1].mul_f64(slow));
+            }
+            if best.as_ref().is_none_or(|(_, d)| dur < *d) {
+                best = Some((parts.to_vec(), dur));
+            }
+        });
+        if let Some((parts, dur)) = &best {
+            assert_eq!(
+                predict_interference_free_channels(squad, apps, parts, params),
+                *dur
+            );
+        }
+        match best {
+            Some((partitions, dur)) if dur < nsp => ConfigChoice {
+                config: ExecConfig::Sp { partitions },
+                predicted: dur,
+                evaluated,
+                pruned: 0,
+            },
+            _ => ConfigChoice {
+                config: ExecConfig::Nsp,
+                predicted: nsp,
+                evaluated,
+                pruned: 0,
+            },
+        }
+    }
+
+    /// Candidates the per-resource search's hill-climb seed evaluates.
+    fn seed_evaluations(squad: &Squad, apps: &[DeployedApp], params: &ChannelParams) -> usize {
+        let stacked: Vec<Stacked> = squad
+            .entries
+            .iter()
+            .map(|e| std::array::from_fn(|p| stacked_duration(&apps[e.app], p, &e.kernels)))
+            .collect();
+        let means: Vec<ChannelDemand> = squad
+            .entries
+            .iter()
+            .map(|e| entry_mean_demand(&apps[e.app], &e.kernels))
+            .collect();
+        let quotas: Vec<f64> = squad.entries.iter().map(|e| apps[e.app].quota).collect();
+        let ch = Channels {
+            params,
+            means: &means,
+        };
+        hill_climb(&stacked, &quotas, |parts| ch.eval(&stacked, parts)).evaluated
+    }
+
+    /// The per-resource determiner returns a well-formed choice and
+    /// accounts for its whole candidate space: `evaluated` counts NSP,
+    /// the hill-climb seed's candidates and every SP leaf reached,
+    /// `pruned` every SP composition cut, so `evaluated + pruned` is the
+    /// exhaustive count (NSP + C(17, 1) splits) plus the seed's work.
     #[test]
     fn channel_determiner_is_well_formed() {
         let apps = vec![deploy(ModelKind::NasNet, 0.5), deploy(ModelKind::Bert, 0.5)];
         let squad = squad_of(&apps, 25);
-        let model = ChannelModel::PerResource(ChannelParams::a100());
+        let params = ChannelParams::a100();
+        let model = ChannelModel::PerResource(params);
         let choice = determine_config_model(&squad, &apps, 108, &model);
         assert!(choice.predicted > SimDuration::ZERO);
-        assert_eq!(choice.pruned, 0);
-        assert_eq!(choice.evaluated, 18); // NSP + C(17, 1) SP splits
+        let seed = seed_evaluations(&squad, &apps, &params);
+        assert!(seed >= 1);
+        assert_eq!(choice.evaluated + choice.pruned, 18 + seed);
+        assert!(choice.evaluated < 18 + seed, "the cut never fired");
         if let ExecConfig::Sp { partitions } = &choice.config {
             assert_eq!(partitions.len(), 2);
             assert_eq!(partitions.iter().sum::<u32>(), 18);
             assert!(partitions.iter().all(|&p| p >= 1));
+        }
+    }
+
+    fn table1_profiles() -> &'static [std::sync::Arc<ProfiledApp>] {
+        static CACHE: std::sync::OnceLock<Vec<std::sync::Arc<ProfiledApp>>> =
+            std::sync::OnceLock::new();
+        CACHE.get_or_init(|| {
+            ModelKind::ALL
+                .iter()
+                .map(|&m| {
+                    std::sync::Arc::new(ProfiledApp::profile(
+                        &AppModel::build(m, Phase::Inference),
+                        &GpuSpec::a100(),
+                    ))
+                })
+                .collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1000))]
+
+        /// The pruned per-resource search is exact: on random squads of
+        /// 2-6 Table 1 models with random contiguous kernel ranges and
+        /// quotas, under both the calibrated A100 curves and a scalar
+        /// collapse, it returns the exhaustive twin's config and
+        /// prediction, accounts for every composition, and the memoized
+        /// path agrees.
+        #[test]
+        fn prop_channel_search_matches_exhaustive(
+            entries in proptest::collection::vec(
+                (0usize..5, 0.0f64..1.0, 1usize..=40, 1u32..=100),
+                2..=6,
+            ),
+            collapse: bool,
+        ) {
+            let profiles = table1_profiles();
+            let apps: Vec<DeployedApp> = entries
+                .iter()
+                .map(|&(m, _, _, q)| DeployedApp::new(profiles[m].clone(), q as f64 / 100.0, None))
+                .collect();
+            let squad = Squad {
+                entries: entries
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(_, start, len, _))| {
+                        let n = apps[i].profile.kernel_count();
+                        let len = len.min(n);
+                        let first = ((start * (n - len + 1) as f64) as usize).min(n - len);
+                        SquadEntry { app: i, kernels: (first..first + len).collect() }
+                    })
+                    .collect(),
+            };
+            let params = if collapse {
+                ChannelParams::matched_scalar(1.5, 0.30, 2.0, Channel::DramBw)
+            } else {
+                ChannelParams::a100()
+            };
+            let model = ChannelModel::PerResource(params);
+            let fast = determine_config_model(&squad, &apps, 108, &model);
+            let slow = determine_config_channels_exhaustive(&squad, &apps, 108, &params);
+            proptest::prop_assert_eq!(&fast.config, &slow.config);
+            proptest::prop_assert_eq!(fast.predicted, slow.predicted);
+            proptest::prop_assert_eq!(
+                fast.evaluated + fast.pruned,
+                slow.evaluated + seed_evaluations(&squad, &apps, &params)
+            );
+            let mut memo = ConfigMemo::new();
+            for _ in 0..2 {
+                let memoized = determine_config_memo_model(&mut memo, &squad, &apps, 108, &model);
+                proptest::prop_assert_eq!(&memoized.config, &fast.config);
+                proptest::prop_assert_eq!(memoized.predicted, fast.predicted);
+                proptest::prop_assert_eq!(memoized.evaluated, fast.evaluated);
+            }
+            proptest::prop_assert_eq!((memo.hits, memo.misses), (1, 1));
         }
     }
 
