@@ -7,6 +7,7 @@
 //! requests, the work-stealing shard pool, and the streaming fold —
 //! at worker counts 1 and 4. The pinned digest catches any behavioral
 //! drift in that path; the cross-worker equality catches nondeterminism.
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
 use cluster::{run_cluster_stream, ClusterOptions, FleetSummary};
 use dnn_models::{micro, AppModel, ModelKind, Phase};

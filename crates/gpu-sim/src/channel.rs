@@ -341,13 +341,7 @@ mod tests {
         let d = ChannelDemand::new(0.5, 0.5, 0.5, 0.5);
         // Sole kernel: traffic equals its own contribution on every channel.
         let share = 0.7;
-        let traffic = {
-            let mut t = [0.0; NUM_CHANNELS];
-            for c in 0..NUM_CHANNELS {
-                t[c] = d.0[c] * share;
-            }
-            t
-        };
+        let traffic = d.0.map(|dc| dc * share);
         assert_eq!(p.slowdown(&d, share, &traffic), 1.0);
     }
 

@@ -402,8 +402,8 @@ proptest! {
             let mut t = [0.0f64; NUM_CHANNELS];
             for (d, share) in list {
                 let d = demand_of(*d);
-                for c in 0..NUM_CHANNELS {
-                    t[c] += d.0[c] * share;
+                for (tc, dc) in t.iter_mut().zip(d.0) {
+                    *tc += dc * share;
                 }
             }
             t

@@ -10,14 +10,11 @@
 //!                                # on any violation)
 //! ```
 //!
-//! Multiple experiments run concurrently on worker threads (they are
-//! independent simulations sharing only the profile cache). Rendered
+//! Multiple experiments run concurrently through [`harness::par`] (they
+//! are independent simulations sharing only the profile cache). Rendered
 //! tables are buffered per experiment and printed in the requested order,
 //! so stdout is byte-for-byte identical to a serial run; only stderr
 //! progress lines interleave.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 use harness::experiments::{find, registry, Experiment};
 
@@ -115,56 +112,19 @@ fn main() {
         .collect();
 
     let total = std::time::Instant::now();
-    if exps.len() == 1 {
-        // A single experiment gains nothing from workers: run it inline.
-        let exp = &exps[0];
-        eprintln!("[experiments] running {}: {}", exp.id, exp.describes);
-        let out = run_one(exp);
-        emit(exp.id, &out, csv_dir.as_deref());
-        return;
-    }
-
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(exps.len());
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, ExpOutput)>();
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let exps = &exps;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(exp) = exps.get(i) else { break };
-                eprintln!("[experiments] running {}: {}", exp.id, exp.describes);
-                if tx.send((i, run_one(exp))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-
-        // Print strictly in request order as results arrive.
-        let mut done: Vec<Option<ExpOutput>> = (0..exps.len()).map(|_| None).collect();
-        let mut emitted = 0;
-        for (i, out) in rx {
-            done[i] = Some(out);
-            while emitted < exps.len() {
-                let Some(out) = done[emitted].take() else {
-                    break;
-                };
-                emit(exps[emitted].id, &out, csv_dir.as_deref());
-                emitted += 1;
-            }
-        }
-    });
-    eprintln!(
-        "[experiments] total wall-clock: {:.1?} ({} experiments, {} workers)",
-        total.elapsed(),
-        exps.len(),
-        workers
+    harness::par::for_each_ordered(
+        &exps,
+        |exp| {
+            eprintln!("[experiments] running {}: {}", exp.id, exp.describes);
+            run_one(exp)
+        },
+        |i, out| emit(exps[i].id, &out, csv_dir.as_deref()),
     );
+    if exps.len() > 1 {
+        eprintln!(
+            "[experiments] total wall-clock: {:.1?} ({} experiments)",
+            total.elapsed(),
+            exps.len()
+        );
+    }
 }

@@ -12,8 +12,12 @@ use profiler::ProfiledApp;
 
 type Key = (ModelKind, Phase, u32);
 
-fn cache() -> &'static Mutex<HashMap<Key, Arc<ProfiledApp>>> {
-    static CACHE: OnceLock<Mutex<HashMap<Key, Arc<ProfiledApp>>>> = OnceLock::new();
+/// One entry, filled once; concurrent callers for the same key wait for
+/// the first one's profile instead of profiling again.
+type Slot = Arc<OnceLock<Arc<ProfiledApp>>>;
+
+fn cache() -> &'static Mutex<HashMap<Key, Slot>> {
+    static CACHE: OnceLock<Mutex<HashMap<Key, Slot>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -22,26 +26,21 @@ fn cache() -> &'static Mutex<HashMap<Key, Arc<ProfiledApp>>> {
 /// (no per-call deep copy of the 19-run duration tables).
 pub fn profile(kind: ModelKind, phase: Phase, spec: &GpuSpec) -> Arc<ProfiledApp> {
     let key = (kind, phase, spec.num_sms);
-    // The cache is shared by the parallel experiment runner's worker
-    // threads. A panicking experiment (e.g. a failing assertion in one
-    // table) poisons the mutex; the cached profiles are still valid —
-    // entries are inserted fully constructed and never mutated — so
-    // recover the guard instead of cascading the panic into every other
-    // experiment.
-    if let Some(p) = cache()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(&key)
-    {
-        return Arc::clone(p);
-    }
-    let app = AppModel::build(kind, phase);
-    let profiled = Arc::new(ProfiledApp::profile(&app, spec));
-    cache()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(key, Arc::clone(&profiled));
-    profiled
+    // The cache is shared by parallel experiments and grid workers. A
+    // panicking experiment (e.g. a failing assertion in one table) poisons
+    // the mutex; the map only ever gains slots, so recover the guard
+    // instead of cascading the panic into every other experiment. The
+    // lock is held only to find the slot, never while profiling.
+    let slot = Arc::clone(
+        cache()
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(key)
+            .or_default(),
+    );
+    let profiled =
+        slot.get_or_init(|| Arc::new(ProfiledApp::profile(&AppModel::build(kind, phase), spec)));
+    Arc::clone(profiled)
 }
 
 /// Returns the generated application model (cheap; not cached).
@@ -60,6 +59,22 @@ mod tests {
         let b = profile(ModelKind::Vgg11, Phase::Inference, &spec);
         assert_eq!(a.iso_latency, b.iso_latency);
         assert_eq!(a.kernel_count(), b.kernel_count());
+    }
+
+    #[test]
+    fn concurrent_first_calls_share_one_profile() {
+        // An SM count no experiment uses, so both calls find the key cold.
+        let spec = GpuSpec::a100_with_sms(36);
+        let barrier = std::sync::Barrier::new(2);
+        let call = || {
+            barrier.wait();
+            profile(ModelKind::Vgg11, Phase::Inference, &spec)
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let (a, b) = (s.spawn(call), s.spawn(call));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&a, &b), "both callers must get the one profile");
     }
 
     #[test]

@@ -13,6 +13,7 @@ use sim_core::SimTime;
 use workloads::{pair_workload, PaperWorkload, TWO_MODEL_QUOTAS};
 
 use crate::cache;
+use crate::par::par_map;
 use crate::runner::{run_system, System};
 
 /// The four panels of Fig. 12: (a)/(b) a symmetric pair under medium and
@@ -52,8 +53,7 @@ pub fn panel(
     requests: usize,
 ) -> Vec<(String, f64, f64, f64, f64)> {
     let spec = GpuSpec::a100();
-    let mut rows = Vec::new();
-    for (qa, qb) in TWO_MODEL_QUOTAS {
+    par_map(&TWO_MODEL_QUOTAS, |&(qa, qb)| {
         let ws = pair_workload(
             cache::model(a, Phase::Inference),
             cache::model(b, Phase::Inference),
@@ -71,15 +71,14 @@ pub fn panel(
             None,
         );
         let means = r.app_means();
-        rows.push((
+        (
             format!("{:.2}/{:.2}", qa, qb),
             means[0].as_millis_f64(),
             means[1].as_millis_f64(),
             r.iso_targets[0].as_millis_f64(),
             r.iso_targets[1].as_millis_f64(),
-        ));
-    }
-    rows
+        )
+    })
 }
 
 /// Regenerates Fig. 12.

@@ -13,7 +13,9 @@ use metrics::Table;
 use sim_core::SimTime;
 use workloads::{pair_workload, PaperWorkload};
 
+use super::{mean, product};
 use crate::cache;
+use crate::par::par_map;
 use crate::runner::{run_system, System};
 
 const INFER_MODELS: [ModelKind; 5] = [
@@ -29,6 +31,9 @@ const INFER_MODELS: [ModelKind; 5] = [
 /// the comparison).
 const TRAIN_MODELS: [ModelKind; 3] = [ModelKind::Vgg11, ModelKind::ResNet50, ModelKind::ResNet101];
 
+/// One sweep: models, phase, load, systems and requests per client.
+type Sweep<'a> = (&'a [ModelKind], Phase, PaperWorkload, &'a [System], usize);
+
 /// Mean latency (ms) of a symmetric pair of `model` under `load` for each
 /// system in `systems`, averaged over the model set.
 pub fn sweep(
@@ -38,26 +43,46 @@ pub fn sweep(
     systems: &[System],
     requests: usize,
 ) -> Vec<(String, f64)> {
+    sweeps(&[(models, phase, load, systems, requests)]).remove(0)
+}
+
+/// [`sweep`] for several sweeps at once: every sweep × system × model run
+/// goes into one parallel grid, folded per system in model order.
+fn sweeps(sweeps: &[Sweep]) -> Vec<Vec<(String, f64)>> {
     let spec = GpuSpec::a100();
-    let mut out = Vec::new();
-    for sys in systems {
-        let mut total = 0.0;
-        for &m in models {
-            let ws = pair_workload(
-                cache::model(m, phase),
-                cache::model(m, phase),
-                (0.5, 0.5),
-                load,
-                requests,
-                SimTime::from_secs(20),
-                11,
-            );
-            let r = run_system(sys, &ws, &spec, SimTime::from_secs(300), None);
-            total += r.mean_ms();
-        }
-        out.push((sys.name().to_string(), total / models.len() as f64));
-    }
-    out
+    let grid: Vec<(&Sweep, &System, ModelKind)> = sweeps
+        .iter()
+        .flat_map(|sw| {
+            product(sw.3, sw.0)
+                .into_iter()
+                .map(move |(sys, &m)| (sw, sys, m))
+        })
+        .collect();
+    let runs = par_map(&grid, |&(&(_, phase, load, _, requests), sys, m)| {
+        let ws = pair_workload(
+            cache::model(m, phase),
+            cache::model(m, phase),
+            (0.5, 0.5),
+            load,
+            requests,
+            SimTime::from_secs(20),
+            11,
+        );
+        run_system(sys, &ws, &spec, SimTime::from_secs(300), None).mean_ms()
+    });
+    let mut runs = runs.into_iter();
+    sweeps
+        .iter()
+        .map(|&(models, _, _, systems, _)| {
+            systems
+                .iter()
+                .map(|sys| {
+                    let ms = mean(runs.by_ref().take(models.len()));
+                    (sys.name().to_string(), ms)
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Builds a "system / latency / BLESS reduction" table from sweep rows
@@ -79,39 +104,50 @@ fn reduction_table(title: String, rows: &[(String, f64)], paper_note: &str) -> T
 
 /// Regenerates Fig. 13.
 pub fn run() -> Vec<Table> {
-    let mut out = Vec::new();
-
-    // Inference: workloads A, B, C.
-    for (wl, label) in [
+    let loads = [
         (PaperWorkload::HighLoad, "A (high load)"),
         (PaperWorkload::MediumLoad, "B (medium load)"),
         (PaperWorkload::LowLoad, "C (low load)"),
-    ] {
-        let mut systems = vec![System::Iso];
-        systems.extend(System::inference_set());
-        let rows = sweep(&INFER_MODELS, Phase::Inference, wl, &systems, 12);
+    ];
+    let mut infer_systems = vec![System::Iso];
+    infer_systems.extend(System::inference_set());
+    // Training: even sharing of two identical training jobs. Training
+    // iterations run back-to-back (continuous epochs), unlike the
+    // closed-loop inference clients.
+    let mut train_systems = System::training_set();
+    train_systems.insert(0, System::Iso);
+    let mut all: Vec<Sweep> = loads
+        .iter()
+        .map(|&(wl, _)| {
+            (
+                &INFER_MODELS[..],
+                Phase::Inference,
+                wl,
+                &infer_systems[..],
+                12,
+            )
+        })
+        .collect();
+    all.push((
+        &TRAIN_MODELS,
+        Phase::Training,
+        PaperWorkload::BiasedDense,
+        &train_systems,
+        6,
+    ));
+    let mut rows = sweeps(&all).into_iter();
+
+    let mut out = Vec::new();
+    for ((_, label), rows) in loads.iter().zip(rows.by_ref()) {
         out.push(reduction_table(
             format!("Fig. 13 inference, workload {label}: mean latency over 5 symmetric pairs"),
             &rows,
             "paper averages: -37.3% TEMPORAL, -34.2% MIG, -21.1% GSLICE, -16.5% UNBOUND, -13.5% REEF+",
         ));
     }
-
-    // Training: even sharing of two identical training jobs. Training
-    // iterations run back-to-back (continuous epochs), unlike the
-    // closed-loop inference clients.
-    let mut systems = System::training_set();
-    systems.insert(0, System::Iso);
-    let rows = sweep(
-        &TRAIN_MODELS,
-        Phase::Training,
-        PaperWorkload::BiasedDense,
-        &systems,
-        6,
-    );
     out.push(reduction_table(
         "Fig. 13 training: mean epoch-iteration latency over symmetric pairs".to_string(),
-        &rows,
+        &crate::require(rows.next(), "training sweep"),
         "paper averages: -26.5% TEMPORAL, -7.5% MIG, -12.5% UNBOUND, -9.9% ZICO",
     ));
     out

@@ -12,7 +12,9 @@ use metrics::Table;
 use sim_core::SimTime;
 use workloads::{pair_workload, PaperWorkload, TWO_MODEL_QUOTAS};
 
+use super::{mean, product};
 use crate::cache;
+use crate::par::par_map;
 use crate::runner::{run_system, System};
 
 /// The nine pairs: five symmetric (m, m) plus R50 × the four others.
@@ -41,26 +43,28 @@ pub fn pairs() -> Vec<(ModelKind, ModelKind)> {
 /// Mean latency deviation (ms) of `system` over the given pairs × the
 /// seven quota assignments, under medium load.
 pub fn mean_deviation(system: &System, pairs: &[(ModelKind, ModelKind)], requests: usize) -> f64 {
+    mean(deviations(std::slice::from_ref(system), pairs, requests).into_iter())
+}
+
+/// Latency deviation (ms) of every system × pair × quota assignment, in
+/// that order, each run on its own seeded workload.
+fn deviations(systems: &[System], pairs: &[(ModelKind, ModelKind)], requests: usize) -> Vec<f64> {
     let spec = GpuSpec::a100();
-    let mut total = 0.0;
-    let mut n = 0;
-    for &(a, b) in pairs {
-        for quotas in TWO_MODEL_QUOTAS {
-            let ws = pair_workload(
-                cache::model(a, Phase::Inference),
-                cache::model(b, Phase::Inference),
-                quotas,
-                PaperWorkload::MediumLoad,
-                requests,
-                SimTime::from_secs(10),
-                23,
-            );
-            let r = run_system(system, &ws, &spec, SimTime::from_secs(120), None);
-            total += r.deviation().as_millis_f64();
-            n += 1;
-        }
-    }
-    total / n as f64
+    let system_pairs = product(systems, pairs);
+    let grid = product(&system_pairs, &TWO_MODEL_QUOTAS);
+    par_map(&grid, |&(&(system, &(a, b)), &quotas)| {
+        let ws = pair_workload(
+            cache::model(a, Phase::Inference),
+            cache::model(b, Phase::Inference),
+            quotas,
+            PaperWorkload::MediumLoad,
+            requests,
+            SimTime::from_secs(10),
+            23,
+        );
+        let r = run_system(system, &ws, &spec, SimTime::from_secs(120), None);
+        r.deviation().as_millis_f64()
+    })
 }
 
 /// Regenerates Fig. 14.
@@ -70,17 +74,21 @@ pub fn run() -> Vec<Table> {
         "Fig. 14: mean latency deviation over 9 pairs x 7 uneven quota configs",
         &["system", "avg deviation ms", "paper ms"],
     );
-    for (sys, paper) in [
+    let (systems, papers): (Vec<System>, Vec<&str>) = [
         (System::Temporal, "14.3"),
         (System::Gslice, "2.1"),
         (System::Unbound, "large"),
         (System::ReefPlus, "large"),
         (System::Bless(bless::BlessParams::default()), "0.6"),
-    ] {
-        let dev = mean_deviation(&sys, &all_pairs, 10);
+    ]
+    .into_iter()
+    .unzip();
+    let devs = deviations(&systems, &all_pairs, 10);
+    let per_system = all_pairs.len() * TWO_MODEL_QUOTAS.len();
+    for ((sys, paper), devs) in systems.iter().zip(papers).zip(devs.chunks(per_system)) {
         t.row(&[
             sys.name().to_string(),
-            format!("{dev:.2}"),
+            format!("{:.2}", mean(devs.iter().copied())),
             paper.to_string(),
         ]);
     }

@@ -13,6 +13,7 @@ use sim_core::SimTime;
 use workloads::{ArrivalPattern, PaperWorkload, TenantSpec, WorkloadSet};
 
 use crate::cache;
+use crate::par::par_map;
 use crate::runner::{run_system, System};
 use dnn_models::gen::CALIBRATION_PCIE;
 
@@ -42,17 +43,15 @@ pub fn workload_e(other: ModelKind, requests: usize) -> WorkloadSet {
 /// throughput rps).
 pub fn biased_case(other: ModelKind, requests: usize) -> Vec<(String, f64, f64)> {
     let spec = GpuSpec::a100();
-    [System::Gslice, System::Bless(bless::BlessParams::default())]
-        .iter()
-        .map(|sys| {
-            let ws = workload_e(other, requests);
-            let r = run_system(sys, &ws, &spec, SimTime::from_secs(120), None);
-            let lat1 = crate::require(r.log.stats(0).mean, "app1 ran").as_nanos() as f64;
-            let iso1 = r.iso_targets[0].as_nanos() as f64;
-            let tput2 = r.log.throughput(1, sim_core::SimTime::ZERO, r.makespan);
-            (sys.name().to_string(), lat1 / iso1 - 1.0, tput2)
-        })
-        .collect()
+    let systems = [System::Gslice, System::Bless(bless::BlessParams::default())];
+    par_map(&systems, |sys| {
+        let ws = workload_e(other, requests);
+        let r = run_system(sys, &ws, &spec, SimTime::from_secs(120), None);
+        let lat1 = crate::require(r.log.stats(0).mean, "app1 ran").as_nanos() as f64;
+        let iso1 = r.iso_targets[0].as_nanos() as f64;
+        let tput2 = r.log.throughput(1, sim_core::SimTime::ZERO, r.makespan);
+        (sys.name().to_string(), lat1 / iso1 - 1.0, tput2)
+    })
 }
 
 /// Regenerates Fig. 16.

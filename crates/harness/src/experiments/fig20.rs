@@ -11,7 +11,9 @@ use metrics::Table;
 use sim_core::SimTime;
 use workloads::{pair_workload, PaperWorkload};
 
+use super::mean;
 use crate::cache;
+use crate::par::par_map;
 use crate::runner::{run_system, System};
 
 const MODELS: [ModelKind; 5] = [
@@ -22,82 +24,93 @@ const MODELS: [ModelKind; 5] = [
     ModelKind::Bert,
 ];
 
+/// An ablation setting: quotas, load and workload seed.
+type Setting = ((f64, f64), PaperWorkload, u64);
+
+/// Workload B with even quotas, for the latency ablation.
+const EVEN: Setting = ((0.5, 0.5), PaperWorkload::MediumLoad, 101);
+
+/// High load with uneven quotas, for the quota-guarantee ablation.
+const UNEVEN: Setting = ((2.0 / 3.0, 1.0 / 3.0), PaperWorkload::HighLoad, 103);
+
+/// The symmetric pairs of the quota-guarantee ablation.
+const UNEVEN_MODELS: [ModelKind; 2] = [ModelKind::ResNet50, ModelKind::Bert];
+
 /// Mean latency over the 5 symmetric pairs (workload B, even quotas)
 /// under the given parameter set.
 pub fn variant_mean(params: BlessParams, models: &[ModelKind], requests: usize) -> f64 {
-    let spec = GpuSpec::a100();
-    let mut total = 0.0;
-    for &m in models {
-        let ws = pair_workload(
-            cache::model(m, Phase::Inference),
-            cache::model(m, Phase::Inference),
-            (0.5, 0.5),
-            PaperWorkload::MediumLoad,
-            requests,
-            SimTime::from_secs(20),
-            101,
-        );
-        let r = run_system(
-            &System::Bless(params.clone()),
-            &ws,
-            &spec,
-            SimTime::from_secs(300),
-            None,
-        );
-        total += r.mean_ms();
-    }
-    total / models.len() as f64
+    ablate(&[(&System::Bless(params), EVEN, models)], requests)[0].0
 }
 
 /// Deviation (ms) under an uneven (2/3, 1/3) quota pair for one variant —
 /// the setting where the multi-task scheduler's compensation is load
 /// bearing.
 pub fn variant_deviation(params: BlessParams, requests: usize) -> f64 {
+    ablate(
+        &[(&System::Bless(params), UNEVEN, &UNEVEN_MODELS)],
+        requests,
+    )[0]
+    .1
+}
+
+/// Mean latency and mean deviation (ms) of each (variant, setting) over
+/// its symmetric pairs. Every case × model run goes into one parallel
+/// grid, folded per case in model order.
+fn ablate(cases: &[(&System, Setting, &[ModelKind])], requests: usize) -> Vec<(f64, f64)> {
     let spec = GpuSpec::a100();
-    let mut total = 0.0;
-    let models = [ModelKind::ResNet50, ModelKind::Bert];
-    for &m in &models {
+    let grid: Vec<(&System, Setting, ModelKind)> = cases
+        .iter()
+        .flat_map(|&(sys, setting, models)| models.iter().map(move |&m| (sys, setting, m)))
+        .collect();
+    let runs = par_map(&grid, |&(system, (quotas, load, seed), m)| {
         let ws = pair_workload(
             cache::model(m, Phase::Inference),
             cache::model(m, Phase::Inference),
-            (2.0 / 3.0, 1.0 / 3.0),
-            PaperWorkload::HighLoad,
+            quotas,
+            load,
             requests,
             SimTime::from_secs(20),
-            103,
+            seed,
         );
-        let r = run_system(
-            &System::Bless(params.clone()),
-            &ws,
-            &spec,
-            SimTime::from_secs(300),
-            None,
-        );
-        total += r.deviation().as_millis_f64();
-    }
-    total / models.len() as f64
+        let r = run_system(system, &ws, &spec, SimTime::from_secs(300), None);
+        (r.mean_ms(), r.deviation().as_millis_f64())
+    });
+    let mut start = 0;
+    cases
+        .iter()
+        .map(|&(_, _, models)| {
+            let case = &runs[start..start + models.len()];
+            start += models.len();
+            (
+                mean(case.iter().map(|r| r.0)),
+                mean(case.iter().map(|r| r.1)),
+            )
+        })
+        .collect()
 }
 
 /// Regenerates Fig. 20.
 pub fn run() -> Vec<Table> {
-    let full = variant_mean(BlessParams::default(), &MODELS, 10);
-    let no_mt = variant_mean(
-        BlessParams {
+    let variants = [
+        System::Bless(BlessParams::default()),
+        System::Bless(BlessParams {
             disable_multitask: true,
             ..BlessParams::default()
-        },
-        &MODELS,
-        10,
-    );
-    let no_det = variant_mean(
-        BlessParams {
+        }),
+        System::Bless(BlessParams {
             disable_multitask: true,
             disable_determiner: true,
             ..BlessParams::default()
-        },
-        &MODELS,
-        10,
-    );
+        }),
+    ];
+    let mut cases: Vec<(&System, Setting, &[ModelKind])> =
+        variants.iter().map(|v| (v, EVEN, &MODELS[..])).collect();
+    cases.extend(variants.iter().map(|v| (v, UNEVEN, &UNEVEN_MODELS[..])));
+    let results = ablate(&cases, 10);
+    let (even, uneven) = results.split_at(variants.len());
+    let [full, no_mt, no_det] = [even[0].0, even[1].0, even[2].0];
+    let [dev_full, dev_no_mt, dev_no_det] = [uneven[0].1, uneven[1].1, uneven[2].1];
+
     let mut t = Table::new(
         "Fig. 20: ablation (5 symmetric pairs, workload B, even quotas)",
         &["variant", "avg latency ms", "vs full %"],
@@ -125,22 +138,6 @@ pub fn run() -> Vec<Table> {
     let mut t2 = Table::new(
         "Fig. 20 (cont.): quota-guarantee ablation, uneven (2/3, 1/3) quotas, high load",
         &["variant", "avg deviation ms"],
-    );
-    let dev_full = variant_deviation(BlessParams::default(), 10);
-    let dev_no_mt = variant_deviation(
-        BlessParams {
-            disable_multitask: true,
-            ..BlessParams::default()
-        },
-        10,
-    );
-    let dev_no_det = variant_deviation(
-        BlessParams {
-            disable_multitask: true,
-            disable_determiner: true,
-            ..BlessParams::default()
-        },
-        10,
     );
     t2.row(&["BLESS (full)".to_string(), format!("{dev_full:.2}")]);
     t2.row(&[

@@ -198,6 +198,20 @@ pub fn find(id: &str) -> Option<Experiment> {
     registry().into_iter().find(|e| e.id == id)
 }
 
+/// Every `(a, b)` pair, `a`-major: the flat input of a parallel grid.
+fn product<'a, A, B>(a: &'a [A], b: &'a [B]) -> Vec<(&'a A, &'a B)> {
+    a.iter()
+        .flat_map(|x| b.iter().map(move |y| (x, y)))
+        .collect()
+}
+
+/// Mean of `xs`, summed in order from 0.0 as the serial loops did, so a
+/// grid folded in index order reproduces their floats bit for bit.
+fn mean(xs: impl ExactSizeIterator<Item = f64>) -> f64 {
+    let n = xs.len();
+    xs.fold(0.0, |total, x| total + x) / n as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,9 @@ use metrics::Table;
 use sim_core::{SimDuration, SimTime};
 use workloads::{pair_workload, PaperWorkload};
 
+use super::product;
 use crate::cache;
+use crate::par::par_map;
 use crate::runner::{deployment, run_system, System};
 
 const MODELS: [ModelKind; 5] = [
@@ -43,32 +45,37 @@ pub fn setting(
         System::Gslice,
         System::Bless(bless::BlessParams::default()),
     ];
+    let rates = par_map(&product(&systems, models), |&(sys, &m)| {
+        let ws = pair_workload(
+            cache::model(m, Phase::Inference),
+            cache::model(m, Phase::Inference),
+            (0.5, 0.5),
+            load,
+            requests,
+            SimTime::from_secs(10),
+            61,
+        );
+        // QoS targets are multiples of the *solo* (full-GPU) latency —
+        // tighter than the quota partition can deliver.
+        let apps = deployment(&ws, &spec, None);
+        let solo = apps[0].profile.iso_latency[profiler::PARTITIONS - 1];
+        let targets: Vec<SimDuration> = vec![solo.mul_f64(factors.0), solo.mul_f64(factors.1)];
+        let r = run_system(sys, &ws, &spec, SimTime::from_secs(120), Some(&targets));
+        targets
+            .iter()
+            .enumerate()
+            .map(|(app, target)| r.log.violation_rate(app, *target))
+            .collect::<Vec<f64>>()
+    });
     systems
         .iter()
-        .map(|sys| {
+        .zip(rates.chunks(models.len()))
+        .map(|(sys, runs)| {
             let mut violations = 0.0;
             let mut n = 0.0;
-            for &m in models {
-                let ws = pair_workload(
-                    cache::model(m, Phase::Inference),
-                    cache::model(m, Phase::Inference),
-                    (0.5, 0.5),
-                    load,
-                    requests,
-                    SimTime::from_secs(10),
-                    61,
-                );
-                // QoS targets are multiples of the *solo* (full-GPU)
-                // latency — tighter than the quota partition can deliver.
-                let apps = deployment(&ws, &spec, None);
-                let solo = apps[0].profile.iso_latency[profiler::PARTITIONS - 1];
-                let targets: Vec<SimDuration> =
-                    vec![solo.mul_f64(factors.0), solo.mul_f64(factors.1)];
-                let r = run_system(sys, &ws, &spec, SimTime::from_secs(120), Some(&targets));
-                for (app, target) in targets.iter().enumerate() {
-                    violations += r.log.violation_rate(app, *target);
-                    n += 1.0;
-                }
+            for rate in runs.iter().flatten() {
+                violations += rate;
+                n += 1.0;
             }
             (sys.name().to_string(), violations / n)
         })

@@ -14,6 +14,7 @@ use sim_core::SimTime;
 use workloads::{pair_workload, PaperWorkload, WorkloadSet};
 
 use crate::cache;
+use crate::par::par_map;
 use crate::runner::{run_validated, System};
 
 /// The comparison scenario: a VGG-11 + ResNet-50 pair replaying the
@@ -65,17 +66,20 @@ pub fn run() -> Vec<Table> {
             "util %",
         ],
     );
-    for sys in comparison_set() {
-        let r = run_validated(&sys, &ws, &spec, horizon, None);
+    let rows = par_map(&comparison_set(), |sys| {
+        let r = run_validated(sys, &ws, &spec, horizon, None);
         let p99 = |app: usize| r.log.stats(app).p99.map_or(f64::NAN, |d| d.as_millis_f64());
-        t.row(&[
+        [
             sys.name().to_string(),
             format!("{:.2}", r.mean_ms()),
             format!("{:.2}", p99(0)),
             format!("{:.2}", p99(1)),
             format!("{:.2}", r.deviation().as_millis_f64()),
             format!("{:.1}", r.utilization * 100.0),
-        ]);
+        ]
+    });
+    for row in &rows {
+        t.row(row);
     }
     t.note("TALLY protects app 0 (priority); its p99 app0 column is the headline");
     vec![t]

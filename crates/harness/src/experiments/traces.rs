@@ -12,7 +12,9 @@ use metrics::Table;
 use sim_core::SimTime;
 use workloads::{pair_workload, PaperWorkload};
 
+use super::{mean, product};
 use crate::cache;
+use crate::par::par_map;
 use crate::runner::{run_system, System};
 
 const MODELS: [ModelKind; 5] = [
@@ -34,6 +36,9 @@ pub fn mutual_pairs() -> Vec<(ModelKind, ModelKind)> {
     v
 }
 
+/// One replay setting: the system, the trace and the quota pair.
+type Case<'a> = (&'a System, PaperWorkload, (f64, f64));
+
 /// Mean latency (ms) of `system` over the mutual pairs under `trace`.
 pub fn trace_mean(
     system: &System,
@@ -41,30 +46,45 @@ pub fn trace_mean(
     quotas: (f64, f64),
     pairs: &[(ModelKind, ModelKind)],
 ) -> f64 {
+    replay_means(&[(system, trace, quotas)], pairs)[0].0
+}
+
+/// Mean latency and mean deviation (ms) over `pairs` for each case. Every
+/// case × pair replay is independent, so the whole grid runs in one
+/// parallel map and is folded per case in pair order.
+fn replay_means(cases: &[Case], pairs: &[(ModelKind, ModelKind)]) -> Vec<(f64, f64)> {
     let spec = GpuSpec::a100();
-    let horizon = SimTime::from_secs(2);
-    let mut total = 0.0;
-    for &(a, b) in pairs {
+    let grid = product(cases, pairs);
+    let runs = par_map(&grid, |&(&(system, trace, quotas), &(a, b))| {
         let ws = pair_workload(
             cache::model(a, Phase::Inference),
             cache::model(b, Phase::Inference),
             quotas,
             trace,
             0,
-            horizon,
+            SimTime::from_secs(2),
             31,
         );
         let r = run_system(system, &ws, &spec, SimTime::from_secs(60), None);
-        total += r.mean_ms();
-    }
-    total / pairs.len() as f64
+        (r.mean_ms(), r.deviation().as_millis_f64())
+    });
+    runs.chunks(pairs.len())
+        .map(|case| {
+            (
+                mean(case.iter().map(|r| r.0)),
+                mean(case.iter().map(|r| r.1)),
+            )
+        })
+        .collect()
 }
 
 /// Regenerates the §6.3 trace results.
 pub fn run() -> Vec<Table> {
     let pairs = mutual_pairs();
-    let mut out = Vec::new();
-    for (trace, label, paper) in [
+    let bless = System::Bless(bless::BlessParams::default());
+    let even = [System::Temporal, System::Mig, System::Gslice, bless.clone()];
+    let uneven = [System::Gslice, bless];
+    let traces = [
         (
             PaperWorkload::TraceTwitter,
             "Twitter-like trace (dense), 50/50 quotas",
@@ -75,34 +95,33 @@ pub fn run() -> Vec<Table> {
             "Azure-like trace (sparse/bursty), 50/50 quotas",
             "-49.3% TEMPORAL, -41.2% MIG, -32.1% GSLICE",
         ),
-    ] {
+    ];
+    let mut cases: Vec<Case> = traces
+        .iter()
+        .flat_map(|&(trace, _, _)| even.iter().map(move |s| (s, trace, (0.5, 0.5))))
+        .collect();
+    cases.extend(
+        uneven
+            .iter()
+            .map(|s| (s, PaperWorkload::TraceTwitter, (1.0 / 3.0, 2.0 / 3.0))),
+    );
+    let means = replay_means(&cases, &pairs);
+    let (even_means, uneven_means) = means.split_at(traces.len() * even.len());
+
+    let mut out = Vec::new();
+    for ((_, label, paper), means) in traces.iter().zip(even_means.chunks(even.len())) {
         let mut t = Table::new(
             format!("§6.3: {label}"),
             &["system", "avg latency ms", "BLESS reduction %"],
         );
-        let systems = [
-            System::Temporal,
-            System::Mig,
-            System::Gslice,
-            System::Bless(bless::BlessParams::default()),
-        ];
-        let results: Vec<(String, f64)> = systems
-            .iter()
-            .map(|s| {
-                (
-                    s.name().to_string(),
-                    trace_mean(s, trace, (0.5, 0.5), &pairs),
-                )
-            })
-            .collect();
-        let bless = crate::require(results.last(), "BLESS last").1;
-        for (name, ms) in &results {
-            let red = if name == "BLESS" {
+        let bless = crate::require(means.last(), "BLESS last").0;
+        for (sys, (ms, _)) in even.iter().zip(means) {
+            let red = if sys.name() == "BLESS" {
                 "-".to_string()
             } else {
                 format!("{:.1}", (1.0 - bless / ms) * 100.0)
             };
-            t.row(&[name.clone(), format!("{ms:.2}"), red]);
+            t.row(&[sys.name().to_string(), format!("{ms:.2}"), red]);
         }
         t.note(format!("paper: {paper}"));
         out.push(t);
@@ -113,28 +132,11 @@ pub fn run() -> Vec<Table> {
         "§6.3: Twitter-like trace, uneven quotas (1/3, 2/3)",
         &["system", "avg latency ms", "avg deviation ms"],
     );
-    let spec = GpuSpec::a100();
-    for sys in [System::Gslice, System::Bless(bless::BlessParams::default())] {
-        let mut total = 0.0;
-        let mut dev = 0.0;
-        for &(a, b) in &pairs {
-            let ws = pair_workload(
-                cache::model(a, Phase::Inference),
-                cache::model(b, Phase::Inference),
-                (1.0 / 3.0, 2.0 / 3.0),
-                PaperWorkload::TraceTwitter,
-                0,
-                SimTime::from_secs(2),
-                31,
-            );
-            let r = run_system(&sys, &ws, &spec, SimTime::from_secs(60), None);
-            total += r.mean_ms();
-            dev += r.deviation().as_millis_f64();
-        }
+    for (sys, (ms, dev)) in uneven.iter().zip(uneven_means) {
         t.row(&[
             sys.name().to_string(),
-            format!("{:.2}", total / pairs.len() as f64),
-            format!("{:.2}", dev / pairs.len() as f64),
+            format!("{ms:.2}"),
+            format!("{dev:.2}"),
         ]);
     }
     t.note("paper: -14% latency vs GSLICE and no deviation vs ISO at (1/3, 2/3)");

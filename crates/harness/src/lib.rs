@@ -8,6 +8,7 @@
 pub mod cache;
 pub mod experiments;
 pub mod gantt;
+pub mod par;
 pub mod perfetto;
 pub mod runner;
 pub mod squadlab;

@@ -10,7 +10,10 @@
 //!
 //! State is process-global (experiments fan out over worker threads); the
 //! experiment label is thread-local so concurrent experiments name their
-//! trace files correctly.
+//! trace files correctly, and [`crate::par`] copies the caller's label onto
+//! each grid worker. File numbers come from one process-wide counter, so
+//! they stay unique; when a grid runs in parallel they follow completion
+//! order rather than grid order.
 
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
@@ -52,7 +55,8 @@ pub fn set_label(label: &str) {
     LABEL.with(|l| *l.borrow_mut() = clean);
 }
 
-fn label() -> String {
+/// This thread's experiment label (empty when none was set).
+pub(crate) fn label() -> String {
     LABEL.with(|l| l.borrow().clone())
 }
 

@@ -197,8 +197,8 @@ fn slo_mode_prioritizes_the_tight_tenant() {
         "tight tenant {tight} vs SLO {}",
         targets[0]
     );
-    for app in 0..2 {
-        let v = sim.driver.log.violation_rate(app, targets[app]);
+    for (app, &target) in targets.iter().enumerate() {
+        let v = sim.driver.log.violation_rate(app, target);
         assert!(v <= 0.2, "app {app} violation rate {v}");
     }
 }
