@@ -19,8 +19,7 @@ use std::time::Instant;
 use cluster::ClusterOptions;
 use dnn_models::ModelKind;
 use gpu_sim::{
-    CtxKind, EventQueueKind, Gpu, GpuSpec, HostCosts, KernelDesc, KernelTableId, LaneEngine,
-    MergedOutput, QueueId,
+    CtxKind, Gpu, GpuSpec, HostCosts, KernelDesc, KernelTableId, LaneEngine, MergedOutput, QueueId,
 };
 use harness::cache;
 use harness::experiments::fleet10k;
@@ -124,12 +123,7 @@ fn engine_kernels_per_sec(batch: usize, reps: usize) -> f64 {
 /// A warmed 4-lane engine: per-lane contending queues and a one-entry
 /// kernel table, slot recycling on — the lane analogue of `engine_setup`.
 fn lane_setup(lanes: usize) -> (LaneEngine, Vec<[QueueId; 2]>, Vec<KernelTableId>) {
-    let mut eng = LaneEngine::homogeneous(
-        GpuSpec::a100(),
-        HostCosts::free(),
-        lanes,
-        EventQueueKind::FourAryHeap,
-    );
+    let mut eng = LaneEngine::homogeneous(GpuSpec::a100(), HostCosts::free(), lanes);
     let mut queues = Vec::new();
     let mut tables = Vec::new();
     for lane in 0..lanes {

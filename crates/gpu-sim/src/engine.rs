@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use sim_core::trace::{TraceEvent, TraceSink};
-use sim_core::{DynEventQueue, EventQueueKind, FaultPlan, SimDuration, SimTime};
+use sim_core::{EventQueue, FaultPlan, SimDuration, SimTime};
 
 use crate::alloc::{allocate_sms_into, CtxGroup, KernelDemand};
 use crate::channel::{Channel, ChannelModel, NUM_CHANNELS};
@@ -317,7 +317,7 @@ pub struct Gpu {
     contexts: Vec<Context>,
     queues: Vec<Queue>,
     instances: Vec<Instance>,
-    events: DynEventQueue<DevEv>,
+    events: EventQueue<DevEv>,
     epoch: u64,
     /// SM capacity of each pool (pool 0 = shared).
     pool_capacity: Vec<f64>,
@@ -373,19 +373,10 @@ struct ReallocScratch {
 }
 
 impl Gpu {
-    /// Creates a GPU with the given hardware spec and host cost model,
-    /// using the default (four-ary heap) event queue.
+    /// Creates a GPU with the given hardware spec and host cost model.
+    /// Device events pop from one stable [`EventQueue`]: earliest time
+    /// first, insertion order on ties.
     pub fn new(spec: GpuSpec, costs: HostCosts) -> Self {
-        Self::with_queue_kind(spec, costs, EventQueueKind::default())
-    }
-
-    /// Creates a GPU with an explicit event-queue backend.
-    ///
-    /// Both backends pop events in identical `(time, insertion)` order, so
-    /// this is purely a performance knob: the timing wheel wins at very
-    /// high per-lane event volume (see `sim_core::wheel`), the heap
-    /// everywhere else. Simulation results are bit-identical either way.
-    pub fn with_queue_kind(spec: GpuSpec, costs: HostCosts, queue_kind: EventQueueKind) -> Self {
         let shared = spec.num_sms as f64;
         Gpu {
             spec,
@@ -395,7 +386,7 @@ impl Gpu {
             contexts: Vec::new(),
             queues: Vec::new(),
             instances: Vec::new(),
-            events: DynEventQueue::new(queue_kind),
+            events: EventQueue::new(),
             epoch: 0,
             pool_capacity: vec![shared],
             mig_reserved_sms: 0,
@@ -1056,11 +1047,6 @@ impl Gpu {
     /// Earliest pending device event, if any.
     pub fn peek_event_time(&self) -> Option<SimTime> {
         self.events.peek_time()
-    }
-
-    /// The event-queue backend this GPU was constructed with.
-    pub fn queue_kind(&self) -> EventQueueKind {
-        self.events.kind()
     }
 
     // ------------------------------------------------------------------
@@ -1875,35 +1861,6 @@ mod tests {
         // can't silently break it.
         fn assert_send<T: Send>() {}
         assert_send::<Gpu>();
-    }
-
-    #[test]
-    fn queue_backends_produce_identical_results() {
-        let run = |kind: EventQueueKind| {
-            let mut gpu = Gpu::with_queue_kind(GpuSpec::a100(), HostCosts::free(), kind);
-            assert_eq!(gpu.queue_kind(), kind);
-            let ctx = gpu.create_context(CtxKind::Default).unwrap();
-            let qa = gpu.create_queue(ctx).unwrap();
-            let qb = gpu.create_queue(ctx).unwrap();
-            for i in 0..40u64 {
-                let (q, name) = if i % 2 == 0 { (qa, "a") } else { (qb, "b") };
-                let k = if i % 5 == 3 {
-                    KernelDesc::memcpy_h2d("cp", 64 + i)
-                } else {
-                    KernelDesc::compute(
-                        name,
-                        SimDuration::from_micros(20 + (i % 7) * 13),
-                        40 + (i % 4) as u32 * 20,
-                        0.1 + (i % 3) as f64 * 0.25,
-                    )
-                };
-                gpu.launch(q, k, i).unwrap();
-            }
-            run_all(&mut gpu)
-        };
-        let heap = run(EventQueueKind::FourAryHeap);
-        let wheel = run(EventQueueKind::TimingWheel);
-        assert_eq!(heap, wheel);
     }
 
     #[test]

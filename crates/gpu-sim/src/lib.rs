@@ -55,7 +55,6 @@ pub use sim::{
     decode_tag, encode_tag, HostDriver, KernelDone, NoticeHandler, RequestArrival, RunOutcome,
     Simulation,
 };
-pub use sim_core::EventQueueKind;
 pub use spec::{GpuSpec, HostCosts, HwPolicy};
 
 // Trace-stream types, re-exported so drivers and harnesses can attach

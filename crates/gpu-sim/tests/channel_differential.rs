@@ -24,8 +24,7 @@
 use gpu_sim::lanes::{LaneEngine, MergedOutput};
 use gpu_sim::spec::{GpuSpec, HostCosts};
 use gpu_sim::{
-    Channel, ChannelDemand, ChannelParams, CtxKind, EventQueueKind, Gpu, KernelDesc, StepOutput,
-    NUM_CHANNELS,
+    Channel, ChannelDemand, ChannelParams, CtxKind, Gpu, KernelDesc, StepOutput, NUM_CHANNELS,
 };
 use proptest::prelude::*;
 use sim_core::trace::BufferSink;
@@ -127,7 +126,7 @@ fn build_gpu(plan: &Plan, spec: GpuSpec, sink: Option<BufferSink>) -> Gpu {
 /// MIG-partition context carrying half the plan's queues (intra-lane
 /// interference stays live through the shared interference term).
 fn build_lanes(plan: &Plan, spec: GpuSpec, traced: bool) -> LaneEngine {
-    let mut eng = LaneEngine::homogeneous(spec, HostCosts::free(), 2, EventQueueKind::FourAryHeap);
+    let mut eng = LaneEngine::homogeneous(spec, HostCosts::free(), 2);
     if traced {
         eng.enable_tracing();
     }

@@ -4,9 +4,9 @@
 //!
 //! 1. **Seq/par twin** — the parallel lane drain must be byte-identical to
 //!    the sequential merge loop (`step_seq`) on both the request-log
-//!    stream and the merged trace stream, for every worker count and both
-//!    event-queue backends. This is the lane analogue of the PR 4/PR 5
-//!    golden-digest pattern and runs in CI.
+//!    stream and the merged trace stream, for every worker count. This is
+//!    the lane analogue of the PR 4/PR 5 golden-digest pattern and runs in
+//!    CI.
 //! 2. **Pinned golden digest** — the canonical lane workload's merged
 //!    request log hashes to a pinned constant, so cross-version drift in
 //!    *either* path is caught even if both paths drift together.
@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 
 use gpu_sim::lanes::{LaneEngine, MergedOutput};
 use gpu_sim::spec::{GpuSpec, HostCosts};
-use gpu_sim::{CtxKind, EventQueueKind, Gpu, KernelDesc, StepOutput};
+use gpu_sim::{CtxKind, Gpu, KernelDesc, StepOutput};
 use sim_core::{SimDuration, SimRng, SimTime};
 
 const LANES: usize = 4;
@@ -122,9 +122,8 @@ fn decoupled_plan(seed: u64) -> Plan {
 /// launches the plan. Host costs are free so arrival staggering comes
 /// entirely from the plan's `extra` delays (a shared host timeline can be
 /// folded into those delays; see `lanes` module docs).
-fn build_lane_engine(plan: &Plan, kind: EventQueueKind, traced: bool) -> LaneEngine {
-    let mut eng =
-        LaneEngine::homogeneous(GpuSpec::a100(), HostCosts::free(), plan.lanes.len(), kind);
+fn build_lane_engine(plan: &Plan, traced: bool) -> LaneEngine {
+    let mut eng = LaneEngine::homogeneous(GpuSpec::a100(), HostCosts::free(), plan.lanes.len());
     if traced {
         eng.enable_tracing();
     }
@@ -223,7 +222,7 @@ fn finish_map(outs: &[MergedOutput]) -> BTreeMap<u64, u64> {
 #[test]
 fn par_drain_matches_step_seq_byte_for_byte() {
     let plan = canonical_plan(0xB1E55);
-    let mut seq_eng = build_lane_engine(&plan, EventQueueKind::FourAryHeap, true);
+    let mut seq_eng = build_lane_engine(&plan, true);
     let mut seq = Vec::new();
     seq_eng.drain_seq_into(&mut seq);
     let seq_digest = digest_outputs(&seq);
@@ -231,7 +230,7 @@ fn par_drain_matches_step_seq_byte_for_byte() {
     assert!(!seq.is_empty());
 
     for workers in [1usize, 2, 4, 8] {
-        let mut eng = build_lane_engine(&plan, EventQueueKind::FourAryHeap, true);
+        let mut eng = build_lane_engine(&plan, true);
         eng.set_workers(workers);
         let mut par = Vec::new();
         eng.drain_par_into(&mut par);
@@ -246,24 +245,13 @@ fn par_drain_matches_step_seq_byte_for_byte() {
 }
 
 #[test]
-fn timing_wheel_backend_is_bit_identical() {
-    let plan = canonical_plan(0xB1E55);
-    let mut heap_eng = build_lane_engine(&plan, EventQueueKind::FourAryHeap, false);
-    let mut wheel_eng = build_lane_engine(&plan, EventQueueKind::TimingWheel, false);
-    let (mut heap, mut wheel) = (Vec::new(), Vec::new());
-    heap_eng.drain_seq_into(&mut heap);
-    wheel_eng.drain_par_into(&mut wheel);
-    assert_eq!(heap, wheel);
-}
-
-#[test]
 fn barrier_rounds_reproduce_one_shot_drain() {
     let plan = canonical_plan(0xB1E55);
-    let mut oneshot_eng = build_lane_engine(&plan, EventQueueKind::FourAryHeap, false);
+    let mut oneshot_eng = build_lane_engine(&plan, false);
     let mut oneshot = Vec::new();
     oneshot_eng.drain_par_into(&mut oneshot);
 
-    let mut eng = build_lane_engine(&plan, EventQueueKind::FourAryHeap, false);
+    let mut eng = build_lane_engine(&plan, false);
     let mut rounds = Vec::new();
     let mut barrier = SimTime::from_micros(750);
     while !eng.is_idle() {
@@ -279,7 +267,7 @@ fn golden_request_log_digest_is_pinned() {
     // deliberate physics/engine change moves this, update the constant in
     // the same commit and say why in the message.
     let plan = canonical_plan(0xB1E55);
-    let mut eng = build_lane_engine(&plan, EventQueueKind::FourAryHeap, false);
+    let mut eng = build_lane_engine(&plan, false);
     let mut out = Vec::new();
     eng.drain_par_into(&mut out);
     let d = digest_outputs(&out);
@@ -297,7 +285,7 @@ fn physics_anchor_matches_monolithic_engine() {
     // and the monolithic engine describe the same machine; completion
     // times must agree exactly (handles/slots legitimately differ).
     let plan = decoupled_plan(0xA11C);
-    let mut lane_eng = build_lane_engine(&plan, EventQueueKind::FourAryHeap, false);
+    let mut lane_eng = build_lane_engine(&plan, false);
     let mut lane_out = Vec::new();
     lane_eng.drain_par_into(&mut lane_out);
     let lane_map = finish_map(&lane_out);

@@ -283,6 +283,68 @@ mod tests {
         assert_eq!(q.heap.capacity(), cap, "steady-state refill reallocated");
     }
 
+    #[test]
+    fn extreme_times_pop_in_order() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(u64::MAX), "max");
+        q.push(SimTime::from_nanos(0), "zero");
+        q.push(SimTime::from_nanos(u64::MAX - 1), "pre");
+        q.push(SimTime::from_nanos(u64::MAX), "max2");
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(0), "zero")));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(u64::MAX - 1), "pre")));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(u64::MAX), "max")));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(u64::MAX), "max2")));
+        assert_eq!(q.pop(), None);
+    }
+
+    /// Deep schedules, seeded the way `Simulation::new` seeds its arrival
+    /// queue (pre-sorted, many same-nanosecond ties), then driven through
+    /// interleaved pushes and pops: the heap must match the `BinaryHeap`
+    /// twin element for element at fleet-replay depth.
+    #[test]
+    fn deep_presorted_schedule_matches_legacy_binary_heap() {
+        use crate::rng::SimRng;
+        for seed in [1u64, 0xB1E55, 0x5CA1E] {
+            let mut rng = SimRng::new(seed);
+            // 8,192 arrivals over 1,024 distinct nanoseconds: ~8 per tick.
+            let mut times: Vec<u64> = (0..8_192).map(|_| rng.next_below(1_024)).collect();
+            times.sort_unstable();
+            let mut new_q = EventQueue::new();
+            let mut old_q = legacy::LegacyEventQueue::new();
+            for (payload, &t) in times.iter().enumerate() {
+                new_q.push(SimTime::from_nanos(t), payload);
+                old_q.push(SimTime::from_nanos(t), payload);
+            }
+            let mut payload = times.len();
+            let mut now = 0;
+            // Even odds keep the depth near 8,192 throughout.
+            for _ in 0..20_000 {
+                if rng.next_below(2) == 0 {
+                    // Reactions land at or after the current time, often on
+                    // a tick that already holds pending arrivals.
+                    let t = SimTime::from_nanos(now + rng.next_below(64));
+                    new_q.push(t, payload);
+                    old_q.push(t, payload);
+                    payload += 1;
+                } else {
+                    assert_eq!(new_q.peek_time(), old_q.peek_time());
+                    let popped = new_q.pop();
+                    assert_eq!(popped, old_q.pop());
+                    if let Some((t, _)) = popped {
+                        now = t.as_nanos();
+                    }
+                }
+            }
+            loop {
+                let (a, b) = (new_q.pop(), old_q.pop());
+                assert_eq!(a, b);
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
     proptest! {
         /// Popping the entire queue yields a non-decreasing time sequence,
         /// and equal-time events keep their relative insertion order.

@@ -32,11 +32,9 @@ pub mod rng;
 pub mod spsc;
 pub mod time;
 pub mod trace;
-pub mod wheel;
 
 pub use event::EventQueue;
 pub use fault::{CrashEvent, DmaStallEvent, FaultPlan, FaultSpec, GpuFailEvent, GpuHangEvent};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{BufferSink, JsonlSink, RingSink, TraceEvent, TraceSink, TraceSquadEntry};
-pub use wheel::{DynEventQueue, EventQueueKind, TimingWheelQueue};
