@@ -14,7 +14,9 @@
 //!   batch, once launched, cannot shrink for a newcomer the way BLESS's
 //!   draining squads do.
 
-use gpu_sim::{CtxId, CtxKind, Gpu, HostDriver, KernelDone, QueueId, RequestArrival};
+use gpu_sim::{
+    CtxId, CtxKind, Gpu, HostDriver, KernelDone, KernelTableId, QueueId, RequestArrival,
+};
 
 use crate::common::{must, must_some, tag_of, untag, TenantStates};
 use bless::DeployedApp;
@@ -31,6 +33,8 @@ pub struct ReefPlusDriver {
     /// Maximum kernels per batch (matches BLESS's squad size by default).
     pub batch_size: usize,
     queues: Vec<QueueId>,
+    /// Each app's profiled kernels, registered as an engine table.
+    tables: Vec<KernelTableId>,
     ctxs: Vec<CtxId>,
     outstanding: usize,
     batch_active: bool,
@@ -45,6 +49,7 @@ impl ReefPlusDriver {
             tenants: TenantStates::new(totals),
             batch_size: 50,
             queues: Vec::new(),
+            tables: Vec::new(),
             ctxs: Vec::new(),
             outstanding: 0,
             batch_active: false,
@@ -91,8 +96,10 @@ impl ReefPlusDriver {
                     continue;
                 }
                 let k = pointers[i];
-                let desc = self.apps[app].profile.kernels[k].clone();
-                must(gpu.launch(self.queues[app], desc, tag_of(app, k)), "launch");
+                must(
+                    gpu.launch_table(self.queues[app], self.tables[app], k, tag_of(app, k)),
+                    "launch",
+                );
                 pointers[i] += 1;
                 launched += 1;
                 progressed = true;
@@ -119,6 +126,8 @@ impl HostDriver for ReefPlusDriver {
             );
             self.ctxs.push(ctx);
             self.queues.push(must(gpu.create_queue(ctx), "queue"));
+            self.tables
+                .push(gpu.register_kernel_table(app.profile.kernels.clone()));
         }
     }
 

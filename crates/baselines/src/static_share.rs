@@ -17,7 +17,7 @@
 //! * **ZICO** (training) — unbounded sharing with tick-tock iteration
 //!   staggering between the two training tenants.
 
-use gpu_sim::{CtxKind, Gpu, HostDriver, KernelDone, QueueId, RequestArrival};
+use gpu_sim::{CtxKind, Gpu, HostDriver, KernelDone, KernelTableId, QueueId, RequestArrival};
 use sim_core::SimDuration;
 
 use crate::common::{must, tag_of, untag, InflightTracker};
@@ -54,6 +54,8 @@ pub struct StaticShareDriver {
     pub log: RequestLog,
     mode: ShareMode,
     queues: Vec<QueueId>,
+    /// Each app's profiled kernels, registered as an engine table.
+    tables: Vec<KernelTableId>,
     inflight: InflightTracker,
     /// Extra delay before the first launched request per app (ZICO's
     /// tick-tock staggering).
@@ -70,6 +72,7 @@ impl StaticShareDriver {
             inflight: InflightTracker::new(n),
             mode,
             queues: Vec::new(),
+            tables: Vec::new(),
             stagger: vec![SimDuration::ZERO; n],
             first_launch_done: vec![false; n],
             apps,
@@ -111,25 +114,28 @@ impl HostDriver for StaticShareDriver {
             }
             let ctx = must(gpu.create_context(kind), "context");
             self.queues.push(must(gpu.create_queue(ctx), "queue"));
+            self.tables
+                .push(gpu.register_kernel_table(app.profile.kernels.clone()));
         }
     }
 
     fn on_request(&mut self, gpu: &mut Gpu, req: RequestArrival) {
         self.log.arrived(req.app, req.req, req.at);
-        let kernels = &self.apps[req.app].profile.kernels;
+        let total = self.apps[req.app].profile.kernels.len();
         let extra = if self.first_launch_done[req.app] {
             SimDuration::ZERO
         } else {
             self.first_launch_done[req.app] = true;
             self.stagger[req.app]
         };
-        for (i, k) in kernels.iter().enumerate() {
+        let (queue, table) = (self.queues[req.app], self.tables[req.app]);
+        for i in 0..total {
             must(
-                gpu.launch_delayed(self.queues[req.app], k.clone(), tag_of(req.app, i), extra),
+                gpu.launch_table_delayed(queue, table, i, tag_of(req.app, i), extra),
                 "launch",
             );
         }
-        self.inflight.launched(req.app, req.req, kernels.len());
+        self.inflight.launched(req.app, req.req, total);
     }
 
     fn on_kernel_done(&mut self, gpu: &mut Gpu, done: KernelDone) {

@@ -18,7 +18,9 @@
 //! * serializes each best-effort tenant's kernels, giving up the
 //!   intra-request concurrency that BLESS's squads exploit.
 
-use gpu_sim::{CtxId, CtxKind, Gpu, HostDriver, KernelDone, QueueId, RequestArrival};
+use gpu_sim::{
+    CtxId, CtxKind, Gpu, HostDriver, KernelDone, KernelTableId, QueueId, RequestArrival,
+};
 
 use crate::common::{must, must_some, tag_of, untag, TenantStates};
 use bless::DeployedApp;
@@ -37,6 +39,8 @@ pub struct TallyDriver {
     /// Tenant request state + log.
     pub tenants: TenantStates,
     queues: Vec<QueueId>,
+    /// Each app's profiled kernels, registered as an engine table.
+    tables: Vec<KernelTableId>,
     ctxs: Vec<CtxId>,
     throttled: bool,
 }
@@ -49,6 +53,7 @@ impl TallyDriver {
         TallyDriver {
             tenants: TenantStates::new(totals),
             queues: Vec::new(),
+            tables: Vec::new(),
             ctxs: Vec::new(),
             throttled: false,
             apps,
@@ -88,10 +93,10 @@ impl TallyDriver {
         );
         debug_assert_eq!(act.next_kernel, 0, "priority requests launch whole");
         let total = self.tenants.kernel_total(PRIORITY_APP);
+        let (queue, table) = (self.queues[PRIORITY_APP], self.tables[PRIORITY_APP]);
         for k in 0..total {
-            let desc = self.apps[PRIORITY_APP].profile.kernels[k].clone();
             must(
-                gpu.launch(self.queues[PRIORITY_APP], desc, tag_of(PRIORITY_APP, k)),
+                gpu.launch_table(queue, table, k, tag_of(PRIORITY_APP, k)),
                 "priority launch",
             );
         }
@@ -106,8 +111,10 @@ impl TallyDriver {
             "best-effort launch without active request",
         );
         let k = act.next_kernel;
-        let desc = self.apps[app].profile.kernels[k].clone();
-        must(gpu.launch(self.queues[app], desc, tag_of(app, k)), "launch");
+        must(
+            gpu.launch_table(self.queues[app], self.tables[app], k, tag_of(app, k)),
+            "launch",
+        );
     }
 }
 
@@ -126,6 +133,8 @@ impl HostDriver for TallyDriver {
             let ctx = must(gpu.create_context(kind), "ctx");
             self.ctxs.push(ctx);
             self.queues.push(must(gpu.create_queue(ctx), "queue"));
+            self.tables
+                .push(gpu.register_kernel_table(app.profile.kernels.clone()));
         }
     }
 

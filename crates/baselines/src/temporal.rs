@@ -9,7 +9,7 @@
 //! occupy provisioned quotas" (§1). While an application owns the GPU its
 //! kernels rarely saturate all SMs, and nobody else may use the rest.
 
-use gpu_sim::{CtxKind, Gpu, HostDriver, KernelDone, QueueId, RequestArrival};
+use gpu_sim::{CtxKind, Gpu, HostDriver, KernelDone, KernelTableId, QueueId, RequestArrival};
 use sim_core::SimDuration;
 
 use crate::common::{must, must_some, tag_of, untag, TenantStates};
@@ -37,6 +37,8 @@ pub struct TemporalDriver {
     /// same tenant keeps the GPU).
     last_owner: Option<usize>,
     queues: Vec<QueueId>,
+    /// Each app's profiled kernels, registered as an engine table.
+    tables: Vec<KernelTableId>,
     outstanding: usize,
     wake_pending: bool,
 }
@@ -51,6 +53,7 @@ impl TemporalDriver {
             switch_cost: SimDuration::from_millis(1),
             last_owner: None,
             queues: Vec::new(),
+            tables: Vec::new(),
             outstanding: 0,
             wake_pending: false,
             apps,
@@ -138,8 +141,10 @@ impl TemporalDriver {
         let mut used = SimDuration::ZERO;
         let mut launched = 0usize;
         for k in start_kernel..total {
-            let desc = self.apps[app].profile.kernels[k].clone();
-            must(gpu.launch(self.queues[app], desc, tag_of(app, k)), "launch");
+            must(
+                gpu.launch_table(self.queues[app], self.tables[app], k, tag_of(app, k)),
+                "launch",
+            );
             used += self.apps[app].profile.kernel_duration(PARTITIONS - 1, k);
             launched += 1;
             if used >= budget {
@@ -157,6 +162,8 @@ impl HostDriver for TemporalDriver {
             must(gpu.alloc_memory(app.profile.memory_mib), "deployment fits");
             let ctx = must(gpu.create_context(CtxKind::Default), "ctx");
             self.queues.push(must(gpu.create_queue(ctx), "queue"));
+            self.tables
+                .push(gpu.register_kernel_table(app.profile.kernels.clone()));
         }
     }
 

@@ -14,7 +14,7 @@
 
 use std::collections::VecDeque;
 
-use gpu_sim::{CtxKind, Gpu, HostDriver, KernelDone, QueueId, RequestArrival};
+use gpu_sim::{CtxKind, Gpu, HostDriver, KernelDone, KernelTableId, QueueId, RequestArrival};
 use sim_core::SimDuration;
 
 use crate::common::{must, tag_of, untag, workload_notice, InflightTracker};
@@ -35,6 +35,8 @@ pub struct ZicoDriver {
     /// iteration by default, so forward and backward phases interleave).
     pub stagger: SimDuration,
     queues: Vec<QueueId>,
+    /// Each app's profiled kernels, registered as an engine table.
+    tables: Vec<KernelTableId>,
     inflight: InflightTracker,
     /// Iterations completed per app.
     rounds_done: Vec<usize>,
@@ -57,6 +59,7 @@ impl ZicoDriver {
             inflight: InflightTracker::new(n),
             stagger,
             queues: Vec::new(),
+            tables: Vec::new(),
             rounds_done: vec![0; n],
             gated: vec![VecDeque::new(); n],
             launched: vec![0; n],
@@ -107,10 +110,10 @@ impl ZicoDriver {
                 SimDuration::ZERO
             };
             let total = self.apps[app].profile.kernels.len();
+            let (queue, table) = (self.queues[app], self.tables[app]);
             for i in 0..total {
-                let k = self.apps[app].profile.kernels[i].clone();
                 must(
-                    gpu.launch_delayed(self.queues[app], k, tag_of(app, i), extra),
+                    gpu.launch_table_delayed(queue, table, i, tag_of(app, i), extra),
                     "launch",
                 );
             }
@@ -126,6 +129,8 @@ impl HostDriver for ZicoDriver {
             must(gpu.alloc_memory(app.profile.memory_mib), "deployment fits");
             let ctx = must(gpu.create_context(CtxKind::Default), "ctx");
             self.queues.push(must(gpu.create_queue(ctx), "queue"));
+            self.tables
+                .push(gpu.register_kernel_table(app.profile.kernels.clone()));
         }
     }
 

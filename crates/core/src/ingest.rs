@@ -339,7 +339,14 @@ impl IngestStage {
             let mut empty_bound = u64::MAX;
             for i in 0..self.lanes.len() {
                 let lane = &mut self.lanes[i];
+                // The mark is loaded *before* draining: every arrival
+                // pushed ahead of it is then visible to the drain, so an
+                // empty staging is bounded by it. Loading it after would
+                // let a mark published between the two calls bound the
+                // lane past an arrival still in the ring.
+                let mut mark = u64::MAX;
                 if lane.pos == lane.staged.len() {
+                    mark = lane.rx.watermark();
                     lane.staged.clear();
                     lane.pos = 0;
                     lane.rx.drain_into(&mut lane.staged, self.drain_batch);
@@ -352,7 +359,7 @@ impl IngestStage {
                     }
                     // Exclusive watermark: future pushes are >= it, so
                     // only arrivals *strictly before* it are settled.
-                    None => empty_bound = empty_bound.min(lane.rx.watermark()),
+                    None => empty_bound = empty_bound.min(mark),
                 }
             }
             match best {
@@ -805,33 +812,50 @@ mod tests {
 
     #[test]
     fn cross_thread_offers_reach_the_stage() {
-        let (mut stage, mut streams) = IngestStage::new(2, &IngestConfig::default());
-        let mut sink = TestSink::new(2);
-        let s1 = streams.pop().unwrap_or_else(|| unreachable!());
-        let s0 = streams.pop().unwrap_or_else(|| unreachable!());
-        std::thread::scope(|scope| {
-            for (mut s, base) in [(s0, 0u64), (s1, 5u64)] {
-                scope.spawn(move || {
-                    for i in 0..1000u64 {
-                        s.offer_blocking(t(base + i * 10));
+        // Many rounds on small rings keep the producers racing the pump.
+        // Each producer publishes its next arrival as a watermark right
+        // after offering, so a mark that overtakes an arrival still in
+        // the ring is the common case, not a rare interleaving: the pump
+        // must never bound a lane past an arrival it has not drained.
+        let cfg = IngestConfig {
+            ring_capacity: 64,
+            drain_batch: 16,
+            ..IngestConfig::default()
+        };
+        for round in 0..200 {
+            let (mut stage, mut streams) = IngestStage::new(2, &cfg);
+            let mut sink = TestSink::new(2);
+            let s1 = streams.pop().unwrap_or_else(|| unreachable!());
+            let s0 = streams.pop().unwrap_or_else(|| unreachable!());
+            std::thread::scope(|scope| {
+                for (mut s, base) in [(s0, 0u64), (s1, 5u64)] {
+                    scope.spawn(move || {
+                        for i in 0..1000u64 {
+                            // Yield rather than spin on a full ring: three
+                            // threads may share two cores.
+                            while s.offer(t(base + i * 10)).is_err() {
+                                std::thread::yield_now();
+                            }
+                            s.advance(t(base + i * 10 + 10));
+                        }
+                        s.close();
+                    });
+                }
+                loop {
+                    let p = stage.pump(&mut sink);
+                    if p.drained {
+                        break;
                     }
-                    s.close();
-                });
-            }
-            loop {
-                let p = stage.pump(&mut sink);
-                if p.drained {
-                    break;
+                    if p.processed == 0 {
+                        std::thread::yield_now();
+                    }
                 }
-                if p.processed == 0 {
-                    std::hint::spin_loop();
-                }
-            }
-        });
-        assert_eq!(sink.accepted.len(), 2000);
-        assert!(
-            sink.accepted.windows(2).all(|w| w[0].at <= w[1].at),
-            "global time order"
-        );
+            });
+            assert_eq!(sink.accepted.len(), 2000, "round {round}");
+            assert!(
+                sink.accepted.windows(2).all(|w| w[0].at <= w[1].at),
+                "global time order (round {round})"
+            );
+        }
     }
 }

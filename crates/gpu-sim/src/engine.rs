@@ -29,7 +29,7 @@ use sim_core::trace::{TraceEvent, TraceSink};
 use sim_core::{EventQueue, FaultPlan, SimDuration, SimTime};
 
 use crate::alloc::{allocate_sms_into, CtxGroup, KernelDemand};
-use crate::channel::{Channel, ChannelModel, NUM_CHANNELS};
+use crate::channel::{Channel, ChannelDemand, ChannelModel, NUM_CHANNELS};
 use crate::kernel::{KernelDesc, KernelKind, KernelTableId};
 use crate::spec::{GpuSpec, HostCosts, HwPolicy};
 
@@ -140,6 +140,18 @@ struct Context {
     pool: usize,
 }
 
+impl Context {
+    /// The most SMs this context's kernels may hold together
+    /// (`f64::INFINITY` when unrestricted).
+    fn sm_cap(&self) -> f64 {
+        match self.kind {
+            CtxKind::Default => f64::INFINITY,
+            CtxKind::MpsAffinity { sm_cap } => sm_cap as f64,
+            CtxKind::MigPartition { sm_count } => sm_count as f64,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Queue {
     ctx: CtxId,
@@ -156,9 +168,45 @@ struct Queue {
     last_arrival: SimTime,
 }
 
+/// The fields of a [`KernelDesc`] the engine step reads, copied into each
+/// instance so that a launch clones no descriptor.
+#[derive(Clone, Copy, Debug)]
+struct KernelShape {
+    kind: KernelKind,
+    work: f64,
+    max_sms: u32,
+    mem_intensity: f64,
+    demand: ChannelDemand,
+}
+
+impl KernelShape {
+    fn of(desc: &KernelDesc) -> Self {
+        KernelShape {
+            kind: desc.kind,
+            work: desc.work,
+            max_sms: desc.max_sms,
+            mem_intensity: desc.mem_intensity,
+            demand: desc.demand,
+        }
+    }
+}
+
+/// Where an instance's kernel name lives (read only by
+/// [`Gpu::kernel_name`]).
+#[derive(Debug)]
+enum KernelName {
+    /// `tables[table][index]`: table launches touch no `Arc`. A `u32`
+    /// index keeps this enum, and so `Instance`, no larger than a
+    /// `KernelDesc`; [`Gpu::register_kernel_table`] bounds table length.
+    Table(KernelTableId, u32),
+    /// Moved in by a by-value launch.
+    Owned(Arc<str>),
+}
+
 #[derive(Debug)]
 struct Instance {
-    desc: KernelDesc,
+    shape: KernelShape,
+    name: KernelName,
     queue: QueueId,
     tag: u64,
     state: InstState,
@@ -727,25 +775,27 @@ impl Gpu {
         self.charge_host(self.costs.kernel_launch);
         let arrive_at = (self.host_free + extra).max(self.queues[queue.0 as usize].last_arrival);
         self.queues[queue.0 as usize].last_arrival = arrive_at;
-        Ok(self.enqueue_instance(queue, desc, tag, arrive_at))
+        let shape = KernelShape::of(&desc);
+        Ok(self.enqueue_instance(queue, shape, KernelName::Owned(desc.name), tag, arrive_at))
     }
 
     /// Registers one launched instance and schedules its device arrival.
     fn enqueue_instance(
         &mut self,
         queue: QueueId,
-        desc: KernelDesc,
+        shape: KernelShape,
+        name: KernelName,
         tag: u64,
         arrive_at: SimTime,
     ) -> KernelHandle {
-        let mut remaining = match desc.kind {
-            KernelKind::Compute { .. } => desc.work,
+        let mut remaining = match shape.kind {
+            KernelKind::Compute { .. } => shape.work,
             KernelKind::MemcpyH2D { bytes } | KernelKind::MemcpyD2H { bytes } => bytes as f64,
         };
         // Injected stragglers / profile drift inflate the *actual* work of
         // compute launches while the driver keeps predicting from the
         // unmodified profile — exactly the mismatch the watchdog must catch.
-        if let (Some(f), KernelKind::Compute { .. }) = (&mut self.fault, desc.kind) {
+        if let (Some(f), KernelKind::Compute { .. }) = (&mut self.fault, shape.kind) {
             let app = crate::sim::decode_tag(tag).0 as u32;
             let mult = f.plan.work_multiplier(app);
             if mult != 1.0 {
@@ -777,7 +827,8 @@ impl Gpu {
             0
         };
         let inst = Instance {
-            desc,
+            shape,
+            name,
             queue,
             tag,
             state: InstState::InFlight,
@@ -852,7 +903,10 @@ impl Gpu {
         self.queues[queue.0 as usize].last_arrival = arrive_at;
         let handles = group
             .into_iter()
-            .map(|(desc, tag)| self.enqueue_instance(queue, desc, tag, arrive_at))
+            .map(|(desc, tag)| {
+                let shape = KernelShape::of(&desc);
+                self.enqueue_instance(queue, shape, KernelName::Owned(desc.name), tag, arrive_at)
+            })
             .collect();
         Ok(handles)
     }
@@ -861,9 +915,17 @@ impl Gpu {
     /// one application's profiled kernel sequence) that subsequent
     /// [`Gpu::launch_table`] / [`Gpu::launch_table_graph`] calls reference
     /// by `(table, index)`. Registering costs one `Arc` refcount bump plus
-    /// a slot in the table registry; launching from a table then clones
-    /// nothing but the descriptor's interned `Arc<str>` name.
+    /// a slot in the table registry; launching from a table then copies
+    /// the descriptor's numeric fields and clones nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table holds more than `u32::MAX` descriptors.
     pub fn register_kernel_table(&mut self, table: Arc<[KernelDesc]>) -> KernelTableId {
+        assert!(
+            u32::try_from(table.len()).is_ok(),
+            "a kernel table holds at most u32::MAX descriptors"
+        );
         debug_assert!(self.tables.len() < u32::MAX as usize);
         self.tables.push(table);
         KernelTableId((self.tables.len() - 1) as u32)
@@ -907,11 +969,13 @@ impl Gpu {
         if queue.0 as usize >= self.queues.len() {
             return Err(GpuError::UnknownQueue(queue));
         }
-        let desc = self.table_desc(table, index)?.clone();
+        let shape = KernelShape::of(self.table_desc(table, index)?);
         self.charge_host(self.costs.kernel_launch);
         let arrive_at = (self.host_free + extra).max(self.queues[queue.0 as usize].last_arrival);
         self.queues[queue.0 as usize].last_arrival = arrive_at;
-        Ok(self.enqueue_instance(queue, desc, tag, arrive_at))
+        // Lossless: `table_desc` checked `index < len <= u32::MAX`.
+        let name = KernelName::Table(table, index as u32);
+        Ok(self.enqueue_instance(queue, shape, name, tag, arrive_at))
     }
 
     /// [`Gpu::launch_graph`] addressing the group as `table[range]`, with
@@ -942,8 +1006,9 @@ impl Gpu {
             .max(self.queues[queue.0 as usize].last_arrival);
         self.queues[queue.0 as usize].last_arrival = arrive_at;
         for index in range {
-            let desc = self.tables[table.0 as usize][index].clone();
-            self.enqueue_instance(queue, desc, tag_for(index), arrive_at);
+            let shape = KernelShape::of(&self.tables[table.0 as usize][index]);
+            let name = KernelName::Table(table, index as u32);
+            self.enqueue_instance(queue, shape, name, tag_for(index), arrive_at);
         }
         Ok(())
     }
@@ -1004,7 +1069,10 @@ impl Gpu {
 
     /// The name of the launched kernel.
     pub fn kernel_name(&self, h: KernelHandle) -> &str {
-        self.resolve(h).map_or("<recycled>", |i| &i.desc.name)
+        self.resolve(h).map_or("<recycled>", |i| match &i.name {
+            KernelName::Table(table, index) => &self.tables[table.0 as usize][*index as usize].name,
+            KernelName::Owned(name) => name,
+        })
     }
 
     /// Capacity currently devoted to instance bookkeeping (slots in use or
@@ -1090,7 +1158,7 @@ impl Gpu {
                 // set is unchanged: every rate would recompute to its
                 // current value, so the reallocation is skipped entirely.
                 if let Some(started) = self.try_start_head(q) {
-                    let compute = self.instances[started].desc.kind.is_compute();
+                    let compute = self.instances[started].shape.kind.is_compute();
                     self.reallocate_scoped(compute, !compute);
                 }
                 None
@@ -1359,7 +1427,7 @@ impl Gpu {
         inst.rate = 0.0;
         inst.alloc_sms = 0.0;
         inst.finished_at = Some(self.now);
-        let finished_compute = inst.desc.kind.is_compute();
+        let finished_compute = inst.shape.kind.is_compute();
         let q = inst.queue.0 as usize;
         let seq = inst.trace_seq;
         if self.trace.is_some() && seq != 0 {
@@ -1376,7 +1444,7 @@ impl Gpu {
         // Compute allocation depends only on the running compute set, DMA
         // rates only on the per-direction memcpy counts: recompute just the
         // side(s) this transition touched.
-        let started_compute = started.map(|s| self.instances[s].desc.kind.is_compute());
+        let started_compute = started.map(|s| self.instances[s].shape.kind.is_compute());
         let compute_dirty = finished_compute || started_compute == Some(true);
         let dma_dirty = !finished_compute || started_compute == Some(false);
         self.reallocate_scoped(compute_dirty, dma_dirty);
@@ -1425,7 +1493,7 @@ impl Gpu {
                     inst.alloc_sms,
                     inst.tag,
                     inst.queue,
-                    inst.desc.kind.is_compute(),
+                    inst.shape.kind.is_compute(),
                 )
             };
             if rate > 0.0 {
@@ -1497,7 +1565,7 @@ impl Gpu {
         d2h.clear();
         for q in &self.queues {
             if let Some(slot) = q.running {
-                match self.instances[slot].desc.kind {
+                match self.instances[slot].shape.kind {
                     KernelKind::Compute { .. } => {
                         if do_compute {
                             compute.push(slot);
@@ -1521,19 +1589,21 @@ impl Gpu {
 
         if do_compute {
             // SM allocation for compute kernels, per the hardware policy.
+            // A lone kernel under the greedy policy takes the closed form;
+            // the running set, never a setting, picks the path.
             let mut groups = std::mem::take(&mut self.scratch.groups);
-            groups.clear();
-            groups.extend(self.contexts.iter().map(|c| CtxGroup {
-                pool: c.pool,
-                sm_cap: match c.kind {
-                    CtxKind::Default => f64::INFINITY,
-                    CtxKind::MpsAffinity { sm_cap } => sm_cap as f64,
-                    CtxKind::MigPartition { sm_count } => sm_count as f64,
-                },
-            }));
             let mut alloc = std::mem::take(&mut self.scratch.alloc);
-            match self.spec.hw_policy {
-                HwPolicy::FairShare => {
+            match (self.spec.hw_policy, compute.as_slice()) {
+                (HwPolicy::GreedySticky, &[slot]) => {
+                    alloc.clear();
+                    alloc.push(self.lone_sticky_grant(slot));
+                }
+                (HwPolicy::GreedySticky, _) => {
+                    self.ctx_groups_into(&mut groups);
+                    self.sticky_allocate(&compute, &groups, &mut alloc);
+                }
+                (HwPolicy::FairShare, _) => {
+                    self.ctx_groups_into(&mut groups);
                     let mut demands = std::mem::take(&mut self.scratch.demands);
                     demands.clear();
                     demands.extend(compute.iter().map(|&slot| {
@@ -1541,13 +1611,12 @@ impl Gpu {
                         KernelDemand {
                             id: slot,
                             ctx_group: self.queues[inst.queue.0 as usize].ctx.0 as usize,
-                            kernel_cap: inst.desc.max_sms as f64,
+                            kernel_cap: inst.shape.max_sms as f64,
                         }
                     }));
                     allocate_sms_into(&mut alloc, &self.pool_capacity, &groups, &demands);
                     self.scratch.demands = demands;
                 }
-                HwPolicy::GreedySticky => self.sticky_allocate(&compute, &groups, &mut alloc),
             }
 
             // Interference: each kernel is slowed by the traffic of its
@@ -1563,17 +1632,18 @@ impl Gpu {
                         .iter()
                         .zip(&alloc)
                         .map(|(&slot, &a)| {
-                            self.instances[slot].desc.mem_intensity * (a / self.spec.num_sms as f64)
+                            self.instances[slot].shape.mem_intensity
+                                * (a / self.spec.num_sms as f64)
                         })
                         .sum();
 
                     for (i, &slot) in compute.iter().enumerate() {
                         let a = alloc[i];
                         let inst = &self.instances[slot];
-                        let own = inst.desc.mem_intensity * (a / self.spec.num_sms as f64);
+                        let own = inst.shape.mem_intensity * (a / self.spec.num_sms as f64);
                         let pressure = (total_traffic - own).max(0.0);
                         let sensitivity = self.spec.interference_base
-                            + (1.0 - self.spec.interference_base) * inst.desc.mem_intensity;
+                            + (1.0 - self.spec.interference_base) * inst.shape.mem_intensity;
                         let slowdown = (1.0
                             + self.spec.interference_alpha * pressure * sensitivity)
                             .min(self.spec.interference_cap);
@@ -1585,7 +1655,7 @@ impl Gpu {
                     let mut traffic = [0.0f64; NUM_CHANNELS];
                     for (&slot, &a) in compute.iter().zip(&alloc) {
                         let share = a / self.spec.num_sms as f64;
-                        let d = &self.instances[slot].desc.demand.0;
+                        let d = &self.instances[slot].shape.demand.0;
                         for (t, dv) in traffic.iter_mut().zip(d) {
                             *t += dv * share;
                         }
@@ -1600,7 +1670,7 @@ impl Gpu {
                         let a = alloc[i];
                         let share = a / self.spec.num_sms as f64;
                         let slowdown =
-                            params.slowdown(&self.instances[slot].desc.demand, share, &traffic);
+                            params.slowdown(&self.instances[slot].shape.demand, share, &traffic);
                         let new_rate = if a > 0.0 { a / slowdown } else { 0.0 };
                         self.apply_compute_rate(slot, a, new_rate);
                     }
@@ -1668,6 +1738,52 @@ impl Gpu {
         }
     }
 
+    /// Fills `groups` with one [`CtxGroup`] per context, in context order.
+    fn ctx_groups_into(&self, groups: &mut Vec<CtxGroup>) {
+        groups.clear();
+        groups.extend(self.contexts.iter().map(|c| CtxGroup {
+            pool: c.pool,
+            sm_cap: c.sm_cap(),
+        }));
+    }
+
+    /// [`Gpu::sticky_allocate`] for exactly one running compute kernel,
+    /// in closed form and bit for bit.
+    ///
+    /// With no co-runner every cross-kernel term of the general path
+    /// takes its identity value: `ctx_used` and `pool_used` start at 0,
+    /// no other context reserves SMs (the kernel's own finite cap cancels
+    /// exactly, `cap - cap == 0.0`), and no contended dispatch gap
+    /// applies, so no poke is scheduled. The remaining float expressions
+    /// are evaluated in the general path's order.
+    fn lone_sticky_grant(&self, slot: usize) -> f64 {
+        let inst = &self.instances[slot];
+        let ctx = &self.contexts[self.queues[inst.queue.0 as usize].ctx.0 as usize];
+        let cap = ctx.sm_cap();
+        let pool = self.pool_capacity[ctx.pool];
+        let max_sms = inst.shape.max_sms as f64;
+        // Phase 1: retain the current allocation, clamped to the caps.
+        let keep = inst
+            .alloc_sms
+            .min(max_sms)
+            .min(cap.max(0.0))
+            .min(pool.max(0.0));
+        // Phase 2: grow into the free SMs.
+        let headroom = (cap - keep).min(pool - keep).max(0.0);
+        let want = (max_sms - keep).max(0.0);
+        let mut grant = want.min(headroom);
+        if keep == 0.0 {
+            let effective_demand = max_sms.min(cap).min(pool);
+            let achievable = pool.clamp(1.0, f64::INFINITY);
+            let threshold =
+                (effective_demand.min(achievable) * self.spec.dispatch_min_fraction).max(1.0);
+            if grant < threshold {
+                grant = 0.0;
+            }
+        }
+        keep + grant
+    }
+
     /// Block-granular greedy allocation (the default hardware model):
     ///
     /// 1. Running kernels retain their current SMs (clamped only if a
@@ -1703,7 +1819,7 @@ impl Gpu {
             let pool = groups[ctx].pool;
             let keep = inst
                 .alloc_sms
-                .min(inst.desc.max_sms as f64)
+                .min(inst.shape.max_sms as f64)
                 .min((groups[ctx].sm_cap - ctx_used[ctx]).max(0.0))
                 .min((self.pool_capacity[pool] - pool_used[pool]).max(0.0));
             alloc[i] = keep;
@@ -1745,10 +1861,10 @@ impl Gpu {
             let headroom = (groups[ctx].sm_cap - ctx_used[ctx])
                 .min(self.pool_capacity[pool] - pool_used[pool])
                 .max(0.0);
-            let effective_demand = (inst.desc.max_sms as f64)
+            let effective_demand = (inst.shape.max_sms as f64)
                 .min(groups[ctx].sm_cap)
                 .min(self.pool_capacity[pool]);
-            let want = (inst.desc.max_sms as f64 - alloc[i]).max(0.0);
+            let want = (inst.shape.max_sms as f64 - alloc[i]).max(0.0);
             let mut grant = want.min(headroom);
             if alloc[i] == 0.0 {
                 // Wave-granular dispatch: a kernel begins only once the
@@ -2829,5 +2945,122 @@ mod tests {
             .unwrap();
         run_all(&mut gpu);
         assert_eq!(gpu.kernel_finished_at(h), Some(SimTime::from_micros(1250)));
+    }
+
+    // ------------------------------------------------------------------
+    // Lone-kernel allocation and descriptor-free instances
+    // ------------------------------------------------------------------
+
+    /// The closed form must equal `sticky_allocate` bit for bit on every
+    /// single-kernel state: Default, MPS-capped and MIG contexts, a
+    /// shared pool shrunk (even emptied) by MIG reservations, kept
+    /// allocations above a lowered cap, and dispatch fractions around 1
+    /// where a fresh kernel's grant meets its start threshold.
+    #[test]
+    fn lone_sticky_grant_matches_general_path() {
+        let mut rng = sim_core::SimRng::new(0x10E_6A47);
+        let mut zero_grants = 0;
+        for case in 0..4_000 {
+            let mut spec = GpuSpec::a100();
+            let n = spec.num_sms;
+            // MIG slices may take all device memory; MPS contexts then
+            // still fit.
+            spec.mps_context_mib = 0;
+            spec.dispatch_min_fraction = match rng.next_below(4) {
+                0 => rng.next_f64(),
+                1 => 1.0,
+                2 => 1.0 + (rng.next_f64() - 0.5) * 1e-12,
+                _ => rng.uniform(0.9, 1.1),
+            };
+            let mut gpu = Gpu::new(spec, HostCosts::free());
+            let mut reserved = 0;
+            for _ in 0..rng.next_below(3) {
+                let sms = match rng.next_below(4) {
+                    0 => n - reserved, // Empties the shared pool.
+                    _ => rng.range_inclusive(1, 3 * n as u64 / 4) as u32,
+                };
+                if sms > 0 && reserved + sms <= n {
+                    reserved += sms;
+                    gpu.create_context(CtxKind::MigPartition { sm_count: sms })
+                        .unwrap();
+                }
+            }
+            let kind = match rng.next_below(3) {
+                0 => CtxKind::Default,
+                1 => CtxKind::MpsAffinity {
+                    sm_cap: rng.range_inclusive(1, n as u64) as u32,
+                },
+                _ if reserved < n => CtxKind::MigPartition {
+                    sm_count: rng.range_inclusive(1, (n - reserved) as u64) as u32,
+                },
+                _ => CtxKind::Default,
+            };
+            let ctx = gpu.create_context(kind).unwrap();
+            let q = gpu.create_queue(ctx).unwrap();
+            let max_sms = rng.range_inclusive(1, n as u64 + 20) as u32;
+            let k = KernelDesc::compute("k", SimDuration::from_micros(50), max_sms, 0.3);
+            let slot = gpu.launch(q, k, 0).unwrap().0 as usize;
+            gpu.step(); // Arrive: the kernel starts running.
+            assert_eq!(gpu.instances[slot].state, InstState::Running);
+            if let CtxKind::MpsAffinity { .. } = kind {
+                if rng.next_below(2) == 0 {
+                    // A cap change under the running kernel.
+                    let cap = rng.range_inclusive(1, n as u64) as u32;
+                    gpu.set_mps_cap(ctx, cap).unwrap();
+                }
+            }
+            gpu.instances[slot].alloc_sms = match rng.next_below(3) {
+                0 => 0.0,
+                1 => rng.range_inclusive(1, n as u64 + 20) as f64,
+                _ => rng.uniform(0.0, n as f64 + 20.0),
+            };
+
+            let lone = gpu.lone_sticky_grant(slot);
+            let mut groups = Vec::new();
+            gpu.ctx_groups_into(&mut groups);
+            let events = gpu.events.len();
+            let ready = gpu.instances[slot].dispatch_ready;
+            let mut alloc = Vec::new();
+            gpu.sticky_allocate(&[slot], &groups, &mut alloc);
+            assert_eq!(
+                (alloc.len(), alloc[0].to_bits()),
+                (1, lone.to_bits()),
+                "case {case}: general {} vs closed form {lone}",
+                alloc[0]
+            );
+            // The general path scheduled no dispatch-gap poke either.
+            assert_eq!(gpu.events.len(), events, "case {case}");
+            assert_eq!(gpu.instances[slot].dispatch_ready, ready, "case {case}");
+            zero_grants += usize::from(lone == 0.0);
+        }
+        // The generator reaches the start threshold's refusal branch.
+        assert!(zero_grants > 100, "only {zero_grants} refused starts");
+    }
+
+    #[test]
+    fn kernel_name_is_the_same_for_table_and_by_value_launches() {
+        let mut gpu = free_gpu();
+        let ctx = gpu.create_context(CtxKind::Default).unwrap();
+        let q = gpu.create_queue(ctx).unwrap();
+        let descs: Arc<[KernelDesc]> = Arc::from(vec![
+            KernelDesc::compute("conv2d_3", SimDuration::from_micros(10), 54, 0.2),
+            KernelDesc::memcpy_d2h("logits", 4096),
+        ]);
+        let table = gpu.register_kernel_table(descs.clone());
+        for (i, desc) in descs.iter().enumerate() {
+            let by_table = gpu.launch_table(q, table, i, 0).unwrap();
+            let by_value = gpu.launch(q, desc.clone(), 0).unwrap();
+            assert_eq!(gpu.kernel_name(by_table), &*desc.name);
+            assert_eq!(gpu.kernel_name(by_value), &*desc.name);
+        }
+        gpu.launch_table_graph(q, table, 0..2, |_| 0).unwrap();
+        let graph = gpu.launch_graph(q, descs.iter().map(|d| (d.clone(), 0)).collect());
+        for (i, h) in graph.unwrap().into_iter().enumerate() {
+            // Recycling is off, so handles are slot indices: the table
+            // graph took the two slots just before this one.
+            let from_table = KernelHandle(h.0 - 2);
+            assert_eq!(gpu.kernel_name(h), gpu.kernel_name(from_table));
+            assert_eq!(gpu.kernel_name(h), &*descs[i].name);
+        }
     }
 }
