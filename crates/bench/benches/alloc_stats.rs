@@ -18,9 +18,7 @@ use std::time::Instant;
 
 use cluster::ClusterOptions;
 use dnn_models::ModelKind;
-use gpu_sim::{
-    CtxKind, Gpu, GpuSpec, HostCosts, KernelDesc, KernelTableId, LaneEngine, MergedOutput, QueueId,
-};
+use gpu_sim::{CtxKind, Gpu, GpuSpec, HostCosts, KernelDesc, KernelTableId, QueueId};
 use harness::cache;
 use harness::experiments::fleet10k;
 use harness::runner::System;
@@ -39,11 +37,6 @@ const BEFORE_ENGINE: f64 = 0.0;
 /// over the checked-in baseline before the gate fails (tolerates drain
 /// jitter between runs of different machines).
 const GATE_SLACK: f64 = 0.05;
-
-/// Allowed steady-state allocs/kernel for the *threaded* lane drain.
-/// `std::thread::scope` allocates per spawned worker per drain round; that
-/// constant amortizes over the round's kernels but cannot reach zero.
-const LANE_THREADED_EPSILON: f64 = 0.5;
 
 fn quick() -> bool {
     std::env::var_os("BENCH_QUICK").is_some()
@@ -120,70 +113,6 @@ fn engine_kernels_per_sec(batch: usize, reps: usize) -> f64 {
     batch as f64 / best
 }
 
-/// A warmed 4-lane engine: per-lane contending queues and a one-entry
-/// kernel table, slot recycling on — the lane analogue of `engine_setup`.
-fn lane_setup(lanes: usize) -> (LaneEngine, Vec<[QueueId; 2]>, Vec<KernelTableId>) {
-    let mut eng = LaneEngine::homogeneous(GpuSpec::a100(), HostCosts::free(), lanes);
-    let mut queues = Vec::new();
-    let mut tables = Vec::new();
-    for lane in 0..lanes {
-        let gpu = eng.lane_mut(lane);
-        gpu.set_slot_recycling(true);
-        let qs = [0u8, 1].map(|_| {
-            let ctx = gpu.create_context(CtxKind::Default).expect("ctx");
-            gpu.create_queue(ctx).expect("queue")
-        });
-        let desc = KernelDesc::compute("k", SimDuration::from_micros(5), 54, 0.2);
-        tables.push(gpu.register_kernel_table(vec![desc].into()));
-        queues.push(qs);
-    }
-    (eng, queues, tables)
-}
-
-/// Launches `n` table kernels per lane and drains every 8 launch rounds
-/// through the chosen lane path, reusing one merged-output buffer — the
-/// steady-state lane hot loop.
-fn lane_batch(
-    eng: &mut LaneEngine,
-    queues: &[[QueueId; 2]],
-    tables: &[KernelTableId],
-    n: usize,
-    par: bool,
-    out: &mut Vec<MergedOutput>,
-) {
-    let drain = |eng: &mut LaneEngine, out: &mut Vec<MergedOutput>| {
-        out.clear();
-        if par {
-            eng.drain_par_into(out);
-        } else {
-            eng.drain_seq_into(out);
-        }
-    };
-    for i in 0..n {
-        for (lane, qs) in queues.iter().enumerate() {
-            eng.lane_mut(lane)
-                .launch_table(qs[i % 2], tables[lane], 0, i as u64)
-                .expect("launch");
-        }
-        if i % 8 == 7 {
-            drain(eng, out);
-        }
-    }
-    drain(eng, out);
-}
-
-/// Steady-state allocations per kernel for the 4-lane engine: warm every
-/// lane's arena and the merge scratch with one batch, then count.
-fn lane_allocs_per_kernel(n: usize, par: bool, workers: usize) -> f64 {
-    let (mut eng, queues, tables) = lane_setup(4);
-    eng.set_workers(workers);
-    let mut out = Vec::new();
-    lane_batch(&mut eng, &queues, &tables, 1024, par, &mut out); // warmup
-    let before = bench::alloc_count();
-    lane_batch(&mut eng, &queues, &tables, n, par, &mut out);
-    (bench::alloc_count() - before) as f64 / (n * queues.len()) as f64
-}
-
 /// Total allocations for one streamed fleet run at the given size and
 /// worker count (workload construction and profiling excluded).
 fn cluster_stream_allocs(gpus: usize, workers: usize) -> u64 {
@@ -199,7 +128,6 @@ fn cluster_stream_allocs(gpus: usize, workers: usize) -> u64 {
         &bless::BlessParams::default(),
         horizon,
         &ClusterOptions {
-            parallel: workers > 1,
             workers: Some(workers),
             ..ClusterOptions::default()
         },
@@ -297,32 +225,6 @@ fn main() {
         kps / 1e6
     );
 
-    // Lane engine steady state: the sequential merge loop and the
-    // single-worker parallel path (same merge machinery, no threads) must
-    // stay allocation-free; the threaded path pays only the per-round
-    // thread-spawn constant.
-    let lane_n = if quick() { 2048 } else { 16384 };
-    let lane_seq = lane_allocs_per_kernel(lane_n, false, 1);
-    let lane_par = lane_allocs_per_kernel(lane_n, true, 1);
-    let lane_threaded = lane_allocs_per_kernel(lane_n, true, 2);
-    println!(
-        "lane engine allocs/kernel: seq {lane_seq:.4}, par(1w) {lane_par:.4}, par(2w) {lane_threaded:.4}"
-    );
-    if counting {
-        assert!(
-            lane_seq == 0.0,
-            "lane step_seq loop must stay allocation-free in steady state (got {lane_seq:.4}/kernel)"
-        );
-        assert!(
-            lane_par == 0.0,
-            "lane parallel merge path must stay allocation-free in steady state (got {lane_par:.4}/kernel)"
-        );
-        assert!(
-            lane_threaded <= LANE_THREADED_EPSILON,
-            "threaded lane drain exceeds the thread-spawn budget (got {lane_threaded:.4}/kernel, cap {LANE_THREADED_EPSILON})"
-        );
-    }
-
     // Sharded fleet runner: warm once (lazy globals, profile interning),
     // then compare per-GPU marginals of the sequential fold and the
     // 2-worker sharded pool. The difference is the sharding machinery's
@@ -382,9 +284,9 @@ fn main() {
         println!("not rewriting BENCH_alloc.json: count-alloc feature off, alloc figures would be meaningless");
         return;
     }
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"bench\": \"alloc_stats\",\n  \"regenerate\": \"cargo bench -p bench --bench alloc_stats --features count-alloc\",\n  \"count_alloc\": {counting},\n  \"engine\": {{\n    \"kernels\": {engine_n},\n    \"allocs_per_kernel\": {engine:.4},\n    \"allocs_per_kernel_per_resource\": {engine_pr:.4},\n    \"allocs_per_kernel_before\": {BEFORE_ENGINE:.4},\n    \"table_launch_kernels_per_sec\": {kps:.0}\n  }},\n  \"lanes\": {{\n    \"lanes\": 4,\n    \"kernels\": {},\n    \"allocs_per_kernel_seq\": {lane_seq:.4},\n    \"allocs_per_kernel_par\": {lane_par:.4},\n    \"allocs_per_kernel_par_threaded\": {lane_threaded:.4}\n  }},\n  \"cluster\": {{\n    \"gpus\": [{c1}, {c2}],\n    \"allocs_per_gpu_seq\": {cluster_seq:.1},\n    \"allocs_per_gpu_sharded\": {cluster_sharded:.1},\n    \"sharding_overhead_per_gpu\": {shard_overhead:.4}\n  }},\n  \"bless\": {{\n    \"allocs_per_kernel_bless\": {bless_marginal:.4},\n    \"allocs_per_kernel_before\": {BEFORE_BLESS:.4},\n    \"improvement_factor\": {:.1},\n    \"runs\": [[{a1}, {k1}], [{a2}, {k2}]]\n  }}\n}}\n",
-        lane_n * 4,
+        "{{\n  \"bench\": \"alloc_stats\",\n  \"regenerate\": \"cargo bench -p bench --bench alloc_stats --features count-alloc\",\n  \"count_alloc\": {counting},\n  \"host_cpus\": {host_cpus},\n  \"engine\": {{\n    \"kernels\": {engine_n},\n    \"allocs_per_kernel\": {engine:.4},\n    \"allocs_per_kernel_per_resource\": {engine_pr:.4},\n    \"allocs_per_kernel_before\": {BEFORE_ENGINE:.4},\n    \"table_launch_kernels_per_sec\": {kps:.0}\n  }},\n  \"cluster\": {{\n    \"gpus\": [{c1}, {c2}],\n    \"allocs_per_gpu_seq\": {cluster_seq:.1},\n    \"allocs_per_gpu_sharded\": {cluster_sharded:.1},\n    \"sharding_overhead_per_gpu\": {shard_overhead:.4}\n  }},\n  \"bless\": {{\n    \"allocs_per_kernel_bless\": {bless_marginal:.4},\n    \"allocs_per_kernel_before\": {BEFORE_BLESS:.4},\n    \"improvement_factor\": {:.1},\n    \"runs\": [[{a1}, {k1}], [{a2}, {k2}]]\n  }}\n}}\n",
         BEFORE_BLESS / bless_marginal.max(1e-9),
     );
     std::fs::write(path, json).expect("write BENCH_alloc.json");

@@ -232,7 +232,7 @@ fn bench_fleet(c: &mut Criterion, rows: &mut Vec<FleetRow>) {
                         &params,
                         horizon,
                         &ClusterOptions {
-                            parallel: false,
+                            workers: Some(1),
                             ..ClusterOptions::default()
                         },
                     )

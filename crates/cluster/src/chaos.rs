@@ -68,6 +68,7 @@ use sim_core::{FaultPlan, FaultSpec, SimDuration, SimTime};
 use workloads::{ArrivalPattern, TenantSpec, WorkloadSet};
 
 use crate::placement::{place, CapacityIndex, Placement, PlacementError, PlacementRequest};
+use crate::run::worker_count;
 
 /// The class of device fault that interrupted a tenant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -233,12 +234,11 @@ impl MigrationPolicy {
 /// Knobs for [`run_chaos`].
 #[derive(Clone, Debug)]
 pub struct ChaosOptions {
-    /// Drain surviving devices on a worker pool (`false` forces the
-    /// sequential loop). Output is byte-identical either way.
-    pub parallel: bool,
     /// Synthesize the fleet-level trace stream into [`ChaosRun::trace`].
     pub capture_trace: bool,
-    /// Worker-pool size; `None` honours `std::thread::available_parallelism`.
+    /// Worker-pool size for draining surviving devices; `None` honours
+    /// `std::thread::available_parallelism`. `Some(1)` runs the
+    /// sequential loop. Output is byte-identical at any worker count.
     pub workers: Option<usize>,
     /// Modeled cost of moving a tenant checkpoint to another device and
     /// re-provisioning contexts there — the cross-device analogue of the
@@ -259,7 +259,6 @@ pub struct ChaosOptions {
 impl Default for ChaosOptions {
     fn default() -> Self {
         ChaosOptions {
-            parallel: true,
             capture_trace: false,
             workers: None,
             migration_cost: SimDuration::from_micros(250),
@@ -804,14 +803,7 @@ pub fn run_chaos<P: Into<SharedProfile>>(
             work.push((g, slot));
         }
     }
-    let workers = if opts.parallel {
-        opts.workers
-            .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
-            .unwrap_or(1)
-            .clamp(1, work.len().max(1))
-    } else {
-        1
-    };
+    let workers = worker_count(opts.workers, work.len());
     let mut finished: Vec<(usize, Slot, RunOutcome)> = if workers <= 1 || work.len() <= 1 {
         work.into_iter()
             .map(|(g, mut slot)| {
@@ -1297,7 +1289,7 @@ mod tests {
         let (spec, ws, profiles) = fixture(&[0.45; 6]);
         let fspec = fault_spec(2, 2);
         let params = BlessParams::default();
-        let mk = |workers: Option<usize>, parallel: bool| {
+        let mk = |workers: usize| {
             run_chaos(
                 &ws,
                 profiles.clone(),
@@ -1308,16 +1300,15 @@ mod tests {
                 42,
                 &fspec,
                 &ChaosOptions {
-                    parallel,
-                    workers,
+                    workers: Some(workers),
                     capture_trace: true,
                     ..ChaosOptions::default()
                 },
             )
             .unwrap()
         };
-        let seq = mk(None, false);
-        let par = mk(Some(4), true);
+        let seq = mk(1);
+        let par = mk(4);
         // The run actually exercised recovery.
         assert!(!seq.migrations.is_empty() || !seq.stranded.is_empty());
         assert_eq!(seq.migrations, par.migrations);
@@ -1381,7 +1372,6 @@ mod tests {
                 42,
                 &fspec,
                 &ChaosOptions {
-                    parallel: workers > 1,
                     workers: Some(workers),
                     ..ChaosOptions::default()
                 },

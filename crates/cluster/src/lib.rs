@@ -16,10 +16,10 @@
 //! each GPU's tenants independently (see [`ClusterRun`]).
 //!
 //! Placed GPUs are mutually independent, so [`run_cluster`] simulates
-//! them on a worker pool; [`run_cluster_seq`] is the sequential twin the
-//! differential determinism test compares against, and
-//! [`run_cluster_opts`] exposes per-GPU trace capture for the
-//! `experiments --trace` pipeline.
+//! them on a worker pool. [`run_cluster_opts`] sets the worker count
+//! (`workers: Some(1)` is the sequential loop the differential
+//! determinism test compares against) and exposes per-GPU trace capture
+//! for the `experiments --trace` pipeline.
 
 pub mod chaos;
 pub mod placement;
@@ -34,6 +34,6 @@ pub use placement::{
     PlacementError, PlacementPolicy, PlacementRequest,
 };
 pub use run::{
-    run_cluster, run_cluster_opts, run_cluster_seq, run_cluster_stream, ClusterOptions, ClusterRun,
-    FleetSummary, GpuRun,
+    run_cluster, run_cluster_opts, run_cluster_stream, ClusterOptions, ClusterRun, FleetSummary,
+    GpuRun,
 };

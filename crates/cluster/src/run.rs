@@ -8,8 +8,8 @@
 //! front-to-back, stealing from the tail of other shards once its own is
 //! dry (DESIGN.md §5k). Results land in a preallocated per-GPU slot
 //! arena, so the placement-order merge is a pure move and the merged
-//! [`ClusterRun`] is byte-identical to the sequential twin
-//! ([`run_cluster_seq`]) at any worker count.
+//! [`ClusterRun`] is byte-identical at any worker count, `workers = 1`
+//! (the sequential loop) included.
 //!
 //! At fleet scale, materializing every [`GpuRun`] is the memory
 //! bottleneck, not the simulation: [`run_cluster_stream`] folds each
@@ -28,7 +28,7 @@ use metrics::{Fnv, RequestLog, ShareMode};
 use profiler::SharedProfile;
 use sim_core::trace::TraceEvent;
 use sim_core::SimTime;
-use workloads::{ArrivalPattern, TenantSpec, WorkloadSet};
+use workloads::{TenantSpec, WorkloadSet};
 
 use crate::placement::{place_with, Placement, PlacementError, PlacementPolicy, PlacementRequest};
 
@@ -45,11 +45,6 @@ pub struct GpuRun {
     pub outcome: RunOutcome,
     /// GPU utilization over its makespan.
     pub utilization: f64,
-    /// Number of engine lanes this GPU ran on. `1` is the monolithic
-    /// engine; more means the tenancy was fully sharded
-    /// ([`bless::LaneHints::is_fully_sharded`]) and each tenant ran on
-    /// its own isolated lane.
-    pub lanes: usize,
     /// This GPU's structured trace stream (empty unless
     /// [`ClusterOptions::capture_trace`] was set). Events are GPU-local:
     /// app ids index into `tenants`.
@@ -86,24 +81,13 @@ impl ClusterRun {
 /// Knobs for [`run_cluster_opts`].
 #[derive(Clone, Debug)]
 pub struct ClusterOptions {
-    /// Simulate GPUs on a worker pool (`false` forces the sequential
-    /// loop). Output is byte-identical either way.
-    pub parallel: bool,
     /// Record each GPU's structured trace stream into
     /// [`GpuRun::trace`].
     pub capture_trace: bool,
     /// Worker-pool size; `None` honours `std::thread::available_parallelism`.
+    /// `Some(1)` runs the sequential loop. Output is byte-identical at
+    /// any worker count.
     pub workers: Option<usize>,
-    /// Shard a GPU into per-tenant lanes automatically when its
-    /// [`BlessDriver::lane_hints`] report a fully sharded tenancy (every
-    /// tenant strict-spatial behind its own hard SM cap). Per DESIGN.md
-    /// §5h the split is exact for decoupled physics and drops only the
-    /// cross-partition memory-interference term otherwise; it never
-    /// triggers for tenancies that can reach the shared pool. On by
-    /// default — a freshly deployed fleet starts semi-spatial, so the
-    /// hint only holds when [`ClusterOptions::initial_modes`] (or a
-    /// checkpoint restore) pins every tenant strict-spatial.
-    pub lane_sharding: bool,
     /// Initial degradation-ladder position per fleet tenant, restored
     /// into each GPU's driver before the first arrival (the same
     /// mechanism a migration uses to carry ladder state). `None` deploys
@@ -119,10 +103,8 @@ pub struct ClusterOptions {
 impl Default for ClusterOptions {
     fn default() -> Self {
         ClusterOptions {
-            parallel: true,
             capture_trace: false,
             workers: None,
-            lane_sharding: true,
             initial_modes: None,
             placement_policy: PlacementPolicy::FirstFit,
         }
@@ -152,31 +134,6 @@ pub fn run_cluster<P: Into<SharedProfile>>(
         params,
         horizon,
         &ClusterOptions::default(),
-    )
-}
-
-/// [`run_cluster`] forced onto the sequential single-thread path. Exists
-/// as the differential-determinism twin: the parallel runner must produce
-/// byte-identical output to this.
-pub fn run_cluster_seq<P: Into<SharedProfile>>(
-    ws: &WorkloadSet,
-    profiles: Vec<P>,
-    fleet_size: usize,
-    spec: &GpuSpec,
-    params: &BlessParams,
-    horizon: SimTime,
-) -> Result<ClusterRun, PlacementError> {
-    run_cluster_opts(
-        ws,
-        profiles,
-        fleet_size,
-        spec,
-        params,
-        horizon,
-        &ClusterOptions {
-            parallel: false,
-            ..ClusterOptions::default()
-        },
     )
 }
 
@@ -222,7 +179,7 @@ pub fn run_cluster_opts<P: Into<SharedProfile>>(
         &opts.placement_policy,
     )?;
 
-    let workers = worker_count(opts, placement.gpus_used);
+    let workers = worker_count(opts.workers, placement.gpus_used);
     let gpus = if workers <= 1 || placement.gpus_used <= 1 {
         (0..placement.gpus_used)
             .map(|g| run_one_gpu(g, &placement, ws, &requests, spec, params, horizon, opts))
@@ -236,17 +193,13 @@ pub fn run_cluster_opts<P: Into<SharedProfile>>(
     Ok(ClusterRun { placement, gpus })
 }
 
-/// Resolves [`ClusterOptions`] into an effective worker count for a fleet
-/// of `gpus` devices.
-fn worker_count(opts: &ClusterOptions, gpus: usize) -> usize {
-    if opts.parallel {
-        opts.workers
-            .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
-            .unwrap_or(1)
-            .clamp(1, gpus.max(1))
-    } else {
-        1
-    }
+/// Resolves a `workers` option into an effective worker count for
+/// `items` independent units of work.
+pub(crate) fn worker_count(workers: Option<usize>, items: usize) -> usize {
+    workers
+        .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
+        .unwrap_or(1)
+        .clamp(1, items.max(1))
 }
 
 /// Fixed GPU-range shards with tail stealing.
@@ -508,7 +461,7 @@ impl FleetAccumulator {
 /// buffers are freed, so resident memory stays O(workers) GPU results
 /// (plus two words per GPU) instead of O(fleet). The summary — including
 /// its fleet digest — is byte-identical across worker counts and to
-/// summarizing a materialized [`run_cluster_seq`] run.
+/// summarizing a materialized [`run_cluster_opts`] run.
 ///
 /// Trace capture is refused (a fleet-wide trace is exactly the O(fleet)
 /// buffer this path exists to avoid); use [`run_cluster_opts`] for that.
@@ -562,7 +515,7 @@ pub fn run_cluster_stream<P: Into<SharedProfile>>(
     )?;
 
     let acc = FleetAccumulator::new(placement.gpus_used);
-    let workers = worker_count(opts, placement.gpus_used);
+    let workers = worker_count(opts.workers, placement.gpus_used);
     if workers <= 1 || placement.gpus_used <= 1 {
         for g in 0..placement.gpus_used {
             acc.fold(&run_one_gpu(
@@ -630,25 +583,6 @@ fn run_one_gpu(
             driver.restore_share_mode(local, modes[t], 0);
         }
     }
-    // PR 6 follow-on: when the runtime's own lane hints certify the
-    // tenancy as fully sharded, promote the hint into an actual lane
-    // split — each tenant simulates on its own isolated engine. Trace
-    // capture stays monolithic (lane streams have per-lane queue/seq
-    // namespaces), as do closed-loop tenants (their client state lives
-    // in one shared notice handler).
-    let open_loop = local_ws
-        .tenants
-        .iter()
-        .all(|t| !matches!(t.pattern, ArrivalPattern::ClosedLoop { .. }));
-    if opts.lane_sharding && !opts.capture_trace && open_loop {
-        let hints = driver.lane_hints(spec.num_sms);
-        if hints.is_fully_sharded() && hints.num_lanes() > 1 {
-            let modes: Vec<ShareMode> = (0..tenants.len()).map(|a| driver.share_mode(a)).collect();
-            return run_one_gpu_sharded(
-                g, tenants, &local_ws, requests, &modes, spec, params, horizon,
-            );
-        }
-    }
     let mut gpu = Gpu::new(spec.clone(), HostCosts::paper());
     let sink = if opts.capture_trace {
         let s = BufferSink::new();
@@ -673,77 +607,7 @@ fn run_one_gpu(
         log: sim.driver.log,
         outcome,
         utilization,
-        lanes: 1,
         trace: sink.map(|s| s.take()).unwrap_or_default(),
-    }
-}
-
-/// Simulates a fully-sharded GPU as per-tenant lanes: every tenant runs
-/// on its own engine (its hard SM cap makes the partition structurally
-/// isolated — see DESIGN.md §5h), and the per-lane logs merge back into
-/// local tenant order. Arrivals come from the *same* per-app forks the
-/// monolithic path draws, so the schedules coincide; only the
-/// cross-partition memory-interference term is dropped.
-#[allow(clippy::too_many_arguments)]
-fn run_one_gpu_sharded(
-    g: usize,
-    tenants: Vec<usize>,
-    local_ws: &WorkloadSet,
-    requests: &[PlacementRequest],
-    modes: &[ShareMode],
-    spec: &GpuSpec,
-    params: &BlessParams,
-    horizon: SimTime,
-) -> GpuRun {
-    // Canonical arrival schedule (per-app forks of the GPU seed),
-    // partitioned by tenant and renumbered to each lane's app 0.
-    let mut per_lane: Vec<Vec<RequestArrival>> = vec![Vec::new(); tenants.len()];
-    for a in local_ws.initial_arrivals() {
-        per_lane[a.app].push(RequestArrival { app: 0, ..a });
-    }
-
-    let mut log = RequestLog::new(tenants.len());
-    let mut outcome = RunOutcome::Completed;
-    let mut busy = 0.0;
-    let mut makespan = 0.0f64;
-    for (lane, arrivals) in per_lane.into_iter().enumerate() {
-        let t = tenants[lane];
-        let app = DeployedApp::new(
-            SharedProfile::clone(&requests[t].profile),
-            requests[t].quota,
-            None,
-        );
-        let mut driver = BlessDriver::new(vec![app], params.clone());
-        driver.restore_share_mode(0, modes[lane], 0);
-        let gpu = Gpu::new(spec.clone(), HostCosts::paper());
-        let mut sim = Simulation::new(gpu, driver, arrivals);
-        let lane_outcome = sim.run(horizon);
-        if outcome == RunOutcome::Completed {
-            outcome = lane_outcome;
-        }
-        busy += sim.gpu.busy_sm_seconds();
-        makespan = makespan.max(sim.gpu.now().as_secs_f64());
-        for (req, r) in sim.driver.log.records(0).iter().enumerate() {
-            log.arrived(lane, req, r.arrival);
-            if let Some(c) = r.completion {
-                log.completed(lane, req, c);
-            }
-        }
-    }
-    let lanes = tenants.len();
-    let utilization = if makespan > 0.0 {
-        busy / (spec.num_sms as f64 * makespan)
-    } else {
-        0.0
-    };
-    GpuRun {
-        gpu: g,
-        tenants,
-        log,
-        outcome,
-        utilization,
-        lanes,
-        trace: Vec::new(),
     }
 }
 
@@ -805,6 +669,14 @@ mod tests {
         }
     }
 
+    /// The sequential loop: one worker.
+    fn sequential() -> ClusterOptions {
+        ClusterOptions {
+            workers: Some(1),
+            ..ClusterOptions::default()
+        }
+    }
+
     #[test]
     fn parallel_and_sequential_runs_are_identical() {
         let (spec, ws, profiles) = four_tenant_fixture();
@@ -818,7 +690,8 @@ mod tests {
         };
         let par =
             run_cluster_opts(&ws, profiles.clone(), 4, &spec, &params, horizon, &opts).unwrap();
-        let seq = run_cluster_seq(&ws, profiles, 4, &spec, &params, horizon).unwrap();
+        let seq =
+            run_cluster_opts(&ws, profiles, 4, &spec, &params, horizon, &sequential()).unwrap();
         assert_eq!(par.placement, seq.placement);
         assert_eq!(par.gpus.len(), seq.gpus.len());
         for (p, s) in par.gpus.iter().zip(&seq.gpus) {
@@ -983,84 +856,39 @@ mod tests {
     }
 
     #[test]
-    fn fully_sharded_tenancy_runs_on_per_tenant_lanes() {
+    fn pinned_strict_spatial_tenancy_serves_every_request() {
+        // `initial_modes` restores each tenant's ladder position before
+        // the first arrival: the pinned pair still serves every request,
+        // on a different schedule than the same pair deployed
+        // semi-spatial.
         let (spec, ws, profiles) = strict_pair_fixture();
-        let horizon = SimTime::from_secs(60);
-        let params = BlessParams::default();
-        let opts = ClusterOptions {
-            initial_modes: Some(vec![ShareMode::StrictSpatial; 2]),
-            ..ClusterOptions::default()
+        let run = |initial_modes| {
+            let opts = ClusterOptions {
+                initial_modes,
+                ..ClusterOptions::default()
+            };
+            let horizon = SimTime::from_secs(60);
+            let params = BlessParams::default();
+            run_cluster_opts(&ws, profiles.clone(), 1, &spec, &params, horizon, &opts).unwrap()
         };
-        let run =
-            run_cluster_opts(&ws, profiles.clone(), 1, &spec, &params, horizon, &opts).unwrap();
-        assert_eq!(run.gpus.len(), 1);
-        let g = &run.gpus[0];
-        assert_eq!(g.lanes, 2, "strict-spatial pair must shard onto 2 lanes");
+        let pinned = run(Some(vec![ShareMode::StrictSpatial; 2]));
+        let semi = run(None);
+        let g = &pinned.gpus[0];
         assert_eq!(g.outcome, RunOutcome::Completed);
-        assert!(g.utilization > 0.0);
         for app in 0..2 {
-            assert_eq!(g.log.records(app).len(), 6);
             assert_eq!(g.log.completed_count(app), 6, "app {app} lost requests");
         }
-
-        // The sharded run is deterministic…
-        let again =
-            run_cluster_opts(&ws, profiles.clone(), 1, &spec, &params, horizon, &opts).unwrap();
-        for app in 0..2 {
-            let a: Vec<_> = run.gpus[0]
-                .log
-                .records(app)
-                .iter()
-                .map(|r| (r.arrival, r.completion))
-                .collect();
-            let b: Vec<_> = again.gpus[0]
-                .log
-                .records(app)
-                .iter()
-                .map(|r| (r.arrival, r.completion))
-                .collect();
-            assert_eq!(a, b, "app {app}");
-        }
-
-        // …and draws the exact arrival schedule the monolithic engine
-        // uses (same per-app forks), so only completion physics differ.
-        let mono = run_cluster_opts(
-            &ws,
-            profiles,
-            1,
-            &spec,
-            &params,
-            horizon,
-            &ClusterOptions {
-                lane_sharding: false,
-                initial_modes: Some(vec![ShareMode::StrictSpatial; 2]),
-                ..ClusterOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(mono.gpus[0].lanes, 1);
-        for app in 0..2 {
-            let sharded: Vec<_> = run.gpus[0]
-                .log
-                .records(app)
-                .iter()
-                .map(|r| r.arrival)
-                .collect();
-            let monolithic: Vec<_> = mono.gpus[0]
-                .log
-                .records(app)
-                .iter()
-                .map(|r| r.arrival)
-                .collect();
-            assert_eq!(sharded, monolithic, "app {app} arrival schedules diverge");
-            assert_eq!(mono.gpus[0].log.completed_count(app), 6);
-        }
+        assert_ne!(
+            g.log.digest(),
+            semi.gpus[0].log.digest(),
+            "pinning the ladder changed nothing"
+        );
     }
 
     #[test]
     fn pool_reachable_tenancies_stay_monolithic() {
-        // Without mode pinning every tenant deploys semi-spatial — the
-        // hint never certifies the split, even with sharding enabled.
+        // Without mode pinning every tenant deploys semi-spatial and can
+        // reach the shared pool.
         let (spec, ws, profiles) = strict_pair_fixture();
         let run = run_cluster(
             &ws,
@@ -1071,7 +899,6 @@ mod tests {
             SimTime::from_secs(60),
         )
         .unwrap();
-        assert_eq!(run.gpus[0].lanes, 1);
         assert!(run.all_completed());
     }
 
@@ -1081,7 +908,16 @@ mod tests {
         let horizon = SimTime::from_secs(60);
         let params = BlessParams::default();
         // Ground truth: the materialized sequential run, folded by hand.
-        let seq = run_cluster_seq(&ws, profiles.clone(), 4, &spec, &params, horizon).unwrap();
+        let seq = run_cluster_opts(
+            &ws,
+            profiles.clone(),
+            4,
+            &spec,
+            &params,
+            horizon,
+            &sequential(),
+        )
+        .unwrap();
         let mut h = Fnv::new();
         for g in &seq.gpus {
             h.write_u64(g.log.digest());

@@ -53,7 +53,6 @@ fn smoke_run(workers: usize) -> FleetSummary {
         &bless::BlessParams::default(),
         SimTime::from_secs(5),
         &ClusterOptions {
-            parallel: workers > 1,
             workers: Some(workers),
             ..ClusterOptions::default()
         },

@@ -1,10 +1,10 @@
 //! Runtime lane hints: deriving an intra-GPU lane partition from the
 //! squad/partition structure.
 //!
-//! The lane-sharded engine (`gpu_sim::lanes`) can only split tenants onto
-//! separate lanes when they are *structurally isolated* — nothing one
-//! tenant does may be observable by another. The BLESS runtime knows this
-//! structure exactly, because it is the one creating it:
+//! A lane is a set of tenants that are *structurally isolated* from every
+//! other lane — nothing one lane does is observable by another through
+//! the SM allocator. The BLESS runtime knows this structure exactly,
+//! because it is the one creating it:
 //!
 //! * An app pinned to [`ShareMode::StrictSpatial`] runs every kernel
 //!   inside its own SM-affinity partition and never spills into the
@@ -18,11 +18,10 @@
 //!   the shared pool, so it also stays on the pool lane.
 //!
 //! The hint is *structural only*: it reflects SM-allocator reachability,
-//! not the memory-bandwidth interference term, which in the monolithic
-//! engine couples all compute kernels globally. Promoting a hint into an
-//! actual lane split is exact when cross-lane kernels have zero
-//! `mem_intensity` (hard MIG-style isolation) and an approximation
-//! otherwise — the caller owns that call; see DESIGN.md §5h.
+//! not the memory-bandwidth interference term, which couples all compute
+//! kernels on the device globally. It is a report, not a schedule:
+//! nothing in the workspace splits a device along it, and every tenancy
+//! runs on one engine (DESIGN.md §5h).
 
 use metrics::ShareMode;
 
@@ -115,8 +114,7 @@ impl LaneHints {
     }
 
     /// True when every lane holds exactly one tenant behind a hard cap —
-    /// the structure under which lane sharding is at its most profitable
-    /// (no shared-pool serialization at all).
+    /// no tenant can reach the shared pool at all.
     pub fn is_fully_sharded(&self) -> bool {
         !self.groups.is_empty()
             && self

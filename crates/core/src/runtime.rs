@@ -281,14 +281,14 @@ impl BlessDriver {
         self.temporal_rounds[app]
     }
 
-    /// Lane hints for the current degradation state: which tenants could
-    /// advance on independent engine lanes (`gpu_sim::lanes`) given their
-    /// present share modes and quotas, on a device with `num_sms` SMs.
+    /// Lane hints for the current degradation state: which tenants are
+    /// structurally isolated from each other given their present share
+    /// modes and quotas, on a device with `num_sms` SMs.
     ///
-    /// The grouping is structural (SM-allocator reachability); see
-    /// [`crate::lanes`] for when a hint may be promoted to an actual lane
-    /// split. Recompute after degradation transitions — mode shifts move
-    /// tenants between the shared-pool lane and partition lanes.
+    /// The grouping is structural (SM-allocator reachability; see
+    /// [`crate::lanes`]). Recompute after degradation transitions — mode
+    /// shifts move tenants between the shared-pool lane and partition
+    /// lanes.
     pub fn lane_hints(&self, num_sms: u32) -> crate::lanes::LaneHints {
         let quotas: Vec<f64> = self.apps.iter().map(|a| a.quota).collect();
         crate::lanes::LaneHints::from_share_modes(&self.degrade, &quotas, num_sms)

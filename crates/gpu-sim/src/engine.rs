@@ -1322,7 +1322,7 @@ impl Gpu {
     /// the engine half of a live migration or failure evacuation; the
     /// driver half supplies the request-level checkpoint
     /// (`BlessDriver::export_checkpoint`). Call it after advancing the
-    /// engine to the fault barrier (e.g. via [`Gpu::advance_until`]).
+    /// engine to the fault barrier.
     pub fn drain_snapshot(&mut self) -> DeviceCheckpoint {
         let mut abandoned = Vec::new();
         for slot in 0..self.instances.len() {
@@ -1383,30 +1383,11 @@ impl Gpu {
         while self.step().is_some() || !self.events.is_empty() {}
     }
 
-    /// Processes every pending event strictly earlier than `limit`,
-    /// appending each externally visible output with its timestamp to
-    /// `out`. Events at exactly `limit` (or later) stay pending, so a
-    /// caller coordinating several engines can stop each one at a common
-    /// barrier and interleave deterministically.
-    ///
-    /// `out` is reused across calls by design (the lane engine's parallel
-    /// drain holds one such buffer per lane), keeping the steady-state
-    /// path allocation-free once buffers reach their high-water mark.
-    pub fn advance_until(&mut self, limit: SimTime, out: &mut Vec<(SimTime, StepOutput)>) {
-        while let Some(et) = self.events.peek_time() {
-            if et >= limit {
-                break;
-            }
-            if let Some(o) = self.step() {
-                out.push((self.now, o));
-            }
-        }
-    }
-
     /// Runs the device until no events remain, appending every externally
     /// visible output with its timestamp to `out` (a [`Gpu::drain`] that
-    /// keeps the outputs; same buffer-reuse contract as
-    /// [`Gpu::advance_until`]).
+    /// keeps the outputs). `out` is only appended to, so a caller can
+    /// reuse one buffer across runs and stay allocation-free once it
+    /// reaches its high-water mark.
     pub fn drain_outputs_into(&mut self, out: &mut Vec<(SimTime, StepOutput)>) {
         loop {
             match self.step() {
@@ -1972,15 +1953,15 @@ mod tests {
 
     #[test]
     fn gpu_is_send() {
-        // The lane engine moves per-lane GPUs onto scoped worker threads;
-        // this pins the auto-trait so a future `Rc`/raw-pointer field
+        // The fleet runners move per-GPU simulations onto scoped worker
+        // threads; this pins the auto-trait so a future `Rc`/raw-pointer field
         // can't silently break it.
         fn assert_send<T: Send>() {}
         assert_send::<Gpu>();
     }
 
     #[test]
-    fn advance_until_stops_at_barrier() {
+    fn drain_outputs_into_keeps_every_output() {
         let mut gpu = free_gpu();
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
@@ -1989,15 +1970,10 @@ mod tests {
             gpu.launch(q, k, i).unwrap();
         }
         let mut out = Vec::new();
-        // Kernels finish at 100/200/300/400 us; events at exactly the
-        // barrier stay pending.
-        gpu.advance_until(SimTime::from_micros(300), &mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].0, SimTime::from_micros(100));
-        assert_eq!(out[1].0, SimTime::from_micros(200));
-        assert_eq!(gpu.peek_event_time(), Some(SimTime::from_micros(300)));
+        // Kernels finish at 100/200/300/400 us.
         gpu.drain_outputs_into(&mut out);
         assert_eq!(out.len(), 4);
+        assert_eq!(out[0].0, SimTime::from_micros(100));
         assert_eq!(out[3].0, SimTime::from_micros(400));
         assert!(gpu.is_device_idle());
     }

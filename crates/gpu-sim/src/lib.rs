@@ -40,7 +40,6 @@ pub mod alloc;
 pub mod channel;
 pub mod engine;
 pub mod kernel;
-pub mod lanes;
 pub mod sim;
 pub mod spec;
 
@@ -50,7 +49,6 @@ pub use engine::{
     KernelHandle, QueueId, StepOutput, TimelineSegment,
 };
 pub use kernel::{KernelDesc, KernelKind, KernelTableId};
-pub use lanes::{LaneEngine, MergedOutput};
 pub use sim::{
     decode_tag, encode_tag, HostDriver, KernelDone, NoticeHandler, RequestArrival, RunOutcome,
     Simulation,

@@ -8,9 +8,9 @@
 //!    α/base/cap matched to the scalar curve
 //!    ([`GpuSpec::collapse_twin`]) must be *byte-identical* to
 //!    [`ChannelModel::Scalar`]: same request-log stream, same digests,
-//!    same trace digests, across a seeded workload matrix, on the
-//!    monolithic [`Gpu`] and on the lane engine at worker counts 1/2/4.
-//!    This is what lets the richer model land without moving a single
+//!    same trace digests, across a seeded workload matrix, on a [`Gpu`]
+//!    whose contexts share the SM pool and on one split into two MIG
+//!    partitions. This is what lets the richer model land without moving a single
 //!    golden digest.
 //! 2. **Property tests** — the channel slowdown formula is monotone in
 //!    each channel's pressure, never below 1.0, capped per channel, and
@@ -21,7 +21,6 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
-use gpu_sim::lanes::{LaneEngine, MergedOutput};
 use gpu_sim::spec::{GpuSpec, HostCosts};
 use gpu_sim::{
     Channel, ChannelDemand, ChannelParams, CtxKind, Gpu, KernelDesc, StepOutput, NUM_CHANNELS,
@@ -97,21 +96,39 @@ fn canonical_plan(seed: u64, collapse_on: Channel) -> Plan {
     Plan { queues }
 }
 
-/// Builds a monolithic `Gpu` under `spec` — two MPS-affinity contexts
-/// and one default context sharing the SM pool, queues spread across
-/// them — and launches the plan.
-fn build_gpu(plan: &Plan, spec: GpuSpec, sink: Option<BufferSink>) -> Gpu {
+/// How [`build_gpu`] lays the plan's queues out over contexts.
+#[derive(Clone, Copy, Debug)]
+enum Layout {
+    /// Two MPS-affinity contexts and one default context sharing the SM
+    /// pool, queues spread across them.
+    SharedPool,
+    /// Two MIG-partition contexts of 54 SMs each, queues split by
+    /// `q % 2`: interference stays live inside and across partitions.
+    MigPair,
+}
+
+/// Builds a `Gpu` under `spec` with the given context layout and
+/// launches the plan.
+fn build_gpu(plan: &Plan, spec: GpuSpec, layout: Layout, sink: Option<BufferSink>) -> Gpu {
     let mut gpu = Gpu::new(spec, HostCosts::free());
     if let Some(s) = sink {
         gpu.set_trace_sink(Box::new(s));
     }
-    let ctxs = [
-        gpu.create_context(CtxKind::MpsAffinity { sm_cap: 54 })
-            .expect("ctx"),
-        gpu.create_context(CtxKind::MpsAffinity { sm_cap: 54 })
-            .expect("ctx"),
-        gpu.create_context(CtxKind::Default).expect("ctx"),
-    ];
+    let kinds: &[CtxKind] = match layout {
+        Layout::SharedPool => &[
+            CtxKind::MpsAffinity { sm_cap: 54 },
+            CtxKind::MpsAffinity { sm_cap: 54 },
+            CtxKind::Default,
+        ],
+        Layout::MigPair => &[
+            CtxKind::MigPartition { sm_count: 54 },
+            CtxKind::MigPartition { sm_count: 54 },
+        ],
+    };
+    let ctxs: Vec<_> = kinds
+        .iter()
+        .map(|&k| gpu.create_context(k).expect("ctx"))
+        .collect();
     for (q, kernels) in plan.queues.iter().enumerate() {
         let qid = gpu.create_queue(ctxs[q % ctxs.len()]).expect("queue");
         for (desc, tag, extra) in kernels {
@@ -120,33 +137,6 @@ fn build_gpu(plan: &Plan, spec: GpuSpec, sink: Option<BufferSink>) -> Gpu {
         }
     }
     gpu
-}
-
-/// Builds a lane engine under `spec`: 2 lanes, each with one
-/// MIG-partition context carrying half the plan's queues (intra-lane
-/// interference stays live through the shared interference term).
-fn build_lanes(plan: &Plan, spec: GpuSpec, traced: bool) -> LaneEngine {
-    let mut eng = LaneEngine::homogeneous(spec, HostCosts::free(), 2);
-    if traced {
-        eng.enable_tracing();
-    }
-    for lane in 0..2 {
-        let gpu = eng.lane_mut(lane);
-        let ctx = gpu
-            .create_context(CtxKind::MigPartition { sm_count: 54 })
-            .expect("mig ctx");
-        for (q, kernels) in plan.queues.iter().enumerate() {
-            if q % 2 != lane {
-                continue;
-            }
-            let qid = gpu.create_queue(ctx).expect("queue");
-            for (desc, tag, extra) in kernels {
-                gpu.launch_delayed(qid, desc.clone(), *tag, *extra)
-                    .expect("launch");
-            }
-        }
-    }
-    eng
 }
 
 fn digest_gpu_outputs(outs: &[(SimTime, StepOutput)]) -> u64 {
@@ -173,31 +163,6 @@ fn digest_gpu_outputs(outs: &[(SimTime, StepOutput)]) -> u64 {
     h.0
 }
 
-fn digest_merged(outs: &[MergedOutput]) -> u64 {
-    let mut h = Fnv::new();
-    for m in outs {
-        h.write_u64(m.at.as_nanos());
-        h.write_u64(m.lane as u64);
-        match m.output {
-            StepOutput::KernelDone { handle, queue, tag } => {
-                h.write_u64(1);
-                h.write_u64(handle.0);
-                h.write_u64(queue.0 as u64);
-                h.write_u64(tag);
-            }
-            StepOutput::HostWake { token } => {
-                h.write_u64(2);
-                h.write_u64(token);
-            }
-            StepOutput::ContextCrash { app } => {
-                h.write_u64(3);
-                h.write_u64(app as u64);
-            }
-        }
-    }
-    h.0
-}
-
 fn digest_trace_events(events: &[sim_core::TraceEvent]) -> u64 {
     let mut h = Fnv::new();
     for ev in events {
@@ -206,20 +171,15 @@ fn digest_trace_events(events: &[sim_core::TraceEvent]) -> u64 {
     h.0
 }
 
-fn digest_lane_trace(trace: &[(u32, sim_core::TraceEvent)]) -> u64 {
-    let mut h = Fnv::new();
-    for (lane, ev) in trace {
-        h.write_u64(*lane as u64);
-        h.write(ev.to_json().as_bytes());
-    }
-    h.0
-}
-
 /// Runs the plan on the monolithic engine under `spec` and returns
 /// (output stream, output digest, trace digest).
-fn run_monolithic(plan: &Plan, spec: GpuSpec) -> (Vec<(SimTime, StepOutput)>, u64, u64) {
+fn run_monolithic(
+    plan: &Plan,
+    spec: GpuSpec,
+    layout: Layout,
+) -> (Vec<(SimTime, StepOutput)>, u64, u64) {
     let sink = BufferSink::new();
-    let mut gpu = build_gpu(plan, spec, Some(sink.clone()));
+    let mut gpu = build_gpu(plan, spec, layout, Some(sink.clone()));
     let mut out = Vec::new();
     gpu.drain_outputs_into(&mut out);
     drop(gpu.take_trace_sink());
@@ -235,56 +195,22 @@ fn run_monolithic(plan: &Plan, spec: GpuSpec) -> (Vec<(SimTime, StepOutput)>, u6
 fn collapse_twin_is_bit_identical_on_monolithic_gpu() {
     // The seeded workload matrix: four seeds, collapse on the DRAM-BW
     // channel (the default constructor shape) and on L2 (any single
-    // channel collapses, not just the calibrated one).
+    // channel collapses, not just the calibrated one), on both context
+    // layouts.
     for &seed in &SEED_MATRIX {
         for ch in [Channel::DramBw, Channel::L2] {
             let plan = canonical_plan(seed, ch);
-            let scalar_spec = GpuSpec::a100();
-            let twin_spec = scalar_spec.collapse_twin(ch);
-            let (s_out, s_od, s_td) = run_monolithic(&plan, scalar_spec);
-            let (t_out, t_od, t_td) = run_monolithic(&plan, twin_spec);
-            assert_eq!(s_out, t_out, "stream diverged: seed={seed:#x} ch={ch:?}");
-            assert_eq!(
-                s_od, t_od,
-                "output digest diverged: seed={seed:#x} ch={ch:?}"
-            );
-            assert_eq!(
-                s_td, t_td,
-                "trace digest diverged: seed={seed:#x} ch={ch:?}"
-            );
+            for layout in [Layout::SharedPool, Layout::MigPair] {
+                let scalar_spec = GpuSpec::a100();
+                let twin_spec = scalar_spec.collapse_twin(ch);
+                let (s_out, s_od, s_td) = run_monolithic(&plan, scalar_spec, layout);
+                let (t_out, t_od, t_td) = run_monolithic(&plan, twin_spec, layout);
+                let at = format!("seed={seed:#x} ch={ch:?} layout={layout:?}");
+                assert_eq!(s_out, t_out, "stream diverged: {at}");
+                assert_eq!(s_od, t_od, "output digest diverged: {at}");
+                assert_eq!(s_td, t_td, "trace digest diverged: {at}");
+            }
         }
-    }
-}
-
-#[test]
-fn collapse_twin_is_bit_identical_across_worker_counts() {
-    // Lane-sharded twin: the per-resource collapse must not perturb the
-    // deterministic (time, lane, seq) merge at any worker count.
-    let plan = canonical_plan(0xB1E55, Channel::DramBw);
-    let mut scalar_eng = build_lanes(&plan, GpuSpec::a100(), true);
-    let mut scalar_out = Vec::new();
-    scalar_eng.drain_seq_into(&mut scalar_out);
-    let scalar_od = digest_merged(&scalar_out);
-    let scalar_td = digest_lane_trace(&scalar_eng.merged_trace());
-    assert!(!scalar_out.is_empty());
-
-    for workers in [1usize, 2, 4] {
-        let twin_spec = GpuSpec::a100().collapse_twin(Channel::DramBw);
-        let mut eng = build_lanes(&plan, twin_spec, true);
-        eng.set_workers(workers);
-        let mut out = Vec::new();
-        eng.drain_par_into(&mut out);
-        assert_eq!(out, scalar_out, "stream diverged at workers={workers}");
-        assert_eq!(
-            digest_merged(&out),
-            scalar_od,
-            "digest diverged at workers={workers}"
-        );
-        assert_eq!(
-            digest_lane_trace(&eng.merged_trace()),
-            scalar_td,
-            "trace digest diverged at workers={workers}"
-        );
     }
 }
 
@@ -310,8 +236,8 @@ fn calibrated_model_diverges_from_scalar_on_multi_channel_demand() {
         }
         plan.queues.push(kernels);
     }
-    let (_, scalar_od, _) = run_monolithic(&plan, GpuSpec::a100());
-    let (_, pr_od, _) = run_monolithic(&plan, GpuSpec::a100_per_resource());
+    let (_, scalar_od, _) = run_monolithic(&plan, GpuSpec::a100(), Layout::SharedPool);
+    let (_, pr_od, _) = run_monolithic(&plan, GpuSpec::a100_per_resource(), Layout::SharedPool);
     assert_ne!(
         scalar_od, pr_od,
         "per-resource model never diverged from scalar"

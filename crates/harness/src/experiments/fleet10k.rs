@@ -183,7 +183,6 @@ pub fn streamed_run(
         &BlessParams::default(),
         SimTime::ZERO + TRACE_SPAN + TRACE_SPAN,
         &ClusterOptions {
-            parallel: workers > 1,
             workers: Some(workers),
             ..ClusterOptions::default()
         },

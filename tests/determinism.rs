@@ -223,8 +223,8 @@ fn cluster_parallel_matches_sequential_byte_for_byte() {
         ..ClusterOptions::default()
     };
     let seq_opts = ClusterOptions {
-        parallel: false,
         capture_trace: true,
+        workers: Some(1),
         ..ClusterOptions::default()
     };
     let par =
