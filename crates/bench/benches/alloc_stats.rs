@@ -137,13 +137,14 @@ fn cluster_stream_allocs(gpus: usize, workers: usize) -> u64 {
     bench::alloc_count() - before
 }
 
-/// Marginal allocations per GPU-step for the streamed fleet runner, for
-/// the sequential fold and the sharded worker pool. Two fleet sizes
-/// cancel per-run setup (thread spawns, shard deques, accumulator
-/// arrays); the sharded marginal minus the sequential marginal is the
-/// steady-state cost of the sharding machinery itself — work-stealing
-/// dispatch plus streaming aggregation — which must be allocation-free
-/// per GPU.
+/// Marginal allocations per GPU-step for the streamed fleet runner, at
+/// one worker and at two. Two fleet sizes cancel per-run setup (thread
+/// spawns, the result channel's first blocks); the two-worker marginal
+/// minus the one-worker marginal is the steady-state cost of the
+/// parallel machinery itself — `sim_core::par`'s claim, channel and
+/// reorder buffer plus the ordered fold of per-GPU tallies — which must
+/// be allocation-free per GPU. (The `sharded` names in the output and
+/// JSON predate the ordered map and are kept for snapshot continuity.)
 fn cluster_marginals(n1: usize, n2: usize) -> (f64, f64) {
     let d = (n2 - n1) as f64;
     let seq = (cluster_stream_allocs(n2, 1) - cluster_stream_allocs(n1, 1)) as f64 / d;
@@ -225,10 +226,10 @@ fn main() {
         kps / 1e6
     );
 
-    // Sharded fleet runner: warm once (lazy globals, profile interning),
-    // then compare per-GPU marginals of the sequential fold and the
-    // 2-worker sharded pool. The difference is the sharding machinery's
-    // own steady-state cost and must be zero allocations per GPU-step.
+    // Parallel fleet runner: warm once (lazy globals, profile interning),
+    // then compare per-GPU marginals at one worker and at two. The
+    // difference is the parallel machinery's own steady-state cost and
+    // must be zero allocations per GPU-step.
     let (c1, c2) = if quick() { (4, 12) } else { (8, 24) };
     std::hint::black_box(cluster_stream_allocs(c1, 2)); // warmup
     let (cluster_seq, cluster_sharded) = cluster_marginals(c1, c2);

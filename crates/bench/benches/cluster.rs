@@ -39,13 +39,14 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("place_and_run_4_tenants", |b| {
         b.iter(|| {
-            cluster::run_cluster(
+            cluster::run_cluster_opts(
                 &ws,
                 profiles.clone(),
                 4,
                 &spec,
                 &BlessParams::default(),
                 SimTime::from_secs(60),
+                &cluster::ClusterOptions::default(),
             )
             .unwrap()
         })

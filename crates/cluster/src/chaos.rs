@@ -2,7 +2,7 @@
 //! migration, and the deterministic chaos runner.
 //!
 //! [`run_chaos`] serves a placed multi-GPU deployment exactly like
-//! [`crate::run_cluster`], but under a [`FaultPlan`] that can kill
+//! [`crate::run_cluster_opts`], but under a [`FaultPlan`] that can kill
 //! devices permanently ([`sim_core::GpuFailEvent`]) or hang them
 //! transiently ([`sim_core::GpuHangEvent`]). When a device faults, its
 //! runtime is quiesced at a barrier one nanosecond before the fault
@@ -42,11 +42,11 @@
 //!
 //! The fault schedule is a pure function of `(fault_seed, FaultSpec)`;
 //! fault events are applied sequentially in time order, and only the
-//! final drain of surviving devices runs on the worker pool — each
-//! surviving runtime is self-contained by then, so the merged result is
-//! byte-identical at any worker count. A [`FaultPlan::none`] chaos run
+//! final drain of surviving devices runs on the worker pool
+//! ([`sim_core::par`]) — each surviving runtime is self-contained by
+//! then, so the merged result is byte-identical at any worker count. A [`FaultPlan::none`] chaos run
 //! performs no quiesce, no rebuild, and no migration: each GPU executes
-//! the identical event sequence as [`crate::run_cluster`].
+//! the identical event sequence as [`crate::run_cluster_opts`].
 //!
 //! # Scope
 //!
@@ -56,19 +56,16 @@
 //! device-level faults (context crashes, DMA stalls, drift, stragglers)
 //! compose through the single-GPU `run_custom_faulted` harness path.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-
 use bless::{BlessDriver, BlessParams, DeployedApp, TenantCheckpoint};
 use gpu_sim::{Gpu, GpuSpec, HostCosts, RequestArrival, RunOutcome, Simulation};
 use metrics::{RequestLog, ShareMode};
 use profiler::{admit, AdmissionPolicy, ProfiledApp, SharedProfile};
+use sim_core::par;
 use sim_core::trace::TraceEvent;
 use sim_core::{FaultPlan, FaultSpec, SimDuration, SimTime};
 use workloads::{ArrivalPattern, TenantSpec, WorkloadSet};
 
 use crate::placement::{place, CapacityIndex, Placement, PlacementError, PlacementRequest};
-use crate::run::worker_count;
 
 /// The class of device fault that interrupted a tenant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -420,7 +417,7 @@ pub fn run_chaos<P: Into<SharedProfile>>(
     let policy = MigrationPolicy::new(spec.memory_mib);
 
     // Canonical fleet arrival schedule: per-GPU workloads generated
-    // exactly as `run_cluster` does (seed + GPU offset, per-local-app
+    // exactly as the cluster runner does (seed + GPU offset, per-local-app
     // fork), remapped to fleet tenant ids. Arrival times in the fleet log
     // always come from this table, never from re-injection times.
     let mut fleet_arrivals: Vec<Vec<SimTime>> = vec![Vec::new(); ws.len()];
@@ -796,52 +793,25 @@ pub fn run_chaos<P: Into<SharedProfile>>(
     }
 
     // Final drain: surviving incarnations are mutually independent, so
-    // they run to the horizon on a worker pool and merge by slot order.
-    let mut work: Vec<(usize, Slot)> = Vec::new();
-    for (g, s) in slots.iter_mut().enumerate() {
-        if let Some(slot) = s.take() {
-            work.push((g, slot));
-        }
-    }
-    let workers = worker_count(opts.workers, work.len());
-    let mut finished: Vec<(usize, Slot, RunOutcome)> = if workers <= 1 || work.len() <= 1 {
-        work.into_iter()
-            .map(|(g, mut slot)| {
-                let outcome = slot.sim.run(horizon);
-                (g, slot, outcome)
-            })
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let pending: Mutex<Vec<Option<(usize, Slot)>>> =
-            Mutex::new(work.into_iter().map(Some).collect());
-        let done = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let item = pending
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .get_mut(i)
-                        .and_then(Option::take);
-                    let Some((g, mut slot)) = item else { break };
-                    let outcome = slot.sim.run(horizon);
-                    done.lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push((g, slot, outcome));
-                });
-            }
-        });
-        done.into_inner().unwrap_or_else(PoisonError::into_inner)
-    };
-    finished.sort_by_key(|(g, _, _)| *g);
-
+    // they run to the horizon on the worker pool and merge by slot order.
+    let work: Vec<(usize, Slot)> = slots
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(g, s)| Some((g, s.take()?)))
+        .collect();
     let mut outcomes: Vec<Option<RunOutcome>> = vec![None; placement.gpus_used];
-    for (g, slot, outcome) in finished {
-        harvest(&slot, &mut completions);
-        outcomes[g] = Some(outcome);
-    }
+    par::for_each_ordered(
+        opts.workers,
+        work,
+        |(g, mut slot)| {
+            let outcome = slot.sim.run(horizon);
+            (g, slot, outcome)
+        },
+        |_, (g, slot, outcome)| {
+            harvest(&slot, &mut completions);
+            outcomes[g] = Some(outcome);
+        },
+    );
 
     // Fleet log: canonical arrival times, harvested completions.
     let mut log = RequestLog::new(ws.len());
@@ -1326,63 +1296,61 @@ mod tests {
     }
 
     /// The recovery schedule — who moved where, when work resumed, who
-    /// was stranded, and the resulting fleet log — pinned to a golden
-    /// digest at worker counts 1/2/4. Catches both nondeterminism in the
-    /// worker pool and any behavioral drift in the index-backed
-    /// evacuation path (which must match the linear
-    /// [`MigrationPolicy::choose_target`] scan byte-for-byte).
+    /// was stranded, and the resulting fleet log — of seed-42 faults over
+    /// the 6×0.45-quota fixture on a 4-GPU fleet, run on `workers`.
+    fn recovery_digest(workers: usize) -> u64 {
+        let (spec, ws, profiles) = fixture(&[0.45; 6]);
+        let run = run_chaos(
+            &ws,
+            profiles,
+            4,
+            &spec,
+            &BlessParams::default(),
+            horizon(),
+            42,
+            &fault_spec(2, 2),
+            &ChaosOptions {
+                workers: Some(workers),
+                ..ChaosOptions::default()
+            },
+        )
+        .unwrap();
+        assert!(
+            !run.migrations.is_empty() || !run.stranded.is_empty(),
+            "fixture must exercise recovery"
+        );
+        let mut f = metrics::Fnv::new();
+        f.write_u64(run.migrations.len() as u64);
+        for m in &run.migrations {
+            f.write_u64(m.tenant as u64);
+            f.write_u64(m.from as u64);
+            f.write_u64(m.to as u64);
+            f.write_u64(u64::from(matches!(m.kind, FaultKind::Failure)));
+            f.write_u64(m.at.as_nanos());
+            f.write_u64(m.resumed_at.as_nanos());
+            f.write_u64(u64::from(m.in_flight));
+            f.write_u64(u64::from(m.queued));
+            f.write_u64(u64::from(m.future));
+        }
+        f.write_u64(run.stranded.len() as u64);
+        for s in &run.stranded {
+            f.write_u64(s.tenant as u64);
+            f.write_u64(s.gpu as u64);
+            f.write_u64(s.at.as_nanos());
+            f.write_u64(s.lost_requests as u64);
+        }
+        f.write_u64(run.log.digest());
+        f.finish()
+    }
+
+    /// The recovery schedule pinned to a golden digest at worker counts
+    /// 1/2/4. Catches both nondeterminism in the worker pool and any
+    /// behavioral drift in the index-backed evacuation path (which must
+    /// match the linear [`MigrationPolicy::choose_target`] scan
+    /// byte-for-byte).
     #[test]
     fn recovery_schedule_digest_is_pinned_at_any_worker_count() {
-        let (spec, ws, profiles) = fixture(&[0.45; 6]);
-        let fspec = fault_spec(2, 2);
-        let params = BlessParams::default();
-        let digest_of = |run: &ChaosRun| {
-            let mut f = metrics::Fnv::new();
-            f.write_u64(run.migrations.len() as u64);
-            for m in &run.migrations {
-                f.write_u64(m.tenant as u64);
-                f.write_u64(m.from as u64);
-                f.write_u64(m.to as u64);
-                f.write_u64(u64::from(matches!(m.kind, FaultKind::Failure)));
-                f.write_u64(m.at.as_nanos());
-                f.write_u64(m.resumed_at.as_nanos());
-                f.write_u64(u64::from(m.in_flight));
-                f.write_u64(u64::from(m.queued));
-                f.write_u64(u64::from(m.future));
-            }
-            f.write_u64(run.stranded.len() as u64);
-            for s in &run.stranded {
-                f.write_u64(s.tenant as u64);
-                f.write_u64(s.gpu as u64);
-                f.write_u64(s.at.as_nanos());
-                f.write_u64(s.lost_requests as u64);
-            }
-            f.write_u64(run.log.digest());
-            f.finish()
-        };
-        let mut digests = Vec::new();
-        for workers in [1usize, 2, 4] {
-            let run = run_chaos(
-                &ws,
-                profiles.clone(),
-                4,
-                &spec,
-                &params,
-                horizon(),
-                42,
-                &fspec,
-                &ChaosOptions {
-                    workers: Some(workers),
-                    ..ChaosOptions::default()
-                },
-            )
-            .unwrap();
-            assert!(
-                !run.migrations.is_empty() || !run.stranded.is_empty(),
-                "fixture must exercise recovery"
-            );
-            digests.push(digest_of(&run));
-        }
+        let digests = [1, 2, 4].map(recovery_digest);
         assert!(
             digests.iter().all(|&d| d == digests[0]),
             "recovery schedule varies with worker count: {digests:x?}"
@@ -1395,8 +1363,20 @@ mod tests {
         );
     }
 
-    /// Golden for [`recovery_schedule_digest_is_pinned_at_any_worker_count`]:
-    /// seed-42 faults over the 6×0.45-quota fixture on a 4-GPU fleet.
+    /// Stress for the final drain's ordered map: seeded worker counts in
+    /// 1..=4, each run's recovery digest equal to the one-worker run's.
+    #[test]
+    fn recovery_digest_matches_one_worker_at_random_worker_counts() {
+        let want = recovery_digest(1);
+        assert_eq!(want, GOLDEN_RECOVERY_DIGEST);
+        let mut rng = sim_core::SimRng::new(0x5eed);
+        for _ in 0..12 {
+            let workers = rng.range_inclusive(1, 4) as usize;
+            assert_eq!(recovery_digest(workers), want, "workers = {workers}");
+        }
+    }
+
+    /// Golden for [`recovery_digest`].
     const GOLDEN_RECOVERY_DIGEST: u64 = 0x6e6a_8965_7b82_5356;
 
     #[test]

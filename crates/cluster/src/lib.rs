@@ -12,14 +12,16 @@
 //! This crate implements exactly that: [`place`] packs profiled
 //! applications onto a fleet of identical GPUs — honoring device memory,
 //! quota capacity, and the §4.2.2 kernel-granularity compatibility rule —
-//! and [`run_cluster`] replicates the BLESS runtime per GPU and serves
-//! each GPU's tenants independently (see [`ClusterRun`]).
+//! and [`run_cluster_opts`] replicates the BLESS runtime per GPU and
+//! serves each GPU's tenants independently (see [`ClusterRun`]).
 //!
-//! Placed GPUs are mutually independent, so [`run_cluster`] simulates
-//! them on a worker pool. [`run_cluster_opts`] sets the worker count
-//! (`workers: Some(1)` is the sequential loop the differential
-//! determinism test compares against) and exposes per-GPU trace capture
-//! for the `experiments --trace` pipeline.
+//! Placed GPUs are mutually independent, so one runner simulates them on
+//! [`sim_core::par`] and hands each GPU's result back in GPU order.
+//! [`ClusterOptions`] sets the worker count (`workers: Some(1)` is the
+//! sequential loop the differential determinism test compares against)
+//! and per-GPU trace capture for the `experiments --trace` pipeline;
+//! [`run_cluster_stream`] folds each GPU into a [`FleetSummary`] instead
+//! of keeping it.
 
 pub mod chaos;
 pub mod placement;
@@ -34,6 +36,5 @@ pub use placement::{
     PlacementError, PlacementPolicy, PlacementRequest,
 };
 pub use run::{
-    run_cluster, run_cluster_opts, run_cluster_stream, ClusterOptions, ClusterRun, FleetSummary,
-    GpuRun,
+    run_cluster_opts, run_cluster_stream, ClusterOptions, ClusterRun, FleetSummary, GpuRun,
 };

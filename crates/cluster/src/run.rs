@@ -3,29 +3,26 @@
 //!
 //! GPUs are mutually independent once placed — each gets its own
 //! [`Gpu`], [`BlessDriver`], arrival stream, and (optionally) trace sink —
-//! so the fleet is simulated on *sharded* worker threads: each worker
-//! owns a fixed contiguous GPU range (a shard) and drains it
-//! front-to-back, stealing from the tail of other shards once its own is
-//! dry (DESIGN.md §5k). Results land in a preallocated per-GPU slot
-//! arena, so the placement-order merge is a pure move and the merged
-//! [`ClusterRun`] is byte-identical at any worker count, `workers = 1`
-//! (the sequential loop) included.
+//! so one runner validates, places, and simulates the GPUs on
+//! [`sim_core::par`], the workspace's ordered parallel map (DESIGN.md
+//! §5k). Each GPU's result reaches the calling thread in GPU order, so
+//! the output is byte-identical at any worker count, `workers = 1` (the
+//! sequential loop) included. The two entry points differ only in what
+//! they keep of each GPU:
 //!
-//! At fleet scale, materializing every [`GpuRun`] is the memory
-//! bottleneck, not the simulation: [`run_cluster_stream`] folds each
-//! GPU's result into a [`FleetSummary`] the moment it finishes and drops
-//! the per-GPU buffers, keeping resident memory O(workers) instead of
-//! O(fleet) while the summary (including its request-log digest) stays
-//! byte-identical across worker counts.
-
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+//! * [`run_cluster_opts`] collects every [`GpuRun`] into a
+//!   [`ClusterRun`];
+//! * [`run_cluster_stream`] reduces each [`GpuRun`] to a few words on the
+//!   worker that simulated it and folds those into a [`FleetSummary`].
+//!   At fleet scale, materializing every [`GpuRun`] is the memory
+//!   bottleneck, not the simulation; this keeps O(workers) GPU results
+//!   resident, plus a few words per GPU, instead of O(fleet) results.
 
 use bless::{BlessDriver, BlessParams, DeployedApp};
 use gpu_sim::{BufferSink, Gpu, GpuSpec, HostCosts, RequestArrival, RunOutcome, Simulation};
-use metrics::{Fnv, RequestLog, ShareMode};
+use metrics::{Fnv, RequestLog};
 use profiler::SharedProfile;
+use sim_core::par;
 use sim_core::trace::TraceEvent;
 use sim_core::SimTime;
 use workloads::{TenantSpec, WorkloadSet};
@@ -78,7 +75,7 @@ impl ClusterRun {
     }
 }
 
-/// Knobs for [`run_cluster_opts`].
+/// Knobs for [`run_cluster_opts`] and [`run_cluster_stream`].
 #[derive(Clone, Debug)]
 pub struct ClusterOptions {
     /// Record each GPU's structured trace stream into
@@ -88,11 +85,6 @@ pub struct ClusterOptions {
     /// `Some(1)` runs the sequential loop. Output is byte-identical at
     /// any worker count.
     pub workers: Option<usize>,
-    /// Initial degradation-ladder position per fleet tenant, restored
-    /// into each GPU's driver before the first arrival (the same
-    /// mechanism a migration uses to carry ladder state). `None` deploys
-    /// everyone semi-spatial as usual.
-    pub initial_modes: Option<Vec<ShareMode>>,
     /// How tenants are matched to GPUs during placement
     /// ([`PlacementPolicy::FirstFit`] by default;
     /// [`PlacementPolicy::ContentionAware`] scores candidates by
@@ -105,7 +97,6 @@ impl Default for ClusterOptions {
         ClusterOptions {
             capture_trace: false,
             workers: None,
-            initial_modes: None,
             placement_policy: PlacementPolicy::FirstFit,
         }
     }
@@ -118,26 +109,6 @@ impl Default for ClusterOptions {
 /// fleet's GPU spec). Pass [`SharedProfile`] handles to avoid deep-copying
 /// kernel tables; plain [`profiler::ProfiledApp`] values are accepted and
 /// interned on entry.
-pub fn run_cluster<P: Into<SharedProfile>>(
-    ws: &WorkloadSet,
-    profiles: Vec<P>,
-    fleet_size: usize,
-    spec: &GpuSpec,
-    params: &BlessParams,
-    horizon: SimTime,
-) -> Result<ClusterRun, PlacementError> {
-    run_cluster_opts(
-        ws,
-        profiles,
-        fleet_size,
-        spec,
-        params,
-        horizon,
-        &ClusterOptions::default(),
-    )
-}
-
-/// [`run_cluster`] with explicit [`ClusterOptions`].
 pub fn run_cluster_opts<P: Into<SharedProfile>>(
     ws: &WorkloadSet,
     profiles: Vec<P>,
@@ -147,199 +118,22 @@ pub fn run_cluster_opts<P: Into<SharedProfile>>(
     horizon: SimTime,
     opts: &ClusterOptions,
 ) -> Result<ClusterRun, PlacementError> {
-    if ws.tenants.is_empty() {
-        return Err(PlacementError::EmptyWorkload);
-    }
-    if ws.len() != profiles.len() {
-        return Err(PlacementError::ProfileCountMismatch {
-            profiles: profiles.len(),
-            tenants: ws.len(),
-        });
-    }
-    if let Some(modes) = &opts.initial_modes {
-        assert_eq!(
-            modes.len(),
-            ws.len(),
-            "initial_modes needs one entry per tenant"
-        );
-    }
-    let requests: Vec<PlacementRequest> = profiles
-        .into_iter()
-        .zip(&ws.tenants)
-        .map(|(p, t)| PlacementRequest {
-            profile: p.into(),
-            quota: t.quota,
-        })
-        .collect();
-    let placement = place_with(
-        &requests,
-        fleet_size,
-        spec.memory_mib,
-        &profiler::AdmissionPolicy::default(),
-        &opts.placement_policy,
-    )?;
-
-    let workers = worker_count(opts.workers, placement.gpus_used);
-    let gpus = if workers <= 1 || placement.gpus_used <= 1 {
-        (0..placement.gpus_used)
-            .map(|g| run_one_gpu(g, &placement, ws, &requests, spec, params, horizon, opts))
-            .collect()
-    } else {
-        run_gpus_parallel(
-            &placement, ws, &requests, spec, params, horizon, opts, workers,
-        )
-    };
-
-    Ok(ClusterRun { placement, gpus })
-}
-
-/// Resolves a `workers` option into an effective worker count for
-/// `items` independent units of work.
-pub(crate) fn worker_count(workers: Option<usize>, items: usize) -> usize {
-    workers
-        .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
-        .unwrap_or(1)
-        .clamp(1, items.max(1))
-}
-
-/// Fixed GPU-range shards with tail stealing.
-///
-/// Shard `s` owns the contiguous range `[s·chunk, (s+1)·chunk)` and
-/// drains it front-to-back; a worker whose shard runs dry steals from the
-/// *tail* of the next non-empty shard, so stolen work is the work the
-/// owner would have reached last. Contiguous ranges keep each worker's
-/// slot-arena writes clustered; stealing absorbs load imbalance from
-/// heterogeneous tenancies without perturbing the output (results are
-/// keyed by GPU index, never by completion order).
-struct ShardPool {
-    queues: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl ShardPool {
-    fn new(gpus: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let chunk = gpus.div_ceil(shards);
-        let queues = (0..shards)
-            .map(|s| {
-                let lo = (s * chunk).min(gpus);
-                let hi = ((s + 1) * chunk).min(gpus);
-                Mutex::new((lo..hi).collect())
-            })
-            .collect();
-        ShardPool { queues }
-    }
-
-    /// Next GPU for worker `shard`: its own shard's head, else a steal
-    /// from the tail of the nearest non-empty shard, else `None` (all
-    /// work claimed; no new work is ever produced, so `None` is final).
-    fn next(&self, shard: usize) -> Option<usize> {
-        if let Some(g) = self.queues[shard]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop_front()
-        {
-            return Some(g);
-        }
-        let n = self.queues.len();
-        for off in 1..n {
-            let victim = (shard + off) % n;
-            if let Some(g) = self.queues[victim]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .pop_back()
-            {
-                return Some(g);
-            }
-        }
-        None
-    }
-}
-
-/// Simulates the fleet on `workers` sharded threads, handing each
-/// finished [`GpuRun`] to `consume` (on the worker thread that produced
-/// it). Both fleet paths build on this: the materializing path's consumer
-/// moves the run into its slot arena; the streaming path's folds it into
-/// a [`FleetSummary`] and drops it.
-#[allow(clippy::too_many_arguments)]
-fn run_gpus_sharded<F>(
-    placement: &Placement,
-    ws: &WorkloadSet,
-    requests: &[PlacementRequest],
-    spec: &GpuSpec,
-    params: &BlessParams,
-    horizon: SimTime,
-    opts: &ClusterOptions,
-    workers: usize,
-    consume: &F,
-) where
-    F: Fn(GpuRun) + Sync,
-{
-    let pool = ShardPool::new(placement.gpus_used, workers);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let pool = &pool;
-            scope.spawn(move || {
-                while let Some(g) = pool.next(w) {
-                    consume(run_one_gpu(
-                        g, placement, ws, requests, spec, params, horizon, opts,
-                    ));
-                }
-            });
-        }
-    });
-}
-
-/// Materializing fleet run: every GPU's result lands in a preallocated
-/// per-GPU slot, so the placement-order merge is a pure move — the output
-/// is byte-identical to the sequential loop at any worker count.
-#[allow(clippy::too_many_arguments)]
-fn run_gpus_parallel(
-    placement: &Placement,
-    ws: &WorkloadSet,
-    requests: &[PlacementRequest],
-    spec: &GpuSpec,
-    params: &BlessParams,
-    horizon: SimTime,
-    opts: &ClusterOptions,
-    workers: usize,
-) -> Vec<GpuRun> {
-    let slots: Vec<Mutex<Option<GpuRun>>> =
-        (0..placement.gpus_used).map(|_| Mutex::new(None)).collect();
-    run_gpus_sharded(
-        placement,
-        ws,
-        requests,
-        spec,
-        params,
-        horizon,
-        opts,
-        workers,
-        &|run: GpuRun| {
-            let g = run.gpu;
-            *slots[g].lock().unwrap_or_else(PoisonError::into_inner) = Some(run);
-        },
-    );
-    // A panicking worker propagates out of the scope above, so every slot
-    // holds exactly one result here.
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(g, slot)| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| panic!("gpu {g} produced no result"))
-        })
-        .collect()
+    let mut gpus = Vec::new();
+    let fleet = Fleet::place(ws, profiles, fleet_size, spec, params, horizon, opts)?;
+    fleet.run(|run| run, |run| gpus.push(run));
+    Ok(ClusterRun {
+        placement: fleet.placement,
+        gpus,
+    })
 }
 
 /// Streaming summary of a fleet run — everything the fleet-scale
-/// experiments need, at O(1) size per GPU (two words: digest and
-/// utilization) instead of a materialized [`GpuRun`].
+/// experiments need, at O(1) size per GPU instead of a materialized
+/// [`GpuRun`].
 ///
-/// All fields are byte-stable across worker counts: counters are exact
-/// integer sums (commutative), and the two order-sensitive folds (the
-/// fleet digest and the utilization mean) run over per-GPU slots in GPU
-/// index order after the workers join.
+/// All fields are byte-stable across worker counts: each GPU's result is
+/// reduced to a fixed-size tally on its worker, and the tallies fold into
+/// the summary in GPU index order on the calling thread.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FleetSummary {
     /// The placement that was simulated.
@@ -376,92 +170,51 @@ impl FleetSummary {
     }
 }
 
-/// The shared fold target of [`run_cluster_stream`]: commutative atomic
-/// counters plus per-GPU word slots for the order-sensitive parts.
-struct FleetAccumulator {
-    digests: Vec<AtomicU64>,
-    utilization_bits: Vec<AtomicU64>,
-    completed_gpus: AtomicUsize,
-    arrived: AtomicU64,
-    completed: AtomicU64,
-    latency_ns: AtomicU64,
-    max_latency_ns: AtomicU64,
+/// One GPU's contribution to a [`FleetSummary`], reduced on the worker
+/// that simulated it so the GPU's log, trace and tenant buffers are freed
+/// there.
+#[derive(Debug, PartialEq)]
+struct GpuTally {
+    digest: u64,
+    utilization: f64,
+    arrived: u64,
+    completed: u64,
+    latency_ns: u64,
+    max_latency_ns: u64,
+    completed_run: bool,
 }
 
-impl FleetAccumulator {
-    fn new(gpus: usize) -> Self {
-        FleetAccumulator {
-            digests: (0..gpus).map(|_| AtomicU64::new(0)).collect(),
-            utilization_bits: (0..gpus).map(|_| AtomicU64::new(0)).collect(),
-            completed_gpus: AtomicUsize::new(0),
-            arrived: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            latency_ns: AtomicU64::new(0),
-            max_latency_ns: AtomicU64::new(0),
-        }
-    }
-
-    /// Folds one GPU's result in; the caller drops the run (and its log,
-    /// trace, and tenant buffers) immediately after.
-    fn fold(&self, run: &GpuRun) {
-        let mut arrived = 0u64;
-        let mut completed = 0u64;
-        let mut latency = 0u64;
-        let mut max_latency = 0u64;
+impl GpuTally {
+    fn of(run: &GpuRun) -> Self {
+        let mut t = GpuTally {
+            digest: run.log.digest(),
+            utilization: run.utilization,
+            arrived: 0,
+            completed: 0,
+            latency_ns: 0,
+            max_latency_ns: 0,
+            completed_run: run.outcome == RunOutcome::Completed,
+        };
         for app in 0..run.tenants.len() {
             for r in run.log.records(app) {
-                arrived += 1;
+                t.arrived += 1;
                 if let Some(l) = r.latency() {
-                    completed += 1;
-                    latency += l.as_nanos();
-                    max_latency = max_latency.max(l.as_nanos());
+                    t.completed += 1;
+                    t.latency_ns += l.as_nanos();
+                    t.max_latency_ns = t.max_latency_ns.max(l.as_nanos());
                 }
             }
         }
-        self.arrived.fetch_add(arrived, Ordering::Relaxed);
-        self.completed.fetch_add(completed, Ordering::Relaxed);
-        self.latency_ns.fetch_add(latency, Ordering::Relaxed);
-        self.max_latency_ns
-            .fetch_max(max_latency, Ordering::Relaxed);
-        if run.outcome == RunOutcome::Completed {
-            self.completed_gpus.fetch_add(1, Ordering::Relaxed);
-        }
-        self.digests[run.gpu].store(run.log.digest(), Ordering::Relaxed);
-        self.utilization_bits[run.gpu].store(run.utilization.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Final GPU-order folds, after all workers joined.
-    fn finish(self, placement: Placement) -> FleetSummary {
-        let mut h = Fnv::new();
-        let mut util_sum = 0.0f64;
-        for (d, u) in self.digests.iter().zip(&self.utilization_bits) {
-            h.write_u64(d.load(Ordering::Relaxed));
-            util_sum += f64::from_bits(u.load(Ordering::Relaxed));
-        }
-        let gpus = self.digests.len();
-        FleetSummary {
-            placement,
-            completed_gpus: self.completed_gpus.into_inner(),
-            arrived_requests: self.arrived.into_inner(),
-            completed_requests: self.completed.into_inner(),
-            latency_sum_ns: self.latency_ns.into_inner(),
-            max_latency_ns: self.max_latency_ns.into_inner(),
-            mean_utilization: if gpus > 0 {
-                util_sum / gpus as f64
-            } else {
-                0.0
-            },
-            digest: h.finish(),
-        }
+        t
     }
 }
 
 /// [`run_cluster_opts`] for fleets too big to materialize: each GPU's
-/// result folds into a [`FleetSummary`] the moment it finishes and its
-/// buffers are freed, so resident memory stays O(workers) GPU results
-/// (plus two words per GPU) instead of O(fleet). The summary — including
-/// its fleet digest — is byte-identical across worker counts and to
-/// summarizing a materialized [`run_cluster_opts`] run.
+/// result is reduced to a few words on its worker and its buffers are
+/// freed, so O(workers) GPU results stay resident (plus a few words per
+/// GPU) instead of O(fleet). The summary — including its fleet digest — is
+/// byte-identical across worker counts and to summarizing a materialized
+/// [`run_cluster_opts`] run.
 ///
 /// Trace capture is refused (a fleet-wide trace is exactly the O(fleet)
 /// buffer this path exists to avoid); use [`run_cluster_opts`] for that.
@@ -482,132 +235,167 @@ pub fn run_cluster_stream<P: Into<SharedProfile>>(
         !opts.capture_trace,
         "run_cluster_stream cannot capture traces; use run_cluster_opts"
     );
-    if ws.tenants.is_empty() {
-        return Err(PlacementError::EmptyWorkload);
-    }
-    if ws.len() != profiles.len() {
-        return Err(PlacementError::ProfileCountMismatch {
-            profiles: profiles.len(),
-            tenants: ws.len(),
-        });
-    }
-    if let Some(modes) = &opts.initial_modes {
-        assert_eq!(
-            modes.len(),
-            ws.len(),
-            "initial_modes needs one entry per tenant"
-        );
-    }
-    let requests: Vec<PlacementRequest> = profiles
-        .into_iter()
-        .zip(&ws.tenants)
-        .map(|(p, t)| PlacementRequest {
-            profile: p.into(),
-            quota: t.quota,
-        })
-        .collect();
-    let placement = place_with(
-        &requests,
-        fleet_size,
-        spec.memory_mib,
-        &profiler::AdmissionPolicy::default(),
-        &opts.placement_policy,
-    )?;
+    let fleet = Fleet::place(ws, profiles, fleet_size, spec, params, horizon, opts)?;
+    // The same GPU-order folds as hashing and averaging a materialized
+    // run's per-GPU digests and utilizations.
+    let (mut h, mut util_sum, mut completed_gpus) = (Fnv::new(), 0.0f64, 0);
+    let (mut arrived, mut completed, mut latency_ns, mut max_latency_ns) = (0, 0, 0, 0);
+    fleet.run(
+        |run| GpuTally::of(&run),
+        |t| {
+            h.write_u64(t.digest);
+            util_sum += t.utilization;
+            completed_gpus += usize::from(t.completed_run);
+            arrived += t.arrived;
+            completed += t.completed;
+            latency_ns += t.latency_ns;
+            max_latency_ns = max_latency_ns.max(t.max_latency_ns);
+        },
+    );
+    let gpus = fleet.placement.gpus_used;
+    Ok(FleetSummary {
+        placement: fleet.placement,
+        completed_gpus,
+        arrived_requests: arrived,
+        completed_requests: completed,
+        latency_sum_ns: latency_ns,
+        max_latency_ns,
+        mean_utilization: if gpus > 0 {
+            util_sum / gpus as f64
+        } else {
+            0.0
+        },
+        digest: h.finish(),
+    })
+}
 
-    let acc = FleetAccumulator::new(placement.gpus_used);
-    let workers = worker_count(opts.workers, placement.gpus_used);
-    if workers <= 1 || placement.gpus_used <= 1 {
-        for g in 0..placement.gpus_used {
-            acc.fold(&run_one_gpu(
-                g, &placement, ws, &requests, spec, params, horizon, opts,
-            ));
+/// A validated, placed fleet: the one runner behind both public entry
+/// points.
+struct Fleet<'a> {
+    placement: Placement,
+    requests: Vec<PlacementRequest>,
+    ws: &'a WorkloadSet,
+    spec: &'a GpuSpec,
+    params: &'a BlessParams,
+    horizon: SimTime,
+    opts: &'a ClusterOptions,
+}
+
+impl<'a> Fleet<'a> {
+    /// Validates the inputs and places the tenants.
+    fn place<P: Into<SharedProfile>>(
+        ws: &'a WorkloadSet,
+        profiles: Vec<P>,
+        fleet_size: usize,
+        spec: &'a GpuSpec,
+        params: &'a BlessParams,
+        horizon: SimTime,
+        opts: &'a ClusterOptions,
+    ) -> Result<Self, PlacementError> {
+        if ws.tenants.is_empty() {
+            return Err(PlacementError::EmptyWorkload);
         }
-    } else {
-        run_gpus_sharded(
-            &placement,
-            ws,
+        if ws.len() != profiles.len() {
+            return Err(PlacementError::ProfileCountMismatch {
+                profiles: profiles.len(),
+                tenants: ws.len(),
+            });
+        }
+        let requests: Vec<PlacementRequest> = profiles
+            .into_iter()
+            .zip(&ws.tenants)
+            .map(|(p, t)| PlacementRequest {
+                profile: p.into(),
+                quota: t.quota,
+            })
+            .collect();
+        let placement = place_with(
             &requests,
+            fleet_size,
+            spec.memory_mib,
+            &profiler::AdmissionPolicy::default(),
+            &opts.placement_policy,
+        )?;
+        Ok(Fleet {
+            placement,
+            requests,
+            ws,
             spec,
             params,
             horizon,
             opts,
-            workers,
-            &|run: GpuRun| acc.fold(&run),
+        })
+    }
+
+    /// Simulates every placed GPU on the worker pool, reduces each run
+    /// with `reduce` on its worker, and hands the reductions to `sink` in
+    /// GPU order on the calling thread.
+    fn run<R: Send>(&self, reduce: impl Fn(GpuRun) -> R + Sync, mut sink: impl FnMut(R)) {
+        par::for_each_ordered(
+            self.opts.workers,
+            0..self.placement.gpus_used,
+            |g| reduce(self.run_one_gpu(g)),
+            |_, r| sink(r),
         );
     }
-    Ok(acc.finish(placement))
-}
 
-/// Simulates one GPU's tenants to completion — the unit of work both the
-/// sequential loop and the worker pool execute.
-#[allow(clippy::too_many_arguments)]
-fn run_one_gpu(
-    g: usize,
-    placement: &Placement,
-    ws: &WorkloadSet,
-    requests: &[PlacementRequest],
-    spec: &GpuSpec,
-    params: &BlessParams,
-    horizon: SimTime,
-    opts: &ClusterOptions,
-) -> GpuRun {
-    let tenants = placement.tenants_of(g);
-    // Build a GPU-local workload with remapped app ids.
-    let local_ws = WorkloadSet::new(
-        tenants
+    /// Simulates one GPU's tenants to completion — the unit of work of
+    /// the worker pool.
+    fn run_one_gpu(&self, g: usize) -> GpuRun {
+        let (ws, spec) = (self.ws, self.spec);
+        let tenants = self.placement.tenants_of(g);
+        // Build a GPU-local workload with remapped app ids.
+        let local_ws = WorkloadSet::new(
+            tenants
+                .iter()
+                .map(|&t| {
+                    TenantSpec::new(
+                        ws.tenants[t].model.clone(),
+                        ws.tenants[t].quota,
+                        ws.tenants[t].pattern.clone(),
+                    )
+                })
+                .collect(),
+            ws.seed.wrapping_add(g as u64),
+        );
+        // Deployment shares the interned profiles — no kernel-table copies.
+        let apps: Vec<DeployedApp> = tenants
             .iter()
             .map(|&t| {
-                TenantSpec::new(
-                    ws.tenants[t].model.clone(),
+                DeployedApp::new(
+                    SharedProfile::clone(&self.requests[t].profile),
                     ws.tenants[t].quota,
-                    ws.tenants[t].pattern.clone(),
+                    None,
                 )
             })
-            .collect(),
-        ws.seed.wrapping_add(g as u64),
-    );
-    // Deployment shares the interned profiles — no kernel-table copies.
-    let apps: Vec<DeployedApp> = tenants
-        .iter()
-        .map(|&t| {
-            DeployedApp::new(
-                SharedProfile::clone(&requests[t].profile),
-                ws.tenants[t].quota,
-                None,
-            )
-        })
-        .collect();
-    let mut driver = BlessDriver::new(apps, params.clone());
-    if let Some(modes) = &opts.initial_modes {
-        for (local, &t) in tenants.iter().enumerate() {
-            driver.restore_share_mode(local, modes[t], 0);
+            .collect();
+        let driver = BlessDriver::new(apps, self.params.clone());
+        let mut gpu = Gpu::new(spec.clone(), HostCosts::paper());
+        let sink = if self.opts.capture_trace {
+            let s = BufferSink::new();
+            gpu.set_trace_sink(Box::new(s.clone()));
+            Some(s)
+        } else {
+            None
+        };
+        let arrivals: Vec<RequestArrival> = local_ws.initial_arrivals();
+        let mut sim =
+            Simulation::new(gpu, driver, arrivals).with_notice_handler(local_ws.notice_handler());
+        let outcome = sim.run(self.horizon);
+        let makespan = sim.gpu.now().as_secs_f64();
+        let utilization = if makespan > 0.0 {
+            sim.gpu.busy_sm_seconds() / (spec.num_sms as f64 * makespan)
+        } else {
+            0.0
+        };
+        GpuRun {
+            gpu: g,
+            tenants,
+            log: sim.driver.log,
+            outcome,
+            utilization,
+            trace: sink.map(|s| s.take()).unwrap_or_default(),
         }
-    }
-    let mut gpu = Gpu::new(spec.clone(), HostCosts::paper());
-    let sink = if opts.capture_trace {
-        let s = BufferSink::new();
-        gpu.set_trace_sink(Box::new(s.clone()));
-        Some(s)
-    } else {
-        None
-    };
-    let arrivals: Vec<RequestArrival> = local_ws.initial_arrivals();
-    let mut sim =
-        Simulation::new(gpu, driver, arrivals).with_notice_handler(local_ws.notice_handler());
-    let outcome = sim.run(horizon);
-    let makespan = sim.gpu.now().as_secs_f64();
-    let utilization = if makespan > 0.0 {
-        sim.gpu.busy_sm_seconds() / (spec.num_sms as f64 * makespan)
-    } else {
-        0.0
-    };
-    GpuRun {
-        gpu: g,
-        tenants,
-        log: sim.driver.log,
-        outcome,
-        utilization,
-        trace: sink.map(|s| s.take()).unwrap_or_default(),
     }
 }
 
@@ -651,21 +439,25 @@ mod tests {
 
     #[test]
     fn four_tenants_on_two_gpus_all_complete() {
-        let (spec, ws, profiles) = four_tenant_fixture();
-        let run = run_cluster(
-            &ws,
-            profiles,
-            4,
-            &spec,
-            &BlessParams::default(),
-            SimTime::from_secs(60),
-        )
-        .unwrap();
-        assert_eq!(run.placement.gpus_used, 2);
-        assert!(run.all_completed());
-        for t in 0..4 {
-            let ms = run.tenant_mean_ms(t).expect("tenant served");
-            assert!(ms.is_finite() && ms > 0.0);
+        // The four-tenant fleet packs two GPUs; the periodic pair shares one.
+        for (fixture, gpus_used) in [(four_tenant_fixture(), 2), (pair_fixture(), 1)] {
+            let (spec, ws, profiles) = fixture;
+            let run = run_cluster_opts(
+                &ws,
+                profiles,
+                4,
+                &spec,
+                &BlessParams::default(),
+                SimTime::from_secs(60),
+                &ClusterOptions::default(),
+            )
+            .unwrap();
+            assert_eq!(run.placement.gpus_used, gpus_used);
+            assert!(run.all_completed());
+            for t in 0..ws.len() {
+                let ms = run.tenant_mean_ms(t).expect("tenant served");
+                assert!(ms.is_finite() && ms > 0.0);
+            }
         }
     }
 
@@ -738,13 +530,14 @@ mod tests {
         }
         // Capture is purely observational: the uncaptured run matches.
         let (spec, ws, profiles) = four_tenant_fixture();
-        let plain = run_cluster(
+        let plain = run_cluster_opts(
             &ws,
             profiles,
             4,
             &spec,
             &BlessParams::default(),
             SimTime::from_secs(60),
+            &ClusterOptions::default(),
         )
         .unwrap();
         for (a, b) in run.gpus.iter().zip(&plain.gpus) {
@@ -777,13 +570,14 @@ mod tests {
             })
             .collect();
         let ws = WorkloadSet { tenants, seed: 1 };
-        let err = run_cluster(
+        let err = run_cluster_opts(
             &ws,
             profiles,
             1,
             &spec,
             &BlessParams::default(),
             SimTime::from_secs(10),
+            &ClusterOptions::default(),
         )
         .unwrap_err();
         assert!(matches!(err, PlacementError::FleetTooSmall { .. }));
@@ -796,13 +590,14 @@ mod tests {
             tenants: vec![],
             seed: 1,
         };
-        let err = run_cluster::<SharedProfile>(
+        let err = run_cluster_opts::<SharedProfile>(
             &ws,
             vec![],
             4,
             &spec,
             &BlessParams::default(),
             SimTime::from_secs(10),
+            &ClusterOptions::default(),
         )
         .unwrap_err();
         assert_eq!(err, PlacementError::EmptyWorkload);
@@ -812,13 +607,14 @@ mod tests {
     fn profile_count_mismatch_is_a_typed_error() {
         let (spec, ws, mut profiles) = four_tenant_fixture();
         profiles.pop();
-        let err = run_cluster(
+        let err = run_cluster_opts(
             &ws,
             profiles,
             4,
             &spec,
             &BlessParams::default(),
             SimTime::from_secs(10),
+            &ClusterOptions::default(),
         )
         .unwrap_err();
         assert_eq!(
@@ -830,7 +626,7 @@ mod tests {
         );
     }
 
-    fn strict_pair_fixture() -> (GpuSpec, WorkloadSet, Vec<SharedProfile>) {
+    fn pair_fixture() -> (GpuSpec, WorkloadSet, Vec<SharedProfile>) {
         let spec = GpuSpec::a100();
         let kinds = [ModelKind::Vgg11, ModelKind::ResNet50];
         let tenants: Vec<TenantSpec> = kinds
@@ -853,53 +649,6 @@ mod tests {
             .map(|&k| ProfiledApp::profile_shared(&AppModel::build(k, Phase::Inference), &spec))
             .collect();
         (spec, WorkloadSet { tenants, seed: 9 }, profiles)
-    }
-
-    #[test]
-    fn pinned_strict_spatial_tenancy_serves_every_request() {
-        // `initial_modes` restores each tenant's ladder position before
-        // the first arrival: the pinned pair still serves every request,
-        // on a different schedule than the same pair deployed
-        // semi-spatial.
-        let (spec, ws, profiles) = strict_pair_fixture();
-        let run = |initial_modes| {
-            let opts = ClusterOptions {
-                initial_modes,
-                ..ClusterOptions::default()
-            };
-            let horizon = SimTime::from_secs(60);
-            let params = BlessParams::default();
-            run_cluster_opts(&ws, profiles.clone(), 1, &spec, &params, horizon, &opts).unwrap()
-        };
-        let pinned = run(Some(vec![ShareMode::StrictSpatial; 2]));
-        let semi = run(None);
-        let g = &pinned.gpus[0];
-        assert_eq!(g.outcome, RunOutcome::Completed);
-        for app in 0..2 {
-            assert_eq!(g.log.completed_count(app), 6, "app {app} lost requests");
-        }
-        assert_ne!(
-            g.log.digest(),
-            semi.gpus[0].log.digest(),
-            "pinning the ladder changed nothing"
-        );
-    }
-
-    #[test]
-    fn pool_reachable_tenancies_stay_monolithic() {
-        // Without mode pinning every tenant deploys semi-spatial and can
-        // reach the shared pool.
-        let (spec, ws, profiles) = strict_pair_fixture();
-        let run = run_cluster(
-            &ws,
-            profiles,
-            1,
-            &spec,
-            &BlessParams::default(),
-            SimTime::from_secs(60),
-        )
-        .unwrap();
-        assert!(run.all_completed());
     }
 
     #[test]
@@ -955,6 +704,59 @@ mod tests {
         assert!(summaries[0].mean_latency_ms().is_some());
     }
 
+    /// Stress for the ordered map under the fleet runner: seeded worker
+    /// counts in 1..=4, with a `yield_now` on every worker before it
+    /// hands its GPU back. Three copies of the four-tenant fixture fill
+    /// six GPUs, so GPUs finish out of order.
+    #[test]
+    fn fleet_matches_one_worker_at_random_worker_counts() {
+        let (spec, mut ws, profiles) = four_tenant_fixture();
+        ws.tenants = ws.tenants.iter().cycle().take(12).cloned().collect();
+        let profiles: Vec<SharedProfile> = profiles.iter().cycle().take(12).cloned().collect();
+        let (params, horizon) = (BlessParams::default(), SimTime::from_secs(60));
+        // Per-GPU tallies of the materialized and the streamed map, then
+        // both public summaries, at `workers`.
+        let run = |workers| {
+            let opts = ClusterOptions {
+                workers: Some(workers),
+                ..ClusterOptions::default()
+            };
+            let fleet =
+                Fleet::place(&ws, profiles.clone(), 12, &spec, &params, horizon, &opts).unwrap();
+            let (mut materialized, mut streamed) = (Vec::new(), Vec::new());
+            fleet.run(
+                |run| {
+                    std::thread::yield_now();
+                    run
+                },
+                |run| materialized.push(GpuTally::of(&run)),
+            );
+            fleet.run(
+                |run| {
+                    std::thread::yield_now();
+                    GpuTally::of(&run)
+                },
+                |t| streamed.push(t),
+            );
+            let summary =
+                run_cluster_stream(&ws, profiles.clone(), 12, &spec, &params, horizon, &opts)
+                    .unwrap();
+            let cluster =
+                run_cluster_opts(&ws, profiles.clone(), 12, &spec, &params, horizon, &opts)
+                    .unwrap();
+            let digests: Vec<u64> = cluster.gpus.iter().map(|g| g.log.digest()).collect();
+            (materialized, streamed, summary, digests)
+        };
+        let want = run(1);
+        assert_eq!(want.2.placement.gpus_used, 6);
+        assert_eq!(want.0, want.1);
+        let mut rng = sim_core::SimRng::new(0x5eed);
+        for _ in 0..12 {
+            let workers = rng.range_inclusive(1, 4) as usize;
+            assert_eq!(run(workers), want, "workers = {workers}");
+        }
+    }
+
     #[test]
     fn contention_aware_fleet_runs_end_to_end() {
         let (spec, ws, profiles) = four_tenant_fixture();
@@ -1000,13 +802,14 @@ mod tests {
             seed: 1,
         };
         let profiles = vec![ProfiledApp::profile_shared(&model, &spec)];
-        let err = run_cluster(
+        let err = run_cluster_opts(
             &ws,
             profiles,
             4,
             &spec,
             &BlessParams::default(),
             SimTime::from_secs(10),
+            &ClusterOptions::default(),
         )
         .unwrap_err();
         assert!(matches!(

@@ -1,11 +1,11 @@
-//! 10k-GPU smoke: the sharded streaming runner at full fleet width with
+//! 10k-GPU smoke: the streaming fleet runner at full fleet width with
 //! minimal per-GPU work, pinned to a golden digest.
 //!
 //! One single-tenant micro app per device (quota 1.0, two one-kernel
 //! requests) keeps the event volume tiny even in debug builds while
 //! still exercising the full fast path — indexed placement over 10,000
-//! requests, the work-stealing shard pool, and the streaming fold —
-//! at worker counts 1 and 4. The pinned digest catches any behavioral
+//! requests, the ordered parallel map, and the GPU-order fold of the
+//! per-GPU tallies — at worker counts 1 and 4. The pinned digest catches any behavioral
 //! drift in that path; the cross-worker equality catches nondeterminism.
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 

@@ -2,14 +2,14 @@
 //!
 //! A diurnally-modulated (Twitter-like) inference fleet at cluster scale:
 //! 10,000 GPUs, two tenants per device, ~1M requests total, served
-//! through the sharded streaming runner ([`cluster::run_cluster_stream`])
-//! so memory stays O(shard) instead of O(fleet). The experiment verifies
+//! through the streaming fleet runner ([`cluster::run_cluster_stream`])
+//! so memory stays O(workers) instead of O(fleet). The experiment verifies
 //! the three fleet-path claims end to end:
 //!
 //! 1. **Determinism** — the streamed [`cluster::FleetSummary`] (including
 //!    the fleet-wide request-log digest) is byte-identical at worker
-//!    counts 1/2/4, because per-GPU results fold into commutative
-//!    accumulators and per-GPU digest slots merged in placement order.
+//!    counts 1/2/4, because per-GPU tallies reach the caller and fold in
+//!    placement order.
 //! 2. **Throughput** — `gpus_per_sec` at full scale, for comparison with
 //!    the 64-GPU rate in `BENCH_cluster.json` (the bench gates the ratio
 //!    at ≥ 0.8×; this experiment prints the same figure to stderr — the

@@ -187,7 +187,7 @@ pub fn registry() -> Vec<Experiment> {
         Experiment {
             id: "fleet10k",
             describes:
-                "ROADMAP 2: 10k-GPU diurnal fleet via the sharded streaming runner (BENCH_QUICK shrinks it)",
+                "ROADMAP 2: 10k-GPU diurnal fleet via the streaming fleet runner (BENCH_QUICK shrinks it)",
             run: fleet10k::run,
         },
     ]

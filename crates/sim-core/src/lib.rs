@@ -20,14 +20,19 @@
 //!   rings with batched drain and producer watermarks, the ingest handoff
 //!   of the serving front-end (DESIGN.md §5l). Allocates only at
 //!   construction, never in steady state.
+//! * [`par::for_each_ordered`] — the ordered parallel map every pool of
+//!   independent runs goes through (the paper suite's grids, the fleet
+//!   runner, the chaos drain). Results reach the caller in input order,
+//!   so output does not depend on thread scheduling (DESIGN.md §5m).
 //!
-//! The simulator is single-threaded by design: GPU scheduling experiments
+//! Each simulation is single-threaded by design: GPU scheduling experiments
 //! need deterministic replay far more than they need wall-clock speed, and
 //! the fluid-model GPU simulation in `gpu-sim` is cheap enough that entire
 //! paper-scale experiments complete in milliseconds of host time.
 
 pub mod event;
 pub mod fault;
+pub mod par;
 pub mod rng;
 pub mod spsc;
 pub mod time;

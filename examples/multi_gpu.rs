@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example multi_gpu`
 
 use bless::BlessParams;
-use cluster::run_cluster;
+use cluster::{run_cluster_opts, ClusterOptions};
 use dnn_models::{AppModel, ModelKind, Phase};
 use gpu_sim::GpuSpec;
 use profiler::{ProfiledApp, SharedProfile};
@@ -43,13 +43,14 @@ fn main() {
     // controller splits them across devices.
     let ws = WorkloadSet { tenants, seed: 11 };
 
-    let run = run_cluster(
+    let run = run_cluster_opts(
         &ws,
         profiles,
         4,
         &spec,
         &BlessParams::default(),
         SimTime::from_secs(120),
+        &ClusterOptions::default(),
     )
     .expect("fleet hosts the tenants");
 
