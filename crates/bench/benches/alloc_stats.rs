@@ -38,10 +38,6 @@ const BEFORE_ENGINE: f64 = 0.0;
 /// jitter between runs of different machines).
 const GATE_SLACK: f64 = 0.05;
 
-fn quick() -> bool {
-    std::env::var_os("BENCH_QUICK").is_some()
-}
-
 /// A warmed engine with two contending default-context queues and a
 /// registered one-entry kernel table.
 fn engine_setup() -> (Gpu, Vec<QueueId>, KernelTableId) {
@@ -143,13 +139,12 @@ fn cluster_stream_allocs(gpus: usize, workers: usize) -> u64 {
 /// minus the one-worker marginal is the steady-state cost of the
 /// parallel machinery itself — `sim_core::par`'s claim, channel and
 /// reorder buffer plus the ordered fold of per-GPU tallies — which must
-/// be allocation-free per GPU. (The `sharded` names in the output and
-/// JSON predate the ordered map and are kept for snapshot continuity.)
+/// be allocation-free per GPU.
 fn cluster_marginals(n1: usize, n2: usize) -> (f64, f64) {
     let d = (n2 - n1) as f64;
     let seq = (cluster_stream_allocs(n2, 1) - cluster_stream_allocs(n1, 1)) as f64 / d;
-    let sharded = (cluster_stream_allocs(n2, 2) - cluster_stream_allocs(n1, 2)) as f64 / d;
-    (seq, sharded)
+    let parallel = (cluster_stream_allocs(n2, 2) - cluster_stream_allocs(n1, 2)) as f64 / d;
+    (seq, parallel)
 }
 
 /// (total allocations, simulated kernels) for one single-GPU BLESS run.
@@ -182,25 +177,12 @@ fn bless_run(requests: usize) -> (u64, u64) {
     (allocs, kernels)
 }
 
-/// Extracts the number following `"key":` from a flat JSON snapshot.
-/// (No JSON dependency in this workspace; the file is machine-written
-/// with known formatting.)
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
     bench::warm_profiles();
     let counting = bench::alloc_counting_enabled();
     println!("alloc counter active: {counting}");
 
-    let engine_n = if quick() { 8192 } else { 65536 };
+    let engine_n = if bench::quick() { 8192 } else { 65536 };
     let engine = engine_allocs_per_kernel(engine_n);
     println!("engine steady-state allocs/kernel: {engine:.4}");
     if counting {
@@ -219,7 +201,11 @@ fn main() {
         );
     }
 
-    let (batch, reps) = if quick() { (10_000, 5) } else { (10_000, 20) };
+    let (batch, reps) = if bench::quick() {
+        (10_000, 5)
+    } else {
+        (10_000, 20)
+    };
     let kps = engine_kernels_per_sec(batch, reps);
     println!(
         "engine table-launch throughput: {:.2}M kernels/s",
@@ -230,19 +216,19 @@ fn main() {
     // then compare per-GPU marginals at one worker and at two. The
     // difference is the parallel machinery's own steady-state cost and
     // must be zero allocations per GPU-step.
-    let (c1, c2) = if quick() { (4, 12) } else { (8, 24) };
+    let (c1, c2) = if bench::quick() { (4, 12) } else { (8, 24) };
     std::hint::black_box(cluster_stream_allocs(c1, 2)); // warmup
-    let (cluster_seq, cluster_sharded) = cluster_marginals(c1, c2);
-    let shard_overhead = cluster_sharded - cluster_seq;
+    let (cluster_seq, cluster_parallel) = cluster_marginals(c1, c2);
+    let parallel_overhead = cluster_parallel - cluster_seq;
     println!(
-        "fleet runner allocs/GPU-step: seq-fold {cluster_seq:.1}, sharded {cluster_sharded:.1}, \
-         sharding overhead {shard_overhead:.4}"
+        "fleet runner allocs/GPU-step: seq-fold {cluster_seq:.1}, parallel {cluster_parallel:.1}, \
+         parallel overhead {parallel_overhead:.4}"
     );
     if counting {
         assert!(
-            shard_overhead <= 0.0,
-            "sharded fleet runner must add 0 steady-state allocs/GPU-step over the sequential \
-             fold (got {shard_overhead:.4}: seq {cluster_seq:.1} vs sharded {cluster_sharded:.1})"
+            parallel_overhead <= 0.0,
+            "parallel fleet runner must add 0 steady-state allocs/GPU-step over the sequential \
+             fold (got {parallel_overhead:.4}: seq {cluster_seq:.1} vs parallel {cluster_parallel:.1})"
         );
     }
 
@@ -261,14 +247,14 @@ fn main() {
         );
     }
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_alloc.json");
-    if quick() {
+    let path = bench::snapshot_path("alloc");
+    if bench::quick() {
         // CI smoke: gate against the checked-in snapshot; never rewrite it.
-        let Ok(snapshot) = std::fs::read_to_string(path) else {
+        let Ok(snapshot) = std::fs::read_to_string(&path) else {
             panic!("BENCH_alloc.json missing; regenerate with `cargo bench -p bench --bench alloc_stats --features count-alloc`");
         };
         if counting {
-            let base = json_number(&snapshot, "allocs_per_kernel_bless")
+            let base = bench::json_number(&snapshot, "allocs_per_kernel_bless")
                 .expect("allocs_per_kernel_bless in BENCH_alloc.json");
             assert!(
                 bless_marginal <= base + GATE_SLACK,
@@ -285,11 +271,11 @@ fn main() {
         println!("not rewriting BENCH_alloc.json: count-alloc feature off, alloc figures would be meaningless");
         return;
     }
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cpus = bench::host_cpus();
     let json = format!(
-        "{{\n  \"bench\": \"alloc_stats\",\n  \"regenerate\": \"cargo bench -p bench --bench alloc_stats --features count-alloc\",\n  \"count_alloc\": {counting},\n  \"host_cpus\": {host_cpus},\n  \"engine\": {{\n    \"kernels\": {engine_n},\n    \"allocs_per_kernel\": {engine:.4},\n    \"allocs_per_kernel_per_resource\": {engine_pr:.4},\n    \"allocs_per_kernel_before\": {BEFORE_ENGINE:.4},\n    \"table_launch_kernels_per_sec\": {kps:.0}\n  }},\n  \"cluster\": {{\n    \"gpus\": [{c1}, {c2}],\n    \"allocs_per_gpu_seq\": {cluster_seq:.1},\n    \"allocs_per_gpu_sharded\": {cluster_sharded:.1},\n    \"sharding_overhead_per_gpu\": {shard_overhead:.4}\n  }},\n  \"bless\": {{\n    \"allocs_per_kernel_bless\": {bless_marginal:.4},\n    \"allocs_per_kernel_before\": {BEFORE_BLESS:.4},\n    \"improvement_factor\": {:.1},\n    \"runs\": [[{a1}, {k1}], [{a2}, {k2}]]\n  }}\n}}\n",
+        "{{\n  \"bench\": \"alloc_stats\",\n  \"regenerate\": \"cargo bench -p bench --bench alloc_stats --features count-alloc\",\n  \"count_alloc\": {counting},\n  \"host_cpus\": {host_cpus},\n  \"engine\": {{\n    \"kernels\": {engine_n},\n    \"allocs_per_kernel\": {engine:.4},\n    \"allocs_per_kernel_per_resource\": {engine_pr:.4},\n    \"allocs_per_kernel_before\": {BEFORE_ENGINE:.4},\n    \"table_launch_kernels_per_sec\": {kps:.0}\n  }},\n  \"cluster\": {{\n    \"gpus\": [{c1}, {c2}],\n    \"allocs_per_gpu_seq\": {cluster_seq:.1},\n    \"allocs_per_gpu_parallel\": {cluster_parallel:.1},\n    \"parallel_overhead_per_gpu\": {parallel_overhead:.4}\n  }},\n  \"bless\": {{\n    \"allocs_per_kernel_bless\": {bless_marginal:.4},\n    \"allocs_per_kernel_before\": {BEFORE_BLESS:.4},\n    \"improvement_factor\": {:.1},\n    \"runs\": [[{a1}, {k1}], [{a2}, {k2}]]\n  }}\n}}\n",
         BEFORE_BLESS / bless_marginal.max(1e-9),
     );
-    std::fs::write(path, json).expect("write BENCH_alloc.json");
+    std::fs::write(&path, json).expect("write BENCH_alloc.json");
     println!("wrote {path}");
 }

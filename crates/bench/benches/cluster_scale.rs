@@ -3,22 +3,19 @@
 //! savings under both channel models, written to `BENCH_cluster.json` at
 //! the repo root.
 //!
-//! Run with `cargo bench --bench cluster_scale`; set `BENCH_QUICK=1` for
-//! the CI smoke variant (small fleets, few samples). The checked-in JSON
-//! is a reference snapshot — absolute numbers are machine-dependent
+//! Run with `cargo bench --bench cluster_scale` to rewrite the snapshot;
+//! set `BENCH_QUICK=1` for the CI smoke variant (small fleets, few
+//! samples), which checks the same gates and prints its JSON to stdout
+//! without writing the file. The checked-in JSON is a reference snapshot — absolute numbers are machine-dependent
 //! (notably `workers`: the parallel speedup scales with host cores and
 //! degrades to ~1x on a single-core container), while the determiner's
 //! `evaluated`/`pruned` counts are deterministic on any machine.
-
-use std::cell::RefCell;
-use std::time::Duration;
 
 use bless::{
     determine_config, determine_config_exhaustive, determine_config_model, BlessParams,
     DeployedApp, Squad,
 };
 use cluster::{run_chaos, run_cluster_opts, ChaosOptions, ClusterOptions};
-use criterion::{criterion_group, criterion_main, Criterion};
 use dnn_models::{ModelKind, Phase};
 use gpu_sim::GpuSpec;
 use harness::cache;
@@ -34,10 +31,6 @@ const KINDS: [ModelKind; 4] = [
     ModelKind::ResNet101,
     ModelKind::Bert,
 ];
-
-fn quick() -> bool {
-    std::env::var_os("BENCH_QUICK").is_some()
-}
 
 /// Two tenants per GPU at quota 0.5 each, so FFD fills exactly `fleet`
 /// devices. Profiles are interned once per model kind and shared by every
@@ -61,24 +54,6 @@ fn fleet_workload(fleet: usize, spec: &GpuSpec) -> (WorkloadSet, Vec<SharedProfi
     // Fleet-level quotas sum past 1.0 by design; the placement controller
     // splits them across GPUs, so bypass WorkloadSet's single-GPU check.
     (WorkloadSet { tenants, seed: 7 }, profiles)
-}
-
-/// Wraps a routine so every call logs its own wall-clock duration —
-/// criterion's shim prints summaries but does not hand samples back.
-fn timed<R>(samples: &RefCell<Vec<Duration>>, f: impl FnOnce() -> R) -> R {
-    let start = std::time::Instant::now();
-    let r = f();
-    samples.borrow_mut().push(start.elapsed());
-    r
-}
-
-fn min_ms(samples: &RefCell<Vec<Duration>>) -> f64 {
-    samples
-        .borrow()
-        .iter()
-        .min()
-        .map(|d| d.as_secs_f64() * 1e3)
-        .unwrap_or(f64::NAN)
 }
 
 struct FleetRow {
@@ -124,7 +99,7 @@ struct Fleet10k {
 /// keeps the determinism and contention gates; the scale-ratio gate only
 /// means something at full scale).
 fn bench_fleet10k() -> Fleet10k {
-    let (gpus, reqs) = if quick() {
+    let (gpus, reqs) = if bench::quick() {
         (fleet10k::QUICK_GPUS, fleet10k::QUICK_REQS_PER_TENANT)
     } else {
         (fleet10k::FULL_GPUS, fleet10k::FULL_REQS_PER_TENANT)
@@ -166,7 +141,7 @@ fn bench_fleet10k() -> Fleet10k {
     let gps = gpus as f64 / best_secs;
     let base_gps = 64.0 / base_secs;
     let ratio = gps / base_gps;
-    if !quick() {
+    if !bench::quick() {
         assert!(
             ratio >= 0.8,
             "gate: gpus_per_sec at {gpus} GPUs degraded superlinearly: \
@@ -208,62 +183,53 @@ struct DeterminerRow {
     pruned_ms: f64,
 }
 
-fn bench_fleet(c: &mut Criterion, rows: &mut Vec<FleetRow>) {
+fn bench_fleet(rows: &mut Vec<FleetRow>) {
     let spec = GpuSpec::a100();
     let params = BlessParams::default();
     let horizon = SimTime::from_secs(60);
-    let fleets: &[usize] = if quick() { &[1, 4] } else { &[1, 4, 16, 64] };
-    let samples = if quick() { 2 } else { 5 };
+    let fleets: &[usize] = if bench::quick() {
+        &[1, 4]
+    } else {
+        &[1, 4, 16, 64]
+    };
+    let samples = if bench::quick() { 2 } else { 5 };
 
-    let mut g = c.benchmark_group("cluster_throughput");
-    g.sample_size(samples);
     for &fleet in fleets {
         let (ws, profiles) = fleet_workload(fleet, &spec);
-        let seq = RefCell::new(Vec::new());
-        let par = RefCell::new(Vec::new());
-        g.bench_function(format!("seq_fleet{fleet}"), |b| {
-            b.iter(|| {
-                timed(&seq, || {
-                    run_cluster_opts(
-                        &ws,
-                        profiles.clone(),
-                        fleet,
-                        &spec,
-                        &params,
-                        horizon,
-                        &ClusterOptions {
-                            workers: Some(1),
-                            ..ClusterOptions::default()
-                        },
-                    )
-                    .unwrap()
-                })
-            })
-        });
-        g.bench_function(format!("par_fleet{fleet}"), |b| {
-            b.iter(|| {
-                timed(&par, || {
-                    run_cluster_opts(
-                        &ws,
-                        profiles.clone(),
-                        fleet,
-                        &spec,
-                        &params,
-                        horizon,
-                        &ClusterOptions::default(),
-                    )
-                    .unwrap()
-                })
-            })
-        });
+        let run = |workers: Option<usize>| {
+            run_cluster_opts(
+                &ws,
+                profiles.clone(),
+                fleet,
+                &spec,
+                &params,
+                horizon,
+                &ClusterOptions {
+                    workers,
+                    ..ClusterOptions::default()
+                },
+            )
+            .unwrap()
+        };
+        let seq_ms = bench::min_ms(
+            &format!("cluster_throughput/seq_fleet{fleet}"),
+            samples,
+            || (),
+            |_| run(Some(1)),
+        );
+        let par_ms = bench::min_ms(
+            &format!("cluster_throughput/par_fleet{fleet}"),
+            samples,
+            || (),
+            |_| run(None),
+        );
         rows.push(FleetRow {
             gpus: fleet,
             tenants: 2 * fleet,
-            seq_ms: min_ms(&seq),
-            par_ms: min_ms(&par),
+            seq_ms,
+            par_ms,
         });
     }
-    g.finish();
 }
 
 /// Open-loop chaos workload: 2·N−1 tenants at quota 0.45 so the fleet
@@ -294,11 +260,12 @@ fn chaos_workload(fleet: usize, spec: &GpuSpec) -> (WorkloadSet, Vec<SharedProfi
 /// plain cluster runner (the identity overhead of the fault machinery),
 /// and a kill/hang matrix run showing what quiesce + checkpoint +
 /// migrate + rebuild cost on top.
-fn bench_chaos(c: &mut Criterion, rows: &mut Vec<ChaosRow>) {
+fn bench_chaos(rows: &mut Vec<ChaosRow>) {
     let spec = GpuSpec::a100();
     let params = BlessParams::default();
     let horizon = SimTime::from_secs(60);
-    let fleets: &[usize] = if quick() { &[4] } else { &[4, 16] };
+    let fleets: &[usize] = if bench::quick() { &[4] } else { &[4, 16] };
+    let samples = if bench::quick() { 2 } else { 5 };
     let faults = FaultSpec {
         gpu_fail_count: 2,
         gpu_fail_window: (SimTime::from_millis(5), SimTime::from_millis(25)),
@@ -308,81 +275,68 @@ fn bench_chaos(c: &mut Criterion, rows: &mut Vec<ChaosRow>) {
         ..FaultSpec::default()
     };
 
-    let mut g = c.benchmark_group("chaos_recovery");
-    g.sample_size(if quick() { 2 } else { 5 });
     for &fleet in fleets {
         let (ws, profiles) = chaos_workload(fleet, &spec);
-        let cluster_t = RefCell::new(Vec::new());
-        let none_t = RefCell::new(Vec::new());
-        let faulted_t = RefCell::new(Vec::new());
-        g.bench_function(format!("cluster_fleet{fleet}"), |b| {
-            b.iter(|| {
-                timed(&cluster_t, || {
-                    run_cluster_opts(
-                        &ws,
-                        profiles.clone(),
-                        fleet,
-                        &spec,
-                        &params,
-                        horizon,
-                        &ClusterOptions::default(),
-                    )
-                    .unwrap()
-                })
-            })
-        });
-        g.bench_function(format!("chaos_none_fleet{fleet}"), |b| {
-            b.iter(|| {
-                timed(&none_t, || {
-                    run_chaos(
-                        &ws,
-                        profiles.clone(),
-                        fleet,
-                        &spec,
-                        &params,
-                        horizon,
-                        42,
-                        &FaultSpec::default(),
-                        &ChaosOptions::default(),
-                    )
-                    .unwrap()
-                })
-            })
-        });
+        let chaos = |faults: &FaultSpec| {
+            run_chaos(
+                &ws,
+                profiles.clone(),
+                fleet,
+                &spec,
+                &params,
+                horizon,
+                42,
+                faults,
+                &ChaosOptions::default(),
+            )
+            .unwrap()
+        };
+        let cluster_ms = bench::min_ms(
+            &format!("chaos_recovery/cluster_fleet{fleet}"),
+            samples,
+            || (),
+            |_| {
+                run_cluster_opts(
+                    &ws,
+                    profiles.clone(),
+                    fleet,
+                    &spec,
+                    &params,
+                    horizon,
+                    &ClusterOptions::default(),
+                )
+                .unwrap()
+            },
+        );
+        let none_ms = bench::min_ms(
+            &format!("chaos_recovery/chaos_none_fleet{fleet}"),
+            samples,
+            || (),
+            |_| chaos(&FaultSpec::default()),
+        );
         let mut migrations = 0;
         let mut stranded = 0;
-        g.bench_function(format!("chaos_faulted_fleet{fleet}"), |b| {
-            b.iter(|| {
-                timed(&faulted_t, || {
-                    let run = run_chaos(
-                        &ws,
-                        profiles.clone(),
-                        fleet,
-                        &spec,
-                        &params,
-                        horizon,
-                        42,
-                        &faults,
-                        &ChaosOptions::default(),
-                    )
-                    .unwrap();
-                    migrations = run.migrations.len();
-                    stranded = run.stranded.len();
-                    run
-                })
-            })
-        });
+        let faulted_ms = bench::min_ms(
+            &format!("chaos_recovery/chaos_faulted_fleet{fleet}"),
+            samples,
+            || (),
+            |_| {
+                let run = chaos(&faults);
+                migrations = run.migrations.len();
+                stranded = run.stranded.len();
+                run
+            },
+        );
         rows.push(ChaosRow {
             gpus: fleet,
             tenants: 2 * fleet - 1,
-            cluster_ms: min_ms(&cluster_t),
-            none_ms: min_ms(&none_t),
-            faulted_ms: min_ms(&faulted_t),
+            cluster_ms,
+            none_ms,
+            faulted_ms,
             migrations,
             stranded,
         });
     }
-    g.finish();
 }
 
 /// `k` equal-quota apps cycling through [`KINDS`] on `spec`, and a squad
@@ -401,12 +355,11 @@ fn determiner_squad(k: usize, per_app: usize, spec: &GpuSpec) -> (Vec<DeployedAp
     (apps, squad)
 }
 
-fn bench_determiner(c: &mut Criterion, rows: &mut Vec<DeterminerRow>) {
+fn bench_determiner(rows: &mut Vec<DeterminerRow>) {
     let spec = GpuSpec::a100();
     let per_app = 12;
-    let max_apps = if quick() { 3 } else { 5 };
-    let mut g = c.benchmark_group("determiner_search");
-    g.sample_size(if quick() { 10 } else { 50 });
+    let max_apps = if bench::quick() { 3 } else { 5 };
+    let samples = if bench::quick() { 10 } else { 50 };
     for k in 2..=max_apps {
         let (apps, squad) = determiner_squad(k, per_app, &spec);
         let fast = determine_config(&squad, &apps, spec.num_sms);
@@ -415,18 +368,18 @@ fn bench_determiner(c: &mut Criterion, rows: &mut Vec<DeterminerRow>) {
             fast.config, slow.config,
             "pruning must not change the argmin"
         );
-        let ex_t = RefCell::new(Vec::new());
-        let pr_t = RefCell::new(Vec::new());
-        g.bench_function(format!("exhaustive_{k}apps"), |b| {
-            b.iter(|| {
-                timed(&ex_t, || {
-                    determine_config_exhaustive(&squad, &apps, spec.num_sms)
-                })
-            })
-        });
-        g.bench_function(format!("pruned_{k}apps"), |b| {
-            b.iter(|| timed(&pr_t, || determine_config(&squad, &apps, spec.num_sms)))
-        });
+        let exhaustive_ms = bench::min_ms(
+            &format!("determiner_search/exhaustive_{k}apps"),
+            samples,
+            || (),
+            |_| determine_config_exhaustive(&squad, &apps, spec.num_sms),
+        );
+        let pruned_ms = bench::min_ms(
+            &format!("determiner_search/pruned_{k}apps"),
+            samples,
+            || (),
+            |_| determine_config(&squad, &apps, spec.num_sms),
+        );
         rows.push(DeterminerRow {
             model: "scalar",
             apps: k,
@@ -434,8 +387,8 @@ fn bench_determiner(c: &mut Criterion, rows: &mut Vec<DeterminerRow>) {
             space: slow.evaluated,
             evaluated: fast.evaluated,
             pruned: fast.pruned,
-            exhaustive_ms: Some(min_ms(&ex_t)),
-            pruned_ms: min_ms(&pr_t),
+            exhaustive_ms: Some(exhaustive_ms),
+            pruned_ms,
         });
     }
 
@@ -444,16 +397,18 @@ fn bench_determiner(c: &mut Criterion, rows: &mut Vec<DeterminerRow>) {
     // hill-climb seed's candidates, so `evaluated + pruned` slightly
     // exceeds `space` (NSP + C(17, K-1) splits).
     let pr_spec = GpuSpec::a100_per_resource();
-    let max_apps = if quick() { 3 } else { 6 };
+    let max_apps = if bench::quick() { 3 } else { 6 };
     for k in 2..=max_apps {
         let (apps, squad) = determiner_squad(k, per_app, &pr_spec);
         let search =
             || determine_config_model(&squad, &apps, pr_spec.num_sms, &pr_spec.channel_model);
         let choice = search();
-        let t = RefCell::new(Vec::new());
-        g.bench_function(format!("per_resource_{k}apps"), |b| {
-            b.iter(|| timed(&t, search))
-        });
+        let pruned_ms = bench::min_ms(
+            &format!("determiner_search/per_resource_{k}apps"),
+            samples,
+            || (),
+            |_| search(),
+        );
         rows.push(DeterminerRow {
             model: "per_resource",
             apps: k,
@@ -462,10 +417,9 @@ fn bench_determiner(c: &mut Criterion, rows: &mut Vec<DeterminerRow>) {
             evaluated: choice.evaluated,
             pruned: choice.pruned,
             exhaustive_ms: None,
-            pruned_ms: min_ms(&t),
+            pruned_ms,
         });
     }
-    g.finish();
 }
 
 /// `C(n, r)`.
@@ -474,11 +428,11 @@ fn binomial(n: usize, r: usize) -> usize {
 }
 
 fn write_json(fleet: &[FleetRow], det: &[DeterminerRow], chaos: &[ChaosRow], f10k: &Fleet10k) {
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = bench::host_cpus();
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"cluster_scale\",\n");
     out.push_str("  \"regenerate\": \"cargo bench --bench cluster_scale\",\n");
-    out.push_str(&format!("  \"quick\": {},\n", quick()));
+    out.push_str(&format!("  \"quick\": {},\n", bench::quick()));
     out.push_str(&format!("  \"host_cpus\": {workers},\n"));
     out.push_str(&format!("  \"workers\": {workers},\n"));
     if workers == 1 {
@@ -576,7 +530,7 @@ fn write_json(fleet: &[FleetRow], det: &[DeterminerRow], chaos: &[ChaosRow], f10
     ));
     out.push_str(&format!(
         "    \"gates\": {{\"digest_identical_w124\": true, \"scale_ratio_ge_0.8\": {}, \"contention_strictly_lower\": true}}\n",
-        if quick() { "\"not gated in quick mode\"" } else { "true" }
+        if bench::quick() { "\"not gated in quick mode\"" } else { "true" }
     ));
     out.push_str("  },\n");
     out.push_str("  \"determiner\": [\n");
@@ -597,22 +551,25 @@ fn write_json(fleet: &[FleetRow], det: &[DeterminerRow], chaos: &[ChaosRow], f10
         ));
     }
     out.push_str("  ]\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cluster.json");
-    std::fs::write(path, &out).expect("write BENCH_cluster.json");
+    if bench::quick() {
+        // CI smoke: the gates above ran; print the quick-scale numbers for
+        // the log and keep the committed full-scale snapshot.
+        print!("{out}");
+        return;
+    }
+    let path = bench::snapshot_path("cluster");
+    std::fs::write(&path, &out).expect("write BENCH_cluster.json");
     println!("wrote {path}");
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     bench::warm_profiles();
     let mut fleet_rows = Vec::new();
     let mut det_rows = Vec::new();
     let mut chaos_rows = Vec::new();
-    bench_fleet(c, &mut fleet_rows);
-    bench_chaos(c, &mut chaos_rows);
-    bench_determiner(c, &mut det_rows);
+    bench_fleet(&mut fleet_rows);
+    bench_chaos(&mut chaos_rows);
+    bench_determiner(&mut det_rows);
     let f10k = bench_fleet10k();
     write_json(&fleet_rows, &det_rows, &chaos_rows, &f10k);
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

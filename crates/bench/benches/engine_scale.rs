@@ -20,11 +20,8 @@
 //! completes exactly once, so a throughput number never comes from a
 //! run that dropped work.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_sim::{CtxKind, Gpu, GpuSpec, HostCosts, KernelDesc, StepOutput};
 use sim_core::{SimDuration, SimRng, SimTime};
 
@@ -38,28 +35,6 @@ const HEADLINE_VOLUME: usize = 2560;
 /// far more than alloc counts, so the gate allows a wide band before
 /// calling regression.
 const GATE_FRACTION: f64 = 0.6;
-
-fn quick() -> bool {
-    std::env::var_os("BENCH_QUICK").is_some()
-}
-
-/// Wraps a routine so every call logs its own wall-clock duration —
-/// criterion's shim prints summaries but does not hand samples back.
-fn timed<R>(samples: &RefCell<Vec<Duration>>, f: impl FnOnce() -> R) -> R {
-    let start = std::time::Instant::now();
-    let r = f();
-    samples.borrow_mut().push(start.elapsed());
-    r
-}
-
-fn min_ms(samples: &RefCell<Vec<Duration>>) -> f64 {
-    samples
-        .borrow()
-        .iter()
-        .min()
-        .map(|d| d.as_secs_f64() * 1e3)
-        .unwrap_or(f64::NAN)
-}
 
 /// Per partition, per queue: (kernel, tag, extra arrival delay).
 /// Compute only, zero memory intensity.
@@ -141,18 +116,16 @@ impl EngineRow {
     }
 }
 
-fn bench_engine(c: &mut Criterion, rows: &mut Vec<EngineRow>) {
-    let partition_counts: &[usize] = if quick() { &[1, 4] } else { &[1, 2, 4] };
+fn bench_engine(rows: &mut Vec<EngineRow>) {
+    let partition_counts: &[usize] = if bench::quick() { &[1, 4] } else { &[1, 2, 4] };
     // 2560/queue is the 10× row: fleet-replay event volume.
-    let volumes: &[usize] = if quick() {
+    let volumes: &[usize] = if bench::quick() {
         &[HEADLINE_VOLUME]
     } else {
         &[64, 256, HEADLINE_VOLUME]
     };
-    let samples = if quick() { 3 } else { 7 };
+    let samples = if bench::quick() { 3 } else { 7 };
 
-    let mut g = c.benchmark_group("engine_scale");
-    g.sample_size(samples);
     for &partitions in partition_counts {
         for &per_queue in volumes {
             let plan = build_plan(partitions, per_queue, PLAN_SEED);
@@ -170,23 +143,21 @@ fn bench_engine(c: &mut Criterion, rows: &mut Vec<EngineRow>) {
                 );
             }
 
-            let mono_t = RefCell::new(Vec::new());
-            g.bench_function(format!("mono_p{partitions}_k{kernels}"), |b| {
-                b.iter(|| {
-                    let mut gpu = build_mono(&plan);
-                    let mut out = Vec::with_capacity(kernels);
-                    timed(&mono_t, || gpu.drain_outputs_into(&mut out));
-                    out.len()
-                })
-            });
+            // Building the device and launching the plan stay outside
+            // the timed drain.
+            let mono_ms = bench::min_ms(
+                &format!("engine_scale/mono_p{partitions}_k{kernels}"),
+                samples,
+                || (build_mono(&plan), Vec::with_capacity(kernels)),
+                |(gpu, out)| gpu.drain_outputs_into(out),
+            );
             rows.push(EngineRow {
                 partitions,
                 kernels,
-                mono_ms: min_ms(&mono_t),
+                mono_ms,
             });
         }
     }
-    g.finish();
 }
 
 /// The headline: kernels/s at 4 partitions over kernels/s at 1
@@ -200,25 +171,12 @@ fn headline(rows: &[EngineRow]) -> Option<f64> {
     Some(at(4)? / at(1)?)
 }
 
-/// Extracts the number following `"key":` from a flat JSON snapshot
-/// (no JSON dependency in this workspace; the file is machine-written).
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn write_json(rows: &[EngineRow]) {
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"engine_scale\",\n");
     out.push_str("  \"regenerate\": \"cargo bench -p bench --bench engine_scale\",\n");
-    out.push_str(&format!("  \"quick\": {},\n", quick()));
-    out.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
+    out.push_str(&format!("  \"quick\": {},\n", bench::quick()));
+    out.push_str(&format!("  \"host_cpus\": {},\n", bench::host_cpus()));
     if let Some(h) = headline(rows) {
         out.push_str(&format!("  \"queue_scaling_4x\": {h:.3},\n"));
     }
@@ -236,17 +194,17 @@ fn write_json(rows: &[EngineRow]) {
         ));
     }
     out.push_str("  ]\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
+    let path = bench::snapshot_path("engine");
 
-    if quick() {
+    if bench::quick() {
         // CI smoke: gate against the checked-in snapshot; never rewrite it.
-        let Ok(snapshot) = std::fs::read_to_string(path) else {
+        let Ok(snapshot) = std::fs::read_to_string(&path) else {
             panic!(
                 "BENCH_engine.json missing; regenerate with `cargo bench -p bench --bench engine_scale`"
             );
         };
         let fresh = headline(rows).expect("quick sweep includes the 1- and 4-partition rows");
-        let base = json_number(&snapshot, "queue_scaling_4x")
+        let base = bench::json_number(&snapshot, "queue_scaling_4x")
             .expect("queue_scaling_4x in BENCH_engine.json");
         assert!(
             fresh >= base * GATE_FRACTION,
@@ -256,15 +214,12 @@ fn write_json(rows: &[EngineRow]) {
         return;
     }
 
-    std::fs::write(path, &out).expect("write BENCH_engine.json");
+    std::fs::write(&path, &out).expect("write BENCH_engine.json");
     println!("wrote {path}");
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let mut rows = Vec::new();
-    bench_engine(c, &mut rows);
+    bench_engine(&mut rows);
     write_json(&rows);
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

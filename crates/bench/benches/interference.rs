@@ -25,10 +25,6 @@ const RATIO_FLOOR: f64 = 0.85;
 /// Quick-mode slack below the checked-in ratio before the gate fails.
 const GATE_SLACK: f64 = 0.10;
 
-fn quick() -> bool {
-    std::env::var_os("BENCH_QUICK").is_some()
-}
-
 /// A warmed engine under `spec` with two contending default-context queues
 /// and a one-entry kernel table whose kernel presses on all four channels.
 fn setup(spec: GpuSpec) -> (Gpu, Vec<QueueId>, KernelTableId) {
@@ -72,19 +68,12 @@ fn kernels_per_sec(spec: GpuSpec, n: usize, reps: usize) -> f64 {
     n as f64 / best
 }
 
-/// Extracts the number following `"key":` from a flat JSON snapshot.
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
-    let (n, reps) = if quick() { (10_000, 5) } else { (20_000, 20) };
+    let (n, reps) = if bench::quick() {
+        (10_000, 5)
+    } else {
+        (20_000, 20)
+    };
     let scalar = kernels_per_sec(GpuSpec::a100(), n, reps);
     let per_resource = kernels_per_sec(GpuSpec::a100_per_resource(), n, reps);
     let ratio = per_resource / scalar;
@@ -98,13 +87,13 @@ fn main() {
         "per-resource model costs too much: {ratio:.3} of scalar throughput (floor {RATIO_FLOOR})"
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_interference.json");
-    if quick() {
+    let path = bench::snapshot_path("interference");
+    if bench::quick() {
         // CI smoke: gate against the checked-in snapshot; never rewrite it.
-        let Ok(snapshot) = std::fs::read_to_string(path) else {
+        let Ok(snapshot) = std::fs::read_to_string(&path) else {
             panic!("BENCH_interference.json missing; regenerate with `cargo bench -p bench --bench interference`");
         };
-        let base = json_number(&snapshot, "per_resource_over_scalar")
+        let base = bench::json_number(&snapshot, "per_resource_over_scalar")
             .expect("per_resource_over_scalar in BENCH_interference.json");
         assert!(
             ratio >= base - GATE_SLACK,
@@ -114,9 +103,10 @@ fn main() {
         return;
     }
 
+    let host_cpus = bench::host_cpus();
     let json = format!(
-        "{{\n  \"bench\": \"interference\",\n  \"regenerate\": \"cargo bench -p bench --bench interference\",\n  \"kernels\": {n},\n  \"scalar_kernels_per_sec\": {scalar:.0},\n  \"per_resource_kernels_per_sec\": {per_resource:.0},\n  \"per_resource_over_scalar\": {ratio:.3}\n}}\n"
+        "{{\n  \"bench\": \"interference\",\n  \"regenerate\": \"cargo bench -p bench --bench interference\",\n  \"host_cpus\": {host_cpus},\n  \"kernels\": {n},\n  \"scalar_kernels_per_sec\": {scalar:.0},\n  \"per_resource_kernels_per_sec\": {per_resource:.0},\n  \"per_resource_over_scalar\": {ratio:.3}\n}}\n"
     );
-    std::fs::write(path, json).expect("write BENCH_interference.json");
+    std::fs::write(&path, json).expect("write BENCH_interference.json");
     println!("wrote {path}");
 }

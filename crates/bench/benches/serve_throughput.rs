@@ -33,10 +33,6 @@ const GATE_ARRIVALS_PER_SEC: f64 = 1_000_000.0;
 /// Offered-load multipliers for the shed sweep (1.0 = the rate limit).
 const SHED_LOADS: &[f64] = &[0.5, 1.0, 2.0, 4.0, 8.0];
 
-fn quick() -> bool {
-    std::env::var_os("BENCH_QUICK").is_some()
-}
-
 /// An [`IngestSink`] that completes every request instantly: admitted
 /// arrivals only bump a per-tenant counter, so the measurement isolates
 /// the ring drain + merge + admission hot path.
@@ -166,23 +162,12 @@ fn shed_fraction(load: f64, n: u64) -> f64 {
     st.shed() as f64 / st.offered as f64
 }
 
-/// Extracts the number following `"key":` from a flat JSON snapshot.
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
     let counting = bench::alloc_counting_enabled();
     println!("alloc counter active: {counting}");
 
     let tenants = 4;
-    let (chunk, rounds, warmup) = if quick() {
+    let (chunk, rounds, warmup) = if bench::quick() {
         (256, 2_000, 50)
     } else {
         (256, 20_000, 200)
@@ -216,7 +201,7 @@ fn main() {
         );
     }
 
-    let shed_n = if quick() { 4_000 } else { 20_000 };
+    let shed_n = if bench::quick() { 4_000 } else { 20_000 };
     let sheds: Vec<f64> = SHED_LOADS
         .iter()
         .map(|&l| shed_fraction(l, shed_n))
@@ -237,13 +222,13 @@ fn main() {
         shed_str.join(", ")
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    if quick() {
+    let path = bench::snapshot_path("serve");
+    if bench::quick() {
         // CI smoke: gate against the checked-in snapshot; never rewrite it.
-        let Ok(snapshot) = std::fs::read_to_string(path) else {
+        let Ok(snapshot) = std::fs::read_to_string(&path) else {
             panic!("BENCH_serve.json missing; regenerate with `cargo bench -p bench --bench serve_throughput`");
         };
-        let gate = json_number(&snapshot, "gate_min_arrivals_per_sec")
+        let gate = bench::json_number(&snapshot, "gate_min_arrivals_per_sec")
             .expect("gate_min_arrivals_per_sec in BENCH_serve.json");
         assert!(
             best_rate >= gate,
@@ -253,10 +238,11 @@ fn main() {
         return;
     }
 
+    let host_cpus = bench::host_cpus();
     let json = format!(
-        "{{\n  \"bench\": \"serve_throughput\",\n  \"regenerate\": \"cargo bench -p bench --bench serve_throughput --features count-alloc\",\n  \"gate_min_arrivals_per_sec\": {GATE_ARRIVALS_PER_SEC:.0},\n  \"ingest\": {{\n    \"tenants\": {tenants},\n    \"arrivals\": {arrivals},\n    \"arrivals_per_sec\": {best_rate:.0},\n    \"allocs_per_arrival\": {allocs_per_arrival:.6},\n    \"count_alloc\": {counting}\n  }},\n  \"shed_sweep\": {{\n    \"rate_tokens_per_sec\": 1000,\n    \"burst\": 4,\n    \"loads\": {SHED_LOADS:?},\n    \"shed_frac\": [{}]\n  }}\n}}\n",
+        "{{\n  \"bench\": \"serve_throughput\",\n  \"regenerate\": \"cargo bench -p bench --bench serve_throughput --features count-alloc\",\n  \"host_cpus\": {host_cpus},\n  \"gate_min_arrivals_per_sec\": {GATE_ARRIVALS_PER_SEC:.0},\n  \"ingest\": {{\n    \"tenants\": {tenants},\n    \"arrivals\": {arrivals},\n    \"arrivals_per_sec\": {best_rate:.0},\n    \"allocs_per_arrival\": {allocs_per_arrival:.6},\n    \"count_alloc\": {counting}\n  }},\n  \"shed_sweep\": {{\n    \"rate_tokens_per_sec\": 1000,\n    \"burst\": 4,\n    \"loads\": {SHED_LOADS:?},\n    \"shed_frac\": [{}]\n  }}\n}}\n",
         shed_str.join(", ")
     );
-    std::fs::write(path, json).expect("write BENCH_serve.json");
+    std::fs::write(&path, json).expect("write BENCH_serve.json");
     println!("wrote {path}");
 }

@@ -613,18 +613,6 @@ impl ConfigMemo {
     }
 }
 
-/// [`determine_config`] with memoization: answers recurring squad
-/// signatures from `memo` and falls back to the full search (caching the
-/// result) otherwise. Non-contiguous kernel selections are never cached.
-pub fn determine_config_memo(
-    memo: &mut ConfigMemo,
-    squad: &Squad,
-    apps: &[DeployedApp],
-    num_sms: u32,
-) -> ConfigChoice {
-    determine_config_memo_model(memo, squad, apps, num_sms, &ChannelModel::Scalar)
-}
-
 // ---------------------------------------------------------------------------
 // Channel-aware estimators (DESIGN.md §5j).
 //
@@ -820,8 +808,10 @@ pub fn determine_config_model(
     }
 }
 
-/// [`determine_config_memo`] under an explicit interference model. The
-/// memo key does not encode the model: a memo belongs to one driver on
+/// [`determine_config_model`] with memoization: answers recurring squad
+/// signatures from `memo` and falls back to the full search (caching the
+/// result) otherwise. Non-contiguous kernel selections are never cached.
+/// The memo key does not encode the model: a memo belongs to one driver on
 /// one deployment, whose spec (and thus model) is fixed for its lifetime,
 /// so entries cannot collide across models.
 pub fn determine_config_memo_model(

@@ -3,11 +3,11 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
 use bless::{
-    determine_config, determine_config_memo, generate_squad, ActiveRequest, BlessParams,
+    determine_config, determine_config_memo_model, generate_squad, ActiveRequest, BlessParams,
     ConfigMemo, DeployedApp, ExecConfig,
 };
 use dnn_models::{AppModel, ModelKind, Phase};
-use gpu_sim::GpuSpec;
+use gpu_sim::{ChannelModel, GpuSpec};
 use profiler::ProfiledApp;
 use proptest::prelude::*;
 use sim_core::SimTime;
@@ -118,7 +118,8 @@ proptest! {
         let plain = determine_config(&squad, &apps, 108);
         let mut memo = ConfigMemo::new();
         for round in 0..2 {
-            let got = determine_config_memo(&mut memo, &squad, &apps, 108);
+            let got =
+                determine_config_memo_model(&mut memo, &squad, &apps, 108, &ChannelModel::Scalar);
             prop_assert_eq!(&got.config, &plain.config, "round {}", round);
             prop_assert_eq!(got.predicted, plain.predicted);
             prop_assert_eq!(got.evaluated, plain.evaluated);

@@ -46,7 +46,7 @@ const PANELS: [(&str, ModelKind, ModelKind, PaperWorkload); 4] = [
 ];
 
 /// Runs one panel; returns (quota label, lat0, lat1, iso0, iso1) rows.
-pub fn panel(
+fn panel(
     a: ModelKind,
     b: ModelKind,
     load: PaperWorkload,

@@ -36,7 +36,8 @@ type Sweep<'a> = (&'a [ModelKind], Phase, PaperWorkload, &'a [System], usize);
 
 /// Mean latency (ms) of a symmetric pair of `model` under `load` for each
 /// system in `systems`, averaged over the model set.
-pub fn sweep(
+#[cfg(test)]
+fn sweep(
     models: &[ModelKind],
     phase: Phase,
     load: PaperWorkload,
@@ -46,8 +47,9 @@ pub fn sweep(
     sweeps(&[(models, phase, load, systems, requests)]).remove(0)
 }
 
-/// [`sweep`] for several sweeps at once: every sweep × system × model run
-/// goes into one parallel grid, folded per system in model order.
+/// Mean latency (ms) per system for several sweeps at once: every sweep ×
+/// system × model run goes into one parallel grid, folded per system in
+/// model order.
 fn sweeps(sweeps: &[Sweep]) -> Vec<Vec<(String, f64)>> {
     let spec = GpuSpec::a100();
     let grid: Vec<(&Sweep, &System, ModelKind)> = sweeps

@@ -42,7 +42,8 @@ pub fn pairs() -> Vec<(ModelKind, ModelKind)> {
 
 /// Mean latency deviation (ms) of `system` over the given pairs × the
 /// seven quota assignments, under medium load.
-pub fn mean_deviation(system: &System, pairs: &[(ModelKind, ModelKind)], requests: usize) -> f64 {
+#[cfg(test)]
+fn mean_deviation(system: &System, pairs: &[(ModelKind, ModelKind)], requests: usize) -> f64 {
     mean(deviations(std::slice::from_ref(system), pairs, requests).into_iter())
 }
 

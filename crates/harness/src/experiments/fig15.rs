@@ -48,7 +48,7 @@ pub fn burst_workload(apps: Vec<AppModel>, quotas: &[f64]) -> WorkloadSet {
 }
 
 /// One Fig. 15 scenario: returns (system, mean ms, deviation ms) rows.
-pub fn scenario(apps: Vec<AppModel>, quotas: &[f64]) -> Vec<(String, f64, f64)> {
+fn scenario(apps: Vec<AppModel>, quotas: &[f64]) -> Vec<(String, f64, f64)> {
     let spec = GpuSpec::a100();
     let systems = [
         System::Temporal,

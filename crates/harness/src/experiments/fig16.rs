@@ -41,7 +41,7 @@ pub fn workload_e(other: ModelKind, requests: usize) -> WorkloadSet {
 
 /// Runs one App2 choice; returns (system, app1 slowdown vs ISO, app2
 /// throughput rps).
-pub fn biased_case(other: ModelKind, requests: usize) -> Vec<(String, f64, f64)> {
+fn biased_case(other: ModelKind, requests: usize) -> Vec<(String, f64, f64)> {
     let spec = GpuSpec::a100();
     let systems = [System::Gslice, System::Bless(bless::BlessParams::default())];
     par_map(&systems, |sys| {

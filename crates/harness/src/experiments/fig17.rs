@@ -21,7 +21,7 @@ pub const PAIRS: [(ModelKind, ModelKind); 3] = [
 
 /// Measures one pair's squad under all four schemes; returns
 /// (seq, nsp, sp, semi) in milliseconds.
-pub fn pair_durations(a: ModelKind, b: ModelKind, kernels_each: usize) -> (f64, f64, f64, f64) {
+fn pair_durations(a: ModelKind, b: ModelKind, kernels_each: usize) -> (f64, f64, f64, f64) {
     let spec = GpuSpec::a100();
     let apps = vec![
         DeployedApp::new(cache::profile(a, Phase::Inference, &spec), 0.5, None),

@@ -69,7 +69,7 @@ pub fn squad_trace_with_gantt() -> (BlessDriver, String) {
 
 /// Runs the 70/30 two-R50 scenario and returns the BLESS driver with
 /// squad records.
-pub fn squad_trace() -> BlessDriver {
+fn squad_trace() -> BlessDriver {
     let spec = GpuSpec::a100();
     let apps = vec![
         DeployedApp::new(

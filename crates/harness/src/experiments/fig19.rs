@@ -21,7 +21,7 @@ use crate::runner::{run_system, System};
 use crate::squadlab::{run_squad, slice_squad, SquadScheme};
 
 /// Mean latency (ms) and 8/9-quota deviation (ms) for one squad size.
-pub fn squad_size_point(max_kernels: usize, requests: usize) -> (f64, f64) {
+fn squad_size_point(max_kernels: usize, requests: usize) -> (f64, f64) {
     let spec = GpuSpec::a100();
     let params = BlessParams {
         max_kernels_per_squad: max_kernels,
@@ -128,7 +128,7 @@ pub fn run_a() -> Vec<Table> {
 
 /// Normalized squad duration at each split ratio, averaged over the
 /// Fig. 17 pairs.
-pub fn split_ratio_curve(ratios: &[f64], kernels_each: usize) -> Vec<f64> {
+fn split_ratio_curve(ratios: &[f64], kernels_each: usize) -> Vec<f64> {
     let spec = GpuSpec::a100();
     let pairs = [
         (ModelKind::NasNet, ModelKind::Bert),
@@ -177,7 +177,7 @@ pub fn run_b() -> Vec<Table> {
 /// on a GPU with `num_sms` SMs. The closed-loop think time is the solo
 /// latency *on that GPU instance* (a smaller instance serves requests more
 /// slowly, so its clients naturally issue more slowly too).
-pub fn sm_count_point(num_sms: u32, requests: usize) -> f64 {
+fn sm_count_point(num_sms: u32, requests: usize) -> f64 {
     let spec = GpuSpec::a100_with_sms(num_sms);
     let solo = cache::profile(ModelKind::ResNet50, Phase::Inference, &spec).iso_latency
         [profiler::PARTITIONS - 1];

@@ -36,12 +36,6 @@ const UNEVEN: Setting = ((2.0 / 3.0, 1.0 / 3.0), PaperWorkload::HighLoad, 103);
 /// The symmetric pairs of the quota-guarantee ablation.
 const UNEVEN_MODELS: [ModelKind; 2] = [ModelKind::ResNet50, ModelKind::Bert];
 
-/// Mean latency over the 5 symmetric pairs (workload B, even quotas)
-/// under the given parameter set.
-pub fn variant_mean(params: BlessParams, models: &[ModelKind], requests: usize) -> f64 {
-    ablate(&[(&System::Bless(params), EVEN, models)], requests)[0].0
-}
-
 /// Deviation (ms) under an uneven (2/3, 1/3) quota pair for one variant —
 /// the setting where the multi-task scheduler's compensation is load
 /// bearing.

@@ -18,7 +18,7 @@ use crate::cache;
 use crate::runner::{run_system, System};
 
 /// Runs a victim kernel against an aggressor and returns the slowdown.
-pub fn kernel_slowdown(victim_mem: f64, aggressor_mem: f64, spec: &GpuSpec) -> f64 {
+fn kernel_slowdown(victim_mem: f64, aggressor_mem: f64, spec: &GpuSpec) -> f64 {
     let mut gpu = Gpu::new(spec.clone(), HostCosts::free());
     let ctx = crate::require_ok(gpu.create_context(CtxKind::Default), "create context");
     let q1 = crate::require_ok(gpu.create_queue(ctx), "create queue");
@@ -166,7 +166,7 @@ const PAIR_MODELS: [ModelKind; 4] = [
 /// Application-level slowdown of a 50/50 MPS co-location of (a, b)
 /// relative to each app's isolated 50% latency. Returns the mean of both
 /// apps' slowdowns.
-pub fn app_pair_slowdown(a: ModelKind, b: ModelKind, spec: &GpuSpec) -> f64 {
+fn app_pair_slowdown(a: ModelKind, b: ModelKind, spec: &GpuSpec) -> f64 {
     let ws = pair_workload(
         cache::model(a, Phase::Inference),
         cache::model(b, Phase::Inference),

@@ -20,7 +20,7 @@ use crate::cache;
 use crate::runner::{run_system, System};
 
 /// Mean latency (ms) of a symmetric BERT pair at the given graph size.
-pub fn bert_pair_at(granularity: usize, requests: usize) -> f64 {
+fn bert_pair_at(granularity: usize, requests: usize) -> f64 {
     let spec = GpuSpec::a100();
     let ws = pair_workload(
         cache::model(ModelKind::Bert, Phase::Inference),

@@ -50,7 +50,7 @@ fn sample_squad(rng: &mut SimRng, apps: &[DeployedApp]) -> bless::Squad {
 
 /// Measures predictor errors over `samples` random squads and the
 /// optimal-config hit rate over `hit_samples` squads.
-pub fn measure(samples: usize, hit_samples: usize) -> (f64, f64, f64) {
+fn measure(samples: usize, hit_samples: usize) -> (f64, f64, f64) {
     let spec = GpuSpec::a100();
     let mut rng = SimRng::new(0xACC);
 

@@ -33,7 +33,7 @@ const MODELS: [ModelKind; 5] = [
 
 /// Runs one SLO setting over symmetric pairs; returns (system, violation
 /// rate) rows.
-pub fn setting(
+fn setting(
     factors: (f64, f64),
     load: PaperWorkload,
     models: &[ModelKind],

@@ -40,7 +40,8 @@ pub fn mutual_pairs() -> Vec<(ModelKind, ModelKind)> {
 type Case<'a> = (&'a System, PaperWorkload, (f64, f64));
 
 /// Mean latency (ms) of `system` over the mutual pairs under `trace`.
-pub fn trace_mean(
+#[cfg(test)]
+fn trace_mean(
     system: &System,
     trace: PaperWorkload,
     quotas: (f64, f64),
