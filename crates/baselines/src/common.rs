@@ -231,7 +231,9 @@ mod tests {
         assert_eq!(act.next_kernel, 0);
         assert_eq!(st.log.completed_count(0), 1);
         // Notice was posted for the closed-loop controller.
-        assert_eq!(gpu.drain_notices(), vec![workload_notice(0, 0)]);
+        let mut notices = Vec::new();
+        gpu.drain_notices_into(&mut notices);
+        assert_eq!(notices, vec![workload_notice(0, 0)]);
         assert_eq!(st.apps_with_work(), vec![0]);
     }
 

@@ -97,7 +97,7 @@ impl ReefPlusDriver {
                 }
                 let k = pointers[i];
                 must(
-                    gpu.launch_table(self.queues[app], self.tables[app], k, tag_of(app, k)),
+                    gpu.launch(self.queues[app], self.tables[app], k, tag_of(app, k)),
                     "launch",
                 );
                 pointers[i] += 1;

@@ -1,5 +1,5 @@
 //! Static-resource sharing baselines: UNBOUND, GSLICE, MIG (and the ISO
-//! reference and ZICO, which reuse the same launch-on-arrival driver).
+//! reference, which reuses the same launch-on-arrival driver).
 //!
 //! These systems launch kernels at *request granularity*: when a request
 //! arrives, all its kernels are enqueued asynchronously into the
@@ -14,11 +14,11 @@
 //! * **MIG** — hard partitions at the A100's GPC granularity; quotas are
 //!   rounded to the nearest feasible slice, so many quota configurations
 //!   are not expressible (Fig. 14).
-//! * **ZICO** (training) — unbounded sharing with tick-tock iteration
-//!   staggering between the two training tenants.
+//!
+//! ZICO's unbounded training pairs with tick-tock staggering live in
+//! [`crate::ZicoDriver`].
 
 use gpu_sim::{CtxKind, Gpu, HostDriver, KernelDone, KernelTableId, QueueId, RequestArrival};
-use sim_core::SimDuration;
 
 use crate::common::{must, tag_of, untag, InflightTracker};
 use bless::DeployedApp;
@@ -27,7 +27,7 @@ use metrics::RequestLog;
 /// How a static-share tenant's context is configured.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ShareMode {
-    /// Full-GPU default context (UNBOUND, ZICO).
+    /// Full-GPU default context (UNBOUND).
     Unbound,
     /// MPS SM-affinity cap at the tenant's quota (GSLICE, ISO).
     QuotaMps,
@@ -57,10 +57,6 @@ pub struct StaticShareDriver {
     /// Each app's profiled kernels, registered as an engine table.
     tables: Vec<KernelTableId>,
     inflight: InflightTracker,
-    /// Extra delay before the first launched request per app (ZICO's
-    /// tick-tock staggering).
-    stagger: Vec<SimDuration>,
-    first_launch_done: Vec<bool>,
 }
 
 impl StaticShareDriver {
@@ -73,16 +69,8 @@ impl StaticShareDriver {
             mode,
             queues: Vec::new(),
             tables: Vec::new(),
-            stagger: vec![SimDuration::ZERO; n],
-            first_launch_done: vec![false; n],
             apps,
         }
-    }
-
-    /// Staggers app `app`'s first request by `by` (ZICO tick-tock).
-    pub fn with_stagger(mut self, app: usize, by: SimDuration) -> Self {
-        self.stagger[app] = by;
-        self
     }
 }
 
@@ -122,18 +110,9 @@ impl HostDriver for StaticShareDriver {
     fn on_request(&mut self, gpu: &mut Gpu, req: RequestArrival) {
         self.log.arrived(req.app, req.req, req.at);
         let total = self.apps[req.app].profile.kernels.len();
-        let extra = if self.first_launch_done[req.app] {
-            SimDuration::ZERO
-        } else {
-            self.first_launch_done[req.app] = true;
-            self.stagger[req.app]
-        };
         let (queue, table) = (self.queues[req.app], self.tables[req.app]);
         for i in 0..total {
-            must(
-                gpu.launch_table_delayed(queue, table, i, tag_of(req.app, i), extra),
-                "launch",
-            );
+            must(gpu.launch(queue, table, i, tag_of(req.app, i)), "launch");
         }
         self.inflight.launched(req.app, req.req, total);
     }
@@ -232,33 +211,5 @@ mod tests {
             lat0 > iso0,
             "MIG rounds 1/3 down to 30 SMs: {lat0} vs {iso0}"
         );
-    }
-
-    #[test]
-    fn zico_stagger_delays_first_request_only() {
-        let apps = vec![
-            deploy(ModelKind::ResNet50, 0.5),
-            deploy(ModelKind::ResNet50, 0.5),
-        ];
-        let driver = StaticShareDriver::new(apps, ShareMode::Unbound)
-            .with_stagger(1, SimDuration::from_millis(4));
-        let arrivals = vec![
-            RequestArrival {
-                app: 0,
-                req: 0,
-                at: SimTime::ZERO,
-            },
-            RequestArrival {
-                app: 1,
-                req: 0,
-                at: SimTime::ZERO,
-            },
-        ];
-        let gpu = Gpu::new(GpuSpec::a100(), HostCosts::paper());
-        let mut sim = Simulation::new(gpu, driver, arrivals);
-        assert_eq!(sim.run(SimTime::from_secs(10)), RunOutcome::Completed);
-        let l0 = sim.driver.log.stats(0).mean.unwrap();
-        let l1 = sim.driver.log.stats(1).mean.unwrap();
-        assert!(l1 > l0, "staggered app starts later: {l1} vs {l0}");
     }
 }

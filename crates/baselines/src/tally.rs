@@ -96,7 +96,7 @@ impl TallyDriver {
         let (queue, table) = (self.queues[PRIORITY_APP], self.tables[PRIORITY_APP]);
         for k in 0..total {
             must(
-                gpu.launch_table(queue, table, k, tag_of(PRIORITY_APP, k)),
+                gpu.launch(queue, table, k, tag_of(PRIORITY_APP, k)),
                 "priority launch",
             );
         }
@@ -112,7 +112,7 @@ impl TallyDriver {
         );
         let k = act.next_kernel;
         must(
-            gpu.launch_table(self.queues[app], self.tables[app], k, tag_of(app, k)),
+            gpu.launch(self.queues[app], self.tables[app], k, tag_of(app, k)),
             "launch",
         );
     }

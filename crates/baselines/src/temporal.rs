@@ -19,20 +19,22 @@ use profiler::PARTITIONS;
 /// Wake token for deferred slice scheduling.
 const SLICE_WAKE: u64 = u64::MAX - 1;
 
+/// Base time-slice quantum: an app with quota `q` among `n` tenants
+/// receives a slice of `QUANTUM · q · n`.
+const QUANTUM: SimDuration = SimDuration::from_millis(5);
+
+/// Cost of switching the GPU between tenants' contexts at slice
+/// boundaries. Full GPU context switches (pipeline drain, state swap) are
+/// far heavier than the 50 µs MPS queue switch; ~1 ms is typical for
+/// temporal-sharing systems.
+const SWITCH_COST: SimDuration = SimDuration::from_millis(1);
+
 /// The TEMPORAL driver.
 pub struct TemporalDriver {
     /// Deployment data per app.
     pub apps: Vec<DeployedApp>,
     /// Tenant request state + log.
     pub tenants: TenantStates,
-    /// Base time-slice quantum (an app with quota `q` among `n` tenants
-    /// receives a slice of `quantum · q · n`).
-    pub quantum: SimDuration,
-    /// Cost of switching the GPU between tenants' contexts at slice
-    /// boundaries. Full GPU context switches (pipeline drain, state swap)
-    /// are far heavier than the 50 µs MPS queue switch; ~1 ms is typical
-    /// for temporal-sharing systems.
-    pub switch_cost: SimDuration,
     /// The app that owned the previous slice (no switch cost when the
     /// same tenant keeps the GPU).
     last_owner: Option<usize>,
@@ -44,13 +46,12 @@ pub struct TemporalDriver {
 }
 
 impl TemporalDriver {
-    /// Creates a TEMPORAL driver with the default 2 ms base quantum.
+    /// Creates a TEMPORAL driver with a 5 ms base quantum and a 1 ms
+    /// context switch.
     pub fn new(apps: Vec<DeployedApp>) -> Self {
         let totals = apps.iter().map(|a| a.profile.kernel_count()).collect();
         TemporalDriver {
             tenants: TenantStates::new(totals),
-            quantum: SimDuration::from_millis(5),
-            switch_cost: SimDuration::from_millis(1),
             last_owner: None,
             queues: Vec::new(),
             tables: Vec::new(),
@@ -58,12 +59,6 @@ impl TemporalDriver {
             wake_pending: false,
             apps,
         }
-    }
-
-    /// Overrides the base quantum.
-    pub fn with_quantum(mut self, quantum: SimDuration) -> Self {
-        self.quantum = quantum;
-        self
     }
 
     /// True while launched slice kernels are still outstanding.
@@ -85,8 +80,7 @@ impl TemporalDriver {
 
     /// Length of one tenant's window in the rotation.
     fn window_of(&self, app: usize) -> SimDuration {
-        self.quantum
-            .mul_f64(self.apps[app].quota * self.apps.len() as f64)
+        QUANTUM.mul_f64(self.apps[app].quota * self.apps.len() as f64)
     }
 
     /// Total rotation cycle length.
@@ -127,7 +121,7 @@ impl TemporalDriver {
 
         // Charge the GPU context switch when the device changes hands.
         if self.last_owner != Some(app) {
-            gpu.charge_host(self.switch_cost);
+            gpu.charge_host(SWITCH_COST);
         }
         self.last_owner = Some(app);
 
@@ -142,7 +136,7 @@ impl TemporalDriver {
         let mut launched = 0usize;
         for k in start_kernel..total {
             must(
-                gpu.launch_table(self.queues[app], self.tables[app], k, tag_of(app, k)),
+                gpu.launch(self.queues[app], self.tables[app], k, tag_of(app, k)),
                 "launch",
             );
             used += self.apps[app].profile.kernel_duration(PARTITIONS - 1, k);

@@ -113,7 +113,7 @@ impl ZicoDriver {
             let (queue, table) = (self.queues[app], self.tables[app]);
             for i in 0..total {
                 must(
-                    gpu.launch_table_delayed(queue, table, i, tag_of(app, i), extra),
+                    gpu.launch_delayed(queue, table, i, tag_of(app, i), extra),
                     "launch",
                 );
             }

@@ -66,7 +66,7 @@ fn engine_setup_with(spec: GpuSpec) -> (Gpu, Vec<QueueId>, KernelTableId) {
 fn engine_batch(gpu: &mut Gpu, queues: &[QueueId], table: KernelTableId, n: usize) {
     for i in 0..n {
         let q = queues[i % queues.len()];
-        gpu.launch_table(q, table, 0, i as u64).expect("launch");
+        gpu.launch(q, table, 0, i as u64).expect("launch");
         if i % 8 == 7 {
             gpu.drain();
         }

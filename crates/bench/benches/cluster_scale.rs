@@ -11,10 +11,7 @@
 //! degrades to ~1x on a single-core container), while the determiner's
 //! `evaluated`/`pruned` counts are deterministic on any machine.
 
-use bless::{
-    determine_config, determine_config_exhaustive, determine_config_model, BlessParams,
-    DeployedApp, Squad,
-};
+use bless::{determine_config, determine_config_exhaustive, BlessParams, DeployedApp, Squad};
 use cluster::{run_chaos, run_cluster_opts, ChaosOptions, ClusterOptions};
 use dnn_models::{ModelKind, Phase};
 use gpu_sim::GpuSpec;
@@ -362,7 +359,7 @@ fn bench_determiner(rows: &mut Vec<DeterminerRow>) {
     let samples = if bench::quick() { 10 } else { 50 };
     for k in 2..=max_apps {
         let (apps, squad) = determiner_squad(k, per_app, &spec);
-        let fast = determine_config(&squad, &apps, spec.num_sms);
+        let fast = determine_config(&squad, &apps, spec.num_sms, &spec.channel_model);
         let slow = determine_config_exhaustive(&squad, &apps, spec.num_sms);
         assert_eq!(
             fast.config, slow.config,
@@ -378,7 +375,7 @@ fn bench_determiner(rows: &mut Vec<DeterminerRow>) {
             &format!("determiner_search/pruned_{k}apps"),
             samples,
             || (),
-            |_| determine_config(&squad, &apps, spec.num_sms),
+            |_| determine_config(&squad, &apps, spec.num_sms, &spec.channel_model),
         );
         rows.push(DeterminerRow {
             model: "scalar",
@@ -400,8 +397,7 @@ fn bench_determiner(rows: &mut Vec<DeterminerRow>) {
     let max_apps = if bench::quick() { 3 } else { 6 };
     for k in 2..=max_apps {
         let (apps, squad) = determiner_squad(k, per_app, &pr_spec);
-        let search =
-            || determine_config_model(&squad, &apps, pr_spec.num_sms, &pr_spec.channel_model);
+        let search = || determine_config(&squad, &apps, pr_spec.num_sms, &pr_spec.channel_model);
         let choice = search();
         let pruned_ms = bench::min_ms(
             &format!("determiner_search/per_resource_{k}apps"),

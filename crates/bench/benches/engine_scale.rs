@@ -75,8 +75,10 @@ fn build_mono(plan: &Plan) -> Gpu {
             .map(|_| gpu.create_queue(ctx).expect("queue"))
             .collect();
         for (q, kernels) in queues.iter().enumerate() {
-            for (desc, tag, extra) in kernels {
-                gpu.launch_delayed(qids[q], desc.clone(), *tag, *extra)
+            let table =
+                gpu.register_kernel_table(kernels.iter().map(|(d, _, _)| d.clone()).collect());
+            for (i, (_, tag, extra)) in kernels.iter().enumerate() {
+                gpu.launch_delayed(qids[q], table, i, *tag, *extra)
                     .expect("launch");
             }
         }

@@ -69,10 +69,7 @@ pub use lanes::{LaneGroup, LaneHints, LaneKind};
 pub use params::{BlessParams, WatchdogParams};
 pub use predict::{
     determine_config, determine_config_exhaustive, determine_config_memo_model,
-    determine_config_model, predict_interference_free, predict_interference_free_channels,
-    predict_interference_free_model, predict_workload_equivalence,
-    predict_workload_equivalence_channels, predict_workload_equivalence_model, ConfigChoice,
-    ConfigMemo, ExecConfig,
+    predict_interference_free, predict_workload_equivalence, ConfigChoice, ConfigMemo, ExecConfig,
 };
 pub use runtime::{BlessDriver, CheckpointReq, SquadRecord, TenantCheckpoint};
 pub use squad::{

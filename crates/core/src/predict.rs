@@ -61,8 +61,24 @@ impl ExecConfig {
 
 /// Eq. 1 — the interference-free predictor for strictly partitioned
 /// squads: the squad lasts as long as the slowest request's stacked-up
-/// kernel durations at its partition.
+/// kernel durations at its partition. Under a per-resource `model` each
+/// stack is inflated by its shared-channel contention (DESIGN.md §5j).
 pub fn predict_interference_free(
+    squad: &Squad,
+    apps: &[DeployedApp],
+    partitions: &[u32],
+    model: &ChannelModel,
+) -> SimDuration {
+    match model {
+        ChannelModel::Scalar => predict_interference_free_scalar(squad, apps, partitions),
+        ChannelModel::PerResource(p) => {
+            predict_interference_free_channels(squad, apps, partitions, p)
+        }
+    }
+}
+
+/// Scalar Eq. 1: the maximum stacked duration.
+fn predict_interference_free_scalar(
     squad: &Squad,
     apps: &[DeployedApp],
     partitions: &[u32],
@@ -110,7 +126,24 @@ fn stacked_duration(app: &DeployedApp, partition: usize, kernels: &[usize]) -> S
 /// kernels are walked breadth-first over requests; each overlap row is
 /// modelled as sequential execution where every kernel runs at the speed
 /// it would have given the row's total natural SM demand `Σ_j d_i^j`.
+/// Under a per-resource `model` each kernel's row duration is inflated by
+/// its bottleneck-channel slowdown (DESIGN.md §5j).
 pub fn predict_workload_equivalence(
+    squad: &Squad,
+    apps: &[DeployedApp],
+    num_sms: u32,
+    model: &ChannelModel,
+) -> SimDuration {
+    match model {
+        ChannelModel::Scalar => predict_workload_equivalence_scalar(squad, apps, num_sms),
+        ChannelModel::PerResource(p) => {
+            predict_workload_equivalence_channels(squad, apps, num_sms, p)
+        }
+    }
+}
+
+/// Scalar Eq. 2.
+fn predict_workload_equivalence_scalar(
     squad: &Squad,
     apps: &[DeployedApp],
     num_sms: u32,
@@ -170,23 +203,41 @@ pub struct ConfigChoice {
     pub pruned: usize,
 }
 
-/// Searches the configuration space for the fastest execution (§4.4.2).
+/// Searches the configuration space for the fastest execution (§4.4.2),
+/// predicting candidates under the interference `model`.
 ///
 /// For up to [`EXACT_SEARCH_MAX_APPS`] participating requests the SP space
 /// is searched exactly with a branch-and-bound cut (see
-/// [`determine_config_exhaustive`] for the uncut twin — both return the
-/// same configuration); beyond that a quota-proportional seed plus
+/// [`determine_config_exhaustive`] for the uncut scalar twin — both return
+/// the same configuration); beyond that a quota-proportional seed plus
 /// hill-climbing is used (the paper only determines optimal partitions at
 /// runtime for small squads; REEF+ cannot do this at all, §6.4).
-pub fn determine_config(squad: &Squad, apps: &[DeployedApp], num_sms: u32) -> ConfigChoice {
-    determine(squad, apps, num_sms, None, true)
+///
+/// The stacked-duration bound stays admissible under per-resource
+/// inflation: every channel slowdown is ≥ 1 and monotone in traffic,
+/// `mul_f64` is monotone, and the prefix bound sums traffic in the same
+/// order as the full prediction with every unassigned share at its
+/// one-slice minimum (see `Channels::prefix_bound`). The per-resource
+/// search additionally cuts subtrees bounded at or above NSP and strictly
+/// above a hill-climbed seed; the argmin is still the exhaustive one.
+pub fn determine_config(
+    squad: &Squad,
+    apps: &[DeployedApp],
+    num_sms: u32,
+    model: &ChannelModel,
+) -> ConfigChoice {
+    let channels = match model {
+        ChannelModel::Scalar => None,
+        ChannelModel::PerResource(p) => Some(p),
+    };
+    determine(squad, apps, num_sms, channels, true)
 }
 
-/// [`determine_config`] with the branch-and-bound cut disabled: every SP
-/// composition is evaluated. Exists as the differential twin proving the
-/// pruned search exact (`same config, same prediction, evaluated + pruned
-/// = exhaustive evaluated`), and as the baseline for the
-/// `determiner_search` benchmark.
+/// [`determine_config`] under the scalar model with the branch-and-bound
+/// cut disabled: every SP composition is evaluated. Exists as the
+/// differential twin proving the pruned search exact (`same config, same
+/// prediction, evaluated + pruned = exhaustive evaluated`), and as the
+/// baseline for the `cluster_scale` bench's determiner rows.
 pub fn determine_config_exhaustive(
     squad: &Squad,
     apps: &[DeployedApp],
@@ -223,7 +274,7 @@ fn determine(
     }
 
     let nsp = match channels {
-        None => predict_workload_equivalence(squad, apps, num_sms),
+        None => predict_workload_equivalence_scalar(squad, apps, num_sms),
         Some(params) => predict_workload_equivalence_channels(squad, apps, num_sms, params),
     };
     if k == 1 {
@@ -619,9 +670,9 @@ impl ConfigMemo {
 // Under `ChannelModel::PerResource` the engine slows co-running kernels by
 // the bottleneck max of per-channel contention curves; the two estimators
 // below feed that same signal into the determiner so `determine_config`
-// sees channel-aware estimates. Under `ChannelModel::Scalar` every
-// `_model` entry point delegates to the original function, bit-for-bit —
-// so scalar deployments (the default) are untouched.
+// sees channel-aware estimates. Under `ChannelModel::Scalar` every entry
+// point runs the scalar estimators, bit-for-bit — so scalar deployments
+// (the default) are untouched.
 // ---------------------------------------------------------------------------
 
 /// Mean per-channel demand of one squad entry's *compute* kernels (the
@@ -652,7 +703,7 @@ fn entry_mean_demand(app: &DeployedApp, kernels: &[usize]) -> ChannelDemand {
 /// channels (L2, DRAM-BW, PCIe). The compute channel is zeroed: SM
 /// partitioning is exactly the mechanism that removes compute-issue
 /// contention, which is why SP squads exist at all.
-pub fn predict_interference_free_channels(
+fn predict_interference_free_channels(
     squad: &Squad,
     apps: &[DeployedApp],
     partitions: &[u32],
@@ -694,7 +745,7 @@ pub fn predict_interference_free_channels(
 /// profiled natural demand, normalized down when the row oversubscribes
 /// the GPU) and every kernel's row duration is inflated by its own
 /// bottleneck-channel slowdown.
-pub fn predict_workload_equivalence_channels(
+fn predict_workload_equivalence_channels(
     squad: &Squad,
     apps: &[DeployedApp],
     num_sms: u32,
@@ -751,64 +802,7 @@ pub fn predict_workload_equivalence_channels(
     total
 }
 
-/// Model-dispatching Eq. 1: scalar delegates to
-/// [`predict_interference_free`] unchanged.
-pub fn predict_interference_free_model(
-    squad: &Squad,
-    apps: &[DeployedApp],
-    partitions: &[u32],
-    model: &ChannelModel,
-) -> SimDuration {
-    match model {
-        ChannelModel::Scalar => predict_interference_free(squad, apps, partitions),
-        ChannelModel::PerResource(p) => {
-            predict_interference_free_channels(squad, apps, partitions, p)
-        }
-    }
-}
-
-/// Model-dispatching Eq. 2: scalar delegates to
-/// [`predict_workload_equivalence`] unchanged.
-pub fn predict_workload_equivalence_model(
-    squad: &Squad,
-    apps: &[DeployedApp],
-    num_sms: u32,
-    model: &ChannelModel,
-) -> SimDuration {
-    match model {
-        ChannelModel::Scalar => predict_workload_equivalence(squad, apps, num_sms),
-        ChannelModel::PerResource(p) => {
-            predict_workload_equivalence_channels(squad, apps, num_sms, p)
-        }
-    }
-}
-
-/// [`determine_config`] under an explicit interference model: scalar
-/// delegates to the original search (bit-identical, pruning intact);
-/// per-resource evaluates candidates with the channel-aware estimators.
-///
-/// Both models share one branch-and-bound SP search up to
-/// [`EXACT_SEARCH_MAX_APPS`] and the proportional-seed hill climb beyond
-/// it. The stacked-duration bound stays admissible under per-resource
-/// inflation: every channel slowdown is ≥ 1 and monotone in traffic,
-/// `mul_f64` is monotone, and the prefix bound sums traffic in the same
-/// order as the full prediction with every unassigned share at its
-/// one-slice minimum (see `Channels::prefix_bound`). The per-resource
-/// search additionally cuts subtrees bounded at or above NSP and strictly
-/// above a hill-climbed seed; the argmin is still the exhaustive one.
-pub fn determine_config_model(
-    squad: &Squad,
-    apps: &[DeployedApp],
-    num_sms: u32,
-    model: &ChannelModel,
-) -> ConfigChoice {
-    match model {
-        ChannelModel::Scalar => determine_config(squad, apps, num_sms),
-        ChannelModel::PerResource(p) => determine(squad, apps, num_sms, Some(p), true),
-    }
-}
-
-/// [`determine_config_model`] with memoization: answers recurring squad
+/// [`determine_config`] with memoization: answers recurring squad
 /// signatures from `memo` and falls back to the full search (caching the
 /// result) otherwise. Non-contiguous kernel selections are never cached.
 /// The memo key does not encode the model: a memo belongs to one driver on
@@ -828,7 +822,7 @@ pub fn determine_config_memo_model(
         .collect::<Option<Vec<_>>>();
     let Some(sig) = signature else {
         memo.misses += 1;
-        return determine_config_model(squad, apps, num_sms, model);
+        return determine_config(squad, apps, num_sms, model);
     };
     let key: MemoKey = (num_sms, sig);
     if let Some(choice) = memo.map.get(&key) {
@@ -836,7 +830,7 @@ pub fn determine_config_memo_model(
         return choice.clone();
     }
     memo.misses += 1;
-    let choice = determine_config_model(squad, apps, num_sms, model);
+    let choice = determine_config(squad, apps, num_sms, model);
     if memo.map.len() >= MEMO_CAPACITY {
         memo.map.clear();
     }
@@ -962,7 +956,7 @@ mod tests {
         assert_eq!(exhaustive.pruned, 0);
         // The branch-and-bound cut must cover the same space: every
         // candidate is either evaluated or accounted for as pruned.
-        let choice = determine_config(&squad, &apps, 108);
+        let choice = determine_config(&squad, &apps, 108, &ChannelModel::Scalar);
         assert_eq!(choice.evaluated + choice.pruned, 18);
         assert_eq!(choice.config, exhaustive.config);
         assert_eq!(choice.predicted, exhaustive.predicted);
@@ -990,7 +984,7 @@ mod tests {
                 .collect();
             for per_app in [3, 8, 14] {
                 let squad = squad_of(&apps, per_app);
-                let fast = determine_config(&squad, &apps, 108);
+                let fast = determine_config(&squad, &apps, 108, &ChannelModel::Scalar);
                 let slow = determine_config_exhaustive(&squad, &apps, 108);
                 assert_eq!(fast.config, slow.config, "k={k} per_app={per_app}");
                 assert_eq!(fast.predicted, slow.predicted, "k={k} per_app={per_app}");
@@ -1013,7 +1007,7 @@ mod tests {
         ];
         let squad = squad_of(&apps, 5);
         // Full GPU each (impossible config, but the math is the point):
-        let d_both = predict_interference_free(&squad, &apps, &[9, 9]);
+        let d_both = predict_interference_free(&squad, &apps, &[9, 9], &ChannelModel::Scalar);
         let stack = |app: usize| -> SimDuration {
             (1..=5)
                 .map(|k| apps[app].profile.kernel_duration(8, k))
@@ -1041,8 +1035,8 @@ mod tests {
                 },
             ],
         };
-        let even = predict_interference_free(&squad, &apps, &[9, 9]);
-        let skewed = predict_interference_free(&squad, &apps, &[14, 4]);
+        let even = predict_interference_free(&squad, &apps, &[9, 9], &ChannelModel::Scalar);
+        let skewed = predict_interference_free(&squad, &apps, &[14, 4], &ChannelModel::Scalar);
         assert!(skewed < even, "{skewed:?} vs {even:?}");
     }
 
@@ -1052,7 +1046,7 @@ mod tests {
         // sequentializing penalty of the hardware scheduler (Fig. 7).
         let apps = vec![deploy(ModelKind::NasNet, 0.5), deploy(ModelKind::Bert, 0.5)];
         let squad = squad_of(&apps, 25);
-        let choice = determine_config(&squad, &apps, 108);
+        let choice = determine_config(&squad, &apps, 108, &ChannelModel::Scalar);
         match &choice.config {
             ExecConfig::Sp { partitions } => {
                 assert_eq!(partitions.iter().sum::<u32>(), 18);
@@ -1066,7 +1060,7 @@ mod tests {
     fn solo_squads_run_nsp() {
         let apps = vec![deploy(ModelKind::ResNet50, 0.5)];
         let squad = squad_of(&apps, 10);
-        let choice = determine_config(&squad, &apps, 108);
+        let choice = determine_config(&squad, &apps, 108, &ChannelModel::Scalar);
         assert_eq!(choice.config, ExecConfig::Nsp);
         assert_eq!(choice.evaluated, 1);
     }
@@ -1100,7 +1094,7 @@ mod tests {
             })
             .collect();
         let squad = squad_of(&apps, 4);
-        let choice = determine_config(&squad, &apps, 108);
+        let choice = determine_config(&squad, &apps, 108, &ChannelModel::Scalar);
         if let ExecConfig::Sp { partitions } = &choice.config {
             assert_eq!(partitions.len(), 8);
             assert_eq!(partitions.iter().sum::<u32>(), 18);
@@ -1117,7 +1111,7 @@ mod tests {
                 kernels: vec![1, 2, 3],
             }],
         };
-        let d = predict_workload_equivalence(&squad, &apps, 108);
+        let d = predict_workload_equivalence(&squad, &apps, 108, &ChannelModel::Scalar);
         // A single request at its own demand: close to its full-speed sum.
         let full: SimDuration = (1..=3)
             .map(|k| apps[0].profile.kernel_duration(PARTITIONS - 1, k))
@@ -1161,44 +1155,18 @@ mod tests {
         let squad = squad_of(&apps, 3);
         // Must not panic on the inverted clamp bounds; exact value is
         // meaningless on a zero-SM device.
-        let _ = predict_workload_equivalence(&squad, &apps, 0);
+        let _ = predict_workload_equivalence(&squad, &apps, 0, &ChannelModel::Scalar);
     }
 
     #[test]
     fn empty_squad_determines_nsp() {
         let apps = vec![deploy(ModelKind::Vgg11, 1.0)];
-        let choice = determine_config(&Squad::default(), &apps, 108);
+        let choice = determine_config(&Squad::default(), &apps, 108, &ChannelModel::Scalar);
         assert_eq!(choice.config, ExecConfig::Nsp);
         assert_eq!(choice.evaluated, 0);
     }
 
     // -- channel-aware estimators (DESIGN.md §5j) ---------------------------
-
-    /// Every `_model` entry point under `ChannelModel::Scalar` is a pure
-    /// passthrough: identical results, identical search accounting.
-    #[test]
-    fn scalar_model_dispatch_is_bit_exact() {
-        let apps = vec![
-            deploy(ModelKind::NasNet, 0.5),
-            deploy(ModelKind::ResNet50, 0.5),
-        ];
-        let squad = squad_of(&apps, 10);
-        let model = ChannelModel::Scalar;
-        assert_eq!(
-            predict_interference_free_model(&squad, &apps, &[9, 9], &model),
-            predict_interference_free(&squad, &apps, &[9, 9]),
-        );
-        assert_eq!(
-            predict_workload_equivalence_model(&squad, &apps, 108, &model),
-            predict_workload_equivalence(&squad, &apps, 108),
-        );
-        let dispatched = determine_config_model(&squad, &apps, 108, &model);
-        let direct = determine_config(&squad, &apps, 108);
-        assert_eq!(dispatched.config, direct.config);
-        assert_eq!(dispatched.predicted, direct.predicted);
-        assert_eq!(dispatched.evaluated, direct.evaluated);
-        assert_eq!(dispatched.pruned, direct.pruned);
-    }
 
     /// Eq. 1 zeroes the compute channel (SM partitioning is exactly the
     /// mechanism that removes compute-issue contention), so a parameter
@@ -1213,7 +1181,7 @@ mod tests {
         ];
         let squad = squad_of(&apps, 5);
         let compute_only = ChannelParams::matched_scalar(1.5, 0.30, 2.0, Channel::Compute);
-        let plain = predict_interference_free(&squad, &apps, &[9, 9]);
+        let plain = predict_interference_free(&squad, &apps, &[9, 9], &ChannelModel::Scalar);
         assert_eq!(
             predict_interference_free_channels(&squad, &apps, &[9, 9], &compute_only),
             plain,
@@ -1234,7 +1202,7 @@ mod tests {
             let squad = squad_of(&apps, per_app);
             let chan =
                 predict_workload_equivalence_channels(&squad, &apps, 108, &ChannelParams::a100());
-            let scalar = predict_workload_equivalence(&squad, &apps, 108);
+            let scalar = predict_workload_equivalence(&squad, &apps, 108, &ChannelModel::Scalar);
             assert!(chan >= scalar, "per_app={per_app}: {chan:?} < {scalar:?}");
         }
     }
@@ -1343,7 +1311,7 @@ mod tests {
         let squad = squad_of(&apps, 25);
         let params = ChannelParams::a100();
         let model = ChannelModel::PerResource(params);
-        let choice = determine_config_model(&squad, &apps, 108, &model);
+        let choice = determine_config(&squad, &apps, 108, &model);
         assert!(choice.predicted > SimDuration::ZERO);
         let seed = seed_evaluations(&squad, &apps, &params);
         assert!(seed >= 1);
@@ -1412,7 +1380,7 @@ mod tests {
                 ChannelParams::a100()
             };
             let model = ChannelModel::PerResource(params);
-            let fast = determine_config_model(&squad, &apps, 108, &model);
+            let fast = determine_config(&squad, &apps, 108, &model);
             let slow = determine_config_channels_exhaustive(&squad, &apps, 108, &params);
             proptest::prop_assert_eq!(&fast.config, &slow.config);
             proptest::prop_assert_eq!(fast.predicted, slow.predicted);
@@ -1449,7 +1417,7 @@ mod tests {
             .collect();
         let squad = squad_of(&apps, 4);
         let model = ChannelModel::PerResource(ChannelParams::a100());
-        let choice = determine_config_model(&squad, &apps, 108, &model);
+        let choice = determine_config(&squad, &apps, 108, &model);
         if let ExecConfig::Sp { partitions } = &choice.config {
             assert_eq!(partitions.len(), 8);
             assert_eq!(partitions.iter().sum::<u32>(), 18);
@@ -1473,7 +1441,7 @@ mod tests {
         assert_eq!(first.config, second.config);
         assert_eq!(first.predicted, second.predicted);
         // And the uncached search agrees with what the memo stored.
-        let direct = determine_config_model(&squad, &apps, 108, &model);
+        let direct = determine_config(&squad, &apps, 108, &model);
         assert_eq!(first.config, direct.config);
         assert_eq!(first.predicted, direct.predicted);
     }

@@ -721,10 +721,10 @@ impl BlessDriver {
             // a dead queue/context, which fails every call on it alike.
             let result: Result<(), gpu_sim::GpuError> = if launched == 1 {
                 let k = base + idx;
-                gpu.launch_table_delayed(queue, table, k, tag_of(app, k), extra)
+                gpu.launch_delayed(queue, table, k, tag_of(app, k), extra)
                     .map(|_| ())
             } else if extra.is_zero() {
-                gpu.launch_table_graph(queue, table, base + idx..base + unit_end, |k| {
+                gpu.launch_graph(queue, table, base + idx..base + unit_end, |k| {
                     tag_of(app, k)
                 })
             } else {
@@ -732,10 +732,10 @@ impl BlessDriver {
                 // it to the unit's first kernel; the rest of the graph
                 // follows in FIFO order behind it.
                 let k = base + idx;
-                gpu.launch_table_delayed(queue, table, k, tag_of(app, k), extra)
+                gpu.launch_delayed(queue, table, k, tag_of(app, k), extra)
                     .map(|_| ())
                     .and_then(|()| {
-                        gpu.launch_table_graph(queue, table, base + idx + 1..base + unit_end, |k| {
+                        gpu.launch_graph(queue, table, base + idx + 1..base + unit_end, |k| {
                             tag_of(app, k)
                         })
                     })
@@ -798,7 +798,7 @@ impl BlessDriver {
         pending.append(&mut self.pending_retry[app]);
         let table = self.tables[app];
         for &(kernel, queue) in &pending {
-            match gpu.launch_table(queue, table, kernel, tag_of(app, kernel)) {
+            match gpu.launch(queue, table, kernel, tag_of(app, kernel)) {
                 Ok(_) => {
                     self.robustness.kernels_retried += 1;
                     self.outstanding_retried[app].push(kernel);

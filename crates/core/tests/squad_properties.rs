@@ -87,7 +87,7 @@ proptest! {
         let params = BlessParams::default();
         let squad = generate_squad(SimTime::from_millis(5), &active, &apps, &params);
         prop_assume!(squad.entries.len() >= 2);
-        let choice = determine_config(&squad, &apps, 108);
+        let choice = determine_config(&squad, &apps, 108, &ChannelModel::Scalar);
         match &choice.config {
             ExecConfig::Sp { partitions } => {
                 prop_assert_eq!(partitions.len(), squad.entries.len());
@@ -115,7 +115,7 @@ proptest! {
             .collect();
         let squad = generate_squad(SimTime::from_millis(5), &active, &apps, &BlessParams::default());
         prop_assume!(squad.entries.len() >= 2);
-        let plain = determine_config(&squad, &apps, 108);
+        let plain = determine_config(&squad, &apps, 108, &ChannelModel::Scalar);
         let mut memo = ConfigMemo::new();
         for round in 0..2 {
             let got =

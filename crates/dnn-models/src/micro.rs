@@ -59,6 +59,7 @@ mod tests {
     use super::*;
     use gpu_sim::{CtxKind, Gpu, GpuSpec, HostCosts};
     use sim_core::SimTime;
+    use std::sync::Arc;
 
     /// Runs victim+aggressor concurrently and returns the victim slowdown.
     fn slowdown(victim_mem: f64, aggressor_mem: f64) -> f64 {
@@ -67,8 +68,10 @@ mod tests {
         let q1 = gpu.create_queue(ctx).unwrap();
         let q2 = gpu.create_queue(ctx).unwrap();
         let base = SimDuration::from_micros(500);
-        let v = gpu.launch(q1, victim(base, 54, victim_mem), 0).unwrap();
-        gpu.launch(q2, aggressor(54, aggressor_mem), 1).unwrap();
+        let pair = [victim(base, 54, victim_mem), aggressor(54, aggressor_mem)];
+        let table = gpu.register_kernel_table(Arc::from(pair));
+        let v = gpu.launch(q1, table, 0, 0).unwrap();
+        gpu.launch(q2, table, 1, 1).unwrap();
         while gpu.kernel_finished_at(v).is_none() {
             if gpu.step().is_none() && gpu.peek_event_time().is_none() {
                 panic!("victim never finished");

@@ -129,7 +129,7 @@ pub enum InstState {
     /// Finished.
     Done,
     /// Killed by an injected context crash before completing; the host must
-    /// re-submit it (reported through [`Gpu::take_failed`]).
+    /// re-submit it (reported through [`Gpu::take_failed_into`]).
     Failed,
 }
 
@@ -159,8 +159,6 @@ struct Queue {
     waiting: VecDeque<usize>,
     /// Slot index of the currently running head, if any.
     running: Option<usize>,
-    /// Busy SM·ns integral attributed to this queue.
-    busy_integral: f64,
     /// Device arrival time of the last submitted kernel. CUDA streams are
     /// FIFO in *submission* order, so later submissions may never arrive
     /// before earlier ones even when an extra delay (context-switch
@@ -191,22 +189,9 @@ impl KernelShape {
     }
 }
 
-/// Where an instance's kernel name lives (read only by
-/// [`Gpu::kernel_name`]).
-#[derive(Debug)]
-enum KernelName {
-    /// `tables[table][index]`: table launches touch no `Arc`. A `u32`
-    /// index keeps this enum, and so `Instance`, no larger than a
-    /// `KernelDesc`; [`Gpu::register_kernel_table`] bounds table length.
-    Table(KernelTableId, u32),
-    /// Moved in by a by-value launch.
-    Owned(Arc<str>),
-}
-
 #[derive(Debug)]
 struct Instance {
     shape: KernelShape,
-    name: KernelName,
     queue: QueueId,
     tag: u64,
     state: InstState,
@@ -214,7 +199,7 @@ struct Instance {
     remaining: f64,
     /// Current progress rate: SM (work/ns) for compute, bytes/ns for memcpy.
     rate: f64,
-    /// Current SM allocation (compute only; for stats/timeline).
+    /// Current SM allocation (compute only).
     alloc_sms: f64,
     /// Dispatch order among running kernels (greedy-sticky priority).
     run_seq: u64,
@@ -226,9 +211,6 @@ struct Instance {
     /// Generation of this slot; bumped every time the slot is recycled so
     /// stale [`KernelHandle`]s are detectable.
     generation: u32,
-    /// Index of this kernel's most recent timeline segment (for
-    /// coalescing), or `usize::MAX`.
-    last_seg: usize,
     /// Earliest instant the kernel may begin when paying the contended
     /// dispatch gap (unrestricted context with co-resident tenants).
     /// Set once: a kernel never pays the arbitration gap twice.
@@ -240,22 +222,11 @@ struct Instance {
     trace_seq: u64,
 }
 
-/// One recorded execution segment of a kernel (for fine-grained timelines,
-/// paper Fig. 18).
-#[derive(Clone, Debug)]
-pub struct TimelineSegment {
-    /// The kernel instance.
-    pub handle: KernelHandle,
-    /// Queue it ran on.
-    pub queue: QueueId,
-    /// Driver-assigned tag.
-    pub tag: u64,
-    /// Segment start.
-    pub from: SimTime,
-    /// Segment end.
-    pub to: SimTime,
-    /// SMs held during the segment (0 for memcpy segments).
-    pub sms: f64,
+impl Instance {
+    /// True until the kernel completes or is killed.
+    fn is_live(&self) -> bool {
+        !matches!(self.state, InstState::Done | InstState::Failed)
+    }
 }
 
 #[derive(Debug)]
@@ -294,7 +265,7 @@ pub enum StepOutput {
     },
     /// An injected MPS context crash fired: every in-flight, queued, and
     /// running kernel of `app` failed. The casualties are retrievable with
-    /// [`Gpu::take_failed`]; the driver is expected to re-submit them.
+    /// [`Gpu::take_failed_into`]; the driver is expected to re-submit them.
     ContextCrash {
         /// The victim application (low bits of the kernel tag).
         app: u32,
@@ -373,7 +344,6 @@ pub struct Gpu {
     mem_used_mib: u64,
     busy_sm_integral: f64,
     last_settle: SimTime,
-    timeline: Option<Vec<TimelineSegment>>,
     /// Count of instances not yet `Done`.
     live_instances: usize,
     /// Driver-posted notices drained by the simulation loop (e.g. request
@@ -441,7 +411,6 @@ impl Gpu {
             mem_used_mib: 0,
             busy_sm_integral: 0.0,
             last_settle: SimTime::ZERO,
-            timeline: None,
             live_instances: 0,
             notices: Vec::new(),
             next_run_seq: 0,
@@ -536,17 +505,8 @@ impl Gpu {
     }
 
     /// Drains the kernels killed by context crashes since the last call
-    /// (typically invoked right after [`StepOutput::ContextCrash`]).
-    pub fn take_failed(&mut self) -> Vec<FailedKernel> {
-        self.fault
-            .as_mut()
-            .map(|f| std::mem::take(&mut f.failed))
-            .unwrap_or_default()
-    }
-
-    /// Drains crash casualties into `buf` (cleared first), preserving both
-    /// buffers' capacity — the drain-into counterpart of
-    /// [`Gpu::take_failed`].
+    /// into `buf` (cleared first), preserving both buffers' capacity;
+    /// typically invoked right after [`StepOutput::ContextCrash`].
     pub fn take_failed_into(&mut self, buf: &mut Vec<FailedKernel>) {
         buf.clear();
         if let Some(f) = self.fault.as_mut() {
@@ -596,18 +556,6 @@ impl Gpu {
     /// The instant at which the host thread becomes free.
     pub fn host_free_at(&self) -> SimTime {
         self.host_free.max(self.now)
-    }
-
-    /// Enables per-kernel timeline recording (costs memory; off by default).
-    pub fn enable_timeline(&mut self) {
-        if self.timeline.is_none() {
-            self.timeline = Some(Vec::new());
-        }
-    }
-
-    /// The recorded timeline segments, if recording was enabled.
-    pub fn timeline(&self) -> &[TimelineSegment] {
-        self.timeline.as_deref().unwrap_or(&[])
     }
 
     // ------------------------------------------------------------------
@@ -676,7 +624,6 @@ impl Gpu {
             ctx,
             waiting: VecDeque::new(),
             running: None,
-            busy_integral: 0.0,
             last_arrival: SimTime::ZERO,
         });
         Ok(id)
@@ -746,45 +693,11 @@ impl Gpu {
         self.host_free = self.host_free.max(self.now) + d;
     }
 
-    /// Launches a kernel into `queue`.
-    ///
-    /// The launch occupies the host for the per-kernel launch overhead; the
-    /// kernel reaches its device queue when the host call returns.
-    pub fn launch(
-        &mut self,
-        queue: QueueId,
-        desc: KernelDesc,
-        tag: u64,
-    ) -> Result<KernelHandle, GpuError> {
-        self.launch_delayed(queue, desc, tag, SimDuration::ZERO)
-    }
-
-    /// Launches a kernel whose device arrival is additionally delayed by
-    /// `extra` (models the 50 µs context-switch vacuum of §6.9, which stalls
-    /// only this queue).
-    pub fn launch_delayed(
-        &mut self,
-        queue: QueueId,
-        desc: KernelDesc,
-        tag: u64,
-        extra: SimDuration,
-    ) -> Result<KernelHandle, GpuError> {
-        if queue.0 as usize >= self.queues.len() {
-            return Err(GpuError::UnknownQueue(queue));
-        }
-        self.charge_host(self.costs.kernel_launch);
-        let arrive_at = (self.host_free + extra).max(self.queues[queue.0 as usize].last_arrival);
-        self.queues[queue.0 as usize].last_arrival = arrive_at;
-        let shape = KernelShape::of(&desc);
-        Ok(self.enqueue_instance(queue, shape, KernelName::Owned(desc.name), tag, arrive_at))
-    }
-
     /// Registers one launched instance and schedules its device arrival.
     fn enqueue_instance(
         &mut self,
         queue: QueueId,
         shape: KernelShape,
-        name: KernelName,
         tag: u64,
         arrive_at: SimTime,
     ) -> KernelHandle {
@@ -828,7 +741,6 @@ impl Gpu {
         };
         let inst = Instance {
             shape,
-            name,
             queue,
             tag,
             state: InstState::InFlight,
@@ -838,7 +750,6 @@ impl Gpu {
             run_seq: u64::MAX,
             event_epoch: 0,
             generation: 0,
-            last_seg: usize::MAX,
             dispatch_ready: None,
             started_at: None,
             finished_at: None,
@@ -879,61 +790,15 @@ impl Gpu {
         (inst.generation == generation).then_some(inst)
     }
 
-    /// Launches a group of kernels as one unit (a CUDA-graph analogue):
-    /// the whole group costs a single host launch overhead and arrives at
-    /// the device together, in order.
-    ///
-    /// This is the mechanism behind §6.10's "launching a sequence of
-    /// kernels to the GPU with a single API call".
-    pub fn launch_graph(
-        &mut self,
-        queue: QueueId,
-        group: Vec<(KernelDesc, u64)>,
-    ) -> Result<Vec<KernelHandle>, GpuError> {
-        if queue.0 as usize >= self.queues.len() {
-            return Err(GpuError::UnknownQueue(queue));
-        }
-        if group.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.charge_host(self.costs.kernel_launch);
-        let arrive_at = self
-            .host_free
-            .max(self.queues[queue.0 as usize].last_arrival);
-        self.queues[queue.0 as usize].last_arrival = arrive_at;
-        let handles = group
-            .into_iter()
-            .map(|(desc, tag)| {
-                let shape = KernelShape::of(&desc);
-                self.enqueue_instance(queue, shape, KernelName::Owned(desc.name), tag, arrive_at)
-            })
-            .collect();
-        Ok(handles)
-    }
-
     /// Interns a kernel table: an `Arc` slice of descriptors (typically
-    /// one application's profiled kernel sequence) that subsequent
-    /// [`Gpu::launch_table`] / [`Gpu::launch_table_graph`] calls reference
-    /// by `(table, index)`. Registering costs one `Arc` refcount bump plus
-    /// a slot in the table registry; launching from a table then copies
-    /// the descriptor's numeric fields and clones nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table holds more than `u32::MAX` descriptors.
+    /// one application's profiled kernel sequence) that every launch
+    /// references by `(table, index)`. Registering costs one `Arc`
+    /// refcount bump plus a slot in the table registry; a launch then
+    /// copies the descriptor's numeric fields and clones nothing.
     pub fn register_kernel_table(&mut self, table: Arc<[KernelDesc]>) -> KernelTableId {
-        assert!(
-            u32::try_from(table.len()).is_ok(),
-            "a kernel table holds at most u32::MAX descriptors"
-        );
         debug_assert!(self.tables.len() < u32::MAX as usize);
         self.tables.push(table);
         KernelTableId((self.tables.len() - 1) as u32)
-    }
-
-    /// The descriptors behind a registered table.
-    pub fn kernel_table(&self, table: KernelTableId) -> Option<&[KernelDesc]> {
-        self.tables.get(table.0 as usize).map(|t| &t[..])
     }
 
     /// Looks up `table[index]`, or the reason it does not exist.
@@ -945,20 +810,24 @@ impl Gpu {
             .ok_or(GpuError::InvalidOperation("kernel index out of table"))
     }
 
-    /// [`Gpu::launch`] addressing the kernel as `(table, index)`; exact
-    /// same host charge and device arrival as the by-value form.
-    pub fn launch_table(
+    /// Launches kernel `table[index]` into `queue`.
+    ///
+    /// The launch occupies the host for the per-kernel launch overhead; the
+    /// kernel reaches its device queue when the host call returns.
+    pub fn launch(
         &mut self,
         queue: QueueId,
         table: KernelTableId,
         index: usize,
         tag: u64,
     ) -> Result<KernelHandle, GpuError> {
-        self.launch_table_delayed(queue, table, index, tag, SimDuration::ZERO)
+        self.launch_delayed(queue, table, index, tag, SimDuration::ZERO)
     }
 
-    /// [`Gpu::launch_delayed`] addressing the kernel as `(table, index)`.
-    pub fn launch_table_delayed(
+    /// [`Gpu::launch`] with the device arrival additionally delayed by
+    /// `extra` (models the 50 µs context-switch vacuum of §6.9, which
+    /// stalls only this queue).
+    pub fn launch_delayed(
         &mut self,
         queue: QueueId,
         table: KernelTableId,
@@ -973,18 +842,19 @@ impl Gpu {
         self.charge_host(self.costs.kernel_launch);
         let arrive_at = (self.host_free + extra).max(self.queues[queue.0 as usize].last_arrival);
         self.queues[queue.0 as usize].last_arrival = arrive_at;
-        // Lossless: `table_desc` checked `index < len <= u32::MAX`.
-        let name = KernelName::Table(table, index as u32);
-        Ok(self.enqueue_instance(queue, shape, name, tag, arrive_at))
+        Ok(self.enqueue_instance(queue, shape, tag, arrive_at))
     }
 
-    /// [`Gpu::launch_graph`] addressing the group as `table[range]`, with
-    /// `tag_for(index)` supplying each kernel's tag. Identical host-charge
-    /// and arrival semantics — an empty range costs nothing, a non-empty
-    /// one costs a single launch overhead — but builds no group `Vec` and
-    /// returns no handle `Vec`, so the steady-state squad feed allocates
-    /// nothing.
-    pub fn launch_table_graph(
+    /// Launches `table[range]` into `queue` as one unit (a CUDA-graph
+    /// analogue), with `tag_for(index)` supplying each kernel's tag: a
+    /// non-empty range costs a single host launch overhead and arrives at
+    /// the device together, in order; an empty range costs nothing. No
+    /// group or handle `Vec` is built, so the steady-state squad feed
+    /// allocates nothing.
+    ///
+    /// This is the mechanism behind §6.10's "launching a sequence of
+    /// kernels to the GPU with a single API call".
+    pub fn launch_graph(
         &mut self,
         queue: QueueId,
         table: KernelTableId,
@@ -998,7 +868,7 @@ impl Gpu {
             return Ok(());
         }
         // Validate the whole range up front so a partial group is never
-        // enqueued (matches `launch_graph`, which takes the group whole).
+        // enqueued.
         self.table_desc(table, range.end - 1)?;
         self.charge_host(self.costs.kernel_launch);
         let arrive_at = self
@@ -1007,8 +877,7 @@ impl Gpu {
         self.queues[queue.0 as usize].last_arrival = arrive_at;
         for index in range {
             let shape = KernelShape::of(&self.tables[table.0 as usize][index]);
-            let name = KernelName::Table(table, index as u32);
-            self.enqueue_instance(queue, shape, name, tag_for(index), arrive_at);
+            self.enqueue_instance(queue, shape, tag_for(index), arrive_at);
         }
         Ok(())
     }
@@ -1019,13 +888,8 @@ impl Gpu {
         self.notices.push(notice);
     }
 
-    /// Drains all posted notices (called by the simulation loop).
-    pub fn drain_notices(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.notices)
-    }
-
-    /// Drains all posted notices into `buf` (cleared first). Unlike
-    /// [`Gpu::drain_notices`], both the notice buffer and `buf` keep their
+    /// Drains all posted notices into `buf` (cleared first; called by the
+    /// simulation loop). Both the notice buffer and `buf` keep their
     /// capacity, so a caller that reuses `buf` makes the notice path
     /// allocation-free in steady state.
     pub fn drain_notices_into(&mut self, buf: &mut Vec<u64>) {
@@ -1037,12 +901,6 @@ impl Gpu {
     pub fn wake_at(&mut self, at: SimTime, token: u64) {
         self.events
             .push(at.max(self.now), DevEv::HostWake { token });
-    }
-
-    /// Requests a wakeup for the instant the host thread becomes free —
-    /// i.e. after all previously charged host work completes.
-    pub fn wake_when_host_free(&mut self, token: u64) {
-        self.wake_at(self.host_free_at(), token);
     }
 
     // ------------------------------------------------------------------
@@ -1067,14 +925,6 @@ impl Gpu {
         self.resolve(h).and_then(|i| i.started_at)
     }
 
-    /// The name of the launched kernel.
-    pub fn kernel_name(&self, h: KernelHandle) -> &str {
-        self.resolve(h).map_or("<recycled>", |i| match &i.name {
-            KernelName::Table(table, index) => &self.tables[table.0 as usize][*index as usize].name,
-            KernelName::Owned(name) => name,
-        })
-    }
-
     /// Capacity currently devoted to instance bookkeeping (slots in use or
     /// on the free-list); with recycling on this stays bounded by the peak
     /// number of concurrently live kernels.
@@ -1095,11 +945,6 @@ impl Gpu {
     /// Total busy SM·seconds accumulated so far (for utilization metrics).
     pub fn busy_sm_seconds(&self) -> f64 {
         self.busy_sm_integral / 1e9
-    }
-
-    /// Busy SM·seconds attributed to one queue.
-    pub fn queue_busy_sm_seconds(&self, queue: QueueId) -> f64 {
-        self.queues[queue.0 as usize].busy_integral / 1e9
     }
 
     /// Average GPU utilization over `[from, to]` as a fraction of
@@ -1235,65 +1080,25 @@ impl Gpu {
 
     /// Kills every not-yet-done kernel of `app`: in-flight launches never
     /// arrive, queued kernels leave their queues, running kernels stop
-    /// making progress. Casualties move to [`InstState::Failed`] and are
-    /// reported through [`Gpu::take_failed`]. Failed slots are never
-    /// recycled, so their handles and any stale `Arrive` events stay valid.
+    /// making progress. Casualties are reported through
+    /// [`Gpu::take_failed_into`].
     fn inject_crash(&mut self, app: u32) {
         let mut touched_queues = Vec::new();
         let mut casualties = 0u32;
         for slot in 0..self.instances.len() {
             let inst = &self.instances[slot];
-            if matches!(inst.state, InstState::Done | InstState::Failed) {
+            if !inst.is_live() || crate::sim::decode_tag(inst.tag).0 as u32 != app {
                 continue;
             }
-            if crate::sim::decode_tag(inst.tag).0 as u32 != app {
-                continue;
+            let (failed, was_head) = self.kill(slot);
+            if was_head {
+                touched_queues.push(failed.queue.0 as usize);
             }
-            let state = inst.state;
-            let q = inst.queue.0 as usize;
-            let inst = &mut self.instances[slot];
-            inst.state = InstState::Failed;
-            inst.rate = 0.0;
-            inst.alloc_sms = 0.0;
-            inst.finished_at = None;
-            let generation = inst.generation;
-            match state {
-                InstState::InFlight => {
-                    // The pending Arrive event finds the slot Failed and
-                    // is dropped there.
-                }
-                InstState::Queued => {
-                    self.queues[q].waiting.retain(|&s| s != slot);
-                }
-                InstState::Running => {
-                    if self.queues[q].running == Some(slot) {
-                        self.queues[q].running = None;
-                        touched_queues.push(q);
-                    }
-                }
-                InstState::Done | InstState::Failed => unreachable!(),
-            }
-            self.live_instances -= 1;
-            let failed = FailedKernel {
-                handle: Self::handle_for(slot, generation),
-                queue: QueueId(q as u32),
-                tag: self.instances[slot].tag,
-            };
             if let Some(f) = &mut self.fault {
                 f.failed.push(failed);
                 f.counters.kernels_failed += 1;
             }
             casualties += 1;
-            if self.trace.is_some() {
-                let seq = self.instances[slot].trace_seq;
-                if seq != 0 {
-                    self.trace_emit(TraceEvent::KernelFailed {
-                        at: self.now,
-                        seq,
-                        queue: q as u32,
-                    });
-                }
-            }
         }
         if let Some(f) = &mut self.fault {
             f.counters.crashes += 1;
@@ -1315,8 +1120,9 @@ impl Gpu {
     /// Quiesces the device at the current instant and exports its pending
     /// work as a portable checkpoint: every in-flight, queued, and running
     /// kernel of every tenant is abandoned (reported only through the
-    /// returned [`DeviceCheckpoint`], never through [`Gpu::take_failed`])
-    /// and all remaining device events are dropped.
+    /// returned [`DeviceCheckpoint`], never through
+    /// [`Gpu::take_failed_into`]) and all remaining device events are
+    /// dropped.
     ///
     /// After the call the device is idle and permanently drained — this is
     /// the engine half of a live migration or failure evacuation; the
@@ -1326,54 +1132,58 @@ impl Gpu {
     pub fn drain_snapshot(&mut self) -> DeviceCheckpoint {
         let mut abandoned = Vec::new();
         for slot in 0..self.instances.len() {
-            let inst = &self.instances[slot];
-            if matches!(inst.state, InstState::Done | InstState::Failed) {
-                continue;
+            if self.instances[slot].is_live() {
+                abandoned.push(self.kill(slot).0);
             }
-            let state = inst.state;
-            let q = inst.queue.0 as usize;
-            let inst = &mut self.instances[slot];
-            inst.state = InstState::Failed;
-            inst.rate = 0.0;
-            inst.alloc_sms = 0.0;
-            inst.finished_at = None;
-            let generation = inst.generation;
-            match state {
-                InstState::InFlight => {
-                    // The pending Arrive event is dropped with the queue.
-                }
-                InstState::Queued => {
-                    self.queues[q].waiting.retain(|&s| s != slot);
-                }
-                InstState::Running => {
-                    if self.queues[q].running == Some(slot) {
-                        self.queues[q].running = None;
-                    }
-                }
-                InstState::Done | InstState::Failed => unreachable!(),
-            }
-            self.live_instances -= 1;
-            if self.trace.is_some() {
-                let seq = self.instances[slot].trace_seq;
-                if seq != 0 {
-                    self.trace_emit(TraceEvent::KernelFailed {
-                        at: self.now,
-                        seq,
-                        queue: q as u32,
-                    });
-                }
-            }
-            abandoned.push(FailedKernel {
-                handle: Self::handle_for(slot, generation),
-                queue: QueueId(q as u32),
-                tag: self.instances[slot].tag,
-            });
         }
         self.events.clear();
         DeviceCheckpoint {
             at: self.now,
             abandoned,
         }
+    }
+
+    /// Moves the live kernel in `slot` to [`InstState::Failed`]: it leaves
+    /// its queue (a pending `Arrive` finds the slot failed and is dropped)
+    /// and stops making progress. Returns the casualty and whether it was
+    /// its queue's running head, whose successor the caller may start.
+    /// Failed slots are never recycled, so their handles and any stale
+    /// `Arrive` events stay valid.
+    fn kill(&mut self, slot: usize) -> (FailedKernel, bool) {
+        let inst = &mut self.instances[slot];
+        let state = inst.state;
+        inst.state = InstState::Failed;
+        inst.rate = 0.0;
+        inst.alloc_sms = 0.0;
+        inst.finished_at = None;
+        let failed = FailedKernel {
+            handle: Self::handle_for(slot, inst.generation),
+            queue: inst.queue,
+            tag: inst.tag,
+        };
+        let seq = inst.trace_seq;
+        let q = failed.queue.0 as usize;
+        let mut was_head = false;
+        match state {
+            InstState::InFlight => {}
+            InstState::Queued => self.queues[q].waiting.retain(|&s| s != slot),
+            InstState::Running => {
+                was_head = self.queues[q].running == Some(slot);
+                if was_head {
+                    self.queues[q].running = None;
+                }
+            }
+            InstState::Done | InstState::Failed => unreachable!("only live kernels are killed"),
+        }
+        self.live_instances -= 1;
+        if self.trace.is_some() && seq != 0 {
+            self.trace_emit(TraceEvent::KernelFailed {
+                at: self.now,
+                seq,
+                queue: q as u32,
+            });
+        }
+        (failed, was_head)
     }
 
     /// Runs the device forward until no events remain, discarding outputs.
@@ -1455,57 +1265,24 @@ impl Gpu {
         Some(slot)
     }
 
-    /// Integrates all running work from `last_settle` to `t` and clamps
-    /// remaining work at zero. Records timeline segments and busy
-    /// integrals.
+    /// Integrates all running work from `last_settle` to `t`, clamping
+    /// remaining work at zero, and adds the busy SM·ns to the device
+    /// integral.
     fn settle(&mut self, t: SimTime) {
         if t <= self.last_settle {
             return;
         }
         let dt = t.duration_since(self.last_settle).as_nanos() as f64;
-        for q in 0..self.queues.len() {
-            let Some(slot) = self.queues[q].running else {
+        for q in &self.queues {
+            let Some(slot) = q.running else {
                 continue;
             };
-            let (rate, alloc, tag, queue, is_compute) = {
-                let inst = &self.instances[slot];
-                (
-                    inst.rate,
-                    inst.alloc_sms,
-                    inst.tag,
-                    inst.queue,
-                    inst.shape.kind.is_compute(),
-                )
-            };
-            if rate > 0.0 {
-                let inst = &mut self.instances[slot];
-                inst.remaining = (inst.remaining - rate * dt).max(0.0);
+            let inst = &mut self.instances[slot];
+            if inst.rate > 0.0 {
+                inst.remaining = (inst.remaining - inst.rate * dt).max(0.0);
             }
-            if is_compute && alloc > 0.0 {
-                let contrib = alloc * dt;
-                self.busy_sm_integral += contrib;
-                self.queues[q].busy_integral += contrib;
-                let generation = self.instances[slot].generation;
-                let last = self.instances[slot].last_seg;
-                if let Some(tl) = &mut self.timeline {
-                    // Coalesce with this instance's previous segment when
-                    // it abuts this one and the SM allocation is unchanged:
-                    // reallocations that leave a kernel's share untouched
-                    // then cost no timeline growth.
-                    if last < tl.len() && tl[last].to == self.last_settle && tl[last].sms == alloc {
-                        tl[last].to = t;
-                    } else {
-                        self.instances[slot].last_seg = tl.len();
-                        tl.push(TimelineSegment {
-                            handle: Self::handle_for(slot, generation),
-                            queue,
-                            tag,
-                            from: self.last_settle,
-                            to: t,
-                            sms: alloc,
-                        });
-                    }
-                }
+            if inst.shape.kind.is_compute() && inst.alloc_sms > 0.0 {
+                self.busy_sm_integral += inst.alloc_sms * dt;
             }
         }
         self.last_settle = t;
@@ -1941,6 +1718,23 @@ mod tests {
         Gpu::new(GpuSpec::a100(), HostCosts::free())
     }
 
+    /// Launches `desc` from a table of its own.
+    fn put(gpu: &mut Gpu, q: QueueId, desc: KernelDesc, tag: u64) -> KernelHandle {
+        put_delayed(gpu, q, desc, tag, SimDuration::ZERO)
+    }
+
+    /// [`put`] with an extra device-arrival delay.
+    fn put_delayed(
+        gpu: &mut Gpu,
+        q: QueueId,
+        desc: KernelDesc,
+        tag: u64,
+        extra: SimDuration,
+    ) -> KernelHandle {
+        let table = gpu.register_kernel_table(Arc::from([desc]));
+        gpu.launch_delayed(q, table, 0, tag, extra).unwrap()
+    }
+
     fn run_all(gpu: &mut Gpu) -> Vec<(SimTime, KernelHandle)> {
         let mut done = Vec::new();
         while !gpu.events.is_empty() {
@@ -1967,7 +1761,7 @@ mod tests {
         let q = gpu.create_queue(ctx).unwrap();
         for i in 0..4u64 {
             let k = KernelDesc::compute("k", SimDuration::from_micros(100), 108, 0.0);
-            gpu.launch(q, k, i).unwrap();
+            put(&mut gpu, q, k, i);
         }
         let mut out = Vec::new();
         // Kernels finish at 100/200/300/400 us.
@@ -1984,7 +1778,7 @@ mod tests {
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
         let k = KernelDesc::compute("k", SimDuration::from_micros(100), 108, 0.2);
-        let h = gpu.launch(q, k, 0).unwrap();
+        let h = put(&mut gpu, q, k, 0);
         let done = run_all(&mut gpu);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].1, h);
@@ -1998,7 +1792,7 @@ mod tests {
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
         let k = KernelDesc::compute("k", SimDuration::from_micros(10), 108, 0.0);
-        let h = gpu.launch(q, k, 0).unwrap();
+        let h = put(&mut gpu, q, k, 0);
         run_all(&mut gpu);
         assert_eq!(gpu.kernel_finished_at(h), Some(SimTime::from_micros(13)));
     }
@@ -2008,20 +1802,18 @@ mod tests {
         let mut gpu = free_gpu();
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
-        let a = gpu
-            .launch(
-                q,
-                KernelDesc::compute("a", SimDuration::from_micros(10), 108, 0.0),
-                0,
-            )
-            .unwrap();
-        let b = gpu
-            .launch(
-                q,
-                KernelDesc::compute("b", SimDuration::from_micros(5), 108, 0.0),
-                1,
-            )
-            .unwrap();
+        let a = put(
+            &mut gpu,
+            q,
+            KernelDesc::compute("a", SimDuration::from_micros(10), 108, 0.0),
+            0,
+        );
+        let b = put(
+            &mut gpu,
+            q,
+            KernelDesc::compute("b", SimDuration::from_micros(5), 108, 0.0),
+            1,
+        );
         run_all(&mut gpu);
         // Same queue: b waits for a even though it is shorter.
         assert_eq!(gpu.kernel_finished_at(a), Some(SimTime::from_micros(10)));
@@ -2037,20 +1829,18 @@ mod tests {
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q1 = gpu.create_queue(ctx).unwrap();
         let q2 = gpu.create_queue(ctx).unwrap();
-        let a = gpu
-            .launch(
-                q1,
-                KernelDesc::compute("a", SimDuration::from_micros(100), 108, 0.0),
-                0,
-            )
-            .unwrap();
-        let b = gpu
-            .launch(
-                q2,
-                KernelDesc::compute("b", SimDuration::from_micros(100), 108, 0.0),
-                1,
-            )
-            .unwrap();
+        let a = put(
+            &mut gpu,
+            q1,
+            KernelDesc::compute("a", SimDuration::from_micros(100), 108, 0.0),
+            0,
+        );
+        let b = put(
+            &mut gpu,
+            q2,
+            KernelDesc::compute("b", SimDuration::from_micros(100), 108, 0.0),
+            1,
+        );
         run_all(&mut gpu);
         assert_eq!(gpu.kernel_finished_at(a), Some(SimTime::from_micros(100)));
         assert_eq!(gpu.kernel_finished_at(b), Some(SimTime::from_micros(200)));
@@ -2065,20 +1855,18 @@ mod tests {
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q1 = gpu.create_queue(ctx).unwrap();
         let q2 = gpu.create_queue(ctx).unwrap();
-        let a = gpu
-            .launch(
-                q1,
-                KernelDesc::compute("a", SimDuration::from_micros(100), 108, 0.0),
-                0,
-            )
-            .unwrap();
-        let b = gpu
-            .launch(
-                q2,
-                KernelDesc::compute("b", SimDuration::from_micros(100), 108, 0.0),
-                1,
-            )
-            .unwrap();
+        let a = put(
+            &mut gpu,
+            q1,
+            KernelDesc::compute("a", SimDuration::from_micros(100), 108, 0.0),
+            0,
+        );
+        let b = put(
+            &mut gpu,
+            q2,
+            KernelDesc::compute("b", SimDuration::from_micros(100), 108, 0.0),
+            1,
+        );
         run_all(&mut gpu);
         assert_eq!(gpu.kernel_finished_at(a), Some(SimTime::from_micros(200)));
         assert_eq!(gpu.kernel_finished_at(b), Some(SimTime::from_micros(200)));
@@ -2093,20 +1881,18 @@ mod tests {
         // Both kernels want nearly the whole GPU: the second's wave does
         // not launch on the sliver left by the first (Fig. 7a's poor
         // overlap) — it waits, then runs at full width.
-        let a = gpu
-            .launch(
-                q1,
-                KernelDesc::compute("a", SimDuration::from_micros(100), 100, 0.0),
-                0,
-            )
-            .unwrap();
-        let b = gpu
-            .launch(
-                q2,
-                KernelDesc::compute("b", SimDuration::from_micros(100), 100, 0.0),
-                1,
-            )
-            .unwrap();
+        let a = put(
+            &mut gpu,
+            q1,
+            KernelDesc::compute("a", SimDuration::from_micros(100), 100, 0.0),
+            0,
+        );
+        let b = put(
+            &mut gpu,
+            q2,
+            KernelDesc::compute("b", SimDuration::from_micros(100), 100, 0.0),
+            1,
+        );
         run_all(&mut gpu);
         assert_eq!(gpu.kernel_finished_at(a), Some(SimTime::from_micros(100)));
         assert_eq!(gpu.kernel_finished_at(b), Some(SimTime::from_micros(200)));
@@ -2123,20 +1909,18 @@ mod tests {
         let q2 = gpu.create_queue(ctx2).unwrap();
         // a holds 54 SMs; b (108-wide) backfills the free 54 after the
         // contended dispatch gap (4us), then grows when a finishes.
-        let a = gpu
-            .launch(
-                q1,
-                KernelDesc::compute("a", SimDuration::from_micros(100), 54, 0.0),
-                0,
-            )
-            .unwrap();
-        let b = gpu
-            .launch(
-                q2,
-                KernelDesc::compute("b", SimDuration::from_micros(100), 108, 0.0),
-                1,
-            )
-            .unwrap();
+        let a = put(
+            &mut gpu,
+            q1,
+            KernelDesc::compute("a", SimDuration::from_micros(100), 54, 0.0),
+            0,
+        );
+        let b = put(
+            &mut gpu,
+            q2,
+            KernelDesc::compute("b", SimDuration::from_micros(100), 108, 0.0),
+            1,
+        );
         run_all(&mut gpu);
         assert_eq!(gpu.kernel_finished_at(a), Some(SimTime::from_micros(100)));
         // b: 96us at 54 SMs then (10800-5184)/108 = 52us at 108 -> 152us.
@@ -2154,20 +1938,18 @@ mod tests {
         let free_ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q1 = gpu.create_queue(capped).unwrap();
         let q2 = gpu.create_queue(free_ctx).unwrap();
-        let a = gpu
-            .launch(
-                q1,
-                KernelDesc::compute("a", SimDuration::from_micros(50), 108, 0.0),
-                0,
-            )
-            .unwrap();
-        let b = gpu
-            .launch(
-                q2,
-                KernelDesc::compute("b", SimDuration::from_micros(100), 108, 0.0),
-                1,
-            )
-            .unwrap();
+        let a = put(
+            &mut gpu,
+            q1,
+            KernelDesc::compute("a", SimDuration::from_micros(50), 108, 0.0),
+            0,
+        );
+        let b = put(
+            &mut gpu,
+            q2,
+            KernelDesc::compute("b", SimDuration::from_micros(100), 108, 0.0),
+            1,
+        );
         run_all(&mut gpu);
         // a (50us x 108 work) at 54 SMs: 100us. b pays the 4us contended
         // dispatch gap, then starts at 54 (the cap is structural) and
@@ -2184,13 +1966,12 @@ mod tests {
             .create_context(CtxKind::MpsAffinity { sm_cap: 27 })
             .unwrap();
         let q = gpu.create_queue(ctx).unwrap();
-        let h = gpu
-            .launch(
-                q,
-                KernelDesc::compute("k", SimDuration::from_micros(100), 108, 0.0),
-                0,
-            )
-            .unwrap();
+        let h = put(
+            &mut gpu,
+            q,
+            KernelDesc::compute("k", SimDuration::from_micros(100), 108, 0.0),
+            0,
+        );
         run_all(&mut gpu);
         // 108-SM kernel on 27 SMs: 4x duration.
         assert_eq!(gpu.kernel_finished_at(h), Some(SimTime::from_micros(400)));
@@ -2217,24 +1998,22 @@ mod tests {
         let qb = gpu.create_queue(big).unwrap();
         let qs = gpu.create_queue(small).unwrap();
         // Even with the small partition idle, the big one cannot exceed 80.
-        let h = gpu
-            .launch(
-                qb,
-                KernelDesc::compute("k", SimDuration::from_micros(80), 108, 0.0),
-                0,
-            )
-            .unwrap();
+        let h = put(
+            &mut gpu,
+            qb,
+            KernelDesc::compute("k", SimDuration::from_micros(80), 108, 0.0),
+            0,
+        );
         run_all(&mut gpu);
         // work = 80us * 108 SMs; on 80 SMs -> 108 us.
         assert_eq!(gpu.kernel_finished_at(h), Some(SimTime::from_micros(108)));
         // And the small partition still works.
-        let h2 = gpu
-            .launch(
-                qs,
-                KernelDesc::compute("k2", SimDuration::from_micros(28), 28, 0.0),
-                0,
-            )
-            .unwrap();
+        let h2 = put(
+            &mut gpu,
+            qs,
+            KernelDesc::compute("k2", SimDuration::from_micros(28), 28, 0.0),
+            0,
+        );
         run_all(&mut gpu);
         assert_eq!(
             gpu.kernel_finished_at(h2)
@@ -2268,12 +2047,8 @@ mod tests {
         let q1 = gpu.create_queue(ctx).unwrap();
         let q2 = gpu.create_queue(ctx).unwrap();
         // 25 MB at 25 GB/s = 1 ms alone; two concurrent H2Ds share -> 2 ms.
-        let a = gpu
-            .launch(q1, KernelDesc::memcpy_h2d("a", 25_000_000), 0)
-            .unwrap();
-        let b = gpu
-            .launch(q2, KernelDesc::memcpy_h2d("b", 25_000_000), 1)
-            .unwrap();
+        let a = put(&mut gpu, q1, KernelDesc::memcpy_h2d("a", 25_000_000), 0);
+        let b = put(&mut gpu, q2, KernelDesc::memcpy_h2d("b", 25_000_000), 1);
         run_all(&mut gpu);
         assert_eq!(gpu.kernel_finished_at(a), Some(SimTime::from_millis(2)));
         assert_eq!(gpu.kernel_finished_at(b), Some(SimTime::from_millis(2)));
@@ -2285,12 +2060,8 @@ mod tests {
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q1 = gpu.create_queue(ctx).unwrap();
         let q2 = gpu.create_queue(ctx).unwrap();
-        let a = gpu
-            .launch(q1, KernelDesc::memcpy_h2d("a", 25_000_000), 0)
-            .unwrap();
-        let b = gpu
-            .launch(q2, KernelDesc::memcpy_d2h("b", 25_000_000), 1)
-            .unwrap();
+        let a = put(&mut gpu, q1, KernelDesc::memcpy_h2d("a", 25_000_000), 0);
+        let b = put(&mut gpu, q2, KernelDesc::memcpy_d2h("b", 25_000_000), 1);
         run_all(&mut gpu);
         assert_eq!(gpu.kernel_finished_at(a), Some(SimTime::from_millis(1)));
         assert_eq!(gpu.kernel_finished_at(b), Some(SimTime::from_millis(1)));
@@ -2304,20 +2075,18 @@ mod tests {
         let q2 = gpu.create_queue(ctx).unwrap();
         // Two half-GPU kernels (54 SMs each): no SM contention, but both
         // memory-intense -> interference extends both beyond 100 us.
-        let a = gpu
-            .launch(
-                q1,
-                KernelDesc::compute("a", SimDuration::from_micros(100), 54, 0.9),
-                0,
-            )
-            .unwrap();
-        let b = gpu
-            .launch(
-                q2,
-                KernelDesc::compute("b", SimDuration::from_micros(100), 54, 0.9),
-                1,
-            )
-            .unwrap();
+        let a = put(
+            &mut gpu,
+            q1,
+            KernelDesc::compute("a", SimDuration::from_micros(100), 54, 0.9),
+            0,
+        );
+        let b = put(
+            &mut gpu,
+            q2,
+            KernelDesc::compute("b", SimDuration::from_micros(100), 54, 0.9),
+            1,
+        );
         run_all(&mut gpu);
         let fa = gpu.kernel_finished_at(a).unwrap();
         let fb = gpu.kernel_finished_at(b).unwrap();
@@ -2341,20 +2110,18 @@ mod tests {
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q1 = gpu.create_queue(ctx).unwrap();
         let q2 = gpu.create_queue(ctx).unwrap();
-        let a = gpu
-            .launch(
-                q1,
-                KernelDesc::compute("a", SimDuration::from_micros(100), 54, 0.9),
-                0,
-            )
-            .unwrap();
-        let b = gpu
-            .launch(
-                q2,
-                KernelDesc::compute("b", SimDuration::from_micros(100), 54, 0.9),
-                1,
-            )
-            .unwrap();
+        let a = put(
+            &mut gpu,
+            q1,
+            KernelDesc::compute("a", SimDuration::from_micros(100), 54, 0.9),
+            0,
+        );
+        let b = put(
+            &mut gpu,
+            q2,
+            KernelDesc::compute("b", SimDuration::from_micros(100), 54, 0.9),
+            1,
+        );
         run_all(&mut gpu);
         assert_eq!(
             gpu.kernel_finished_at(a),
@@ -2382,8 +2149,8 @@ mod tests {
                 KernelDesc::compute("a", SimDuration::from_micros(100), 54, 0.9).with_demand(da);
             let b =
                 KernelDesc::compute("b", SimDuration::from_micros(100), 54, 0.9).with_demand(db);
-            let a = gpu.launch(q1, a, 0).unwrap();
-            gpu.launch(q2, b, 1).unwrap();
+            let a = put(&mut gpu, q1, a, 0);
+            put(&mut gpu, q2, b, 1);
             run_all(&mut gpu);
             gpu.kernel_finished_at(a).unwrap()
         };
@@ -2416,10 +2183,9 @@ mod tests {
             let ctx = gpu.create_context(CtxKind::Default).unwrap();
             let q1 = gpu.create_queue(ctx).unwrap();
             let q2 = gpu.create_queue(ctx).unwrap();
-            let a = gpu.launch(q1, kernel.clone(), 0).unwrap();
+            let a = put(&mut gpu, q1, kernel.clone(), 0);
             // 5 MB at 25 GB/s = 200 us: the transfer outlives the kernel.
-            gpu.launch(q2, KernelDesc::memcpy_h2d("dma", 5_000_000), 1)
-                .unwrap();
+            put(&mut gpu, q2, KernelDesc::memcpy_h2d("dma", 5_000_000), 1);
             run_all(&mut gpu);
             gpu.kernel_finished_at(a).unwrap()
         };
@@ -2435,20 +2201,18 @@ mod tests {
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q1 = gpu.create_queue(ctx).unwrap();
         let q2 = gpu.create_queue(ctx).unwrap();
-        let a = gpu
-            .launch(
-                q1,
-                KernelDesc::compute("a", SimDuration::from_micros(100), 54, 0.0),
-                0,
-            )
-            .unwrap();
-        let b = gpu
-            .launch(
-                q2,
-                KernelDesc::compute("b", SimDuration::from_micros(100), 54, 0.0),
-                1,
-            )
-            .unwrap();
+        let a = put(
+            &mut gpu,
+            q1,
+            KernelDesc::compute("a", SimDuration::from_micros(100), 54, 0.0),
+            0,
+        );
+        let b = put(
+            &mut gpu,
+            q2,
+            KernelDesc::compute("b", SimDuration::from_micros(100), 54, 0.0),
+            1,
+        );
         run_all(&mut gpu);
         assert_eq!(gpu.kernel_finished_at(a), Some(SimTime::from_micros(100)));
         assert_eq!(gpu.kernel_finished_at(b), Some(SimTime::from_micros(100)));
@@ -2469,12 +2233,12 @@ mod tests {
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
         // A 54-SM kernel for 100us: utilization = 0.5 over its run.
-        gpu.launch(
+        put(
+            &mut gpu,
             q,
             KernelDesc::compute("k", SimDuration::from_micros(100), 54, 0.0),
             0,
-        )
-        .unwrap();
+        );
         let b0 = gpu.busy_sm_seconds();
         run_all(&mut gpu);
         let b1 = gpu.busy_sm_seconds();
@@ -2483,49 +2247,24 @@ mod tests {
     }
 
     #[test]
-    fn timeline_records_segments() {
-        let mut gpu = free_gpu();
-        gpu.enable_timeline();
-        let ctx = gpu.create_context(CtxKind::Default).unwrap();
-        let q = gpu.create_queue(ctx).unwrap();
-        gpu.launch(
-            q,
-            KernelDesc::compute("k", SimDuration::from_micros(10), 108, 0.0),
-            7,
-        )
-        .unwrap();
-        run_all(&mut gpu);
-        let tl = gpu.timeline();
-        assert!(!tl.is_empty());
-        assert_eq!(tl[0].tag, 7);
-        let total: f64 = tl
-            .iter()
-            .map(|s| s.to.duration_since(s.from).as_nanos() as f64)
-            .sum();
-        assert!((total - 10_000.0).abs() < 1.0);
-    }
-
-    #[test]
     fn launch_delayed_stalls_only_its_queue() {
         let mut gpu = free_gpu();
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q1 = gpu.create_queue(ctx).unwrap();
         let q2 = gpu.create_queue(ctx).unwrap();
-        let a = gpu
-            .launch_delayed(
-                q1,
-                KernelDesc::compute("a", SimDuration::from_micros(10), 54, 0.0),
-                0,
-                SimDuration::from_micros(50),
-            )
-            .unwrap();
-        let b = gpu
-            .launch(
-                q2,
-                KernelDesc::compute("b", SimDuration::from_micros(10), 54, 0.0),
-                1,
-            )
-            .unwrap();
+        let a = put_delayed(
+            &mut gpu,
+            q1,
+            KernelDesc::compute("a", SimDuration::from_micros(10), 54, 0.0),
+            0,
+            SimDuration::from_micros(50),
+        );
+        let b = put(
+            &mut gpu,
+            q2,
+            KernelDesc::compute("b", SimDuration::from_micros(10), 54, 0.0),
+            1,
+        );
         run_all(&mut gpu);
         assert_eq!(gpu.kernel_finished_at(b), Some(SimTime::from_micros(10)));
         assert_eq!(gpu.kernel_finished_at(a), Some(SimTime::from_micros(60)));
@@ -2538,13 +2277,12 @@ mod tests {
             .create_context(CtxKind::MpsAffinity { sm_cap: 1 })
             .unwrap();
         let q = gpu.create_queue(ctx).unwrap();
-        let h = gpu
-            .launch(
-                q,
-                KernelDesc::compute("k", SimDuration::from_micros(108), 108, 0.0),
-                0,
-            )
-            .unwrap();
+        let h = put(
+            &mut gpu,
+            q,
+            KernelDesc::compute("k", SimDuration::from_micros(108), 108, 0.0),
+            0,
+        );
         // Advance some; then raise the cap to full and let it finish.
         while gpu.peek_event_time() == Some(SimTime::ZERO) {
             gpu.step();
@@ -2567,23 +2305,26 @@ mod tests {
         let mut gpu = Gpu::a100(); // 3 us per launch
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
-        let group: Vec<(KernelDesc, u64)> = (0..5)
-            .map(|i| {
-                (
-                    KernelDesc::compute(format!("g{i}"), SimDuration::from_micros(10), 108, 0.0),
-                    i,
-                )
-            })
+        let group: Arc<[KernelDesc]> = (0..5)
+            .map(|i| KernelDesc::compute(format!("g{i}"), SimDuration::from_micros(10), 108, 0.0))
             .collect();
-        let handles = gpu.launch_graph(q, group).unwrap();
-        run_all(&mut gpu);
+        let table = gpu.register_kernel_table(group);
+        // An empty range charges the host nothing.
+        gpu.launch_graph(q, table, 2..2, |_| 0).unwrap();
+        assert_eq!(gpu.host_free_at(), SimTime::ZERO);
+        gpu.launch_graph(q, table, 0..5, |i| i as u64).unwrap();
+        assert_eq!(gpu.host_free_at(), SimTime::from_micros(3));
+        let mut out = Vec::new();
+        gpu.drain_outputs_into(&mut out);
         // One 3 us launch + 5 x 10 us sequential kernels = 53 us, instead
         // of 5 launches costing 15 us of host time.
-        assert_eq!(
-            gpu.kernel_finished_at(*handles.last().unwrap()),
-            Some(SimTime::from_micros(53))
-        );
-        assert!(gpu.launch_graph(q, Vec::new()).unwrap().is_empty());
+        let last = out.last().unwrap();
+        assert_eq!(last.0, SimTime::from_micros(53));
+        assert!(matches!(last.1, StepOutput::KernelDone { tag: 4, .. }));
+        // A range past the table's end is refused before any host charge.
+        let err = gpu.launch_graph(q, table, 4..6, |_| 0).unwrap_err();
+        assert_eq!(err, GpuError::InvalidOperation("kernel index out of table"));
+        assert_eq!(gpu.host_free_at(), SimTime::from_micros(53));
     }
 
     #[test]
@@ -2617,13 +2358,12 @@ mod tests {
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
         for i in 0..1000u64 {
-            let h = gpu
-                .launch(
-                    q,
-                    KernelDesc::compute("k", SimDuration::from_micros(1), 108, 0.0),
-                    i,
-                )
-                .unwrap();
+            let h = put(
+                &mut gpu,
+                q,
+                KernelDesc::compute("k", SimDuration::from_micros(1), 108, 0.0),
+                i,
+            );
             let done = run_all(&mut gpu);
             assert_eq!(done.len(), 1);
             assert_eq!(done[0].1, h, "completion reports the launch handle");
@@ -2644,16 +2384,15 @@ mod tests {
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
         let k = || KernelDesc::compute("k", SimDuration::from_micros(1), 108, 0.0);
-        let first = gpu.launch(q, k(), 0).unwrap();
+        let first = put(&mut gpu, q, k(), 0);
         run_all(&mut gpu);
-        let second = gpu.launch(q, k(), 1).unwrap();
+        let second = put(&mut gpu, q, k(), 1);
         // The slot is reused but the generation differs: the old handle
         // must not observe the new occupant.
         assert_ne!(first, second);
         assert_eq!(gpu.kernel_state(first), InstState::Done);
         assert_eq!(gpu.kernel_started_at(first), None);
         assert_eq!(gpu.kernel_finished_at(first), None);
-        assert_eq!(gpu.kernel_name(first), "<recycled>");
         run_all(&mut gpu);
         assert!(gpu.is_device_idle());
     }
@@ -2665,56 +2404,12 @@ mod tests {
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
         let k = || KernelDesc::compute("k", SimDuration::from_micros(1), 108, 0.0);
-        let handles: Vec<_> = (0..5).map(|i| gpu.launch(q, k(), i).unwrap()).collect();
+        let handles: Vec<_> = (0..5).map(|i| put(&mut gpu, q, k(), i)).collect();
         gpu.drain();
         for h in handles {
             assert!(gpu.kernel_finished_at(h).is_some());
         }
         assert_eq!(gpu.instance_slots(), 5);
-    }
-
-    #[test]
-    fn timeline_coalesces_unchanged_allocations() {
-        // Two capped kernels on separate contexts: B's arrival settles A
-        // mid-flight, but A's SM share is unchanged, so A's timeline stays
-        // a single segment instead of splitting at the boundary.
-        let mut gpu = free_gpu();
-        gpu.enable_timeline();
-        let ca = gpu
-            .create_context(CtxKind::MpsAffinity { sm_cap: 54 })
-            .unwrap();
-        let cb = gpu
-            .create_context(CtxKind::MpsAffinity { sm_cap: 54 })
-            .unwrap();
-        let qa = gpu.create_queue(ca).unwrap();
-        let qb = gpu.create_queue(cb).unwrap();
-        let a = gpu
-            .launch(
-                qa,
-                KernelDesc::compute("a", SimDuration::from_micros(100), 54, 0.0),
-                0,
-            )
-            .unwrap();
-        gpu.step(); // A arrives and starts.
-        gpu.advance_to(SimTime::from_micros(10));
-        gpu.launch(
-            qb,
-            KernelDesc::compute("b", SimDuration::from_micros(50), 54, 0.0),
-            1,
-        )
-        .unwrap();
-        run_all(&mut gpu);
-        let a_segs: Vec<_> = gpu.timeline().iter().filter(|s| s.handle == a).collect();
-        assert_eq!(
-            a_segs.len(),
-            1,
-            "abutting equal-allocation segments must merge: {a_segs:?}"
-        );
-        assert_eq!(a_segs[0].sms, 54.0);
-        assert_eq!(
-            a_segs[0].to.duration_since(a_segs[0].from),
-            SimDuration::from_micros(100)
-        );
     }
 
     // ------------------------------------------------------------------
@@ -2730,17 +2425,22 @@ mod tests {
         gpu.set_fault_plan(FaultPlan::none());
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
-        let h = gpu
-            .launch(
-                q,
-                KernelDesc::compute("k", SimDuration::from_micros(100), 108, 0.2),
-                encode_tag(0, 0),
-            )
-            .unwrap();
+        let h = put(
+            &mut gpu,
+            q,
+            KernelDesc::compute("k", SimDuration::from_micros(100), 108, 0.2),
+            encode_tag(0, 0),
+        );
         run_all(&mut gpu);
         assert_eq!(gpu.kernel_finished_at(h), Some(SimTime::from_micros(100)));
         assert_eq!(gpu.fault_counters(), FaultCounters::default());
-        assert!(gpu.take_failed().is_empty());
+        let mut failed = vec![FailedKernel {
+            handle: KernelHandle(9),
+            queue: q,
+            tag: 9,
+        }];
+        gpu.take_failed_into(&mut failed);
+        assert!(failed.is_empty());
     }
 
     #[test]
@@ -2755,13 +2455,12 @@ mod tests {
         gpu.set_fault_plan(FaultPlan::build(42, &spec));
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
-        let h = gpu
-            .launch(
-                q,
-                KernelDesc::compute("k", SimDuration::from_micros(100), 108, 0.0),
-                encode_tag(0, 0),
-            )
-            .unwrap();
+        let h = put(
+            &mut gpu,
+            q,
+            KernelDesc::compute("k", SimDuration::from_micros(100), 108, 0.0),
+            encode_tag(0, 0),
+        );
         run_all(&mut gpu);
         assert_eq!(gpu.kernel_finished_at(h), Some(SimTime::from_micros(200)));
         assert_eq!(gpu.fault_counters().stragglers, 1);
@@ -2780,13 +2479,12 @@ mod tests {
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
         for k in 0..3u64 {
-            let h = gpu
-                .launch(
-                    q,
-                    KernelDesc::compute("k", SimDuration::from_micros(100), 108, 0.0),
-                    encode_tag(0, k as usize),
-                )
-                .unwrap();
+            let h = put(
+                &mut gpu,
+                q,
+                KernelDesc::compute("k", SimDuration::from_micros(100), 108, 0.0),
+                encode_tag(0, k as usize),
+            );
             run_all(&mut gpu);
             let took = gpu
                 .kernel_finished_at(h)
@@ -2816,19 +2514,15 @@ mod tests {
         let qo = gpu.create_queue(ctx).unwrap();
         // Victim: one running + one queued kernel at crash time.
         let k = |us| KernelDesc::compute("k", SimDuration::from_micros(us), 54, 0.0);
-        let v1 = gpu
-            .launch(qv, k(100), encode_tag(victim as usize, 0))
-            .unwrap();
-        let v2 = gpu
-            .launch(qv, k(100), encode_tag(victim as usize, 1))
-            .unwrap();
-        let o1 = gpu
-            .launch(qo, k(100), encode_tag(other as usize, 0))
-            .unwrap();
+        let v1 = put(&mut gpu, qv, k(100), encode_tag(victim as usize, 0));
+        let v2 = put(&mut gpu, qv, k(100), encode_tag(victim as usize, 1));
+        let o1 = put(&mut gpu, qo, k(100), encode_tag(other as usize, 0));
         let mut crash_seen = None;
         while !gpu.events.is_empty() {
             if let Some(StepOutput::ContextCrash { app }) = gpu.step() {
-                crash_seen = Some((app, gpu.now(), gpu.take_failed()));
+                let mut failed = Vec::new();
+                gpu.take_failed_into(&mut failed);
+                crash_seen = Some((app, gpu.now(), failed));
             }
         }
         let (app, at, failed) = crash_seen.expect("crash must fire");
@@ -2844,9 +2538,7 @@ mod tests {
         assert_eq!((c.crashes, c.kernels_failed), (1, 2));
         assert!(gpu.is_device_idle());
         // Failed kernels can be re-submitted and then complete normally.
-        let retry = gpu
-            .launch(qv, k(100), encode_tag(victim as usize, 0))
-            .unwrap();
+        let retry = put(&mut gpu, qv, k(100), encode_tag(victim as usize, 0));
         run_all(&mut gpu);
         assert_eq!(gpu.kernel_state(retry), InstState::Done);
     }
@@ -2863,13 +2555,12 @@ mod tests {
         gpu.set_fault_plan(FaultPlan::build(0, &spec));
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
-        let h = gpu
-            .launch(
-                q,
-                KernelDesc::compute("k", SimDuration::from_micros(10), 108, 0.0),
-                encode_tag(0, 0),
-            )
-            .unwrap();
+        let h = put(
+            &mut gpu,
+            q,
+            KernelDesc::compute("k", SimDuration::from_micros(10), 108, 0.0),
+            encode_tag(0, 0),
+        );
         run_all(&mut gpu);
         // Crash at 1 ns < 3 us arrival: the launch never reaches its queue.
         assert_eq!(gpu.kernel_state(h), InstState::Failed);
@@ -2892,9 +2583,12 @@ mod tests {
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
         // 25 MB at 25 GB/s = 1 ms alone; divided by 4 -> 4 ms.
-        let h = gpu
-            .launch(q, KernelDesc::memcpy_h2d("c", 25_000_000), encode_tag(0, 0))
-            .unwrap();
+        let h = put(
+            &mut gpu,
+            q,
+            KernelDesc::memcpy_h2d("c", 25_000_000),
+            encode_tag(0, 0),
+        );
         run_all(&mut gpu);
         assert_eq!(gpu.kernel_finished_at(h), Some(SimTime::from_millis(4)));
         assert_eq!(gpu.fault_counters().dma_stalls, 1);
@@ -2916,15 +2610,18 @@ mod tests {
         let q = gpu.create_queue(ctx).unwrap();
         // 1 ms of copy: 500 us at half speed moves 250 us' worth, the
         // remaining 750 us' worth at full speed -> 1.25 ms total.
-        let h = gpu
-            .launch(q, KernelDesc::memcpy_h2d("c", 25_000_000), encode_tag(0, 0))
-            .unwrap();
+        let h = put(
+            &mut gpu,
+            q,
+            KernelDesc::memcpy_h2d("c", 25_000_000),
+            encode_tag(0, 0),
+        );
         run_all(&mut gpu);
         assert_eq!(gpu.kernel_finished_at(h), Some(SimTime::from_micros(1250)));
     }
 
     // ------------------------------------------------------------------
-    // Lone-kernel allocation and descriptor-free instances
+    // Lone-kernel allocation
     // ------------------------------------------------------------------
 
     /// The closed form must equal `sticky_allocate` bit for bit on every
@@ -2975,7 +2672,7 @@ mod tests {
             let q = gpu.create_queue(ctx).unwrap();
             let max_sms = rng.range_inclusive(1, n as u64 + 20) as u32;
             let k = KernelDesc::compute("k", SimDuration::from_micros(50), max_sms, 0.3);
-            let slot = gpu.launch(q, k, 0).unwrap().0 as usize;
+            let slot = put(&mut gpu, q, k, 0).0 as usize;
             gpu.step(); // Arrive: the kernel starts running.
             assert_eq!(gpu.instances[slot].state, InstState::Running);
             if let CtxKind::MpsAffinity { .. } = kind {
@@ -3011,32 +2708,5 @@ mod tests {
         }
         // The generator reaches the start threshold's refusal branch.
         assert!(zero_grants > 100, "only {zero_grants} refused starts");
-    }
-
-    #[test]
-    fn kernel_name_is_the_same_for_table_and_by_value_launches() {
-        let mut gpu = free_gpu();
-        let ctx = gpu.create_context(CtxKind::Default).unwrap();
-        let q = gpu.create_queue(ctx).unwrap();
-        let descs: Arc<[KernelDesc]> = Arc::from(vec![
-            KernelDesc::compute("conv2d_3", SimDuration::from_micros(10), 54, 0.2),
-            KernelDesc::memcpy_d2h("logits", 4096),
-        ]);
-        let table = gpu.register_kernel_table(descs.clone());
-        for (i, desc) in descs.iter().enumerate() {
-            let by_table = gpu.launch_table(q, table, i, 0).unwrap();
-            let by_value = gpu.launch(q, desc.clone(), 0).unwrap();
-            assert_eq!(gpu.kernel_name(by_table), &*desc.name);
-            assert_eq!(gpu.kernel_name(by_value), &*desc.name);
-        }
-        gpu.launch_table_graph(q, table, 0..2, |_| 0).unwrap();
-        let graph = gpu.launch_graph(q, descs.iter().map(|d| (d.clone(), 0)).collect());
-        for (i, h) in graph.unwrap().into_iter().enumerate() {
-            // Recycling is off, so handles are slot indices: the table
-            // graph took the two slots just before this one.
-            let from_table = KernelHandle(h.0 - 2);
-            assert_eq!(gpu.kernel_name(h), gpu.kernel_name(from_table));
-            assert_eq!(gpu.kernel_name(h), &*descs[i].name);
-        }
     }
 }

@@ -21,11 +21,9 @@ use crate::channel::{Channel, ChannelDemand};
 
 /// Identifier of a kernel table registered with
 /// [`crate::Gpu::register_kernel_table`]: an interned `Arc<[KernelDesc]>`
-/// (typically one application's profiled kernel sequence) that launch
-/// calls reference by `(table, index)` instead of passing descriptors by
-/// value. This keeps the steady-state launch path free of descriptor
-/// clones and of the per-group `Vec` that [`crate::Gpu::launch_graph`]
-/// requires.
+/// (typically one application's profiled kernel sequence) that every
+/// launch references by `(table, index)`, so the launch path clones no
+/// descriptor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct KernelTableId(pub u32);
 

@@ -24,14 +24,19 @@
 //! # Example
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use gpu_sim::{CtxKind, Gpu, KernelDesc};
 //! use sim_core::SimDuration;
 //!
 //! let mut gpu = Gpu::a100();
 //! let ctx = gpu.create_context(CtxKind::MpsAffinity { sm_cap: 54 }).unwrap();
 //! let queue = gpu.create_queue(ctx).unwrap();
-//! let kernel = KernelDesc::compute("conv", SimDuration::from_micros(120), 80, 0.3);
-//! gpu.launch(queue, kernel, 0).unwrap();
+//! // Kernels launch by index from a registered table.
+//! let kernels: Arc<[KernelDesc]> =
+//!     Arc::from([KernelDesc::compute("conv", SimDuration::from_micros(120), 80, 0.3)]);
+//! let table = gpu.register_kernel_table(kernels);
+//! gpu.launch(queue, table, 0, 0).unwrap();
 //! while gpu.step().is_some() || gpu.peek_event_time().is_some() {}
 //! assert!(gpu.is_device_idle());
 //! ```
@@ -46,7 +51,7 @@ pub mod spec;
 pub use channel::{Channel, ChannelDemand, ChannelModel, ChannelParams, NUM_CHANNELS};
 pub use engine::{
     CtxId, CtxKind, DeviceCheckpoint, FailedKernel, FaultCounters, Gpu, GpuError, InstState,
-    KernelHandle, QueueId, StepOutput, TimelineSegment,
+    KernelHandle, QueueId, StepOutput,
 };
 pub use kernel::{KernelDesc, KernelKind, KernelTableId};
 pub use sim::{
@@ -57,4 +62,4 @@ pub use spec::{GpuSpec, HostCosts, HwPolicy};
 
 // Trace-stream types, re-exported so drivers and harnesses can attach
 // sinks without naming `sim_core` directly.
-pub use sim_core::trace::{BufferSink, JsonlSink, RingSink, TraceEvent, TraceSink};
+pub use sim_core::trace::{BufferSink, TraceEvent, TraceSink};

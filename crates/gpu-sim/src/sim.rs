@@ -304,13 +304,14 @@ impl<D: HostDriver> Simulation<D> {
 mod tests {
     use super::*;
     use crate::engine::{CtxKind, QueueId};
-    use crate::kernel::KernelDesc;
+    use crate::kernel::{KernelDesc, KernelTableId};
     use crate::spec::{GpuSpec, HostCosts};
     use sim_core::SimDuration;
 
     /// Launches one 10 µs kernel per request and records completions.
     struct OneShot {
-        queue: Option<QueueId>,
+        /// The queue and the one-kernel table, set up in `on_start`.
+        queue: Option<(QueueId, KernelTableId)>,
         completions: Vec<(usize, SimTime)>,
         tags: Vec<usize>,
     }
@@ -318,13 +319,14 @@ mod tests {
     impl HostDriver for OneShot {
         fn on_start(&mut self, gpu: &mut Gpu) {
             let ctx = gpu.create_context(CtxKind::Default).unwrap();
-            self.queue = Some(gpu.create_queue(ctx).unwrap());
+            let k = KernelDesc::compute("req", SimDuration::from_micros(10), 108, 0.0);
+            let table = gpu.register_kernel_table(std::sync::Arc::from([k]));
+            self.queue = Some((gpu.create_queue(ctx).unwrap(), table));
         }
 
         fn on_request(&mut self, gpu: &mut Gpu, req: RequestArrival) {
-            let q = self.queue.unwrap();
-            let k = KernelDesc::compute("req", SimDuration::from_micros(10), 108, 0.0);
-            gpu.launch(q, k, req.app as u64).unwrap();
+            let (q, table) = self.queue.unwrap();
+            gpu.launch(q, table, 0, req.app as u64).unwrap();
             self.tags.push(req.app);
         }
 

@@ -131,8 +131,9 @@ fn build_gpu(plan: &Plan, spec: GpuSpec, layout: Layout, sink: Option<BufferSink
         .collect();
     for (q, kernels) in plan.queues.iter().enumerate() {
         let qid = gpu.create_queue(ctxs[q % ctxs.len()]).expect("queue");
-        for (desc, tag, extra) in kernels {
-            gpu.launch_delayed(qid, desc.clone(), *tag, *extra)
+        let table = gpu.register_kernel_table(kernels.iter().map(|(d, _, _)| d.clone()).collect());
+        for (i, (_, tag, extra)) in kernels.iter().enumerate() {
+            gpu.launch_delayed(qid, table, i, *tag, *extra)
                 .expect("launch");
         }
     }

@@ -3,9 +3,21 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
-use gpu_sim::{CtxKind, Gpu, GpuSpec, HostCosts, HwPolicy, KernelDesc};
+use std::sync::Arc;
+
+use gpu_sim::{CtxKind, Gpu, GpuSpec, HostCosts, HwPolicy, KernelDesc, KernelHandle, QueueId};
 use proptest::prelude::*;
 use sim_core::{SimDuration, SimTime};
+
+/// Registers `kernels` as one table and launches all of it into `q`,
+/// tagging kernel `i` with `base + i`.
+fn launch_all(gpu: &mut Gpu, q: QueueId, kernels: Vec<KernelDesc>, base: u64) -> Vec<KernelHandle> {
+    let n = kernels.len();
+    let table = gpu.register_kernel_table(Arc::from(kernels));
+    (0..n)
+        .map(|i| gpu.launch(q, table, i, base + i as u64).unwrap())
+        .collect()
+}
 
 /// A random compute kernel description.
 fn arb_kernel() -> impl Strategy<Value = (u64, u32, f64)> {
@@ -30,10 +42,14 @@ fn run_mix(
                 .unwrap(),
         };
         let q = gpu.create_queue(ctx).unwrap();
-        for (i, &(us, sms, mem)) in ks.iter().enumerate() {
-            let k = KernelDesc::compute(format!("k{i}"), SimDuration::from_micros(us), sms, mem);
-            handles.push(gpu.launch(q, k, i as u64).unwrap());
-        }
+        let descs = ks
+            .iter()
+            .enumerate()
+            .map(|(i, &(us, sms, mem))| {
+                KernelDesc::compute(format!("k{i}"), SimDuration::from_micros(us), sms, mem)
+            })
+            .collect();
+        handles.extend(launch_all(&mut gpu, q, descs, 0));
     }
     gpu.drain();
     (gpu, handles)
@@ -134,8 +150,8 @@ proptest! {
         let qa = gpu.create_queue(ca).unwrap();
         let qb = gpu.create_queue(cb).unwrap();
         let k = |n: &str| KernelDesc::compute(n, SimDuration::from_micros(us), 108, 0.0);
-        let ha = gpu.launch(qa, k("a"), 0).unwrap();
-        let hb = gpu.launch(qb, k("b"), 1).unwrap();
+        let ha = launch_all(&mut gpu, qa, vec![k("a")], 0)[0];
+        let hb = launch_all(&mut gpu, qb, vec![k("b")], 1)[0];
         gpu.drain();
         // Each kernel's duration = work / partition size, exactly.
         let expect = |sms: u32| {
@@ -174,14 +190,11 @@ proptest! {
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
         let launch = |gpu: &mut Gpu, ks: &[(u64, u32, f64)], base: u64| {
-            ks.iter()
-                .enumerate()
-                .map(|(i, &(us, sms, mem))| {
-                    let k = KernelDesc::compute(
-                        "k", SimDuration::from_micros(us), sms, mem);
-                    gpu.launch(q, k, base + i as u64).unwrap()
-                })
-                .collect::<Vec<_>>()
+            let descs = ks
+                .iter()
+                .map(|&(us, sms, mem)| KernelDesc::compute("k", SimDuration::from_micros(us), sms, mem))
+                .collect();
+            launch_all(gpu, q, descs, base)
         };
         let h1 = launch(&mut gpu, &first, 0);
         gpu.drain();
@@ -215,41 +228,42 @@ proptest! {
         }
     }
 
-    /// `drain_notices_into` must observe exactly what `drain_notices`
-    /// returns, across interleaved posts and drains, and leave the GPU's
-    /// internal buffer empty just the same.
+    /// `drain_notices_into` yields exactly the notices posted since the
+    /// previous drain, in posting order, across interleaved posts and
+    /// drains, and clears both its buffer and the GPU's.
     #[test]
     fn prop_drain_notices_into_matches_return(
         ops in proptest::collection::vec(
             proptest::option::of(any::<u64>()), 1..64),
     ) {
-        // `Some(n)` posts notice n; `None` drains (both ways) and compares.
-        let mk = || Gpu::new(GpuSpec::a100(), HostCosts::free());
-        let (mut a, mut b) = (mk(), mk());
-        let mut buf = Vec::new();
+        // `Some(n)` posts notice n; `None` drains and compares.
+        let mut gpu = Gpu::new(GpuSpec::a100(), HostCosts::free());
+        let mut posted = Vec::new();
+        // Pre-seed garbage to prove the buffer is cleared first.
+        let mut buf = vec![u64::MAX];
         for op in &ops {
             match op {
                 Some(n) => {
-                    a.post_notice(*n);
-                    b.post_notice(*n);
+                    gpu.post_notice(*n);
+                    posted.push(*n);
                 }
                 None => {
-                    let returned = a.drain_notices();
-                    b.drain_notices_into(&mut buf);
-                    prop_assert_eq!(&returned, &buf);
+                    gpu.drain_notices_into(&mut buf);
+                    prop_assert_eq!(&posted, &buf);
+                    posted.clear();
                 }
             }
         }
-        let returned = a.drain_notices();
-        b.drain_notices_into(&mut buf);
-        prop_assert_eq!(&returned, &buf);
-        // Both drained: a second drain of either flavour is empty.
-        b.drain_notices_into(&mut buf);
-        prop_assert!(buf.is_empty() && a.drain_notices().is_empty());
+        gpu.drain_notices_into(&mut buf);
+        prop_assert_eq!(&posted, &buf);
+        // Drained: a second drain comes back empty.
+        gpu.drain_notices_into(&mut buf);
+        prop_assert!(buf.is_empty());
     }
 
-    /// `take_failed_into` must report exactly the casualties that
-    /// `take_failed` returns for an identical crash scenario.
+    /// `take_failed_into` reports every casualty of a crash exactly once:
+    /// as many as `fault_counters().kernels_failed`, each a distinct
+    /// launched kernel of the crashed queue, now `Failed`.
     #[test]
     fn prop_take_failed_into_matches_return(
         seed in any::<u64>(),
@@ -263,32 +277,36 @@ proptest! {
             crash_window: (SimTime::from_micros(crash_us), SimTime::from_micros(crash_us)),
             ..FaultSpec::default()
         };
-        let run = |mut gpu: Gpu| -> Gpu {
-            gpu.set_fault_plan(FaultPlan::build(seed, &spec));
-            let ctx = gpu.create_context(CtxKind::Default).unwrap();
-            let q = gpu.create_queue(ctx).unwrap();
-            for (i, &(us, sms, mem)) in kernels.iter().enumerate() {
-                let k = KernelDesc::compute(
-                    "k", SimDuration::from_micros(us), sms, mem);
-                // Tag app 0 in the low bits so the crash plan targets it.
-                gpu.launch(q, k, (i as u64) << 20).unwrap();
-            }
-            gpu.drain();
-            gpu
-        };
-        let mut a = run(Gpu::new(GpuSpec::a100(), HostCosts::free()));
-        let mut b = run(Gpu::new(GpuSpec::a100(), HostCosts::free()));
-        let returned = a.take_failed();
+        let mut gpu = Gpu::new(GpuSpec::a100(), HostCosts::free());
+        gpu.set_fault_plan(FaultPlan::build(seed, &spec));
+        let ctx = gpu.create_context(CtxKind::Default).unwrap();
+        let q = gpu.create_queue(ctx).unwrap();
+        let descs = kernels
+            .iter()
+            .map(|&(us, sms, mem)| KernelDesc::compute("k", SimDuration::from_micros(us), sms, mem))
+            .collect::<Vec<_>>();
+        let table = gpu.register_kernel_table(Arc::from(descs));
+        // Tag app 0 in the low bits so the crash plan targets it.
+        let launched: Vec<_> = (0..kernels.len())
+            .map(|i| (gpu.launch(q, table, i, (i as u64) << 20).unwrap(), (i as u64) << 20))
+            .collect();
+        gpu.drain();
         let mut buf = vec![gpu_sim::FailedKernel {
             // Pre-seed garbage to prove the buffer is cleared first.
-            handle: gpu_sim::KernelHandle(u64::MAX),
-            queue: gpu_sim::QueueId(u32::MAX),
+            handle: KernelHandle(u64::MAX),
+            queue: QueueId(u32::MAX),
             tag: u64::MAX,
         }];
-        b.take_failed_into(&mut buf);
-        prop_assert_eq!(&returned, &buf);
-        // Drained: both flavours come back empty afterwards.
-        b.take_failed_into(&mut buf);
-        prop_assert!(buf.is_empty() && a.take_failed().is_empty());
+        gpu.take_failed_into(&mut buf);
+        prop_assert_eq!(buf.len() as u64, gpu.fault_counters().kernels_failed);
+        for (i, f) in buf.iter().enumerate() {
+            prop_assert!(launched.contains(&(f.handle, f.tag)), "{:?} was never launched", f);
+            prop_assert_eq!(f.queue, q);
+            prop_assert_eq!(gpu.kernel_state(f.handle), gpu_sim::InstState::Failed);
+            prop_assert!(buf[..i].iter().all(|g| g.handle != f.handle), "{:?} reported twice", f);
+        }
+        // Drained: a second call comes back empty.
+        gpu.take_failed_into(&mut buf);
+        prop_assert!(buf.is_empty());
     }
 }

@@ -52,7 +52,8 @@ pub fn run() -> Vec<Table> {
         let cfg = ExecConfig::Sp {
             partitions: parts.clone(),
         };
-        let predicted = predict_interference_free(&squad, &apps, &parts).as_millis_f64();
+        let predicted =
+            predict_interference_free(&squad, &apps, &parts, &spec.channel_model).as_millis_f64();
         let actual = run_squad(&squad, &apps, &spec, SquadScheme::Sp, &cfg).as_millis_f64();
         upd(&mut best_pred, &label, predicted);
         upd(&mut best_actual, &label, actual);
@@ -63,7 +64,8 @@ pub fn run() -> Vec<Table> {
             "interference-free".to_string(),
         ]);
     }
-    let nsp_pred = predict_workload_equivalence(&squad, &apps, spec.num_sms).as_millis_f64();
+    let nsp_pred = predict_workload_equivalence(&squad, &apps, spec.num_sms, &spec.channel_model)
+        .as_millis_f64();
     let nsp_actual =
         run_squad(&squad, &apps, &spec, SquadScheme::Nsp, &ExecConfig::Nsp).as_millis_f64();
     upd(&mut best_pred, "NSP", nsp_pred);

@@ -28,7 +28,7 @@ fn pair_durations(a: ModelKind, b: ModelKind, kernels_each: usize) -> (f64, f64,
         DeployedApp::new(cache::profile(b, Phase::Inference, &spec), 0.5, None),
     ];
     let squad = slice_squad(&apps, &[1, 1], &[kernels_each, kernels_each]);
-    let choice = determine_config(&squad, &apps, spec.num_sms);
+    let choice = determine_config(&squad, &apps, spec.num_sms, &spec.channel_model);
     let sp_cfg = match &choice.config {
         c @ ExecConfig::Sp { .. } => c.clone(),
         // If NSP predicted best, use the best strict split found by a
@@ -37,7 +37,9 @@ fn pair_durations(a: ModelKind, b: ModelKind, kernels_each: usize) -> (f64, f64,
             let mut best = (vec![9u32, 9u32], f64::MAX);
             for p in 1..=17u32 {
                 let parts = vec![p, 18 - p];
-                let d = bless::predict_interference_free(&squad, &apps, &parts).as_millis_f64();
+                let d =
+                    bless::predict_interference_free(&squad, &apps, &parts, &spec.channel_model)
+                        .as_millis_f64();
                 if d < best.1 {
                     best = (parts, d);
                 }

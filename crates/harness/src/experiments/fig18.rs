@@ -21,8 +21,9 @@ use crate::gantt;
 use crate::runner::{run_custom, run_system, System};
 use workloads::{ArrivalPattern, TenantSpec, WorkloadSet};
 
-/// Runs the 70/30 two-R50 scenario with timeline recording and returns
-/// the driver plus an ASCII Gantt of the SM occupancy.
+/// Runs the 70/30 two-R50 scenario with a trace sink installed and returns
+/// the driver plus an ASCII Gantt of the SM occupancy built from the
+/// trace.
 pub fn squad_trace_with_gantt() -> (BlessDriver, String) {
     let spec = GpuSpec::a100();
     let apps = vec![
@@ -40,7 +41,8 @@ pub fn squad_trace_with_gantt() -> (BlessDriver, String) {
     let mut driver = BlessDriver::new(apps, BlessParams::default());
     driver.record_squads = true;
     let mut gpu = gpu_sim::Gpu::new(spec.clone(), gpu_sim::HostCosts::paper());
-    gpu.enable_timeline();
+    let trace = gpu_sim::BufferSink::new();
+    gpu.set_trace_sink(Box::new(trace.clone()));
     let arrivals = vec![
         gpu_sim::RequestArrival {
             app: 0,
@@ -57,7 +59,7 @@ pub fn squad_trace_with_gantt() -> (BlessDriver, String) {
     sim.run(SimTime::from_secs(10));
     let end = sim.gpu.now();
     let chart = gantt::render(
-        sim.gpu.timeline(),
+        &trace.take(),
         &[(0, "req1 (70%)"), (1, "req2 (30%)")],
         spec.num_sms,
         SimTime::ZERO,

@@ -142,7 +142,7 @@ fn split_ratio_curve(ratios: &[f64], kernels_each: usize) -> Vec<f64> {
             DeployedApp::new(cache::profile(b, Phase::Inference, &spec), 0.5, None),
         ];
         let squad = slice_squad(&apps, &[1, 1], &[kernels_each, kernels_each]);
-        let choice = determine_config(&squad, &apps, spec.num_sms);
+        let choice = determine_config(&squad, &apps, spec.num_sms, &spec.channel_model);
         let cfg = match &choice.config {
             c @ ExecConfig::Sp { .. } => c.clone(),
             ExecConfig::Nsp => ExecConfig::Sp {

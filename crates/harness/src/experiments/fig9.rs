@@ -7,6 +7,8 @@
 //! (b) application-level slowdown when co-locating mutual pairs of
 //! ResNet-50, VGG-11, AlexNet, and BERT — the paper measures ≈7% average.
 
+use std::sync::Arc;
+
 use dnn_models::micro;
 use dnn_models::{ModelKind, Phase};
 use gpu_sim::{Channel, ChannelDemand, CtxKind, Gpu, GpuSpec, HostCosts};
@@ -25,14 +27,13 @@ fn kernel_slowdown(victim_mem: f64, aggressor_mem: f64, spec: &GpuSpec) -> f64 {
     let q2 = crate::require_ok(gpu.create_queue(ctx), "create queue");
     let base = SimDuration::from_micros(500);
     let half = spec.num_sms / 2;
-    let v = crate::require_ok(
-        gpu.launch(q1, micro::victim(base, half, victim_mem), 0),
-        "launch",
-    );
-    crate::require_ok(
-        gpu.launch(q2, micro::aggressor(half, aggressor_mem), 1),
-        "launch",
-    );
+    let pair = [
+        micro::victim(base, half, victim_mem),
+        micro::aggressor(half, aggressor_mem),
+    ];
+    let table = gpu.register_kernel_table(Arc::from(pair));
+    let v = crate::require_ok(gpu.launch(q1, table, 0, 0), "launch");
+    crate::require_ok(gpu.launch(q2, table, 1, 1), "launch");
     while gpu.kernel_finished_at(v).is_none() {
         if gpu.step().is_none() && gpu.peek_event_time().is_none() {
             break;
@@ -79,14 +80,13 @@ pub fn channel_kernel_slowdown(
     let q2 = crate::require_ok(gpu.create_queue(ctx), "create queue");
     let base = SimDuration::from_micros(500);
     let half = spec.num_sms / 2;
-    let v = crate::require_ok(
-        gpu.launch(q1, micro::channel_victim(base, half, victim), 0),
-        "launch",
-    );
-    crate::require_ok(
-        gpu.launch(q2, micro::channel_aggressor(half, aggressor), 1),
-        "launch",
-    );
+    let pair = [
+        micro::channel_victim(base, half, victim),
+        micro::channel_aggressor(half, aggressor),
+    ];
+    let table = gpu.register_kernel_table(Arc::from(pair));
+    let v = crate::require_ok(gpu.launch(q1, table, 0, 0), "launch");
+    crate::require_ok(gpu.launch(q2, table, 1, 1), "launch");
     while gpu.kernel_finished_at(v).is_none() {
         if gpu.step().is_none() && gpu.peek_event_time().is_none() {
             break;

@@ -66,11 +66,13 @@ fn measure(samples: usize, hit_samples: usize) -> (f64, f64, f64) {
         let cfg = ExecConfig::Sp {
             partitions: parts.clone(),
         };
-        let if_pred = predict_interference_free(&squad, &apps, &parts).as_nanos() as f64;
+        let if_pred =
+            predict_interference_free(&squad, &apps, &parts, &spec.channel_model).as_nanos() as f64;
         let if_act = run_squad(&squad, &apps, &spec, SquadScheme::Sp, &cfg).as_nanos() as f64;
         if_err += (if_pred - if_act).abs() / if_act;
 
-        let we_pred = predict_workload_equivalence(&squad, &apps, spec.num_sms).as_nanos() as f64;
+        let we_pred = predict_workload_equivalence(&squad, &apps, spec.num_sms, &spec.channel_model)
+            .as_nanos() as f64;
         let we_act =
             run_squad(&squad, &apps, &spec, SquadScheme::Nsp, &ExecConfig::Nsp).as_nanos() as f64;
         we_err += (we_pred - we_act).abs() / we_act;
@@ -84,7 +86,7 @@ fn measure(samples: usize, hit_samples: usize) -> (f64, f64, f64) {
     for _ in 0..hit_samples {
         let apps = sample_apps(&mut rng, &spec);
         let squad = sample_squad(&mut rng, &apps);
-        let choice = determine_config(&squad, &apps, spec.num_sms);
+        let choice = determine_config(&squad, &apps, spec.num_sms, &spec.channel_model);
         let mut best_actual = f64::MAX;
         let mut actual_of_choice = f64::MAX;
         for p in 1..=17u32 {

@@ -39,6 +39,11 @@ pub fn run_squad(
     config: &ExecConfig,
 ) -> SimDuration {
     let mut gpu = Gpu::new(spec.clone(), HostCosts::paper());
+    // Each app's profiled kernels, launched by index.
+    let tables: Vec<_> = apps
+        .iter()
+        .map(|a| gpu.register_kernel_table(a.profile.kernels.clone()))
+        .collect();
     let num_sms = spec.num_sms;
     let mut all_handles: Vec<KernelHandle> = Vec::new();
     // (queue to re-launch tail on, tail kernels, handles of head) per entry.
@@ -51,8 +56,8 @@ pub fn run_squad(
             let q = require_ok(gpu.create_queue(ctx), "create queue");
             for e in &squad.entries {
                 for &k in &e.kernels {
-                    let desc = apps[e.app].profile.kernels[k].clone();
-                    all_handles.push(require_ok(gpu.launch(q, desc, 0), "launch"));
+                    let h = gpu.launch(q, tables[e.app], k, 0);
+                    all_handles.push(require_ok(h, "launch"));
                 }
             }
         }
@@ -61,8 +66,8 @@ pub fn run_squad(
                 let ctx = require_ok(gpu.create_context(CtxKind::Default), "create context");
                 let q = require_ok(gpu.create_queue(ctx), "create queue");
                 for &k in &e.kernels {
-                    let desc = apps[e.app].profile.kernels[k].clone();
-                    all_handles.push(require_ok(gpu.launch(q, desc, 0), "launch"));
+                    let h = gpu.launch(q, tables[e.app], k, 0);
+                    all_handles.push(require_ok(h, "launch"));
                 }
             }
         }
@@ -85,8 +90,8 @@ pub fn run_squad(
                 let split_at =
                     ((e.kernels.len() as f64 * split).ceil() as usize).min(e.kernels.len());
                 for &k in &e.kernels[..split_at] {
-                    let desc = apps[e.app].profile.kernels[k].clone();
-                    all_handles.push(require_ok(gpu.launch(rq, desc, 0), "launch"));
+                    let h = gpu.launch(rq, tables[e.app], k, 0);
+                    all_handles.push(require_ok(h, "launch"));
                 }
                 let tail: Vec<(usize, usize)> =
                     e.kernels[split_at..].iter().map(|&k| (e.app, k)).collect();
@@ -121,11 +126,8 @@ pub fn run_squad(
                 released[ti] = true;
                 let vacuum = gpu.costs().context_switch;
                 for &(app, k) in tail {
-                    let desc = apps[app].profile.kernels[k].clone();
-                    all_handles.push(require_ok(
-                        gpu.launch_delayed(*fq, desc, 0, vacuum),
-                        "launch",
-                    ));
+                    let h = gpu.launch_delayed(*fq, tables[app], k, 0, vacuum);
+                    all_handles.push(require_ok(h, "launch"));
                 }
             }
         }
@@ -193,7 +195,7 @@ mod tests {
         let spec = GpuSpec::a100();
         let apps = apps();
         let squad = slice_squad(&apps, &[1, 1], &[30, 30]);
-        let choice = determine_config(&squad, &apps, spec.num_sms);
+        let choice = determine_config(&squad, &apps, spec.num_sms, &spec.channel_model);
         let cfg = match &choice.config {
             c @ bless::ExecConfig::Sp { .. } => c.clone(),
             bless::ExecConfig::Nsp => bless::ExecConfig::Sp {

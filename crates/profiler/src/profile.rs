@@ -1,5 +1,7 @@
 //! Per-application profiling runs.
 
+use std::sync::Arc;
+
 use dnn_models::AppModel;
 use gpu_sim::{CtxKind, Gpu, GpuSpec, HostCosts, KernelDesc};
 use sim_core::{SimDuration, SimTime};
@@ -15,7 +17,7 @@ pub const PARTITIONS: usize = 18;
 /// again per GPU deployment dominated fleet-setup cost. Placement, the
 /// per-GPU runtimes, and the experiment cache all share one table through
 /// this handle instead.
-pub type SharedProfile = std::sync::Arc<ProfiledApp>;
+pub type SharedProfile = Arc<ProfiledApp>;
 
 /// The profiled data of one application (§4.2.1).
 #[derive(Clone, Debug)]
@@ -48,7 +50,7 @@ pub struct ProfiledApp {
     /// The application's kernel trace (for the runtime scheduler), as an
     /// `Arc` slice so drivers can register it with the engine as a kernel
     /// table (one refcount bump, no deep copy) and launch by index.
-    pub kernels: std::sync::Arc<[KernelDesc]>,
+    pub kernels: Arc<[KernelDesc]>,
 }
 
 impl ProfiledApp {
@@ -66,9 +68,12 @@ impl ProfiledApp {
             .collect();
 
         let mut profile_cost = SimDuration::ZERO;
+        // One copy of the descriptors: every profiling run launches from
+        // it as a kernel table, and the profile keeps it.
+        let kernels: Arc<[KernelDesc]> = Arc::from(app.kernels.as_slice());
 
         // First run: unrestricted, to obtain the overall performance.
-        let (t_full, _durs, _cums) = run_solo(app, spec, None);
+        let (t_full, _durs, _cums) = run_solo(&kernels, spec, None);
         profile_cost += t_full;
 
         // One run per partition.
@@ -76,7 +81,7 @@ impl ProfiledApp {
         let mut kernel_durations = Vec::with_capacity(PARTITIONS);
         let mut cumulative = Vec::with_capacity(PARTITIONS);
         for &sms in &partition_sms {
-            let (total, durs, cums) = run_solo(app, spec, Some(sms));
+            let (total, durs, cums) = run_solo(&kernels, spec, Some(sms));
             profile_cost += total;
             iso_latency.push(total);
             kernel_durations.push(durs);
@@ -119,7 +124,7 @@ impl ProfiledApp {
             d_frac,
             memory_mib: app.memory_mib,
             profile_cost,
-            kernels: app.kernels.clone().into(),
+            kernels,
         }
     }
 
@@ -127,7 +132,7 @@ impl ProfiledApp {
     /// handle, ready to share across placement requests and deployments
     /// without further deep copies.
     pub fn profile_shared(app: &AppModel, spec: &GpuSpec) -> SharedProfile {
-        std::sync::Arc::new(ProfiledApp::profile(app, spec))
+        Arc::new(ProfiledApp::profile(app, spec))
     }
 
     /// Number of kernels per request.
@@ -230,11 +235,11 @@ impl ProfiledApp {
     }
 }
 
-/// Runs the application once, solo, optionally under an MPS cap, and
-/// returns (total latency, per-kernel durations, per-kernel cumulative
-/// completion offsets).
+/// Runs the application's `kernels` once, solo, optionally under an MPS
+/// cap, and returns (total latency, per-kernel durations, per-kernel
+/// cumulative completion offsets).
 fn run_solo(
-    app: &AppModel,
+    kernels: &Arc<[KernelDesc]>,
     spec: &GpuSpec,
     mps_cap: Option<u32>,
 ) -> (SimDuration, Vec<SimDuration>, Vec<SimDuration>) {
@@ -246,11 +251,9 @@ fn run_solo(
             .expect("context"),
     };
     let queue = gpu.create_queue(ctx).expect("queue");
-    let handles: Vec<_> = app
-        .kernels
-        .iter()
-        .enumerate()
-        .map(|(i, k)| gpu.launch(queue, k.clone(), i as u64).expect("launch"))
+    let table = gpu.register_kernel_table(Arc::clone(kernels));
+    let handles: Vec<_> = (0..kernels.len())
+        .map(|i| gpu.launch(queue, table, i, i as u64).expect("launch"))
         .collect();
     gpu.drain();
     let start = SimTime::ZERO;

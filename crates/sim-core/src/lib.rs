@@ -42,4 +42,4 @@ pub use event::EventQueue;
 pub use fault::{CrashEvent, DmaStallEvent, FaultPlan, FaultSpec, GpuFailEvent, GpuHangEvent};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{BufferSink, JsonlSink, RingSink, TraceEvent, TraceSink, TraceSquadEntry};
+pub use trace::{BufferSink, TraceEvent, TraceSink, TraceSquadEntry};

@@ -276,40 +276,51 @@ mod tests {
         assert!(c.is_closed());
     }
 
+    /// Every item crosses threads exactly once and in order, at ring
+    /// sizes from the minimum (1 and 3 round up to 2 and 4) to large, and
+    /// with the consumer draining one item at a time or a full ring.
     #[test]
     fn cross_thread_handoff_keeps_every_item_in_order() {
-        let (mut p, mut c) = ring::<u64>(64);
-        const N: u64 = 200_000;
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut i = 0;
-                while i < N {
-                    if p.push(i).is_ok() {
-                        i += 1;
-                    } else {
-                        std::hint::spin_loop();
+        const N: u64 = 20_000;
+        for requested in [1, 2, 3, 64, 1024] {
+            for drain_whole_ring in [false, true] {
+                let (mut p, mut c) = ring::<u64>(requested);
+                let capacity = c.capacity();
+                assert!(capacity >= requested && capacity.is_power_of_two());
+                let limit = if drain_whole_ring { capacity } else { 1 };
+                std::thread::scope(|s| {
+                    s.spawn(move || {
+                        let mut i = 0;
+                        while i < N {
+                            if p.push(i).is_ok() {
+                                i += 1;
+                            } else {
+                                std::hint::spin_loop();
+                            }
+                        }
+                        p.close();
+                    });
+                    let mut seen = 0u64;
+                    let mut buf = Vec::with_capacity(limit);
+                    loop {
+                        buf.clear();
+                        if c.drain_into(&mut buf, limit) == 0 {
+                            if c.is_closed() && c.is_empty() {
+                                break;
+                            }
+                            std::hint::spin_loop();
+                            continue;
+                        }
+                        assert!(buf.len() <= limit);
+                        for &v in &buf {
+                            assert_eq!(v, seen, "ring {requested}, limit {limit}");
+                            seen += 1;
+                        }
                     }
-                }
-                p.close();
-            });
-            let mut seen = 0u64;
-            let mut buf = Vec::with_capacity(64);
-            loop {
-                buf.clear();
-                if c.drain_into(&mut buf, 64) == 0 {
-                    if c.is_closed() && c.is_empty() {
-                        break;
-                    }
-                    std::hint::spin_loop();
-                    continue;
-                }
-                for &v in &buf {
-                    assert_eq!(v, seen);
-                    seen += 1;
-                }
+                    assert_eq!(seen, N, "ring {requested}, limit {limit}");
+                });
             }
-            assert_eq!(seen, N);
-        });
+        }
     }
 
     #[test]

@@ -6,14 +6,9 @@
 //! potential emission point — no allocation, no formatting, no state — so
 //! simulation results are bit-identical with tracing on or off.
 //!
-//! Three sinks are provided:
-//!
-//! * [`BufferSink`] — an unbounded in-memory buffer with a shared handle,
-//!   for validators, exporters, and tests.
-//! * [`RingSink`] — a bounded ring keeping only the most recent events
-//!   (flight-recorder style), for long runs where only the tail matters.
-//! * [`JsonlSink`] — streams one JSON object per line to any
-//!   [`std::io::Write`], for offline analysis of unbounded runs.
+//! [`BufferSink`], an unbounded in-memory buffer with a shared handle, is
+//! the provided sink, for validators, exporters, and tests; [`to_jsonl`]
+//! serializes a recorded stream one JSON object per line.
 //!
 //! Identifiers are plain integers so this crate stays free of upward
 //! dependencies: `app` is the tenant index, `kernel` the kernel index
@@ -21,7 +16,6 @@
 //! ids, and `seq` a unique per-launch sequence number (a retried kernel
 //! gets a fresh `seq`; `seq` is never reused within one simulation).
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -533,8 +527,7 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// reference and the engine never observes a sink's state.
 ///
 /// Sinks are `Send` so an engine holding one can be moved to (or driven
-/// from) a worker thread — the lane engine shards one GPU across scoped
-/// threads and each lane carries its own sink.
+/// from) a worker thread, as the fleet runner does with each GPU.
 pub trait TraceSink: Send {
     /// Records one event. Events arrive in non-decreasing virtual time.
     fn record(&mut self, ev: &TraceEvent);
@@ -581,12 +574,6 @@ impl BufferSink {
     pub fn take(&self) -> Vec<TraceEvent> {
         std::mem::take(&mut *lock_unpoisoned(&self.inner))
     }
-
-    /// Removes all recorded events into `out` (appending), reusing `out`'s
-    /// capacity instead of allocating a fresh vector.
-    pub fn take_into(&self, out: &mut Vec<TraceEvent>) {
-        out.append(&mut lock_unpoisoned(&self.inner));
-    }
 }
 
 impl TraceSink for BufferSink {
@@ -595,122 +582,8 @@ impl TraceSink for BufferSink {
     }
 }
 
-/// Bounded flight-recorder sink: keeps the most recent `capacity` events,
-/// counting (but dropping) older ones. Clones share one ring.
-#[derive(Clone)]
-pub struct RingSink {
-    inner: Arc<Mutex<RingInner>>,
-}
-
-struct RingInner {
-    buf: VecDeque<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// Creates a ring holding at most `capacity` events (min 1).
-    pub fn new(capacity: usize) -> Self {
-        RingSink {
-            inner: Arc::new(Mutex::new(RingInner {
-                buf: VecDeque::with_capacity(capacity.max(1)),
-                capacity: capacity.max(1),
-                dropped: 0,
-            })),
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        lock_unpoisoned(&self.inner).buf.iter().cloned().collect()
-    }
-
-    /// Number of events evicted to stay within capacity.
-    pub fn dropped(&self) -> u64 {
-        lock_unpoisoned(&self.inner).dropped
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        let mut r = lock_unpoisoned(&self.inner);
-        if r.buf.len() == r.capacity {
-            r.buf.pop_front();
-            r.dropped += 1;
-        }
-        r.buf.push_back(ev.clone());
-    }
-}
-
-/// Streaming sink: writes each event as one JSON line to `w`.
-///
-/// I/O errors do not panic mid-simulation; the first error is retained
-/// and reported by [`JsonlSink::error`] (subsequent writes are skipped).
-pub struct JsonlSink<W: std::io::Write> {
-    w: W,
-    line: String,
-    error: Option<std::io::Error>,
-    lines: u64,
-}
-
-impl<W: std::io::Write> JsonlSink<W> {
-    /// Wraps a writer. Use a `BufWriter` for file targets.
-    pub fn new(w: W) -> Self {
-        JsonlSink {
-            w,
-            line: String::with_capacity(128),
-            error: None,
-            lines: 0,
-        }
-    }
-
-    /// First I/O error encountered, if any.
-    pub fn error(&self) -> Option<&std::io::Error> {
-        self.error.as_ref()
-    }
-
-    /// Number of lines successfully written.
-    pub fn lines_written(&self) -> u64 {
-        self.lines
-    }
-
-    /// Flushes and returns the inner writer (surfacing any retained
-    /// error).
-    pub fn into_inner(mut self) -> std::io::Result<W> {
-        self.w.flush()?;
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        Ok(self.w)
-    }
-}
-
-impl<W: std::io::Write + Send> TraceSink for JsonlSink<W> {
-    fn record(&mut self, ev: &TraceEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        self.line.clear();
-        ev.write_json(&mut self.line);
-        self.line.push('\n');
-        if let Err(e) = self.w.write_all(self.line.as_bytes()) {
-            self.error = Some(e);
-        } else {
-            self.lines += 1;
-        }
-    }
-
-    fn flush(&mut self) {
-        if let Err(e) = self.w.flush() {
-            if self.error.is_none() {
-                self.error = Some(e);
-            }
-        }
-    }
-}
-
 /// Serializes a slice of events to JSONL (one JSON object per line, each
-/// newline-terminated) — the same bytes a [`JsonlSink`] would stream.
+/// newline-terminated).
 pub fn to_jsonl(events: &[TraceEvent]) -> String {
     let mut out = String::with_capacity(events.len() * 96);
     for ev in events {
@@ -746,37 +619,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_keeps_only_the_most_recent() {
-        let ring = RingSink::new(3);
-        let mut sink: Box<dyn TraceSink> = Box::new(ring.clone());
-        for i in 0..10 {
-            sink.record(&ev(i, i));
-        }
-        let kept = ring.snapshot();
-        assert_eq!(kept.len(), 3);
-        assert_eq!(ring.dropped(), 7);
-        assert_eq!(kept[0].at(), SimTime::from_nanos(7));
-        assert_eq!(kept[2].at(), SimTime::from_nanos(9));
-    }
-
-    #[test]
-    fn jsonl_sink_streams_one_line_per_event() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.record(&ev(5, 1));
-        sink.record(&TraceEvent::SmAlloc {
-            at: SimTime::from_nanos(6),
-            seq: 1,
-            sms: 54.5,
-        });
-        assert_eq!(sink.lines_written(), 2);
-        let bytes = sink.into_inner().unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        assert_eq!(
-            text,
-            "{\"ev\":\"kernel_start\",\"at\":5,\"seq\":1,\"queue\":3}\n\
-             {\"ev\":\"sm_alloc\",\"at\":6,\"seq\":1,\"sms\":54.5}\n"
-        );
-        // The batch serializer produces the same bytes as the stream.
+    fn to_jsonl_writes_one_line_per_event() {
         let events = vec![
             ev(5, 1),
             TraceEvent::SmAlloc {
@@ -785,7 +628,11 @@ mod tests {
                 sms: 54.5,
             },
         ];
-        assert_eq!(to_jsonl(&events), text);
+        assert_eq!(
+            to_jsonl(&events),
+            "{\"ev\":\"kernel_start\",\"at\":5,\"seq\":1,\"queue\":3}\n\
+             {\"ev\":\"sm_alloc\",\"at\":6,\"seq\":1,\"sms\":54.5}\n"
+        );
     }
 
     #[test]

@@ -114,25 +114,20 @@ fn memcpy_heavy_queues_complete() {
     let mut gpu = Gpu::new(GpuSpec::a100(), HostCosts::paper());
     let ctx = gpu.create_context(CtxKind::Default).unwrap();
     let q = gpu.create_queue(ctx).unwrap();
-    let mut handles = Vec::new();
-    for i in 0..50 {
-        handles.push(
-            gpu.launch(q, KernelDesc::memcpy_h2d(format!("h2d{i}"), 1_000_000), 0)
-                .unwrap(),
-        );
-        handles.push(
-            gpu.launch(
-                q,
+    let kernels: Vec<_> = (0..50)
+        .flat_map(|i| {
+            [
+                KernelDesc::memcpy_h2d(format!("h2d{i}"), 1_000_000),
                 KernelDesc::compute(format!("k{i}"), SimDuration::from_micros(30), 60, 0.3),
-                0,
-            )
-            .unwrap(),
-        );
-        handles.push(
-            gpu.launch(q, KernelDesc::memcpy_d2h(format!("d2h{i}"), 100_000), 0)
-                .unwrap(),
-        );
-    }
+                KernelDesc::memcpy_d2h(format!("d2h{i}"), 100_000),
+            ]
+        })
+        .collect();
+    let n = kernels.len();
+    let table = gpu.register_kernel_table(kernels.into());
+    let handles: Vec<_> = (0..n)
+        .map(|k| gpu.launch(q, table, k, 0).unwrap())
+        .collect();
     gpu.drain();
     assert!(gpu.is_device_idle());
     for h in handles {
