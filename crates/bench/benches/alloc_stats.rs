@@ -55,7 +55,7 @@ fn engine_setup_with(spec: GpuSpec) -> (Gpu, Vec<QueueId>, KernelTableId) {
             gpu.create_queue(ctx).expect("queue")
         })
         .collect();
-    let desc = KernelDesc::compute("k", SimDuration::from_micros(5), 54, 0.2)
+    let desc = KernelDesc::compute(SimDuration::from_micros(5), 54, 0.2)
         .with_demand(gpu_sim::ChannelDemand::new(0.2, 0.3, 0.4, 0.1));
     let table = gpu.register_kernel_table(vec![desc].into());
     (gpu, queues, table)

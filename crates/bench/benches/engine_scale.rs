@@ -53,7 +53,7 @@ fn build_plan(partitions: usize, per_queue: usize, seed: u64) -> Plan {
                             let extra = SimDuration::from_nanos(rng.next_below(500_000));
                             let dur = SimDuration::from_nanos(20_000 + rng.next_below(180_000));
                             let sms = 4 + rng.next_below(sms_per_part.max(5) as u64 - 4) as u32;
-                            (KernelDesc::compute("c", dur, sms, 0.0), tag, extra)
+                            (KernelDesc::compute(dur, sms, 0.0), tag, extra)
                         })
                         .collect()
                 })

@@ -44,7 +44,7 @@ impl Engine {
                 gpu.create_queue(ctx).expect("queue")
             })
             .collect();
-        let desc = KernelDesc::compute("k", SimDuration::from_micros(5), 54, 0.4)
+        let desc = KernelDesc::compute(SimDuration::from_micros(5), 54, 0.4)
             .with_demand(ChannelDemand::new(0.2, 0.3, 0.4, 0.1));
         let table = gpu.register_kernel_table(vec![desc].into());
         let mut engine = Engine { gpu, queues, table };

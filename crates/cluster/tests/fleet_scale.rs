@@ -27,7 +27,7 @@ fn smoke_run(workers: usize) -> FleetSummary {
         kind: ModelKind::Vgg11,
         phase: Phase::Inference,
         name: "fleet-smoke".into(),
-        kernels: vec![micro::compute_bound(SimDuration::from_micros(200), 54)],
+        kernels: vec![micro::compute_bound(SimDuration::from_micros(200), 54)].into(),
         memory_mib: 512,
     };
     let profile = ProfiledApp::profile_shared(&model, &spec);

@@ -11,7 +11,7 @@ use sim_core::{SimDuration, SimRng};
 /// Parameters for generating one application's kernel trace.
 #[derive(Clone, Debug)]
 pub struct GenSpec {
-    /// Application name; kernel names are derived from it.
+    /// Application name (becomes [`crate::AppModel::name`]).
     pub name: String,
     /// Number of computational kernels.
     pub kernels: usize,
@@ -129,26 +129,19 @@ pub fn generate_kernels(spec: &GenSpec) -> Vec<KernelDesc> {
     }
 
     let mut kernels = Vec::with_capacity(spec.kernels + 2);
-    kernels.push(KernelDesc::memcpy_h2d(
-        format!("{}.input_h2d", spec.name),
-        spec.input_bytes,
-    ));
-    for (i, (&dur_ns, &frac)) in durs.iter().zip(&fracs).enumerate() {
+    kernels.push(KernelDesc::memcpy_h2d(spec.input_bytes));
+    for (&dur_ns, &frac) in durs.iter().zip(&fracs) {
         let max_sms = ((frac * CALIBRATION_SMS as f64).round() as u32).clamp(1, CALIBRATION_SMS);
         let mem = rng.uniform(spec.mem_range.0, spec.mem_range.1);
         let dur = SimDuration::from_nanos(dur_ns.round() as u64);
-        let name = format!("{}.k{i}", spec.name);
         let k = if spec.tensor_core {
-            KernelDesc::tensor_compute(name, dur, max_sms, mem)
+            KernelDesc::tensor_compute(dur, max_sms, mem)
         } else {
-            KernelDesc::compute(name, dur, max_sms, mem)
+            KernelDesc::compute(dur, max_sms, mem)
         };
         kernels.push(k);
     }
-    kernels.push(KernelDesc::memcpy_d2h(
-        format!("{}.output_d2h", spec.name),
-        spec.output_bytes,
-    ));
+    kernels.push(KernelDesc::memcpy_d2h(spec.output_bytes));
     kernels
 }
 

@@ -10,28 +10,23 @@ use sim_core::SimDuration;
 /// A victim kernel occupying `sms` SMs for `duration` with the given
 /// memory intensity.
 pub fn victim(duration: SimDuration, sms: u32, mem_intensity: f64) -> KernelDesc {
-    KernelDesc::compute("micro.victim", duration, sms, mem_intensity)
+    KernelDesc::compute(duration, sms, mem_intensity)
 }
 
 /// An aggressor kernel generating memory pressure: long-running so it
 /// fully overlaps the victim, occupying `sms` SMs at `mem_intensity`.
 pub fn aggressor(sms: u32, mem_intensity: f64) -> KernelDesc {
-    KernelDesc::compute(
-        "micro.aggressor",
-        SimDuration::from_millis(50),
-        sms,
-        mem_intensity,
-    )
+    KernelDesc::compute(SimDuration::from_millis(50), sms, mem_intensity)
 }
 
 /// A purely compute-bound kernel (no memory traffic at all).
 pub fn compute_bound(duration: SimDuration, sms: u32) -> KernelDesc {
-    KernelDesc::compute("micro.compute", duration, sms, 0.0)
+    KernelDesc::compute(duration, sms, 0.0)
 }
 
 /// A pathologically memory-bound kernel (streaming, intensity 1.0).
 pub fn memory_bound(duration: SimDuration, sms: u32) -> KernelDesc {
-    KernelDesc::compute("micro.membound", duration, sms, 1.0)
+    KernelDesc::compute(duration, sms, 1.0)
 }
 
 /// A victim kernel with an explicit per-channel demand vector (for the
@@ -39,14 +34,12 @@ pub fn memory_bound(duration: SimDuration, sms: u32) -> KernelDesc {
 /// `mem_intensity` is kept at the DRAM-BW component so the same kernel is
 /// meaningful under `ChannelModel::Scalar`.
 pub fn channel_victim(duration: SimDuration, sms: u32, demand: ChannelDemand) -> KernelDesc {
-    KernelDesc::compute("micro.cvictim", duration, sms, demand.get(Channel::DramBw))
-        .with_demand(demand)
+    KernelDesc::compute(duration, sms, demand.get(Channel::DramBw)).with_demand(demand)
 }
 
 /// A long-running aggressor with an explicit per-channel demand vector.
 pub fn channel_aggressor(sms: u32, demand: ChannelDemand) -> KernelDesc {
     KernelDesc::compute(
-        "micro.caggressor",
         SimDuration::from_millis(50),
         sms,
         demand.get(Channel::DramBw),

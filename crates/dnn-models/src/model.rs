@@ -1,5 +1,7 @@
 //! Application model definitions and the Table 1 calibration constants.
 
+use std::sync::Arc;
+
 use gpu_sim::KernelDesc;
 use sim_core::SimDuration;
 
@@ -150,7 +152,9 @@ pub struct AppModel {
     /// Stable generated name, e.g. `"r50-inf"`.
     pub name: String,
     /// The kernel sequence of one request (H2D, compute kernels, D2H).
-    pub kernels: Vec<KernelDesc>,
+    /// Generated once per model; every clone of the model, its profile
+    /// and the engine's kernel tables share this one allocation.
+    pub kernels: Arc<[KernelDesc]>,
     /// Device memory the application needs resident, in MiB.
     pub memory_mib: u64,
 }
@@ -161,12 +165,11 @@ impl AppModel {
         let spec = gen_spec(kind, phase);
         let name = spec.name.clone();
         let memory_mib = spec.memory_mib;
-        let kernels = generate_kernels(&spec);
         AppModel {
             kind,
             phase,
             name,
-            kernels,
+            kernels: generate_kernels(&spec).into(),
             memory_mib,
         }
     }
@@ -342,7 +345,7 @@ mod tests {
         let a = AppModel::build(ModelKind::NasNet, Phase::Inference);
         let b = AppModel::build(ModelKind::NasNet, Phase::Inference);
         assert_eq!(a.kernels.len(), b.kernels.len());
-        for (ka, kb) in a.kernels.iter().zip(&b.kernels) {
+        for (ka, kb) in a.kernels.iter().zip(b.kernels.iter()) {
             assert_eq!(ka.work, kb.work);
             assert_eq!(ka.max_sms, kb.max_sms);
             assert_eq!(ka.mem_intensity, kb.mem_intensity);

@@ -203,6 +203,9 @@ struct Instance {
     alloc_sms: f64,
     /// Dispatch order among running kernels (greedy-sticky priority).
     run_seq: u64,
+    /// Launch order; crash and drain casualties are taken in it, so they
+    /// never depend on which slot recycling placed a kernel in.
+    launch_seq: u64,
     /// Epoch of this instance's currently valid completion event; older
     /// Complete events are stale. Unchanged rates keep their event valid
     /// across reallocations, so the event heap is not churned for
@@ -350,6 +353,7 @@ pub struct Gpu {
     /// completions feeding closed-loop clients).
     notices: Vec<u64>,
     next_run_seq: u64,
+    next_launch_seq: u64,
     /// Completed slots available for reuse (only fed when
     /// `recycle_slots` is on).
     free_slots: Vec<usize>,
@@ -414,6 +418,7 @@ impl Gpu {
             live_instances: 0,
             notices: Vec::new(),
             next_run_seq: 0,
+            next_launch_seq: 0,
             free_slots: Vec::new(),
             recycle_slots: false,
             fault: None,
@@ -526,9 +531,10 @@ impl Gpu {
     /// reports `Done` / `None` rather than another kernel's data — but
     /// callers that introspect kernels *after* their completion was
     /// reported (e.g. the profiler, which queries every handle post-drain)
-    /// must leave recycling off. Long-trace driver loops that only consume
-    /// [`StepOutput::KernelDone`] tags can enable it freely: slot reuse
-    /// never changes scheduling order, so results are bit-identical.
+    /// must leave recycling off. Off by default; [`crate::Simulation::new`]
+    /// turns it on, since that loop hands drivers completions only as
+    /// tags. Slot reuse never changes scheduling order, so results are
+    /// bit-identical either way.
     pub fn set_slot_recycling(&mut self, on: bool) {
         self.recycle_slots = on;
     }
@@ -748,6 +754,7 @@ impl Gpu {
             rate: 0.0,
             alloc_sms: 0.0,
             run_seq: u64::MAX,
+            launch_seq: self.next_launch_seq,
             event_epoch: 0,
             generation: 0,
             dispatch_ready: None,
@@ -755,6 +762,7 @@ impl Gpu {
             finished_at: None,
             trace_seq,
         };
+        self.next_launch_seq += 1;
         let slot = match self.free_slots.pop() {
             Some(s) => {
                 // The slot keeps its (already bumped) generation so stale
@@ -1085,11 +1093,7 @@ impl Gpu {
     fn inject_crash(&mut self, app: u32) {
         let mut touched_queues = Vec::new();
         let mut casualties = 0u32;
-        for slot in 0..self.instances.len() {
-            let inst = &self.instances[slot];
-            if !inst.is_live() || crate::sim::decode_tag(inst.tag).0 as u32 != app {
-                continue;
-            }
+        for slot in self.live_slots(Some(app)) {
             let (failed, was_head) = self.kill(slot);
             if was_head {
                 touched_queues.push(failed.queue.0 as usize);
@@ -1130,17 +1134,28 @@ impl Gpu {
     /// (`BlessDriver::export_checkpoint`). Call it after advancing the
     /// engine to the fault barrier.
     pub fn drain_snapshot(&mut self) -> DeviceCheckpoint {
-        let mut abandoned = Vec::new();
-        for slot in 0..self.instances.len() {
-            if self.instances[slot].is_live() {
-                abandoned.push(self.kill(slot).0);
-            }
-        }
+        let abandoned = self
+            .live_slots(None)
+            .into_iter()
+            .map(|slot| self.kill(slot).0)
+            .collect();
         self.events.clear();
         DeviceCheckpoint {
             at: self.now,
             abandoned,
         }
+    }
+
+    /// The live slots of `app` (of every app for `None`) in launch order.
+    fn live_slots(&self, app: Option<u32>) -> Vec<usize> {
+        let mut slots: Vec<usize> = (0..self.instances.len())
+            .filter(|&slot| {
+                let inst = &self.instances[slot];
+                inst.is_live() && app.is_none_or(|a| crate::sim::decode_tag(inst.tag).0 as u32 == a)
+            })
+            .collect();
+        slots.sort_unstable_by_key(|&slot| self.instances[slot].launch_seq);
+        slots
     }
 
     /// Moves the live kernel in `slot` to [`InstState::Failed`]: it leaves
@@ -1760,7 +1775,7 @@ mod tests {
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
         for i in 0..4u64 {
-            let k = KernelDesc::compute("k", SimDuration::from_micros(100), 108, 0.0);
+            let k = KernelDesc::compute(SimDuration::from_micros(100), 108, 0.0);
             put(&mut gpu, q, k, i);
         }
         let mut out = Vec::new();
@@ -1777,7 +1792,7 @@ mod tests {
         let mut gpu = free_gpu();
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
-        let k = KernelDesc::compute("k", SimDuration::from_micros(100), 108, 0.2);
+        let k = KernelDesc::compute(SimDuration::from_micros(100), 108, 0.2);
         let h = put(&mut gpu, q, k, 0);
         let done = run_all(&mut gpu);
         assert_eq!(done.len(), 1);
@@ -1791,7 +1806,7 @@ mod tests {
         let mut gpu = Gpu::a100(); // 3 us launch overhead
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
-        let k = KernelDesc::compute("k", SimDuration::from_micros(10), 108, 0.0);
+        let k = KernelDesc::compute(SimDuration::from_micros(10), 108, 0.0);
         let h = put(&mut gpu, q, k, 0);
         run_all(&mut gpu);
         assert_eq!(gpu.kernel_finished_at(h), Some(SimTime::from_micros(13)));
@@ -1805,13 +1820,13 @@ mod tests {
         let a = put(
             &mut gpu,
             q,
-            KernelDesc::compute("a", SimDuration::from_micros(10), 108, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(10), 108, 0.0),
             0,
         );
         let b = put(
             &mut gpu,
             q,
-            KernelDesc::compute("b", SimDuration::from_micros(5), 108, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(5), 108, 0.0),
             1,
         );
         run_all(&mut gpu);
@@ -1832,13 +1847,13 @@ mod tests {
         let a = put(
             &mut gpu,
             q1,
-            KernelDesc::compute("a", SimDuration::from_micros(100), 108, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(100), 108, 0.0),
             0,
         );
         let b = put(
             &mut gpu,
             q2,
-            KernelDesc::compute("b", SimDuration::from_micros(100), 108, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(100), 108, 0.0),
             1,
         );
         run_all(&mut gpu);
@@ -1858,13 +1873,13 @@ mod tests {
         let a = put(
             &mut gpu,
             q1,
-            KernelDesc::compute("a", SimDuration::from_micros(100), 108, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(100), 108, 0.0),
             0,
         );
         let b = put(
             &mut gpu,
             q2,
-            KernelDesc::compute("b", SimDuration::from_micros(100), 108, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(100), 108, 0.0),
             1,
         );
         run_all(&mut gpu);
@@ -1884,13 +1899,13 @@ mod tests {
         let a = put(
             &mut gpu,
             q1,
-            KernelDesc::compute("a", SimDuration::from_micros(100), 100, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(100), 100, 0.0),
             0,
         );
         let b = put(
             &mut gpu,
             q2,
-            KernelDesc::compute("b", SimDuration::from_micros(100), 100, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(100), 100, 0.0),
             1,
         );
         run_all(&mut gpu);
@@ -1912,13 +1927,13 @@ mod tests {
         let a = put(
             &mut gpu,
             q1,
-            KernelDesc::compute("a", SimDuration::from_micros(100), 54, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(100), 54, 0.0),
             0,
         );
         let b = put(
             &mut gpu,
             q2,
-            KernelDesc::compute("b", SimDuration::from_micros(100), 108, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(100), 108, 0.0),
             1,
         );
         run_all(&mut gpu);
@@ -1941,13 +1956,13 @@ mod tests {
         let a = put(
             &mut gpu,
             q1,
-            KernelDesc::compute("a", SimDuration::from_micros(50), 108, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(50), 108, 0.0),
             0,
         );
         let b = put(
             &mut gpu,
             q2,
-            KernelDesc::compute("b", SimDuration::from_micros(100), 108, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(100), 108, 0.0),
             1,
         );
         run_all(&mut gpu);
@@ -1969,7 +1984,7 @@ mod tests {
         let h = put(
             &mut gpu,
             q,
-            KernelDesc::compute("k", SimDuration::from_micros(100), 108, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(100), 108, 0.0),
             0,
         );
         run_all(&mut gpu);
@@ -2001,7 +2016,7 @@ mod tests {
         let h = put(
             &mut gpu,
             qb,
-            KernelDesc::compute("k", SimDuration::from_micros(80), 108, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(80), 108, 0.0),
             0,
         );
         run_all(&mut gpu);
@@ -2011,7 +2026,7 @@ mod tests {
         let h2 = put(
             &mut gpu,
             qs,
-            KernelDesc::compute("k2", SimDuration::from_micros(28), 28, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(28), 28, 0.0),
             0,
         );
         run_all(&mut gpu);
@@ -2047,8 +2062,8 @@ mod tests {
         let q1 = gpu.create_queue(ctx).unwrap();
         let q2 = gpu.create_queue(ctx).unwrap();
         // 25 MB at 25 GB/s = 1 ms alone; two concurrent H2Ds share -> 2 ms.
-        let a = put(&mut gpu, q1, KernelDesc::memcpy_h2d("a", 25_000_000), 0);
-        let b = put(&mut gpu, q2, KernelDesc::memcpy_h2d("b", 25_000_000), 1);
+        let a = put(&mut gpu, q1, KernelDesc::memcpy_h2d(25_000_000), 0);
+        let b = put(&mut gpu, q2, KernelDesc::memcpy_h2d(25_000_000), 1);
         run_all(&mut gpu);
         assert_eq!(gpu.kernel_finished_at(a), Some(SimTime::from_millis(2)));
         assert_eq!(gpu.kernel_finished_at(b), Some(SimTime::from_millis(2)));
@@ -2060,8 +2075,8 @@ mod tests {
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q1 = gpu.create_queue(ctx).unwrap();
         let q2 = gpu.create_queue(ctx).unwrap();
-        let a = put(&mut gpu, q1, KernelDesc::memcpy_h2d("a", 25_000_000), 0);
-        let b = put(&mut gpu, q2, KernelDesc::memcpy_d2h("b", 25_000_000), 1);
+        let a = put(&mut gpu, q1, KernelDesc::memcpy_h2d(25_000_000), 0);
+        let b = put(&mut gpu, q2, KernelDesc::memcpy_d2h(25_000_000), 1);
         run_all(&mut gpu);
         assert_eq!(gpu.kernel_finished_at(a), Some(SimTime::from_millis(1)));
         assert_eq!(gpu.kernel_finished_at(b), Some(SimTime::from_millis(1)));
@@ -2078,13 +2093,13 @@ mod tests {
         let a = put(
             &mut gpu,
             q1,
-            KernelDesc::compute("a", SimDuration::from_micros(100), 54, 0.9),
+            KernelDesc::compute(SimDuration::from_micros(100), 54, 0.9),
             0,
         );
         let b = put(
             &mut gpu,
             q2,
-            KernelDesc::compute("b", SimDuration::from_micros(100), 54, 0.9),
+            KernelDesc::compute(SimDuration::from_micros(100), 54, 0.9),
             1,
         );
         run_all(&mut gpu);
@@ -2113,13 +2128,13 @@ mod tests {
         let a = put(
             &mut gpu,
             q1,
-            KernelDesc::compute("a", SimDuration::from_micros(100), 54, 0.9),
+            KernelDesc::compute(SimDuration::from_micros(100), 54, 0.9),
             0,
         );
         let b = put(
             &mut gpu,
             q2,
-            KernelDesc::compute("b", SimDuration::from_micros(100), 54, 0.9),
+            KernelDesc::compute(SimDuration::from_micros(100), 54, 0.9),
             1,
         );
         run_all(&mut gpu);
@@ -2145,10 +2160,8 @@ mod tests {
             let ctx = gpu.create_context(CtxKind::Default).unwrap();
             let q1 = gpu.create_queue(ctx).unwrap();
             let q2 = gpu.create_queue(ctx).unwrap();
-            let a =
-                KernelDesc::compute("a", SimDuration::from_micros(100), 54, 0.9).with_demand(da);
-            let b =
-                KernelDesc::compute("b", SimDuration::from_micros(100), 54, 0.9).with_demand(db);
+            let a = KernelDesc::compute(SimDuration::from_micros(100), 54, 0.9).with_demand(da);
+            let b = KernelDesc::compute(SimDuration::from_micros(100), 54, 0.9).with_demand(db);
             let a = put(&mut gpu, q1, a, 0);
             put(&mut gpu, q2, b, 1);
             run_all(&mut gpu);
@@ -2176,7 +2189,7 @@ mod tests {
         // A PCIe-hungry compute kernel is slowed by a concurrent DMA
         // stream under the calibrated per-resource model, and untouched
         // by it under the scalar model.
-        let kernel = KernelDesc::compute("pcie", SimDuration::from_micros(100), 54, 0.0)
+        let kernel = KernelDesc::compute(SimDuration::from_micros(100), 54, 0.0)
             .with_demand(crate::ChannelDemand::collapsed(crate::Channel::Pcie, 1.0));
         let run = |spec: GpuSpec| {
             let mut gpu = Gpu::new(spec, HostCosts::free());
@@ -2185,7 +2198,7 @@ mod tests {
             let q2 = gpu.create_queue(ctx).unwrap();
             let a = put(&mut gpu, q1, kernel.clone(), 0);
             // 5 MB at 25 GB/s = 200 us: the transfer outlives the kernel.
-            put(&mut gpu, q2, KernelDesc::memcpy_h2d("dma", 5_000_000), 1);
+            put(&mut gpu, q2, KernelDesc::memcpy_h2d(5_000_000), 1);
             run_all(&mut gpu);
             gpu.kernel_finished_at(a).unwrap()
         };
@@ -2204,13 +2217,13 @@ mod tests {
         let a = put(
             &mut gpu,
             q1,
-            KernelDesc::compute("a", SimDuration::from_micros(100), 54, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(100), 54, 0.0),
             0,
         );
         let b = put(
             &mut gpu,
             q2,
-            KernelDesc::compute("b", SimDuration::from_micros(100), 54, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(100), 54, 0.0),
             1,
         );
         run_all(&mut gpu);
@@ -2236,7 +2249,7 @@ mod tests {
         put(
             &mut gpu,
             q,
-            KernelDesc::compute("k", SimDuration::from_micros(100), 54, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(100), 54, 0.0),
             0,
         );
         let b0 = gpu.busy_sm_seconds();
@@ -2255,14 +2268,14 @@ mod tests {
         let a = put_delayed(
             &mut gpu,
             q1,
-            KernelDesc::compute("a", SimDuration::from_micros(10), 54, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(10), 54, 0.0),
             0,
             SimDuration::from_micros(50),
         );
         let b = put(
             &mut gpu,
             q2,
-            KernelDesc::compute("b", SimDuration::from_micros(10), 54, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(10), 54, 0.0),
             1,
         );
         run_all(&mut gpu);
@@ -2280,7 +2293,7 @@ mod tests {
         let h = put(
             &mut gpu,
             q,
-            KernelDesc::compute("k", SimDuration::from_micros(108), 108, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(108), 108, 0.0),
             0,
         );
         // Advance some; then raise the cap to full and let it finish.
@@ -2306,7 +2319,7 @@ mod tests {
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
         let group: Arc<[KernelDesc]> = (0..5)
-            .map(|i| KernelDesc::compute(format!("g{i}"), SimDuration::from_micros(10), 108, 0.0))
+            .map(|_| KernelDesc::compute(SimDuration::from_micros(10), 108, 0.0))
             .collect();
         let table = gpu.register_kernel_table(group);
         // An empty range charges the host nothing.
@@ -2361,7 +2374,7 @@ mod tests {
             let h = put(
                 &mut gpu,
                 q,
-                KernelDesc::compute("k", SimDuration::from_micros(1), 108, 0.0),
+                KernelDesc::compute(SimDuration::from_micros(1), 108, 0.0),
                 i,
             );
             let done = run_all(&mut gpu);
@@ -2383,7 +2396,7 @@ mod tests {
         gpu.set_slot_recycling(true);
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
-        let k = || KernelDesc::compute("k", SimDuration::from_micros(1), 108, 0.0);
+        let k = || KernelDesc::compute(SimDuration::from_micros(1), 108, 0.0);
         let first = put(&mut gpu, q, k(), 0);
         run_all(&mut gpu);
         let second = put(&mut gpu, q, k(), 1);
@@ -2403,7 +2416,7 @@ mod tests {
         let mut gpu = free_gpu();
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
-        let k = || KernelDesc::compute("k", SimDuration::from_micros(1), 108, 0.0);
+        let k = || KernelDesc::compute(SimDuration::from_micros(1), 108, 0.0);
         let handles: Vec<_> = (0..5).map(|i| put(&mut gpu, q, k(), i)).collect();
         gpu.drain();
         for h in handles {
@@ -2428,7 +2441,7 @@ mod tests {
         let h = put(
             &mut gpu,
             q,
-            KernelDesc::compute("k", SimDuration::from_micros(100), 108, 0.2),
+            KernelDesc::compute(SimDuration::from_micros(100), 108, 0.2),
             encode_tag(0, 0),
         );
         run_all(&mut gpu);
@@ -2458,7 +2471,7 @@ mod tests {
         let h = put(
             &mut gpu,
             q,
-            KernelDesc::compute("k", SimDuration::from_micros(100), 108, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(100), 108, 0.0),
             encode_tag(0, 0),
         );
         run_all(&mut gpu);
@@ -2482,7 +2495,7 @@ mod tests {
             let h = put(
                 &mut gpu,
                 q,
-                KernelDesc::compute("k", SimDuration::from_micros(100), 108, 0.0),
+                KernelDesc::compute(SimDuration::from_micros(100), 108, 0.0),
                 encode_tag(0, k as usize),
             );
             run_all(&mut gpu);
@@ -2513,7 +2526,7 @@ mod tests {
         let qv = gpu.create_queue(ctx).unwrap();
         let qo = gpu.create_queue(ctx).unwrap();
         // Victim: one running + one queued kernel at crash time.
-        let k = |us| KernelDesc::compute("k", SimDuration::from_micros(us), 54, 0.0);
+        let k = |us| KernelDesc::compute(SimDuration::from_micros(us), 54, 0.0);
         let v1 = put(&mut gpu, qv, k(100), encode_tag(victim as usize, 0));
         let v2 = put(&mut gpu, qv, k(100), encode_tag(victim as usize, 1));
         let o1 = put(&mut gpu, qo, k(100), encode_tag(other as usize, 0));
@@ -2558,7 +2571,7 @@ mod tests {
         let h = put(
             &mut gpu,
             q,
-            KernelDesc::compute("k", SimDuration::from_micros(10), 108, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(10), 108, 0.0),
             encode_tag(0, 0),
         );
         run_all(&mut gpu);
@@ -2586,7 +2599,7 @@ mod tests {
         let h = put(
             &mut gpu,
             q,
-            KernelDesc::memcpy_h2d("c", 25_000_000),
+            KernelDesc::memcpy_h2d(25_000_000),
             encode_tag(0, 0),
         );
         run_all(&mut gpu);
@@ -2613,7 +2626,7 @@ mod tests {
         let h = put(
             &mut gpu,
             q,
-            KernelDesc::memcpy_h2d("c", 25_000_000),
+            KernelDesc::memcpy_h2d(25_000_000),
             encode_tag(0, 0),
         );
         run_all(&mut gpu);
@@ -2671,7 +2684,7 @@ mod tests {
             let ctx = gpu.create_context(kind).unwrap();
             let q = gpu.create_queue(ctx).unwrap();
             let max_sms = rng.range_inclusive(1, n as u64 + 20) as u32;
-            let k = KernelDesc::compute("k", SimDuration::from_micros(50), max_sms, 0.3);
+            let k = KernelDesc::compute(SimDuration::from_micros(50), max_sms, 0.3);
             let slot = put(&mut gpu, q, k, 0).0 as usize;
             gpu.step(); // Arrive: the kernel starts running.
             assert_eq!(gpu.instances[slot].state, InstState::Running);

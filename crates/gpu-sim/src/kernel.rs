@@ -13,8 +13,6 @@
 //! tabulates (§4.2): linear speedup until the kernel's own parallelism limit
 //! (the paper's `d%`), flat beyond it.
 
-use std::sync::Arc;
-
 use sim_core::SimDuration;
 
 use crate::channel::{Channel, ChannelDemand};
@@ -64,10 +62,6 @@ impl KernelKind {
 /// Static description of one GPU kernel.
 #[derive(Clone, Debug)]
 pub struct KernelDesc {
-    /// Human-readable name (e.g. `"conv2d_3"`); shared cheaply across the
-    /// many clones a kernel description goes through (profiles, squads,
-    /// launches).
-    pub name: Arc<str>,
     /// What the kernel does.
     pub kind: KernelKind,
     /// Total work in SM·nanoseconds (compute kernels only; 0 for memcpy).
@@ -94,19 +88,13 @@ impl KernelDesc {
     /// # Panics
     ///
     /// Panics if `max_sms` is 0 or `mem_intensity` is outside `[0, 1]`.
-    pub fn compute(
-        name: impl Into<Arc<str>>,
-        full_speed_duration: SimDuration,
-        max_sms: u32,
-        mem_intensity: f64,
-    ) -> Self {
+    pub fn compute(full_speed_duration: SimDuration, max_sms: u32, mem_intensity: f64) -> Self {
         assert!(max_sms >= 1, "a compute kernel needs at least one SM");
         assert!(
             (0.0..=1.0).contains(&mem_intensity),
             "mem_intensity must be in [0,1], got {mem_intensity}"
         );
         KernelDesc {
-            name: name.into(),
             kind: KernelKind::Compute { tensor_core: false },
             work: full_speed_duration.as_nanos() as f64 * max_sms as f64,
             max_sms,
@@ -117,20 +105,18 @@ impl KernelDesc {
 
     /// Same as [`KernelDesc::compute`] but flagged as a tensor-core kernel.
     pub fn tensor_compute(
-        name: impl Into<Arc<str>>,
         full_speed_duration: SimDuration,
         max_sms: u32,
         mem_intensity: f64,
     ) -> Self {
-        let mut k = Self::compute(name, full_speed_duration, max_sms, mem_intensity);
+        let mut k = Self::compute(full_speed_duration, max_sms, mem_intensity);
         k.kind = KernelKind::Compute { tensor_core: true };
         k
     }
 
     /// Builds a host-to-device memcpy kernel.
-    pub fn memcpy_h2d(name: impl Into<Arc<str>>, bytes: u64) -> Self {
+    pub fn memcpy_h2d(bytes: u64) -> Self {
         KernelDesc {
-            name: name.into(),
             kind: KernelKind::MemcpyH2D { bytes },
             work: 0.0,
             max_sms: 0,
@@ -140,9 +126,8 @@ impl KernelDesc {
     }
 
     /// Builds a device-to-host memcpy kernel.
-    pub fn memcpy_d2h(name: impl Into<Arc<str>>, bytes: u64) -> Self {
+    pub fn memcpy_d2h(bytes: u64) -> Self {
         KernelDesc {
-            name: name.into(),
             kind: KernelKind::MemcpyD2H { bytes },
             work: 0.0,
             max_sms: 0,
@@ -193,7 +178,7 @@ mod tests {
 
     #[test]
     fn compute_duration_scales_linearly_up_to_max_sms() {
-        let k = KernelDesc::compute("k", SimDuration::from_micros(100), 54, 0.2);
+        let k = KernelDesc::compute(SimDuration::from_micros(100), 54, 0.2);
         // At max_sms, full speed.
         assert_eq!(
             k.duration_isolated(54.0, PCIE),
@@ -213,13 +198,13 @@ mod tests {
 
     #[test]
     fn zero_allocation_never_finishes() {
-        let k = KernelDesc::compute("k", SimDuration::from_micros(10), 10, 0.0);
+        let k = KernelDesc::compute(SimDuration::from_micros(10), 10, 0.0);
         assert_eq!(k.duration_isolated(0.0, PCIE), SimDuration::MAX);
     }
 
     #[test]
     fn memcpy_duration_from_bandwidth() {
-        let k = KernelDesc::memcpy_h2d("h2d", 25_000_000); // 25 MB at 25 GB/s = 1 ms
+        let k = KernelDesc::memcpy_h2d(25_000_000); // 25 MB at 25 GB/s = 1 ms
         assert_eq!(k.duration_isolated(0.0, PCIE), SimDuration::from_millis(1));
         assert!(k.kind.is_memcpy());
         assert!(!k.kind.is_compute());
@@ -227,46 +212,43 @@ mod tests {
 
     #[test]
     fn tensor_flag_is_preserved() {
-        let k = KernelDesc::tensor_compute("mm", SimDuration::from_micros(5), 108, 0.5);
+        let k = KernelDesc::tensor_compute(SimDuration::from_micros(5), 108, 0.5);
         assert_eq!(k.kind, KernelKind::Compute { tensor_core: true });
     }
 
     #[test]
     #[should_panic(expected = "at least one SM")]
     fn compute_rejects_zero_sms() {
-        let _ = KernelDesc::compute("bad", SimDuration::from_micros(1), 0, 0.0);
+        let _ = KernelDesc::compute(SimDuration::from_micros(1), 0, 0.0);
     }
 
     #[test]
     #[should_panic(expected = "mem_intensity")]
     fn compute_rejects_bad_intensity() {
-        let _ = KernelDesc::compute("bad", SimDuration::from_micros(1), 1, 1.5);
+        let _ = KernelDesc::compute(SimDuration::from_micros(1), 1, 1.5);
     }
 
     #[test]
     fn work_round_trips_through_duration() {
         let d = SimDuration::from_nanos(12_345);
-        let k = KernelDesc::compute("k", d, 33, 0.7);
+        let k = KernelDesc::compute(d, 33, 0.7);
         assert_eq!(k.full_speed_duration(PCIE), d);
     }
 
     #[test]
     fn default_demand_collapses_mem_intensity_onto_dram() {
-        let k = KernelDesc::compute("k", SimDuration::from_micros(10), 8, 0.6);
+        let k = KernelDesc::compute(SimDuration::from_micros(10), 8, 0.6);
         assert_eq!(k.demand.get(Channel::DramBw), 0.6);
         assert_eq!(k.demand.get(Channel::Compute), 0.0);
         assert_eq!(k.demand.get(Channel::L2), 0.0);
         assert_eq!(k.demand.get(Channel::Pcie), 0.0);
-        assert_eq!(
-            KernelDesc::memcpy_h2d("h2d", 1024).demand,
-            ChannelDemand::ZERO
-        );
+        assert_eq!(KernelDesc::memcpy_h2d(1024).demand, ChannelDemand::ZERO);
     }
 
     #[test]
     fn with_demand_overrides_the_default_vector() {
         let d = ChannelDemand::new(0.2, 0.5, 0.3, 0.1);
-        let k = KernelDesc::compute("k", SimDuration::from_micros(10), 8, 0.6).with_demand(d);
+        let k = KernelDesc::compute(SimDuration::from_micros(10), 8, 0.6).with_demand(d);
         assert_eq!(k.demand, d);
         assert_eq!(k.mem_intensity, 0.6);
     }

@@ -34,7 +34,7 @@
 //! let queue = gpu.create_queue(ctx).unwrap();
 //! // Kernels launch by index from a registered table.
 //! let kernels: Arc<[KernelDesc]> =
-//!     Arc::from([KernelDesc::compute("conv", SimDuration::from_micros(120), 80, 0.3)]);
+//!     Arc::from([KernelDesc::compute(SimDuration::from_micros(120), 80, 0.3)]);
 //! let table = gpu.register_kernel_table(kernels);
 //! gpu.launch(queue, table, 0, 0).unwrap();
 //! while gpu.step().is_some() || gpu.peek_event_time().is_some() {}

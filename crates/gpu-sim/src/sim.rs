@@ -131,7 +131,13 @@ pub struct Simulation<D: HostDriver> {
 impl<D: HostDriver> Simulation<D> {
     /// Creates a simulation over the given arrivals (sorted by time
     /// internally; ties keep their input order).
-    pub fn new(gpu: Gpu, driver: D, arrivals: Vec<RequestArrival>) -> Self {
+    ///
+    /// Turns on [`Gpu::set_slot_recycling`]: the loop reports completions
+    /// only as [`KernelDone`] and drivers never read a handle after that,
+    /// so the instance arena stays bounded by the peak number of live
+    /// kernels instead of growing by one slot per kernel run.
+    pub fn new(mut gpu: Gpu, driver: D, arrivals: Vec<RequestArrival>) -> Self {
+        gpu.set_slot_recycling(true);
         let mut sorted = arrivals;
         sorted.sort_by_key(|a| a.at);
         let mut q = EventQueue::new();
@@ -319,7 +325,7 @@ mod tests {
     impl HostDriver for OneShot {
         fn on_start(&mut self, gpu: &mut Gpu) {
             let ctx = gpu.create_context(CtxKind::Default).unwrap();
-            let k = KernelDesc::compute("req", SimDuration::from_micros(10), 108, 0.0);
+            let k = KernelDesc::compute(SimDuration::from_micros(10), 108, 0.0);
             let table = gpu.register_kernel_table(std::sync::Arc::from([k]));
             self.queue = Some((gpu.create_queue(ctx).unwrap(), table));
         }

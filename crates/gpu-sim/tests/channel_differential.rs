@@ -73,9 +73,9 @@ fn canonical_plan(seed: u64, collapse_on: Channel) -> Plan {
             let extra = SimDuration::from_nanos(rng.next_below(500_000));
             let desc = if q == QUEUES - 1 && k % 3 == 0 {
                 if k % 6 == 0 {
-                    KernelDesc::memcpy_h2d("h2d", 1 << (16 + rng.next_below(6)))
+                    KernelDesc::memcpy_h2d(1 << (16 + rng.next_below(6)))
                 } else {
-                    KernelDesc::memcpy_d2h("d2h", 1 << (16 + rng.next_below(6)))
+                    KernelDesc::memcpy_d2h(1 << (16 + rng.next_below(6)))
                 }
             } else {
                 let dur = SimDuration::from_nanos(20_000 + rng.next_below(180_000));
@@ -86,7 +86,7 @@ fn canonical_plan(seed: u64, collapse_on: Channel) -> Plan {
                     2 => 0.7,
                     _ => 0.9,
                 };
-                KernelDesc::compute("c", dur, sms, mem)
+                KernelDesc::compute(dur, sms, mem)
                     .with_demand(ChannelDemand::collapsed(collapse_on, mem))
             };
             kernels.push((desc, tag, extra));
@@ -230,7 +230,7 @@ fn calibrated_model_diverges_from_scalar_on_multi_channel_demand() {
             let sms = 4 + rng.next_below(60) as u32;
             let demand = ChannelDemand::new(0.3, 0.6, 0.5, 0.1);
             kernels.push((
-                KernelDesc::compute("c", dur, sms, 0.5).with_demand(demand),
+                KernelDesc::compute(dur, sms, 0.5).with_demand(demand),
                 ((q as u64) << 32) | k as u64,
                 SimDuration::from_nanos(rng.next_below(500_000)),
             ));

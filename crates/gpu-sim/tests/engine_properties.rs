@@ -44,10 +44,7 @@ fn run_mix(
         let q = gpu.create_queue(ctx).unwrap();
         let descs = ks
             .iter()
-            .enumerate()
-            .map(|(i, &(us, sms, mem))| {
-                KernelDesc::compute(format!("k{i}"), SimDuration::from_micros(us), sms, mem)
-            })
+            .map(|&(us, sms, mem)| KernelDesc::compute(SimDuration::from_micros(us), sms, mem))
             .collect();
         handles.extend(launch_all(&mut gpu, q, descs, 0));
     }
@@ -149,9 +146,9 @@ proptest! {
         let cb = gpu.create_context(CtxKind::MigPartition { sm_count: sms_b }).unwrap();
         let qa = gpu.create_queue(ca).unwrap();
         let qb = gpu.create_queue(cb).unwrap();
-        let k = |n: &str| KernelDesc::compute(n, SimDuration::from_micros(us), 108, 0.0);
-        let ha = launch_all(&mut gpu, qa, vec![k("a")], 0)[0];
-        let hb = launch_all(&mut gpu, qb, vec![k("b")], 1)[0];
+        let k = || KernelDesc::compute(SimDuration::from_micros(us), 108, 0.0);
+        let ha = launch_all(&mut gpu, qa, vec![k()], 0)[0];
+        let hb = launch_all(&mut gpu, qb, vec![k()], 1)[0];
         gpu.drain();
         // Each kernel's duration = work / partition size, exactly.
         let expect = |sms: u32| {
@@ -192,7 +189,7 @@ proptest! {
         let launch = |gpu: &mut Gpu, ks: &[(u64, u32, f64)], base: u64| {
             let descs = ks
                 .iter()
-                .map(|&(us, sms, mem)| KernelDesc::compute("k", SimDuration::from_micros(us), sms, mem))
+                .map(|&(us, sms, mem)| KernelDesc::compute(SimDuration::from_micros(us), sms, mem))
                 .collect();
             launch_all(gpu, q, descs, base)
         };
@@ -283,7 +280,7 @@ proptest! {
         let q = gpu.create_queue(ctx).unwrap();
         let descs = kernels
             .iter()
-            .map(|&(us, sms, mem)| KernelDesc::compute("k", SimDuration::from_micros(us), sms, mem))
+            .map(|&(us, sms, mem)| KernelDesc::compute(SimDuration::from_micros(us), sms, mem))
             .collect::<Vec<_>>();
         let table = gpu.register_kernel_table(Arc::from(descs));
         // Tag app 0 in the low bits so the crash plan targets it.

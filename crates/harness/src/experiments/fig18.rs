@@ -11,105 +11,55 @@
 
 use bless::{BlessDriver, BlessParams, DeployedApp};
 use dnn_models::{ModelKind, Phase};
-use gpu_sim::GpuSpec;
+use gpu_sim::{BufferSink, Gpu, GpuSpec, HostCosts, RequestArrival, Simulation};
 use metrics::Table;
 use sim_core::SimTime;
 use workloads::{pair_workload, PaperWorkload};
 
-use crate::cache;
-use crate::gantt;
-use crate::runner::{run_custom, run_system, System};
-use workloads::{ArrivalPattern, TenantSpec, WorkloadSet};
+use crate::runner::{run_system, System};
+use crate::{cache, gantt, tracectl};
 
-/// Runs the 70/30 two-R50 scenario with a trace sink installed and returns
-/// the driver plus an ASCII Gantt of the SM occupancy built from the
-/// trace.
-pub fn squad_trace_with_gantt() -> (BlessDriver, String) {
+/// Runs the 70/30 two-R50 scenario once with a trace sink installed and
+/// returns the BLESS driver (with squad records) plus an ASCII Gantt of
+/// the SM occupancy built from the trace.
+pub fn squad_trace() -> (BlessDriver, String) {
     let spec = GpuSpec::a100();
-    let apps = vec![
-        DeployedApp::new(
-            cache::profile(ModelKind::ResNet50, Phase::Inference, &spec),
-            0.7,
-            None,
-        ),
-        DeployedApp::new(
-            cache::profile(ModelKind::ResNet50, Phase::Inference, &spec),
-            0.3,
-            None,
-        ),
-    ];
+    let apps = [0.7, 0.3]
+        .map(|quota| {
+            DeployedApp::new(
+                cache::profile(ModelKind::ResNet50, Phase::Inference, &spec),
+                quota,
+                None,
+            )
+        })
+        .to_vec();
     let mut driver = BlessDriver::new(apps, BlessParams::default());
     driver.record_squads = true;
-    let mut gpu = gpu_sim::Gpu::new(spec.clone(), gpu_sim::HostCosts::paper());
-    let trace = gpu_sim::BufferSink::new();
+    let mut gpu = Gpu::new(spec.clone(), HostCosts::paper());
+    let trace = BufferSink::new();
     gpu.set_trace_sink(Box::new(trace.clone()));
-    let arrivals = vec![
-        gpu_sim::RequestArrival {
-            app: 0,
+    let arrivals = (0..2)
+        .map(|app| RequestArrival {
+            app,
             req: 0,
             at: SimTime::ZERO,
-        },
-        gpu_sim::RequestArrival {
-            app: 1,
-            req: 0,
-            at: SimTime::ZERO,
-        },
-    ];
-    let mut sim = gpu_sim::Simulation::new(gpu, driver, arrivals);
+        })
+        .collect();
+    let mut sim = Simulation::new(gpu, driver, arrivals);
     sim.run(SimTime::from_secs(10));
-    let end = sim.gpu.now();
+    let events = trace.take();
+    if tracectl::enabled() {
+        tracectl::export_and_validate("custom", spec.num_sms, None, &events);
+    }
     let chart = gantt::render(
-        &trace.take(),
+        &events,
         &[(0, "req1 (70%)"), (1, "req2 (30%)")],
         spec.num_sms,
         SimTime::ZERO,
-        end,
+        sim.gpu.now(),
         72,
     );
     (sim.driver, chart)
-}
-
-/// Runs the 70/30 two-R50 scenario and returns the BLESS driver with
-/// squad records.
-fn squad_trace() -> BlessDriver {
-    let spec = GpuSpec::a100();
-    let apps = vec![
-        DeployedApp::new(
-            cache::profile(ModelKind::ResNet50, Phase::Inference, &spec),
-            0.7,
-            None,
-        ),
-        DeployedApp::new(
-            cache::profile(ModelKind::ResNet50, Phase::Inference, &spec),
-            0.3,
-            None,
-        ),
-    ];
-    let mut driver = BlessDriver::new(apps, BlessParams::default());
-    driver.record_squads = true;
-    let ws = WorkloadSet::new(
-        vec![
-            TenantSpec::new(
-                cache::model(ModelKind::ResNet50, Phase::Inference),
-                0.7,
-                ArrivalPattern::Simultaneous {
-                    count: 1,
-                    at: SimTime::ZERO,
-                },
-            ),
-            TenantSpec::new(
-                cache::model(ModelKind::ResNet50, Phase::Inference),
-                0.3,
-                ArrivalPattern::Simultaneous {
-                    count: 1,
-                    at: SimTime::ZERO,
-                },
-            ),
-        ],
-        71,
-    );
-    let (driver, _, _) = run_custom(driver, &ws, &spec, SimTime::from_secs(10));
-    driver
 }
 
 /// Regenerates Fig. 18.
@@ -117,7 +67,7 @@ pub fn run() -> Vec<Table> {
     let mut out = Vec::new();
 
     // (a) squad-by-squad trace.
-    let driver = squad_trace();
+    let (driver, chart) = squad_trace();
     let mut t = Table::new(
         "Fig. 18(a): two R50 requests (70%/30%), squad-by-squad",
         &[
@@ -171,7 +121,6 @@ pub fn run() -> Vec<Table> {
         "request latencies: req1 (70%) {l0:.2} ms, req2 (30%) {l1:.2} ms"
     ));
     t.note("paper: the scheduler selects more kernels from request 1; one squad runs 78/30 SMs");
-    let (_, chart) = squad_trace_with_gantt();
     t.note(format!(
         "SM occupancy (one row per request):
 {chart}"
@@ -218,7 +167,7 @@ mod tests {
 
     #[test]
     fn high_quota_request_dominates_early_squads() {
-        let driver = squad_trace();
+        let (driver, _) = squad_trace();
         assert!(driver.squads_launched >= 2);
         // Over the whole run, request 1 (70%) must receive more kernels in
         // the squads where both requests are live.

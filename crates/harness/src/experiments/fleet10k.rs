@@ -234,7 +234,10 @@ pub fn run() -> Vec<Table> {
         }
     }
     runs.note("summaries (counters + fleet digest) byte-identical across worker counts");
-    runs.note("O(shard) memory: per-GPU results fold into streaming accumulators");
+    runs.note(
+        "memory: per-GPU tallies fold in GPU order with O(workers) runs resident; \
+         engine slots are recycled; one kernel table per model",
+    );
 
     let (ff, ca) = policy_slowdowns(gpus, gpus);
     let mut policy = Table::new(
@@ -270,5 +273,15 @@ mod tests {
         assert!(a.arrived_requests > 0);
         let (ff, ca) = policy_slowdowns(16, 16);
         assert!(ca < ff, "ff={ff:.4} ca={ca:.4}");
+    }
+
+    /// Tenants and profiles of one model share one kernel table.
+    #[test]
+    fn tenants_share_their_profiles_kernel_table() {
+        let (ws, profiles) = workload(8, 1);
+        assert_eq!(ws.tenants.len(), profiles.len());
+        for (t, p) in ws.tenants.iter().zip(&profiles) {
+            assert!(std::sync::Arc::ptr_eq(&t.model.kernels, &p.kernels));
+        }
     }
 }

@@ -303,7 +303,7 @@ mod tests {
 
     #[test]
     fn engine_trace_segments_cover_the_kernel_run() {
-        let k = KernelDesc::compute("k", SimDuration::from_micros(10), 108, 0.0);
+        let k = KernelDesc::compute(SimDuration::from_micros(10), 108, 0.0);
         let events = traced_run(&[CtxKind::Default], vec![k], SimTime::ZERO);
         let segs = segments(&events, us(1000));
         assert!(!segs.is_empty());
@@ -322,8 +322,8 @@ mod tests {
         // segment instead of splitting at the boundary.
         let cap = CtxKind::MpsAffinity { sm_cap: 54 };
         let kernels = vec![
-            KernelDesc::compute("a", SimDuration::from_micros(100), 54, 0.0),
-            KernelDesc::compute("b", SimDuration::from_micros(50), 54, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(100), 54, 0.0),
+            KernelDesc::compute(SimDuration::from_micros(50), 54, 0.0),
         ];
         let events = traced_run(&[cap, cap], kernels, us(10));
         let segs = segments(&events, us(1000));

@@ -224,10 +224,6 @@ fn run_system_capture(
     }
 
     let mut gpu = Gpu::new(spec.clone(), HostCosts::paper());
-    // Long workloads retire millions of kernels; the drivers only consume
-    // completion tags, never dereference handles afterwards, so finished
-    // instance slots can be recycled instead of growing without bound.
-    gpu.set_slot_recycling(true);
     let sink = if capture {
         let s = BufferSink::new();
         gpu.set_trace_sink(Box::new(s.clone()));
@@ -326,8 +322,7 @@ fn run_iso(
             .collect();
         let apps = deployment(&solo_ws, spec, None);
         let driver = StaticShareDriver::new(apps, ShareMode::QuotaMps);
-        let mut gpu = Gpu::new(spec.clone(), HostCosts::paper());
-        gpu.set_slot_recycling(true);
+        let gpu = Gpu::new(spec.clone(), HostCosts::paper());
         let mut sim =
             Simulation::new(gpu, driver, arrivals).with_notice_handler(solo_ws.notice_handler());
         let o = sim.run(horizon);
@@ -383,7 +378,6 @@ pub fn run_custom_faulted<D: HostDriver>(
     plan: sim_core::FaultPlan,
 ) -> (D, RunOutcome, SimTime, gpu_sim::FaultCounters) {
     let mut gpu = Gpu::new(spec.clone(), HostCosts::paper());
-    gpu.set_slot_recycling(true);
     gpu.set_fault_plan(plan);
     // Under `--trace`, custom runs (fault drills, squad labs) are captured
     // and checked against the structural invariants; fairness is skipped

@@ -68,9 +68,9 @@ impl ProfiledApp {
             .collect();
 
         let mut profile_cost = SimDuration::ZERO;
-        // One copy of the descriptors: every profiling run launches from
-        // it as a kernel table, and the profile keeps it.
-        let kernels: Arc<[KernelDesc]> = Arc::from(app.kernels.as_slice());
+        // The model's own descriptors: every profiling run launches from
+        // them as a kernel table, and the profile shares them.
+        let kernels = Arc::clone(&app.kernels);
 
         // First run: unrestricted, to obtain the overall performance.
         let (t_full, _durs, _cums) = run_solo(&kernels, spec, None);

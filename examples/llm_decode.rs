@@ -43,7 +43,7 @@ fn decode_step_model() -> AppModel {
         phase: Phase::Inference,
         name: spec.name.clone(),
         memory_mib: spec.memory_mib,
-        kernels: generate_kernels(&spec),
+        kernels: generate_kernels(&spec).into(),
     }
 }
 

@@ -265,7 +265,7 @@ fn model_generation_is_stable_across_calls() {
         let a = dnn_models::AppModel::build(kind, Phase::Training);
         let b = dnn_models::AppModel::build(kind, Phase::Training);
         assert_eq!(a.kernels.len(), b.kernels.len());
-        for (x, y) in a.kernels.iter().zip(&b.kernels) {
+        for (x, y) in a.kernels.iter().zip(b.kernels.iter()) {
             assert_eq!(x.work.to_bits(), y.work.to_bits(), "bit-identical work");
             assert_eq!(x.max_sms, y.max_sms);
         }

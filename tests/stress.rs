@@ -115,11 +115,11 @@ fn memcpy_heavy_queues_complete() {
     let ctx = gpu.create_context(CtxKind::Default).unwrap();
     let q = gpu.create_queue(ctx).unwrap();
     let kernels: Vec<_> = (0..50)
-        .flat_map(|i| {
+        .flat_map(|_| {
             [
-                KernelDesc::memcpy_h2d(format!("h2d{i}"), 1_000_000),
-                KernelDesc::compute(format!("k{i}"), SimDuration::from_micros(30), 60, 0.3),
-                KernelDesc::memcpy_d2h(format!("d2h{i}"), 100_000),
+                KernelDesc::memcpy_h2d(1_000_000),
+                KernelDesc::compute(SimDuration::from_micros(30), 60, 0.3),
+                KernelDesc::memcpy_d2h(100_000),
             ]
         })
         .collect();

@@ -305,22 +305,53 @@ fn fault_spec() -> FaultSpec {
     }
 }
 
-#[test]
-fn faulted_run_passes_structural_invariants() {
+/// One traced `Simulation` run of BLESS on the seed-42 pair.
+struct SimRun {
+    /// `(arrival, completion)` nanoseconds of every request, app by app.
+    log: Vec<(u64, u64)>,
+    events: Vec<TraceEvent>,
+    /// The engine's instance arena size after the run.
+    instance_slots: usize,
+}
+
+/// Runs BLESS on the seed-42 pair through `Simulation` under `plan`. With
+/// `recycle` false, slot recycling is turned back off after construction.
+fn bless_sim(plan: FaultPlan, recycle: bool) -> SimRun {
     let spec = GpuSpec::a100();
     let ws = workload(42);
     let apps = deployment(&ws, &spec, None);
     let driver = bless::BlessDriver::new(apps, bless::BlessParams::default());
 
-    let mut gpu = Gpu::new(spec.clone(), HostCosts::paper());
-    gpu.set_slot_recycling(true);
-    gpu.set_fault_plan(FaultPlan::build(42, &fault_spec()));
+    let mut gpu = Gpu::new(spec, HostCosts::paper());
+    gpu.set_fault_plan(plan);
     let sink = BufferSink::new();
     gpu.set_trace_sink(Box::new(sink.clone()));
     let mut sim = Simulation::new(gpu, driver, ws.initial_arrivals())
         .with_notice_handler(ws.notice_handler());
+    if !recycle {
+        sim.gpu.set_slot_recycling(false);
+    }
     assert_eq!(sim.run(SimTime::from_secs(300)), RunOutcome::Completed);
-    let events = sink.take();
+    let log = (0..sim.driver.log.apps())
+        .flat_map(|app| sim.driver.log.records(app))
+        .map(|r| {
+            (
+                r.arrival.as_nanos(),
+                r.completion.map_or(0, |c| c.as_nanos()),
+            )
+        })
+        .collect();
+    SimRun {
+        log,
+        events: sink.take(),
+        instance_slots: sim.gpu.instance_slots(),
+    }
+}
+
+#[test]
+fn faulted_run_passes_structural_invariants() {
+    let spec = GpuSpec::a100();
+    let events = bless_sim(FaultPlan::build(42, &fault_spec()), true).events;
 
     // Structural invariants only: fault injection legitimately skews
     // per-tenant progress, so fairness is not asserted here.
@@ -343,6 +374,51 @@ fn faulted_run_passes_structural_invariants() {
     assert!(crashes > 0, "matrix must inject crashes");
     assert!(retries > 0, "crashed kernels must be retried");
     assert!(stalls > 0, "matrix must inject DMA stalls");
+}
+
+// ---------------------------------------------------------------------------
+// Slot recycling must be unobservable
+// ---------------------------------------------------------------------------
+
+#[test]
+fn slot_recycling_does_not_perturb_a_faulted_run() {
+    // `Simulation::new` turns recycling on; drivers never read a handle
+    // after its completion, so the faulted schedule (crashes, retries,
+    // stragglers, DMA stalls) must not depend on it.
+    let plan = FaultPlan::build(42, &fault_spec());
+    let on = bless_sim(plan.clone(), true);
+    let off = bless_sim(plan, false);
+    assert_eq!(on.log, off.log, "request log diverged");
+    assert_eq!(
+        fnv(to_jsonl(&on.events).as_bytes()),
+        fnv(to_jsonl(&off.events).as_bytes()),
+        "trace diverged"
+    );
+    assert!(on.instance_slots < off.instance_slots);
+}
+
+#[test]
+fn recycled_arena_stays_within_peak_live_kernels() {
+    let run = bless_sim(FaultPlan::none(), true);
+    // Live kernels hold a slot from launch to completion.
+    let (mut live, mut peak, mut launched) = (0usize, 0usize, 0usize);
+    for e in &run.events {
+        match e {
+            TraceEvent::KernelLaunch { .. } => {
+                launched += 1;
+                live += 1;
+                peak = peak.max(live);
+            }
+            TraceEvent::KernelComplete { .. } => live -= 1,
+            _ => {}
+        }
+    }
+    assert!(launched > 5_000, "fixture must run thousands of kernels");
+    assert!(
+        run.instance_slots <= peak,
+        "{} slots for a peak of {peak} live kernels ({launched} run)",
+        run.instance_slots
+    );
 }
 
 // ---------------------------------------------------------------------------
