@@ -84,16 +84,14 @@ mod counting_alloc {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
-    pub static BYTES: AtomicU64 = AtomicU64::new(0);
 
     struct CountingAlloc;
 
-    // SAFETY: delegates verbatim to `System`; the counters are
-    // observational and touch no allocator state.
+    // SAFETY: delegates verbatim to `System`; the counter is
+    // observational and touches no allocator state.
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
             unsafe { System.alloc(layout) }
         }
 
@@ -104,7 +102,6 @@ mod counting_alloc {
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
             // A grow-in-place still traverses the allocator; count it.
             ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
             unsafe { System.realloc(ptr, layout, new_size) }
         }
     }
@@ -123,18 +120,6 @@ pub fn alloc_count() -> u64 {
     #[cfg(feature = "count-alloc")]
     {
         counting_alloc::ALLOCS.load(std::sync::atomic::Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "count-alloc"))]
-    {
-        0
-    }
-}
-
-/// Total bytes requested from the allocator (0 without `count-alloc`).
-pub fn alloc_bytes() -> u64 {
-    #[cfg(feature = "count-alloc")]
-    {
-        counting_alloc::BYTES.load(std::sync::atomic::Ordering::Relaxed)
     }
     #[cfg(not(feature = "count-alloc"))]
     {

@@ -7,32 +7,27 @@
 //! transiently ([`sim_core::GpuHangEvent`]). When a device faults, its
 //! runtime is quiesced at a barrier one nanosecond before the fault
 //! instant, the in-flight squads are abandoned with typed errors on the
-//! device ([`Gpu::drain_snapshot`]), and the pending per-tenant work is
-//! exported as a portable checkpoint ([`BlessDriver::export_checkpoint`]
-//! plus the undelivered arrival tail from
-//! [`Simulation::take_pending_arrivals`]).
+//! device ([`gpu_sim::Gpu::drain_snapshot`]), and the pending per-tenant
+//! work is exported as a portable checkpoint
+//! ([`BlessDriver::export_checkpoint`] plus the undelivered arrival tail
+//! from [`Simulation::take_pending_arrivals`]).
 //!
-//! * **Permanent failure** — every casualty with remaining work is handed
-//!   to the [`MigrationPolicy`], which first-fits it onto a surviving
-//!   device under the same quota-capacity and §4.2.2 admission rules the
-//!   initial placement used. The checkpoint replays on the target after a
-//!   modeled [`ChaosOptions::migration_cost`] (checkpoint transfer plus
-//!   context re-provisioning, the cross-device analogue of the 50 µs MPS
-//!   vacuum). Tenants no device can admit are *stranded*: reported with a
-//!   typed [`PlacementError::NoCapacity`] instead of silently dropped.
+//! * **Permanent failure** — every casualty with remaining work is
+//!   first-fitted onto a surviving device under the same quota-capacity
+//!   and §4.2.2 admission rules the initial placement used. The
+//!   checkpoint replays on the target after a modeled [`MIGRATION_COST`]
+//!   (checkpoint transfer plus context re-provisioning, the cross-device
+//!   analogue of the 50 µs MPS vacuum). Tenants no device can admit are
+//!   *stranded*: reported with a typed [`PlacementError::NoCapacity`]
+//!   instead of silently dropped.
 //! * **Transient hang** — the device's work survives: the same
 //!   drain-and-snapshot runs at onset, and the checkpoint replays on the
 //!   *same* device once the hang clears, after a modeled
-//!   [`ChaosOptions::restart_cost`].
-//! * **Planned pinned evacuation** — with
-//!   [`ChaosOptions::pinned_evacuation`] set, a periodic fleet-wide check
-//!   reads each device's drift watchdog and relocates tenants that have
-//!   sat at the bottom of the degradation ladder for too long onto a
-//!   *different* surviving device, where they restart at the top of the
-//!   ladder (see [`PinnedPolicy`]). This wires the single-GPU watchdog
-//!   into fleet-level migration: the same quiesce/checkpoint/replay
-//!   machinery a failure uses, but triggered by sustained interference
-//!   rather than by a fault.
+//!   [`RESTART_COST`].
+//!
+//! Each GPU's initial workload and every incarnation's runtime come from
+//! the fleet runner's own builders ([`crate::run`]), so a fault-free
+//! chaos run and [`crate::run_cluster_opts`] cannot drift apart.
 //!
 //! Recovery time is first-class: every interruption produces a
 //! [`MigrationRecord`] whose [`MigrationRecord::recovery`] is the gap
@@ -44,9 +39,10 @@
 //! fault events are applied sequentially in time order, and only the
 //! final drain of surviving devices runs on the worker pool
 //! ([`sim_core::par`]) — each surviving runtime is self-contained by
-//! then, so the merged result is byte-identical at any worker count. A [`FaultPlan::none`] chaos run
-//! performs no quiesce, no rebuild, and no migration: each GPU executes
-//! the identical event sequence as [`crate::run_cluster_opts`].
+//! then, so the merged result is byte-identical at any worker count. A
+//! [`FaultPlan::none`] chaos run performs no quiesce, no rebuild, and no
+//! migration: each GPU executes the identical event sequence as
+//! [`crate::run_cluster_opts`].
 //!
 //! # Scope
 //!
@@ -56,16 +52,25 @@
 //! device-level faults (context crashes, DMA stalls, drift, stragglers)
 //! compose through the single-GPU `run_custom_faulted` harness path.
 
-use bless::{BlessDriver, BlessParams, DeployedApp, TenantCheckpoint};
-use gpu_sim::{Gpu, GpuSpec, HostCosts, RequestArrival, RunOutcome, Simulation};
+use bless::{BlessDriver, BlessParams, TenantCheckpoint};
+use gpu_sim::{GpuSpec, RequestArrival, RunOutcome, Simulation};
 use metrics::{RequestLog, ShareMode};
 use profiler::{admit, AdmissionPolicy, ProfiledApp, SharedProfile};
 use sim_core::par;
 use sim_core::trace::TraceEvent;
 use sim_core::{FaultPlan, FaultSpec, SimDuration, SimTime};
-use workloads::{ArrivalPattern, TenantSpec, WorkloadSet};
+use workloads::{ArrivalPattern, WorkloadSet};
 
-use crate::placement::{place, CapacityIndex, Placement, PlacementError, PlacementRequest};
+use crate::placement::{CapacityIndex, Placement, PlacementError};
+use crate::run::{ClusterOptions, Fleet};
+
+/// Modeled cost of moving a tenant checkpoint to another device and
+/// re-provisioning contexts there — the cross-device analogue of the
+/// 50 µs MPS context-switch vacuum, plus checkpoint transfer.
+pub const MIGRATION_COST: SimDuration = SimDuration::from_micros(250);
+
+/// Modeled device restart time after a transient hang clears.
+pub const RESTART_COST: SimDuration = SimDuration::from_micros(50);
 
 /// The class of device fault that interrupted a tenant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,39 +79,6 @@ pub enum FaultKind {
     Failure,
     /// Transient device hang: the tenant resumed on the same GPU.
     Hang,
-    /// Planned evacuation: the drift watchdog reported the tenant pinned
-    /// at the bottom of the degradation ladder, so the fleet relocated it
-    /// (see [`PinnedPolicy`]).
-    Pinned,
-}
-
-/// Same-instant fault ordering: failures quiesce first, then hangs, then
-/// the planned pinned checks (which see the post-fault fleet).
-fn fault_rank(kind: FaultKind) -> u8 {
-    match kind {
-        FaultKind::Failure => 0,
-        FaultKind::Hang => 1,
-        FaultKind::Pinned => 2,
-    }
-}
-
-/// Watchdog-driven planned evacuation (the fleet-level consequence of the
-/// degradation ladder): a tenant the drift watchdog reports pinned at
-/// [`ShareMode::Temporal`] for [`PinnedPolicy::after_rounds`] consecutive
-/// rounds is moved to a *different* surviving device at the next periodic
-/// fleet check — the ladder has given up on sharing there, so relocating
-/// is the only remaining lever. Each tenant moves at most once per run; a
-/// mover restarts at the top of the ladder on its new device, and a mover
-/// no device can admit simply stays put (a planned evacuation never
-/// strands work). Requires a watchdog-enabled [`BlessParams`] deployment:
-/// [`BlessDriver::temporal_pinned_rounds`] never ticks otherwise.
-#[derive(Clone, Copy, Debug)]
-pub struct PinnedPolicy {
-    /// Consecutive watchdog rounds at [`ShareMode::Temporal`] before a
-    /// tenant becomes eligible for evacuation.
-    pub after_rounds: u32,
-    /// Virtual-time period of the fleet-wide pinned check.
-    pub check_every: SimDuration,
 }
 
 /// One completed recovery: a tenant relocated after a device failure, or
@@ -172,64 +144,8 @@ pub struct SkippedFault {
     pub reason: PlacementError,
 }
 
-/// Decides where an evacuated tenant lands after its device dies.
-///
-/// The policy consumes the same signals the initial placement used —
-/// memory footprint, quota capacity, §4.2.2 kernel-granularity
-/// admission — plus the degradation-ladder position carried in each
-/// tenant's checkpoint: [`run_chaos`] evacuates the most-degraded
-/// casualties first, so tenants deepest in the drift-watchdog ladder get
-/// first pick of surviving capacity (they are the ones already running
-/// with reduced sharing and can least afford to be stranded).
-#[derive(Clone, Debug)]
-pub struct MigrationPolicy {
-    /// Admission rules for co-locating the migrant with a host's tenants.
-    pub admission: AdmissionPolicy,
-    /// Device memory of every GPU in the fleet (MiB).
-    pub memory_mib: u64,
-}
-
-impl MigrationPolicy {
-    /// Policy with the default admission rules for `memory_mib` devices.
-    pub fn new(memory_mib: u64) -> Self {
-        MigrationPolicy {
-            admission: AdmissionPolicy::default(),
-            memory_mib,
-        }
-    }
-
-    /// First-fits `migrant` (fleet tenant `app`) onto an alive host slot.
-    ///
-    /// `hosts[h]` is `None` for dead devices, else the placement requests
-    /// of the tenants currently provisioned there (including tenants that
-    /// already finished — quota is provisioned capacity, not load, and
-    /// staying conservative keeps re-placement deterministic). Returns
-    /// [`PlacementError::NoCapacity`] when no alive device passes both
-    /// the quota-capacity and admission checks.
-    pub fn choose_target(
-        &self,
-        app: usize,
-        migrant: &PlacementRequest,
-        hosts: &[Option<Vec<PlacementRequest>>],
-    ) -> Result<usize, PlacementError> {
-        for (h, slot) in hosts.iter().enumerate() {
-            let Some(members) = slot else { continue };
-            let quota_used: f64 = members.iter().map(|m| m.quota).sum();
-            if quota_used + migrant.quota > 1.0 + 1e-9 {
-                continue;
-            }
-            let mut profiles: Vec<&ProfiledApp> = members.iter().map(|m| &*m.profile).collect();
-            profiles.push(&migrant.profile);
-            if admit(&profiles, self.memory_mib, &self.admission).is_ok() {
-                return Ok(h);
-            }
-        }
-        Err(PlacementError::NoCapacity { app })
-    }
-}
-
 /// Knobs for [`run_chaos`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ChaosOptions {
     /// Synthesize the fleet-level trace stream into [`ChaosRun::trace`].
     pub capture_trace: bool,
@@ -237,33 +153,6 @@ pub struct ChaosOptions {
     /// `std::thread::available_parallelism`. `Some(1)` runs the
     /// sequential loop. Output is byte-identical at any worker count.
     pub workers: Option<usize>,
-    /// Modeled cost of moving a tenant checkpoint to another device and
-    /// re-provisioning contexts there — the cross-device analogue of the
-    /// 50 µs MPS context-switch vacuum, plus checkpoint transfer.
-    pub migration_cost: SimDuration,
-    /// Modeled device restart time after a transient hang clears.
-    pub restart_cost: SimDuration,
-    /// Per-fleet-tenant initial degradation-ladder positions, applied to
-    /// every runtime before its first arrival (`None` = each tenant starts
-    /// at [`ShareMode::SemiSpatial`], like a fresh driver). Lets drills
-    /// start tenants mid-ladder deterministically.
-    pub initial_modes: Option<Vec<ShareMode>>,
-    /// Watchdog-driven planned evacuation of pinned tenants (`None`
-    /// disables the periodic check).
-    pub pinned_evacuation: Option<PinnedPolicy>,
-}
-
-impl Default for ChaosOptions {
-    fn default() -> Self {
-        ChaosOptions {
-            capture_trace: false,
-            workers: None,
-            migration_cost: SimDuration::from_micros(250),
-            restart_cost: SimDuration::from_micros(50),
-            initial_modes: None,
-            pinned_evacuation: None,
-        }
-    }
 }
 
 /// Result of a chaos run.
@@ -376,15 +265,6 @@ pub fn run_chaos<P: Into<SharedProfile>>(
     faults: &FaultSpec,
     opts: &ChaosOptions,
 ) -> Result<ChaosRun, PlacementError> {
-    if ws.tenants.is_empty() {
-        return Err(PlacementError::EmptyWorkload);
-    }
-    if ws.len() != profiles.len() {
-        return Err(PlacementError::ProfileCountMismatch {
-            profiles: profiles.len(),
-            tenants: ws.len(),
-        });
-    }
     for t in &ws.tenants {
         assert!(
             !matches!(t.pattern, ArrivalPattern::ClosedLoop { .. }),
@@ -392,51 +272,36 @@ pub fn run_chaos<P: Into<SharedProfile>>(
              client state cannot be checkpointed across a migration"
         );
     }
-    let requests: Vec<PlacementRequest> = profiles
-        .into_iter()
-        .zip(&ws.tenants)
-        .map(|(p, t)| PlacementRequest {
-            profile: p.into(),
-            quota: t.quota,
-        })
-        .collect();
-    let placement = place(
-        &requests,
+    // Default options place first-fit; chaos drains on its own pool.
+    let cluster_opts = ClusterOptions::default();
+    let fleet = Fleet::place(
+        ws,
+        profiles,
         fleet_size,
-        spec.memory_mib,
-        &profiler::AdmissionPolicy::default(),
+        spec,
+        params,
+        horizon,
+        &cluster_opts,
     )?;
+    let gpus_used = fleet.placement.gpus_used;
 
     // The fault schedule is a pure function of (seed, spec); a zero
     // num_gpus means "size to the placement".
     let mut fspec = faults.clone();
     if fspec.num_gpus == 0 {
-        fspec.num_gpus = placement.gpus_used as u32;
+        fspec.num_gpus = gpus_used as u32;
     }
     let plan = FaultPlan::build(fault_seed, &fspec);
-    let policy = MigrationPolicy::new(spec.memory_mib);
+    let requests = &fleet.requests;
+    let admission = AdmissionPolicy::default();
 
-    // Canonical fleet arrival schedule: per-GPU workloads generated
-    // exactly as the cluster runner does (seed + GPU offset, per-local-app
-    // fork), remapped to fleet tenant ids. Arrival times in the fleet log
-    // always come from this table, never from re-injection times.
+    // Canonical fleet arrival schedule: each GPU's workload as the cluster
+    // runner builds it, remapped to fleet tenant ids. Arrival times in the
+    // fleet log always come from this table, never from re-injection times.
     let mut fleet_arrivals: Vec<Vec<SimTime>> = vec![Vec::new(); ws.len()];
-    let mut slots: Vec<Option<Slot>> = Vec::with_capacity(placement.gpus_used);
-    for g in 0..placement.gpus_used {
-        let tenants = placement.tenants_of(g);
-        let local_ws = WorkloadSet::new(
-            tenants
-                .iter()
-                .map(|&t| {
-                    TenantSpec::new(
-                        ws.tenants[t].model.clone(),
-                        ws.tenants[t].quota,
-                        ws.tenants[t].pattern.clone(),
-                    )
-                })
-                .collect(),
-            ws.seed.wrapping_add(g as u64),
-        );
+    let mut slots: Vec<Option<Slot>> = Vec::with_capacity(gpus_used);
+    for g in 0..gpus_used {
+        let (tenants, local_ws) = fleet.local_workload(g);
         let arrivals = local_ws.initial_arrivals();
         let mut req_map: Vec<Vec<usize>> = vec![Vec::new(); tenants.len()];
         for a in &arrivals {
@@ -446,32 +311,11 @@ pub fn run_chaos<P: Into<SharedProfile>>(
         }
         // Open-loop fleet arrivals are emitted per app in time order, so
         // the per-tenant table above is already req-id ordered.
-        let apps: Vec<DeployedApp> = tenants
-            .iter()
-            .map(|&t| {
-                DeployedApp::new(
-                    SharedProfile::clone(&requests[t].profile),
-                    ws.tenants[t].quota,
-                    None,
-                )
-            })
-            .collect();
-        let mut driver = BlessDriver::new(apps, params.clone());
-        if let Some(modes) = &opts.initial_modes {
-            assert_eq!(
-                modes.len(),
-                ws.len(),
-                "initial_modes must cover every fleet tenant"
-            );
-            for (a, &t) in tenants.iter().enumerate() {
-                driver.restore_share_mode(a, modes[t], 0);
-            }
-        }
-        let gpu = Gpu::new(spec.clone(), HostCosts::paper());
+        let sim = fleet.simulation(&tenants, arrivals);
         slots.push(Some(Slot {
             tenants,
             req_map,
-            sim: Simulation::new(gpu, driver, arrivals),
+            sim,
         }));
     }
 
@@ -498,160 +342,14 @@ pub fn run_chaos<P: Into<SharedProfile>>(
         }))
         .filter(|e| e.at <= horizon)
         .collect();
-    // Periodic pinned checks join the same deterministic sequence.
-    if let Some(pp) = &opts.pinned_evacuation {
-        assert!(
-            pp.check_every.as_nanos() > 0,
-            "pinned_evacuation.check_every must be positive"
-        );
-        let mut at = SimTime::ZERO + pp.check_every;
-        while at <= horizon {
-            events.push(FaultEvent {
-                at,
-                gpu: 0, // fleet-wide check; the slot field is unused
-                kind: FaultKind::Pinned,
-                until: at,
-            });
-            at += pp.check_every;
-        }
-    }
-    events.sort_by_key(|e| (e.at, fault_rank(e.kind), e.gpu));
+    events.sort_by_key(|e| (e.at, e.kind == FaultKind::Hang, e.gpu));
 
     let mut migrations: Vec<MigrationRecord> = Vec::new();
     let mut stranded: Vec<StrandedTenant> = Vec::new();
     let mut skipped: Vec<SkippedFault> = Vec::new();
     let mut fleet_events: Vec<TraceEvent> = Vec::new();
-    // One planned move per tenant per run: evacuating a tenant that stays
-    // pinned even on its new device would just thrash the fleet.
-    let mut pinned_moved = vec![false; ws.len()];
 
     for ev in events {
-        if matches!(ev.kind, FaultKind::Pinned) {
-            let Some(pp) = opts.pinned_evacuation.as_ref() else {
-                unreachable!("pinned checks are only scheduled with a policy")
-            };
-            // Advance every surviving device to the check barrier and read
-            // the drift watchdog's pinned counter — virtual-time state, so
-            // the outcome is independent of wall-clock interleaving and of
-            // the final-drain worker count.
-            let barrier = SimTime::from_nanos(ev.at.as_nanos().saturating_sub(1));
-            let mut sources: Vec<(usize, Vec<usize>)> = Vec::new();
-            for (g, s) in slots.iter_mut().enumerate() {
-                let Some(slot) = s else { continue };
-                slot.sim.run(barrier);
-                let eligible: Vec<usize> = slot
-                    .tenants
-                    .iter()
-                    .enumerate()
-                    .filter(|&(a, &t)| {
-                        !pinned_moved[t]
-                            && slot.sim.driver.temporal_pinned_rounds(a) >= pp.after_rounds
-                    })
-                    .map(|(a, _)| a)
-                    .collect();
-                if !eligible.is_empty() {
-                    sources.push((g, eligible));
-                }
-            }
-            // Devices whose watchdogs report pinned tenants are excluded
-            // as targets for this round: they are congested by definition,
-            // and targeting a not-yet-processed source would re-place onto
-            // a device about to be quiesced.
-            let source_set: Vec<usize> = sources.iter().map(|&(g, _)| g).collect();
-            for (g, eligible) in sources {
-                let slot = slots[g]
-                    .take()
-                    .unwrap_or_else(|| unreachable!("source was alive at the check"));
-                let evacuees = quiesce(slot, ev.at, &mut completions);
-                let mut stay: Vec<Evacuee> = Vec::new();
-                let mut movers: Vec<Evacuee> = Vec::new();
-                for (a, e) in evacuees.into_iter().enumerate() {
-                    if eligible.contains(&a) && e.has_work() {
-                        movers.push(e);
-                    } else {
-                        stay.push(e);
-                    }
-                }
-                // Re-place each pinned tenant on a *different* surviving
-                // device under the same first-fit rules a failure uses; a
-                // mover no device admits stays put — a planned evacuation
-                // never strands work.
-                let mut staged: Vec<Vec<Evacuee>> = (0..slots.len()).map(|_| Vec::new()).collect();
-                for mut e in movers {
-                    let migrant = PlacementRequest {
-                        profile: SharedProfile::clone(&requests[e.tenant].profile),
-                        quota: requests[e.tenant].quota,
-                    };
-                    let hosts: Vec<Option<Vec<PlacementRequest>>> = slots
-                        .iter()
-                        .enumerate()
-                        .map(|(h, s)| {
-                            if source_set.contains(&h) {
-                                return None; // no source device, ever
-                            }
-                            s.as_ref().map(|s| {
-                                s.tenants
-                                    .iter()
-                                    .copied()
-                                    .chain(staged[h].iter().map(|m| m.tenant))
-                                    .map(|t| PlacementRequest {
-                                        profile: SharedProfile::clone(&requests[t].profile),
-                                        quota: requests[t].quota,
-                                    })
-                                    .collect()
-                            })
-                        })
-                        .collect();
-                    match policy.choose_target(e.tenant, &migrant, &hosts) {
-                        Ok(h) => {
-                            // Fresh ladder start on the new device: the
-                            // whole point of the move is that sharing on
-                            // the old one kept the tenant at the bottom.
-                            e.mode = ShareMode::SemiSpatial;
-                            e.clean_squads = 0;
-                            pinned_moved[e.tenant] = true;
-                            staged[h].push(e);
-                        }
-                        Err(_) => stay.push(e),
-                    }
-                }
-                let resume = ev.at + opts.migration_cost;
-                for (h, migrants) in staged.into_iter().enumerate() {
-                    if migrants.is_empty() {
-                        continue;
-                    }
-                    let target = slots[h]
-                        .take()
-                        .unwrap_or_else(|| unreachable!("policy only selects alive targets"));
-                    let mut all = quiesce(target, ev.at, &mut completions);
-                    for e in migrants {
-                        record_recovery(
-                            &e,
-                            g,
-                            h,
-                            FaultKind::Pinned,
-                            ev.at,
-                            resume,
-                            &mut migrations,
-                            opts.capture_trace.then_some(&mut fleet_events),
-                        );
-                        all.push(e);
-                    }
-                    slots[h] = Some(build_slot(all, resume, &requests, ws, spec, params));
-                }
-                // The source restarts its remaining tenants in place after
-                // the context re-provisioning pause.
-                slots[g] = Some(build_slot(
-                    stay,
-                    ev.at + opts.restart_cost,
-                    &requests,
-                    ws,
-                    spec,
-                    params,
-                ));
-            }
-            continue;
-        }
         let g = ev.gpu;
         let Some(slot) = slots.get_mut(g).and_then(Option::take) else {
             skipped.push(SkippedFault {
@@ -674,7 +372,7 @@ pub fn run_chaos<P: Into<SharedProfile>>(
             FaultKind::Hang => {
                 // The device comes back: replay the checkpoint in place
                 // once the hang clears plus the restart cost.
-                let resume = ev.until + opts.restart_cost;
+                let resume = ev.until + RESTART_COST;
                 for e in evacuees.iter().filter(|e| e.has_work()) {
                     record_recovery(
                         e,
@@ -687,7 +385,7 @@ pub fn run_chaos<P: Into<SharedProfile>>(
                         opts.capture_trace.then_some(&mut fleet_events),
                     );
                 }
-                slots[g] = Some(build_slot(evacuees, resume, &requests, ws, spec, params));
+                slots[g] = Some(build_slot(evacuees, resume, &fleet));
             }
             FaultKind::Failure => {
                 // Evacuate casualties most-degraded-first so tenants deep
@@ -696,16 +394,13 @@ pub fn run_chaos<P: Into<SharedProfile>>(
                     evacuees.into_iter().filter(Evacuee::has_work).collect();
                 movers.sort_by_key(|e| (ladder_rank(e.mode), e.tenant));
                 let mut staged: Vec<Vec<Evacuee>> = (0..slots.len()).map(|_| Vec::new()).collect();
-                // Index the surviving fleet once per failure: leaf `h` is
-                // host `h`'s provisioned quota folded in member order
-                // (dead devices are infinite, so no query selects them),
-                // and each staged migrant commits incrementally — the
-                // same float fold [`MigrationPolicy::choose_target`]
-                // recomputes from a cloned snapshot, minus the
-                // O(fleet × tenants) rebuild per casualty. Targets are
-                // byte-identical: the index walks hosts in the same
-                // ascending order with the same capacity threshold, and
-                // the admission check below sees the same member set.
+                // First-fit each casualty onto the lowest-index alive host
+                // with quota room that passes §4.2.2 admission alongside
+                // its provisioned tenants (finished ones included — quota
+                // is provisioned capacity, not load) and the migrants
+                // already staged there. Leaf `h` of the index is host
+                // `h`'s quota folded in member order; dead hosts are
+                // infinite, so no query selects them.
                 let used: Vec<f64> = slots
                     .iter()
                     .map(|s| match s {
@@ -718,8 +413,7 @@ pub fn run_chaos<P: Into<SharedProfile>>(
                 for e in movers {
                     let migrant = &requests[e.tenant];
                     let mut from = 0;
-                    let mut chosen: Result<usize, PlacementError> =
-                        Err(PlacementError::NoCapacity { app: e.tenant });
+                    let mut chosen = None;
                     while let Some(h) = index.first_fit_from(from, migrant.quota) {
                         profiles.clear();
                         if let Some(s) = &slots[h] {
@@ -727,39 +421,33 @@ pub fn run_chaos<P: Into<SharedProfile>>(
                         }
                         profiles.extend(staged[h].iter().map(|m| &*requests[m.tenant].profile));
                         profiles.push(&migrant.profile);
-                        if admit(&profiles, policy.memory_mib, &policy.admission).is_ok() {
-                            chosen = Ok(h);
+                        if admit(&profiles, spec.memory_mib, &admission).is_ok() {
+                            chosen = Some(h);
                             break;
                         }
                         from = h + 1;
                     }
-                    match chosen {
-                        Ok(h) => {
-                            index.commit(h, migrant.quota);
-                            staged[h].push(e);
-                        }
-                        Err(reason) => {
-                            if opts.capture_trace {
-                                fleet_events.push(TraceEvent::MigrationFailed {
-                                    at: ev.at,
-                                    app: e.tenant as u32,
-                                    reason: match reason {
-                                        PlacementError::SourceDead { .. } => 1,
-                                        _ => 0,
-                                    },
-                                });
-                            }
-                            stranded.push(StrandedTenant {
-                                tenant: e.tenant,
-                                gpu: g,
-                                at: ev.at,
-                                reason,
-                                lost_requests: e.outstanding.len() + e.future.len(),
-                            });
-                        }
+                    if let Some(h) = chosen {
+                        index.commit(h, migrant.quota);
+                        staged[h].push(e);
+                        continue;
                     }
+                    if opts.capture_trace {
+                        fleet_events.push(TraceEvent::MigrationFailed {
+                            at: ev.at,
+                            app: e.tenant as u32,
+                            reason: 0, // no surviving GPU has capacity
+                        });
+                    }
+                    stranded.push(StrandedTenant {
+                        tenant: e.tenant,
+                        gpu: g,
+                        at: ev.at,
+                        reason: PlacementError::NoCapacity { app: e.tenant },
+                        lost_requests: e.outstanding.len() + e.future.len(),
+                    });
                 }
-                let resume = ev.at + opts.migration_cost;
+                let resume = ev.at + MIGRATION_COST;
                 for (h, migrants) in staged.into_iter().enumerate() {
                     if migrants.is_empty() {
                         continue;
@@ -770,7 +458,7 @@ pub fn run_chaos<P: Into<SharedProfile>>(
                     // resume alongside the migrants.
                     let target = slots[h]
                         .take()
-                        .unwrap_or_else(|| unreachable!("policy only selects alive targets"));
+                        .unwrap_or_else(|| unreachable!("first fit only selects alive targets"));
                     let mut all = quiesce(target, ev.at, &mut completions);
                     for e in migrants {
                         record_recovery(
@@ -785,10 +473,9 @@ pub fn run_chaos<P: Into<SharedProfile>>(
                         );
                         all.push(e);
                     }
-                    slots[h] = Some(build_slot(all, resume, &requests, ws, spec, params));
+                    slots[h] = Some(build_slot(all, resume, &fleet));
                 }
             }
-            FaultKind::Pinned => unreachable!("handled before the per-device dispatch"),
         }
     }
 
@@ -799,7 +486,7 @@ pub fn run_chaos<P: Into<SharedProfile>>(
         .enumerate()
         .filter_map(|(g, s)| Some((g, s.take()?)))
         .collect();
-    let mut outcomes: Vec<Option<RunOutcome>> = vec![None; placement.gpus_used];
+    let mut outcomes: Vec<Option<RunOutcome>> = vec![None; gpus_used];
     par::for_each_ordered(
         opts.workers,
         work,
@@ -849,7 +536,7 @@ pub fn run_chaos<P: Into<SharedProfile>>(
     };
 
     Ok(ChaosRun {
-        placement,
+        placement: fleet.placement,
         log,
         migrations,
         stranded,
@@ -924,29 +611,11 @@ fn quiesce(mut slot: Slot, at: SimTime, completions: &mut [Vec<Option<SimTime>>]
 /// requests re-injected at `resume` (outstanding work first, FIFO kept;
 /// future arrivals at their original instants, clamped to `resume`) and
 /// request ids renumbered densely per app, mapped back to fleet ids.
-fn build_slot(
-    evacuees: Vec<Evacuee>,
-    resume: SimTime,
-    requests: &[PlacementRequest],
-    ws: &WorkloadSet,
-    spec: &GpuSpec,
-    params: &BlessParams,
-) -> Slot {
-    let apps: Vec<DeployedApp> = evacuees
-        .iter()
-        .map(|e| {
-            DeployedApp::new(
-                SharedProfile::clone(&requests[e.tenant].profile),
-                ws.tenants[e.tenant].quota,
-                None,
-            )
-        })
-        .collect();
-    let mut driver = BlessDriver::new(apps, params.clone());
+fn build_slot(evacuees: Vec<Evacuee>, resume: SimTime, fleet: &Fleet) -> Slot {
+    let tenants: Vec<usize> = evacuees.iter().map(|e| e.tenant).collect();
     let mut arrivals: Vec<RequestArrival> = Vec::new();
     let mut req_map: Vec<Vec<usize>> = Vec::with_capacity(evacuees.len());
     for (a, e) in evacuees.iter().enumerate() {
-        driver.restore_share_mode(a, e.mode, e.clean_squads);
         let mut map = Vec::with_capacity(e.outstanding.len() + e.future.len());
         for &fr in &e.outstanding {
             arrivals.push(RequestArrival {
@@ -966,11 +635,14 @@ fn build_slot(
         }
         req_map.push(map);
     }
-    let gpu = Gpu::new(spec.clone(), HostCosts::paper());
+    let mut sim = fleet.simulation(&tenants, arrivals);
+    for (a, e) in evacuees.iter().enumerate() {
+        sim.driver.restore_share_mode(a, e.mode, e.clean_squads);
+    }
     Slot {
-        tenants: evacuees.into_iter().map(|e| e.tenant).collect(),
+        tenants,
         req_map,
-        sim: Simulation::new(gpu, driver, arrivals),
+        sim,
     }
 }
 
@@ -1020,7 +692,7 @@ mod tests {
     use super::*;
     use crate::run::{run_cluster_opts, ClusterOptions};
     use dnn_models::{AppModel, ModelKind, Phase};
-    use profiler::ProfiledApp;
+    use workloads::TenantSpec;
 
     const SEED: u64 = 23;
 
@@ -1076,21 +748,21 @@ mod tests {
         }
     }
 
-    /// Finds a fault seed whose first scheduled failure hits `gpu` in a
-    /// `num_gpus`-device fleet (deterministic: the search is exhaustive
-    /// over a fixed seed range).
-    fn seed_hitting(gpu: u32, num_gpus: u32, spec: &FaultSpec) -> u64 {
+    /// Finds a fault seed whose failure schedule kills exactly `gpus`, in
+    /// that order, in a `num_gpus`-device fleet (deterministic: the search
+    /// is exhaustive over a fixed seed range).
+    fn seed_killing(gpus: &[u32], num_gpus: u32, spec: &FaultSpec) -> u64 {
         let spec = FaultSpec {
             num_gpus,
             ..spec.clone()
         };
-        (0..256)
+        (0..1024)
             .find(|&s| {
                 FaultPlan::build(s, &spec)
                     .gpu_failures()
-                    .first()
+                    .iter()
                     .map(|f| f.gpu)
-                    == Some(gpu)
+                    .eq(gpus.iter().copied())
             })
             .unwrap()
     }
@@ -1146,78 +818,110 @@ mod tests {
         }
     }
 
+    /// One failure-path input: tenant quotas, the GPUs killed (in time
+    /// order), the GPUs the placement opens, the expected moves as
+    /// `(tenant, from, to)` and the expected strandings as `(tenant, gpu)`.
+    type FailureCase = (
+        &'static [f64],
+        &'static [u32],
+        usize,
+        &'static [(usize, usize, usize)],
+        &'static [(usize, usize)],
+    );
+
     #[test]
     fn failure_migrates_what_fits_and_strands_the_rest() {
-        // GPU0 hosts t0+t1 (0.9), GPU1 hosts t2 (0.45). Killing GPU0
-        // evacuates t0 (fits: 0.45 + 0.45 <= 1) and strands t1 (typed).
-        let (spec, ws, profiles) = fixture(&[0.45, 0.45, 0.45]);
-        let fspec = fault_spec(1, 0);
-        let seed = seed_hitting(0, 2, &fspec);
-        let opts = ChaosOptions {
-            capture_trace: true,
-            ..ChaosOptions::default()
-        };
-        let run = run_chaos(
-            &ws,
-            profiles,
-            4,
-            &spec,
-            &BlessParams::default(),
-            horizon(),
-            seed,
-            &fspec,
-            &opts,
-        )
-        .unwrap();
-        assert_eq!(run.placement.gpus_used, 2);
+        let cases: [FailureCase; 2] = [
+            // GPU0 hosts t0+t1 (0.9), GPU1 hosts t2 (0.45). Killing GPU0
+            // evacuates t0 (fits: 0.45 + 0.45 <= 1) and strands t1 (typed).
+            (&[0.45, 0.45, 0.45], &[0], 2, &[(0, 0, 1)], &[(1, 0)]),
+            // GPU0 {t0: 1.0}, GPU1 {t1: 0.6, t5: 0.3}, GPU2 {t2: 0.75},
+            // GPU3 {t3: 0.55}, GPU4 {t4: 0.55}. Killing GPU0 strands t0.
+            // Killing GPU1 next strands t1 and first-fits t5 past the dead
+            // GPU0 and the full GPU2 onto GPU3: the lowest-index live GPU
+            // with room, although GPU4 has room too.
+            (
+                &[1.0, 0.6, 0.75, 0.55, 0.55, 0.3],
+                &[0, 1],
+                5,
+                &[(5, 1, 3)],
+                &[(0, 0), (1, 1)],
+            ),
+        ];
+        for (quotas, kills, gpus_used, moves, strands) in cases {
+            let (spec, ws, profiles) = fixture(quotas);
+            let fspec = fault_spec(kills.len() as u32, 0);
+            let seed = seed_killing(kills, gpus_used as u32, &fspec);
+            let run = run_chaos(
+                &ws,
+                profiles,
+                8,
+                &spec,
+                &BlessParams::default(),
+                horizon(),
+                seed,
+                &fspec,
+                &ChaosOptions {
+                    capture_trace: true,
+                    ..ChaosOptions::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(run.placement.gpus_used, gpus_used);
 
-        assert_eq!(run.migrations.len(), 1);
-        let m = run.migrations[0];
-        assert_eq!(
-            (m.tenant, m.from, m.to, m.kind),
-            (0, 0, 1, FaultKind::Failure)
-        );
-        assert_eq!(m.recovery(), opts.migration_cost);
-        assert!(m.in_flight || m.queued > 0 || m.future > 0);
-
-        assert_eq!(run.stranded.len(), 1);
-        let s = &run.stranded[0];
-        assert_eq!((s.tenant, s.gpu), (1, 0));
-        assert_eq!(s.reason, PlacementError::NoCapacity { app: 1 });
-        assert!(s.lost_requests > 0);
-        assert_eq!(run.lost_requests(), s.lost_requests);
-
-        // The dead slot stays dead; survivors complete.
-        assert_eq!(run.outcomes[0], None);
-        assert_eq!(run.outcomes[1], Some(RunOutcome::Completed));
-        // Migrated and untouched tenants finish every request.
-        for t in [0usize, 2] {
-            assert!(
-                per_tenant(&run.log, t).iter().all(|(_, c)| c.is_some()),
-                "tenant {t} lost requests"
-            );
-        }
-        // Per-tenant FIFO survives the migration end-to-end.
-        for t in 0..3 {
-            let dones: Vec<SimTime> = per_tenant(&run.log, t)
+            let got: Vec<(usize, usize, usize)> = run
+                .migrations
                 .iter()
-                .filter_map(|&(_, c)| c)
+                .map(|m| (m.tenant, m.from, m.to))
                 .collect();
-            assert!(
-                dones.windows(2).all(|w| w[0] <= w[1]),
-                "tenant {t} reordered"
-            );
-        }
+            assert_eq!(got, moves, "quotas {quotas:?}");
+            for m in &run.migrations {
+                assert_eq!(m.kind, FaultKind::Failure);
+                assert_eq!(m.recovery(), MIGRATION_COST);
+                assert!(m.in_flight || m.queued > 0 || m.future > 0);
+            }
 
-        // The synthesized trace carries the full recovery story.
-        let kinds: Vec<&'static str> = run.trace.iter().map(|e| e.kind()).collect();
-        for k in [
-            "device_failed",
-            "tenant_evacuated",
-            "tenant_restored",
-            "migration_failed",
-        ] {
-            assert!(kinds.contains(&k), "missing {k}");
+            let got: Vec<(usize, usize)> = run.stranded.iter().map(|s| (s.tenant, s.gpu)).collect();
+            assert_eq!(got, strands, "quotas {quotas:?}");
+            for s in &run.stranded {
+                assert_eq!(s.reason, PlacementError::NoCapacity { app: s.tenant });
+                assert!(s.lost_requests > 0);
+            }
+            let lost: usize = run.stranded.iter().map(|s| s.lost_requests).sum();
+            assert_eq!(run.lost_requests(), lost);
+
+            // Dead slots stay dead; survivors complete.
+            for (g, o) in run.outcomes.iter().enumerate() {
+                let want = (!kills.contains(&(g as u32))).then_some(RunOutcome::Completed);
+                assert_eq!(*o, want, "gpu {g}");
+            }
+            for t in 0..ws.len() {
+                let log = per_tenant(&run.log, t);
+                // Migrated and untouched tenants finish every request.
+                if !strands.iter().any(|&(s, _)| s == t) {
+                    assert!(
+                        log.iter().all(|(_, c)| c.is_some()),
+                        "tenant {t} lost requests"
+                    );
+                }
+                // Per-tenant FIFO survives the migration end-to-end.
+                let dones: Vec<SimTime> = log.iter().filter_map(|&(_, c)| c).collect();
+                assert!(
+                    dones.windows(2).all(|w| w[0] <= w[1]),
+                    "tenant {t} reordered"
+                );
+            }
+
+            // The synthesized trace carries the full recovery story.
+            let kinds: Vec<&'static str> = run.trace.iter().map(|e| e.kind()).collect();
+            for k in [
+                "device_failed",
+                "tenant_evacuated",
+                "tenant_restored",
+                "migration_failed",
+            ] {
+                assert!(kinds.contains(&k), "missing {k}");
+            }
         }
     }
 
@@ -1244,10 +948,7 @@ mod tests {
         for m in &run.migrations {
             assert_eq!(m.kind, FaultKind::Hang);
             assert_eq!(m.from, m.to);
-            assert_eq!(
-                m.recovery(),
-                SimDuration::from_millis(3) + opts.restart_cost
-            );
+            assert_eq!(m.recovery(), SimDuration::from_millis(3) + RESTART_COST);
         }
         assert!(run.stranded.is_empty());
         assert!(run.all_served());
@@ -1272,7 +973,6 @@ mod tests {
                 &ChaosOptions {
                     workers: Some(workers),
                     capture_trace: true,
-                    ..ChaosOptions::default()
                 },
             )
             .unwrap()
@@ -1345,9 +1045,7 @@ mod tests {
 
     /// The recovery schedule pinned to a golden digest at worker counts
     /// 1/2/4. Catches both nondeterminism in the worker pool and any
-    /// behavioral drift in the index-backed evacuation path (which must
-    /// match the linear [`MigrationPolicy::choose_target`] scan
-    /// byte-for-byte).
+    /// behavioral drift in the index-backed evacuation path.
     #[test]
     fn recovery_schedule_digest_is_pinned_at_any_worker_count() {
         let digests = [1, 2, 4].map(recovery_digest);
@@ -1405,154 +1103,6 @@ mod tests {
         for sk in &run.skipped {
             assert!(sk.gpu >= 1);
             assert_eq!(sk.reason, PlacementError::SourceDead { gpu: sk.gpu });
-        }
-    }
-
-    #[test]
-    fn migration_policy_first_fits_and_types_failures() {
-        let spec = GpuSpec::a100();
-        let model = AppModel::build(ModelKind::Vgg11, Phase::Inference);
-        let profile = ProfiledApp::profile_shared(&model, &spec);
-        let req = |quota: f64| PlacementRequest {
-            profile: SharedProfile::clone(&profile),
-            quota,
-        };
-        let policy = MigrationPolicy::new(spec.memory_mib);
-        // Slot 0 dead, slot 1 nearly full, slot 2 has room.
-        let hosts = vec![None, Some(vec![req(0.8)]), Some(vec![req(0.3)])];
-        assert_eq!(policy.choose_target(7, &req(0.5), &hosts), Ok(2));
-        // A small migrant fits the earlier slot first.
-        assert_eq!(policy.choose_target(7, &req(0.2), &hosts), Ok(1));
-        // Nothing admits a full-GPU migrant.
-        assert_eq!(
-            policy.choose_target(7, &req(1.0), &hosts),
-            Err(PlacementError::NoCapacity { app: 7 })
-        );
-    }
-
-    /// Watchdog-enabled params whose thresholds never fire organically:
-    /// only the `initial_modes` pin puts a tenant at `Temporal`, and it
-    /// never promotes — isolating the pinned-evacuation path.
-    fn pinned_params() -> BlessParams {
-        BlessParams {
-            watchdog: Some(bless::WatchdogParams {
-                degrade_threshold: 1000.0,
-                promote_after: 100_000,
-            }),
-            ..BlessParams::default()
-        }
-    }
-
-    fn pinned_opts() -> ChaosOptions {
-        ChaosOptions {
-            capture_trace: true,
-            // Tenant 0 starts pinned at the ladder's bottom; its GPU0
-            // neighbour and the GPU1 tenant start fresh.
-            initial_modes: Some(vec![
-                ShareMode::Temporal,
-                ShareMode::SemiSpatial,
-                ShareMode::SemiSpatial,
-            ]),
-            pinned_evacuation: Some(PinnedPolicy {
-                after_rounds: 2,
-                check_every: SimDuration::from_millis(10),
-            }),
-            ..ChaosOptions::default()
-        }
-    }
-
-    #[test]
-    fn pinned_tenant_is_evacuated_once() {
-        // 0.45 × 3 packs tenants 0+1 on GPU0 and tenant 2 on GPU1, so
-        // GPU1 has quota room for the evacuee.
-        let (spec, ws, profiles) = fixture(&[0.45, 0.45, 0.45]);
-        let run = run_chaos(
-            &ws,
-            profiles,
-            4,
-            &spec,
-            &pinned_params(),
-            horizon(),
-            7,
-            &FaultSpec::default(),
-            &pinned_opts(),
-        )
-        .unwrap();
-
-        // Exactly one planned move: tenant 0, off its original device,
-        // once — later checks see `pinned_moved` and stay quiet.
-        assert_eq!(run.migrations.len(), 1, "got {:?}", run.migrations);
-        let m = run.migrations[0];
-        assert_eq!(m.tenant, 0);
-        assert_eq!(m.kind, FaultKind::Pinned);
-        assert_ne!(m.from, m.to);
-        assert_eq!(
-            m.resumed_at.duration_since(m.at),
-            ChaosOptions::default().migration_cost
-        );
-        assert!(run.stranded.is_empty() && run.skipped.is_empty());
-        assert!(run.all_served(), "lost {} requests", run.lost_requests());
-
-        // The synthesized trace carries the planned move.
-        let kinds: Vec<&'static str> = run.trace.iter().map(|e| e.kind()).collect();
-        assert!(kinds.contains(&"tenant_evacuated"));
-        assert!(kinds.contains(&"tenant_restored"));
-    }
-
-    #[test]
-    fn pinned_evacuation_without_watchdog_is_inert() {
-        // Default params leave the watchdog off, so the pinned counter
-        // never ticks and every periodic check finds nothing.
-        let (spec, ws, profiles) = fixture(&[0.45, 0.45, 0.45]);
-        let run = run_chaos(
-            &ws,
-            profiles,
-            4,
-            &spec,
-            &BlessParams::default(),
-            horizon(),
-            7,
-            &FaultSpec::default(),
-            &ChaosOptions {
-                capture_trace: false,
-                ..pinned_opts()
-            },
-        )
-        .unwrap();
-        assert!(run.migrations.is_empty());
-        assert!(run.all_served());
-    }
-
-    #[test]
-    fn pinned_evacuation_digest_is_seeded_and_worker_invariant() {
-        // Byte-identical request log at every worker count, pinned to a
-        // golden digest so behavioural drift in the evacuation path shows
-        // up as a test failure, not a silent change.
-        const GOLDEN: u64 = 0xf9d5_01b3_0a3a_e06b;
-        let (spec, ws, profiles) = fixture(&[0.45, 0.45, 0.45]);
-        for workers in [1usize, 2, 4] {
-            let run = run_chaos(
-                &ws,
-                profiles.clone(),
-                4,
-                &spec,
-                &pinned_params(),
-                horizon(),
-                7,
-                &FaultSpec::default(),
-                &ChaosOptions {
-                    capture_trace: false,
-                    workers: Some(workers),
-                    ..pinned_opts()
-                },
-            )
-            .unwrap();
-            assert_eq!(run.migrations.len(), 1);
-            assert_eq!(
-                run.log.digest(),
-                GOLDEN,
-                "pinned-evacuation digest drifted at workers={workers}"
-            );
         }
     }
 }

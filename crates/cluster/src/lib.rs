@@ -28,12 +28,12 @@ pub mod placement;
 pub mod run;
 
 pub use chaos::{
-    run_chaos, ChaosOptions, ChaosRun, FaultKind, MigrationPolicy, MigrationRecord, PinnedPolicy,
-    SkippedFault, StrandedTenant,
+    run_chaos, ChaosOptions, ChaosRun, FaultKind, MigrationRecord, SkippedFault, StrandedTenant,
+    MIGRATION_COST, RESTART_COST,
 };
 pub use placement::{
-    place, place_linear, place_with, predicted_fleet_slowdown, ContentionOpts, Placement,
-    PlacementError, PlacementPolicy, PlacementRequest,
+    place, place_with, predicted_fleet_slowdown, ContentionOpts, Placement, PlacementError,
+    PlacementPolicy, PlacementRequest,
 };
 pub use run::{
     run_cluster_opts, run_cluster_stream, ClusterOptions, ClusterRun, FleetSummary, GpuRun,

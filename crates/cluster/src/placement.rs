@@ -8,8 +8,8 @@
 //!   is `O(log n)` instead of a linear scan over the opened fleet. The
 //!   index answers exactly the question the old scan asked — the
 //!   lowest-numbered GPU whose quota headroom admits the request — so
-//!   placements are byte-identical to [`place_linear`], the retained
-//!   linear twin the differential property test compares against.
+//!   placements are byte-identical to the old linear scan, kept as a
+//!   test-only twin that the differential property test compares against.
 //! * [`PlacementPolicy::ContentionAware`] — the same quota/admission
 //!   feasibility rules, but among the first `top_k` admissible GPUs the
 //!   controller picks the one minimizing the *predicted bottleneck
@@ -147,7 +147,7 @@ const QUOTA_LIMIT: f64 = 1.0 + 1e-9;
 pub enum PlacementPolicy {
     /// Lowest-numbered GPU whose quota headroom and admission check accept
     /// the request (classic first-fit; byte-identical to the pre-index
-    /// linear scan, [`place_linear`]).
+    /// linear scan).
     #[default]
     FirstFit,
     /// Among the first [`ContentionOpts::top_k`] admissible GPUs, the one
@@ -327,7 +327,7 @@ fn ffd_order(requests: &[PlacementRequest]) -> Result<Vec<usize>, PlacementError
 
 /// Packs `requests` onto at most `fleet_size` GPUs with `memory_mib` each
 /// under first-fit decreasing — the indexed fast path, byte-identical to
-/// [`place_linear`]. See [`place_with`] for policy selection.
+/// the pre-index linear scan. See [`place_with`] for policy selection.
 pub fn place(
     requests: &[PlacementRequest],
     fleet_size: usize,
@@ -527,58 +527,6 @@ fn colocation_score(
     score
 }
 
-/// The pre-index linear first-fit scan, retained verbatim as the
-/// differential twin: [`place`] (the indexed path) must produce
-/// byte-identical placements. Exercised by the placement property tests.
-pub fn place_linear(
-    requests: &[PlacementRequest],
-    fleet_size: usize,
-    memory_mib: u64,
-    policy: &AdmissionPolicy,
-) -> Result<Placement, PlacementError> {
-    let order = ffd_order(requests)?;
-    let mut gpu_members: Vec<Vec<usize>> = Vec::new();
-    let mut assignments = vec![usize::MAX; requests.len()];
-
-    'outer: for &ri in &order {
-        let req = &requests[ri];
-        if let Err(reason) = admit(&[&req.profile], memory_mib, policy) {
-            return Err(PlacementError::Unplaceable {
-                request: ri,
-                reason,
-            });
-        }
-        for (gi, members) in gpu_members.iter_mut().enumerate() {
-            let quota_used: f64 = members.iter().map(|&m| requests[m].quota).sum();
-            if quota_used + req.quota > QUOTA_LIMIT {
-                continue;
-            }
-            let mut profiles: Vec<&ProfiledApp> =
-                members.iter().map(|&m| &*requests[m].profile).collect();
-            profiles.push(&req.profile);
-            if admit(&profiles, memory_mib, policy).is_ok() {
-                members.push(ri);
-                assignments[ri] = gi;
-                continue 'outer;
-            }
-        }
-        // Open a new GPU.
-        gpu_members.push(vec![ri]);
-        assignments[ri] = gpu_members.len() - 1;
-    }
-
-    if gpu_members.len() > fleet_size {
-        return Err(PlacementError::FleetTooSmall {
-            needed: gpu_members.len(),
-            available: fleet_size,
-        });
-    }
-    Ok(Placement {
-        assignments,
-        gpus_used: gpu_members.len(),
-    })
-}
-
 /// The fleet's predicted bottleneck slowdown under a placement: the mean,
 /// over all requests, of each tenant's bottleneck-channel slowdown given
 /// its GPU's combined demand×quota traffic. `1.0` means no predicted
@@ -618,6 +566,8 @@ mod tests {
     use super::*;
     use dnn_models::{AppModel, ModelKind, Phase};
     use gpu_sim::{Channel, GpuSpec};
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn profiled(kind: ModelKind) -> SharedProfile {
         ProfiledApp::profile_shared(&AppModel::build(kind, Phase::Inference), &GpuSpec::a100())
@@ -627,6 +577,100 @@ mod tests {
         PlacementRequest {
             profile: profiled(kind),
             quota,
+        }
+    }
+
+    /// The pre-index linear first-fit scan, retained verbatim as the
+    /// differential twin: [`place`] (the indexed path) must produce
+    /// byte-identical placements.
+    fn place_linear(
+        requests: &[PlacementRequest],
+        fleet_size: usize,
+        memory_mib: u64,
+        policy: &AdmissionPolicy,
+    ) -> Result<Placement, PlacementError> {
+        let order = ffd_order(requests)?;
+        let mut gpu_members: Vec<Vec<usize>> = Vec::new();
+        let mut assignments = vec![usize::MAX; requests.len()];
+
+        'outer: for &ri in &order {
+            let req = &requests[ri];
+            if let Err(reason) = admit(&[&req.profile], memory_mib, policy) {
+                return Err(PlacementError::Unplaceable {
+                    request: ri,
+                    reason,
+                });
+            }
+            for (gi, members) in gpu_members.iter_mut().enumerate() {
+                let quota_used: f64 = members.iter().map(|&m| requests[m].quota).sum();
+                if quota_used + req.quota > QUOTA_LIMIT {
+                    continue;
+                }
+                let mut profiles: Vec<&ProfiledApp> =
+                    members.iter().map(|&m| &*requests[m].profile).collect();
+                profiles.push(&req.profile);
+                if admit(&profiles, memory_mib, policy).is_ok() {
+                    members.push(ri);
+                    assignments[ri] = gi;
+                    continue 'outer;
+                }
+            }
+            // Open a new GPU.
+            gpu_members.push(vec![ri]);
+            assignments[ri] = gpu_members.len() - 1;
+        }
+
+        if gpu_members.len() > fleet_size {
+            return Err(PlacementError::FleetTooSmall {
+                needed: gpu_members.len(),
+                available: fleet_size,
+            });
+        }
+        Ok(Placement {
+            assignments,
+            gpus_used: gpu_members.len(),
+        })
+    }
+
+    /// The four inference profiles the property tests draw from, built
+    /// once.
+    fn profiles() -> &'static Vec<SharedProfile> {
+        static CACHE: OnceLock<Vec<SharedProfile>> = OnceLock::new();
+        CACHE.get_or_init(|| {
+            [
+                ModelKind::Vgg11,
+                ModelKind::ResNet50,
+                ModelKind::ResNet101,
+                ModelKind::Bert,
+            ]
+            .iter()
+            .map(|&k| profiled(k))
+            .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Differential twin: the segment-tree capacity index must reproduce
+        /// the retired linear scan exactly — same packing on success, same
+        /// typed error on rejection — for any request mix and fleet size.
+        #[test]
+        fn prop_indexed_first_fit_matches_linear_scan(
+            specs in proptest::collection::vec((0usize..4, 1u32..=10), 1..40),
+            fleet in 1usize..32,
+        ) {
+            let reqs: Vec<PlacementRequest> = specs
+                .iter()
+                .map(|&(m, q)| PlacementRequest {
+                    profile: profiles()[m].clone(),
+                    quota: q as f64 / 10.0,
+                })
+                .collect();
+            let policy = AdmissionPolicy::default();
+            let indexed = place(&reqs, fleet, 40 * 1024, &policy);
+            let linear = place_linear(&reqs, fleet, 40 * 1024, &policy);
+            prop_assert_eq!(indexed, linear);
         }
     }
 

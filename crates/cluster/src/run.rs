@@ -270,10 +270,10 @@ pub fn run_cluster_stream<P: Into<SharedProfile>>(
 }
 
 /// A validated, placed fleet: the one runner behind both public entry
-/// points.
-struct Fleet<'a> {
-    placement: Placement,
-    requests: Vec<PlacementRequest>,
+/// points, and the per-GPU builders the chaos runner shares.
+pub(crate) struct Fleet<'a> {
+    pub(crate) placement: Placement,
+    pub(crate) requests: Vec<PlacementRequest>,
     ws: &'a WorkloadSet,
     spec: &'a GpuSpec,
     params: &'a BlessParams,
@@ -283,7 +283,7 @@ struct Fleet<'a> {
 
 impl<'a> Fleet<'a> {
     /// Validates the inputs and places the tenants.
-    fn place<P: Into<SharedProfile>>(
+    pub(crate) fn place<P: Into<SharedProfile>>(
         ws: &'a WorkloadSet,
         profiles: Vec<P>,
         fleet_size: usize,
@@ -339,12 +339,11 @@ impl<'a> Fleet<'a> {
         );
     }
 
-    /// Simulates one GPU's tenants to completion — the unit of work of
-    /// the worker pool.
-    fn run_one_gpu(&self, g: usize) -> GpuRun {
-        let (ws, spec) = (self.ws, self.spec);
+    /// GPU `g`'s tenants (fleet ids) and its GPU-local workload: app ids
+    /// remapped to local positions, seeded at the fleet seed plus `g`.
+    pub(crate) fn local_workload(&self, g: usize) -> (Vec<usize>, WorkloadSet) {
+        let ws = self.ws;
         let tenants = self.placement.tenants_of(g);
-        // Build a GPU-local workload with remapped app ids.
         let local_ws = WorkloadSet::new(
             tenants
                 .iter()
@@ -358,33 +357,50 @@ impl<'a> Fleet<'a> {
                 .collect(),
             ws.seed.wrapping_add(g as u64),
         );
-        // Deployment shares the interned profiles — no kernel-table copies.
+        (tenants, local_ws)
+    }
+
+    /// A fresh device running a BLESS runtime that serves `tenants` (fleet
+    /// ids, in local app order) over `arrivals`. Deployment shares the
+    /// interned profiles — no kernel-table copies.
+    pub(crate) fn simulation(
+        &self,
+        tenants: &[usize],
+        arrivals: Vec<RequestArrival>,
+    ) -> Simulation<BlessDriver> {
         let apps: Vec<DeployedApp> = tenants
             .iter()
             .map(|&t| {
                 DeployedApp::new(
                     SharedProfile::clone(&self.requests[t].profile),
-                    ws.tenants[t].quota,
+                    self.ws.tenants[t].quota,
                     None,
                 )
             })
             .collect();
         let driver = BlessDriver::new(apps, self.params.clone());
-        let mut gpu = Gpu::new(spec.clone(), HostCosts::paper());
+        let gpu = Gpu::new(self.spec.clone(), HostCosts::paper());
+        Simulation::new(gpu, driver, arrivals)
+    }
+
+    /// Simulates one GPU's tenants to completion — the unit of work of
+    /// the worker pool.
+    fn run_one_gpu(&self, g: usize) -> GpuRun {
+        let (tenants, local_ws) = self.local_workload(g);
+        let mut sim = self
+            .simulation(&tenants, local_ws.initial_arrivals())
+            .with_notice_handler(local_ws.notice_handler());
         let sink = if self.opts.capture_trace {
             let s = BufferSink::new();
-            gpu.set_trace_sink(Box::new(s.clone()));
+            sim.gpu.set_trace_sink(Box::new(s.clone()));
             Some(s)
         } else {
             None
         };
-        let arrivals: Vec<RequestArrival> = local_ws.initial_arrivals();
-        let mut sim =
-            Simulation::new(gpu, driver, arrivals).with_notice_handler(local_ws.notice_handler());
         let outcome = sim.run(self.horizon);
         let makespan = sim.gpu.now().as_secs_f64();
         let utilization = if makespan > 0.0 {
-            sim.gpu.busy_sm_seconds() / (spec.num_sms as f64 * makespan)
+            sim.gpu.busy_sm_seconds() / (self.spec.num_sms as f64 * makespan)
         } else {
             0.0
         };

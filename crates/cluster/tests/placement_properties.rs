@@ -1,6 +1,6 @@
 //! Property tests on the placement controller.
 
-use cluster::{place, place_linear, place_with, PlacementPolicy, PlacementRequest};
+use cluster::{place, place_with, PlacementPolicy, PlacementRequest};
 use dnn_models::{AppModel, ModelKind, Phase};
 use gpu_sim::GpuSpec;
 use profiler::{AdmissionPolicy, ProfiledApp, SharedProfile};
@@ -81,27 +81,6 @@ proptest! {
             let p2 = place(&reqs, fleet + 1, 40 * 1024, &policy).expect("larger fleet fits");
             prop_assert_eq!(p1, p2);
         }
-    }
-
-    /// Differential twin: the segment-tree capacity index must reproduce
-    /// the retired linear scan exactly — same packing on success, same
-    /// typed error on rejection — for any request mix and fleet size.
-    #[test]
-    fn prop_indexed_first_fit_matches_linear_scan(
-        specs in proptest::collection::vec((0usize..4, 1u32..=10), 1..40),
-        fleet in 1usize..32,
-    ) {
-        let reqs: Vec<PlacementRequest> = specs
-            .iter()
-            .map(|&(m, q)| PlacementRequest {
-                profile: profiles()[m].clone(),
-                quota: q as f64 / 10.0,
-            })
-            .collect();
-        let policy = AdmissionPolicy::default();
-        let indexed = place(&reqs, fleet, 40 * 1024, &policy);
-        let linear = place_linear(&reqs, fleet, 40 * 1024, &policy);
-        prop_assert_eq!(indexed, linear);
     }
 
     /// Contention-aware placement is a pure function of its inputs

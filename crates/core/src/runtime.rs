@@ -202,11 +202,6 @@ pub struct BlessDriver {
     degrade: Vec<ShareMode>,
     /// Consecutive clean squads per app (drives re-promotion).
     clean_squads: Vec<u32>,
-    /// Consecutive watchdog rounds each app has spent pinned at the
-    /// bottom of the ladder (`Temporal`); resets the moment the app sits
-    /// on any other rung. Read by the fleet layer to trigger
-    /// watchdog-driven evacuation (DESIGN.md §5i follow-on).
-    temporal_rounds: Vec<u32>,
 }
 
 struct SquadState {
@@ -260,7 +255,6 @@ impl BlessDriver {
             retry_streak: vec![0; n],
             degrade: vec![ShareMode::SemiSpatial; n],
             clean_squads: vec![0; n],
-            temporal_rounds: vec![0; n],
             apps,
             params,
         }
@@ -269,16 +263,6 @@ impl BlessDriver {
     /// Current sharing mode of `app` on the degradation ladder.
     pub fn share_mode(&self, app: usize) -> ShareMode {
         self.degrade[app]
-    }
-
-    /// Consecutive watchdog rounds `app` has spent pinned at
-    /// [`ShareMode::Temporal`] (0 whenever the app sits higher on the
-    /// ladder, or when the watchdog is disabled). The fleet layer treats a
-    /// tenant pinned for many rounds as a migration signal: the ladder has
-    /// given up on sharing, so moving the tenant to a different device is
-    /// the only remaining lever.
-    pub fn temporal_pinned_rounds(&self, app: usize) -> u32 {
-        self.temporal_rounds[app]
     }
 
     /// Lane hints for the current degradation state: which tenants are
@@ -837,18 +821,6 @@ impl BlessDriver {
         let Some(wd) = self.params.watchdog else {
             return;
         };
-        // Pinned-at-temporal accounting: one tick per watchdog round for
-        // every app sitting at the ladder's bottom rung — participation in
-        // the finished squad is irrelevant (temporal tenants are mostly
-        // *excluded* from squads, which is exactly why being stuck there
-        // is a migration signal).
-        for app in 0..self.apps.len() {
-            if self.degrade[app] == ShareMode::Temporal {
-                self.temporal_rounds[app] = self.temporal_rounds[app].saturating_add(1);
-            } else {
-                self.temporal_rounds[app] = 0;
-            }
-        }
         for app in 0..self.apps.len() {
             let Some(e) = finished.per_app[app].as_ref() else {
                 continue;

@@ -24,11 +24,6 @@ pub fn compute_bound(duration: SimDuration, sms: u32) -> KernelDesc {
     KernelDesc::compute(duration, sms, 0.0)
 }
 
-/// A pathologically memory-bound kernel (streaming, intensity 1.0).
-pub fn memory_bound(duration: SimDuration, sms: u32) -> KernelDesc {
-    KernelDesc::compute(duration, sms, 1.0)
-}
-
 /// A victim kernel with an explicit per-channel demand vector (for the
 /// per-resource interference experiments, Fig. 9c). The scalar
 /// `mem_intensity` is kept at the DRAM-BW component so the same kernel is

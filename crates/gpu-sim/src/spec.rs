@@ -111,12 +111,6 @@ impl GpuSpec {
         }
     }
 
-    /// This spec with a different interference model.
-    pub fn with_channel_model(mut self, model: ChannelModel) -> Self {
-        self.channel_model = model;
-        self
-    }
-
     /// The per-resource *collapse twin* of this spec: the same hardware
     /// with [`ChannelModel::PerResource`] whose `ch` channel carries this
     /// spec's scalar α/base/cap curve and every other channel is inert

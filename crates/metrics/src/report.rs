@@ -40,12 +40,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Appends a row of displayable cells (convenience).
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) {
-        let owned: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&owned);
-    }
-
     /// Appends a free-text footnote rendered after the table body.
     pub fn note(&mut self, text: impl Into<String>) {
         self.notes.push(text.into());

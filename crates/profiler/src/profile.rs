@@ -148,11 +148,6 @@ impl ProfiledApp {
         idx.clamp(1, PARTITIONS) - 1
     }
 
-    /// `T[n%]` for a quota expressed as a fraction of the GPU.
-    pub fn iso_latency_for_quota(&self, quota: f64) -> SimDuration {
-        self.iso_latency[self.partition_for_quota(quota)]
-    }
-
     /// `t[n%][k]` for a partition index.
     pub fn kernel_duration(&self, partition: usize, kernel: usize) -> SimDuration {
         self.kernel_durations[partition][kernel]

@@ -125,12 +125,6 @@ impl SimDuration {
         Self::from_secs_f64(ms / 1e3)
     }
 
-    /// Builds a duration from fractional microseconds (clamping like
-    /// [`SimDuration::from_secs_f64`]).
-    pub fn from_micros_f64(us: f64) -> Self {
-        Self::from_secs_f64(us / 1e6)
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
