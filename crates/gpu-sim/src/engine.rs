@@ -155,7 +155,10 @@ impl Context {
 #[derive(Debug)]
 struct Queue {
     ctx: CtxId,
-    /// Instances waiting behind the head (the head itself is `running`).
+    /// Instances behind the head (the head itself is `running`), in launch
+    /// order: those that reached the device (`Queued`), then those still
+    /// in flight (`InFlight`). A launch joins the back at once, whether or
+    /// not its arrival has been accounted yet (see [`Gpu::unposted`]).
     waiting: VecDeque<usize>,
     /// Slot index of the currently running head, if any.
     running: Option<usize>,
@@ -206,6 +209,11 @@ struct Instance {
     /// Launch order; crash and drain casualties are taken in it, so they
     /// never depend on which slot recycling placed a kernel in.
     launch_seq: u64,
+    /// Reserved event key `(at, seq)` of an arrival not yet accounted
+    /// for: neither posted to the event queue nor replayed from
+    /// [`Gpu::unposted`]. `None` once either happened, or when the
+    /// arrival was posted at launch.
+    unposted_arrival: Option<(SimTime, u64)>,
     /// Epoch of this instance's currently valid completion event; older
     /// Complete events are stale. Unchanged rates keep their event valid
     /// across reallocations, so the event heap is not churned for
@@ -340,6 +348,17 @@ pub struct Gpu {
     queues: Vec<Queue>,
     instances: Vec<Instance>,
     events: EventQueue<DevEv>,
+    /// Arrivals of launches that landed behind a busy queue, keyed
+    /// `(at, seq)` with `seq` reserved from `events`, in key order. They
+    /// post no event: each is accounted (settle, then `Queued`) just
+    /// before the first event keyed after it, exactly where its `Arrive`
+    /// would have popped. Entries whose slot's `unposted_arrival` no
+    /// longer matches are stale and skipped.
+    unposted: VecDeque<(SimTime, u64, usize)>,
+    /// Test-only twin switch: post every launch's `Arrive`, as the engine
+    /// did before deferred arrivals.
+    #[cfg(test)]
+    pub(crate) post_every_arrival: bool,
     epoch: u64,
     /// SM capacity of each pool (pool 0 = shared).
     pool_capacity: Vec<f64>,
@@ -409,6 +428,9 @@ impl Gpu {
             queues: Vec::new(),
             instances: Vec::new(),
             events: EventQueue::new(),
+            unposted: VecDeque::new(),
+            #[cfg(test)]
+            post_every_arrival: false,
             epoch: 0,
             pool_capacity: vec![shared],
             mig_reserved_sms: 0,
@@ -699,7 +721,13 @@ impl Gpu {
         self.host_free = self.host_free.max(self.now) + d;
     }
 
-    /// Registers one launched instance and schedules its device arrival.
+    /// Registers one launched instance, appends it to its queue, and
+    /// schedules its device arrival.
+    ///
+    /// The arrival's event key is reserved now, so every later key is the
+    /// same whether or not it is posted. It is posted only into an idle
+    /// queue (no running head, nothing waiting); behind a busy queue it
+    /// goes to [`Gpu::unposted`] instead and is replayed in key order.
     fn enqueue_instance(
         &mut self,
         queue: QueueId,
@@ -755,6 +783,7 @@ impl Gpu {
             alloc_sms: 0.0,
             run_seq: u64::MAX,
             launch_seq: self.next_launch_seq,
+            unposted_arrival: None,
             event_epoch: 0,
             generation: 0,
             dispatch_ready: None,
@@ -778,7 +807,27 @@ impl Gpu {
             }
         };
         self.live_instances += 1;
-        self.events.push(arrive_at, DevEv::Arrive { slot });
+        let seq = self.events.reserve_seq();
+        let q = &mut self.queues[queue.0 as usize];
+        let idle = q.running.is_none() && q.waiting.is_empty();
+        q.waiting.push_back(slot);
+        #[cfg(test)]
+        let idle = idle || self.post_every_arrival;
+        if idle {
+            self.events
+                .push_reserved(arrive_at, seq, DevEv::Arrive { slot });
+        } else {
+            self.instances[slot].unposted_arrival = Some((arrive_at, seq));
+            // Keys mostly grow with launch order; only a context-switch
+            // delayed launch lands ahead of an earlier launch's arrival.
+            let key = (arrive_at, seq);
+            let pos = self
+                .unposted
+                .iter()
+                .rposition(|&(at, s, _)| (at, s) < key)
+                .map_or(0, |i| i + 1);
+            self.unposted.insert(pos, (arrive_at, seq, slot));
+        }
         Self::handle_for(slot, self.instances[slot].generation)
     }
 
@@ -965,7 +1014,9 @@ impl Gpu {
         ((busy_end - busy_start) * 1e9 / (self.spec.num_sms as f64 * span)).clamp(0.0, 1.0)
     }
 
-    /// Earliest pending device event, if any.
+    /// Earliest pending device event, if any. A launch that landed behind
+    /// a busy queue posts no event (see [`Gpu::step`]), so its arrival
+    /// never shows here.
     pub fn peek_event_time(&self) -> Option<SimTime> {
         self.events.peek_time()
     }
@@ -985,15 +1036,25 @@ impl Gpu {
         if let Some(et) = self.events.peek_time() {
             assert!(et >= t, "advance_to would skip over a pending event");
         }
+        self.replay_arrivals_before((t, 0));
         self.settle(t);
         self.now = t;
     }
 
     /// Processes the next pending event; returns an externally visible
     /// output if the event produced one (stale completion events return
-    /// `None`). Returns `None` with no state change when no events remain.
+    /// `None`).
+    ///
+    /// Arrivals behind a busy queue are not events: each is accounted
+    /// just before the first event keyed after it, in the order its
+    /// `Arrive` would have popped. When no events remain, the call
+    /// accounts any such arrivals still owed and returns `None`.
     pub fn step(&mut self) -> Option<StepOutput> {
-        let (t, ev) = self.events.pop()?;
+        let Some((t, seq, ev)) = self.events.pop_keyed() else {
+            self.account_arrivals_through(SimTime::MAX);
+            return None;
+        };
+        self.replay_arrivals_before((t, seq));
         debug_assert!(t >= self.now);
         self.settle(t);
         self.now = t;
@@ -1006,10 +1067,10 @@ impl Gpu {
                 }
                 self.instances[slot].state = InstState::Queued;
                 let q = self.instances[slot].queue.0 as usize;
-                self.queues[q].waiting.push_back(slot);
-                // If the kernel queued behind a running head, the running
-                // set is unchanged: every rate would recompute to its
-                // current value, so the reallocation is skipped entirely.
+                // A posted arrival is its queue's front with no running
+                // head, so it starts at once (unless every arrival is
+                // posted, when it may queue behind a running head: the
+                // running set is then unchanged and so is every rate).
                 if let Some(started) = self.try_start_head(q) {
                     let compute = self.instances[started].shape.kind.is_compute();
                     self.reallocate_scoped(compute, !compute);
@@ -1094,8 +1155,8 @@ impl Gpu {
         let mut touched_queues = Vec::new();
         let mut casualties = 0u32;
         for slot in self.live_slots(Some(app)) {
-            let (failed, was_head) = self.kill(slot);
-            if was_head {
+            let (failed, opened) = self.kill(slot);
+            if opened {
                 touched_queues.push(failed.queue.0 as usize);
             }
             if let Some(f) = &mut self.fault {
@@ -1140,6 +1201,7 @@ impl Gpu {
             .map(|slot| self.kill(slot).0)
             .collect();
         self.events.clear();
+        self.unposted.clear();
         DeviceCheckpoint {
             at: self.now,
             abandoned,
@@ -1159,11 +1221,13 @@ impl Gpu {
     }
 
     /// Moves the live kernel in `slot` to [`InstState::Failed`]: it leaves
-    /// its queue (a pending `Arrive` finds the slot failed and is dropped)
-    /// and stops making progress. Returns the casualty and whether it was
-    /// its queue's running head, whose successor the caller may start.
-    /// Failed slots are never recycled, so their handles and any stale
-    /// `Arrive` events stay valid.
+    /// its queue (a posted `Arrive` finds the slot failed and is dropped;
+    /// an unposted one still settles when replayed) and stops making
+    /// progress. Returns the casualty and whether it opened its queue's
+    /// front — it was the running head, or the in-flight front of a queue
+    /// with no head — so the caller should let the next kernel in with
+    /// [`Gpu::try_start_head`]. Failed slots are never recycled, so their
+    /// handles and any stale arrivals stay valid.
     fn kill(&mut self, slot: usize) -> (FailedKernel, bool) {
         let inst = &mut self.instances[slot];
         let state = inst.state;
@@ -1178,18 +1242,22 @@ impl Gpu {
         };
         let seq = inst.trace_seq;
         let q = failed.queue.0 as usize;
-        let mut was_head = false;
-        match state {
-            InstState::InFlight => {}
-            InstState::Queued => self.queues[q].waiting.retain(|&s| s != slot),
+        let queue = &mut self.queues[q];
+        let opened = match state {
+            InstState::InFlight | InstState::Queued => {
+                let was_front = queue.waiting.front() == Some(&slot);
+                queue.waiting.retain(|&s| s != slot);
+                was_front && queue.running.is_none()
+            }
             InstState::Running => {
-                was_head = self.queues[q].running == Some(slot);
+                let was_head = queue.running == Some(slot);
                 if was_head {
-                    self.queues[q].running = None;
+                    queue.running = None;
                 }
+                was_head
             }
             InstState::Done | InstState::Failed => unreachable!("only live kernels are killed"),
-        }
+        };
         self.live_instances -= 1;
         if self.trace.is_some() && seq != 0 {
             self.trace_emit(TraceEvent::KernelFailed {
@@ -1198,14 +1266,17 @@ impl Gpu {
                 queue: q as u32,
             });
         }
-        (failed, was_head)
+        (failed, opened)
     }
 
     /// Runs the device forward until no events remain, discarding outputs.
     /// Useful in tests and for solo-run profiling where the driver does not
     /// react to completions.
     pub fn drain(&mut self) {
-        while self.step().is_some() || !self.events.is_empty() {}
+        while !self.events.is_empty() {
+            self.step();
+        }
+        self.account_arrivals_through(SimTime::MAX);
     }
 
     /// Runs the device until no events remain, appending every externally
@@ -1214,16 +1285,12 @@ impl Gpu {
     /// reuse one buffer across runs and stay allocation-free once it
     /// reaches its high-water mark.
     pub fn drain_outputs_into(&mut self, out: &mut Vec<(SimTime, StepOutput)>) {
-        loop {
-            match self.step() {
-                Some(o) => out.push((self.now, o)),
-                None => {
-                    if self.events.is_empty() {
-                        break;
-                    }
-                }
+        while !self.events.is_empty() {
+            if let Some(o) = self.step() {
+                out.push((self.now, o));
             }
         }
+        self.account_arrivals_through(SimTime::MAX);
     }
 
     fn finish(&mut self, slot: usize) {
@@ -1256,11 +1323,22 @@ impl Gpu {
         self.reallocate_scoped(compute_dirty, dma_dirty);
     }
 
+    /// Starts the front of queue `q` if it has no running head. A front
+    /// still in flight cannot start: its arrival will start it, so an
+    /// arrival deferred behind the head that just left is posted now,
+    /// under its reserved key.
     fn try_start_head(&mut self, q: usize) -> Option<usize> {
         if self.queues[q].running.is_some() {
             return None;
         }
-        let slot = self.queues[q].waiting.pop_front()?;
+        let slot = *self.queues[q].waiting.front()?;
+        if self.instances[slot].state == InstState::InFlight {
+            if let Some((at, seq)) = self.instances[slot].unposted_arrival.take() {
+                self.events.push_reserved(at, seq, DevEv::Arrive { slot });
+            }
+            return None;
+        }
+        self.queues[q].waiting.pop_front();
         self.queues[q].running = Some(slot);
         let inst = &mut self.instances[slot];
         inst.state = InstState::Running;
@@ -1278,6 +1356,44 @@ impl Gpu {
             }
         }
         Some(slot)
+    }
+
+    /// Accounts every unposted arrival keyed before `key`, in key order,
+    /// with the float operations its `Arrive` event would have made:
+    /// settle to its instant, then move the kernel to `Queued` (a killed
+    /// one only settles). Such a kernel always waits behind a running head
+    /// or an earlier launch, so none starts here.
+    #[inline]
+    fn replay_arrivals_before(&mut self, key: (SimTime, u64)) {
+        while let Some(&(at, seq, slot)) = self.unposted.front() {
+            if (at, seq) >= key {
+                break;
+            }
+            self.unposted.pop_front();
+            let inst = &mut self.instances[slot];
+            if inst.unposted_arrival != Some((at, seq)) {
+                continue; // Posted since, or the slot was recycled.
+            }
+            inst.unposted_arrival = None;
+            if inst.state == InstState::InFlight {
+                inst.state = InstState::Queued;
+                let queue = &self.queues[inst.queue.0 as usize];
+                debug_assert!(
+                    queue.running.is_some() || queue.waiting.front() != Some(&slot),
+                    "a headless queue's front must have its arrival posted"
+                );
+            }
+            debug_assert!(at >= self.now, "arrivals replay in time order");
+            self.settle(at);
+            self.now = at;
+        }
+    }
+
+    /// Accounts every unposted arrival at or before `t`: the state the
+    /// device would be in had each one popped as an event. Run loops call
+    /// this before they stop with arrivals possibly still owed.
+    pub(crate) fn account_arrivals_through(&mut self, t: SimTime) {
+        self.replay_arrivals_before((t, u64::MAX));
     }
 
     /// Integrates all running work from `last_settle` to `t`, clamping
@@ -2721,5 +2837,485 @@ mod tests {
         }
         // The generator reaches the start threshold's refusal branch.
         assert!(zero_grants > 100, "only {zero_grants} refused starts");
+    }
+
+    // ------------------------------------------------------------------
+    // Deferred arrivals
+    // ------------------------------------------------------------------
+
+    use sim_core::trace::BufferSink;
+
+    /// Everything a run exposes to a driver or a report.
+    #[derive(Debug, Default, PartialEq)]
+    struct Transcript {
+        /// Each visible step output with its instant.
+        outputs: Vec<(SimTime, StepOutput)>,
+        /// Crash casualties, as taken after each crash.
+        casualties: Vec<FailedKernel>,
+        /// `(now, busy_sm_seconds bits)` at the points a script probes.
+        probes: Vec<(SimTime, u64)>,
+        /// Final `(state, started, finished)` of every returned handle.
+        kernels: Vec<(InstState, Option<SimTime>, Option<SimTime>)>,
+        now: SimTime,
+        busy_bits: u64,
+        faults: FaultCounters,
+        trace: Vec<TraceEvent>,
+    }
+
+    /// Records one run of a script.
+    #[derive(Default)]
+    struct Recorder {
+        t: Transcript,
+        /// Events popped; the only thing allowed to differ between twins.
+        pops: usize,
+    }
+
+    impl Recorder {
+        /// Processes one event (or, with none left, whatever is owed).
+        fn step(&mut self, gpu: &mut Gpu) {
+            self.pops += usize::from(!gpu.events.is_empty());
+            match gpu.step() {
+                Some(StepOutput::ContextCrash { app }) => {
+                    let mut failed = Vec::new();
+                    gpu.take_failed_into(&mut failed);
+                    self.t.casualties.extend(failed);
+                    self.t
+                        .outputs
+                        .push((gpu.now(), StepOutput::ContextCrash { app }));
+                }
+                Some(o) => self.t.outputs.push((gpu.now(), o)),
+                None => {}
+            }
+        }
+
+        /// Steps until the next visible output (or until no event is left).
+        /// Unlike a bare step, this means the same thing whether or not
+        /// arrivals are posted as events.
+        fn next_output(&mut self, gpu: &mut Gpu) {
+            let seen = self.t.outputs.len();
+            while self.t.outputs.len() == seen && !gpu.events.is_empty() {
+                self.step(gpu);
+            }
+        }
+
+        /// Steps through every event before `t`, then advances to it —
+        /// the order `Simulation::run` delivers a request at `t` in.
+        fn advance(&mut self, gpu: &mut Gpu, t: SimTime) {
+            let t = t.max(gpu.now());
+            while gpu.peek_event_time().is_some_and(|e| e < t) {
+                self.step(gpu);
+            }
+            gpu.advance_to(t);
+        }
+
+        fn drain(&mut self, gpu: &mut Gpu) {
+            while !gpu.events.is_empty() {
+                self.step(gpu);
+            }
+            self.step(gpu);
+        }
+
+        fn probe(&mut self, gpu: &Gpu) {
+            self.t
+                .probes
+                .push((gpu.now(), gpu.busy_sm_seconds().to_bits()));
+        }
+    }
+
+    /// Runs `script` on a fresh traced GPU twice — arrivals deferred, and
+    /// every arrival posted as an event — and returns both transcripts
+    /// with their event-pop counts.
+    fn twin_runs(
+        spec: &GpuSpec,
+        costs: HostCosts,
+        plan: &FaultPlan,
+        script: impl Fn(&mut Gpu, &mut Recorder) -> Vec<KernelHandle>,
+    ) -> [(Transcript, usize); 2] {
+        [false, true].map(|post_every| {
+            let mut gpu = Gpu::new(spec.clone(), costs.clone());
+            gpu.post_every_arrival = post_every;
+            let sink = BufferSink::new();
+            gpu.set_trace_sink(Box::new(sink.clone()));
+            gpu.set_fault_plan(plan.clone());
+            let mut rec = Recorder::default();
+            let handles = script(&mut gpu, &mut rec);
+            let mut t = rec.t;
+            t.kernels = handles
+                .iter()
+                .map(|&h| {
+                    (
+                        gpu.kernel_state(h),
+                        gpu.kernel_started_at(h),
+                        gpu.kernel_finished_at(h),
+                    )
+                })
+                .collect();
+            t.now = gpu.now();
+            t.busy_bits = gpu.busy_sm_seconds().to_bits();
+            t.faults = gpu.fault_counters();
+            t.trace = sink.take();
+            (t, rec.pops)
+        })
+    }
+
+    /// [`twin_runs`] that requires identical transcripts and returns the
+    /// deferred one with the pops each way.
+    fn assert_twins(
+        spec: &GpuSpec,
+        costs: HostCosts,
+        plan: &FaultPlan,
+        script: impl Fn(&mut Gpu, &mut Recorder) -> Vec<KernelHandle>,
+    ) -> (Transcript, usize, usize) {
+        let [(deferred, fewer), (posted, every)] = twin_runs(spec, costs, plan, script);
+        assert_eq!(deferred, posted);
+        assert!(fewer <= every, "{fewer} pops deferred vs {every} posted");
+        (deferred, fewer, every)
+    }
+
+    fn compute(us: u64, sms: u32, mem: f64) -> KernelDesc {
+        KernelDesc::compute(SimDuration::from_micros(us), sms, mem)
+    }
+
+    #[test]
+    fn successor_arriving_after_its_head_finished_posts_at_the_reserved_key() {
+        let (t, fewer, every) = assert_twins(
+            &GpuSpec::a100(),
+            HostCosts::free(),
+            &FaultPlan::none(),
+            |gpu, rec| {
+                let ctx = gpu.create_context(CtxKind::Default).unwrap();
+                let q = gpu.create_queue(ctx).unwrap();
+                let side = gpu.create_queue(ctx).unwrap();
+                let long = put(gpu, side, compute(200, 54, 0.8), 9);
+                let a = put(gpu, q, compute(10, 54, 0.5), 0);
+                // B lands behind A at 50 us, after A is done at 10 us; C
+                // lands behind B at the same instant.
+                let b = put_delayed(
+                    gpu,
+                    q,
+                    compute(10, 54, 0.5),
+                    1,
+                    SimDuration::from_micros(50),
+                );
+                let c = put(gpu, q, compute(10, 54, 0.5), 2);
+                rec.drain(gpu);
+                vec![long, a, b, c]
+            },
+        );
+        let started = |i: usize| t.kernels[i].1;
+        assert_eq!(started(2), Some(SimTime::from_micros(50)));
+        assert!(started(3) > started(2));
+        assert!(t.kernels.iter().all(|k| k.0 == InstState::Done));
+        // C never pops an Arrive: it replays behind B.
+        assert!(fewer < every, "{fewer} vs {every}");
+    }
+
+    #[test]
+    fn same_instant_arrival_and_completion_keep_their_seq_order() {
+        // A runs beside a memory-heavy co-runner, so its finish instant is
+        // an interference-slowed float; B lands on exactly that instant.
+        let setup = |gpu: &mut Gpu| {
+            let ctx = gpu.create_context(CtxKind::Default).unwrap();
+            let q = gpu.create_queue(ctx).unwrap();
+            let side = gpu.create_queue(ctx).unwrap();
+            let co = put(gpu, side, compute(300, 54, 0.7), 9);
+            let a = put(gpu, q, compute(100, 54, 0.6), 0);
+            (q, co, a)
+        };
+        let a_done = {
+            let mut gpu = free_gpu();
+            let (_, _, a) = setup(&mut gpu);
+            gpu.drain();
+            gpu.kernel_finished_at(a).unwrap()
+        };
+        assert!(a_done > SimTime::from_micros(100));
+        for arrival_first in [true, false] {
+            let (t, _, _) = assert_twins(
+                &GpuSpec::a100(),
+                HostCosts::free(),
+                &FaultPlan::none(),
+                |gpu, rec| {
+                    let (q, co, a) = setup(gpu);
+                    // A's completion key is taken when A starts, B's
+                    // arrival key at B's launch: launching B before A
+                    // starts puts B's key first at the shared instant.
+                    if !arrival_first {
+                        rec.step(gpu); // The co-runner arrives and starts.
+                        rec.step(gpu); // A arrives and starts.
+                    }
+                    let extra = a_done.duration_since(gpu.now());
+                    let b = put_delayed(gpu, q, compute(10, 54, 0.6), 1, extra);
+                    rec.drain(gpu);
+                    vec![co, a, b]
+                },
+            );
+            // B starts the instant A finishes, either way round.
+            assert_eq!(t.kernels[1].2, Some(a_done));
+            assert_eq!(
+                t.kernels[2].1,
+                Some(a_done),
+                "arrival_first {arrival_first}"
+            );
+        }
+    }
+
+    #[test]
+    fn crash_kills_unarrived_kernels_in_launch_order_and_survivors_start() {
+        let spec = FaultSpec {
+            num_apps: 2,
+            crash_count: 1,
+            crash_window: (SimTime::from_micros(7), SimTime::from_micros(7)),
+            ..FaultSpec::default()
+        };
+        let plan = FaultPlan::build(3, &spec);
+        let victim = plan.crashes()[0].app as usize;
+        let other = 1 - victim;
+        let (t, fewer, every) =
+            assert_twins(&GpuSpec::a100(), HostCosts::paper(), &plan, |gpu, rec| {
+                let ctx = gpu.create_context(CtxKind::Default).unwrap();
+                let q1 = gpu.create_queue(ctx).unwrap();
+                let q2 = gpu.create_queue(ctx).unwrap();
+                let k = || compute(100, 54, 0.4);
+                // 3 us per launch: arrivals at 3, 6, 9, 12, 15 and 18 us.
+                let handles = vec![
+                    put(gpu, q2, k(), encode_tag(victim, 0)), // running at the crash
+                    put(gpu, q2, k(), encode_tag(other, 0)),  // queued behind it
+                    put(gpu, q1, k(), encode_tag(victim, 1)), // posted front, in flight
+                    put(gpu, q1, k(), encode_tag(other, 1)),  // unposted
+                    put(gpu, q1, k(), encode_tag(victim, 2)), // unposted
+                    put(gpu, q1, k(), encode_tag(other, 2)),  // unposted
+                ];
+                rec.drain(gpu);
+                handles
+            });
+        // Slots are never recycled here: slot `i` holds the `i`-th launch.
+        let h = |i: usize| Gpu::handle_for(i, 0);
+        let casualties: Vec<KernelHandle> = t.casualties.iter().map(|f| f.handle).collect();
+        assert_eq!(casualties, vec![h(0), h(2), h(4)], "launch order");
+        let state = |i: usize| t.kernels[i].0;
+        for i in [0, 2, 4] {
+            assert_eq!(state(i), InstState::Failed);
+        }
+        for i in [1, 3, 5] {
+            assert_eq!(state(i), InstState::Done);
+        }
+        // The survivor behind the killed head starts at the crash; the
+        // one behind the killed in-flight front starts on arrival.
+        assert_eq!(t.kernels[1].1, Some(SimTime::from_micros(7)));
+        assert_eq!(t.kernels[3].1, Some(SimTime::from_micros(12)));
+        assert_eq!(t.faults.kernels_failed, 3);
+        assert!(fewer < every, "{fewer} vs {every}");
+    }
+
+    #[test]
+    fn killed_unposted_arrival_still_settles_at_its_instant() {
+        let spec = FaultSpec {
+            num_apps: 1,
+            crash_count: 1,
+            crash_window: (SimTime::from_micros(2), SimTime::from_micros(2)),
+            ..FaultSpec::default()
+        };
+        let plan = FaultPlan::build(0, &spec);
+        // Arrivals at 3 (posted) and 6 us (unposted); the crash at 2 us
+        // kills both in flight, so the unposted arrival is the last thing
+        // to account.
+        let launch = |gpu: &mut Gpu| {
+            let ctx = gpu.create_context(CtxKind::Default).unwrap();
+            let q = gpu.create_queue(ctx).unwrap();
+            vec![
+                put(gpu, q, compute(100, 54, 0.4), encode_tag(0, 0)),
+                put(gpu, q, compute(100, 54, 0.4), encode_tag(0, 1)),
+            ]
+        };
+        // Stepping until a step finds no event left...
+        let (t, _, _) = assert_twins(&GpuSpec::a100(), HostCosts::paper(), &plan, |gpu, rec| {
+            let handles = launch(gpu);
+            rec.drain(gpu);
+            handles
+        });
+        assert_eq!(t.casualties.len(), 2);
+        assert_eq!(t.now, SimTime::from_micros(6));
+        // ...and both drains account it too.
+        for keep_outputs in [false, true] {
+            let mut gpu = Gpu::a100();
+            gpu.set_fault_plan(plan.clone());
+            launch(&mut gpu);
+            if keep_outputs {
+                gpu.drain_outputs_into(&mut Vec::new());
+            } else {
+                gpu.drain();
+            }
+            assert_eq!(
+                gpu.now(),
+                SimTime::from_micros(6),
+                "keep_outputs {keep_outputs}"
+            );
+        }
+    }
+
+    #[test]
+    fn drain_snapshot_drops_unposted_arrivals() {
+        let (t, _, _) = assert_twins(
+            &GpuSpec::a100(),
+            HostCosts::paper(),
+            &FaultPlan::none(),
+            |gpu, rec| {
+                let ctx = gpu.create_context(CtxKind::Default).unwrap();
+                let q1 = gpu.create_queue(ctx).unwrap();
+                let q2 = gpu.create_queue(ctx).unwrap();
+                let mut handles = Vec::new();
+                for i in 0..4 {
+                    handles.push(put(gpu, q1, compute(20, 54, 0.5), i));
+                    handles.push(put(gpu, q2, compute(30, 54, 0.3), 10 + i));
+                }
+                // Arrivals land every 3 us up to 24 us; stop mid-way.
+                rec.advance(gpu, SimTime::from_micros(11));
+                rec.probe(gpu);
+                let ckpt = gpu.drain_snapshot();
+                assert_eq!(ckpt.at, SimTime::from_micros(11));
+                let launch_order: Vec<KernelHandle> =
+                    ckpt.abandoned.iter().map(|f| f.handle).collect();
+                assert_eq!(launch_order, handles);
+                rec.t.casualties.extend(ckpt.abandoned);
+                assert!(gpu.events.is_empty() && gpu.unposted.is_empty());
+                assert!(gpu.is_device_idle());
+                rec.drain(gpu);
+                handles
+            },
+        );
+        assert_eq!(t.casualties.len(), 8);
+        assert_eq!(t.now, SimTime::from_micros(11));
+    }
+
+    #[test]
+    fn advance_to_across_unposted_arrivals_keeps_busy_time_bit_identical() {
+        // Fair shares of 100 SMs among three kernels are not dyadic, so
+        // the busy integral's bits depend on every settle point.
+        let spec = GpuSpec {
+            hw_policy: HwPolicy::FairShare,
+            ..GpuSpec::a100_with_sms(100)
+        };
+        let (t, fewer, every) =
+            assert_twins(&spec, HostCosts::paper(), &FaultPlan::none(), |gpu, rec| {
+                let ctx = gpu.create_context(CtxKind::Default).unwrap();
+                let queues: Vec<QueueId> = (0..3).map(|_| gpu.create_queue(ctx).unwrap()).collect();
+                let mut handles = Vec::new();
+                for i in 0..4u64 {
+                    for (n, &q) in queues.iter().enumerate() {
+                        let us = 13 + i + 5 * n as u64;
+                        handles.push(put(
+                            gpu,
+                            q,
+                            compute(us, 100, 0.3 * n as f64),
+                            10 * n as u64 + i,
+                        ));
+                    }
+                }
+                // Each advance crosses several unposted arrivals (every 3 us
+                // up to 36 us) whose settles split the busy integral.
+                for us in [10, 23, 37] {
+                    rec.advance(gpu, SimTime::from_micros(us));
+                    rec.probe(gpu);
+                }
+                handles.push(put(gpu, queues[0], compute(5, 100, 0.2), 99));
+                rec.drain(gpu);
+                rec.probe(gpu);
+                handles
+            });
+        assert!(t.probes.iter().all(|&(_, bits)| f64::from_bits(bits) > 0.0));
+        assert!(fewer < every, "{fewer} vs {every}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Differential twin: random raw-engine schedules — several queues
+        /// over default, MPS-capped and MIG contexts, delayed launches,
+        /// graph launches, crashes, DMA stalls and stragglers, run output
+        /// by output and advanced in random order — expose identical
+        /// outputs, busy-time bits, fault counters, casualties and trace
+        /// streams whether arrivals behind a busy queue are deferred or
+        /// posted.
+        #[test]
+        fn prop_deferred_arrivals_match_posting_every_arrival(
+            seed in proptest::prelude::any::<u64>(),
+            layout in 0u8..4,
+            paper_costs in proptest::prelude::any::<bool>(),
+            per_resource in proptest::prelude::any::<bool>(),
+            fair_share in proptest::prelude::any::<bool>(),
+            ops in proptest::collection::vec((0u8..6, 0usize..64, 0u64..80), 1..60),
+        ) {
+            let mut spec = if per_resource { GpuSpec::a100_per_resource() } else { GpuSpec::a100() };
+            if fair_share {
+                // Non-dyadic shares make busy-time bits sensitive to every
+                // settle point.
+                spec.hw_policy = HwPolicy::FairShare;
+                spec.num_sms = 100;
+            }
+            let costs = if paper_costs { HostCosts::paper() } else { HostCosts::free() };
+            let faults = FaultSpec {
+                num_apps: 3,
+                straggler_prob: 0.1,
+                straggler_factor: 2.0,
+                crash_count: (seed % 3) as u32,
+                crash_window: (SimTime::ZERO, SimTime::from_micros(400)),
+                dma_stall_count: (seed / 3 % 2) as u32,
+                dma_stall_window: (SimTime::ZERO, SimTime::from_micros(300)),
+                dma_stall_len: SimDuration::from_micros(60),
+                dma_slow_factor: 3.0,
+                ..FaultSpec::default()
+            };
+            let plan = FaultPlan::build(seed, &faults);
+            let table: Arc<[KernelDesc]> = Arc::from(vec![
+                compute(12, 108, 0.1),
+                compute(30, 54, 0.8),
+                compute(7, 20, 0.5),
+                compute(50, 90, 0.3),
+                KernelDesc::memcpy_h2d(200_000),
+                KernelDesc::memcpy_d2h(120_000),
+                compute(3, 108, 0.9),
+            ]);
+            let script = |gpu: &mut Gpu, rec: &mut Recorder| {
+                let table_id = gpu.register_kernel_table(table.clone());
+                let mut ctxs = vec![gpu.create_context(CtxKind::Default).unwrap()];
+                if layout & 1 != 0 {
+                    ctxs.push(gpu.create_context(CtxKind::MpsAffinity { sm_cap: 40 }).unwrap());
+                }
+                if layout & 2 != 0 {
+                    ctxs.push(gpu.create_context(CtxKind::MigPartition { sm_count: 28 }).unwrap());
+                }
+                let queues: Vec<QueueId> =
+                    (0..4).map(|i| gpu.create_queue(ctxs[i % ctxs.len()]).unwrap()).collect();
+                let mut handles = Vec::new();
+                for (n, &(op, a, b)) in ops.iter().enumerate() {
+                    let q = queues[a % queues.len()];
+                    let index = a / queues.len() % table.len();
+                    let tag = encode_tag(a % 3, n);
+                    match op {
+                        0 | 1 => handles.push(gpu.launch(q, table_id, index, tag).unwrap()),
+                        2 => {
+                            let extra = SimDuration::from_micros(b % 60);
+                            handles.push(gpu.launch_delayed(q, table_id, index, tag, extra).unwrap());
+                        }
+                        3 => {
+                            let end = (index + 1 + (b as usize) % 3).min(table.len());
+                            gpu.launch_graph(q, table_id, index..end, |k| encode_tag(a % 3, n + k)).unwrap();
+                        }
+                        4 => rec.advance(gpu, gpu.now() + SimDuration::from_micros(b)),
+                        _ => {
+                            for _ in 0..b % 4 {
+                                rec.next_output(gpu);
+                            }
+                        }
+                    }
+                }
+                rec.drain(gpu);
+                rec.probe(gpu);
+                handles
+            };
+            let [(deferred, fewer), (posted, every)] = twin_runs(&spec, costs, &plan, script);
+            proptest::prop_assert_eq!(deferred, posted);
+            proptest::prop_assert!(fewer <= every);
+        }
     }
 }

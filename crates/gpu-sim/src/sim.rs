@@ -81,7 +81,10 @@ pub enum RunOutcome {
     Completed,
     /// The horizon was reached with work still outstanding.
     HorizonReached,
-    /// The event budget was exhausted (runaway driver protection).
+    /// The event budget was exhausted (runaway driver protection). The
+    /// budget counts loop iterations — request deliveries and device
+    /// events — and a launch that lands behind a busy queue posts no
+    /// device event, so it spends none.
     EventBudgetExhausted,
     /// No events remain but kernels are still live on the device — a
     /// starved kernel (e.g. a zero-capacity context) or a driver that
@@ -158,7 +161,11 @@ impl<D: HostDriver> Simulation<D> {
         }
     }
 
-    /// Overrides the runaway-protection event budget.
+    /// Overrides the runaway-protection event budget: the most request
+    /// deliveries plus device events one [`Simulation::run`] may process.
+    /// A kernel's arrival costs an event only when it lands in an idle
+    /// queue or its queue drains before it lands; arrivals behind a busy
+    /// queue are accounted without one (see [`Gpu::step`]).
     pub fn with_max_events(mut self, max_events: u64) -> Self {
         self.max_events = max_events;
         self
@@ -237,17 +244,19 @@ impl<D: HostDriver> Simulation<D> {
 
             let t = match (next_dev, next_arr) {
                 (None, None) => {
+                    self.gpu.account_arrivals_through(SimTime::MAX);
                     return if self.gpu.is_device_idle() {
                         RunOutcome::Completed
                     } else {
                         RunOutcome::Stalled
-                    }
+                    };
                 }
                 (Some(d), None) => d,
                 (None, Some(a)) => a,
                 (Some(d), Some(a)) => d.min(a),
             };
             if t > horizon {
+                self.gpu.account_arrivals_through(horizon);
                 return RunOutcome::HorizonReached;
             }
 
@@ -368,6 +377,76 @@ mod tests {
         assert_eq!(sim.driver.completions[0], (0, SimTime::from_micros(10)));
         assert_eq!(sim.driver.completions[1], (1, SimTime::from_micros(110)));
         assert!(sim.gpu.is_device_idle());
+    }
+
+    /// A run stopped at a horizon, or run to the end, is in the state the
+    /// device would be in had every arrival popped as an event: the
+    /// arrivals owed up to that instant are accounted before `run`
+    /// returns.
+    #[test]
+    fn horizon_accounts_arrivals_behind_a_busy_queue() {
+        let run = |post_every_arrival: bool| {
+            let mut gpu = Gpu::new(GpuSpec::a100(), HostCosts::paper());
+            gpu.post_every_arrival = post_every_arrival;
+            // Three requests at 0: kernels land at 3, 6 and 9 us, each
+            // behind the one before.
+            let arrivals = (0..3)
+                .map(|app| RequestArrival {
+                    app,
+                    req: 0,
+                    at: SimTime::ZERO,
+                })
+                .collect();
+            let driver = OneShot {
+                queue: None,
+                completions: Vec::new(),
+                tags: Vec::new(),
+            };
+            let mut sim = Simulation::new(gpu, driver, arrivals);
+            [7, 10, 20, 1_000]
+                .map(|us| {
+                    let outcome = sim.run(SimTime::from_micros(us));
+                    (outcome, sim.gpu.now(), sim.gpu.busy_sm_seconds().to_bits())
+                })
+                .to_vec()
+        };
+        let deferred = run(false);
+        assert_eq!(deferred, run(true));
+        let (outcome, now, _) = deferred[0];
+        assert_eq!(outcome, RunOutcome::HorizonReached);
+        assert_eq!(now, SimTime::from_micros(6));
+        assert_eq!(deferred[1].1, SimTime::from_micros(9));
+        assert_eq!(deferred[3].0, RunOutcome::Completed);
+    }
+
+    /// A run that ends with a killed kernel's arrival still owed accounts
+    /// it before returning, as the popped event would have.
+    #[test]
+    fn completed_run_accounts_a_killed_kernels_arrival() {
+        let spec = sim_core::FaultSpec {
+            num_apps: 1,
+            crash_count: 1,
+            crash_window: (SimTime::from_micros(2), SimTime::from_micros(2)),
+            ..sim_core::FaultSpec::default()
+        };
+        let mut gpu = Gpu::new(GpuSpec::a100(), HostCosts::paper());
+        gpu.set_fault_plan(sim_core::FaultPlan::build(0, &spec));
+        // Two kernels land at 3 and 6 us; the crash at 2 us kills both.
+        let arrivals = (0..2)
+            .map(|req| RequestArrival {
+                app: 0,
+                req,
+                at: SimTime::ZERO,
+            })
+            .collect();
+        let driver = OneShot {
+            queue: None,
+            completions: Vec::new(),
+            tags: Vec::new(),
+        };
+        let mut sim = Simulation::new(gpu, driver, arrivals);
+        assert_eq!(sim.run(SimTime::MAX), RunOutcome::Completed);
+        assert_eq!(sim.gpu.now(), SimTime::from_micros(6));
     }
 
     #[test]

@@ -62,17 +62,42 @@ impl<E> EventQueue<E> {
 
     /// Schedules `payload` to fire at `at`.
     pub fn push(&mut self, at: SimTime, payload: E) {
+        let seq = self.reserve_seq();
+        self.push_reserved(at, seq, payload);
+    }
+
+    /// Takes the insertion sequence number the next [`EventQueue::push`]
+    /// would have used, without scheduling anything. An event later
+    /// scheduled with [`EventQueue::push_reserved`] under this number pops
+    /// exactly where it would have popped had it been pushed now, so a
+    /// caller may defer (or skip) a push without moving any other event's
+    /// tie order.
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `payload` to fire at `at` under a sequence number taken
+    /// earlier from [`EventQueue::reserve_seq`]. Each reserved number must
+    /// be pushed at most once.
+    pub fn push_reserved(&mut self, at: SimTime, seq: u64, payload: E) {
+        debug_assert!(seq < self.next_seq, "sequence number was never reserved");
         self.heap.push(Entry { at, seq, payload });
         self.sift_up(self.heap.len() - 1);
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_keyed().map(|(at, _, payload)| (at, payload))
+    }
+
+    /// [`EventQueue::pop`] that also reports the popped event's sequence
+    /// number: `(at, seq)` is its full position in the pop order.
+    pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
         let last = self.heap.len().checked_sub(1)?;
         self.heap.swap(0, last);
-        let e = self.heap.pop().map(|e| (e.at, e.payload));
+        let e = self.heap.pop().map(|e| (e.at, e.seq, e.payload));
         if !self.heap.is_empty() {
             self.sift_down(0);
         }
@@ -395,6 +420,91 @@ mod tests {
                 if a.is_none() {
                     break;
                 }
+            }
+        }
+
+        /// Reserved sequence numbers: an event whose number is reserved
+        /// now and pushed later pops exactly where the `BinaryHeap` twin
+        /// pops it when pushed at reservation time — provided it is pushed
+        /// before the queue pops past its key, the contract the GPU engine
+        /// keeps for its deferred arrivals. Ops: 0 = push, 1 = reserve
+        /// (defer), 2 = post the `i`-th deferred event, 3 = pop.
+        #[test]
+        fn prop_reserved_seq_pops_where_legacy_pushed_it(
+            ops in proptest::collection::vec((0u8..4, 0u64..16, 0usize..8), 1..400),
+        ) {
+            let mut new_q = EventQueue::new();
+            let mut old_q = legacy::LegacyEventQueue::new();
+            let mut deferred: Vec<(SimTime, u64, u64)> = Vec::new();
+            let mut payload = 0u64;
+            // Posts every deferred event keyed before the heap's earliest
+            // entry (all of them once the heap is empty), as the engine
+            // does before it handles an event.
+            fn post_due(q: &mut EventQueue<u64>, deferred: &mut Vec<(SimTime, u64, u64)>) {
+                loop {
+                    let top = q.heap.first().map(Entry::key);
+                    let due = deferred
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, &(at, seq, _))| top.is_none_or(|k| (at, seq) < k))
+                        .min_by_key(|(_, &(at, seq, _))| (at, seq))
+                        .map(|(i, _)| i);
+                    let Some(i) = due else { break };
+                    let (at, seq, p) = deferred.swap_remove(i);
+                    q.push_reserved(at, seq, p);
+                }
+            }
+            for (op, t, i) in ops {
+                let at = SimTime::from_nanos(t);
+                match op {
+                    0 => {
+                        new_q.push(at, payload);
+                        old_q.push(at, payload);
+                        payload += 1;
+                    }
+                    1 => {
+                        let seq = new_q.reserve_seq();
+                        deferred.push((at, seq, payload));
+                        old_q.push(at, payload);
+                        payload += 1;
+                    }
+                    2 => {
+                        if !deferred.is_empty() {
+                            let (at, seq, p) = deferred.swap_remove(i % deferred.len());
+                            new_q.push_reserved(at, seq, p);
+                        }
+                    }
+                    _ => {
+                        post_due(&mut new_q, &mut deferred);
+                        prop_assert_eq!(new_q.peek_time(), old_q.peek_time());
+                        prop_assert_eq!(new_q.pop(), old_q.pop());
+                    }
+                }
+            }
+            loop {
+                post_due(&mut new_q, &mut deferred);
+                let (a, b) = (new_q.pop(), old_q.pop());
+                prop_assert_eq!(a, b);
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
+
+        /// `pop_keyed` reports sequence numbers in push order on ties and
+        /// agrees with `pop` on time and payload.
+        #[test]
+        fn prop_pop_keyed_reports_push_order(times in proptest::collection::vec(0u64..8, 1..100)) {
+            let mut q = EventQueue::new();
+            for (i, &t) in times.iter().enumerate() {
+                q.push(SimTime::from_nanos(t), i);
+            }
+            let mut last: Option<(SimTime, u64)> = None;
+            while let Some((at, seq, i)) = q.pop_keyed() {
+                prop_assert_eq!(seq, i as u64);
+                prop_assert_eq!(at, SimTime::from_nanos(times[i]));
+                prop_assert!(last.is_none_or(|k| k < (at, seq)));
+                last = Some((at, seq));
             }
         }
     }
