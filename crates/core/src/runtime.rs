@@ -87,6 +87,11 @@ struct EntryRun {
     predicted: SimDuration,
     /// When the entry's last kernel finished (for the drift watchdog).
     finished_at: Option<SimTime>,
+    /// The queue whose launch program feeds the current phase, if one
+    /// does. The fields above then lag the engine: they count only what
+    /// the driver launched and saw complete, until the program reports
+    /// its last kernel or is cancelled.
+    program: Option<QueueId>,
 }
 
 /// One record of a completed squad (for the fine-grained analyses of
@@ -202,6 +207,10 @@ pub struct BlessDriver {
     degrade: Vec<ShareMode>,
     /// Consecutive clean squads per app (drives re-promotion).
     clean_squads: Vec<u32>,
+    /// Test-only twin switch: feed every kernel from its completion
+    /// callback, with no launch programs.
+    #[cfg(test)]
+    per_kernel_feed: bool,
 }
 
 struct SquadState {
@@ -255,6 +264,8 @@ impl BlessDriver {
             retry_streak: vec![0; n],
             degrade: vec![ShareMode::SemiSpatial; n],
             clean_squads: vec![0; n],
+            #[cfg(test)]
+            per_kernel_feed: false,
             apps,
             params,
         }
@@ -620,6 +631,7 @@ impl BlessDriver {
                 split_at,
                 predicted,
                 finished_at: None,
+                program: None,
             });
         }
 
@@ -662,7 +674,9 @@ impl BlessDriver {
     /// Feeds the device with this entry's next kernels, up to the launch
     /// window, respecting the semi-SP barrier (tail kernels only launch
     /// once the restricted head finished, after the context-switch
-    /// vacuum).
+    /// vacuum). Then hands the rest of the phase to the engine as a launch
+    /// program, which refills the window itself and reports only the
+    /// phase's last kernel.
     fn feed_entry(&mut self, gpu: &mut Gpu, app: usize) {
         let window = self.params.launch_window;
         // A launch failure is collected here and handled after the squad
@@ -675,6 +689,7 @@ impl BlessDriver {
         let Some(entry) = squad.per_app[app].as_mut() else {
             return;
         };
+        debug_assert!(entry.program.is_none(), "a program feeds this entry");
         let graph = self.params.graph_granularity.max(1);
         let table = self.tables[app];
         while entry.inflight < window && entry.next_to_launch < entry.count {
@@ -733,6 +748,38 @@ impl BlessDriver {
             squad.inflight_total += launched;
             squad.pending_total -= launched;
         }
+        // The kernels in flight all belong to one phase on one queue
+        // (the head drains before the tail launches), so the program
+        // takes over from them. Crash retries share those queues, so an
+        // app with retries outstanding stays on the per-kernel path.
+        #[cfg(test)]
+        let per_kernel = self.per_kernel_feed;
+        #[cfg(not(test))]
+        let per_kernel = false;
+        if launch_failed.is_none()
+            && !per_kernel
+            && entry.inflight > 0
+            && self.pending_retry[app].is_empty()
+            && self.outstanding_retried[app].is_empty()
+        {
+            let (queue, end) = if entry.next_to_launch <= entry.split_at {
+                (self.queue_restricted[app], entry.split_at)
+            } else {
+                (self.queue_free[app], entry.count)
+            };
+            let program = gpu_sim::LaunchProgram {
+                table,
+                range: entry.first + entry.next_to_launch..entry.first + end,
+                in_flight: entry.inflight,
+                window,
+                graph,
+                app,
+            };
+            match gpu.install_program(queue, program) {
+                Ok(()) => entry.program = Some(queue),
+                Err(e) => launch_failed = Some(e.into()),
+            }
+        }
         if let Some(e) = launch_failed {
             self.record_error(e);
             // Try feeding again after a short backoff instead of wedging
@@ -741,6 +788,39 @@ impl BlessDriver {
                 gpu.now() + SimDuration::from_nanos(RETRY_BACKOFF_BASE_NS),
                 RETRY_WAKE_BASE + app as u64,
             );
+        }
+    }
+
+    /// Accounts in bulk for what `app`'s launch program did without a
+    /// callback: `launched` kernels the engine launched and `completed`
+    /// kernel completions, in kernel order. This is the bookkeeping the
+    /// per-kernel completion callbacks would have done; none of those
+    /// completions ends the entry or the request.
+    fn fold_program(&mut self, app: usize, launched: usize, completed: usize) {
+        if let Some(act) = &mut self.active[app] {
+            act.next_kernel += completed;
+        }
+        let Some(squad) = &mut self.squad else { return };
+        let Some(entry) = squad.per_app[app].as_mut() else {
+            return;
+        };
+        entry.next_to_launch += launched;
+        entry.inflight = entry.inflight + launched - completed;
+        entry.head_remaining = entry.head_remaining.saturating_sub(completed);
+        squad.inflight_total = squad.inflight_total + launched - completed;
+        squad.pending_total -= launched;
+    }
+
+    /// Cancels `app`'s launch program, if one runs, and accounts for what
+    /// it did; the kernels it left in flight are then reported one by one.
+    fn cancel_program(&mut self, gpu: &mut Gpu, app: usize) {
+        let queue = self
+            .squad
+            .as_mut()
+            .and_then(|s| s.per_app[app].as_mut())
+            .and_then(|e| e.program.take());
+        if let Some(progress) = queue.and_then(|q| gpu.cancel_program(q)) {
+            self.fold_program(app, progress.launched, progress.completed);
         }
     }
 
@@ -775,6 +855,7 @@ impl BlessDriver {
     /// Kernels that fail to launch stay pending and another backoff wake
     /// is armed.
     fn flush_retries(&mut self, gpu: &mut Gpu, app: usize) {
+        self.cancel_program(gpu, app);
         // Drain into the reusable scratch buffer (both Vecs keep their
         // capacity) so retry rounds allocate nothing in steady state.
         let mut pending = std::mem::take(&mut self.retry_buf);
@@ -940,11 +1021,20 @@ impl HostDriver for BlessDriver {
         // draining the in-flight squad worth its cost. A queued follow-up
         // request for an already-active tenant cannot join the next squad
         // anyway.
-        if self.params.drain_on_arrival && newly_schedulable {
+        let drain = self.params.drain_on_arrival
+            && newly_schedulable
+            && self
+                .squad
+                .as_ref()
+                .is_some_and(|s| s.per_app[req.app].is_none());
+        if drain {
+            // A draining squad feeds nothing more: its programs stop, and
+            // their kernels in flight are reported one by one.
+            for app in 0..self.apps.len() {
+                self.cancel_program(gpu, app);
+            }
             if let Some(squad) = &mut self.squad {
-                if squad.per_app[req.app].is_none() {
-                    squad.draining = true;
-                }
+                squad.draining = true;
             }
         }
         self.request_schedule(gpu);
@@ -971,6 +1061,23 @@ impl HostDriver for BlessDriver {
         if app >= self.apps.len() {
             self.record_error(SchedError::OrphanCompletion { app, kernel });
             return;
+        }
+
+        // A launch program reports only its last kernel: first account
+        // for every unit it launched and every kernel before this one.
+        let program = self.squad.as_mut().and_then(|s| {
+            let entry = s.per_app[app].as_mut()?;
+            let queue = entry.program.take()?;
+            let end = if queue == self.queue_restricted[app] {
+                entry.split_at
+            } else {
+                entry.count
+            };
+            Some(end - entry.next_to_launch)
+        });
+        if let Some(launched) = program {
+            let completed = self.active[app].map_or(0, |a| kernel.saturating_sub(a.next_kernel));
+            self.fold_program(app, launched, completed);
         }
 
         // Retry accounting: a completed re-submission of a crashed kernel.
@@ -1067,6 +1174,7 @@ impl HostDriver for BlessDriver {
         if app >= self.apps.len() {
             return;
         }
+        self.cancel_program(gpu, app);
         // Queue every casualty for re-submission. A kernel we had already
         // re-submitted may be among them (crashed again): it moves from
         // outstanding back to pending.
@@ -1113,6 +1221,7 @@ mod tests {
     use super::*;
     use dnn_models::{AppModel, ModelKind, Phase};
     use gpu_sim::{GpuSpec, HostCosts, RunOutcome, Simulation};
+    use metrics::ShareMode;
     use profiler::ProfiledApp;
 
     fn deploy(kind: ModelKind, quota: f64) -> DeployedApp {
@@ -1617,6 +1726,238 @@ mod tests {
                 (ShareMode::StrictSpatial, ShareMode::SemiSpatial),
             ],
             "recovery must climb the same rungs the degradation descended"
+        );
+    }
+
+    /// Counts the completions a driver is handed.
+    struct CountDone<D> {
+        inner: D,
+        done: usize,
+    }
+
+    impl<D: HostDriver> HostDriver for CountDone<D> {
+        fn on_start(&mut self, gpu: &mut Gpu) {
+            self.inner.on_start(gpu);
+        }
+        fn on_request(&mut self, gpu: &mut Gpu, req: RequestArrival) {
+            self.inner.on_request(gpu, req);
+        }
+        fn on_kernel_done(&mut self, gpu: &mut Gpu, done: KernelDone) {
+            self.done += 1;
+            self.inner.on_kernel_done(gpu, done);
+        }
+        fn on_wake(&mut self, gpu: &mut Gpu, token: u64) {
+            self.inner.on_wake(gpu, token);
+        }
+        fn on_crash(&mut self, gpu: &mut Gpu, app: u32, failed: &[FailedKernel]) {
+            self.inner.on_crash(gpu, app, failed);
+        }
+    }
+
+    /// Everything a BLESS run exposes, to compare the per-kernel feed
+    /// against launch programs.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        /// Per horizon: the outcome, the clock and the busy-time bits.
+        runs: Vec<(RunOutcome, SimTime, u64)>,
+        log: u64,
+        trace: Vec<TraceEvent>,
+        robustness: RobustnessReport,
+        errors: Vec<SchedError>,
+        squads: String,
+        modes: Vec<ShareMode>,
+        faults: gpu_sim::FaultCounters,
+        /// Instance slots the engine allocated: silent completions recycle
+        /// theirs as reported ones do.
+        slots: usize,
+        /// The driver's export, and the device's when the last horizon
+        /// left work behind.
+        checkpoint: (Vec<TenantCheckpoint>, Option<gpu_sim::DeviceCheckpoint>),
+    }
+
+    /// Runs `arrivals` to each horizon in turn, feeding kernels from each
+    /// completion callback or through launch programs; returns what the
+    /// run exposes and how many completions the driver was handed.
+    fn observe(
+        apps: &[DeployedApp],
+        params: &BlessParams,
+        restore: Option<(ShareMode, u32)>,
+        plan: &sim_core::FaultPlan,
+        arrivals: &[RequestArrival],
+        horizons: &[SimTime],
+        per_kernel_feed: bool,
+    ) -> (Observed, usize) {
+        let mut driver = BlessDriver::new(apps.to_vec(), params.clone());
+        driver.per_kernel_feed = per_kernel_feed;
+        driver.record_squads = true;
+        if let Some((mode, clean)) = restore {
+            driver.restore_share_mode(0, mode, clean);
+        }
+        let mut gpu = Gpu::new(GpuSpec::a100_per_resource(), HostCosts::paper());
+        let sink = gpu_sim::BufferSink::new();
+        gpu.set_trace_sink(Box::new(sink.clone()));
+        gpu.set_fault_plan(plan.clone());
+        let driver = CountDone {
+            inner: driver,
+            done: 0,
+        };
+        let mut sim = Simulation::new(gpu, driver, arrivals.to_vec());
+        let runs: Vec<_> = horizons
+            .iter()
+            .map(|&h| {
+                (
+                    sim.run(h),
+                    sim.gpu.now(),
+                    sim.gpu.busy_sm_seconds().to_bits(),
+                )
+            })
+            .collect();
+        let unfinished = runs
+            .last()
+            .is_some_and(|r| r.0 == RunOutcome::HorizonReached);
+        let device = unfinished.then(|| sim.gpu.drain_snapshot());
+        let d = &sim.driver.inner;
+        let observed = Observed {
+            runs,
+            log: d.log.digest(),
+            trace: sink.take(),
+            robustness: d.robustness.clone(),
+            errors: d.errors.clone(),
+            squads: format!("{:?}", d.squad_log),
+            modes: (0..apps.len()).map(|a| d.share_mode(a)).collect(),
+            faults: sim.gpu.fault_counters(),
+            slots: sim.gpu.instance_slots(),
+            checkpoint: (d.export_checkpoint(), device),
+        };
+        (observed, sim.driver.done)
+    }
+
+    /// [`observe`] both ways: requires identical runs, and returns the
+    /// completions handed to the per-kernel and the program driver.
+    fn assert_program_twin(
+        apps: &[DeployedApp],
+        params: &BlessParams,
+        restore: Option<(ShareMode, u32)>,
+        plan: &sim_core::FaultPlan,
+        arrivals: &[RequestArrival],
+        horizons: &[SimTime],
+    ) -> (usize, usize) {
+        let (per_kernel, every) = observe(apps, params, restore, plan, arrivals, horizons, true);
+        let (programs, fewer) = observe(apps, params, restore, plan, arrivals, horizons, false);
+        assert_eq!(programs, per_kernel);
+        (every, fewer)
+    }
+
+    fn pair_arrivals(requests: usize, gap_ms: u64, offset_ms: u64) -> Vec<RequestArrival> {
+        (0..requests)
+            .flat_map(|i| {
+                (0..2).map(move |app| RequestArrival {
+                    app,
+                    req: i,
+                    at: SimTime::from_millis(gap_ms * i as u64 + offset_ms * app as u64),
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn launch_programs_match_the_per_kernel_feed() {
+        use sim_core::{FaultPlan, FaultSpec};
+        let mixed = [
+            deploy(ModelKind::NasNet, 0.5),
+            deploy(ModelKind::ResNet50, 0.5),
+        ];
+        let heavy = [deploy(ModelKind::NasNet, 0.5), deploy(ModelKind::Bert, 0.5)];
+        let defaults = BlessParams::default();
+        let end = [SimTime::MAX];
+        // Staggered pairs: squads drain on every newly active tenant.
+        let (every, fewer) = assert_program_twin(
+            &mixed,
+            &defaults,
+            None,
+            &FaultPlan::none(),
+            &pair_arrivals(6, 5, 2),
+            &end,
+        );
+        assert!(fewer * 4 < every, "{fewer} callbacks vs {every}");
+        // No draining; CUDA-graph units of three; stopped at horizons.
+        for params in [
+            BlessParams {
+                drain_on_arrival: false,
+                ..defaults.clone()
+            },
+            BlessParams {
+                graph_granularity: 3,
+                ..defaults.clone()
+            },
+        ] {
+            let horizons = [1, 4, 9].map(SimTime::from_millis);
+            let horizons = [&horizons[..], &end].concat();
+            assert_program_twin(
+                &heavy,
+                &params,
+                None,
+                &FaultPlan::none(),
+                &pair_arrivals(5, 4, 1),
+                &horizons,
+            );
+        }
+        // Crashes and retries.
+        let crashes = FaultPlan::build(
+            7,
+            &FaultSpec {
+                num_apps: 2,
+                crash_count: 3,
+                crash_window: (SimTime::from_millis(1), SimTime::from_millis(14)),
+                ..FaultSpec::default()
+            },
+        );
+        assert_program_twin(
+            &mixed,
+            &defaults,
+            None,
+            &crashes,
+            &pair_arrivals(4, 4, 0),
+            &end,
+        );
+        // The watchdog ladder under drift, then a checkpoint mid-run.
+        let watchdog = BlessParams {
+            watchdog: Some(crate::params::WatchdogParams {
+                degrade_threshold: 1.4,
+                promote_after: 2,
+            }),
+            ..defaults.clone()
+        };
+        let drift = FaultPlan::build(
+            11,
+            &FaultSpec {
+                num_apps: 2,
+                drift_prob: 1.0,
+                drift_range: (2.0, 2.5),
+                ..FaultSpec::default()
+            },
+        );
+        for horizons in [&end[..], &[SimTime::from_micros(23_500)]] {
+            assert_program_twin(
+                &heavy,
+                &watchdog,
+                None,
+                &drift,
+                &pair_arrivals(6, 5, 0),
+                horizons,
+            );
+        }
+        // A tenant restored mid-ladder climbs back the same way.
+        assert_program_twin(
+            &heavy[..1],
+            &watchdog,
+            Some((ShareMode::Temporal, 1)),
+            &FaultPlan::none(),
+            &pair_arrivals(6, 5, 0)
+                .into_iter()
+                .filter(|a| a.app == 0)
+                .collect::<Vec<_>>(),
+            &end,
         );
     }
 

@@ -23,6 +23,7 @@
 //! per kernel than the kernels' device time starves the GPU).
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
 use sim_core::trace::{TraceEvent, TraceSink};
@@ -167,6 +168,85 @@ struct Queue {
     /// before earlier ones even when an extra delay (context-switch
     /// vacuum) was applied to an earlier launch.
     last_arrival: SimTime,
+}
+
+/// One phase of in-order kernels that the engine launches into a queue
+/// itself, a unit at a time, as completions open the launch window.
+///
+/// The caller launches the phase's first window and then installs the
+/// rest, so every launch the engine makes is a plain refill: the one the
+/// caller's completion callback would have made, at the same point of the
+/// same step. While a program is installed on a queue, every kernel that
+/// completes there counts as one of its kernels, so nothing else may be
+/// launched into that queue until the program ends or is cancelled.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LaunchProgram {
+    /// The registered table the kernels come from.
+    pub table: KernelTableId,
+    /// Table indices still to launch, in order.
+    pub range: Range<usize>,
+    /// Program kernels the caller already launched into the queue that
+    /// have not completed yet (at least one).
+    pub in_flight: usize,
+    /// A unit launches only while fewer than this many program kernels
+    /// are in flight.
+    pub window: usize,
+    /// Kernels per launch unit: one host launch for up to `graph`
+    /// consecutive kernels (a CUDA-graph analogue), clipped at the range
+    /// end.
+    pub graph: usize,
+    /// Application index for the launch tags: table index `k` launches
+    /// with tag [`crate::sim::encode_tag`]`(app, k)`.
+    pub app: usize,
+}
+
+/// What a launch program did since it was installed, returned by
+/// [`Gpu::cancel_program`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ProgramProgress {
+    /// Kernels the engine launched for the program (the caller's first
+    /// window not included).
+    pub launched: usize,
+    /// Program kernels that completed, the caller's first window
+    /// included. Each completed without a [`StepOutput::KernelDone`].
+    pub completed: usize,
+}
+
+/// An installed [`LaunchProgram`] and its progress.
+#[derive(Clone, Debug)]
+struct Program {
+    /// `range.start` advances as units launch; `in_flight` tracks
+    /// launches minus completions.
+    spec: LaunchProgram,
+    progress: ProgramProgress,
+    /// A context crash killed the program's kernels: it launches nothing
+    /// more and claims no completion, but its progress stays readable
+    /// until [`Gpu::cancel_program`] takes it.
+    stopped: bool,
+}
+
+impl Program {
+    /// Counts one completion on the program's queue. Returns whether it is
+    /// silent: a live program's kernel other than its last one.
+    fn count_completion(&mut self) -> bool {
+        if self.stopped || self.spec.in_flight == 0 {
+            return false;
+        }
+        self.spec.in_flight -= 1;
+        self.progress.completed += 1;
+        self.spec.in_flight > 0 || !self.spec.range.is_empty()
+    }
+}
+
+/// A completion key held out of the event queue during a solo stretch
+/// (see [`Gpu::step_within`]): the `Complete` event that
+/// `push_completion` would have pushed, under the same reserved key.
+#[derive(Clone, Copy, Debug)]
+struct HeldCompletion {
+    at: SimTime,
+    seq: u64,
+    slot: usize,
+    epoch: u64,
 }
 
 /// The fields of a [`KernelDesc`] the engine step reads, copied into each
@@ -359,6 +439,22 @@ pub struct Gpu {
     /// did before deferred arrivals.
     #[cfg(test)]
     pub(crate) post_every_arrival: bool,
+    /// Test-only twin switch: no solo stretches, so every completion key
+    /// goes through the event queue.
+    #[cfg(test)]
+    pub(crate) no_stretch: bool,
+    /// The launch program feeding each queue, if any (see
+    /// [`Gpu::install_program`]), indexed like `queues`.
+    programs: Vec<Option<Program>>,
+    /// Running compute kernels (queue heads).
+    running_compute: usize,
+    /// Running memcpy kernels (queue heads).
+    running_dma: usize,
+    /// While set, the first completion `push_completion` schedules goes to
+    /// `held` instead of the event queue.
+    holding: bool,
+    /// The completion held out of the event queue, if any.
+    held: Option<HeldCompletion>,
     epoch: u64,
     /// SM capacity of each pool (pool 0 = shared).
     pool_capacity: Vec<f64>,
@@ -431,6 +527,13 @@ impl Gpu {
             unposted: VecDeque::new(),
             #[cfg(test)]
             post_every_arrival: false,
+            #[cfg(test)]
+            no_stretch: false,
+            programs: Vec::new(),
+            running_compute: 0,
+            running_dma: 0,
+            holding: false,
+            held: None,
             epoch: 0,
             pool_capacity: vec![shared],
             mig_reserved_sms: 0,
@@ -654,6 +757,7 @@ impl Gpu {
             running: None,
             last_arrival: SimTime::ZERO,
         });
+        self.programs.push(None);
         Ok(id)
     }
 
@@ -818,15 +922,20 @@ impl Gpu {
                 .push_reserved(arrive_at, seq, DevEv::Arrive { slot });
         } else {
             self.instances[slot].unposted_arrival = Some((arrive_at, seq));
-            // Keys mostly grow with launch order; only a context-switch
-            // delayed launch lands ahead of an earlier launch's arrival.
+            // Keys mostly grow with launch order, so the key usually joins
+            // at the back; only a context-switch delayed launch lands
+            // ahead of an earlier launch's arrival.
             let key = (arrive_at, seq);
-            let pos = self
-                .unposted
-                .iter()
-                .rposition(|&(at, s, _)| (at, s) < key)
-                .map_or(0, |i| i + 1);
-            self.unposted.insert(pos, (arrive_at, seq, slot));
+            if self.unposted.back().is_none_or(|&(at, s, _)| (at, s) < key) {
+                self.unposted.push_back((arrive_at, seq, slot));
+            } else {
+                let pos = self
+                    .unposted
+                    .iter()
+                    .rposition(|&(at, s, _)| (at, s) < key)
+                    .map_or(0, |i| i + 1);
+                self.unposted.insert(pos, (arrive_at, seq, slot));
+            }
         }
         Self::handle_for(slot, self.instances[slot].generation)
     }
@@ -896,10 +1005,19 @@ impl Gpu {
             return Err(GpuError::UnknownQueue(queue));
         }
         let shape = KernelShape::of(self.table_desc(table, index)?);
-        self.charge_host(self.costs.kernel_launch);
-        let arrive_at = (self.host_free + extra).max(self.queues[queue.0 as usize].last_arrival);
-        self.queues[queue.0 as usize].last_arrival = arrive_at;
+        let arrive_at = self.charge_launch(queue.0 as usize, extra);
         Ok(self.enqueue_instance(queue, shape, tag, arrive_at))
+    }
+
+    /// Occupies the host for one launch call into queue `q` and returns
+    /// the instant the launched unit reaches the device: when the call
+    /// returns plus `extra`, but never before the queue's previous
+    /// submission.
+    fn charge_launch(&mut self, q: usize, extra: SimDuration) -> SimTime {
+        self.charge_host(self.costs.kernel_launch);
+        let arrive_at = (self.host_free + extra).max(self.queues[q].last_arrival);
+        self.queues[q].last_arrival = arrive_at;
+        arrive_at
     }
 
     /// Launches `table[range]` into `queue` as one unit (a CUDA-graph
@@ -916,7 +1034,7 @@ impl Gpu {
         queue: QueueId,
         table: KernelTableId,
         range: std::ops::Range<usize>,
-        mut tag_for: impl FnMut(usize) -> u64,
+        tag_for: impl FnMut(usize) -> u64,
     ) -> Result<(), GpuError> {
         if queue.0 as usize >= self.queues.len() {
             return Err(GpuError::UnknownQueue(queue));
@@ -927,16 +1045,118 @@ impl Gpu {
         // Validate the whole range up front so a partial group is never
         // enqueued.
         self.table_desc(table, range.end - 1)?;
-        self.charge_host(self.costs.kernel_launch);
-        let arrive_at = self
-            .host_free
-            .max(self.queues[queue.0 as usize].last_arrival);
-        self.queues[queue.0 as usize].last_arrival = arrive_at;
+        self.launch_unit(queue, table, range, tag_for);
+        Ok(())
+    }
+
+    /// Launches the validated, non-empty `table[range]` into `queue` with
+    /// one host launch call: the body of [`Gpu::launch_graph`], shared by
+    /// launch-program refills.
+    fn launch_unit(
+        &mut self,
+        queue: QueueId,
+        table: KernelTableId,
+        range: Range<usize>,
+        mut tag_for: impl FnMut(usize) -> u64,
+    ) {
+        let arrive_at = self.charge_launch(queue.0 as usize, SimDuration::ZERO);
         for index in range {
             let shape = KernelShape::of(&self.tables[table.0 as usize][index]);
             self.enqueue_instance(queue, shape, tag_for(index), arrive_at);
         }
+    }
+
+    /// Installs a launch program on `queue`: from now on the engine
+    /// launches `program.range` itself, one unit of up to `program.graph`
+    /// kernels at a time, whenever a program kernel completes with fewer
+    /// than `program.window` of them left in flight.
+    ///
+    /// A refill happens where the caller's completion callback would have
+    /// launched: after the completion has been settled, its queue's next
+    /// kernel started and the SMs reallocated, with the same host charge
+    /// and arrival rule as [`Gpu::launch_graph`]. So a run with a program
+    /// is bit-identical to one whose driver launched each unit from its
+    /// [`StepOutput::KernelDone`] callback. Only the program's last
+    /// kernel is reported; the others complete silently. Cancel with
+    /// [`Gpu::cancel_program`].
+    ///
+    /// # Errors
+    ///
+    /// [`GpuError::UnknownQueue`] for an unknown queue; an
+    /// [`GpuError::InvalidOperation`] when the queue already runs a
+    /// program, when `window`, `graph` or `in_flight` is zero, or when the
+    /// range leaves the table.
+    pub fn install_program(
+        &mut self,
+        queue: QueueId,
+        program: LaunchProgram,
+    ) -> Result<(), GpuError> {
+        self.queues
+            .get(queue.0 as usize)
+            .ok_or(GpuError::UnknownQueue(queue))?;
+        if self.programs[queue.0 as usize].is_some() {
+            return Err(GpuError::InvalidOperation(
+                "the queue already runs a launch program",
+            ));
+        }
+        if program.window == 0 || program.graph == 0 || program.in_flight == 0 {
+            return Err(GpuError::InvalidOperation(
+                "a launch program needs a window, a unit size and a kernel in flight",
+            ));
+        }
+        if !program.range.is_empty() {
+            self.table_desc(program.table, program.range.end - 1)?;
+        }
+        self.programs[queue.0 as usize] = Some(Program {
+            spec: program,
+            progress: ProgramProgress::default(),
+            stopped: false,
+        });
         Ok(())
+    }
+
+    /// Removes `queue`'s launch program and returns what it did, or `None`
+    /// when the queue has none (it never had one, or its last kernel was
+    /// reported). The program's kernels still in flight stay in the queue
+    /// and are reported one by one. A context crash that kills a
+    /// program's kernels stops it: its progress stays here until taken.
+    pub fn cancel_program(&mut self, queue: QueueId) -> Option<ProgramProgress> {
+        self.programs
+            .get_mut(queue.0 as usize)?
+            .take()
+            .map(|p| p.progress)
+    }
+
+    /// Launches units of queue `q`'s program while fewer than its window
+    /// of kernels are in flight and some remain.
+    fn refill(&mut self, q: usize) {
+        let Some(p) = self.programs[q].as_mut() else {
+            return;
+        };
+        let LaunchProgram {
+            table,
+            window,
+            graph,
+            app,
+            ..
+        } = p.spec;
+        let (mut next, end, mut in_flight) =
+            (p.spec.range.start, p.spec.range.end, p.spec.in_flight);
+        let mut launched = 0;
+        while in_flight < window && next < end {
+            let unit_end = (next + graph).min(end);
+            self.launch_unit(QueueId(q as u32), table, next..unit_end, |k| {
+                crate::sim::encode_tag(app, k)
+            });
+            launched += unit_end - next;
+            in_flight += unit_end - next;
+            next = unit_end;
+        }
+        if let Some(p) = self.programs[q].as_mut() {
+            p.spec.range.start = next;
+            p.spec.in_flight = in_flight;
+            p.progress.launched += launched;
+        }
     }
 
     /// Posts a notice for the simulation loop (drivers use this to signal
@@ -1043,21 +1263,41 @@ impl Gpu {
 
     /// Processes the next pending event; returns an externally visible
     /// output if the event produced one (stale completion events return
-    /// `None`).
+    /// `None`). [`Gpu::step_within`] with no limit on a solo stretch.
     ///
     /// Arrivals behind a busy queue are not events: each is accounted
     /// just before the first event keyed after it, in the order its
     /// `Arrive` would have popped. When no events remain, the call
     /// accounts any such arrivals still owed and returns `None`.
+    ///
+    /// A completion on a queue that runs a launch program (see
+    /// [`Gpu::install_program`]) is reported only when it is the
+    /// program's last kernel; any other one refills the program's window
+    /// and returns `None`.
     pub fn step(&mut self) -> Option<StepOutput> {
+        self.step_within(SimTime::MAX)
+    }
+
+    /// [`Gpu::step`], where a silent launch-program completion may go on
+    /// into a *solo stretch*, bounded by `until` (exclusive).
+    ///
+    /// While the device runs exactly one kernel, a compute kernel of a
+    /// program queue, that kernel's completion key is held back from the
+    /// event queue, reserved at the point it would have been pushed. As
+    /// long as the key sorts before the queue's earliest event and its
+    /// instant is before `until`, the completion is processed at once:
+    /// exactly what the next calls would have done after popping it, so
+    /// the run stays bit-identical while the chain of kernels advances
+    /// with no heap push or pop and no return to the caller. On leaving
+    /// the stretch the held key is pushed, under its reserved sequence
+    /// number. The caller passes the first instant at which it has work
+    /// of its own, such as a request arrival.
+    pub fn step_within(&mut self, until: SimTime) -> Option<StepOutput> {
         let Some((t, seq, ev)) = self.events.pop_keyed() else {
             self.account_arrivals_through(SimTime::MAX);
             return None;
         };
-        self.replay_arrivals_before((t, seq));
-        debug_assert!(t >= self.now);
-        self.settle(t);
-        self.now = t;
+        self.enter_event(t, seq);
         match ev {
             DevEv::Arrive { slot } => {
                 if self.instances[slot].state != InstState::InFlight {
@@ -1077,37 +1317,7 @@ impl Gpu {
                 }
                 None
             }
-            DevEv::Complete { slot, epoch } => {
-                if epoch != self.instances[slot].event_epoch
-                    || self.instances[slot].state != InstState::Running
-                {
-                    return None; // Stale prediction.
-                }
-                // Guard against float residue: if rounding left real work
-                // behind, reschedule the completion instead of dropping it
-                // (a dropped matching-epoch event would strand the kernel
-                // until some unrelated reallocation).
-                if self.instances[slot].remaining > 1e-6 {
-                    self.push_completion(slot);
-                    return None;
-                }
-                self.finish(slot);
-                let inst = &self.instances[slot];
-                let out = StepOutput::KernelDone {
-                    handle: Self::handle_for(slot, inst.generation),
-                    queue: inst.queue,
-                    tag: inst.tag,
-                };
-                if self.recycle_slots {
-                    // The completion is being reported right now; after the
-                    // driver's callback the slot may be reused. Bump the
-                    // generation so the reported handle turns stale.
-                    self.instances[slot].generation =
-                        self.instances[slot].generation.wrapping_add(1);
-                    self.free_slots.push(slot);
-                }
-                Some(out)
-            }
+            DevEv::Complete { slot, epoch } => self.complete(slot, epoch, until),
             DevEv::HostWake { token } => Some(StepOutput::HostWake { token }),
             DevEv::Poke => {
                 // Pokes only exist for compute dispatch gaps; DMA rates
@@ -1147,11 +1357,114 @@ impl Gpu {
         }
     }
 
+    /// Moves the clock to a popped event keyed `(t, seq)`: replays the
+    /// unposted arrivals keyed before it, then settles to `t`.
+    fn enter_event(&mut self, t: SimTime, seq: u64) {
+        self.replay_arrivals_before((t, seq));
+        debug_assert!(t >= self.now);
+        self.settle(t);
+        self.now = t;
+    }
+
+    /// Handles a popped `Complete` event, then any solo stretch it opens
+    /// (see [`Gpu::step_within`]).
+    fn complete(&mut self, mut slot: usize, mut epoch: u64, until: SimTime) -> Option<StepOutput> {
+        loop {
+            if epoch != self.instances[slot].event_epoch
+                || self.instances[slot].state != InstState::Running
+            {
+                return None; // Stale prediction.
+            }
+            // Guard against float residue: if rounding left real work
+            // behind, reschedule the completion instead of dropping it
+            // (a dropped matching-epoch event would strand the kernel
+            // until some unrelated reallocation).
+            if self.instances[slot].remaining > 1e-6 {
+                self.push_completion(slot);
+                return None;
+            }
+            let q = self.instances[slot].queue.0 as usize;
+            let silent = self.programs[q]
+                .as_mut()
+                .is_some_and(Program::count_completion);
+            if !silent && self.programs[q].as_ref().is_some_and(|p| !p.stopped) {
+                self.programs[q] = None; // Its last kernel is reported.
+            }
+            self.holding = silent && self.stretch_enabled();
+            self.finish(slot);
+            self.holding = false;
+            let inst = &self.instances[slot];
+            let out = StepOutput::KernelDone {
+                handle: Self::handle_for(slot, inst.generation),
+                queue: inst.queue,
+                tag: inst.tag,
+            };
+            if self.recycle_slots {
+                // The completion is reported (or silently refilled) right
+                // now; after that the slot may be reused. Bump the
+                // generation so the kernel's handle turns stale.
+                self.instances[slot].generation = self.instances[slot].generation.wrapping_add(1);
+                self.free_slots.push(slot);
+            }
+            if !silent {
+                return Some(out);
+            }
+            self.refill(q);
+            let held = self.held.take()?;
+            if !self.stretch_continues(&held, until) {
+                self.events.push_reserved(
+                    held.at,
+                    held.seq,
+                    DevEv::Complete {
+                        slot: held.slot,
+                        epoch: held.epoch,
+                    },
+                );
+                return None;
+            }
+            self.enter_event(held.at, held.seq);
+            (slot, epoch) = (held.slot, held.epoch);
+        }
+    }
+
+    /// Whether a solo stretch may process `held` now: the device runs
+    /// one kernel, a compute kernel of a live program's queue, and `held`
+    /// would be the next event to pop, before `until`.
+    fn stretch_continues(&self, held: &HeldCompletion, until: SimTime) -> bool {
+        self.running_compute == 1
+            && self.running_dma == 0
+            && self.programs[self.instances[held.slot].queue.0 as usize]
+                .as_ref()
+                .is_some_and(|p| !p.stopped)
+            && held.at < until
+            && self
+                .events
+                .peek_key()
+                .is_none_or(|top| (held.at, held.seq) < top)
+    }
+
+    /// Whether silent completions may hold their successor's key.
+    #[inline]
+    fn stretch_enabled(&self) -> bool {
+        #[cfg(test)]
+        if self.no_stretch {
+            return false;
+        }
+        true
+    }
+
     /// Kills every not-yet-done kernel of `app`: in-flight launches never
     /// arrive, queued kernels leave their queues, running kernels stop
     /// making progress. Casualties are reported through
     /// [`Gpu::take_failed_into`].
     fn inject_crash(&mut self, app: u32) {
+        // Every kernel of `app` dies, so its programs have nothing left to
+        // count or refill.
+        for p in self.programs.iter_mut().flatten() {
+            if p.spec.app == app as usize {
+                p.stopped = true;
+            }
+        }
         let mut touched_queues = Vec::new();
         let mut casualties = 0u32;
         for slot in self.live_slots(Some(app)) {
@@ -1202,6 +1515,7 @@ impl Gpu {
             .collect();
         self.events.clear();
         self.unposted.clear();
+        self.programs.fill(None);
         DeviceCheckpoint {
             at: self.now,
             abandoned,
@@ -1241,6 +1555,7 @@ impl Gpu {
             tag: inst.tag,
         };
         let seq = inst.trace_seq;
+        let compute = inst.shape.kind.is_compute();
         let q = failed.queue.0 as usize;
         let queue = &mut self.queues[q];
         let opened = match state {
@@ -1252,7 +1567,7 @@ impl Gpu {
             InstState::Running => {
                 let was_head = queue.running == Some(slot);
                 if was_head {
-                    queue.running = None;
+                    self.clear_running(q, compute);
                 }
                 was_head
             }
@@ -1312,7 +1627,7 @@ impl Gpu {
         }
         self.live_instances -= 1;
         debug_assert_eq!(self.queues[q].running, Some(slot));
-        self.queues[q].running = None;
+        self.clear_running(q, finished_compute);
         let started = self.try_start_head(q);
         // Compute allocation depends only on the running compute set, DMA
         // rates only on the per-direction memcpy counts: recompute just the
@@ -1321,6 +1636,26 @@ impl Gpu {
         let compute_dirty = finished_compute || started_compute == Some(true);
         let dma_dirty = !finished_compute || started_compute == Some(false);
         self.reallocate_scoped(compute_dirty, dma_dirty);
+    }
+
+    /// Makes `slot` the running head of queue `q`.
+    fn set_running(&mut self, q: usize, slot: usize) {
+        self.queues[q].running = Some(slot);
+        if self.instances[slot].shape.kind.is_compute() {
+            self.running_compute += 1;
+        } else {
+            self.running_dma += 1;
+        }
+    }
+
+    /// Clears queue `q`'s running head, a compute kernel or a memcpy.
+    fn clear_running(&mut self, q: usize, compute: bool) {
+        self.queues[q].running = None;
+        if compute {
+            self.running_compute -= 1;
+        } else {
+            self.running_dma -= 1;
+        }
     }
 
     /// Starts the front of queue `q` if it has no running head. A front
@@ -1339,7 +1674,7 @@ impl Gpu {
             return None;
         }
         self.queues[q].waiting.pop_front();
-        self.queues[q].running = Some(slot);
+        self.set_running(q, slot);
         let inst = &mut self.instances[slot];
         inst.state = InstState::Running;
         inst.run_seq = self.next_run_seq;
@@ -1811,33 +2146,33 @@ impl Gpu {
         self.scratch.pokes = pokes;
     }
 
+    /// Schedules `slot`'s completion under the current epoch; while
+    /// `holding`, the first one goes to `held` under a reserved key.
     fn push_completion(&mut self, slot: usize) {
         self.instances[slot].event_epoch = self.epoch;
         let inst = &self.instances[slot];
-        if inst.remaining <= 1e-6 {
+        let at = if inst.remaining <= 1e-6 {
             // Already done (e.g. settled to zero just as its allocation
             // was clamped away): complete now regardless of rate.
-            self.events.push(
-                self.now,
-                DevEv::Complete {
-                    slot,
-                    epoch: self.epoch,
-                },
-            );
-            return;
-        }
-        if inst.rate <= 0.0 {
+            self.now
+        } else if inst.rate <= 0.0 {
             return; // Starved: no completion until the allocation changes.
-        }
-        let eta_ns = (inst.remaining / inst.rate).ceil().max(0.0);
-        let at = self.now + SimDuration::from_nanos(eta_ns as u64);
-        self.events.push(
-            at,
-            DevEv::Complete {
+        } else {
+            let eta_ns = (inst.remaining / inst.rate).ceil().max(0.0);
+            self.now + SimDuration::from_nanos(eta_ns as u64)
+        };
+        let epoch = self.epoch;
+        if self.holding && self.held.is_none() {
+            let seq = self.events.reserve_seq();
+            self.held = Some(HeldCompletion {
+                at,
+                seq,
                 slot,
-                epoch: self.epoch,
-            },
-        );
+                epoch,
+            });
+        } else {
+            self.events.push(at, DevEv::Complete { slot, epoch });
+        }
     }
 }
 
@@ -3224,6 +3559,117 @@ mod tests {
             });
         assert!(t.probes.iter().all(|&(_, bits)| f64::from_bits(bits) > 0.0));
         assert!(fewer < every, "{fewer} vs {every}");
+    }
+
+    /// A queue with a ten-kernel table, its first two kernels launched
+    /// and the other eight installed as a program, window 2.
+    fn program_gpu(no_stretch: bool) -> (Gpu, QueueId) {
+        let mut gpu = Gpu::new(GpuSpec::a100(), HostCosts::paper());
+        gpu.set_slot_recycling(true);
+        gpu.no_stretch = no_stretch;
+        let ctx = gpu.create_context(CtxKind::Default).unwrap();
+        let q = gpu.create_queue(ctx).unwrap();
+        let table = gpu.register_kernel_table((0..10).map(|_| compute(20, 108, 0.2)).collect());
+        gpu.launch_graph(q, table, 0..2, |k| encode_tag(0, k))
+            .unwrap();
+        let program = LaunchProgram {
+            table,
+            range: 2..10,
+            in_flight: 2,
+            window: 2,
+            graph: 1,
+            app: 0,
+        };
+        gpu.install_program(q, program.clone()).unwrap();
+        assert!(
+            gpu.install_program(q, program).is_err(),
+            "one program per queue"
+        );
+        (gpu, q)
+    }
+
+    #[test]
+    fn program_reports_only_its_last_kernel() {
+        for no_stretch in [false, true] {
+            let (mut gpu, q) = program_gpu(no_stretch);
+            let mut out = Vec::new();
+            gpu.drain_outputs_into(&mut out);
+            assert_eq!(out.len(), 1);
+            let StepOutput::KernelDone { queue, tag, .. } = out[0].1 else {
+                panic!("{out:?}");
+            };
+            assert_eq!((queue, tag), (q, encode_tag(0, 9)));
+            // Ten 20 us kernels back to back after the first 3 us launch.
+            assert_eq!(out[0].0, SimTime::from_micros(203));
+            assert!(gpu.is_device_idle());
+            assert_eq!(gpu.cancel_program(q), None, "a reported program is gone");
+        }
+    }
+
+    #[test]
+    fn solo_stretch_runs_a_lone_chain_in_one_step() {
+        let steps = |no_stretch: bool| {
+            let (mut gpu, _) = program_gpu(no_stretch);
+            let mut steps = 0;
+            while !gpu.events.is_empty() {
+                gpu.step();
+                steps += 1;
+            }
+            (steps, gpu.now(), gpu.busy_sm_seconds().to_bits())
+        };
+        let (stretched, now, busy) = steps(false);
+        let (popped, twin_now, twin_busy) = steps(true);
+        assert_eq!((now, busy), (twin_now, twin_busy));
+        // The first arrival, then the first completion, whose stretch
+        // carries the chain to its last kernel.
+        assert_eq!(stretched, 2);
+        assert!(popped > 10);
+    }
+
+    #[test]
+    fn cancel_and_crash_hand_back_program_progress() {
+        let (mut gpu, q) = program_gpu(false);
+        // Kernel 0 runs 3-23 us, kernel 1 23-43 us; kernel 2 launches at
+        // 23 us and lands at 26 us.
+        gpu.step_within(SimTime::from_micros(30));
+        gpu.step_within(SimTime::from_micros(30));
+        assert_eq!(gpu.now(), SimTime::from_micros(23));
+        assert_eq!(
+            gpu.cancel_program(q),
+            Some(ProgramProgress {
+                launched: 1,
+                completed: 1
+            })
+        );
+        let mut out = Vec::new();
+        gpu.drain_outputs_into(&mut out);
+        assert_eq!(out.len(), 2, "kernels 1 and 2 are reported: {out:?}");
+
+        let crash = FaultSpec {
+            num_apps: 1,
+            crash_count: 1,
+            crash_window: (SimTime::from_micros(50), SimTime::from_micros(50)),
+            ..FaultSpec::default()
+        };
+        let (mut gpu, q) = program_gpu(false);
+        gpu.set_fault_plan(FaultPlan::build(1, &crash));
+        let mut out = Vec::new();
+        gpu.drain_outputs_into(&mut out);
+        assert_eq!(
+            out,
+            vec![(
+                SimTime::from_micros(50),
+                StepOutput::ContextCrash { app: 0 }
+            )]
+        );
+        // Kernels 0 and 1 completed; 2 and 3 were launched and killed.
+        assert_eq!(
+            gpu.cancel_program(q),
+            Some(ProgramProgress {
+                launched: 2,
+                completed: 2
+            })
+        );
     }
 
     proptest::proptest! {

@@ -6,13 +6,14 @@
 //! driver:
 //!
 //! * [`HostDriver::on_request`] when a client request arrives,
-//! * [`HostDriver::on_kernel_done`] when a launched kernel finishes,
+//! * [`HostDriver::on_kernel_done`] when a launched kernel finishes (of a
+//!   launch program, only its last kernel),
 //! * [`HostDriver::on_wake`] when a self-requested host timer fires.
 //!
 //! Every callback hands the driver `&mut Gpu`, through which it launches
 //! kernels, charges host time, and manages contexts.
 
-use sim_core::{EventQueue, SimTime};
+use sim_core::{EventQueue, SimDuration, SimTime};
 
 use crate::engine::{FailedKernel, Gpu, KernelHandle, QueueId, StepOutput};
 
@@ -56,6 +57,12 @@ pub trait HostDriver {
     }
 
     /// A kernel completed on the device.
+    ///
+    /// A kernel launched by a launch program (see
+    /// [`Gpu::install_program`]) is reported only if it is the program's
+    /// last; the program's earlier kernels complete without a callback,
+    /// and the driver accounts for them from this one (or from
+    /// [`Gpu::cancel_program`]). Every other launch is reported.
     fn on_kernel_done(&mut self, gpu: &mut Gpu, done: KernelDone) {
         let _ = (gpu, done);
     }
@@ -83,8 +90,10 @@ pub enum RunOutcome {
     HorizonReached,
     /// The event budget was exhausted (runaway driver protection). The
     /// budget counts loop iterations — request deliveries and device
-    /// events — and a launch that lands behind a busy queue posts no
-    /// device event, so it spends none.
+    /// steps. A launch that lands behind a busy queue posts no device
+    /// event, so it spends none, and a solo stretch (see
+    /// [`Gpu::step_within`]) is one step however many completions it
+    /// covers.
     EventBudgetExhausted,
     /// No events remain but kernels are still live on the device — a
     /// starved kernel (e.g. a zero-capacity context) or a driver that
@@ -161,11 +170,14 @@ impl<D: HostDriver> Simulation<D> {
         }
     }
 
-    /// Overrides the runaway-protection event budget: the most request
-    /// deliveries plus device events one [`Simulation::run`] may process.
-    /// A kernel's arrival costs an event only when it lands in an idle
-    /// queue or its queue drains before it lands; arrivals behind a busy
-    /// queue are accounted without one (see [`Gpu::step`]).
+    /// Overrides the runaway-protection event budget: the most loop
+    /// iterations one [`Simulation::run`] may make, each a request
+    /// delivery or one [`Gpu::step_within`] call. A kernel's arrival
+    /// costs an event only when it lands in an idle queue or its queue
+    /// drains before it lands; arrivals behind a busy queue are accounted
+    /// without one (see [`Gpu::step`]). A solo stretch, which completes a
+    /// lone program's kernels back to back inside one step, is one
+    /// iteration.
     pub fn with_max_events(mut self, max_events: u64) -> Self {
         self.max_events = max_events;
         self
@@ -281,7 +293,12 @@ impl<D: HostDriver> Simulation<D> {
                 continue;
             }
 
-            match self.gpu.step() {
+            // A solo stretch stops before the next arrival (arrivals win
+            // ties) and after the horizon.
+            let until = next_arr
+                .unwrap_or(SimTime::MAX)
+                .min(horizon.saturating_add(SimDuration::from_nanos(1)));
+            match self.gpu.step_within(until) {
                 Some(StepOutput::KernelDone { handle, queue, tag }) => {
                     let done = KernelDone {
                         handle,
@@ -318,10 +335,11 @@ impl<D: HostDriver> Simulation<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{CtxKind, QueueId};
+    use std::sync::Arc;
+
+    use crate::engine::{CtxKind, LaunchProgram, QueueId};
     use crate::kernel::{KernelDesc, KernelTableId};
     use crate::spec::{GpuSpec, HostCosts};
-    use sim_core::SimDuration;
 
     /// Launches one 10 µs kernel per request and records completions.
     struct OneShot {
@@ -525,6 +543,418 @@ mod tests {
         for (app, k) in [(0, 0), (7, 5034), (1048575, 1)] {
             assert_eq!(decode_tag(encode_tag(app, k)), (app, k));
         }
+    }
+
+    /// What a [`Feeder`] run saw, in order.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Seen {
+        Done(KernelDone),
+        Wake(u64),
+        Crash(u32, Vec<FailedKernel>),
+    }
+
+    /// One tenant of [`Feeder`]: each request runs the tenant's whole
+    /// table as one phase on its queue.
+    struct Tenant {
+        queue: QueueId,
+        table: KernelTableId,
+        len: usize,
+        /// Requests waiting behind the running phase.
+        queued: usize,
+        running: bool,
+        /// The next kernel to launch, and the kernels in flight and done,
+        /// as the driver has accounted them.
+        next: usize,
+        in_flight: usize,
+        done: usize,
+        /// A launch program feeds the phase.
+        program: bool,
+        /// Relaunched crash casualties not completed yet.
+        retries: usize,
+    }
+
+    /// Feeds each phase `window` kernels deep in units of `graph`, the
+    /// first unit delayed by `extra`: from every completion (the
+    /// reference), or through launch programs. A wake whose token is a
+    /// multiple of 3 cancels a tenant's program mid-phase; a crash's
+    /// casualties are relaunched at once.
+    struct Feeder {
+        programs: bool,
+        window: usize,
+        graph: usize,
+        extra: SimDuration,
+        mps_cap: Option<u32>,
+        tables: Vec<Arc<[KernelDesc]>>,
+        wakes: Vec<SimTime>,
+        tenants: Vec<Tenant>,
+        seen: Vec<(SimTime, Seen)>,
+    }
+
+    impl Feeder {
+        fn start_phase(&mut self, gpu: &mut Gpu, app: usize) {
+            let t = &mut self.tenants[app];
+            t.running = true;
+            let unit = self.graph.min(t.len);
+            let tag = |k| encode_tag(app, k);
+            if self.extra.is_zero() {
+                gpu.launch_graph(t.queue, t.table, 0..unit, tag).unwrap();
+            } else {
+                gpu.launch_delayed(t.queue, t.table, 0, tag(0), self.extra)
+                    .unwrap();
+                gpu.launch_graph(t.queue, t.table, 1..unit, tag).unwrap();
+            }
+            (t.next, t.in_flight, t.done) = (unit, unit, 0);
+            self.feed(gpu, app);
+        }
+
+        fn feed(&mut self, gpu: &mut Gpu, app: usize) {
+            let t = &mut self.tenants[app];
+            while t.in_flight < self.window && t.next < t.len {
+                let end = (t.next + self.graph).min(t.len);
+                gpu.launch_graph(t.queue, t.table, t.next..end, |k| encode_tag(app, k))
+                    .unwrap();
+                t.in_flight += end - t.next;
+                t.next = end;
+            }
+            if self.programs && !t.program && t.retries == 0 && t.in_flight > 0 {
+                let program = LaunchProgram {
+                    table: t.table,
+                    range: t.next..t.len,
+                    in_flight: t.in_flight,
+                    window: self.window,
+                    graph: self.graph,
+                    app,
+                };
+                gpu.install_program(t.queue, program).unwrap();
+                t.program = true;
+            }
+        }
+
+        /// Accounts for what a program did without a callback.
+        fn fold(&mut self, app: usize, launched: usize, completed: usize) {
+            let t = &mut self.tenants[app];
+            t.next += launched;
+            t.in_flight = t.in_flight + launched - completed;
+            t.done += completed;
+        }
+
+        fn cancel(&mut self, gpu: &mut Gpu, app: usize) {
+            let t = &mut self.tenants[app];
+            if std::mem::take(&mut t.program) {
+                let p = gpu.cancel_program(t.queue).unwrap();
+                self.fold(app, p.launched, p.completed);
+            }
+        }
+    }
+
+    impl HostDriver for Feeder {
+        fn on_start(&mut self, gpu: &mut Gpu) {
+            let ctx = gpu.create_context(CtxKind::Default).unwrap();
+            let other = match self.mps_cap {
+                Some(sm_cap) => gpu.create_context(CtxKind::MpsAffinity { sm_cap }).unwrap(),
+                None => ctx,
+            };
+            for (app, table) in self.tables.iter().enumerate() {
+                self.tenants.push(Tenant {
+                    queue: gpu
+                        .create_queue(if app == 0 { ctx } else { other })
+                        .unwrap(),
+                    table: gpu.register_kernel_table(table.clone()),
+                    len: table.len(),
+                    queued: 0,
+                    running: false,
+                    next: 0,
+                    in_flight: 0,
+                    done: 0,
+                    program: false,
+                    retries: 0,
+                });
+            }
+            for (token, &at) in self.wakes.iter().enumerate() {
+                gpu.wake_at(at, token as u64);
+            }
+        }
+
+        fn on_request(&mut self, gpu: &mut Gpu, req: RequestArrival) {
+            if self.tenants[req.app].running {
+                self.tenants[req.app].queued += 1;
+            } else {
+                self.start_phase(gpu, req.app);
+            }
+        }
+
+        fn on_kernel_done(&mut self, gpu: &mut Gpu, done: KernelDone) {
+            self.seen.push((done.at, Seen::Done(done)));
+            let (app, k) = decode_tag(done.tag);
+            let t = &mut self.tenants[app];
+            if std::mem::take(&mut t.program) {
+                // A program reports only its last kernel.
+                let (launched, completed) = (t.len - t.next, k - t.done);
+                self.fold(app, launched, completed);
+            }
+            let t = &mut self.tenants[app];
+            assert_eq!(k, t.done, "kernels complete in order");
+            t.in_flight -= 1;
+            t.done += 1;
+            t.retries = t.retries.saturating_sub(1);
+            if t.done < t.len {
+                self.feed(gpu, app);
+            } else {
+                t.running = false;
+                if t.queued > 0 {
+                    t.queued -= 1;
+                    self.start_phase(gpu, app);
+                }
+            }
+        }
+
+        fn on_wake(&mut self, gpu: &mut Gpu, token: u64) {
+            self.seen.push((gpu.now(), Seen::Wake(token)));
+            if token.is_multiple_of(3) {
+                self.cancel(gpu, (token / 3 % 2) as usize);
+            }
+        }
+
+        fn on_crash(&mut self, gpu: &mut Gpu, app: u32, failed: &[FailedKernel]) {
+            self.seen
+                .push((gpu.now(), Seen::Crash(app, failed.to_vec())));
+            let app = app as usize;
+            self.cancel(gpu, app);
+            let t = &mut self.tenants[app];
+            // Every live kernel of the tenant died: relaunch them in order.
+            assert_eq!(t.in_flight, failed.len());
+            for f in failed {
+                gpu.launch(t.queue, t.table, decode_tag(f.tag).1, f.tag)
+                    .unwrap();
+            }
+            t.retries = failed.len();
+        }
+    }
+
+    /// Everything a [`Feeder`] run exposes.
+    #[derive(Debug, PartialEq)]
+    struct FeederRun {
+        /// Per horizon: the outcome, the clock and the busy-time bits.
+        runs: Vec<(RunOutcome, SimTime, u64)>,
+        seen: Vec<(SimTime, Seen)>,
+        faults: crate::engine::FaultCounters,
+        trace: Vec<sim_core::trace::TraceEvent>,
+    }
+
+    /// One [`Feeder`] scenario, run to each horizon in turn.
+    struct FeederCase {
+        spec: GpuSpec,
+        costs: HostCosts,
+        plan: sim_core::FaultPlan,
+        window: usize,
+        graph: usize,
+        extra: SimDuration,
+        mps_cap: Option<u32>,
+        tables: Vec<Arc<[KernelDesc]>>,
+        wakes: Vec<SimTime>,
+        arrivals: Vec<RequestArrival>,
+        /// Ascending, ending at `SimTime::MAX`.
+        horizons: Vec<SimTime>,
+    }
+
+    impl FeederCase {
+        fn run(&self, programs: bool, stretch: bool) -> FeederRun {
+            let mut gpu = Gpu::new(self.spec.clone(), self.costs.clone());
+            gpu.no_stretch = !stretch;
+            let sink = sim_core::trace::BufferSink::new();
+            gpu.set_trace_sink(Box::new(sink.clone()));
+            gpu.set_fault_plan(self.plan.clone());
+            let driver = Feeder {
+                programs,
+                window: self.window,
+                graph: self.graph,
+                extra: self.extra,
+                mps_cap: self.mps_cap,
+                tables: self.tables.clone(),
+                wakes: self.wakes.clone(),
+                tenants: Vec::new(),
+                seen: Vec::new(),
+            };
+            let mut sim = Simulation::new(gpu, driver, self.arrivals.clone());
+            let runs = self
+                .horizons
+                .iter()
+                .map(|&h| {
+                    (
+                        sim.run(h),
+                        sim.gpu.now(),
+                        sim.gpu.busy_sm_seconds().to_bits(),
+                    )
+                })
+                .collect();
+            FeederRun {
+                runs,
+                seen: std::mem::take(&mut sim.driver.seen),
+                faults: sim.gpu.fault_counters(),
+                trace: sink.take(),
+            }
+        }
+
+        /// Runs the reference and both program twins and requires that
+        /// they agree; returns how many kernels the reference and the
+        /// program runs reported.
+        fn check(&self) -> Result<(usize, usize), proptest::test_runner::TestCaseError> {
+            let reference = self.run(false, false);
+            proptest::prop_assert_eq!(
+                reference.runs.last().map(|r| r.0),
+                Some(RunOutcome::Completed)
+            );
+            let done = |run: &FeederRun| {
+                run.seen
+                    .iter()
+                    .filter(|s| matches!(s.1, Seen::Done(_)))
+                    .count()
+            };
+            let mut reported = 0;
+            for stretch in [false, true] {
+                let mut programs = self.run(true, stretch);
+                let mut rest = reference.seen.iter();
+                for seen in &programs.seen {
+                    proptest::prop_assert!(
+                        rest.any(|r| r == seen),
+                        "{:?} is not in the reference stream",
+                        seen
+                    );
+                }
+                let not_done = |s: &&(SimTime, Seen)| !matches!(s.1, Seen::Done(_));
+                proptest::prop_assert!(programs
+                    .seen
+                    .iter()
+                    .filter(not_done)
+                    .eq(reference.seen.iter().filter(not_done)));
+                reported = done(&programs);
+                programs.seen.clone_from(&reference.seen);
+                proptest::prop_assert_eq!(&programs, &reference, "stretch {}", stretch);
+            }
+            Ok((done(&reference), reported))
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Differential twin: random two-tenant phases fed through launch
+        /// programs, with and without solo stretches, against a driver
+        /// that refills the same window from every completion. Windows,
+        /// unit sizes, a delayed first unit, MPS caps, DMA kernels, wakes
+        /// that cancel programs mid-phase, crashes, DMA stalls, request
+        /// counts and horizons all vary; outputs, busy-time bits, fault
+        /// counters, casualties and trace streams must match, and the
+        /// program runs report a subsequence of the reference's outputs.
+        #[test]
+        fn prop_launch_programs_match_per_kernel_refills(
+            seed in proptest::prelude::any::<u64>(),
+            shape in (1usize..=8, 1usize..=4, 0u64..40, proptest::prelude::any::<u8>(), proptest::prelude::any::<bool>()),
+            tables in (
+                proptest::collection::vec((0u8..8, 1u64..40, 8u32..=108), 1..24),
+                proptest::collection::vec((0u8..8, 1u64..40, 8u32..=108), 1..24),
+            ),
+            requests in proptest::collection::vec((proptest::prelude::any::<bool>(), 0u64..3_000), 1..10),
+            wakes in proptest::collection::vec(0u64..3_000, 0..6),
+            horizons in proptest::collection::vec(0u64..4_000, 0..4),
+        ) {
+            let (window, graph, extra_us, flags, on_grid) = shape;
+            // On a 3 us grid (the paper's launch cost), completions,
+            // launches and request arrivals often land on one instant.
+            let grid = |us: u64| SimTime::from_micros(if on_grid { us.div_ceil(3) * 3 } else { us });
+            let mut spec = if flags & 1 != 0 { GpuSpec::a100_per_resource() } else { GpuSpec::a100() };
+            if flags & 2 != 0 {
+                spec.hw_policy = crate::spec::HwPolicy::FairShare;
+                spec.num_sms = 100;
+            }
+            let table = |kernels: &Vec<(u8, u64, u32)>| -> Arc<[KernelDesc]> {
+                kernels
+                    .iter()
+                    .map(|&(kind, us, sms)| match kind {
+                        6 => KernelDesc::memcpy_h2d(us * 20_000),
+                        7 => KernelDesc::memcpy_d2h(us * 20_000),
+                        _ => KernelDesc::compute(
+                            grid(us).duration_since(SimTime::ZERO),
+                            sms,
+                            f64::from(kind) * 0.15,
+                        ),
+                    })
+                    .collect()
+            };
+            let faults = sim_core::FaultSpec {
+                num_apps: 2,
+                straggler_prob: 0.1,
+                straggler_factor: 2.0,
+                crash_count: (seed % 3) as u32,
+                crash_window: (SimTime::ZERO, SimTime::from_micros(3_000)),
+                dma_stall_count: (seed / 3 % 2) as u32,
+                dma_stall_window: (SimTime::ZERO, SimTime::from_micros(2_000)),
+                dma_stall_len: SimDuration::from_micros(300),
+                dma_slow_factor: 3.0,
+                ..sim_core::FaultSpec::default()
+            };
+            let mut counts = [0; 2];
+            let arrivals = requests
+                .iter()
+                .map(|&(second, at)| {
+                    let app = usize::from(second);
+                    counts[app] += 1;
+                    RequestArrival { app, req: counts[app] - 1, at: grid(at) }
+                })
+                .collect();
+            let mut horizons: Vec<SimTime> = horizons.iter().map(|&us| grid(us)).collect();
+            horizons.sort();
+            horizons.push(SimTime::MAX);
+            let case = FeederCase {
+                spec,
+                costs: if flags & 4 != 0 { HostCosts::free() } else { HostCosts::paper() },
+                plan: sim_core::FaultPlan::build(seed, &faults),
+                window,
+                graph,
+                extra: SimDuration::from_micros(if flags & 16 != 0 { extra_us } else { 0 }),
+                mps_cap: (flags & 8 != 0).then_some(20 + u32::from(flags >> 5) * 4),
+                tables: vec![table(&tables.0), table(&tables.1)],
+                wakes: wakes.iter().map(|&us| grid(us)).collect(),
+                arrivals,
+                horizons,
+            };
+            case.check()?;
+        }
+    }
+
+    /// Three-microsecond kernels behind a 3 us launch cost: the second
+    /// kernel completes at 9 us, the instant its refilled successor lands
+    /// behind it and the instant another tenant's request arrives. The
+    /// request ends the stretch (arrivals win ties), and the held
+    /// completion must keep its reserved key: pushed under a fresh one, it
+    /// would sort after the successor's arrival and start it a step early.
+    #[test]
+    fn stretch_ends_at_a_tied_arrival_with_its_reserved_key() {
+        let kernels = |n: usize| -> Arc<[KernelDesc]> {
+            (0..n)
+                .map(|_| KernelDesc::compute(SimDuration::from_micros(3), 108, 0.0))
+                .collect()
+        };
+        let request = |app: usize, us: u64| RequestArrival {
+            app,
+            req: 0,
+            at: SimTime::from_micros(us),
+        };
+        let case = FeederCase {
+            spec: GpuSpec::a100(),
+            costs: HostCosts::paper(),
+            plan: sim_core::FaultPlan::none(),
+            window: 2,
+            graph: 1,
+            extra: SimDuration::ZERO,
+            mps_cap: Some(54),
+            tables: vec![kernels(6), kernels(2)],
+            wakes: Vec::new(),
+            arrivals: vec![request(0, 0), request(1, 9)],
+            horizons: vec![SimTime::MAX],
+        };
+        let (reference, programs) = case.check().unwrap();
+        assert_eq!((reference, programs), (8, 2));
     }
 
     #[test]

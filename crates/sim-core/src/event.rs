@@ -109,6 +109,12 @@ impl<E> EventQueue<E> {
         self.heap.first().map(|e| e.at)
     }
 
+    /// The full key `(at, seq)` of the earliest pending event: an event
+    /// keyed below it would pop first.
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.heap.first().map(Entry::key)
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
