@@ -32,8 +32,8 @@ pub use chaos::{
     MIGRATION_COST, RESTART_COST,
 };
 pub use placement::{
-    place, place_with, predicted_fleet_slowdown, ContentionOpts, Placement, PlacementError,
-    PlacementPolicy, PlacementRequest,
+    place, place_with, predicted_fleet_slowdown, ContentionOpts, Placement, PlacementDigest,
+    PlacementError, PlacementPolicy, PlacementRequest,
 };
 pub use run::{
     run_cluster_opts, run_cluster_stream, ClusterOptions, ClusterRun, FleetSummary, GpuRun,

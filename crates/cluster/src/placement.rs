@@ -22,6 +22,7 @@
 
 use bless::aggregate_demand;
 use gpu_sim::{ChannelDemand, ChannelParams, NUM_CHANNELS};
+use metrics::Fnv;
 use profiler::{admit, AdmissionError, AdmissionPolicy, ProfiledApp, SharedProfile};
 
 /// One application asking to be placed.
@@ -47,6 +48,19 @@ pub struct Placement {
 }
 
 impl Placement {
+    /// The placement reduced to its GPU count and a hash of its
+    /// assignments.
+    pub(crate) fn digest(&self) -> PlacementDigest {
+        let mut h = Fnv::new();
+        for &g in &self.assignments {
+            h.write_u64(g as u64);
+        }
+        PlacementDigest {
+            gpus_used: self.gpus_used,
+            assignments_digest: h.finish(),
+        }
+    }
+
     /// The request indices placed on `gpu`.
     pub fn tenants_of(&self, gpu: usize) -> Vec<usize> {
         self.assignments
@@ -55,6 +69,24 @@ impl Placement {
             .filter(|&(_, &g)| g == gpu)
             .map(|(i, _)| i)
             .collect()
+    }
+}
+
+/// A [`Placement`] in a few words, whatever the fleet's size: what a
+/// [`crate::FleetSummary`] keeps of the placement it simulated. A
+/// placement equals its digest (`placement == digest`) when the GPU
+/// counts and the assignment hashes agree.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PlacementDigest {
+    /// Number of GPUs actually used.
+    pub gpus_used: usize,
+    /// FNV-1a hash of the assignments, in request order.
+    assignments_digest: u64,
+}
+
+impl PartialEq<PlacementDigest> for Placement {
+    fn eq(&self, other: &PlacementDigest) -> bool {
+        self.digest() == *other
     }
 }
 
@@ -672,6 +704,23 @@ mod tests {
             let linear = place_linear(&reqs, fleet, 40 * 1024, &policy);
             prop_assert_eq!(indexed, linear);
         }
+    }
+
+    #[test]
+    fn a_placement_equals_only_its_own_digest() {
+        let p = Placement {
+            assignments: vec![0, 1, 0, 2],
+            gpus_used: 3,
+        };
+        assert_eq!(p, p.digest());
+        let mut moved = p.clone();
+        moved.assignments.swap(1, 3);
+        assert_ne!(moved, p.digest());
+        let wider = Placement {
+            gpus_used: 4,
+            ..p.clone()
+        };
+        assert_ne!(wider, p.digest());
     }
 
     #[test]

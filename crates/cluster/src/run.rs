@@ -27,7 +27,9 @@ use sim_core::trace::TraceEvent;
 use sim_core::SimTime;
 use workloads::{TenantSpec, WorkloadSet};
 
-use crate::placement::{place_with, Placement, PlacementError, PlacementPolicy, PlacementRequest};
+use crate::placement::{
+    place_with, Placement, PlacementDigest, PlacementError, PlacementPolicy, PlacementRequest,
+};
 
 /// Result of one GPU's run within the cluster.
 #[derive(Debug)]
@@ -136,8 +138,8 @@ pub fn run_cluster_opts<P: Into<SharedProfile>>(
 /// the summary in GPU index order on the calling thread.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FleetSummary {
-    /// The placement that was simulated.
-    pub placement: Placement,
+    /// The placement that was simulated, as its digest.
+    pub placement: PlacementDigest,
     /// GPUs whose simulation completed every request.
     pub completed_gpus: usize,
     /// Requests that arrived fleet-wide.
@@ -254,7 +256,7 @@ pub fn run_cluster_stream<P: Into<SharedProfile>>(
     );
     let gpus = fleet.placement.gpus_used;
     Ok(FleetSummary {
-        placement: fleet.placement,
+        placement: fleet.placement.digest(),
         completed_gpus,
         arrived_requests: arrived,
         completed_requests: completed,
@@ -274,6 +276,10 @@ pub fn run_cluster_stream<P: Into<SharedProfile>>(
 pub(crate) struct Fleet<'a> {
     pub(crate) placement: Placement,
     pub(crate) requests: Vec<PlacementRequest>,
+    /// Every GPU's tenants in one array, ascending within each GPU: GPU
+    /// `g`'s are `members[starts[g]..starts[g + 1]]`.
+    members: Vec<usize>,
+    starts: Vec<usize>,
     ws: &'a WorkloadSet,
     spec: &'a GpuSpec,
     params: &'a BlessParams,
@@ -316,9 +322,26 @@ impl<'a> Fleet<'a> {
             &profiler::AdmissionPolicy::default(),
             &opts.placement_policy,
         )?;
+        // A counting sort of the tenants by GPU, stable, so each GPU's
+        // tenants keep ascending order.
+        let mut starts = vec![0; placement.gpus_used + 1];
+        for &g in &placement.assignments {
+            starts[g + 1] += 1;
+        }
+        for g in 0..placement.gpus_used {
+            starts[g + 1] += starts[g];
+        }
+        let mut cursor = starts.clone();
+        let mut members = vec![0; placement.assignments.len()];
+        for (t, &g) in placement.assignments.iter().enumerate() {
+            members[cursor[g]] = t;
+            cursor[g] += 1;
+        }
         Ok(Fleet {
             placement,
             requests,
+            members,
+            starts,
             ws,
             spec,
             params,
@@ -343,7 +366,7 @@ impl<'a> Fleet<'a> {
     /// remapped to local positions, seeded at the fleet seed plus `g`.
     pub(crate) fn local_workload(&self, g: usize) -> (Vec<usize>, WorkloadSet) {
         let ws = self.ws;
-        let tenants = self.placement.tenants_of(g);
+        let tenants = self.members[self.starts[g]..self.starts[g + 1]].to_vec();
         let local_ws = WorkloadSet::new(
             tenants
                 .iter()
@@ -689,6 +712,17 @@ mod tests {
         }
         let want_digest = h.finish();
 
+        // The stream keeps only the placement's digest, so also check the
+        // materialized placement against the one the stream simulates
+        // (both come from `Fleet::place`), and the per-GPU tenant lists
+        // against a scan of the assignments.
+        let opts = sequential();
+        let fleet = Fleet::place(&ws, profiles.clone(), 4, &spec, &params, horizon, &opts).unwrap();
+        assert_eq!(fleet.placement, seq.placement);
+        for g in &seq.gpus {
+            assert_eq!(g.tenants, seq.placement.tenants_of(g.gpu));
+        }
+
         let mut summaries = Vec::new();
         for workers in [1usize, 2, 4] {
             let opts = ClusterOptions {
@@ -698,7 +732,7 @@ mod tests {
             let s = run_cluster_stream(&ws, profiles.clone(), 4, &spec, &params, horizon, &opts)
                 .unwrap();
             assert_eq!(s.digest, want_digest, "workers={workers}");
-            assert_eq!(s.placement, seq.placement);
+            assert_eq!(seq.placement, s.placement);
             assert!(s.all_completed());
             summaries.push(s);
         }

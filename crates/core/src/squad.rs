@@ -110,6 +110,10 @@ struct Cand {
 pub struct SquadScratch {
     cands: Vec<Cand>,
     spare: Vec<Vec<usize>>,
+    /// Test-only twin switch: a lone candidate takes the general loop
+    /// instead of the closed form.
+    #[cfg(test)]
+    general_only: bool,
 }
 
 /// Generates a kernel squad from the active requests (§4.3.2).
@@ -148,7 +152,10 @@ pub fn generate_squad_into(
         scratch.spare.push(e.kernels);
     }
 
-    let now_ns = now.as_nanos() as f64;
+    #[cfg(test)]
+    let closed_form = !scratch.general_only;
+    #[cfg(not(test))]
+    let closed_form = true;
     let cands = &mut scratch.cands;
     cands.clear();
     for r in active {
@@ -176,6 +183,37 @@ pub fn generate_squad_into(
         });
     }
 
+    match cands.as_mut_slice() {
+        // One candidate: deadlines, laxities and remaining quota time only
+        // order candidates against each other, so the loop would take
+        // whole units of this one until the squad is full or the request
+        // ends.
+        [c] if closed_form => {
+            let unit = params.graph_granularity.max(1);
+            let taken = params
+                .max_kernels_per_squad
+                .div_ceil(unit)
+                .saturating_mul(unit);
+            c.next = c.total.min(c.start.saturating_add(taken));
+        }
+        cands => select_units(now.as_nanos() as f64, cands, apps, params),
+    }
+
+    // Emit non-empty selections in ascending app order (as the former
+    // per-app selection table did), recycling spare kernel Vecs.
+    for app in 0..apps.len() {
+        for c in cands.iter().filter(|c| c.app == app && c.next > c.start) {
+            let mut kernels = scratch.spare.pop().unwrap_or_default();
+            kernels.clear();
+            kernels.extend(c.start..c.next);
+            out.entries.push(SquadEntry { app, kernels });
+        }
+    }
+}
+
+/// The general selection loop of [`generate_squad_into`]: advances each
+/// candidate's `next` past the units it is given.
+fn select_units(now_ns: f64, cands: &mut [Cand], apps: &[DeployedApp], params: &BlessParams) {
     // Safety factor on the quota-pace estimate: leaves headroom for
     // interference and squad-boundary granularity so that deprioritized
     // requests still land within their targets.
@@ -256,17 +294,6 @@ pub fn generate_squad_into(
         if completed_request {
             // Termination (2): the selected unit completed a request.
             break;
-        }
-    }
-
-    // Emit non-empty selections in ascending app order (as the former
-    // per-app selection table did), recycling spare kernel Vecs.
-    for app in 0..apps.len() {
-        for c in cands.iter().filter(|c| c.app == app && c.next > c.start) {
-            let mut kernels = scratch.spare.pop().unwrap_or_default();
-            kernels.clear();
-            kernels.extend(c.start..c.next);
-            out.entries.push(SquadEntry { app, kernels });
         }
     }
 }
@@ -481,5 +508,63 @@ mod tests {
             &BlessParams::default(),
         );
         assert!(squad.is_empty());
+    }
+
+    /// A short and a long model, profiled once for every case.
+    fn two_apps() -> &'static [DeployedApp] {
+        static APPS: std::sync::OnceLock<Vec<DeployedApp>> = std::sync::OnceLock::new();
+        APPS.get_or_init(|| {
+            vec![
+                deploy(ModelKind::Vgg11, 0.4),
+                deploy(ModelKind::ResNet50, 0.6),
+            ]
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Differential twin: with one live request, the closed form cuts
+        /// the same squad as the general loop, whatever the squad size,
+        /// the unit size, the request's position and length, the arrival
+        /// and the scheduling mode. A second request past its last kernel
+        /// sometimes rides along, so one candidate can come from two
+        /// active requests.
+        #[test]
+        fn prop_one_candidate_closed_form_matches_general_loop(
+            app in 0usize..2,
+            next_frac in 0.0f64..1.1,
+            max_kernels in 0usize..48,
+            graph in 0usize..7,
+            disable_multitask in proptest::prelude::any::<bool>(),
+            exhausted_peer in proptest::prelude::any::<bool>(),
+            times in (0u64..40_000, 0u64..40_000),
+        ) {
+            let apps = two_apps();
+            let total = apps[app].profile.kernel_count();
+            let params = BlessParams {
+                max_kernels_per_squad: max_kernels,
+                graph_granularity: graph,
+                disable_multitask,
+                ..BlessParams::default()
+            };
+            let mut requests = vec![ActiveRequest {
+                app,
+                arrival: SimTime::from_micros(times.0),
+                next_kernel: (total as f64 * next_frac) as usize,
+            }];
+            if exhausted_peer {
+                let peer = 1 - app;
+                requests.push(active(peer, apps[peer].profile.kernel_count()));
+            }
+            let now = SimTime::from_micros(times.0 + times.1);
+            let squads = [false, true].map(|general_only| {
+                let mut scratch = SquadScratch { general_only, ..SquadScratch::default() };
+                let mut out = Squad::default();
+                generate_squad_into(now, &requests, apps, &params, &mut scratch, &mut out);
+                out.entries
+            });
+            proptest::prop_assert_eq!(&squads[0], &squads[1]);
+        }
     }
 }

@@ -443,6 +443,11 @@ pub struct Gpu {
     /// goes through the event queue.
     #[cfg(test)]
     pub(crate) no_stretch: bool,
+    /// Test-only twin switch: no lone-head shortcut, so every
+    /// reallocation takes the general path and every settle walks every
+    /// queue.
+    #[cfg(test)]
+    pub(crate) no_lone: bool,
     /// The launch program feeding each queue, if any (see
     /// [`Gpu::install_program`]), indexed like `queues`.
     programs: Vec<Option<Program>>,
@@ -450,6 +455,14 @@ pub struct Gpu {
     running_compute: usize,
     /// Running memcpy kernels (queue heads).
     running_dma: usize,
+    /// The queue of the only running head, compute or memcpy, while
+    /// exactly one runs; stale otherwise. `set_running` sets it on a
+    /// 0 → 1 transition and `clear_running` re-finds it on a 2 → 1 one.
+    lone_queue: usize,
+    /// Whether a lone running compute kernel's slowdown is exactly 1
+    /// under this spec, so [`Gpu::reallocate_scoped`] may skip the
+    /// interference model for it (see [`Gpu::lone_is_exact`]).
+    lone_exact: bool,
     /// While set, the first completion `push_completion` schedules goes to
     /// `held` instead of the event queue.
     holding: bool,
@@ -515,6 +528,7 @@ impl Gpu {
     /// first, insertion order on ties.
     pub fn new(spec: GpuSpec, costs: HostCosts) -> Self {
         let shared = spec.num_sms as f64;
+        let lone_exact = Self::lone_is_exact(&spec);
         Gpu {
             spec,
             costs,
@@ -529,9 +543,13 @@ impl Gpu {
             post_every_arrival: false,
             #[cfg(test)]
             no_stretch: false,
+            #[cfg(test)]
+            no_lone: false,
             programs: Vec::new(),
             running_compute: 0,
             running_dma: 0,
+            lone_queue: 0,
+            lone_exact,
             holding: false,
             held: None,
             epoch: 0,
@@ -1646,6 +1664,9 @@ impl Gpu {
         } else {
             self.running_dma += 1;
         }
+        if self.running_compute + self.running_dma == 1 {
+            self.lone_queue = q;
+        }
     }
 
     /// Clears queue `q`'s running head, a compute kernel or a memcpy.
@@ -1656,6 +1677,58 @@ impl Gpu {
         } else {
             self.running_dma -= 1;
         }
+        if self.running_compute + self.running_dma == 1 {
+            // 2 → 1: the survivor may run on any queue.
+            if let Some(lone) = self.queues.iter().position(|queue| queue.running.is_some()) {
+                self.lone_queue = lone;
+            }
+        }
+    }
+
+    /// The queue of the only running head, if exactly one runs.
+    #[inline]
+    fn lone_head_queue(&self) -> Option<usize> {
+        #[cfg(test)]
+        if self.no_lone {
+            return None;
+        }
+        (self.running_compute + self.running_dma == 1).then_some(self.lone_queue)
+    }
+
+    /// The slot of the only running kernel, if it is a compute kernel
+    /// whose slowdown is exactly 1 (see [`Gpu::lone_is_exact`]).
+    #[inline]
+    fn lone_compute(&self) -> Option<usize> {
+        #[cfg(test)]
+        if self.no_lone {
+            return None;
+        }
+        if !(self.lone_exact && self.running_compute == 1 && self.running_dma == 0) {
+            return None;
+        }
+        self.queues[self.lone_queue].running
+    }
+
+    /// Whether [`Gpu::reallocate_scoped`] may give a lone running compute
+    /// kernel its closed-form grant at slowdown 1 under `spec`.
+    ///
+    /// A kernel's own traffic cancels: its pressure `total - own` is
+    /// `x - x`, or `NaN.max(0.0)`, so exactly `+0.0`. The per-resource
+    /// model then skips every channel and returns 1. The scalar formula
+    /// gives `(1 + α·0·s).min(cap)`, which is 1 when α and the base of
+    /// the sensitivity `s` are finite (`mem_intensity` lies in `[0, 1]`)
+    /// and `cap >= 1`; [`GpuSpec`] does not enforce that, so it is
+    /// checked here. Fair share still takes the general allocator.
+    fn lone_is_exact(spec: &GpuSpec) -> bool {
+        spec.hw_policy == HwPolicy::GreedySticky
+            && match spec.channel_model {
+                ChannelModel::Scalar => {
+                    spec.interference_cap >= 1.0
+                        && spec.interference_alpha.is_finite()
+                        && spec.interference_base.is_finite()
+                }
+                ChannelModel::PerResource(_) => true,
+            }
     }
 
     /// Starts the front of queue `q` if it has no running head. A front
@@ -1739,19 +1812,33 @@ impl Gpu {
             return;
         }
         let dt = t.duration_since(self.last_settle).as_nanos() as f64;
-        for q in &self.queues {
-            let Some(slot) = q.running else {
-                continue;
-            };
-            let inst = &mut self.instances[slot];
-            if inst.rate > 0.0 {
-                inst.remaining = (inst.remaining - inst.rate * dt).max(0.0);
+        if let Some(q) = self.lone_head_queue() {
+            // The walk below would find this one head and nothing else.
+            let slot = self.queues[q].running;
+            debug_assert!(slot.is_some(), "lone_queue names the only running head");
+            if let Some(slot) = slot {
+                self.settle_head(slot, dt);
             }
-            if inst.shape.kind.is_compute() && inst.alloc_sms > 0.0 {
-                self.busy_sm_integral += inst.alloc_sms * dt;
+        } else {
+            for q in 0..self.queues.len() {
+                if let Some(slot) = self.queues[q].running {
+                    self.settle_head(slot, dt);
+                }
             }
         }
         self.last_settle = t;
+    }
+
+    /// Integrates the running head in `slot` over `dt` ns.
+    #[inline]
+    fn settle_head(&mut self, slot: usize, dt: f64) {
+        let inst = &mut self.instances[slot];
+        if inst.rate > 0.0 {
+            inst.remaining = (inst.remaining - inst.rate * dt).max(0.0);
+        }
+        if inst.shape.kind.is_compute() && inst.alloc_sms > 0.0 {
+            self.busy_sm_integral += inst.alloc_sms * dt;
+        }
     }
 
     /// Scoped reallocation: recomputes compute-side state (SM shares,
@@ -1775,6 +1862,18 @@ impl Gpu {
         let do_compute = do_compute || (do_dma && self.spec.channel_model.couples_dma_to_compute());
         self.settle(self.now);
         self.epoch += 1;
+
+        // One compute kernel and no memcpy: its slowdown is exactly 1, so
+        // the queue walk, the traffic sums and the channel model are
+        // skipped. With no memcpy running the DMA side has nothing to do.
+        if let Some(slot) = self.lone_compute() {
+            if do_compute {
+                let a = self.lone_sticky_grant(slot);
+                let new_rate = if a > 0.0 { a } else { 0.0 }; // a / 1.0
+                self.apply_compute_rate(slot, a, new_rate);
+            }
+            return;
+        }
 
         // Gather running compute kernels and running memcpys. Memcpy
         // streams are counted unconditionally (integer bump, free): the
@@ -3257,18 +3356,20 @@ mod tests {
         }
     }
 
-    /// Runs `script` on a fresh traced GPU twice — arrivals deferred, and
-    /// every arrival posted as an event — and returns both transcripts
-    /// with their event-pop counts.
+    /// Runs `script` on a fresh traced GPU three times — arrivals
+    /// deferred; every arrival posted as an event; arrivals deferred with
+    /// no lone-head shortcut — and returns the transcripts with their
+    /// event-pop counts.
     fn twin_runs(
         spec: &GpuSpec,
         costs: HostCosts,
         plan: &FaultPlan,
         script: impl Fn(&mut Gpu, &mut Recorder) -> Vec<KernelHandle>,
-    ) -> [(Transcript, usize); 2] {
-        [false, true].map(|post_every| {
+    ) -> [(Transcript, usize); 3] {
+        [(false, false), (true, false), (false, true)].map(|(post_every, no_lone)| {
             let mut gpu = Gpu::new(spec.clone(), costs.clone());
             gpu.post_every_arrival = post_every;
+            gpu.no_lone = no_lone;
             let sink = BufferSink::new();
             gpu.set_trace_sink(Box::new(sink.clone()));
             gpu.set_fault_plan(plan.clone());
@@ -3301,8 +3402,10 @@ mod tests {
         plan: &FaultPlan,
         script: impl Fn(&mut Gpu, &mut Recorder) -> Vec<KernelHandle>,
     ) -> (Transcript, usize, usize) {
-        let [(deferred, fewer), (posted, every)] = twin_runs(spec, costs, plan, script);
+        let [(deferred, fewer), (posted, every), (general, _)] =
+            twin_runs(spec, costs, plan, script);
         assert_eq!(deferred, posted);
+        assert_eq!(deferred, general);
         assert!(fewer <= every, "{fewer} pops deferred vs {every} posted");
         (deferred, fewer, every)
     }
@@ -3681,7 +3784,8 @@ mod tests {
         /// by output and advanced in random order — expose identical
         /// outputs, busy-time bits, fault counters, casualties and trace
         /// streams whether arrivals behind a busy queue are deferred or
-        /// posted.
+        /// posted, and whether a lone running head takes the shortcut or
+        /// the general reallocation and settle walk.
         #[test]
         fn prop_deferred_arrivals_match_posting_every_arrival(
             seed in proptest::prelude::any::<u64>(),
@@ -3759,8 +3863,10 @@ mod tests {
                 rec.probe(gpu);
                 handles
             };
-            let [(deferred, fewer), (posted, every)] = twin_runs(&spec, costs, &plan, script);
-            proptest::prop_assert_eq!(deferred, posted);
+            let [(deferred, fewer), (posted, every), (general, _)] =
+                twin_runs(&spec, costs, &plan, script);
+            proptest::prop_assert_eq!(&deferred, &posted);
+            proptest::prop_assert_eq!(deferred, general, "lone-head shortcut");
             proptest::prop_assert!(fewer <= every);
         }
     }

@@ -758,9 +758,10 @@ mod tests {
     }
 
     impl FeederCase {
-        fn run(&self, programs: bool, stretch: bool) -> FeederRun {
+        fn run(&self, programs: bool, stretch: bool, lone: bool) -> FeederRun {
             let mut gpu = Gpu::new(self.spec.clone(), self.costs.clone());
             gpu.no_stretch = !stretch;
+            gpu.no_lone = !lone;
             let sink = sim_core::trace::BufferSink::new();
             gpu.set_trace_sink(Box::new(sink.clone()));
             gpu.set_fault_plan(self.plan.clone());
@@ -795,15 +796,18 @@ mod tests {
             }
         }
 
-        /// Runs the reference and both program twins and requires that
-        /// they agree; returns how many kernels the reference and the
-        /// program runs reported.
+        /// Runs the reference (per-kernel refills, no stretch, no
+        /// lone-head shortcut), its twin with the shortcut, and the
+        /// program twins with and without stretches and the shortcut, and
+        /// requires that they agree; returns how many kernels the
+        /// reference and the program runs reported.
         fn check(&self) -> Result<(usize, usize), proptest::test_runner::TestCaseError> {
-            let reference = self.run(false, false);
+            let reference = self.run(false, false, false);
             proptest::prop_assert_eq!(
                 reference.runs.last().map(|r| r.0),
                 Some(RunOutcome::Completed)
             );
+            proptest::prop_assert_eq!(&self.run(false, false, true), &reference, "lone");
             let done = |run: &FeederRun| {
                 run.seen
                     .iter()
@@ -811,8 +815,8 @@ mod tests {
                     .count()
             };
             let mut reported = 0;
-            for stretch in [false, true] {
-                let mut programs = self.run(true, stretch);
+            for (stretch, lone) in [(false, false), (true, false), (false, true), (true, true)] {
+                let mut programs = self.run(true, stretch, lone);
                 let mut rest = reference.seen.iter();
                 for seen in &programs.seen {
                     proptest::prop_assert!(
@@ -829,7 +833,13 @@ mod tests {
                     .eq(reference.seen.iter().filter(not_done)));
                 reported = done(&programs);
                 programs.seen.clone_from(&reference.seen);
-                proptest::prop_assert_eq!(&programs, &reference, "stretch {}", stretch);
+                proptest::prop_assert_eq!(
+                    &programs,
+                    &reference,
+                    "stretch {}, lone {}",
+                    stretch,
+                    lone
+                );
             }
             Ok((done(&reference), reported))
         }

@@ -17,6 +17,10 @@
 //! from a fixed SplitMix64 stream seeded by `i`, so failures reproduce
 //! exactly across runs and machines. There is no shrinking — the failing
 //! case's inputs are printed verbatim instead.
+//!
+//! The `PROPTEST_CASES` environment variable, when set to a number,
+//! replaces every property's case count, including one set with
+//! `with_cases`; cases `0..n` extend the default run's cases.
 
 pub mod strategy {
     use crate::test_runner::TestRng;
@@ -214,7 +218,8 @@ pub mod option {
 }
 
 pub mod test_runner {
-    /// Per-run configuration (only the case count is honoured).
+    /// Per-run configuration (only the case count is honoured; see
+    /// [`ProptestConfig::effective_cases`]).
     #[derive(Clone, Copy, Debug)]
     pub struct ProptestConfig {
         /// Number of cases to run per property.
@@ -225,6 +230,15 @@ pub mod test_runner {
         /// A config running `cases` cases.
         pub fn with_cases(cases: u32) -> Self {
             ProptestConfig { cases }
+        }
+
+        /// The number of cases to run: `PROPTEST_CASES` when it is set to
+        /// a number, otherwise `cases`.
+        pub fn effective_cases(&self) -> u32 {
+            std::env::var("PROPTEST_CASES")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(self.cases)
         }
     }
 
@@ -340,7 +354,7 @@ macro_rules! __pt_args {
 macro_rules! __pt_run {
     (cfg = ($cfg:expr); body = ($body:block); $(($arg:ident, $strat:expr))*) => {{
         let __cfg: $crate::test_runner::ProptestConfig = $cfg;
-        for __case in 0..__cfg.cases {
+        for __case in 0..__cfg.effective_cases() {
             let mut __rng = $crate::test_runner::TestRng::for_case(__case);
             $(let $arg = $crate::strategy::Strategy::generate(&($strat), &mut __rng);)*
             let __inputs = format!("{:?}", ($(&$arg,)*));
