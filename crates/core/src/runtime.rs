@@ -88,10 +88,11 @@ struct EntryRun {
     /// When the entry's last kernel finished (for the drift watchdog).
     finished_at: Option<SimTime>,
     /// The queue whose launch program feeds the current phase, if one
-    /// does. The fields above then lag the engine: they count only what
-    /// the driver launched and saw complete, until the program reports
-    /// its last kernel or is cancelled.
-    program: Option<QueueId>,
+    /// does, and the offset its launches end at. The fields above then lag
+    /// the engine: they count only what the driver launched and saw
+    /// complete, until the program reports its last kernel, is truncated
+    /// or is cancelled.
+    program: Option<(QueueId, usize)>,
 }
 
 /// One record of a completed squad (for the fine-grained analyses of
@@ -776,7 +777,7 @@ impl BlessDriver {
                 app,
             };
             match gpu.install_program(queue, program) {
-                Ok(()) => entry.program = Some(queue),
+                Ok(()) => entry.program = Some((queue, end)),
                 Err(e) => launch_failed = Some(e.into()),
             }
         }
@@ -819,8 +820,28 @@ impl BlessDriver {
             .as_mut()
             .and_then(|s| s.per_app[app].as_mut())
             .and_then(|e| e.program.take());
-        if let Some(progress) = queue.and_then(|q| gpu.cancel_program(q)) {
+        if let Some(progress) = queue.and_then(|(q, _)| gpu.cancel_program(q)) {
             self.fold_program(app, progress.launched, progress.completed);
+        }
+    }
+
+    /// Stops `app`'s launch program, if one runs, from launching more and
+    /// accounts for what it did so far. Its kernels in flight still
+    /// complete silently, and the last of them is reported.
+    fn truncate_program(&mut self, gpu: &mut Gpu, app: usize) {
+        let queue = self
+            .squad
+            .as_ref()
+            .and_then(|s| s.per_app[app].as_ref())
+            .and_then(|e| e.program);
+        let Some(progress) = queue.and_then(|(q, _)| gpu.truncate_program(q)) else {
+            return;
+        };
+        self.fold_program(app, progress.launched, progress.completed);
+        if let Some(e) = self.squad.as_mut().and_then(|s| s.per_app[app].as_mut()) {
+            if let Some((_, end)) = e.program.as_mut() {
+                *end = e.next_to_launch;
+            }
         }
     }
 
@@ -1028,10 +1049,10 @@ impl HostDriver for BlessDriver {
                 .as_ref()
                 .is_some_and(|s| s.per_app[req.app].is_none());
         if drain {
-            // A draining squad feeds nothing more: its programs stop, and
-            // their kernels in flight are reported one by one.
+            // A draining squad feeds nothing more: its programs launch no
+            // more, and each reports only its last kernel in flight.
             for app in 0..self.apps.len() {
-                self.cancel_program(gpu, app);
+                self.truncate_program(gpu, app);
             }
             if let Some(squad) = &mut self.squad {
                 squad.draining = true;
@@ -1067,12 +1088,7 @@ impl HostDriver for BlessDriver {
         // for every unit it launched and every kernel before this one.
         let program = self.squad.as_mut().and_then(|s| {
             let entry = s.per_app[app].as_mut()?;
-            let queue = entry.program.take()?;
-            let end = if queue == self.queue_restricted[app] {
-                entry.split_at
-            } else {
-                entry.count
-            };
+            let (_, end) = entry.program.take()?;
             Some(end - entry.next_to_launch)
         });
         if let Some(launched) = program {
@@ -1776,8 +1792,10 @@ mod tests {
     }
 
     /// Runs `arrivals` to each horizon in turn, feeding kernels from each
-    /// completion callback or through launch programs; returns what the
-    /// run exposes and how many completions the driver was handed.
+    /// completion callback or through launch programs, with or without a
+    /// trace sink; returns what the run exposes and how many completions
+    /// the driver was handed.
+    #[allow(clippy::too_many_arguments)]
     fn observe(
         apps: &[DeployedApp],
         params: &BlessParams,
@@ -1786,6 +1804,7 @@ mod tests {
         arrivals: &[RequestArrival],
         horizons: &[SimTime],
         per_kernel_feed: bool,
+        traced: bool,
     ) -> (Observed, usize) {
         let mut driver = BlessDriver::new(apps.to_vec(), params.clone());
         driver.per_kernel_feed = per_kernel_feed;
@@ -1795,7 +1814,9 @@ mod tests {
         }
         let mut gpu = Gpu::new(GpuSpec::a100_per_resource(), HostCosts::paper());
         let sink = gpu_sim::BufferSink::new();
-        gpu.set_trace_sink(Box::new(sink.clone()));
+        if traced {
+            gpu.set_trace_sink(Box::new(sink.clone()));
+        }
         gpu.set_fault_plan(plan.clone());
         let driver = CountDone {
             inner: driver,
@@ -1832,8 +1853,12 @@ mod tests {
         (observed, sim.driver.done)
     }
 
-    /// [`observe`] both ways: requires identical runs, and returns the
-    /// completions handed to the per-kernel and the program driver.
+    /// [`observe`] both ways, traced: requires identical runs, and returns
+    /// the completions handed to the per-kernel and the program driver.
+    /// Then the program run untraced, where the engine may advance solo
+    /// stretches in closed form: everything but the trace must match,
+    /// down to the busy-time bits at each horizon, the slot arena and the
+    /// device checkpoint's handles.
     fn assert_program_twin(
         apps: &[DeployedApp],
         params: &BlessParams,
@@ -1842,9 +1867,19 @@ mod tests {
         arrivals: &[RequestArrival],
         horizons: &[SimTime],
     ) -> (usize, usize) {
-        let (per_kernel, every) = observe(apps, params, restore, plan, arrivals, horizons, true);
-        let (programs, fewer) = observe(apps, params, restore, plan, arrivals, horizons, false);
+        let run = |per_kernel, traced| {
+            observe(
+                apps, params, restore, plan, arrivals, horizons, per_kernel, traced,
+            )
+        };
+        let (per_kernel, every) = run(true, true);
+        let (programs, fewer) = run(false, true);
         assert_eq!(programs, per_kernel);
+        let (mut untraced, untraced_fewer) = run(false, false);
+        assert!(untraced.trace.is_empty());
+        untraced.trace.clone_from(&programs.trace);
+        assert_eq!(untraced, programs, "untraced, closed-form stretches");
+        assert_eq!(untraced_fewer, fewer);
         (every, fewer)
     }
 
@@ -1959,6 +1994,24 @@ mod tests {
                 .collect::<Vec<_>>(),
             &end,
         );
+    }
+
+    /// Greedy-sticky grants whole SMs over whole nanoseconds, so the busy
+    /// SM·ns total stays a whole number: the premise of the engine's
+    /// closed-form solo stretches.
+    #[test]
+    fn greedy_sticky_busy_time_stays_whole() {
+        let apps = vec![
+            deploy(ModelKind::ResNet50, 0.5),
+            deploy(ModelKind::Bert, 0.5),
+        ];
+        let driver = BlessDriver::new(apps, BlessParams::default());
+        let gpu = Gpu::new(GpuSpec::a100_per_resource(), HostCosts::paper());
+        let mut sim = Simulation::new(gpu, driver, pair_arrivals(6, 5, 2));
+        assert_eq!(sim.run(SimTime::from_secs(5)), RunOutcome::Completed);
+        let busy = sim.gpu.busy_sm_ns();
+        assert!(busy > 0.0);
+        assert_eq!(busy.fract(), 0.0, "{busy}");
     }
 
     #[test]

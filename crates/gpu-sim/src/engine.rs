@@ -261,6 +261,15 @@ struct KernelShape {
 }
 
 impl KernelShape {
+    /// The work a launch starts with: SM·ns for compute, bytes for a
+    /// memcpy.
+    fn initial_work(&self) -> f64 {
+        match self.kind {
+            KernelKind::Compute { .. } => self.work,
+            KernelKind::MemcpyH2D { bytes } | KernelKind::MemcpyD2H { bytes } => bytes as f64,
+        }
+    }
+
     fn of(desc: &KernelDesc) -> Self {
         KernelShape {
             kind: desc.kind,
@@ -311,13 +320,81 @@ struct Instance {
     /// Unique launch sequence number for the trace stream; 0 when the
     /// launch happened with tracing disabled.
     trace_seq: u64,
+    /// Debug-build count of residue re-pushes of this kernel's completion
+    /// under one event epoch, `(epoch, count)` (see `Gpu::count_residue`).
+    #[cfg(debug_assertions)]
+    residue_pushes: (u64, u32),
 }
 
 impl Instance {
+    /// A kernel just launched: in flight, `remaining` work to do, its
+    /// arrival not yet accounted for, in generation 0.
+    fn launched(
+        shape: KernelShape,
+        queue: QueueId,
+        tag: u64,
+        remaining: f64,
+        launch_seq: u64,
+        trace_seq: u64,
+    ) -> Self {
+        Instance {
+            shape,
+            queue,
+            tag,
+            state: InstState::InFlight,
+            remaining,
+            rate: 0.0,
+            alloc_sms: 0.0,
+            run_seq: u64::MAX,
+            launch_seq,
+            unposted_arrival: None,
+            event_epoch: 0,
+            generation: 0,
+            dispatch_ready: None,
+            started_at: None,
+            finished_at: None,
+            trace_seq,
+            #[cfg(debug_assertions)]
+            residue_pushes: (0, 0),
+        }
+    }
+
     /// True until the kernel completes or is killed.
     fn is_live(&self) -> bool {
         !matches!(self.state, InstState::Done | InstState::Failed)
     }
+}
+
+/// One kernel of the queue a closed-form solo stretch advances (see
+/// [`Gpu::closed_stretch`]), in launch order behind the running head.
+#[derive(Clone, Copy, Debug)]
+struct ChainKernel {
+    slot: usize,
+    /// The table index of a kernel the closed form launched, whose
+    /// instance is written only if it is still live when the stretch
+    /// ends; `None` for a kernel whose instance already exists.
+    index: Option<usize>,
+    launch_seq: u64,
+    /// The arrival's event key: the kernel may start at a completion
+    /// keyed after it. `(ZERO, 0)` for a kernel already `Queued`,
+    /// `(MAX, MAX)` for one whose `Arrive` is posted (it never starts
+    /// inside the closed form).
+    arrival: (SimTime, u64),
+    work: f64,
+    max_sms: u32,
+    compute: bool,
+}
+
+/// Every integer up to 2^53 is an `f64`, so sums and products of whole
+/// SM and ns counts that stay below it are exact in any grouping.
+const EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+/// Whether `x` is a whole number of at most 2^52: as work, `grant ·
+/// ceil(x / grant)`, at most `x + grant`, then stays exact (see
+/// [`EXACT_INT`]).
+#[inline]
+fn whole(x: f64) -> bool {
+    x.fract() == 0.0 && (0.0..=EXACT_INT / 2.0).contains(&x)
 }
 
 #[derive(Debug)]
@@ -448,6 +525,13 @@ pub struct Gpu {
     /// queue.
     #[cfg(test)]
     pub(crate) no_lone: bool,
+    /// Test-only twin switch: solo stretches advance kernel by kernel,
+    /// never in closed form.
+    #[cfg(test)]
+    pub(crate) no_closed_form: bool,
+    /// Test-only count of the completions the closed form handled.
+    #[cfg(test)]
+    pub(crate) closed_steps: usize,
     /// The launch program feeding each queue, if any (see
     /// [`Gpu::install_program`]), indexed like `queues`.
     programs: Vec<Option<Program>>,
@@ -468,6 +552,9 @@ pub struct Gpu {
     holding: bool,
     /// The completion held out of the event queue, if any.
     held: Option<HeldCompletion>,
+    /// Scratch for [`Gpu::closed_stretch`]: the stretch queue's kernels
+    /// behind its head.
+    chain: VecDeque<ChainKernel>,
     epoch: u64,
     /// SM capacity of each pool (pool 0 = shared).
     pool_capacity: Vec<f64>,
@@ -545,6 +632,10 @@ impl Gpu {
             no_stretch: false,
             #[cfg(test)]
             no_lone: false,
+            #[cfg(test)]
+            no_closed_form: false,
+            #[cfg(test)]
+            closed_steps: 0,
             programs: Vec::new(),
             running_compute: 0,
             running_dma: 0,
@@ -552,6 +643,7 @@ impl Gpu {
             lone_exact,
             holding: false,
             held: None,
+            chain: VecDeque::new(),
             epoch: 0,
             pool_capacity: vec![shared],
             mig_reserved_sms: 0,
@@ -857,10 +949,7 @@ impl Gpu {
         tag: u64,
         arrive_at: SimTime,
     ) -> KernelHandle {
-        let mut remaining = match shape.kind {
-            KernelKind::Compute { .. } => shape.work,
-            KernelKind::MemcpyH2D { bytes } | KernelKind::MemcpyD2H { bytes } => bytes as f64,
-        };
+        let mut remaining = shape.initial_work();
         // Injected stragglers / profile drift inflate the *actual* work of
         // compute launches while the driver keeps predicting from the
         // unmodified profile — exactly the mismatch the watchdog must catch.
@@ -895,39 +984,17 @@ impl Gpu {
         } else {
             0
         };
-        let inst = Instance {
+        let inst = Instance::launched(
             shape,
             queue,
             tag,
-            state: InstState::InFlight,
             remaining,
-            rate: 0.0,
-            alloc_sms: 0.0,
-            run_seq: u64::MAX,
-            launch_seq: self.next_launch_seq,
-            unposted_arrival: None,
-            event_epoch: 0,
-            generation: 0,
-            dispatch_ready: None,
-            started_at: None,
-            finished_at: None,
+            self.next_launch_seq,
             trace_seq,
-        };
+        );
         self.next_launch_seq += 1;
-        let slot = match self.free_slots.pop() {
-            Some(s) => {
-                // The slot keeps its (already bumped) generation so stale
-                // handles from the previous occupant stay detectable.
-                let generation = self.instances[s].generation;
-                self.instances[s] = Instance { generation, ..inst };
-                s
-            }
-            None => {
-                debug_assert!(self.instances.len() < u32::MAX as usize);
-                self.instances.push(inst);
-                self.instances.len() - 1
-            }
-        };
+        let slot = self.take_slot();
+        self.place(slot, inst);
         self.live_instances += 1;
         let seq = self.events.reserve_seq();
         let q = &mut self.queues[queue.0 as usize];
@@ -939,23 +1006,55 @@ impl Gpu {
             self.events
                 .push_reserved(arrive_at, seq, DevEv::Arrive { slot });
         } else {
-            self.instances[slot].unposted_arrival = Some((arrive_at, seq));
-            // Keys mostly grow with launch order, so the key usually joins
-            // at the back; only a context-switch delayed launch lands
-            // ahead of an earlier launch's arrival.
-            let key = (arrive_at, seq);
-            if self.unposted.back().is_none_or(|&(at, s, _)| (at, s) < key) {
-                self.unposted.push_back((arrive_at, seq, slot));
-            } else {
-                let pos = self
-                    .unposted
-                    .iter()
-                    .rposition(|&(at, s, _)| (at, s) < key)
-                    .map_or(0, |i| i + 1);
-                self.unposted.insert(pos, (arrive_at, seq, slot));
-            }
+            self.list_unposted(slot, (arrive_at, seq));
         }
         Self::handle_for(slot, self.instances[slot].generation)
+    }
+
+    /// A slot for a new launch: the most recently freed one, or a new
+    /// one holding a finished placeholder until [`Gpu::place`] fills it.
+    fn take_slot(&mut self) -> usize {
+        self.free_slots.pop().unwrap_or_else(|| {
+            debug_assert!(self.instances.len() < u32::MAX as usize);
+            let mut placeholder = Instance::launched(
+                KernelShape::of(&KernelDesc::memcpy_h2d(0)),
+                QueueId(0),
+                0,
+                0.0,
+                0,
+                0,
+            );
+            placeholder.state = InstState::Done;
+            self.instances.push(placeholder);
+            self.instances.len() - 1
+        })
+    }
+
+    /// Writes `inst` into `slot`, which keeps its generation so stale
+    /// handles from a previous occupant stay detectable.
+    fn place(&mut self, slot: usize, inst: Instance) {
+        let generation = self.instances[slot].generation;
+        self.instances[slot] = Instance { generation, ..inst };
+    }
+
+    /// Lists the arrival of the kernel in `slot`, keyed `key`, as not yet
+    /// accounted for (see [`Gpu::unposted`]).
+    fn list_unposted(&mut self, slot: usize, key: (SimTime, u64)) {
+        self.instances[slot].unposted_arrival = Some(key);
+        let (arrive_at, seq) = key;
+        // Keys mostly grow with launch order, so the key usually joins at
+        // the back; only a context-switch delayed launch lands ahead of an
+        // earlier launch's arrival.
+        if self.unposted.back().is_none_or(|&(at, s, _)| (at, s) < key) {
+            self.unposted.push_back((arrive_at, seq, slot));
+        } else {
+            let pos = self
+                .unposted
+                .iter()
+                .rposition(|&(at, s, _)| (at, s) < key)
+                .map_or(0, |i| i + 1);
+            self.unposted.insert(pos, (arrive_at, seq, slot));
+        }
     }
 
     /// Packs a slot index and its generation into a handle. Generation 0
@@ -1145,6 +1244,17 @@ impl Gpu {
             .map(|p| p.progress)
     }
 
+    /// Stops `queue`'s launch program from launching more and returns what
+    /// it did since it was installed or last truncated (the count then
+    /// restarts), or `None` when the queue runs none. Its kernels in
+    /// flight still complete silently, and the last of them is reported,
+    /// as when a program's range runs out.
+    pub fn truncate_program(&mut self, queue: QueueId) -> Option<ProgramProgress> {
+        let p = self.programs.get_mut(queue.0 as usize)?.as_mut()?;
+        p.spec.range.start = p.spec.range.end;
+        Some(std::mem::take(&mut p.progress))
+    }
+
     /// Launches units of queue `q`'s program while fewer than its window
     /// of kernels are in flight and some remain.
     fn refill(&mut self, q: usize) {
@@ -1240,6 +1350,12 @@ impl Gpu {
     /// Total busy SM·seconds accumulated so far (for utilization metrics).
     pub fn busy_sm_seconds(&self) -> f64 {
         self.busy_sm_integral / 1e9
+    }
+
+    /// Total busy SM·ns accumulated so far: a whole number under
+    /// [`HwPolicy::GreedySticky`], whose grants are whole SMs.
+    pub fn busy_sm_ns(&self) -> f64 {
+        self.busy_sm_integral
     }
 
     /// Average GPU utilization over `[from, to]` as a fraction of
@@ -1398,6 +1514,8 @@ impl Gpu {
             // (a dropped matching-epoch event would strand the kernel
             // until some unrelated reallocation).
             if self.instances[slot].remaining > 1e-6 {
+                #[cfg(debug_assertions)]
+                self.count_residue(slot);
                 self.push_completion(slot);
                 return None;
             }
@@ -1428,7 +1546,10 @@ impl Gpu {
                 return Some(out);
             }
             self.refill(q);
-            let held = self.held.take()?;
+            let mut held = self.held.take()?;
+            if self.closed_form_enabled() {
+                held = self.closed_stretch(held, until);
+            }
             if !self.stretch_continues(&held, until) {
                 self.events.push_reserved(
                     held.at,
@@ -1469,6 +1590,277 @@ impl Gpu {
             return false;
         }
         true
+    }
+
+    /// Whether a solo stretch may advance in closed form (see
+    /// [`Gpu::closed_stretch`]): greedy-sticky with a lone kernel's
+    /// slowdown exactly 1, no fault plan (work is never scaled), no trace
+    /// sink (no kernel event to emit) and slot recycling on (a finished
+    /// kernel's slot is only a free-list entry).
+    #[inline]
+    fn closed_form_enabled(&self) -> bool {
+        #[cfg(test)]
+        if self.no_closed_form || self.no_lone || self.post_every_arrival {
+            return false;
+        }
+        self.lone_exact && self.fault.is_none() && self.trace.is_none() && self.recycle_slots
+    }
+
+    /// Advances a solo stretch in closed form from the point where the
+    /// per-kernel loop in [`Gpu::complete`] took `held`, the lone head's
+    /// completion, and returns the completion held where it stops.
+    ///
+    /// Each step is the per-kernel iteration's outcome, computed rather
+    /// than replayed: the head completes at the held instant; the next
+    /// kernel of its queue starts there if its arrival is keyed before
+    /// that completion, with the grant [`Gpu::lone_sticky_grant`] gives a
+    /// fresh kernel and the completion `now + ceil(work / grant)` under
+    /// the next reserved `seq`; the program's refill charges the host and
+    /// reserves each launch's keys. No instance is written, no queue
+    /// list, unposted arrival or event is touched and nothing settles
+    /// until the stretch stops; then the kernels still live (the head and
+    /// those behind it) are written exactly as the per-kernel loop would
+    /// have left them, the arrivals keyed before the last completion are
+    /// accounted, and the busy SM·ns are added in one sum.
+    ///
+    /// That sum is exact, not approximate. Under greedy-sticky every grant
+    /// is a whole number of SMs, compute work is `ns × max_sms` and time
+    /// is integer ns, so each `remaining - rate·dt` and `busy += alloc·dt`
+    /// the per-kernel loop makes is an integer below 2^53, and no
+    /// grouping of the settle intervals can move a bit. A step runs only
+    /// when that holds for its kernels (whole work and grant, a
+    /// completion that leaves no residue, the busy total below 2^53) and
+    /// when it is the step the per-kernel loop would take: the held key
+    /// sorts below the heap's top and `until`, the completion is silent,
+    /// and the next kernel is a compute kernel that has arrived. Anything
+    /// else stops the closed form and leaves the rest to that loop.
+    fn closed_stretch(&mut self, held: HeldCompletion, until: SimTime) -> HeldCompletion {
+        let q = self.instances[held.slot].queue.0 as usize;
+        let top = self.events.peek_key();
+        let before_bound = |key: (SimTime, u64)| key.0 < until && top.is_none_or(|t| key < t);
+        let Some(program) = self.programs[q].as_ref().filter(|p| !p.stopped) else {
+            return held;
+        };
+        let head = &self.instances[held.slot];
+        let first_dt = held.at.duration_since(self.now).as_nanos() as f64;
+        let premise = self.running_compute == 1
+            && self.running_dma == 0
+            && head.rate == head.alloc_sms
+            && head.rate > 0.0
+            && whole(head.rate)
+            && whole(head.remaining)
+            && head.remaining - head.rate * first_dt <= 0.0
+            && head.event_epoch == held.epoch
+            && self.queues[q].running == Some(held.slot)
+            && self.last_settle == self.now
+            && self.busy_sm_integral.fract() == 0.0;
+        if !premise || !before_bound((held.at, held.seq)) {
+            return held;
+        }
+        let head_alloc = head.alloc_sms;
+        let LaunchProgram {
+            table,
+            window,
+            graph,
+            app,
+            ..
+        } = program.spec;
+        let (mut next, end, mut in_flight) = (
+            program.spec.range.start,
+            program.spec.range.end,
+            program.spec.in_flight,
+        );
+        let mut chain = std::mem::take(&mut self.chain);
+        chain.clear();
+        chain.extend(self.queues[q].waiting.iter().map(|&slot| {
+            let inst = &self.instances[slot];
+            ChainKernel {
+                slot,
+                index: None,
+                launch_seq: inst.launch_seq,
+                arrival: match (inst.state, inst.unposted_arrival) {
+                    (InstState::Queued, _) => (SimTime::ZERO, 0),
+                    (_, Some(key)) => key,
+                    _ => (SimTime::MAX, u64::MAX),
+                },
+                work: inst.remaining,
+                max_sms: inst.shape.max_sms,
+                compute: inst.shape.kind.is_compute(),
+            }
+        }));
+
+        // The running head: its slot, grant, start and completion key.
+        let (mut slot, mut alloc, mut started) = (held.slot, head_alloc, self.now);
+        let (mut key, mut epoch) = ((held.at, held.seq), held.epoch);
+        let mut started_kernel: Option<(ChainKernel, u64)> = None;
+        // The key of the last completion processed.
+        let mut last = (self.now, 0);
+        let mut busy = self.busy_sm_integral;
+        let mut grant: Option<(u32, f64)> = None;
+        let (mut launched, mut completed) = (0, 0);
+        loop {
+            // The completion must be the next event, and silent; the next
+            // kernel must have arrived by then and meet the premise.
+            if !before_bound(key) || !(in_flight >= 2 || (in_flight == 1 && next < end)) {
+                break;
+            }
+            let Some(&front) = chain.front() else { break };
+            if !(front.arrival < key && front.compute && whole(front.work)) {
+                break;
+            }
+            let g = match grant {
+                Some((max_sms, g)) if max_sms == front.max_sms => g,
+                _ => {
+                    let g = self.lone_grant(q, front.max_sms, 0.0);
+                    grant = Some((front.max_sms, g));
+                    g
+                }
+            };
+            let eta = if front.work <= 1e-6 {
+                0.0
+            } else {
+                (front.work / g).ceil().max(0.0)
+            };
+            let add = alloc * key.0.duration_since(started).as_nanos() as f64;
+            if !(g > 0.0 && whole(g) && front.work - g * eta <= 0.0 && busy + add <= EXACT_INT) {
+                break;
+            }
+            // The head completes and its slot is recycled...
+            busy += add;
+            self.now = key.0;
+            last = key;
+            let inst = &mut self.instances[slot];
+            inst.state = InstState::Done;
+            inst.generation = inst.generation.wrapping_add(1);
+            self.free_slots.push(slot);
+            in_flight -= 1;
+            completed += 1;
+            // ...the front starts under the next epoch...
+            chain.pop_front();
+            self.epoch += 1;
+            started_kernel = Some((front, self.next_run_seq));
+            self.next_run_seq += 1;
+            (slot, alloc, started, epoch) = (front.slot, g, self.now, self.epoch);
+            key = (
+                self.now + SimDuration::from_nanos(eta as u64),
+                self.events.reserve_seq(),
+            );
+            // ...and the program refills its window.
+            while in_flight < window && next < end {
+                let unit_end = (next + graph).min(end);
+                let arrive_at = self.charge_launch(q, SimDuration::ZERO);
+                for index in next..unit_end {
+                    let desc = &self.tables[table.0 as usize][index];
+                    let (work, max_sms, compute) =
+                        (desc.work, desc.max_sms, desc.kind.is_compute());
+                    chain.push_back(ChainKernel {
+                        slot: self.take_slot(),
+                        index: Some(index),
+                        launch_seq: self.next_launch_seq,
+                        arrival: (arrive_at, self.events.reserve_seq()),
+                        work,
+                        max_sms,
+                        compute,
+                    });
+                    self.next_launch_seq += 1;
+                }
+                launched += unit_end - next;
+                in_flight += unit_end - next;
+                next = unit_end;
+            }
+        }
+        let Some((head, run_seq)) = started_kernel else {
+            self.chain = chain;
+            return held;
+        };
+        #[cfg(test)]
+        {
+            self.closed_steps += completed;
+        }
+
+        // Write back what the per-kernel loop would have left.
+        self.busy_sm_integral = busy;
+        self.last_settle = self.now;
+        self.live_instances = self.live_instances + launched - completed;
+        if let Some(p) = self.programs[q].as_mut() {
+            p.spec.range.start = next;
+            p.spec.in_flight = in_flight;
+            p.progress.launched += launched;
+            p.progress.completed += completed;
+        }
+        // Arrivals keyed before the last completion were accounted there.
+        while let Some(&(at, seq, s)) = self.unposted.front() {
+            if (at, seq) >= last {
+                break;
+            }
+            self.unposted.pop_front();
+            let inst = &mut self.instances[s];
+            if inst.unposted_arrival == Some((at, seq)) {
+                inst.unposted_arrival = None;
+                if inst.state == InstState::InFlight {
+                    inst.state = InstState::Queued;
+                }
+            }
+        }
+        self.place_launched(q, table, app, &head);
+        let inst = &mut self.instances[slot];
+        inst.state = InstState::Running;
+        inst.unposted_arrival = None;
+        inst.run_seq = run_seq;
+        inst.started_at = Some(self.now);
+        inst.alloc_sms = alloc;
+        inst.rate = alloc;
+        inst.event_epoch = epoch;
+        self.queues[q].running = Some(slot);
+        self.queues[q].waiting.clear();
+        for c in &chain {
+            self.place_launched(q, table, app, c);
+            if c.index.is_some() {
+                if c.arrival < last {
+                    self.instances[c.slot].state = InstState::Queued;
+                } else {
+                    self.list_unposted(c.slot, c.arrival);
+                }
+            }
+            self.queues[q].waiting.push_back(c.slot);
+        }
+        self.chain = chain;
+        HeldCompletion {
+            at: key.0,
+            seq: key.1,
+            slot,
+            epoch,
+        }
+    }
+
+    /// Writes the instance of a kernel [`Gpu::closed_stretch`] launched
+    /// (a no-op for one that already had its instance): in flight, as
+    /// [`Gpu::enqueue_instance`] left it.
+    fn place_launched(&mut self, q: usize, table: KernelTableId, app: usize, c: &ChainKernel) {
+        if let Some(index) = c.index {
+            let shape = KernelShape::of(&self.tables[table.0 as usize][index]);
+            let tag = crate::sim::encode_tag(app, index);
+            let work = shape.initial_work();
+            let inst = Instance::launched(shape, QueueId(q as u32), tag, work, c.launch_seq, 0);
+            self.place(c.slot, inst);
+        }
+    }
+
+    /// Counts a residue re-push of the completion of the kernel in `slot`
+    /// and panics when it re-pushes without end under one event epoch: a
+    /// `settle` that never advances it would otherwise loop forever.
+    #[cfg(debug_assertions)]
+    fn count_residue(&mut self, slot: usize) {
+        const MAX_RESIDUE_PUSHES: u32 = 100;
+        let inst = &mut self.instances[slot];
+        let (epoch, n) = inst.residue_pushes;
+        let n = if epoch == inst.event_epoch { n + 1 } else { 1 };
+        inst.residue_pushes = (inst.event_epoch, n);
+        assert!(
+            n <= MAX_RESIDUE_PUSHES,
+            "kernel in slot {slot} re-pushed its completion {n} times in epoch {epoch}: \
+             settle does not advance it"
+        );
     }
 
     /// Kills every not-yet-done kernel of `app`: in-flight launches never
@@ -1838,6 +2230,13 @@ impl Gpu {
         }
         if inst.shape.kind.is_compute() && inst.alloc_sms > 0.0 {
             self.busy_sm_integral += inst.alloc_sms * dt;
+            // The closed-form stretch's premise: whole SMs times whole ns.
+            debug_assert!(
+                self.spec.hw_policy != HwPolicy::GreedySticky
+                    || self.busy_sm_integral.fract() == 0.0,
+                "greedy-sticky busy SM·ns must stay whole: {}",
+                self.busy_sm_integral
+            );
         }
     }
 
@@ -2037,6 +2436,10 @@ impl Gpu {
     /// Shared, op-for-op, by both interference models so the scalar path
     /// stays bit-identical to the pre-channel engine.
     fn apply_compute_rate(&mut self, slot: usize, a: f64, new_rate: f64) {
+        debug_assert!(
+            self.spec.hw_policy != HwPolicy::GreedySticky || a.fract() == 0.0,
+            "greedy-sticky grants whole SMs, not {a}"
+        );
         let unchanged =
             (self.instances[slot].rate - new_rate).abs() < 1e-12 && self.instances[slot].rate > 0.0;
         let inst = &mut self.instances[slot];
@@ -2081,16 +2484,18 @@ impl Gpu {
     /// are evaluated in the general path's order.
     fn lone_sticky_grant(&self, slot: usize) -> f64 {
         let inst = &self.instances[slot];
-        let ctx = &self.contexts[self.queues[inst.queue.0 as usize].ctx.0 as usize];
+        self.lone_grant(inst.queue.0 as usize, inst.shape.max_sms, inst.alloc_sms)
+    }
+
+    /// [`Gpu::lone_sticky_grant`] for a kernel of queue `q` that may use
+    /// `max_sms` SMs and holds `alloc_sms` now.
+    fn lone_grant(&self, q: usize, max_sms: u32, alloc_sms: f64) -> f64 {
+        let ctx = &self.contexts[self.queues[q].ctx.0 as usize];
         let cap = ctx.sm_cap();
         let pool = self.pool_capacity[ctx.pool];
-        let max_sms = inst.shape.max_sms as f64;
+        let max_sms = max_sms as f64;
         // Phase 1: retain the current allocation, clamped to the caps.
-        let keep = inst
-            .alloc_sms
-            .min(max_sms)
-            .min(cap.max(0.0))
-            .min(pool.max(0.0));
+        let keep = alloc_sms.min(max_sms).min(cap.max(0.0)).min(pool.max(0.0));
         // Phase 2: grow into the free SMs.
         let headroom = (cap - keep).min(pool - keep).max(0.0);
         let want = (max_sms - keep).max(0.0);
@@ -2273,6 +2678,53 @@ impl Gpu {
             self.events.push(at, DevEv::Complete { slot, epoch });
         }
     }
+
+    /// Every piece of engine state a later call can read, as text, so that
+    /// twins can be required to leave the device in the same state: the
+    /// clocks and counters, the busy bits, every live instance with its
+    /// keys, each slot's state and generation, the free list, the queues,
+    /// the unposted arrivals, the pending events in pop order and the
+    /// programs.
+    #[cfg(test)]
+    pub(crate) fn fingerprint(&self) -> String {
+        use std::fmt::Write;
+        let mut s = String::new();
+        let running = self.running_compute + self.running_dma;
+        let _ = writeln!(
+            s,
+            "now {:?} host_free {:?} settled {:?} busy {:#x} epoch {} run_seq {} \
+             launch_seq {} event_seq {} live {} running {}+{} lone {:?} held {:?} {}",
+            self.now,
+            self.host_free,
+            self.last_settle,
+            self.busy_sm_integral.to_bits(),
+            self.epoch,
+            self.next_run_seq,
+            self.next_launch_seq,
+            self.events.next_seq(),
+            self.live_instances,
+            self.running_compute,
+            self.running_dma,
+            (running == 1).then_some(self.lone_queue),
+            self.held,
+            self.holding,
+        );
+        for (slot, inst) in self.instances.iter().enumerate() {
+            if inst.is_live() {
+                let _ = writeln!(s, "{slot}: {inst:?}");
+            } else {
+                let _ = writeln!(s, "{slot}: {:?} gen {}", inst.state, inst.generation);
+            }
+        }
+        let mut events: Vec<_> = self.events.iter().collect();
+        events.sort_by_key(|&(at, seq, _)| (at, seq));
+        let _ = writeln!(s, "free {:?}", self.free_slots);
+        let _ = writeln!(s, "queues {:?}", self.queues);
+        let _ = writeln!(s, "unposted {:?}", self.unposted);
+        let _ = writeln!(s, "events {events:?}");
+        let _ = writeln!(s, "programs {:?}", self.programs);
+        s
+    }
 }
 
 #[cfg(test)]
@@ -2300,9 +2752,18 @@ mod tests {
         gpu.launch_delayed(q, table, 0, tag, extra).unwrap()
     }
 
+    /// Events one test run may pop: far above any test here, so a run that
+    /// reaches it loops (say, on a completion `settle` never advances) and
+    /// fails instead of hanging.
+    const EVENT_BUDGET: usize = 100_000;
+
     fn run_all(gpu: &mut Gpu) -> Vec<(SimTime, KernelHandle)> {
         let mut done = Vec::new();
-        while !gpu.events.is_empty() {
+        for pops in 0.. {
+            if gpu.events.is_empty() {
+                break;
+            }
+            assert!(pops < EVENT_BUDGET, "event budget spent at {:?}", gpu.now());
             if let Some(StepOutput::KernelDone { handle, .. }) = gpu.step() {
                 done.push((gpu.now(), handle));
             }
@@ -3081,7 +3542,11 @@ mod tests {
         let v2 = put(&mut gpu, qv, k(100), encode_tag(victim as usize, 1));
         let o1 = put(&mut gpu, qo, k(100), encode_tag(other as usize, 0));
         let mut crash_seen = None;
-        while !gpu.events.is_empty() {
+        for pops in 0.. {
+            if gpu.events.is_empty() {
+                break;
+            }
+            assert!(pops < EVENT_BUDGET, "event budget spent at {:?}", gpu.now());
             if let Some(StepOutput::ContextCrash { app }) = gpu.step() {
                 let mut failed = Vec::new();
                 gpu.take_failed_into(&mut failed);
@@ -3308,6 +3773,11 @@ mod tests {
         /// Processes one event (or, with none left, whatever is owed).
         fn step(&mut self, gpu: &mut Gpu) {
             self.pops += usize::from(!gpu.events.is_empty());
+            assert!(
+                self.pops <= EVENT_BUDGET,
+                "event budget spent at {:?}: the run does not converge",
+                gpu.now()
+            );
             match gpu.step() {
                 Some(StepOutput::ContextCrash { app }) => {
                     let mut failed = Vec::new();
@@ -3711,22 +4181,29 @@ mod tests {
 
     #[test]
     fn solo_stretch_runs_a_lone_chain_in_one_step() {
-        let steps = |no_stretch: bool| {
+        let steps = |no_stretch: bool, closed: bool| {
             let (mut gpu, _) = program_gpu(no_stretch);
+            gpu.no_closed_form = !closed;
             let mut steps = 0;
+            let mut states = Vec::new();
             while !gpu.events.is_empty() {
                 gpu.step();
                 steps += 1;
+                states.push(gpu.fingerprint());
             }
-            (steps, gpu.now(), gpu.busy_sm_seconds().to_bits())
+            (steps, states, gpu.closed_steps)
         };
-        let (stretched, now, busy) = steps(false);
-        let (popped, twin_now, twin_busy) = steps(true);
-        assert_eq!((now, busy), (twin_now, twin_busy));
+        let (stretched, states, closed) = steps(false, true);
+        let (stepped, stepped_states, none) = steps(false, false);
+        let (popped, popped_states, _) = steps(true, false);
         // The first arrival, then the first completion, whose stretch
-        // carries the chain to its last kernel.
-        assert_eq!(stretched, 2);
+        // carries the chain to its last kernel; the closed form takes
+        // completions 2 to 9 and leaves the reported tenth to the loop.
+        assert_eq!((stretched, stepped), (2, 2));
+        assert_eq!((closed, none), (8, 0));
+        assert_eq!(states, stepped_states);
         assert!(popped > 10);
+        assert_eq!(states.last(), popped_states.last());
     }
 
     #[test]

@@ -62,7 +62,8 @@ pub trait HostDriver {
     /// [`Gpu::install_program`]) is reported only if it is the program's
     /// last; the program's earlier kernels complete without a callback,
     /// and the driver accounts for them from this one (or from
-    /// [`Gpu::cancel_program`]). Every other launch is reported.
+    /// [`Gpu::truncate_program`] or [`Gpu::cancel_program`]). Every other
+    /// launch is reported.
     fn on_kernel_done(&mut self, gpu: &mut Gpu, done: KernelDone) {
         let _ = (gpu, done);
     }
@@ -758,13 +759,43 @@ mod tests {
     }
 
     impl FeederCase {
+        /// A traced run: the closed form never runs with a sink installed.
         fn run(&self, programs: bool, stretch: bool, lone: bool) -> FeederRun {
+            self.run_with(programs, stretch, lone, true, false, &self.plan)
+                .0
+        }
+
+        /// A run through launch programs under `plan` with no trace sink,
+        /// with or without stretches and their closed form; also returns
+        /// the engine-state fingerprint at each horizon and the
+        /// completions the closed form handled.
+        fn run_untraced(
+            &self,
+            stretch: bool,
+            closed: bool,
+            plan: &sim_core::FaultPlan,
+        ) -> (FeederRun, Vec<String>, usize) {
+            self.run_with(true, stretch, true, false, closed, plan)
+        }
+
+        fn run_with(
+            &self,
+            programs: bool,
+            stretch: bool,
+            lone: bool,
+            traced: bool,
+            closed: bool,
+            plan: &sim_core::FaultPlan,
+        ) -> (FeederRun, Vec<String>, usize) {
             let mut gpu = Gpu::new(self.spec.clone(), self.costs.clone());
             gpu.no_stretch = !stretch;
             gpu.no_lone = !lone;
+            gpu.no_closed_form = !closed;
             let sink = sim_core::trace::BufferSink::new();
-            gpu.set_trace_sink(Box::new(sink.clone()));
-            gpu.set_fault_plan(self.plan.clone());
+            if traced {
+                gpu.set_trace_sink(Box::new(sink.clone()));
+            }
+            gpu.set_fault_plan(plan.clone());
             let driver = Feeder {
                 programs,
                 window: self.window,
@@ -777,31 +808,34 @@ mod tests {
                 seen: Vec::new(),
             };
             let mut sim = Simulation::new(gpu, driver, self.arrivals.clone());
+            let mut states = Vec::new();
             let runs = self
                 .horizons
                 .iter()
                 .map(|&h| {
-                    (
-                        sim.run(h),
-                        sim.gpu.now(),
-                        sim.gpu.busy_sm_seconds().to_bits(),
-                    )
+                    let outcome = sim.run(h);
+                    states.push(sim.gpu.fingerprint());
+                    (outcome, sim.gpu.now(), sim.gpu.busy_sm_seconds().to_bits())
                 })
                 .collect();
-            FeederRun {
+            let run = FeederRun {
                 runs,
                 seen: std::mem::take(&mut sim.driver.seen),
                 faults: sim.gpu.fault_counters(),
                 trace: sink.take(),
-            }
+            };
+            (run, states, sim.gpu.closed_steps)
         }
 
         /// Runs the reference (per-kernel refills, no stretch, no
         /// lone-head shortcut), its twin with the shortcut, and the
         /// program twins with and without stretches and the shortcut, and
-        /// requires that they agree; returns how many kernels the
-        /// reference and the program runs reported.
-        fn check(&self) -> Result<(usize, usize), proptest::test_runner::TestCaseError> {
+        /// requires that they agree. Then, untraced, requires the closed
+        /// form to leave the engine in the per-kernel stretch's and the
+        /// no-stretch loop's state at every horizon. Returns how many
+        /// kernels the reference and the program runs reported, and the
+        /// completions the closed form handled.
+        fn check(&self) -> Result<(usize, usize, usize), proptest::test_runner::TestCaseError> {
             let reference = self.run(false, false, false);
             proptest::prop_assert_eq!(
                 reference.runs.last().map(|r| r.0),
@@ -815,6 +849,7 @@ mod tests {
                     .count()
             };
             let mut reported = 0;
+            let mut traced = None;
             for (stretch, lone) in [(false, false), (true, false), (false, true), (true, true)] {
                 let mut programs = self.run(true, stretch, lone);
                 let mut rest = reference.seen.iter();
@@ -832,7 +867,7 @@ mod tests {
                     .filter(not_done)
                     .eq(reference.seen.iter().filter(not_done)));
                 reported = done(&programs);
-                programs.seen.clone_from(&reference.seen);
+                let seen = std::mem::replace(&mut programs.seen, reference.seen.clone());
                 proptest::prop_assert_eq!(
                     &programs,
                     &reference,
@@ -840,8 +875,42 @@ mod tests {
                     stretch,
                     lone
                 );
+                programs.seen = seen;
+                traced = Some(programs);
             }
-            Ok((done(&reference), reported))
+            // Untraced under the case's plan (where faults keep the closed
+            // form off), then fault-free (where it may run).
+            let none = sim_core::FaultPlan::none();
+            let plans: &[_] = if self.plan.is_none() {
+                &[&self.plan]
+            } else {
+                &[&self.plan, &none]
+            };
+            let mut closed_steps = 0;
+            for (i, &plan) in plans.iter().enumerate() {
+                let (mut closed, closed_states, steps) = self.run_untraced(true, true, plan);
+                closed_steps += steps;
+                for (stretch, twin) in [(true, "per-kernel stretch"), (false, "no stretch")] {
+                    let (stepped, states, steps) = self.run_untraced(stretch, false, plan);
+                    proptest::prop_assert_eq!(steps, 0);
+                    proptest::prop_assert_eq!(&closed, &stepped, "closed form vs {}", twin);
+                    for (h, (a, b)) in closed_states.iter().zip(&states).enumerate() {
+                        proptest::prop_assert!(
+                            a == b,
+                            "closed form vs {} at horizon {}:\n{}\n{}",
+                            twin,
+                            h,
+                            a,
+                            b
+                        );
+                    }
+                }
+                if let (0, Some(traced)) = (i, &traced) {
+                    closed.trace.clone_from(&traced.trace);
+                    proptest::prop_assert_eq!(&closed, traced, "untraced closed form vs traced");
+                }
+            }
+            Ok((done(&reference), reported, closed_steps))
         }
     }
 
@@ -856,6 +925,10 @@ mod tests {
         /// counts and horizons all vary; outputs, busy-time bits, fault
         /// counters, casualties and trace streams must match, and the
         /// program runs report a subsequence of the reference's outputs.
+        /// Each case also runs untraced, under its faults and fault-free,
+        /// where the closed-form stretch may run: it must leave the engine
+        /// state of the per-kernel stretch and of the no-stretch loop at
+        /// every horizon.
         #[test]
         fn prop_launch_programs_match_per_kernel_refills(
             seed in proptest::prelude::any::<u64>(),
@@ -963,8 +1036,67 @@ mod tests {
             arrivals: vec![request(0, 0), request(1, 9)],
             horizons: vec![SimTime::MAX],
         };
-        let (reference, programs) = case.check().unwrap();
+        let (reference, programs, _) = case.check().unwrap();
         assert_eq!((reference, programs), (8, 2));
+    }
+
+    /// Fixed cases the closed form must enter and leave exactly where the
+    /// per-kernel stretch would: a lone chain cut by a request arriving
+    /// on a completion instant, by horizons inside it, by a queue that
+    /// starves mid-chain, by a wake that cancels the program mid-stretch,
+    /// and one fed in graph units of three.
+    #[test]
+    fn closed_form_leaves_the_per_kernel_state_on_fixed_cases() {
+        let us = SimTime::from_micros;
+        // 10 us on 100 SMs, then `short` 2 us kernels, which finish before
+        // the next launch (3 us) lands.
+        let kernels = |n: usize, short: usize| -> Arc<[KernelDesc]> {
+            (0..n + short)
+                .map(|i| {
+                    let d = if i < n { 10 } else { 2 };
+                    KernelDesc::compute(SimDuration::from_micros(d), 100, 0.3)
+                })
+                .collect()
+        };
+        let case = |window, graph, short, wakes, second_at, horizons: &[SimTime]| FeederCase {
+            spec: GpuSpec::a100(),
+            costs: HostCosts::paper(),
+            plan: sim_core::FaultPlan::none(),
+            window,
+            graph,
+            extra: SimDuration::ZERO,
+            mps_cap: None,
+            tables: vec![kernels(30, short), kernels(4, 0)],
+            wakes,
+            arrivals: vec![
+                RequestArrival {
+                    app: 0,
+                    req: 0,
+                    at: SimTime::ZERO,
+                },
+                RequestArrival {
+                    app: 1,
+                    req: 0,
+                    at: second_at,
+                },
+            ],
+            horizons: [horizons, &[SimTime::MAX]].concat(),
+        };
+        // App 0's kernels complete at 13, 23, 33, ... us.
+        let cases = [
+            ("tied arrival", case(4, 1, 0, vec![], us(53), &[])),
+            (
+                "horizons",
+                case(4, 1, 0, vec![], us(500), &[us(48), us(127)]),
+            ),
+            ("starving queue", case(2, 1, 8, vec![], us(500), &[])),
+            ("cancel", case(4, 1, 0, vec![us(75)], us(500), &[])),
+            ("graph units", case(5, 3, 0, vec![], us(140), &[us(88)])),
+        ];
+        for (name, case) in cases {
+            let (_, _, closed) = case.check().unwrap();
+            assert!(closed > 0, "{name}: the closed form never ran");
+        }
     }
 
     #[test]

@@ -78,6 +78,11 @@ impl<E> EventQueue<E> {
         seq
     }
 
+    /// The sequence number the next [`EventQueue::reserve_seq`] returns.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
     /// Schedules `payload` to fire at `at` under a sequence number taken
     /// earlier from [`EventQueue::reserve_seq`]. Each reserved number must
     /// be pushed at most once.
@@ -113,6 +118,12 @@ impl<E> EventQueue<E> {
     /// keyed below it would pop first.
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
         self.heap.first().map(Entry::key)
+    }
+
+    /// Every pending event as `(at, seq, payload)`, in no particular
+    /// order (for state fingerprints; sort by `(at, seq)` for pop order).
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, u64, &E)> + '_ {
+        self.heap.iter().map(|e| (e.at, e.seq, &e.payload))
     }
 
     /// Number of pending events.
