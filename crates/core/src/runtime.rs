@@ -1855,10 +1855,9 @@ mod tests {
 
     /// [`observe`] both ways, traced: requires identical runs, and returns
     /// the completions handed to the per-kernel and the program driver.
-    /// Then the program run untraced, where the engine may advance solo
-    /// stretches in closed form: everything but the trace must match,
-    /// down to the busy-time bits at each horizon, the slot arena and the
-    /// device checkpoint's handles.
+    /// Then the program run untraced: everything but the trace must
+    /// match, down to the busy-time bits at each horizon, the slot arena
+    /// and the device checkpoint's handles.
     fn assert_program_twin(
         apps: &[DeployedApp],
         params: &BlessParams,
@@ -1878,7 +1877,7 @@ mod tests {
         let (mut untraced, untraced_fewer) = run(false, false);
         assert!(untraced.trace.is_empty());
         untraced.trace.clone_from(&programs.trace);
-        assert_eq!(untraced, programs, "untraced, closed-form stretches");
+        assert_eq!(untraced, programs, "untraced");
         assert_eq!(untraced_fewer, fewer);
         (every, fewer)
     }
@@ -1998,7 +1997,7 @@ mod tests {
 
     /// Greedy-sticky grants whole SMs over whole nanoseconds, so the busy
     /// SM·ns total stays a whole number: the premise of the engine's
-    /// closed-form solo stretches.
+    /// closed-form stretches.
     #[test]
     fn greedy_sticky_busy_time_stays_whole() {
         let apps = vec![

@@ -238,17 +238,6 @@ impl Program {
     }
 }
 
-/// A completion key held out of the event queue during a solo stretch
-/// (see [`Gpu::step_within`]): the `Complete` event that
-/// `push_completion` would have pushed, under the same reserved key.
-#[derive(Clone, Copy, Debug)]
-struct HeldCompletion {
-    at: SimTime,
-    seq: u64,
-    slot: usize,
-    epoch: u64,
-}
-
 /// The fields of a [`KernelDesc`] the engine step reads, copied into each
 /// instance so that a launch clones no descriptor.
 #[derive(Clone, Copy, Debug)]
@@ -365,7 +354,7 @@ impl Instance {
     }
 }
 
-/// One kernel of the queue a closed-form solo stretch advances (see
+/// One kernel of the queue a closed-form stretch advances (see
 /// [`Gpu::closed_stretch`]), in launch order behind the running head.
 #[derive(Clone, Copy, Debug)]
 struct ChainKernel {
@@ -375,6 +364,7 @@ struct ChainKernel {
     /// ends; `None` for a kernel whose instance already exists.
     index: Option<usize>,
     launch_seq: u64,
+    trace_seq: u64,
     /// The arrival's event key: the kernel may start at a completion
     /// keyed after it. `(ZERO, 0)` for a kernel already `Queued`,
     /// `(MAX, MAX)` for one whose `Arrive` is posted (it never starts
@@ -516,16 +506,12 @@ pub struct Gpu {
     /// did before deferred arrivals.
     #[cfg(test)]
     pub(crate) post_every_arrival: bool,
-    /// Test-only twin switch: no solo stretches, so every completion key
-    /// goes through the event queue.
-    #[cfg(test)]
-    pub(crate) no_stretch: bool,
     /// Test-only twin switch: no lone-head shortcut, so every
     /// reallocation takes the general path and every settle walks every
     /// queue.
     #[cfg(test)]
     pub(crate) no_lone: bool,
-    /// Test-only twin switch: solo stretches advance kernel by kernel,
+    /// Test-only twin switch: lone chains advance kernel by kernel,
     /// never in closed form.
     #[cfg(test)]
     pub(crate) no_closed_form: bool,
@@ -547,11 +533,6 @@ pub struct Gpu {
     /// under this spec, so [`Gpu::reallocate_scoped`] may skip the
     /// interference model for it (see [`Gpu::lone_is_exact`]).
     lone_exact: bool,
-    /// While set, the first completion `push_completion` schedules goes to
-    /// `held` instead of the event queue.
-    holding: bool,
-    /// The completion held out of the event queue, if any.
-    held: Option<HeldCompletion>,
     /// Scratch for [`Gpu::closed_stretch`]: the stretch queue's kernels
     /// behind its head.
     chain: VecDeque<ChainKernel>,
@@ -629,8 +610,6 @@ impl Gpu {
             #[cfg(test)]
             post_every_arrival: false,
             #[cfg(test)]
-            no_stretch: false,
-            #[cfg(test)]
             no_lone: false,
             #[cfg(test)]
             no_closed_form: false,
@@ -641,8 +620,6 @@ impl Gpu {
             running_dma: 0,
             lone_queue: 0,
             lone_exact,
-            holding: false,
-            held: None,
             chain: VecDeque::new(),
             epoch: 0,
             pool_capacity: vec![shared],
@@ -1397,7 +1374,8 @@ impl Gpu {
 
     /// Processes the next pending event; returns an externally visible
     /// output if the event produced one (stale completion events return
-    /// `None`). [`Gpu::step_within`] with no limit on a solo stretch.
+    /// `None`). [`Gpu::step_within`] with no limit on a closed-form
+    /// stretch.
     ///
     /// Arrivals behind a busy queue are not events: each is accounted
     /// just before the first event keyed after it, in the order its
@@ -1413,19 +1391,17 @@ impl Gpu {
     }
 
     /// [`Gpu::step`], where a silent launch-program completion may go on
-    /// into a *solo stretch*, bounded by `until` (exclusive).
+    /// into a *closed-form stretch*, bounded by `until` (exclusive).
     ///
-    /// While the device runs exactly one kernel, a compute kernel of a
-    /// program queue, that kernel's completion key is held back from the
-    /// event queue, reserved at the point it would have been pushed. As
-    /// long as the key sorts before the queue's earliest event and its
-    /// instant is before `until`, the completion is processed at once:
-    /// exactly what the next calls would have done after popping it, so
-    /// the run stays bit-identical while the chain of kernels advances
-    /// with no heap push or pop and no return to the caller. On leaving
-    /// the stretch the held key is pushed, under its reserved sequence
-    /// number. The caller passes the first instant at which it has work
-    /// of its own, such as a request arrival.
+    /// When the device then runs exactly one kernel, a compute kernel of
+    /// that program's queue, and the earliest pending event is its
+    /// completion, keyed before `until`, the engine computes the chain's
+    /// next completions instead of popping them, with the trace events
+    /// their pops would have emitted, for as long as each would be the
+    /// next event to pop. The completion where it stops goes back under
+    /// its reserved key, so the run stays bit-identical. The caller
+    /// passes the first instant at which it has work of its own, such as
+    /// a request arrival.
     pub fn step_within(&mut self, until: SimTime) -> Option<StepOutput> {
         let Some((t, seq, ev)) = self.events.pop_keyed() else {
             self.account_arrivals_through(SimTime::MAX);
@@ -1500,164 +1476,130 @@ impl Gpu {
         self.now = t;
     }
 
-    /// Handles a popped `Complete` event, then any solo stretch it opens
-    /// (see [`Gpu::step_within`]).
-    fn complete(&mut self, mut slot: usize, mut epoch: u64, until: SimTime) -> Option<StepOutput> {
-        loop {
-            if epoch != self.instances[slot].event_epoch
-                || self.instances[slot].state != InstState::Running
-            {
-                return None; // Stale prediction.
-            }
-            // Guard against float residue: if rounding left real work
-            // behind, reschedule the completion instead of dropping it
-            // (a dropped matching-epoch event would strand the kernel
-            // until some unrelated reallocation).
-            if self.instances[slot].remaining > 1e-6 {
-                #[cfg(debug_assertions)]
-                self.count_residue(slot);
-                self.push_completion(slot);
-                return None;
-            }
-            let q = self.instances[slot].queue.0 as usize;
-            let silent = self.programs[q]
-                .as_mut()
-                .is_some_and(Program::count_completion);
-            if !silent && self.programs[q].as_ref().is_some_and(|p| !p.stopped) {
-                self.programs[q] = None; // Its last kernel is reported.
-            }
-            self.holding = silent && self.stretch_enabled();
-            self.finish(slot);
-            self.holding = false;
-            let inst = &self.instances[slot];
-            let out = StepOutput::KernelDone {
-                handle: Self::handle_for(slot, inst.generation),
-                queue: inst.queue,
-                tag: inst.tag,
-            };
-            if self.recycle_slots {
-                // The completion is reported (or silently refilled) right
-                // now; after that the slot may be reused. Bump the
-                // generation so the kernel's handle turns stale.
-                self.instances[slot].generation = self.instances[slot].generation.wrapping_add(1);
-                self.free_slots.push(slot);
-            }
-            if !silent {
-                return Some(out);
-            }
-            self.refill(q);
-            let mut held = self.held.take()?;
-            if self.closed_form_enabled() {
-                held = self.closed_stretch(held, until);
-            }
-            if !self.stretch_continues(&held, until) {
-                self.events.push_reserved(
-                    held.at,
-                    held.seq,
-                    DevEv::Complete {
-                        slot: held.slot,
-                        epoch: held.epoch,
-                    },
-                );
-                return None;
-            }
-            self.enter_event(held.at, held.seq);
-            (slot, epoch) = (held.slot, held.epoch);
+    /// Handles a popped `Complete` event; a silent one may go on into a
+    /// closed-form stretch (see [`Gpu::step_within`]).
+    fn complete(&mut self, slot: usize, epoch: u64, until: SimTime) -> Option<StepOutput> {
+        if epoch != self.instances[slot].event_epoch
+            || self.instances[slot].state != InstState::Running
+        {
+            return None; // Stale prediction.
         }
-    }
-
-    /// Whether a solo stretch may process `held` now: the device runs
-    /// one kernel, a compute kernel of a live program's queue, and `held`
-    /// would be the next event to pop, before `until`.
-    fn stretch_continues(&self, held: &HeldCompletion, until: SimTime) -> bool {
-        self.running_compute == 1
-            && self.running_dma == 0
-            && self.programs[self.instances[held.slot].queue.0 as usize]
-                .as_ref()
-                .is_some_and(|p| !p.stopped)
-            && held.at < until
-            && self
-                .events
-                .peek_key()
-                .is_none_or(|top| (held.at, held.seq) < top)
-    }
-
-    /// Whether silent completions may hold their successor's key.
-    #[inline]
-    fn stretch_enabled(&self) -> bool {
-        #[cfg(test)]
-        if self.no_stretch {
-            return false;
+        // Guard against float residue: if rounding left real work behind,
+        // reschedule the completion instead of dropping it (a dropped
+        // matching-epoch event would strand the kernel until some
+        // unrelated reallocation).
+        if self.instances[slot].remaining > 1e-6 {
+            #[cfg(debug_assertions)]
+            self.count_residue(slot);
+            self.push_completion(slot);
+            return None;
         }
-        true
+        let q = self.instances[slot].queue.0 as usize;
+        let silent = self.programs[q]
+            .as_mut()
+            .is_some_and(Program::count_completion);
+        if !silent && self.programs[q].as_ref().is_some_and(|p| !p.stopped) {
+            self.programs[q] = None; // Its last kernel is reported.
+        }
+        self.finish(slot);
+        let inst = &self.instances[slot];
+        let out = StepOutput::KernelDone {
+            handle: Self::handle_for(slot, inst.generation),
+            queue: inst.queue,
+            tag: inst.tag,
+        };
+        if self.recycle_slots {
+            // The completion is reported (or silently refilled) right now;
+            // after that the slot may be reused. Bump the generation so the
+            // kernel's handle turns stale.
+            self.instances[slot].generation = self.instances[slot].generation.wrapping_add(1);
+            self.free_slots.push(slot);
+        }
+        if !silent {
+            return Some(out);
+        }
+        self.refill(q);
+        if self.closed_form_enabled() {
+            if self.trace.is_some() {
+                self.closed_stretch::<true>(q, until);
+            } else {
+                self.closed_stretch::<false>(q, until);
+            }
+        }
+        None
     }
 
-    /// Whether a solo stretch may advance in closed form (see
+    /// Whether a lone chain may advance in closed form (see
     /// [`Gpu::closed_stretch`]): greedy-sticky with a lone kernel's
-    /// slowdown exactly 1, no fault plan (work is never scaled), no trace
-    /// sink (no kernel event to emit) and slot recycling on (a finished
-    /// kernel's slot is only a free-list entry).
+    /// slowdown exactly 1, no fault plan (work is never scaled) and slot
+    /// recycling on (a finished kernel's slot is only a free-list entry).
     #[inline]
     fn closed_form_enabled(&self) -> bool {
         #[cfg(test)]
         if self.no_closed_form || self.no_lone || self.post_every_arrival {
             return false;
         }
-        self.lone_exact && self.fault.is_none() && self.trace.is_none() && self.recycle_slots
+        self.lone_exact && self.fault.is_none() && self.recycle_slots
     }
 
-    /// Advances a solo stretch in closed form from the point where the
-    /// per-kernel loop in [`Gpu::complete`] took `held`, the lone head's
-    /// completion, and returns the completion held where it stops.
+    /// Advances the chain of program queue `q` in closed form from the
+    /// event queue's top, its running head's completion, after a silent
+    /// completion's refill; pushes the completion where it stops.
     ///
-    /// Each step is the per-kernel iteration's outcome, computed rather
-    /// than replayed: the head completes at the held instant; the next
+    /// Each step is what popping that completion would do, computed
+    /// rather than replayed: the head completes at its instant; the next
     /// kernel of its queue starts there if its arrival is keyed before
     /// that completion, with the grant [`Gpu::lone_sticky_grant`] gives a
     /// fresh kernel and the completion `now + ceil(work / grant)` under
     /// the next reserved `seq`; the program's refill charges the host and
-    /// reserves each launch's keys. No instance is written, no queue
-    /// list, unposted arrival or event is touched and nothing settles
-    /// until the stretch stops; then the kernels still live (the head and
-    /// those behind it) are written exactly as the per-kernel loop would
-    /// have left them, the arrivals keyed before the last completion are
-    /// accounted, and the busy SM·ns are added in one sum.
+    /// reserves each launch's keys. With `TRACED` (a sink is installed)
+    /// each step emits what the pop would have, in its order:
+    /// `KernelComplete` for the head, `KernelStart` and `SmAlloc` for the
+    /// next kernel, then a `KernelLaunch` per refilled kernel, skipping
+    /// kernels launched before the sink was installed (trace `seq` 0). No
+    /// instance is written, no queue list, unposted arrival or event is
+    /// touched and nothing settles until the stretch stops; then the
+    /// kernels still live (the head and those behind it) are written
+    /// exactly as the pops would have left them, the arrivals keyed before
+    /// the last completion are accounted, and the busy SM·ns are added in
+    /// one sum.
     ///
     /// That sum is exact, not approximate. Under greedy-sticky every grant
     /// is a whole number of SMs, compute work is `ns × max_sms` and time
     /// is integer ns, so each `remaining - rate·dt` and `busy += alloc·dt`
-    /// the per-kernel loop makes is an integer below 2^53, and no
-    /// grouping of the settle intervals can move a bit. A step runs only
-    /// when that holds for its kernels (whole work and grant, a
-    /// completion that leaves no residue, the busy total below 2^53) and
-    /// when it is the step the per-kernel loop would take: the held key
-    /// sorts below the heap's top and `until`, the completion is silent,
-    /// and the next kernel is a compute kernel that has arrived. Anything
-    /// else stops the closed form and leaves the rest to that loop.
-    fn closed_stretch(&mut self, held: HeldCompletion, until: SimTime) -> HeldCompletion {
-        let q = self.instances[held.slot].queue.0 as usize;
-        let top = self.events.peek_key();
-        let before_bound = |key: (SimTime, u64)| key.0 < until && top.is_none_or(|t| key < t);
-        let Some(program) = self.programs[q].as_ref().filter(|p| !p.stopped) else {
-            return held;
+    /// the pops make is an integer below 2^53, and no grouping of the
+    /// settle intervals can move a bit. A step runs only when that holds
+    /// for its kernels (whole work and grant, a completion that leaves no
+    /// residue, the busy total below 2^53) and when its completion would
+    /// be the next event popped: keyed below the heap's top and `until`,
+    /// silent, with a next kernel that is a compute kernel and has
+    /// arrived. Anything else stops the closed form and leaves the rest to
+    /// the event loop.
+    fn closed_stretch<const TRACED: bool>(&mut self, q: usize, until: SimTime) {
+        let Some((at, seq, &DevEv::Complete { slot, epoch })) = self.events.peek() else {
+            return;
         };
-        let head = &self.instances[held.slot];
-        let first_dt = held.at.duration_since(self.now).as_nanos() as f64;
+        let Some(program) = self.programs[q].as_ref().filter(|p| !p.stopped) else {
+            return;
+        };
+        let head = &self.instances[slot];
+        let first_dt = at.duration_since(self.now).as_nanos() as f64;
         let premise = self.running_compute == 1
             && self.running_dma == 0
+            && self.queues[q].running == Some(slot)
+            && head.event_epoch == epoch
+            && at < until
             && head.rate == head.alloc_sms
             && head.rate > 0.0
             && whole(head.rate)
             && whole(head.remaining)
             && head.remaining - head.rate * first_dt <= 0.0
-            && head.event_epoch == held.epoch
-            && self.queues[q].running == Some(held.slot)
             && self.last_settle == self.now
             && self.busy_sm_integral.fract() == 0.0;
-        if !premise || !before_bound((held.at, held.seq)) {
-            return held;
+        if !premise {
+            return;
         }
-        let head_alloc = head.alloc_sms;
+        let (head_alloc, mut head_trace) = (head.alloc_sms, head.trace_seq);
         let LaunchProgram {
             table,
             window,
@@ -1670,6 +1612,11 @@ impl Gpu {
             program.spec.range.end,
             program.spec.in_flight,
         );
+        let restricted = TRACED
+            && matches!(
+                self.contexts[self.queues[q].ctx.0 as usize].kind,
+                CtxKind::MpsAffinity { .. }
+            );
         let mut chain = std::mem::take(&mut self.chain);
         chain.clear();
         chain.extend(self.queues[q].waiting.iter().map(|&slot| {
@@ -1678,6 +1625,7 @@ impl Gpu {
                 slot,
                 index: None,
                 launch_seq: inst.launch_seq,
+                trace_seq: inst.trace_seq,
                 arrival: match (inst.state, inst.unposted_arrival) {
                     (InstState::Queued, _) => (SimTime::ZERO, 0),
                     (_, Some(key)) => key,
@@ -1688,10 +1636,13 @@ impl Gpu {
                 compute: inst.shape.kind.is_compute(),
             }
         }));
+        self.events.pop_keyed();
+        let top = self.events.peek_key();
+        let before_bound = |key: (SimTime, u64)| key.0 < until && top.is_none_or(|t| key < t);
 
         // The running head: its slot, grant, start and completion key.
-        let (mut slot, mut alloc, mut started) = (held.slot, head_alloc, self.now);
-        let (mut key, mut epoch) = ((held.at, held.seq), held.epoch);
+        let (mut slot, mut alloc, mut started) = (slot, head_alloc, self.now);
+        let (mut key, mut epoch) = ((at, seq), epoch);
         let mut started_kernel: Option<(ChainKernel, u64)> = None;
         // The key of the last completion processed.
         let mut last = (self.now, 0);
@@ -1740,6 +1691,19 @@ impl Gpu {
             self.epoch += 1;
             started_kernel = Some((front, self.next_run_seq));
             self.next_run_seq += 1;
+            if TRACED {
+                let (at, queue) = (self.now, q as u32);
+                if head_trace != 0 {
+                    let seq = head_trace;
+                    self.trace_emit(TraceEvent::KernelComplete { at, seq, queue });
+                }
+                if front.trace_seq != 0 {
+                    let seq = front.trace_seq;
+                    self.trace_emit(TraceEvent::KernelStart { at, seq, queue });
+                    self.trace_emit(TraceEvent::SmAlloc { at, seq, sms: g });
+                }
+                head_trace = front.trace_seq;
+            }
             (slot, alloc, started, epoch) = (front.slot, g, self.now, self.epoch);
             key = (
                 self.now + SimDuration::from_nanos(eta as u64),
@@ -1753,10 +1717,26 @@ impl Gpu {
                     let desc = &self.tables[table.0 as usize][index];
                     let (work, max_sms, compute) =
                         (desc.work, desc.max_sms, desc.kind.is_compute());
+                    let trace_seq = if TRACED {
+                        let seq = self.next_trace_seq;
+                        self.next_trace_seq += 1;
+                        self.trace_emit(TraceEvent::KernelLaunch {
+                            at: self.now,
+                            seq,
+                            app: app as u32,
+                            kernel: index as u32,
+                            queue: q as u32,
+                            restricted,
+                        });
+                        seq
+                    } else {
+                        0
+                    };
                     chain.push_back(ChainKernel {
                         slot: self.take_slot(),
                         index: Some(index),
                         launch_seq: self.next_launch_seq,
+                        trace_seq,
                         arrival: (arrive_at, self.events.reserve_seq()),
                         work,
                         max_sms,
@@ -1769,68 +1749,61 @@ impl Gpu {
                 next = unit_end;
             }
         }
-        let Some((head, run_seq)) = started_kernel else {
-            self.chain = chain;
-            return held;
-        };
-        #[cfg(test)]
-        {
-            self.closed_steps += completed;
-        }
-
-        // Write back what the per-kernel loop would have left.
-        self.busy_sm_integral = busy;
-        self.last_settle = self.now;
-        self.live_instances = self.live_instances + launched - completed;
-        if let Some(p) = self.programs[q].as_mut() {
-            p.spec.range.start = next;
-            p.spec.in_flight = in_flight;
-            p.progress.launched += launched;
-            p.progress.completed += completed;
-        }
-        // Arrivals keyed before the last completion were accounted there.
-        while let Some(&(at, seq, s)) = self.unposted.front() {
-            if (at, seq) >= last {
-                break;
+        if let Some((head, run_seq)) = started_kernel {
+            #[cfg(test)]
+            {
+                self.closed_steps += completed;
             }
-            self.unposted.pop_front();
-            let inst = &mut self.instances[s];
-            if inst.unposted_arrival == Some((at, seq)) {
-                inst.unposted_arrival = None;
-                if inst.state == InstState::InFlight {
-                    inst.state = InstState::Queued;
+            // Write back what the pops would have left.
+            self.busy_sm_integral = busy;
+            self.last_settle = self.now;
+            self.live_instances = self.live_instances + launched - completed;
+            if let Some(p) = self.programs[q].as_mut() {
+                p.spec.range.start = next;
+                p.spec.in_flight = in_flight;
+                p.progress.launched += launched;
+                p.progress.completed += completed;
+            }
+            // Arrivals keyed before the last completion were accounted there.
+            while let Some(&(at, seq, s)) = self.unposted.front() {
+                if (at, seq) >= last {
+                    break;
+                }
+                self.unposted.pop_front();
+                let inst = &mut self.instances[s];
+                if inst.unposted_arrival == Some((at, seq)) {
+                    inst.unposted_arrival = None;
+                    if inst.state == InstState::InFlight {
+                        inst.state = InstState::Queued;
+                    }
                 }
             }
-        }
-        self.place_launched(q, table, app, &head);
-        let inst = &mut self.instances[slot];
-        inst.state = InstState::Running;
-        inst.unposted_arrival = None;
-        inst.run_seq = run_seq;
-        inst.started_at = Some(self.now);
-        inst.alloc_sms = alloc;
-        inst.rate = alloc;
-        inst.event_epoch = epoch;
-        self.queues[q].running = Some(slot);
-        self.queues[q].waiting.clear();
-        for c in &chain {
-            self.place_launched(q, table, app, c);
-            if c.index.is_some() {
-                if c.arrival < last {
-                    self.instances[c.slot].state = InstState::Queued;
-                } else {
-                    self.list_unposted(c.slot, c.arrival);
+            self.place_launched(q, table, app, &head);
+            let inst = &mut self.instances[slot];
+            inst.state = InstState::Running;
+            inst.unposted_arrival = None;
+            inst.run_seq = run_seq;
+            inst.started_at = Some(self.now);
+            inst.alloc_sms = alloc;
+            inst.rate = alloc;
+            inst.event_epoch = epoch;
+            self.queues[q].running = Some(slot);
+            self.queues[q].waiting.clear();
+            for c in &chain {
+                self.place_launched(q, table, app, c);
+                if c.index.is_some() {
+                    if c.arrival < last {
+                        self.instances[c.slot].state = InstState::Queued;
+                    } else {
+                        self.list_unposted(c.slot, c.arrival);
+                    }
                 }
+                self.queues[q].waiting.push_back(c.slot);
             }
-            self.queues[q].waiting.push_back(c.slot);
         }
         self.chain = chain;
-        HeldCompletion {
-            at: key.0,
-            seq: key.1,
-            slot,
-            epoch,
-        }
+        self.events
+            .push_reserved(key.0, key.1, DevEv::Complete { slot, epoch });
     }
 
     /// Writes the instance of a kernel [`Gpu::closed_stretch`] launched
@@ -1841,7 +1814,14 @@ impl Gpu {
             let shape = KernelShape::of(&self.tables[table.0 as usize][index]);
             let tag = crate::sim::encode_tag(app, index);
             let work = shape.initial_work();
-            let inst = Instance::launched(shape, QueueId(q as u32), tag, work, c.launch_seq, 0);
+            let inst = Instance::launched(
+                shape,
+                QueueId(q as u32),
+                tag,
+                work,
+                c.launch_seq,
+                c.trace_seq,
+            );
             self.place(c.slot, inst);
         }
     }
@@ -2650,8 +2630,7 @@ impl Gpu {
         self.scratch.pokes = pokes;
     }
 
-    /// Schedules `slot`'s completion under the current epoch; while
-    /// `holding`, the first one goes to `held` under a reserved key.
+    /// Schedules `slot`'s completion under the current epoch.
     fn push_completion(&mut self, slot: usize) {
         self.instances[slot].event_epoch = self.epoch;
         let inst = &self.instances[slot];
@@ -2666,17 +2645,7 @@ impl Gpu {
             self.now + SimDuration::from_nanos(eta_ns as u64)
         };
         let epoch = self.epoch;
-        if self.holding && self.held.is_none() {
-            let seq = self.events.reserve_seq();
-            self.held = Some(HeldCompletion {
-                at,
-                seq,
-                slot,
-                epoch,
-            });
-        } else {
-            self.events.push(at, DevEv::Complete { slot, epoch });
-        }
+        self.events.push(at, DevEv::Complete { slot, epoch });
     }
 
     /// Every piece of engine state a later call can read, as text, so that
@@ -2693,7 +2662,7 @@ impl Gpu {
         let _ = writeln!(
             s,
             "now {:?} host_free {:?} settled {:?} busy {:#x} epoch {} run_seq {} \
-             launch_seq {} event_seq {} live {} running {}+{} lone {:?} held {:?} {}",
+             launch_seq {} event_seq {} live {} running {}+{} lone {:?}",
             self.now,
             self.host_free,
             self.last_settle,
@@ -2706,8 +2675,6 @@ impl Gpu {
             self.running_compute,
             self.running_dma,
             (running == 1).then_some(self.lone_queue),
-            self.held,
-            self.holding,
         );
         for (slot, inst) in self.instances.iter().enumerate() {
             if inst.is_live() {
@@ -2757,18 +2724,31 @@ mod tests {
     /// fails instead of hanging.
     const EVENT_BUDGET: usize = 100_000;
 
-    fn run_all(gpu: &mut Gpu) -> Vec<(SimTime, KernelHandle)> {
-        let mut done = Vec::new();
+    /// [`Gpu::drain_outputs_into`] within [`EVENT_BUDGET`] pops: every
+    /// output with its instant, then whatever arrivals are owed.
+    fn drain_outputs(gpu: &mut Gpu) -> Vec<(SimTime, StepOutput)> {
+        let mut out = Vec::new();
         for pops in 0.. {
             if gpu.events.is_empty() {
                 break;
             }
             assert!(pops < EVENT_BUDGET, "event budget spent at {:?}", gpu.now());
-            if let Some(StepOutput::KernelDone { handle, .. }) = gpu.step() {
-                done.push((gpu.now(), handle));
+            if let Some(o) = gpu.step() {
+                out.push((gpu.now(), o));
             }
         }
-        done
+        gpu.step();
+        out
+    }
+
+    fn run_all(gpu: &mut Gpu) -> Vec<(SimTime, KernelHandle)> {
+        drain_outputs(gpu)
+            .into_iter()
+            .filter_map(|(at, o)| match o {
+                StepOutput::KernelDone { handle, .. } => Some((at, handle)),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -2782,16 +2762,23 @@ mod tests {
 
     #[test]
     fn drain_outputs_into_keeps_every_output() {
-        let mut gpu = free_gpu();
-        let ctx = gpu.create_context(CtxKind::Default).unwrap();
-        let q = gpu.create_queue(ctx).unwrap();
-        for i in 0..4u64 {
-            let k = KernelDesc::compute(SimDuration::from_micros(100), 108, 0.0);
-            put(&mut gpu, q, k, i);
-        }
+        let gpu = || {
+            let mut gpu = free_gpu();
+            let ctx = gpu.create_context(CtxKind::Default).unwrap();
+            let q = gpu.create_queue(ctx).unwrap();
+            for i in 0..4u64 {
+                let k = KernelDesc::compute(SimDuration::from_micros(100), 108, 0.0);
+                put(&mut gpu, q, k, i);
+            }
+            gpu
+        };
+        // The budgeted twin first, so a run that never ends fails here.
+        let budgeted = drain_outputs(&mut gpu());
+        let mut gpu = gpu();
         let mut out = Vec::new();
         // Kernels finish at 100/200/300/400 us.
         gpu.drain_outputs_into(&mut out);
+        assert_eq!(out, budgeted);
         assert_eq!(out.len(), 4);
         assert_eq!(out[0].0, SimTime::from_micros(100));
         assert_eq!(out[3].0, SimTime::from_micros(400));
@@ -3338,8 +3325,7 @@ mod tests {
         assert_eq!(gpu.host_free_at(), SimTime::ZERO);
         gpu.launch_graph(q, table, 0..5, |i| i as u64).unwrap();
         assert_eq!(gpu.host_free_at(), SimTime::from_micros(3));
-        let mut out = Vec::new();
-        gpu.drain_outputs_into(&mut out);
+        let out = drain_outputs(&mut gpu);
         // One 3 us launch + 5 x 10 us sequential kernels = 53 us, instead
         // of 5 launches costing 15 us of host time.
         let last = out.last().unwrap();
@@ -3429,7 +3415,7 @@ mod tests {
         let q = gpu.create_queue(ctx).unwrap();
         let k = || KernelDesc::compute(SimDuration::from_micros(1), 108, 0.0);
         let handles: Vec<_> = (0..5).map(|i| put(&mut gpu, q, k(), i)).collect();
-        gpu.drain();
+        drain_outputs(&mut gpu);
         for h in handles {
             assert!(gpu.kernel_finished_at(h).is_some());
         }
@@ -3933,7 +3919,7 @@ mod tests {
         let a_done = {
             let mut gpu = free_gpu();
             let (_, _, a) = setup(&mut gpu);
-            gpu.drain();
+            drain_outputs(&mut gpu);
             gpu.kernel_finished_at(a).unwrap()
         };
         assert!(a_done > SimTime::from_micros(100));
@@ -4136,10 +4122,10 @@ mod tests {
 
     /// A queue with a ten-kernel table, its first two kernels launched
     /// and the other eight installed as a program, window 2.
-    fn program_gpu(no_stretch: bool) -> (Gpu, QueueId) {
+    fn program_gpu(closed: bool) -> (Gpu, QueueId) {
         let mut gpu = Gpu::new(GpuSpec::a100(), HostCosts::paper());
         gpu.set_slot_recycling(true);
-        gpu.no_stretch = no_stretch;
+        gpu.no_closed_form = !closed;
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
         let table = gpu.register_kernel_table((0..10).map(|_| compute(20, 108, 0.2)).collect());
@@ -4163,10 +4149,9 @@ mod tests {
 
     #[test]
     fn program_reports_only_its_last_kernel() {
-        for no_stretch in [false, true] {
-            let (mut gpu, q) = program_gpu(no_stretch);
-            let mut out = Vec::new();
-            gpu.drain_outputs_into(&mut out);
+        for closed in [true, false] {
+            let (mut gpu, q) = program_gpu(closed);
+            let out = drain_outputs(&mut gpu);
             assert_eq!(out.len(), 1);
             let StepOutput::KernelDone { queue, tag, .. } = out[0].1 else {
                 panic!("{out:?}");
@@ -4180,35 +4165,45 @@ mod tests {
     }
 
     #[test]
-    fn solo_stretch_runs_a_lone_chain_in_one_step() {
-        let steps = |no_stretch: bool, closed: bool| {
-            let (mut gpu, _) = program_gpu(no_stretch);
-            gpu.no_closed_form = !closed;
+    fn closed_form_runs_a_lone_chain_in_one_step() {
+        let run = |closed: bool| {
+            let (mut gpu, _) = program_gpu(closed);
+            let sink = BufferSink::new();
+            gpu.set_trace_sink(Box::new(sink.clone()));
             let mut steps = 0;
-            let mut states = Vec::new();
             while !gpu.events.is_empty() {
+                assert!(
+                    steps < EVENT_BUDGET,
+                    "event budget spent at {:?}",
+                    gpu.now()
+                );
                 gpu.step();
                 steps += 1;
-                states.push(gpu.fingerprint());
             }
-            (steps, states, gpu.closed_steps)
+            (steps, gpu.closed_steps, gpu.fingerprint(), sink.take())
         };
-        let (stretched, states, closed) = steps(false, true);
-        let (stepped, stepped_states, none) = steps(false, false);
-        let (popped, popped_states, _) = steps(true, false);
-        // The first arrival, then the first completion, whose stretch
-        // carries the chain to its last kernel; the closed form takes
-        // completions 2 to 9 and leaves the reported tenth to the loop.
-        assert_eq!((stretched, stepped), (2, 2));
+        let (steps, closed, state, trace) = run(true);
+        let (popped, none, popped_state, popped_trace) = run(false);
+        // The first arrival, then the first completion, from which the
+        // closed form takes completions 2 to 9 off the heap's top, then
+        // the reported tenth; without it each completion is a step.
+        assert_eq!((steps, popped), (3, 11));
         assert_eq!((closed, none), (8, 0));
-        assert_eq!(states, stepped_states);
-        assert!(popped > 10);
-        assert_eq!(states.last(), popped_states.last());
+        assert_eq!(state, popped_state);
+        assert_eq!(trace, popped_trace);
+        let completes = |trace: &[TraceEvent]| {
+            trace
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::KernelComplete { .. }))
+                .count()
+        };
+        // Kernels 0 and 1 were launched before the sink was installed.
+        assert_eq!(completes(&trace), 8);
     }
 
     #[test]
     fn cancel_and_crash_hand_back_program_progress() {
-        let (mut gpu, q) = program_gpu(false);
+        let (mut gpu, q) = program_gpu(true);
         // Kernel 0 runs 3-23 us, kernel 1 23-43 us; kernel 2 launches at
         // 23 us and lands at 26 us.
         gpu.step_within(SimTime::from_micros(30));
@@ -4221,8 +4216,7 @@ mod tests {
                 completed: 1
             })
         );
-        let mut out = Vec::new();
-        gpu.drain_outputs_into(&mut out);
+        let out = drain_outputs(&mut gpu);
         assert_eq!(out.len(), 2, "kernels 1 and 2 are reported: {out:?}");
 
         let crash = FaultSpec {
@@ -4231,12 +4225,10 @@ mod tests {
             crash_window: (SimTime::from_micros(50), SimTime::from_micros(50)),
             ..FaultSpec::default()
         };
-        let (mut gpu, q) = program_gpu(false);
+        let (mut gpu, q) = program_gpu(true);
         gpu.set_fault_plan(FaultPlan::build(1, &crash));
-        let mut out = Vec::new();
-        gpu.drain_outputs_into(&mut out);
         assert_eq!(
-            out,
+            drain_outputs(&mut gpu),
             vec![(
                 SimTime::from_micros(50),
                 StepOutput::ContextCrash { app: 0 }

@@ -92,7 +92,7 @@ pub enum RunOutcome {
     /// The event budget was exhausted (runaway driver protection). The
     /// budget counts loop iterations — request deliveries and device
     /// steps. A launch that lands behind a busy queue posts no device
-    /// event, so it spends none, and a solo stretch (see
+    /// event, so it spends none, and a closed-form stretch (see
     /// [`Gpu::step_within`]) is one step however many completions it
     /// covers.
     EventBudgetExhausted,
@@ -176,9 +176,9 @@ impl<D: HostDriver> Simulation<D> {
     /// delivery or one [`Gpu::step_within`] call. A kernel's arrival
     /// costs an event only when it lands in an idle queue or its queue
     /// drains before it lands; arrivals behind a busy queue are accounted
-    /// without one (see [`Gpu::step`]). A solo stretch, which completes a
-    /// lone program's kernels back to back inside one step, is one
-    /// iteration.
+    /// without one (see [`Gpu::step`]). A closed-form stretch, which
+    /// completes a lone program's kernels back to back inside one step,
+    /// is one iteration.
     pub fn with_max_events(mut self, max_events: u64) -> Self {
         self.max_events = max_events;
         self
@@ -294,8 +294,8 @@ impl<D: HostDriver> Simulation<D> {
                 continue;
             }
 
-            // A solo stretch stops before the next arrival (arrivals win
-            // ties) and after the horizon.
+            // A closed-form stretch stops before the next arrival (arrivals
+            // win ties) and after the horizon.
             let until = next_arr
                 .unwrap_or(SimTime::MAX)
                 .min(horizon.saturating_add(SimDuration::from_nanos(1)));
@@ -756,45 +756,32 @@ mod tests {
         arrivals: Vec<RequestArrival>,
         /// Ascending, ending at `SimTime::MAX`.
         horizons: Vec<SimTime>,
+        /// A traced run installs its sink before running to
+        /// `horizons[sink_at]`, so kernels launched earlier are untraced.
+        sink_at: usize,
     }
 
     impl FeederCase {
-        /// A traced run: the closed form never runs with a sink installed.
-        fn run(&self, programs: bool, stretch: bool, lone: bool) -> FeederRun {
-            self.run_with(programs, stretch, lone, true, false, &self.plan)
-                .0
+        /// A traced run, with the closed form wherever it may run.
+        fn run(&self, programs: bool, lone: bool) -> FeederRun {
+            self.run_with(programs, lone, true, true, &self.plan).0
         }
 
-        /// A run through launch programs under `plan` with no trace sink,
-        /// with or without stretches and their closed form; also returns
-        /// the engine-state fingerprint at each horizon and the
-        /// completions the closed form handled.
-        fn run_untraced(
-            &self,
-            stretch: bool,
-            closed: bool,
-            plan: &sim_core::FaultPlan,
-        ) -> (FeederRun, Vec<String>, usize) {
-            self.run_with(true, stretch, true, false, closed, plan)
-        }
-
+        /// A run under `plan`, traced or not, with or without the closed
+        /// form; also returns the engine-state fingerprint at each horizon
+        /// and the completions the closed form handled.
         fn run_with(
             &self,
             programs: bool,
-            stretch: bool,
             lone: bool,
             traced: bool,
             closed: bool,
             plan: &sim_core::FaultPlan,
         ) -> (FeederRun, Vec<String>, usize) {
             let mut gpu = Gpu::new(self.spec.clone(), self.costs.clone());
-            gpu.no_stretch = !stretch;
             gpu.no_lone = !lone;
             gpu.no_closed_form = !closed;
             let sink = sim_core::trace::BufferSink::new();
-            if traced {
-                gpu.set_trace_sink(Box::new(sink.clone()));
-            }
             gpu.set_fault_plan(plan.clone());
             let driver = Feeder {
                 programs,
@@ -812,7 +799,11 @@ mod tests {
             let runs = self
                 .horizons
                 .iter()
-                .map(|&h| {
+                .enumerate()
+                .map(|(i, &h)| {
+                    if traced && i == self.sink_at {
+                        sim.gpu.set_trace_sink(Box::new(sink.clone()));
+                    }
                     let outcome = sim.run(h);
                     states.push(sim.gpu.fingerprint());
                     (outcome, sim.gpu.now(), sim.gpu.busy_sm_seconds().to_bits())
@@ -827,21 +818,21 @@ mod tests {
             (run, states, sim.gpu.closed_steps)
         }
 
-        /// Runs the reference (per-kernel refills, no stretch, no
-        /// lone-head shortcut), its twin with the shortcut, and the
-        /// program twins with and without stretches and the shortcut, and
-        /// requires that they agree. Then, untraced, requires the closed
-        /// form to leave the engine in the per-kernel stretch's and the
-        /// no-stretch loop's state at every horizon. Returns how many
-        /// kernels the reference and the program runs reported, and the
-        /// completions the closed form handled.
+        /// Runs the reference (per-kernel refills, no lone-head shortcut),
+        /// its twin with the shortcut, and the program twins with and
+        /// without the shortcut, all traced, and requires that they agree.
+        /// Then, traced and untraced, requires the closed form to leave
+        /// the engine in the event loop's state at every horizon, with the
+        /// same trace, and to take the same steps either way. Returns how
+        /// many kernels the reference and the program runs reported, and
+        /// the completions the closed form handled.
         fn check(&self) -> Result<(usize, usize, usize), proptest::test_runner::TestCaseError> {
-            let reference = self.run(false, false, false);
+            let reference = self.run(false, false);
             proptest::prop_assert_eq!(
                 reference.runs.last().map(|r| r.0),
                 Some(RunOutcome::Completed)
             );
-            proptest::prop_assert_eq!(&self.run(false, false, true), &reference, "lone");
+            proptest::prop_assert_eq!(&self.run(false, true), &reference, "lone");
             let done = |run: &FeederRun| {
                 run.seen
                     .iter()
@@ -850,8 +841,8 @@ mod tests {
             };
             let mut reported = 0;
             let mut traced = None;
-            for (stretch, lone) in [(false, false), (true, false), (false, true), (true, true)] {
-                let mut programs = self.run(true, stretch, lone);
+            for lone in [false, true] {
+                let mut programs = self.run(true, lone);
                 let mut rest = reference.seen.iter();
                 for seen in &programs.seen {
                     proptest::prop_assert!(
@@ -868,18 +859,12 @@ mod tests {
                     .eq(reference.seen.iter().filter(not_done)));
                 reported = done(&programs);
                 let seen = std::mem::replace(&mut programs.seen, reference.seen.clone());
-                proptest::prop_assert_eq!(
-                    &programs,
-                    &reference,
-                    "stretch {}, lone {}",
-                    stretch,
-                    lone
-                );
+                proptest::prop_assert_eq!(&programs, &reference, "lone {}", lone);
                 programs.seen = seen;
                 traced = Some(programs);
             }
-            // Untraced under the case's plan (where faults keep the closed
-            // form off), then fault-free (where it may run).
+            // Under the case's plan (where faults keep the closed form
+            // off), then fault-free (where it may run).
             let none = sim_core::FaultPlan::none();
             let plans: &[_] = if self.plan.is_none() {
                 &[&self.plan]
@@ -888,27 +873,31 @@ mod tests {
             };
             let mut closed_steps = 0;
             for (i, &plan) in plans.iter().enumerate() {
-                let (mut closed, closed_states, steps) = self.run_untraced(true, true, plan);
-                closed_steps += steps;
-                for (stretch, twin) in [(true, "per-kernel stretch"), (false, "no stretch")] {
-                    let (stepped, states, steps) = self.run_untraced(stretch, false, plan);
-                    proptest::prop_assert_eq!(steps, 0);
-                    proptest::prop_assert_eq!(&closed, &stepped, "closed form vs {}", twin);
+                let mut steps_each_way = Vec::new();
+                for with_sink in [true, false] {
+                    let (mut closed, closed_states, steps) =
+                        self.run_with(true, true, with_sink, true, plan);
+                    steps_each_way.push(steps);
+                    let (stepped, states, none) = self.run_with(true, true, with_sink, false, plan);
+                    proptest::prop_assert_eq!(none, 0);
+                    proptest::prop_assert_eq!(&closed, &stepped, "traced {}", with_sink);
                     for (h, (a, b)) in closed_states.iter().zip(&states).enumerate() {
                         proptest::prop_assert!(
                             a == b,
-                            "closed form vs {} at horizon {}:\n{}\n{}",
-                            twin,
+                            "closed form vs event loop at horizon {}, traced {}:\n{}\n{}",
                             h,
+                            with_sink,
                             a,
                             b
                         );
                     }
+                    if let (0, false, Some(traced)) = (i, with_sink, &traced) {
+                        closed.trace.clone_from(&traced.trace);
+                        proptest::prop_assert_eq!(&closed, traced, "untraced vs traced");
+                    }
                 }
-                if let (0, Some(traced)) = (i, &traced) {
-                    closed.trace.clone_from(&traced.trace);
-                    proptest::prop_assert_eq!(&closed, traced, "untraced closed form vs traced");
-                }
+                proptest::prop_assert_eq!(steps_each_way[0], steps_each_way[1]);
+                closed_steps += steps_each_way[0];
             }
             Ok((done(&reference), reported, closed_steps))
         }
@@ -918,16 +907,16 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
         /// Differential twin: random two-tenant phases fed through launch
-        /// programs, with and without solo stretches, against a driver
-        /// that refills the same window from every completion. Windows,
-        /// unit sizes, a delayed first unit, MPS caps, DMA kernels, wakes
-        /// that cancel programs mid-phase, crashes, DMA stalls, request
-        /// counts and horizons all vary; outputs, busy-time bits, fault
-        /// counters, casualties and trace streams must match, and the
-        /// program runs report a subsequence of the reference's outputs.
-        /// Each case also runs untraced, under its faults and fault-free,
-        /// where the closed-form stretch may run: it must leave the engine
-        /// state of the per-kernel stretch and of the no-stretch loop at
+        /// programs against a driver that refills the same window from
+        /// every completion. Windows, unit sizes, a delayed first unit,
+        /// MPS caps, DMA kernels, wakes that cancel programs mid-phase,
+        /// crashes, DMA stalls, request counts, horizons and the horizon
+        /// at which the trace sink is installed all vary; outputs,
+        /// busy-time bits, fault counters, casualties and trace streams
+        /// must match, and the program runs report a subsequence of the
+        /// reference's outputs. Each case also runs traced and untraced,
+        /// under its faults and fault-free, where the closed-form stretch
+        /// may run: it must leave the engine state of the event loop at
         /// every horizon.
         #[test]
         fn prop_launch_programs_match_per_kernel_refills(
@@ -988,6 +977,7 @@ mod tests {
             let mut horizons: Vec<SimTime> = horizons.iter().map(|&us| grid(us)).collect();
             horizons.sort();
             horizons.push(SimTime::MAX);
+            let sink_at = (seed >> 8) as usize % horizons.len();
             let case = FeederCase {
                 spec,
                 costs: if flags & 4 != 0 { HostCosts::free() } else { HostCosts::paper() },
@@ -1000,6 +990,7 @@ mod tests {
                 wakes: wakes.iter().map(|&us| grid(us)).collect(),
                 arrivals,
                 horizons,
+                sink_at,
             };
             case.check()?;
         }
@@ -1008,9 +999,10 @@ mod tests {
     /// Three-microsecond kernels behind a 3 us launch cost: the second
     /// kernel completes at 9 us, the instant its refilled successor lands
     /// behind it and the instant another tenant's request arrives. The
-    /// request ends the stretch (arrivals win ties), and the held
-    /// completion must keep its reserved key: pushed under a fresh one, it
-    /// would sort after the successor's arrival and start it a step early.
+    /// request ends the closed-form stretch (arrivals win ties), and the
+    /// completion it stops at must keep its reserved key: pushed under a
+    /// fresh one, it would sort after the successor's arrival and start it
+    /// a step early.
     #[test]
     fn stretch_ends_at_a_tied_arrival_with_its_reserved_key() {
         let kernels = |n: usize| -> Arc<[KernelDesc]> {
@@ -1035,16 +1027,19 @@ mod tests {
             wakes: Vec::new(),
             arrivals: vec![request(0, 0), request(1, 9)],
             horizons: vec![SimTime::MAX],
+            sink_at: 0,
         };
         let (reference, programs, _) = case.check().unwrap();
         assert_eq!((reference, programs), (8, 2));
     }
 
     /// Fixed cases the closed form must enter and leave exactly where the
-    /// per-kernel stretch would: a lone chain cut by a request arriving
-    /// on a completion instant, by horizons inside it, by a queue that
-    /// starves mid-chain, by a wake that cancels the program mid-stretch,
-    /// and one fed in graph units of three.
+    /// event loop would, traced and untraced: a lone chain cut by a
+    /// request arriving on a completion instant, by horizons inside it,
+    /// by a queue that starves mid-chain, by a wake that cancels the
+    /// program mid-stretch; one fed in graph units of three, one whose
+    /// first unit lands after a context-switch delay, one on an
+    /// MPS-restricted queue, and one whose sink is installed mid-chain.
     #[test]
     fn closed_form_leaves_the_per_kernel_state_on_fixed_cases() {
         let us = SimTime::from_micros;
@@ -1081,6 +1076,7 @@ mod tests {
                 },
             ],
             horizons: [horizons, &[SimTime::MAX]].concat(),
+            sink_at: 0,
         };
         // App 0's kernels complete at 13, 23, 33, ... us.
         let cases = [
@@ -1092,6 +1088,30 @@ mod tests {
             ("starving queue", case(2, 1, 8, vec![], us(500), &[])),
             ("cancel", case(4, 1, 0, vec![us(75)], us(500), &[])),
             ("graph units", case(5, 3, 0, vec![], us(140), &[us(88)])),
+            (
+                "delayed first unit",
+                FeederCase {
+                    extra: SimDuration::from_micros(50),
+                    ..case(4, 2, 0, vec![], us(500), &[])
+                },
+            ),
+            (
+                // App 1 runs alone on a 60-SM MPS context after app 0's
+                // two kernels.
+                "restricted queue",
+                FeederCase {
+                    mps_cap: Some(60),
+                    tables: vec![kernels(2, 0), kernels(30, 0)],
+                    ..case(4, 1, 0, vec![], SimTime::ZERO, &[])
+                },
+            ),
+            (
+                "sink mid-chain",
+                FeederCase {
+                    sink_at: 1,
+                    ..case(4, 1, 0, vec![], us(500), &[us(48)])
+                },
+            ),
         ];
         for (name, case) in cases {
             let (_, _, closed) = case.check().unwrap();

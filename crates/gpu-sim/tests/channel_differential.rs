@@ -181,8 +181,19 @@ fn run_monolithic(
 ) -> (Vec<(SimTime, StepOutput)>, u64, u64) {
     let sink = BufferSink::new();
     let mut gpu = build_gpu(plan, spec, layout, Some(sink.clone()));
+    // `Gpu::drain_outputs_into` under an event budget, so a run that never
+    // ends fails instead of hanging.
     let mut out = Vec::new();
-    gpu.drain_outputs_into(&mut out);
+    for pops in 0.. {
+        if gpu.peek_event_time().is_none() {
+            break;
+        }
+        assert!(pops < 100_000, "event budget spent at {:?}", gpu.now());
+        if let Some(o) = gpu.step() {
+            out.push((gpu.now(), o));
+        }
+    }
+    gpu.step(); // Accounts the arrivals still owed.
     drop(gpu.take_trace_sink());
     let events = sink.take();
     assert!(!out.is_empty());

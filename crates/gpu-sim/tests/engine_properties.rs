@@ -19,6 +19,22 @@ fn launch_all(gpu: &mut Gpu, q: QueueId, kernels: Vec<KernelDesc>, base: u64) ->
         .collect()
 }
 
+/// Events one drain may pop: far above any run here, so a run that never
+/// ends (say, on a completion `settle` never advances) fails instead of
+/// hanging.
+const EVENT_BUDGET: usize = 100_000;
+
+/// [`Gpu::drain`] within [`EVENT_BUDGET`] events.
+fn drain(gpu: &mut Gpu) {
+    let mut pops = 0;
+    while gpu.peek_event_time().is_some() {
+        assert!(pops < EVENT_BUDGET, "event budget spent at {:?}", gpu.now());
+        gpu.step();
+        pops += 1;
+    }
+    gpu.step(); // Accounts the arrivals still owed.
+}
+
 /// A random compute kernel description.
 fn arb_kernel() -> impl Strategy<Value = (u64, u32, f64)> {
     // (duration us, max_sms, mem_intensity)
@@ -48,7 +64,7 @@ fn run_mix(
             .collect();
         handles.extend(launch_all(&mut gpu, q, descs, 0));
     }
-    gpu.drain();
+    drain(&mut gpu);
     (gpu, handles)
 }
 
@@ -149,7 +165,7 @@ proptest! {
         let k = || KernelDesc::compute(SimDuration::from_micros(us), 108, 0.0);
         let ha = launch_all(&mut gpu, qa, vec![k()], 0)[0];
         let hb = launch_all(&mut gpu, qb, vec![k()], 1)[0];
-        gpu.drain();
+        drain(&mut gpu);
         // Each kernel's duration = work / partition size, exactly.
         let expect = |sms: u32| {
             SimDuration::from_nanos(
@@ -194,7 +210,7 @@ proptest! {
             launch_all(gpu, q, descs, base)
         };
         let h1 = launch(&mut gpu, &first, 0);
-        gpu.drain();
+        drain(&mut gpu);
         // With recycling on, a completed kernel's slot is freed (and the
         // handle turned stale) immediately: `Done` is reported and the
         // timestamps are dropped with the slot.
@@ -219,7 +235,7 @@ proptest! {
             prop_assert!(now.is_none() || now == *f,
                 "stale handle must not alias a new instance's timestamps");
         }
-        gpu.drain();
+        drain(&mut gpu);
         for &h in &h2 {
             prop_assert_eq!(gpu.kernel_state(h), gpu_sim::InstState::Done);
         }
@@ -287,7 +303,7 @@ proptest! {
         let launched: Vec<_> = (0..kernels.len())
             .map(|i| (gpu.launch(q, table, i, (i as u64) << 20).unwrap(), (i as u64) << 20))
             .collect();
-        gpu.drain();
+        drain(&mut gpu);
         let mut buf = vec![gpu_sim::FailedKernel {
             // Pre-seed garbage to prove the buffer is cleared first.
             handle: KernelHandle(u64::MAX),

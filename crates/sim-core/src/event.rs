@@ -114,6 +114,11 @@ impl<E> EventQueue<E> {
         self.heap.first().map(|e| e.at)
     }
 
+    /// The earliest pending event as `(at, seq, payload)`, left in place.
+    pub fn peek(&self) -> Option<(SimTime, u64, &E)> {
+        self.heap.first().map(|e| (e.at, e.seq, &e.payload))
+    }
+
     /// The full key `(at, seq)` of the earliest pending event: an event
     /// keyed below it would pop first.
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
