@@ -38,6 +38,9 @@ const BEFORE_ENGINE: f64 = 0.0;
 /// jitter between runs of different machines).
 const GATE_SLACK: f64 = 0.05;
 
+/// Events one drain of at most eight kernels may pop before it fails.
+const DRAIN_BUDGET: u64 = 100_000;
+
 /// A warmed engine with two contending default-context queues and a
 /// registered one-entry kernel table.
 fn engine_setup() -> (Gpu, Vec<QueueId>, KernelTableId) {
@@ -68,10 +71,10 @@ fn engine_batch(gpu: &mut Gpu, queues: &[QueueId], table: KernelTableId, n: usiz
         let q = queues[i % queues.len()];
         gpu.launch(q, table, 0, i as u64).expect("launch");
         if i % 8 == 7 {
-            gpu.drain();
+            gpu.drain(DRAIN_BUDGET).expect("drain");
         }
     }
-    gpu.drain();
+    gpu.drain(DRAIN_BUDGET).expect("drain");
 }
 
 /// Steady-state allocations per kernel for the engine loop: warm the

@@ -132,12 +132,14 @@ fn bench_engine(rows: &mut Vec<EngineRow>) {
         for &per_queue in volumes {
             let plan = build_plan(partitions, per_queue, PLAN_SEED);
             let kernels = partitions * QUEUES_PER_PARTITION * per_queue;
+            // Far above the few events each kernel pops.
+            let budget = 1_000 * kernels as u64;
 
             // Completion check: every launched tag finishes exactly once.
             {
                 let mut gpu = build_mono(&plan);
                 let mut out = Vec::new();
-                gpu.drain_outputs_into(&mut out);
+                gpu.drain_outputs_into(&mut out, budget).expect("drain");
                 assert_eq!(
                     done_tags(&out),
                     plan_tags(&plan),
@@ -151,7 +153,7 @@ fn bench_engine(rows: &mut Vec<EngineRow>) {
                 &format!("engine_scale/mono_p{partitions}_k{kernels}"),
                 samples,
                 || (build_mono(&plan), Vec::with_capacity(kernels)),
-                |(gpu, out)| gpu.drain_outputs_into(out),
+                |(gpu, out)| gpu.drain_outputs_into(out, budget).expect("drain"),
             );
             rows.push(EngineRow {
                 partitions,

@@ -25,6 +25,9 @@ const RATIO_FLOOR: f64 = 0.85;
 /// Quick-mode slack below the checked-in ratio before the gate fails.
 const GATE_SLACK: f64 = 0.10;
 
+/// Events one drain of at most eight kernels may pop before it fails.
+const DRAIN_BUDGET: u64 = 100_000;
+
 /// One engine under test: two contending default-context queues and a
 /// one-entry kernel table whose kernel presses on all four channels.
 struct Engine {
@@ -60,10 +63,10 @@ impl Engine {
             let q = self.queues[i % self.queues.len()];
             self.gpu.launch(q, self.table, 0, i as u64).expect("launch");
             if i % 8 == 7 {
-                self.gpu.drain();
+                self.gpu.drain(DRAIN_BUDGET).expect("drain");
             }
         }
-        self.gpu.drain();
+        self.gpu.drain(DRAIN_BUDGET).expect("drain");
     }
 
     /// Wall-clock seconds of one `n`-kernel batch.

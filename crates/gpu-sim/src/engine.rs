@@ -90,6 +90,16 @@ pub enum GpuError {
     /// The operation is invalid for the context's kind (e.g. resizing the
     /// cap of a MIG partition).
     InvalidOperation(&'static str),
+    /// A run to idle ([`Gpu::drain`]) popped its whole event budget and
+    /// events were still pending.
+    EventBudgetExhausted {
+        /// The budget, in events popped.
+        events: u64,
+        /// Slot and queue of the kernel the next pending event belongs
+        /// to, if it is a kernel's: one whose completion keeps coming back
+        /// is stuck.
+        stuck: Option<(usize, QueueId)>,
+    },
 }
 
 impl std::fmt::Display for GpuError {
@@ -112,6 +122,17 @@ impl std::fmt::Display for GpuError {
             GpuError::UnknownContext(c) => write!(f, "unknown context {c:?}"),
             GpuError::UnknownQueue(q) => write!(f, "unknown queue {q:?}"),
             GpuError::InvalidOperation(msg) => write!(f, "invalid operation: {msg}"),
+            GpuError::EventBudgetExhausted { events, stuck } => {
+                write!(f, "device still busy after {events} events")?;
+                match stuck {
+                    Some((slot, queue)) => write!(
+                        f,
+                        ": the kernel in slot {slot} on queue {} does not finish",
+                        queue.0
+                    ),
+                    None => write!(f, ": the next event is not a kernel's"),
+                }
+            }
         }
     }
 }
@@ -375,6 +396,81 @@ struct ChainKernel {
     compute: bool,
 }
 
+impl ChainKernel {
+    /// Program kernel `index`, with descriptor `desc`, launched by the
+    /// stretch itself into `slot`, untraced, arriving at `arrival`.
+    fn launched(
+        desc: &KernelDesc,
+        index: usize,
+        slot: usize,
+        launch_seq: u64,
+        arrival: (SimTime, u64),
+    ) -> Self {
+        ChainKernel {
+            slot,
+            index: Some(index),
+            launch_seq,
+            trace_seq: 0,
+            arrival,
+            work: desc.work,
+            max_sms: desc.max_sms,
+            compute: desc.kind.is_compute(),
+        }
+    }
+}
+
+/// The running head of a closed-form stretch and what the stretch did so
+/// far (see [`Gpu::closed_stretch`]).
+struct Stretch {
+    /// The head's slot, grant, start, completion key and event epoch.
+    slot: usize,
+    alloc: f64,
+    started: SimTime,
+    key: (SimTime, u64),
+    epoch: u64,
+    /// The kernel the stretch started last, with its `run_seq`.
+    started_kernel: Option<(ChainKernel, u64)>,
+    /// The key of the last completion processed.
+    last: (SimTime, u64),
+    busy: f64,
+    /// The program's next table index, its end and its kernels in flight.
+    next: usize,
+    end: usize,
+    in_flight: usize,
+    launched: usize,
+    completed: usize,
+}
+
+/// The most jump tables a device keeps (see [`Gpu::jump_table`]).
+const JUMP_TABLES: usize = 16;
+
+/// One kernel table's lone-chain prefix sums under one context cap and
+/// pool capacity (see [`Gpu::jump`]).
+struct JumpTable {
+    /// The table, then `cap.min(pool)` and `pool` as bits: every input of
+    /// [`Gpu::lone_grant`] for a fresh kernel but its `max_sms`.
+    key: (KernelTableId, u64, u64),
+    /// `lone_grant(.., m, 0.0)` for `m` in `0..=num_sms`; a wider kernel
+    /// gets the last entry, as no pool exceeds `num_sms`.
+    grants: Vec<f64>,
+    /// `prefix[i]` sums kernels `b + 1..i`, `b` the last break before `i`
+    /// (or `-1`), so two entries with no break between them differ by the
+    /// sums over the kernels between them.
+    prefix: Vec<JumpPrefix>,
+    /// The kernels that break a jump, ascending: those [`jump_eta`]
+    /// rejects, and those that would carry a sum past `u32::MAX`.
+    breaks: Vec<usize>,
+}
+
+/// Sums over a run of a kernel table's kernels (see [`JumpTable`]).
+#[derive(Clone, Copy, Debug, Default)]
+struct JumpPrefix {
+    /// Σ eta_i: the whole ns each kernel runs alone.
+    eta: u32,
+    /// Σ g_i · eta_i: the busy SM·ns each kernel adds.
+    busy: u32,
+}
+
 /// Every integer up to 2^53 is an `f64`, so sums and products of whole
 /// SM and ns counts that stay below it are exact in any grouping.
 const EXACT_INT: f64 = 9_007_199_254_740_992.0;
@@ -385,6 +481,32 @@ const EXACT_INT: f64 = 9_007_199_254_740_992.0;
 #[inline]
 fn whole(x: f64) -> bool {
     x.fract() == 0.0 && (0.0..=EXACT_INT / 2.0).contains(&x)
+}
+
+/// The whole ns a fresh kernel with `work` SM·ns runs alone under the
+/// whole grant `g`, if its completion then leaves no residue.
+#[inline]
+fn closed_eta(work: f64, g: f64) -> Option<f64> {
+    let eta = if work <= 1e-6 {
+        0.0
+    } else {
+        (work / g).ceil().max(0.0)
+    };
+    (g > 0.0 && whole(g) && work - g * eta <= 0.0).then_some(eta)
+}
+
+/// [`closed_eta`] for a kernel a jump may start: a compute kernel with
+/// whole work that runs longer than the host's `launch` ns, so the host
+/// is idle again when it completes and a refill launched at its start
+/// lands strictly before that completion.
+#[inline]
+fn jump_eta(compute: bool, work: f64, g: f64, launch: u64) -> Option<u64> {
+    if !(compute && whole(work)) {
+        return None;
+    }
+    closed_eta(work, g)
+        .map(|eta| eta as u64)
+        .filter(|&eta| eta > launch)
 }
 
 #[derive(Debug)]
@@ -515,9 +637,17 @@ pub struct Gpu {
     /// never in closed form.
     #[cfg(test)]
     pub(crate) no_closed_form: bool,
+    /// Test-only twin switch: the closed form steps kernel by kernel and
+    /// never jumps.
+    #[cfg(test)]
+    pub(crate) no_jump: bool,
     /// Test-only count of the completions the closed form handled.
     #[cfg(test)]
     pub(crate) closed_steps: usize,
+    /// Test-only count of the completions jumps handled (a part of
+    /// `closed_steps`).
+    #[cfg(test)]
+    pub(crate) jumped_kernels: usize,
     /// The launch program feeding each queue, if any (see
     /// [`Gpu::install_program`]), indexed like `queues`.
     programs: Vec<Option<Program>>,
@@ -536,6 +666,12 @@ pub struct Gpu {
     /// Scratch for [`Gpu::closed_stretch`]: the stretch queue's kernels
     /// behind its head.
     chain: VecDeque<ChainKernel>,
+    /// Lone-chain prefix sums for [`Gpu::jump`], built on first use, the
+    /// most recently used first.
+    jump_tables: Vec<JumpTable>,
+    /// Scratch for [`Gpu::jump`]: the completion instants, in ns, of the
+    /// kernels it starts from the chain.
+    jump_times: Vec<u64>,
     epoch: u64,
     /// SM capacity of each pool (pool 0 = shared).
     pool_capacity: Vec<f64>,
@@ -614,13 +750,19 @@ impl Gpu {
             #[cfg(test)]
             no_closed_form: false,
             #[cfg(test)]
+            no_jump: false,
+            #[cfg(test)]
             closed_steps: 0,
+            #[cfg(test)]
+            jumped_kernels: 0,
             programs: Vec::new(),
             running_compute: 0,
             running_dma: 0,
             lone_queue: 0,
             lone_exact,
             chain: VecDeque::new(),
+            jump_tables: Vec::new(),
+            jump_times: Vec::new(),
             epoch: 0,
             pool_capacity: vec![shared],
             mig_reserved_sms: 0,
@@ -1373,9 +1515,10 @@ impl Gpu {
     }
 
     /// Processes the next pending event; returns an externally visible
-    /// output if the event produced one (stale completion events return
-    /// `None`). [`Gpu::step_within`] with no limit on a closed-form
-    /// stretch.
+    /// output if the event produced one. A stale completion (its kernel's
+    /// rate changed after it was pushed) returns `None` without moving the
+    /// clock: it settles nothing and replays no arrival. [`Gpu::step_within`]
+    /// with no limit on a closed-form stretch.
     ///
     /// Arrivals behind a busy queue are not events: each is accounted
     /// just before the first event keyed after it, in the order its
@@ -1402,11 +1545,26 @@ impl Gpu {
     /// its reserved key, so the run stays bit-identical. The caller
     /// passes the first instant at which it has work of its own, such as
     /// a request arrival.
+    ///
+    /// Untraced, with launch units of one kernel, the chain advances in
+    /// *jumps*: the instants, busy SM·ns and keys of a run of completions
+    /// come from per-table prefix sums and a binary search for where the
+    /// run stops, in O(log n + window) rather than O(n) (see `Gpu::jump`).
+    /// The rest of a stretch is computed completion by completion.
     pub fn step_within(&mut self, until: SimTime) -> Option<StepOutput> {
         let Some((t, seq, ev)) = self.events.pop_keyed() else {
             self.account_arrivals_through(SimTime::MAX);
             return None;
         };
+        if let DevEv::Complete { slot, epoch } = ev {
+            let inst = &self.instances[slot];
+            if epoch != inst.event_epoch || inst.state != InstState::Running {
+                // A stale prediction: the kernel's rate changed after it was
+                // pushed, or the kernel is gone. It replays no arrival and
+                // settles nothing; the next event does both.
+                return None;
+            }
+        }
         self.enter_event(t, seq);
         match ev {
             DevEv::Arrive { slot } => {
@@ -1427,7 +1585,7 @@ impl Gpu {
                 }
                 None
             }
-            DevEv::Complete { slot, epoch } => self.complete(slot, epoch, until),
+            DevEv::Complete { slot, .. } => self.complete(slot, until),
             DevEv::HostWake { token } => Some(StepOutput::HostWake { token }),
             DevEv::Poke => {
                 // Pokes only exist for compute dispatch gaps; DMA rates
@@ -1476,14 +1634,9 @@ impl Gpu {
         self.now = t;
     }
 
-    /// Handles a popped `Complete` event; a silent one may go on into a
-    /// closed-form stretch (see [`Gpu::step_within`]).
-    fn complete(&mut self, slot: usize, epoch: u64, until: SimTime) -> Option<StepOutput> {
-        if epoch != self.instances[slot].event_epoch
-            || self.instances[slot].state != InstState::Running
-        {
-            return None; // Stale prediction.
-        }
+    /// Handles a popped, current `Complete` event; a silent one may go on
+    /// into a closed-form stretch (see [`Gpu::step_within`]).
+    fn complete(&mut self, slot: usize, until: SimTime) -> Option<StepOutput> {
         // Guard against float residue: if rounding left real work behind,
         // reschedule the completion instead of dropping it (a dropped
         // matching-epoch event would strand the kernel until some
@@ -1575,6 +1728,9 @@ impl Gpu {
     /// silent, with a next kernel that is a compute kernel and has
     /// arrived. Anything else stops the closed form and leaves the rest to
     /// the event loop.
+    ///
+    /// Untraced, with launch units of one kernel, [`Gpu::jump`] takes runs
+    /// of steps at once wherever it applies; the loop steps only the rest.
     fn closed_stretch<const TRACED: bool>(&mut self, q: usize, until: SimTime) {
         let Some((at, seq, &DevEv::Complete { slot, epoch })) = self.events.peek() else {
             return;
@@ -1607,16 +1763,27 @@ impl Gpu {
             app,
             ..
         } = program.spec;
-        let (mut next, end, mut in_flight) = (
-            program.spec.range.start,
-            program.spec.range.end,
-            program.spec.in_flight,
-        );
+        let mut s = Stretch {
+            slot,
+            alloc: head_alloc,
+            started: self.now,
+            key: (at, seq),
+            epoch,
+            started_kernel: None,
+            last: (self.now, 0),
+            busy: self.busy_sm_integral,
+            next: program.spec.range.start,
+            end: program.spec.range.end,
+            in_flight: program.spec.in_flight,
+            launched: 0,
+            completed: 0,
+        };
         let restricted = TRACED
             && matches!(
                 self.contexts[self.queues[q].ctx.0 as usize].kind,
                 CtxKind::MpsAffinity { .. }
             );
+        let jumps = !TRACED && graph == 1 && self.jump_enabled();
         let mut chain = std::mem::take(&mut self.chain);
         chain.clear();
         chain.extend(self.queues[q].waiting.iter().map(|&slot| {
@@ -1639,24 +1806,27 @@ impl Gpu {
         self.events.pop_keyed();
         let top = self.events.peek_key();
         let before_bound = |key: (SimTime, u64)| key.0 < until && top.is_none_or(|t| key < t);
+        // Every key a stretch reserves sorts after the top's, so a later
+        // completion is before the bound exactly when its instant is.
+        let bound = top.map_or(until, |t| t.0.min(until));
 
-        // The running head: its slot, grant, start and completion key.
-        let (mut slot, mut alloc, mut started) = (slot, head_alloc, self.now);
-        let (mut key, mut epoch) = ((at, seq), epoch);
-        let mut started_kernel: Option<(ChainKernel, u64)> = None;
-        // The key of the last completion processed.
-        let mut last = (self.now, 0);
-        let mut busy = self.busy_sm_integral;
         let mut grant: Option<(u32, f64)> = None;
-        let (mut launched, mut completed) = (0, 0);
+        let mut try_jump = jumps;
         loop {
             // The completion must be the next event, and silent; the next
             // kernel must have arrived by then and meet the premise.
-            if !before_bound(key) || !(in_flight >= 2 || (in_flight == 1 && next < end)) {
+            if !before_bound(s.key) || !(s.in_flight >= 2 || (s.in_flight == 1 && s.next < s.end)) {
                 break;
             }
+            // A jump stops where a step would stop or differ, so the step
+            // right after one is taken here.
+            if try_jump && self.jump(q, table, window, bound, &mut s, &mut chain) {
+                try_jump = false;
+                continue;
+            }
+            try_jump = jumps;
             let Some(&front) = chain.front() else { break };
-            if !(front.arrival < key && front.compute && whole(front.work)) {
+            if !(front.arrival < s.key && front.compute && whole(front.work)) {
                 break;
             }
             let g = match grant {
@@ -1667,29 +1837,24 @@ impl Gpu {
                     g
                 }
             };
-            let eta = if front.work <= 1e-6 {
-                0.0
-            } else {
-                (front.work / g).ceil().max(0.0)
-            };
-            let add = alloc * key.0.duration_since(started).as_nanos() as f64;
-            if !(g > 0.0 && whole(g) && front.work - g * eta <= 0.0 && busy + add <= EXACT_INT) {
+            let add = s.alloc * s.key.0.duration_since(s.started).as_nanos() as f64;
+            let Some(eta) = closed_eta(front.work, g).filter(|_| s.busy + add <= EXACT_INT) else {
                 break;
-            }
+            };
             // The head completes and its slot is recycled...
-            busy += add;
-            self.now = key.0;
-            last = key;
-            let inst = &mut self.instances[slot];
+            s.busy += add;
+            self.now = s.key.0;
+            s.last = s.key;
+            let inst = &mut self.instances[s.slot];
             inst.state = InstState::Done;
             inst.generation = inst.generation.wrapping_add(1);
-            self.free_slots.push(slot);
-            in_flight -= 1;
-            completed += 1;
+            self.free_slots.push(s.slot);
+            s.in_flight -= 1;
+            s.completed += 1;
             // ...the front starts under the next epoch...
             chain.pop_front();
             self.epoch += 1;
-            started_kernel = Some((front, self.next_run_seq));
+            s.started_kernel = Some((front, self.next_run_seq));
             self.next_run_seq += 1;
             if TRACED {
                 let (at, queue) = (self.now, q as u32);
@@ -1704,19 +1869,16 @@ impl Gpu {
                 }
                 head_trace = front.trace_seq;
             }
-            (slot, alloc, started, epoch) = (front.slot, g, self.now, self.epoch);
-            key = (
+            (s.slot, s.alloc, s.started, s.epoch) = (front.slot, g, self.now, self.epoch);
+            s.key = (
                 self.now + SimDuration::from_nanos(eta as u64),
                 self.events.reserve_seq(),
             );
             // ...and the program refills its window.
-            while in_flight < window && next < end {
-                let unit_end = (next + graph).min(end);
+            while s.in_flight < window && s.next < s.end {
+                let unit_end = (s.next + graph).min(s.end);
                 let arrive_at = self.charge_launch(q, SimDuration::ZERO);
-                for index in next..unit_end {
-                    let desc = &self.tables[table.0 as usize][index];
-                    let (work, max_sms, compute) =
-                        (desc.work, desc.max_sms, desc.kind.is_compute());
+                for index in s.next..unit_end {
                     let trace_seq = if TRACED {
                         let seq = self.next_trace_seq;
                         self.next_trace_seq += 1;
@@ -1732,45 +1894,42 @@ impl Gpu {
                     } else {
                         0
                     };
+                    let slot = self.take_slot();
+                    let arrival = (arrive_at, self.events.reserve_seq());
+                    let desc = &self.tables[table.0 as usize][index];
                     chain.push_back(ChainKernel {
-                        slot: self.take_slot(),
-                        index: Some(index),
-                        launch_seq: self.next_launch_seq,
                         trace_seq,
-                        arrival: (arrive_at, self.events.reserve_seq()),
-                        work,
-                        max_sms,
-                        compute,
+                        ..ChainKernel::launched(desc, index, slot, self.next_launch_seq, arrival)
                     });
                     self.next_launch_seq += 1;
                 }
-                launched += unit_end - next;
-                in_flight += unit_end - next;
-                next = unit_end;
+                s.launched += unit_end - s.next;
+                s.in_flight += unit_end - s.next;
+                s.next = unit_end;
             }
         }
-        if let Some((head, run_seq)) = started_kernel {
+        if let Some((head, run_seq)) = s.started_kernel {
             #[cfg(test)]
             {
-                self.closed_steps += completed;
+                self.closed_steps += s.completed;
             }
             // Write back what the pops would have left.
-            self.busy_sm_integral = busy;
+            self.busy_sm_integral = s.busy;
             self.last_settle = self.now;
-            self.live_instances = self.live_instances + launched - completed;
+            self.live_instances = self.live_instances + s.launched - s.completed;
             if let Some(p) = self.programs[q].as_mut() {
-                p.spec.range.start = next;
-                p.spec.in_flight = in_flight;
-                p.progress.launched += launched;
-                p.progress.completed += completed;
+                p.spec.range.start = s.next;
+                p.spec.in_flight = s.in_flight;
+                p.progress.launched += s.launched;
+                p.progress.completed += s.completed;
             }
             // Arrivals keyed before the last completion were accounted there.
-            while let Some(&(at, seq, s)) = self.unposted.front() {
-                if (at, seq) >= last {
+            while let Some(&(at, seq, slot)) = self.unposted.front() {
+                if (at, seq) >= s.last {
                     break;
                 }
                 self.unposted.pop_front();
-                let inst = &mut self.instances[s];
+                let inst = &mut self.instances[slot];
                 if inst.unposted_arrival == Some((at, seq)) {
                     inst.unposted_arrival = None;
                     if inst.state == InstState::InFlight {
@@ -1779,20 +1938,20 @@ impl Gpu {
                 }
             }
             self.place_launched(q, table, app, &head);
-            let inst = &mut self.instances[slot];
+            let inst = &mut self.instances[s.slot];
             inst.state = InstState::Running;
             inst.unposted_arrival = None;
             inst.run_seq = run_seq;
             inst.started_at = Some(self.now);
-            inst.alloc_sms = alloc;
-            inst.rate = alloc;
-            inst.event_epoch = epoch;
-            self.queues[q].running = Some(slot);
+            inst.alloc_sms = s.alloc;
+            inst.rate = s.alloc;
+            inst.event_epoch = s.epoch;
+            self.queues[q].running = Some(s.slot);
             self.queues[q].waiting.clear();
             for c in &chain {
                 self.place_launched(q, table, app, c);
                 if c.index.is_some() {
-                    if c.arrival < last {
+                    if c.arrival < s.last {
                         self.instances[c.slot].state = InstState::Queued;
                     } else {
                         self.list_unposted(c.slot, c.arrival);
@@ -1802,8 +1961,265 @@ impl Gpu {
             }
         }
         self.chain = chain;
-        self.events
-            .push_reserved(key.0, key.1, DevEv::Complete { slot, epoch });
+        self.events.push_reserved(
+            s.key.0,
+            s.key.1,
+            DevEv::Complete {
+                slot: s.slot,
+                epoch: s.epoch,
+            },
+        );
+    }
+
+    /// Whether a closed-form stretch may jump (see [`Gpu::jump`]).
+    #[inline]
+    fn jump_enabled(&self) -> bool {
+        #[cfg(test)]
+        if self.no_jump {
+            return false;
+        }
+        true
+    }
+
+    /// Takes, in one go, every step of untraced stretch `s` of program
+    /// queue `q` (units of one kernel), up to the first that any of these
+    /// would stop or change: a completion at or after `bound` (the heap's
+    /// top instant or `until`), a completion that is not silent (the
+    /// program's last kernel is reported), a kernel [`jump_eta`] rejects,
+    /// or a busy total above 2^53. Returns whether it took a step. The loop
+    /// in [`Gpu::closed_stretch`] goes on from where it stopped, so a run
+    /// that jumps is bit-identical to one that steps.
+    ///
+    /// It starts where the window is full (`window - 1` kernels behind the
+    /// head), each of them arrived before the head's completion `c_0`, and,
+    /// if a kernel is left to launch, the host is idle at `c_0` with the
+    /// queue's last arrival no later than `c_0 + L` (`L` the launch
+    /// charge). Then step `t` completes the head at `c_{t-1}` and starts
+    /// kernel `K_t` under the next epoch and `run_seq`, reserving the next
+    /// `seq` for its completion. While the range lasts it also launches one
+    /// kernel, arriving at `c_{t-1} + L` under the `seq` after that, into
+    /// the slot just freed (the free list is LIFO); after that the freed
+    /// slot stays on the free list. Every started kernel runs longer than
+    /// `L`, so the host is idle again at each completion and each refill
+    /// lands strictly before the completion it waits for, `window - 1 >= 1`
+    /// completions later (a refill landing on the instant of the completion
+    /// before it would sort after it). So the window's slots rotate, and
+    /// instants, busy SM·ns, seqs and generations are sums: over the chain
+    /// for its `window - 1` kernels, then differences of the table's
+    /// [`JumpPrefix`] sums, whose stop a binary search finds. Only the
+    /// chain is rewritten; the write-back after the loop writes the
+    /// instances still live.
+    fn jump(
+        &mut self,
+        q: usize,
+        table: KernelTableId,
+        window: usize,
+        bound: SimTime,
+        s: &mut Stretch,
+        chain: &mut VecDeque<ChainKernel>,
+    ) -> bool {
+        let (m, w) = (chain.len(), window);
+        let (launch, c0) = (self.costs.kernel_launch, s.key.0);
+        // Steps that launch a kernel each; the `m` after them drain the
+        // window down to the last kernel.
+        let most = s.end - s.next;
+        if !(m + 1 == w
+            && s.in_flight == w
+            && (most == 0
+                || self.host_free <= c0
+                    && self.queues[q].last_arrival <= c0.saturating_add(launch)))
+        {
+            return false;
+        }
+        let Some(mut busy) = (s.alloc as u64)
+            .checked_mul(c0.duration_since(s.started).as_nanos())
+            .and_then(|head| (s.busy as u64).checked_add(head))
+        else {
+            return false;
+        };
+        self.jump_table(q, table);
+        let jt = &self.jump_tables[0];
+        let grant = |max_sms: u32| jt.grants[(max_sms as usize).min(jt.grants.len() - 1)];
+        let (launch, bound, exact) = (launch.as_nanos(), bound.as_nanos(), EXACT_INT as u64);
+        // Steps over the chain. Before step `n + 1`, `c` is `c_n`, `done`
+        // the busy total after step `n` and `busy` the one after `n + 1`.
+        let mut times = std::mem::take(&mut self.jump_times);
+        times.clear();
+        times.push(c0.as_nanos());
+        let (mut n, mut c, mut done) = (0, c0.as_nanos(), s.busy as u64);
+        for k in chain.iter() {
+            if (n > 0 && c >= bound) || busy > exact || k.arrival >= s.key {
+                break;
+            }
+            let g = grant(k.max_sms);
+            let Some(eta) = jump_eta(k.compute, k.work, g, launch) else {
+                break;
+            };
+            n += 1;
+            c += eta;
+            times.push(c);
+            done = busy;
+            busy += g as u64 * eta;
+        }
+        // Then over the kernels the jump launches, from table index `next`
+        // up to the next break: the largest `j` whose steps `m + 1 ..= m +
+        // j` all hold.
+        let (next, p0) = (s.next, jt.prefix[s.next]);
+        let mut j = 0;
+        if n == m {
+            let holds = |j: usize| {
+                let before = jt.prefix[next + j - 1];
+                c.saturating_add(u64::from(before.eta - p0.eta)) < bound
+                    && busy.saturating_add(u64::from(before.busy - p0.busy)) <= exact
+            };
+            let breaks = &jt.breaks[jt.breaks.partition_point(|&b| b < next)..];
+            let mut hi = most.min(breaks.first().map_or(usize::MAX, |&b| b - next));
+            while j < hi {
+                let mid = (j + hi).div_ceil(2);
+                if holds(mid) {
+                    j = mid;
+                } else {
+                    hi = mid - 1;
+                }
+            }
+            if j > 0 {
+                done = busy + u64::from(jt.prefix[next + j - 1].busy - p0.busy);
+            }
+        }
+        let n = n + j;
+        if n == 0 {
+            self.jump_times = times;
+            return false;
+        }
+        // `c_t` for a step `t <= n`.
+        let time = |t: usize| {
+            SimTime::from_nanos(if t <= m {
+                times[t]
+            } else {
+                c + u64::from(jt.prefix[next + t - m].eta - p0.eta)
+            })
+        };
+        // Steps `1..=launches` launch a kernel.
+        let launches = n.min(most);
+        let first_seq = self.events.reserve_seqs((n + launches) as u64);
+        // The completion `seq` of `K_t`, and the arrival `seq` of the kernel
+        // step `t` launches.
+        let completion_seq = |t: usize| first_seq + (t - 1 + (t - 1).min(launches)) as u64;
+        let arrival_seq = |t: usize| first_seq + (2 * t - 1) as u64;
+        // The window's slots, head first: step `t` frees the one of
+        // `K_{t-1}` and launches into it.
+        let slot_of = |chain: &VecDeque<ChainKernel>, i: usize| match i {
+            0 => s.slot,
+            _ => chain[i - 1].slot,
+        };
+        for i in 0..w.min(n) {
+            let inst = &mut self.instances[slot_of(chain, i)];
+            inst.state = InstState::Done;
+            inst.generation = inst.generation.wrapping_add(((n - 1 - i) / w + 1) as u32);
+        }
+        for t in launches + 1..=n {
+            self.free_slots.push(slot_of(chain, (t - 1) % w));
+        }
+        // The kernels launched from step `first` on are the live ones, `K_n`
+        // among them when the jump got past the chain.
+        let first = n.saturating_sub(m).max(1);
+        for u in first..=launches {
+            let index = next + u - 1;
+            let arrival = (
+                time(u - 1) + SimDuration::from_nanos(launch),
+                arrival_seq(u),
+            );
+            let launched = ChainKernel::launched(
+                &self.tables[table.0 as usize][index],
+                index,
+                slot_of(chain, (u - 1) % w),
+                self.next_launch_seq + u as u64 - 1,
+                arrival,
+            );
+            chain.push_back(launched);
+        }
+        let head = chain[n.min(w) - 1];
+        chain.drain(..n.min(w));
+        let prev = time(n - 1);
+        s.last = if n > 1 {
+            (prev, completion_seq(n - 1))
+        } else {
+            s.key
+        };
+        s.key = (time(n), completion_seq(n));
+        s.started_kernel = Some((head, self.next_run_seq + n as u64 - 1));
+        self.next_run_seq += n as u64;
+        self.epoch += n as u64;
+        (s.slot, s.alloc, s.started, s.epoch) = (head.slot, grant(head.max_sms), prev, self.epoch);
+        s.busy = done as f64;
+        self.now = prev;
+        if launches > 0 {
+            self.host_free = time(launches - 1) + SimDuration::from_nanos(launch);
+            self.queues[q].last_arrival = self.host_free;
+        }
+        self.next_launch_seq += launches as u64;
+        s.next += launches;
+        s.launched += launches;
+        s.in_flight -= n - launches;
+        s.completed += n;
+        #[cfg(test)]
+        {
+            self.jumped_kernels += n;
+        }
+        self.jump_times = times;
+        true
+    }
+
+    /// Moves `table`'s prefix sums under the context cap and pool capacity
+    /// of queue `q` to the front of `jump_tables`, which stays in order of
+    /// last use. A miss builds them, in the buffers of the least recently
+    /// used entry once the cache is full: the only time the jump
+    /// allocates.
+    fn jump_table(&mut self, q: usize, table: KernelTableId) {
+        let ctx = &self.contexts[self.queues[q].ctx.0 as usize];
+        let pool = self.pool_capacity[ctx.pool];
+        let key = (table, ctx.sm_cap().min(pool).to_bits(), pool.to_bits());
+        if let Some(i) = self.jump_tables.iter().position(|t| t.key == key) {
+            self.jump_tables[..=i].rotate_right(1);
+            return;
+        }
+        let mut entry = match self.jump_tables.len() {
+            JUMP_TABLES => self.jump_tables.pop(),
+            _ => None,
+        }
+        .unwrap_or_else(|| JumpTable {
+            key,
+            grants: Vec::new(),
+            prefix: Vec::new(),
+            breaks: Vec::new(),
+        });
+        entry.key = key;
+        entry.grants.clear();
+        entry
+            .grants
+            .extend((0..=self.spec.num_sms).map(|m| self.lone_grant(q, m, 0.0)));
+        entry.prefix.clear();
+        entry.breaks.clear();
+        let launch = self.costs.kernel_launch.as_nanos();
+        let mut sum = JumpPrefix::default();
+        entry.prefix.push(sum);
+        for (index, desc) in self.tables[table.0 as usize].iter().enumerate() {
+            let g = entry.grants[(desc.max_sms as usize).min(entry.grants.len() - 1)];
+            let summed = jump_eta(desc.kind.is_compute(), desc.work, g, launch).and_then(|eta| {
+                let eta = u32::try_from(eta).ok()?;
+                let busy = u32::try_from(g as u64 * u64::from(eta)).ok()?;
+                Some(JumpPrefix {
+                    eta: sum.eta.checked_add(eta)?,
+                    busy: sum.busy.checked_add(busy)?,
+                })
+            });
+            sum = summed.unwrap_or_else(|| {
+                entry.breaks.push(index);
+                JumpPrefix::default()
+            });
+            entry.prefix.push(sum);
+        }
+        self.jump_tables.insert(0, entry);
     }
 
     /// Writes the instance of a kernel [`Gpu::closed_stretch`] launched
@@ -1974,28 +2390,63 @@ impl Gpu {
         (failed, opened)
     }
 
-    /// Runs the device forward until no events remain, discarding outputs.
-    /// Useful in tests and for solo-run profiling where the driver does not
-    /// react to completions.
-    pub fn drain(&mut self) {
-        while !self.events.is_empty() {
-            self.step();
-        }
-        self.account_arrivals_through(SimTime::MAX);
+    /// Runs the device until no events remain, discarding outputs, popping
+    /// at most `max_events` events. Useful in tests and for solo-run
+    /// profiling where the driver does not react to completions.
+    ///
+    /// # Errors
+    ///
+    /// [`GpuError::EventBudgetExhausted`] when events remain after
+    /// `max_events` pops, naming the kernel of the next one: a kernel that
+    /// never finishes fails the run instead of hanging it.
+    pub fn drain(&mut self, max_events: u64) -> Result<(), GpuError> {
+        self.drain_with(max_events, |_| {})
     }
 
-    /// Runs the device until no events remain, appending every externally
-    /// visible output with its timestamp to `out` (a [`Gpu::drain`] that
-    /// keeps the outputs). `out` is only appended to, so a caller can
+    /// [`Gpu::drain`] that appends every externally visible output with
+    /// its timestamp to `out`. `out` is only appended to, so a caller can
     /// reuse one buffer across runs and stay allocation-free once it
     /// reaches its high-water mark.
-    pub fn drain_outputs_into(&mut self, out: &mut Vec<(SimTime, StepOutput)>) {
-        while !self.events.is_empty() {
+    ///
+    /// # Errors
+    ///
+    /// As [`Gpu::drain`]; `out` then holds the outputs so far.
+    pub fn drain_outputs_into(
+        &mut self,
+        out: &mut Vec<(SimTime, StepOutput)>,
+        max_events: u64,
+    ) -> Result<(), GpuError> {
+        self.drain_with(max_events, |o| out.push(o))
+    }
+
+    /// The body of [`Gpu::drain`]: `sink` takes each output.
+    fn drain_with(
+        &mut self,
+        max_events: u64,
+        mut sink: impl FnMut((SimTime, StepOutput)),
+    ) -> Result<(), GpuError> {
+        for _ in 0..max_events {
+            if self.events.is_empty() {
+                break;
+            }
             if let Some(o) = self.step() {
-                out.push((self.now, o));
+                sink((self.now, o));
             }
         }
+        if let Some((_, _, ev)) = self.events.peek() {
+            let stuck = match *ev {
+                DevEv::Arrive { slot } | DevEv::Complete { slot, .. } => {
+                    Some((slot, self.instances[slot].queue))
+                }
+                _ => None,
+            };
+            return Err(GpuError::EventBudgetExhausted {
+                events: max_events,
+                stuck,
+            });
+        }
         self.account_arrivals_through(SimTime::MAX);
+        Ok(())
     }
 
     fn finish(&mut self, slot: usize) {
@@ -2724,20 +3175,12 @@ mod tests {
     /// fails instead of hanging.
     const EVENT_BUDGET: usize = 100_000;
 
-    /// [`Gpu::drain_outputs_into`] within [`EVENT_BUDGET`] pops: every
-    /// output with its instant, then whatever arrivals are owed.
+    /// Every output of a run to idle within [`EVENT_BUDGET`] pops, with
+    /// its instant.
     fn drain_outputs(gpu: &mut Gpu) -> Vec<(SimTime, StepOutput)> {
         let mut out = Vec::new();
-        for pops in 0.. {
-            if gpu.events.is_empty() {
-                break;
-            }
-            assert!(pops < EVENT_BUDGET, "event budget spent at {:?}", gpu.now());
-            if let Some(o) = gpu.step() {
-                out.push((gpu.now(), o));
-            }
-        }
-        gpu.step();
+        gpu.drain_outputs_into(&mut out, EVENT_BUDGET as u64)
+            .unwrap();
         out
     }
 
@@ -2772,16 +3215,62 @@ mod tests {
             }
             gpu
         };
-        // The budgeted twin first, so a run that never ends fails here.
-        let budgeted = drain_outputs(&mut gpu());
+        let mut stepped = gpu();
+        let mut every = Vec::new();
+        for pops in 0.. {
+            if stepped.peek_event_time().is_none() {
+                break;
+            }
+            assert!(
+                pops < EVENT_BUDGET,
+                "event budget spent at {:?}",
+                stepped.now()
+            );
+            if let Some(o) = stepped.step() {
+                every.push((stepped.now(), o));
+            }
+        }
         let mut gpu = gpu();
         let mut out = Vec::new();
         // Kernels finish at 100/200/300/400 us.
-        gpu.drain_outputs_into(&mut out);
-        assert_eq!(out, budgeted);
+        gpu.drain_outputs_into(&mut out, EVENT_BUDGET as u64)
+            .unwrap();
+        assert_eq!(out, every);
         assert_eq!(out.len(), 4);
         assert_eq!(out[0].0, SimTime::from_micros(100));
         assert_eq!(out[3].0, SimTime::from_micros(400));
+        assert!(gpu.is_device_idle());
+    }
+
+    #[test]
+    fn drain_names_the_kernel_it_stops_at() {
+        let mut gpu = free_gpu();
+        let ctx = gpu.create_context(CtxKind::Default).unwrap();
+        let q = gpu.create_queue(ctx).unwrap();
+        for i in 0..3u64 {
+            let k = KernelDesc::compute(SimDuration::from_micros(100), 108, 0.0);
+            put(&mut gpu, q, k, i);
+        }
+        // The first kernel arrives and starts; its completion is next.
+        let err = gpu.drain(1).unwrap_err();
+        assert_eq!(
+            err,
+            GpuError::EventBudgetExhausted {
+                events: 1,
+                stuck: Some((0, q)),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "device still busy after 1 events: the kernel in slot 0 on queue 0 does not finish"
+        );
+        // A wake is no kernel's event.
+        gpu.wake_at(SimTime::ZERO, 0);
+        assert!(matches!(
+            gpu.drain(0),
+            Err(GpuError::EventBudgetExhausted { stuck: None, .. })
+        ));
+        gpu.drain(EVENT_BUDGET as u64).unwrap();
         assert!(gpu.is_device_idle());
     }
 
@@ -4035,9 +4524,10 @@ mod tests {
             gpu.set_fault_plan(plan.clone());
             launch(&mut gpu);
             if keep_outputs {
-                gpu.drain_outputs_into(&mut Vec::new());
+                gpu.drain_outputs_into(&mut Vec::new(), EVENT_BUDGET as u64)
+                    .unwrap();
             } else {
-                gpu.drain();
+                gpu.drain(EVENT_BUDGET as u64).unwrap();
             }
             assert_eq!(
                 gpu.now(),
@@ -4199,6 +4689,30 @@ mod tests {
         };
         // Kernels 0 and 1 were launched before the sink was installed.
         assert_eq!(completes(&trace), 8);
+    }
+
+    /// The closed form, stepping and jumping, stops where the busy total
+    /// would pass 2^53 and leaves the rest to the event loop.
+    #[test]
+    fn closed_form_stops_below_the_exact_busy_bound() {
+        // Each 20 us kernel on 108 SMs adds 2.16e6 busy SM·ns.
+        for (start, bounded) in [(0.0, false), (EXACT_INT - 5e6, true)] {
+            let run = |closed: bool, jump: bool| {
+                let (mut gpu, _) = program_gpu(closed);
+                gpu.no_jump = !jump;
+                gpu.busy_sm_integral = start;
+                let out = drain_outputs(&mut gpu);
+                (out, gpu.fingerprint(), gpu.closed_steps, gpu.jumped_kernels)
+            };
+            let (out, state, _, _) = run(false, false);
+            let (stepped_out, stepped_state, stepped, _) = run(true, false);
+            let (jumped_out, jumped_state, closed, jumped) = run(true, true);
+            assert_eq!((&stepped_out, &jumped_out), (&out, &out));
+            assert_eq!((&stepped_state, &jumped_state), (&state, &state));
+            assert_eq!(stepped, closed);
+            assert!(jumped > 0);
+            assert_eq!(closed < 8, bounded, "{closed} closed-form completions");
+        }
     }
 
     #[test]

@@ -37,7 +37,8 @@
 //!     Arc::from([KernelDesc::compute(SimDuration::from_micros(120), 80, 0.3)]);
 //! let table = gpu.register_kernel_table(kernels);
 //! gpu.launch(queue, table, 0, 0).unwrap();
-//! while gpu.step().is_some() || gpu.peek_event_time().is_some() {}
+//! // Run to idle, failing after 1,000 events instead of looping for ever.
+//! gpu.drain(1_000).unwrap();
 //! assert!(gpu.is_device_idle());
 //! ```
 

@@ -338,7 +338,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    use crate::engine::{CtxKind, LaunchProgram, QueueId};
+    use crate::engine::{CtxId, CtxKind, LaunchProgram, QueueId};
     use crate::kernel::{KernelDesc, KernelTableId};
     use crate::spec::{GpuSpec, HostCosts};
 
@@ -585,6 +585,10 @@ mod tests {
         graph: usize,
         extra: SimDuration,
         mps_cap: Option<u32>,
+        /// Caps app 1's MPS context takes in turn as its phases start.
+        recaps: Vec<u32>,
+        /// The MPS context, once created.
+        mps_ctx: Option<CtxId>,
         tables: Vec<Arc<[KernelDesc]>>,
         wakes: Vec<SimTime>,
         tenants: Vec<Tenant>,
@@ -593,6 +597,10 @@ mod tests {
 
     impl Feeder {
         fn start_phase(&mut self, gpu: &mut Gpu, app: usize) {
+            if let (1, Some(ctx), Some(&cap)) = (app, self.mps_ctx, self.recaps.first()) {
+                gpu.set_mps_cap(ctx, cap).unwrap();
+                self.recaps.rotate_left(1);
+            }
             let t = &mut self.tenants[app];
             t.running = true;
             let unit = self.graph.min(t.len);
@@ -651,10 +659,10 @@ mod tests {
     impl HostDriver for Feeder {
         fn on_start(&mut self, gpu: &mut Gpu) {
             let ctx = gpu.create_context(CtxKind::Default).unwrap();
-            let other = match self.mps_cap {
-                Some(sm_cap) => gpu.create_context(CtxKind::MpsAffinity { sm_cap }).unwrap(),
-                None => ctx,
-            };
+            self.mps_ctx = self
+                .mps_cap
+                .map(|sm_cap| gpu.create_context(CtxKind::MpsAffinity { sm_cap }).unwrap());
+            let other = self.mps_ctx.unwrap_or(ctx);
             for (app, table) in self.tables.iter().enumerate() {
                 self.tenants.push(Tenant {
                     queue: gpu
@@ -751,6 +759,8 @@ mod tests {
         graph: usize,
         extra: SimDuration,
         mps_cap: Option<u32>,
+        /// See [`Feeder::recaps`].
+        recaps: Vec<u32>,
         tables: Vec<Arc<[KernelDesc]>>,
         wakes: Vec<SimTime>,
         arrivals: Vec<RequestArrival>,
@@ -761,26 +771,51 @@ mod tests {
         sink_at: usize,
     }
 
+    /// How a [`FeederCase`] run advances a lone chain.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Chains {
+        /// One completion event at a time.
+        EventLoop,
+        /// In closed form, kernel by kernel.
+        Stepped,
+        /// In closed form, jumping wherever it may.
+        Jumps,
+    }
+
+    /// What [`FeederCase::check`] counted: kernels the reference and the
+    /// program runs reported, and the completions the closed form handled
+    /// and jumped.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct Checked {
+        reported: (usize, usize),
+        closed: usize,
+        jumped: usize,
+    }
+
     impl FeederCase {
-        /// A traced run, with the closed form wherever it may run.
+        /// A traced run, with the closed form and its jump wherever they
+        /// may run.
         fn run(&self, programs: bool, lone: bool) -> FeederRun {
-            self.run_with(programs, lone, true, true, &self.plan).0
+            self.run_with(programs, lone, true, Chains::Jumps, &self.plan)
+                .0
         }
 
-        /// A run under `plan`, traced or not, with or without the closed
-        /// form; also returns the engine-state fingerprint at each horizon
-        /// and the completions the closed form handled.
+        /// A run under `plan`, traced or not, advancing lone chains as
+        /// `chains` says; also returns the engine-state fingerprint at each
+        /// horizon, and the completions the closed form handled and
+        /// jumped.
         fn run_with(
             &self,
             programs: bool,
             lone: bool,
             traced: bool,
-            closed: bool,
+            chains: Chains,
             plan: &sim_core::FaultPlan,
-        ) -> (FeederRun, Vec<String>, usize) {
+        ) -> (FeederRun, Vec<String>, usize, usize) {
             let mut gpu = Gpu::new(self.spec.clone(), self.costs.clone());
             gpu.no_lone = !lone;
-            gpu.no_closed_form = !closed;
+            gpu.no_closed_form = chains == Chains::EventLoop;
+            gpu.no_jump = chains != Chains::Jumps;
             let sink = sim_core::trace::BufferSink::new();
             gpu.set_fault_plan(plan.clone());
             let driver = Feeder {
@@ -789,6 +824,8 @@ mod tests {
                 graph: self.graph,
                 extra: self.extra,
                 mps_cap: self.mps_cap,
+                recaps: self.recaps.clone(),
+                mps_ctx: None,
                 tables: self.tables.clone(),
                 wakes: self.wakes.clone(),
                 tenants: Vec::new(),
@@ -815,18 +852,17 @@ mod tests {
                 faults: sim.gpu.fault_counters(),
                 trace: sink.take(),
             };
-            (run, states, sim.gpu.closed_steps)
+            (run, states, sim.gpu.closed_steps, sim.gpu.jumped_kernels)
         }
 
         /// Runs the reference (per-kernel refills, no lone-head shortcut),
         /// its twin with the shortcut, and the program twins with and
         /// without the shortcut, all traced, and requires that they agree.
-        /// Then, traced and untraced, requires the closed form to leave
-        /// the engine in the event loop's state at every horizon, with the
-        /// same trace, and to take the same steps either way. Returns how
-        /// many kernels the reference and the program runs reported, and
-        /// the completions the closed form handled.
-        fn check(&self) -> Result<(usize, usize, usize), proptest::test_runner::TestCaseError> {
+        /// Then, traced and untraced, requires the closed form, with and
+        /// without its jump, to leave the engine in the event loop's state
+        /// at every horizon, with the same trace, and to handle the same
+        /// completions either way.
+        fn check(&self) -> Result<Checked, proptest::test_runner::TestCaseError> {
             let reference = self.run(false, false);
             proptest::prop_assert_eq!(
                 reference.runs.last().map(|r| r.0),
@@ -871,40 +907,71 @@ mod tests {
             } else {
                 &[&self.plan, &none]
             };
-            let mut closed_steps = 0;
+            let (mut closed_steps, mut jumped) = (0, 0);
             for (i, &plan) in plans.iter().enumerate() {
                 let mut steps_each_way = Vec::new();
                 for with_sink in [true, false] {
-                    let (mut closed, closed_states, steps) =
-                        self.run_with(true, true, with_sink, true, plan);
-                    steps_each_way.push(steps);
-                    let (stepped, states, none) = self.run_with(true, true, with_sink, false, plan);
+                    let (stepped, states, none, _) =
+                        self.run_with(true, true, with_sink, Chains::EventLoop, plan);
                     proptest::prop_assert_eq!(none, 0);
-                    proptest::prop_assert_eq!(&closed, &stepped, "traced {}", with_sink);
-                    for (h, (a, b)) in closed_states.iter().zip(&states).enumerate() {
-                        proptest::prop_assert!(
-                            a == b,
-                            "closed form vs event loop at horizon {}, traced {}:\n{}\n{}",
-                            h,
-                            with_sink,
-                            a,
-                            b
+                    for chains in [Chains::Stepped, Chains::Jumps] {
+                        let (mut closed, closed_states, steps, jumps) =
+                            self.run_with(true, true, with_sink, chains, plan);
+                        steps_each_way.push(steps);
+                        if chains == Chains::Stepped {
+                            proptest::prop_assert_eq!(jumps, 0);
+                        }
+                        jumped += jumps;
+                        proptest::prop_assert_eq!(
+                            &closed,
+                            &stepped,
+                            "{:?}, traced {}",
+                            chains,
+                            with_sink
                         );
-                    }
-                    if let (0, false, Some(traced)) = (i, with_sink, &traced) {
-                        closed.trace.clone_from(&traced.trace);
-                        proptest::prop_assert_eq!(&closed, traced, "untraced vs traced");
+                        for (h, (a, b)) in closed_states.iter().zip(&states).enumerate() {
+                            proptest::prop_assert!(
+                                a == b,
+                                "{:?} vs event loop at horizon {}, traced {}:\n{}\n{}",
+                                chains,
+                                h,
+                                with_sink,
+                                a,
+                                b
+                            );
+                        }
+                        if let (0, false, Some(traced)) = (i, with_sink, &traced) {
+                            closed.trace.clone_from(&traced.trace);
+                            proptest::prop_assert_eq!(&closed, traced, "untraced vs traced");
+                        }
                     }
                 }
-                proptest::prop_assert_eq!(steps_each_way[0], steps_each_way[1]);
+                proptest::prop_assert!(
+                    steps_each_way.iter().all(|&s| s == steps_each_way[0]),
+                    "closed-form completions traced and untraced, stepped and jumped: {:?}",
+                    steps_each_way
+                );
                 closed_steps += steps_each_way[0];
             }
-            Ok((done(&reference), reported, closed_steps))
+            Ok(Checked {
+                reported: (done(&reference), reported),
+                closed: closed_steps,
+                jumped,
+            })
         }
     }
 
+    /// Cases of `prop_launch_programs_match_per_kernel_refills` by default.
+    const FEEDER_CASES: u32 = 128;
+
+    /// Over one run of `prop_launch_programs_match_per_kernel_refills`: the
+    /// cases run, those in which the closed form jumped, and the
+    /// completions jumps handled.
+    static JUMP_STATS: [std::sync::atomic::AtomicUsize; 3] =
+        [const { std::sync::atomic::AtomicUsize::new(0) }; 3];
+
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(FEEDER_CASES))]
 
         /// Differential twin: random two-tenant phases fed through launch
         /// programs against a driver that refills the same window from
@@ -923,8 +990,8 @@ mod tests {
             seed in proptest::prelude::any::<u64>(),
             shape in (1usize..=8, 1usize..=4, 0u64..40, proptest::prelude::any::<u8>(), proptest::prelude::any::<bool>()),
             tables in (
-                proptest::collection::vec((0u8..8, 1u64..40, 8u32..=108), 1..24),
-                proptest::collection::vec((0u8..8, 1u64..40, 8u32..=108), 1..24),
+                proptest::collection::vec((0u8..8, 1u64..40, 8u32..=108), 1..40),
+                proptest::collection::vec((0u8..8, 1u64..40, 8u32..=108), 1..40),
             ),
             requests in proptest::collection::vec((proptest::prelude::any::<bool>(), 0u64..3_000), 1..10),
             wakes in proptest::collection::vec(0u64..3_000, 0..6),
@@ -986,13 +1053,27 @@ mod tests {
                 graph,
                 extra: SimDuration::from_micros(if flags & 16 != 0 { extra_us } else { 0 }),
                 mps_cap: (flags & 8 != 0).then_some(20 + u32::from(flags >> 5) * 4),
+                recaps: Vec::new(),
                 tables: vec![table(&tables.0), table(&tables.1)],
                 wakes: wakes.iter().map(|&us| grid(us)).collect(),
                 arrivals,
                 horizons,
                 sink_at,
             };
-            case.check()?;
+            let jumped = case.check()?.jumped;
+            use std::sync::atomic::Ordering::Relaxed;
+            let cases = JUMP_STATS[0].fetch_add(1, Relaxed) + 1;
+            if jumped > 0 {
+                JUMP_STATS[1].fetch_add(1, Relaxed);
+                JUMP_STATS[2].fetch_add(jumped, Relaxed);
+            }
+            let all = proptest::prelude::ProptestConfig::with_cases(FEEDER_CASES).effective_cases();
+            if cases == all as usize {
+                let (jumping, kernels) = (JUMP_STATS[1].load(Relaxed), JUMP_STATS[2].load(Relaxed));
+                eprintln!("{cases} cases: {jumping} jumped, over {kernels} completions");
+                // The generator must reach the jump, not just its fallbacks.
+                proptest::prop_assert!(jumping * 20 >= cases, "{} of {} cases jumped", jumping, cases);
+            }
         }
     }
 
@@ -1023,23 +1104,29 @@ mod tests {
             graph: 1,
             extra: SimDuration::ZERO,
             mps_cap: Some(54),
+            recaps: Vec::new(),
             tables: vec![kernels(6), kernels(2)],
             wakes: Vec::new(),
             arrivals: vec![request(0, 0), request(1, 9)],
             horizons: vec![SimTime::MAX],
             sink_at: 0,
         };
-        let (reference, programs, _) = case.check().unwrap();
-        assert_eq!((reference, programs), (8, 2));
+        assert_eq!(case.check().unwrap().reported, (8, 2));
     }
 
     /// Fixed cases the closed form must enter and leave exactly where the
-    /// event loop would, traced and untraced: a lone chain cut by a
-    /// request arriving on a completion instant, by horizons inside it,
-    /// by a queue that starves mid-chain, by a wake that cancels the
-    /// program mid-stretch; one fed in graph units of three, one whose
-    /// first unit lands after a context-switch delay, one on an
-    /// MPS-restricted queue, and one whose sink is installed mid-chain.
+    /// event loop would, traced and untraced, stepping and jumping: a lone
+    /// chain cut by a request arriving on a completion instant, by
+    /// horizons inside it, by a queue that starves mid-chain, by a wake
+    /// that cancels the program mid-stretch; one fed in graph units of
+    /// three, one whose first unit lands after a context-switch delay, one
+    /// on an MPS-restricted queue, and one whose sink is installed
+    /// mid-chain. Then the jump's own edges: a kernel shorter than the
+    /// launch charge mid-chain (the host falls behind), a memcpy
+    /// mid-chain, one table run under two MPS caps in turn (a jump table
+    /// kept from the first cap would show) and under more caps than a
+    /// device keeps tables for, and a chain that runs to the program's
+    /// last kernel. Each case says whether it jumps.
     #[test]
     fn closed_form_leaves_the_per_kernel_state_on_fixed_cases() {
         let us = SimTime::from_micros;
@@ -1053,6 +1140,13 @@ mod tests {
                 })
                 .collect()
         };
+        // Thirty 10 us kernels with kernel 15 replaced by `odd`.
+        let odd_at_15 = |odd: KernelDesc| -> Arc<[KernelDesc]> {
+            let mut table = kernels(30, 0).to_vec();
+            table[15] = odd;
+            table.into()
+        };
+        let request = |app, req, at| RequestArrival { app, req, at };
         let case = |window, graph, short, wakes, second_at, horizons: &[SimTime]| FeederCase {
             spec: GpuSpec::a100(),
             costs: HostCosts::paper(),
@@ -1061,39 +1155,36 @@ mod tests {
             graph,
             extra: SimDuration::ZERO,
             mps_cap: None,
+            recaps: Vec::new(),
             tables: vec![kernels(30, short), kernels(4, 0)],
             wakes,
-            arrivals: vec![
-                RequestArrival {
-                    app: 0,
-                    req: 0,
-                    at: SimTime::ZERO,
-                },
-                RequestArrival {
-                    app: 1,
-                    req: 0,
-                    at: second_at,
-                },
-            ],
+            arrivals: vec![request(0, 0, SimTime::ZERO), request(1, 0, second_at)],
             horizons: [horizons, &[SimTime::MAX]].concat(),
             sink_at: 0,
         };
-        // App 0's kernels complete at 13, 23, 33, ... us.
+        // App 0's kernels complete at 13, 23, 33, ... us; the refill
+        // launched at 43 us lands at 46 us, after a horizon at 45 us.
         let cases = [
-            ("tied arrival", case(4, 1, 0, vec![], us(53), &[])),
+            ("tied arrival", case(4, 1, 0, vec![], us(53), &[]), true),
             (
                 "horizons",
-                case(4, 1, 0, vec![], us(500), &[us(48), us(127)]),
+                case(4, 1, 0, vec![], us(500), &[us(45), us(48), us(127)]),
+                true,
             ),
-            ("starving queue", case(2, 1, 8, vec![], us(500), &[])),
-            ("cancel", case(4, 1, 0, vec![us(75)], us(500), &[])),
-            ("graph units", case(5, 3, 0, vec![], us(140), &[us(88)])),
+            ("starving queue", case(2, 1, 8, vec![], us(500), &[]), true),
+            ("cancel", case(4, 1, 0, vec![us(75)], us(500), &[]), true),
+            (
+                "graph units",
+                case(5, 3, 0, vec![], us(140), &[us(88)]),
+                false,
+            ),
             (
                 "delayed first unit",
                 FeederCase {
                     extra: SimDuration::from_micros(50),
                     ..case(4, 2, 0, vec![], us(500), &[])
                 },
+                false,
             ),
             (
                 // App 1 runs alone on a 60-SM MPS context after app 0's
@@ -1104,6 +1195,7 @@ mod tests {
                     tables: vec![kernels(2, 0), kernels(30, 0)],
                     ..case(4, 1, 0, vec![], SimTime::ZERO, &[])
                 },
+                true,
             ),
             (
                 "sink mid-chain",
@@ -1111,11 +1203,66 @@ mod tests {
                     sink_at: 1,
                     ..case(4, 1, 0, vec![], us(500), &[us(48)])
                 },
+                true,
+            ),
+            (
+                "short kernel mid-chain",
+                FeederCase {
+                    tables: vec![
+                        odd_at_15(KernelDesc::compute(SimDuration::from_micros(2), 100, 0.3)),
+                        kernels(4, 0),
+                    ],
+                    ..case(4, 1, 0, vec![], us(500), &[us(160)])
+                },
+                true,
+            ),
+            (
+                "memcpy mid-chain",
+                FeederCase {
+                    tables: vec![odd_at_15(KernelDesc::memcpy_h2d(200_000)), kernels(4, 0)],
+                    ..case(4, 1, 0, vec![], us(500), &[])
+                },
+                true,
+            ),
+            (
+                // App 1 alone, its first phase under a 40-SM cap (25 us
+                // kernels), its second under 80 SMs (12.5 us).
+                "two MPS caps",
+                FeederCase {
+                    mps_cap: Some(108),
+                    recaps: vec![40, 80],
+                    tables: vec![kernels(2, 0), kernels(30, 0)],
+                    arrivals: vec![request(1, 0, SimTime::ZERO), request(1, 1, SimTime::ZERO)],
+                    ..case(4, 1, 0, vec![], SimTime::ZERO, &[])
+                },
+                true,
+            ),
+            (
+                // Twenty-two caps in turn, then the first three again: more
+                // keys than a device keeps jump tables for.
+                "more MPS caps than jump tables",
+                FeederCase {
+                    mps_cap: Some(108),
+                    recaps: (24..=108).step_by(4).collect(),
+                    tables: vec![kernels(2, 0), kernels(30, 0)],
+                    arrivals: (0..25).map(|req| request(1, req, SimTime::ZERO)).collect(),
+                    ..case(4, 1, 0, vec![], SimTime::ZERO, &[])
+                },
+                true,
+            ),
+            (
+                // Nothing cuts app 0's chain, which ends at 303 us; its last
+                // launch is kernel 29's at 243 us, and a horizon at 285 us
+                // stops the stretch among the kernels left in flight.
+                "program's last kernel",
+                case(6, 1, 0, vec![], us(500), &[us(285)]),
+                true,
             ),
         ];
-        for (name, case) in cases {
-            let (_, _, closed) = case.check().unwrap();
-            assert!(closed > 0, "{name}: the closed form never ran");
+        for (name, case, jumps) in cases {
+            let checked = case.check().unwrap();
+            assert!(checked.closed > 0, "{name}: the closed form never ran");
+            assert_eq!(checked.jumped > 0, jumps, "{name}: {checked:?}");
         }
     }
 

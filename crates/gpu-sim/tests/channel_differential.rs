@@ -181,19 +181,10 @@ fn run_monolithic(
 ) -> (Vec<(SimTime, StepOutput)>, u64, u64) {
     let sink = BufferSink::new();
     let mut gpu = build_gpu(plan, spec, layout, Some(sink.clone()));
-    // `Gpu::drain_outputs_into` under an event budget, so a run that never
-    // ends fails instead of hanging.
+    // Under an event budget, so a run that never ends fails instead of
+    // hanging.
     let mut out = Vec::new();
-    for pops in 0.. {
-        if gpu.peek_event_time().is_none() {
-            break;
-        }
-        assert!(pops < 100_000, "event budget spent at {:?}", gpu.now());
-        if let Some(o) = gpu.step() {
-            out.push((gpu.now(), o));
-        }
-    }
-    gpu.step(); // Accounts the arrivals still owed.
+    gpu.drain_outputs_into(&mut out, 100_000).unwrap();
     drop(gpu.take_trace_sink());
     let events = sink.take();
     assert!(!out.is_empty());

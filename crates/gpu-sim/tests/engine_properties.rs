@@ -22,17 +22,11 @@ fn launch_all(gpu: &mut Gpu, q: QueueId, kernels: Vec<KernelDesc>, base: u64) ->
 /// Events one drain may pop: far above any run here, so a run that never
 /// ends (say, on a completion `settle` never advances) fails instead of
 /// hanging.
-const EVENT_BUDGET: usize = 100_000;
+const EVENT_BUDGET: u64 = 100_000;
 
 /// [`Gpu::drain`] within [`EVENT_BUDGET`] events.
 fn drain(gpu: &mut Gpu) {
-    let mut pops = 0;
-    while gpu.peek_event_time().is_some() {
-        assert!(pops < EVENT_BUDGET, "event budget spent at {:?}", gpu.now());
-        gpu.step();
-        pops += 1;
-    }
-    gpu.step(); // Accounts the arrivals still owed.
+    gpu.drain(EVENT_BUDGET).unwrap();
 }
 
 /// A random compute kernel description.

@@ -239,7 +239,7 @@ mod tests {
             gpu.advance_to(second_at);
             gpu.launch(queues[1], table, 1, 1).unwrap();
         }
-        gpu.drain();
+        gpu.drain(100_000).unwrap();
         buf.take()
     }
 

@@ -250,7 +250,10 @@ fn run_solo(
     let handles: Vec<_> = (0..kernels.len())
         .map(|i| gpu.launch(queue, table, i, i as u64).expect("launch"))
         .collect();
-    gpu.drain();
+    // A solo run pops a few events per kernel; far more means a kernel
+    // that never finishes.
+    gpu.drain(1_000 * (kernels.len() as u64 + 1))
+        .expect("a solo run reaches idle");
     let start = SimTime::ZERO;
     let mut durs = Vec::with_capacity(handles.len());
     let mut cums = Vec::with_capacity(handles.len());

@@ -78,6 +78,14 @@ impl<E> EventQueue<E> {
         seq
     }
 
+    /// Takes the next `count` sequence numbers at once, as `count` calls
+    /// of [`EventQueue::reserve_seq`] would, and returns the first.
+    pub fn reserve_seqs(&mut self, count: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += count;
+        first
+    }
+
     /// The sequence number the next [`EventQueue::reserve_seq`] returns.
     pub fn next_seq(&self) -> u64 {
         self.next_seq

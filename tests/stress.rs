@@ -128,7 +128,7 @@ fn memcpy_heavy_queues_complete() {
     let handles: Vec<_> = (0..n)
         .map(|k| gpu.launch(q, table, k, 0).unwrap())
         .collect();
-    gpu.drain();
+    gpu.drain(100_000).unwrap();
     assert!(gpu.is_device_idle());
     for h in handles {
         assert!(gpu.kernel_finished_at(h).is_some());
