@@ -13,14 +13,17 @@
 //! (3 queues), both at the largest volume. The engine settles every
 //! queue on every event, so its per-kernel cost grows with the queue
 //! count; the ratio shows how much. Both rows are measured in the same
-//! process, so host speed cancels and the gate compares like with like
-//! across hosts. The quick variant measures exactly those two rows.
+//! process with their samples interleaved, each row keeping its fastest,
+//! so host speed and its drift during the run cancel and the gate
+//! compares like with like across hosts. The quick variant measures
+//! exactly those two rows.
 //!
 //! Every configuration first checks that each launched kernel tag
 //! completes exactly once, so a throughput number never comes from a
 //! run that dropped work.
 
 use std::collections::BTreeSet;
+use std::time::Instant;
 
 use gpu_sim::{CtxKind, Gpu, GpuSpec, HostCosts, KernelDesc, StepOutput};
 use sim_core::{SimDuration, SimRng, SimTime};
@@ -128,40 +131,59 @@ fn bench_engine(rows: &mut Vec<EngineRow>) {
     };
     let samples = if bench::quick() { 3 } else { 7 };
 
-    for &partitions in partition_counts {
-        for &per_queue in volumes {
-            let plan = build_plan(partitions, per_queue, PLAN_SEED);
-            let kernels = partitions * QUEUES_PER_PARTITION * per_queue;
-            // Far above the few events each kernel pops.
-            let budget = 1_000 * kernels as u64;
+    for &per_queue in volumes {
+        let plans: Vec<(usize, Plan)> = partition_counts
+            .iter()
+            .map(|&partitions| (partitions, build_plan(partitions, per_queue, PLAN_SEED)))
+            .collect();
+        let kernels = |partitions: usize| partitions * QUEUES_PER_PARTITION * per_queue;
+        // Far above the few events each kernel takes.
+        let budget = |partitions: usize| 1_000 * kernels(partitions) as u64;
 
-            // Completion check: every launched tag finishes exactly once.
-            {
-                let mut gpu = build_mono(&plan);
-                let mut out = Vec::new();
-                gpu.drain_outputs_into(&mut out, budget).expect("drain");
-                assert_eq!(
-                    done_tags(&out),
-                    plan_tags(&plan),
-                    "launched kernels went missing at partitions={partitions}"
-                );
+        // Completion check: every launched tag finishes exactly once.
+        for (partitions, plan) in &plans {
+            let mut gpu = build_mono(plan);
+            let mut out = Vec::new();
+            gpu.drain_outputs_into(&mut out, budget(*partitions))
+                .expect("drain");
+            assert_eq!(
+                done_tags(&out),
+                plan_tags(plan),
+                "launched kernels went missing at partitions={partitions}"
+            );
+        }
+
+        // The rows' samples alternate, so a host slowdown while one row
+        // runs lands on the others' samples too, and each row keeps its
+        // minimum. Building the device and launching the plan stay
+        // outside the timed drain.
+        let mut best = vec![f64::INFINITY; plans.len()];
+        for _ in 0..=samples {
+            for ((partitions, plan), best) in plans.iter().zip(&mut best) {
+                let (mut gpu, mut out) =
+                    (build_mono(plan), Vec::with_capacity(kernels(*partitions)));
+                let start = Instant::now();
+                gpu.drain_outputs_into(&mut out, budget(*partitions))
+                    .expect("drain");
+                *best = best.min(start.elapsed().as_secs_f64() * 1e3);
+                std::hint::black_box(out);
             }
-
-            // Building the device and launching the plan stay outside
-            // the timed drain.
-            let mono_ms = bench::min_ms(
-                &format!("engine_scale/mono_p{partitions}_k{kernels}"),
-                samples,
-                || (build_mono(&plan), Vec::with_capacity(kernels)),
-                |(gpu, out)| gpu.drain_outputs_into(out, budget).expect("drain"),
+        }
+        for ((partitions, _), mono_ms) in plans.iter().zip(best) {
+            let kernels = kernels(*partitions);
+            println!(
+                "{:<40} min {mono_ms:>10.3} ms ({} runs, interleaved)",
+                format!("engine_scale/mono_p{partitions}_k{kernels}"),
+                samples + 1
             );
             rows.push(EngineRow {
-                partitions,
+                partitions: *partitions,
                 kernels,
                 mono_ms,
             });
         }
     }
+    rows.sort_by_key(|r| (r.partitions, r.kernels));
 }
 
 /// The headline: kernels/s at 4 partitions over kernels/s at 1

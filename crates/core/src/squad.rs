@@ -102,6 +102,14 @@ struct Cand {
     remaining_quota_ns: f64,
 }
 
+impl Cand {
+    /// The slack left at `now_ns` if the rest ran at quota pace; negative
+    /// when the request is at risk.
+    fn laxity(&self, now_ns: f64) -> f64 {
+        self.deadline_ns - now_ns - self.remaining_quota_ns * LAXITY_SAFETY
+    }
+}
+
 /// Reusable buffers for [`generate_squad_into`]: the candidate pool plus a
 /// spare-list of kernel `Vec`s recycled from previously emitted squads, so
 /// a driver that passes the same scratch every round generates squads with
@@ -211,91 +219,142 @@ pub fn generate_squad_into(
     }
 }
 
+/// Safety factor on the quota-pace estimate: leaves headroom for
+/// interference and squad-boundary granularity so that deprioritized
+/// requests still land within their targets.
+const LAXITY_SAFETY: f64 = 1.10;
+
+/// How long a pick of [`select_units`] provably stays the scan's pick.
+#[derive(Clone, Copy)]
+enum Hold {
+    /// Rescan before the next unit (round-robin, or a deadline tie).
+    Rescan,
+    /// Nobody is at risk: a unit only raises the pick's laxity, so nobody
+    /// becomes at risk and the earliest deadline keeps winning until the
+    /// pick's request ends, which ends the squad.
+    UntilEnd(usize),
+    /// The pick is at risk and alone at its deadline among those at risk:
+    /// only its own laxity moves, so it stays the at-risk argmin for as
+    /// long as it stays at risk.
+    WhileAtRisk(usize),
+}
+
 /// The general selection loop of [`generate_squad_into`]: advances each
-/// candidate's `next` past the units it is given.
+/// candidate's `next` past the units it is given. A pick is reused
+/// without a rescan while it provably stays the argmin (see [`Hold`]), so
+/// it gives the units a scan per unit gives (`select_units_rescan`).
 fn select_units(now_ns: f64, cands: &mut [Cand], apps: &[DeployedApp], params: &BlessParams) {
-    // Safety factor on the quota-pace estimate: leaves headroom for
-    // interference and squad-boundary granularity so that deprioritized
-    // requests still land within their targets.
-    const LAXITY_SAFETY: f64 = 1.10;
-
+    let laxity = |c: &Cand| c.laxity(now_ns);
     let mut count = 0usize;
-    let mut rr_cursor = 0usize; // Round-robin cursor for the ablation mode.
+    let mut rr_cursor = 0usize;
+    let mut hold = Hold::Rescan;
     while count < params.max_kernels_per_squad {
-        // The live candidates are scanned in place, in candidate order —
-        // the same order the former materialized `live` list had, and
-        // `min_by` keeps the first minimum — so every pick below is
-        // identical to the list-building implementation.
-        let is_live = |c: &Cand| c.next < c.total;
-        let live_count = cands.iter().filter(|c| is_live(c)).count();
-        if live_count == 0 {
-            break;
-        }
-
-        let pick = if params.disable_multitask {
-            // Ablation: plain round-robin over live candidates.
-            let j = rr_cursor % live_count;
-            rr_cursor += 1;
-            cands
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| is_live(c))
-                .nth(j)
-                .map(|(i, _)| i)
-                .unwrap_or(0)
-        } else {
-            let laxity = |c: &Cand| c.deadline_ns - now_ns - c.remaining_quota_ns * LAXITY_SAFETY;
-            // Tier 1: lagging requests (negative laxity) first, the one
-            // with the earliest deadline leading — the tightest guarantee
-            // wins when several are behind schedule.
-            let at_risk = (0..cands.len())
-                .filter(|&i| is_live(&cands[i]) && laxity(&cands[i]) < 0.0)
-                .min_by(|&a, &b| {
-                    cands[a]
-                        .deadline_ns
-                        .total_cmp(&cands[b].deadline_ns)
-                        .then(laxity(&cands[a]).total_cmp(&laxity(&cands[b])))
-                        .then(cands[a].app.cmp(&cands[b].app))
-                });
-            // Tier 2: everyone safe — earliest deadline finishes first.
-            at_risk.unwrap_or_else(|| {
-                (0..cands.len())
-                    .filter(|&i| is_live(&cands[i]))
-                    .min_by(|&a, &b| {
-                        cands[a]
-                            .deadline_ns
-                            .total_cmp(&cands[b].deadline_ns)
-                            .then(cands[a].app.cmp(&cands[b].app))
-                    })
-                    // Live candidates exist (checked above); the fallback
-                    // only placates the no-panic lint.
-                    .unwrap_or(0)
-            })
+        let pick = match hold {
+            Hold::UntilEnd(pick) => pick,
+            Hold::WhileAtRisk(pick) if laxity(&cands[pick]) < 0.0 => pick,
+            _ => {
+                let Some(pick) = scan_pick(now_ns, cands, params, &mut rr_cursor) else {
+                    break;
+                };
+                let c = &cands[pick];
+                hold = if params.disable_multitask {
+                    Hold::Rescan
+                } else if laxity(c) >= 0.0 {
+                    // The scan's tier 2: nobody was at risk.
+                    Hold::UntilEnd(pick)
+                } else if cands.iter().enumerate().any(|(i, o)| {
+                    i != pick
+                        && o.next < o.total
+                        && laxity(o) < 0.0
+                        && o.deadline_ns.total_cmp(&c.deadline_ns).is_eq()
+                }) {
+                    Hold::Rescan
+                } else {
+                    Hold::WhileAtRisk(pick)
+                };
+                pick
+            }
         };
-
-        // Select one scheduling unit: a single kernel, or a whole
-        // CUDA-graph run of `graph_granularity` consecutive kernels
-        // (§6.10 — graphs are atomic scheduling units).
-        let c = &mut cands[pick];
-        let unit = params.graph_granularity.max(1);
-        let mut completed_request = false;
-        for _ in 0..unit {
-            if c.next >= c.total {
-                break;
-            }
-            c.remaining_quota_ns -= apps[c.app].quota_kernel_duration(c.next).as_nanos() as f64
-                * apps[c.app].schedule_stretch();
-            c.next += 1;
-            count += 1;
-            if c.next >= c.total {
-                completed_request = true;
-            }
-        }
-        if completed_request {
+        if take_unit(&mut cands[pick], apps, params, &mut count) {
             // Termination (2): the selected unit completed a request.
             break;
         }
     }
+}
+
+/// The candidate the next unit goes to, or `None` when none is live.
+fn scan_pick(
+    now_ns: f64,
+    cands: &[Cand],
+    params: &BlessParams,
+    rr_cursor: &mut usize,
+) -> Option<usize> {
+    // The live candidates are scanned in place, in candidate order — the
+    // same order the former materialized `live` list had, and `min_by`
+    // keeps the first minimum — so every pick below is identical to the
+    // list-building implementation.
+    let is_live = |c: &Cand| c.next < c.total;
+    let live_count = cands.iter().filter(|c| is_live(c)).count();
+    if live_count == 0 {
+        return None;
+    }
+    if params.disable_multitask {
+        // Ablation: plain round-robin over live candidates.
+        let j = *rr_cursor % live_count;
+        *rr_cursor += 1;
+        return cands
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| is_live(c))
+            .nth(j)
+            .map(|(i, _)| i);
+    }
+    let laxity = |c: &Cand| c.laxity(now_ns);
+    // Tier 1: lagging requests (negative laxity) first, the one with the
+    // earliest deadline leading — the tightest guarantee wins when
+    // several are behind schedule.
+    let at_risk = (0..cands.len())
+        .filter(|&i| is_live(&cands[i]) && laxity(&cands[i]) < 0.0)
+        .min_by(|&a, &b| {
+            cands[a]
+                .deadline_ns
+                .total_cmp(&cands[b].deadline_ns)
+                .then(laxity(&cands[a]).total_cmp(&laxity(&cands[b])))
+                .then(cands[a].app.cmp(&cands[b].app))
+        });
+    // Tier 2: everyone safe — earliest deadline finishes first.
+    at_risk.or_else(|| {
+        (0..cands.len())
+            .filter(|&i| is_live(&cands[i]))
+            .min_by(|&a, &b| {
+                cands[a]
+                    .deadline_ns
+                    .total_cmp(&cands[b].deadline_ns)
+                    .then(cands[a].app.cmp(&cands[b].app))
+            })
+    })
+}
+
+/// Selects one scheduling unit of `c`: a single kernel, or a whole
+/// CUDA-graph run of `graph_granularity` consecutive kernels (§6.10 —
+/// graphs are atomic scheduling units). Returns whether it completed the
+/// request.
+fn take_unit(c: &mut Cand, apps: &[DeployedApp], params: &BlessParams, count: &mut usize) -> bool {
+    let unit = params.graph_granularity.max(1);
+    let mut completed_request = false;
+    for _ in 0..unit {
+        if c.next >= c.total {
+            break;
+        }
+        c.remaining_quota_ns -= apps[c.app].quota_kernel_duration(c.next).as_nanos() as f64
+            * apps[c.app].schedule_stretch();
+        c.next += 1;
+        *count += 1;
+        if c.next >= c.total {
+            completed_request = true;
+        }
+    }
+    completed_request
 }
 
 /// Host-side cost of generating and configuring a squad (§6.9: 3.7 µs
@@ -510,6 +569,25 @@ mod tests {
         assert!(squad.is_empty());
     }
 
+    /// The reference twin of [`select_units`]: a full scan before every unit.
+    fn select_units_rescan(
+        now_ns: f64,
+        cands: &mut [Cand],
+        apps: &[DeployedApp],
+        params: &BlessParams,
+    ) {
+        let mut count = 0usize;
+        let mut rr_cursor = 0usize;
+        while count < params.max_kernels_per_squad {
+            let Some(pick) = scan_pick(now_ns, cands, params, &mut rr_cursor) else {
+                break;
+            };
+            if take_unit(&mut cands[pick], apps, params, &mut count) {
+                break;
+            }
+        }
+    }
+
     /// A short and a long model, profiled once for every case.
     fn two_apps() -> &'static [DeployedApp] {
         static APPS: std::sync::OnceLock<Vec<DeployedApp>> = std::sync::OnceLock::new();
@@ -565,6 +643,60 @@ mod tests {
                 out.entries
             });
             proptest::prop_assert_eq!(&squads[0], &squads[1]);
+        }
+
+        /// Differential twin: reusing a pick gives the units a scan per
+        /// unit gives. Up to five candidates, some exhausted, with
+        /// deadlines often tied, `now` set so that a candidate's laxity
+        /// starts a little below 0 and crosses it within the squad,
+        /// `graph_granularity` 1 to 4 and round-robin.
+        #[test]
+        fn prop_held_picks_match_a_rescan_per_unit(
+            specs in proptest::collection::vec((0usize..2, 0.0f64..1.2, 0u64..4), 1..6),
+            lag_us in 0u64..3_000,
+            anchor in 0usize..5,
+            max_kernels in 0usize..64,
+            graph in 1usize..5,
+            disable_multitask in proptest::prelude::any::<bool>(),
+        ) {
+            let apps = two_apps();
+            let cands = || -> Vec<Cand> {
+                specs
+                    .iter()
+                    .map(|&(app, next_frac, slot)| {
+                        let d = &apps[app];
+                        let total = d.profile.kernel_count();
+                        let next = ((total as f64 * next_frac) as usize).min(total);
+                        let tau = |k: usize| d.quota_tau(k).as_nanos() as f64;
+                        let done = if next == 0 { 0.0 } else { tau(next - 1) };
+                        Cand {
+                            app,
+                            start: next,
+                            next,
+                            total,
+                            // Four deadline slots, so ties are common.
+                            deadline_ns: 1e7 + slot as f64 * 5e5,
+                            remaining_quota_ns: (tau(total - 1) - done) * d.schedule_stretch(),
+                        }
+                    })
+                    .collect()
+            };
+            // The anchor candidate starts `lag_us` behind its quota pace.
+            let a = &cands()[anchor % specs.len()];
+            let now_ns = a.deadline_ns - a.remaining_quota_ns * LAXITY_SAFETY + lag_us as f64 * 1e3;
+            let params = BlessParams {
+                max_kernels_per_squad: max_kernels,
+                graph_granularity: graph,
+                disable_multitask,
+                ..BlessParams::default()
+            };
+            let (mut held, mut rescanned) = (cands(), cands());
+            select_units(now_ns, &mut held, apps, &params);
+            select_units_rescan(now_ns, &mut rescanned, apps, &params);
+            let state = |cands: &[Cand]| -> Vec<(usize, u64)> {
+                cands.iter().map(|c| (c.next, c.remaining_quota_ns.to_bits())).collect()
+            };
+            proptest::prop_assert_eq!(state(&held), state(&rescanned));
         }
     }
 }

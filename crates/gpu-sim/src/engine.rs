@@ -11,9 +11,10 @@
 //! cap changing) the engine re-divides the SM pools with
 //! [`crate::alloc::allocate_sms`], applies the interference model, and
 //! recomputes every running kernel's completion time from its remaining
-//! work and new progress rate. Stale completion events are invalidated with
-//! an epoch counter. Memcpy kernels run the same way on the two PCIe DMA
-//! engines (one per direction), sharing bandwidth equally.
+//! work and new progress rate. A running head holds one completion key,
+//! overwritten in place when its rate changes, so no prediction goes stale.
+//! Memcpy kernels run the same way on the two PCIe DMA engines (one per
+//! direction), sharing bandwidth equally.
 //!
 //! Host-side behaviour is modelled with a single host timeline
 //! (`host_free`): launching a kernel occupies the host for the launch
@@ -26,6 +27,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
+use sim_core::time::ceil_ns;
 use sim_core::trace::{TraceEvent, TraceSink};
 use sim_core::{EventQueue, FaultPlan, SimDuration, SimTime};
 
@@ -313,11 +315,6 @@ struct Instance {
     /// [`Gpu::unposted`]. `None` once either happened, or when the
     /// arrival was posted at launch.
     unposted_arrival: Option<(SimTime, u64)>,
-    /// Epoch of this instance's currently valid completion event; older
-    /// Complete events are stale. Unchanged rates keep their event valid
-    /// across reallocations, so the event heap is not churned for
-    /// bystander kernels.
-    event_epoch: u64,
     /// Generation of this slot; bumped every time the slot is recycled so
     /// stale [`KernelHandle`]s are detectable.
     generation: u32,
@@ -331,7 +328,7 @@ struct Instance {
     /// launch happened with tracing disabled.
     trace_seq: u64,
     /// Debug-build count of residue re-pushes of this kernel's completion
-    /// under one event epoch, `(epoch, count)` (see `Gpu::count_residue`).
+    /// at one rate, `(rate bits, count)` (see `Gpu::count_residue`).
     #[cfg(debug_assertions)]
     residue_pushes: (u64, u32),
 }
@@ -358,7 +355,6 @@ impl Instance {
             run_seq: u64::MAX,
             launch_seq,
             unposted_arrival: None,
-            event_epoch: 0,
             generation: 0,
             dispatch_ready: None,
             started_at: None,
@@ -422,12 +418,11 @@ impl ChainKernel {
 /// The running head of a closed-form stretch and what the stretch did so
 /// far (see [`Gpu::closed_stretch`]).
 struct Stretch {
-    /// The head's slot, grant, start, completion key and event epoch.
+    /// The head's slot, grant, start and completion key.
     slot: usize,
     alloc: f64,
     started: SimTime,
     key: (SimTime, u64),
-    epoch: u64,
     /// The kernel the stretch started last, with its `run_seq`.
     started_kernel: Option<(ChainKernel, u64)>,
     /// The key of the last completion processed.
@@ -486,13 +481,9 @@ fn whole(x: f64) -> bool {
 /// The whole ns a fresh kernel with `work` SM·ns runs alone under the
 /// whole grant `g`, if its completion then leaves no residue.
 #[inline]
-fn closed_eta(work: f64, g: f64) -> Option<f64> {
-    let eta = if work <= 1e-6 {
-        0.0
-    } else {
-        (work / g).ceil().max(0.0)
-    };
-    (g > 0.0 && whole(g) && work - g * eta <= 0.0).then_some(eta)
+fn closed_eta(work: f64, g: f64) -> Option<u64> {
+    let eta = if work <= 1e-6 { 0 } else { ceil_ns(work / g) };
+    (g > 0.0 && whole(g) && work - g * eta as f64 <= 0.0).then_some(eta)
 }
 
 /// [`closed_eta`] for a kernel a jump may start: a compute kernel with
@@ -504,18 +495,93 @@ fn jump_eta(compute: bool, work: f64, g: f64, launch: u64) -> Option<u64> {
     if !(compute && whole(work)) {
         return None;
     }
-    closed_eta(work, g)
-        .map(|eta| eta as u64)
-        .filter(|&eta| eta > launch)
+    closed_eta(work, g).filter(|&eta| eta > launch)
 }
 
+/// A packed event key that no event has: the completion key of a queue
+/// whose head holds none.
+const NO_KEY: u128 = u128::MAX;
+
+/// An event key `(at, seq)` as one integer, `at` in the high half, so that
+/// packed keys compare as the keys do.
+#[inline]
+fn pack((at, seq): (SimTime, u64)) -> u128 {
+    (u128::from(at.as_nanos()) << 64) | u128::from(seq)
+}
+
+/// The key [`pack`] packed.
+#[inline]
+fn unpack(key: u128) -> (SimTime, u64) {
+    (SimTime::from_nanos((key >> 64) as u64), key as u64)
+}
+
+/// A set of queue indices as a bitset, walked in ascending order so that
+/// every sum over the running queues keeps queue order: `for i in
+/// 0..set.words()`, then `for q in set.word(i)`. Each word is walked from
+/// a copy, so the walker may mutate the engine as it goes.
+#[derive(Debug, Default)]
+struct QueueSet(Vec<u64>);
+
+impl QueueSet {
+    fn insert(&mut self, q: usize) {
+        let word = q / 64;
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        self.0[word] |= 1 << (q % 64);
+    }
+
+    fn remove(&mut self, q: usize) {
+        self.0[q / 64] &= !(1 << (q % 64));
+    }
+
+    /// The number of words, for [`QueueSet::word`].
+    #[inline]
+    fn words(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The members of word `i` (queues `64 i..64 i + 64`), ascending.
+    #[inline]
+    fn word(&self, i: usize) -> Bits {
+        Bits {
+            base: i * 64,
+            bits: self.0[i],
+        }
+    }
+
+    /// The least member.
+    fn first(&self) -> Option<usize> {
+        (0..self.words()).find_map(|i| self.word(i).next())
+    }
+}
+
+/// The set bits of one [`QueueSet`] word, lowest first, as queue indices.
+struct Bits {
+    base: usize,
+    bits: u64,
+}
+
+impl Iterator for Bits {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.bits == 0 {
+            return None;
+        }
+        let bit = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.base + bit)
+    }
+}
+
+/// A device event other than a completion (completions are keys on
+/// their queues; see [`Gpu::next_event`]).
 #[derive(Debug)]
 enum DevEv {
     /// A launched kernel reaches its device queue.
     Arrive { slot: usize },
-    /// Predicted completion of a running instance; valid only if `epoch`
-    /// matches the engine's current allocation epoch.
-    Complete { slot: usize, epoch: u64 },
     /// Host wakeup requested by the driver.
     HostWake { token: u64 },
     /// Internal re-allocation poke (dispatch-gap expiry).
@@ -655,6 +721,17 @@ pub struct Gpu {
     running_compute: usize,
     /// Running memcpy kernels (queue heads).
     running_dma: usize,
+    /// The queues with a running head, walked in queue order.
+    running_queues: QueueSet,
+    /// Per queue, the event key of its running head's completion, packed
+    /// (see [`pack`]); [`NO_KEY`] with no head or a starved one (see
+    /// [`Gpu::push_completion`]). Kept apart from `queues`, so that a
+    /// walk for the least key reads a few dense cache lines.
+    completions: Vec<u128>,
+    /// The least completion key of any queue, with that queue ([`NO_KEY`]
+    /// when none): re-found only when that key grows or goes away (see
+    /// [`Gpu::set_completion`]).
+    next_completion: (u128, usize),
     /// The queue of the only running head, compute or memcpy, while
     /// exactly one runs; stale otherwise. `set_running` sets it on a
     /// 0 → 1 transition and `clear_running` re-finds it on a 2 → 1 one.
@@ -672,9 +749,11 @@ pub struct Gpu {
     /// Scratch for [`Gpu::jump`]: the completion instants, in ns, of the
     /// kernels it starts from the chain.
     jump_times: Vec<u64>,
-    epoch: u64,
     /// SM capacity of each pool (pool 0 = shared).
     pool_capacity: Vec<f64>,
+    /// One [`CtxGroup`] per context, in context order: rebuilt only where
+    /// a context is created or its cap changes.
+    groups: Vec<CtxGroup>,
     mig_reserved_sms: u32,
     mem_used_mib: u64,
     busy_sm_integral: f64,
@@ -715,7 +794,6 @@ struct ReallocScratch {
     compute: Vec<usize>,
     h2d: Vec<usize>,
     d2h: Vec<usize>,
-    groups: Vec<CtxGroup>,
     alloc: Vec<f64>,
     order: Vec<usize>,
     pool_used: Vec<f64>,
@@ -758,13 +836,16 @@ impl Gpu {
             programs: Vec::new(),
             running_compute: 0,
             running_dma: 0,
+            running_queues: QueueSet::default(),
+            completions: Vec::new(),
+            next_completion: (NO_KEY, 0),
             lone_queue: 0,
             lone_exact,
             chain: VecDeque::new(),
             jump_tables: Vec::new(),
             jump_times: Vec::new(),
-            epoch: 0,
             pool_capacity: vec![shared],
+            groups: Vec::new(),
             mig_reserved_sms: 0,
             mem_used_mib: 0,
             busy_sm_integral: 0.0,
@@ -961,7 +1042,12 @@ impl Gpu {
             }
         };
         let id = CtxId(self.contexts.len() as u32);
-        self.contexts.push(Context { kind, pool });
+        let context = Context { kind, pool };
+        self.groups.push(CtxGroup {
+            pool,
+            sm_cap: context.sm_cap(),
+        });
+        self.contexts.push(context);
         if self.trace.is_some() {
             if let CtxKind::MpsAffinity { sm_cap } = kind {
                 self.trace_emit(TraceEvent::PartitionSet {
@@ -987,6 +1073,7 @@ impl Gpu {
             last_arrival: SimTime::ZERO,
         });
         self.programs.push(None);
+        self.completions.push(NO_KEY);
         Ok(id)
     }
 
@@ -1005,6 +1092,7 @@ impl Gpu {
                     ));
                 }
                 c.kind = CtxKind::MpsAffinity { sm_cap };
+                self.groups[ctx.0 as usize].sm_cap = sm_cap as f64;
                 if self.trace.is_some() {
                     self.trace_emit(TraceEvent::PartitionSet {
                         at: self.now,
@@ -1487,11 +1575,26 @@ impl Gpu {
         ((busy_end - busy_start) * 1e9 / (self.spec.num_sms as f64 * span)).clamp(0.0, 1.0)
     }
 
-    /// Earliest pending device event, if any. A launch that landed behind
-    /// a busy queue posts no event (see [`Gpu::step`]), so its arrival
-    /// never shows here.
+    /// Earliest pending device event, if any: the least running head's
+    /// completion or the heap's top, whichever sorts first. A launch that
+    /// landed behind a busy queue posts no event (see [`Gpu::step`]), so
+    /// its arrival never shows here.
     pub fn peek_event_time(&self) -> Option<SimTime> {
-        self.events.peek_time()
+        self.next_event().map(|((at, _), _)| at)
+    }
+
+    /// The key of the next event and, when it is a completion, its queue:
+    /// the least completion key if it sorts below the heap's top, else the
+    /// top. Keys and heap entries draw their `seq`s from one counter, so no
+    /// two are equal.
+    #[inline]
+    fn next_event(&self) -> Option<((SimTime, u64), Option<usize>)> {
+        let top = self.events.peek_key();
+        let (least, q) = self.next_completion;
+        if least != NO_KEY && top.is_none_or(|top| least < pack(top)) {
+            return Some((unpack(least), Some(q)));
+        }
+        top.map(|top| (top, None))
     }
 
     // ------------------------------------------------------------------
@@ -1506,7 +1609,7 @@ impl Gpu {
     /// past — both indicate a driver/loop bug.
     pub fn advance_to(&mut self, t: SimTime) {
         assert!(t >= self.now, "time cannot go backwards");
-        if let Some(et) = self.events.peek_time() {
+        if let Some(et) = self.peek_event_time() {
             assert!(et >= t, "advance_to would skip over a pending event");
         }
         self.replay_arrivals_before((t, 0));
@@ -1514,11 +1617,12 @@ impl Gpu {
         self.now = t;
     }
 
-    /// Processes the next pending event; returns an externally visible
-    /// output if the event produced one. A stale completion (its kernel's
-    /// rate changed after it was pushed) returns `None` without moving the
-    /// clock: it settles nothing and replays no arrival. [`Gpu::step_within`]
-    /// with no limit on a closed-form stretch.
+    /// Processes the next pending event, the least running head's
+    /// completion or the event heap's top, whichever sorts first by
+    /// `(at, seq)`; returns an externally visible output if the event
+    /// produced one. Every event is current: a head's completion key is
+    /// overwritten when its rate changes, so no prediction pops stale.
+    /// [`Gpu::step_within`] with no limit on a closed-form stretch.
     ///
     /// Arrivals behind a busy queue are not events: each is accounted
     /// just before the first event keyed after it, in the order its
@@ -1537,14 +1641,14 @@ impl Gpu {
     /// into a *closed-form stretch*, bounded by `until` (exclusive).
     ///
     /// When the device then runs exactly one kernel, a compute kernel of
-    /// that program's queue, and the earliest pending event is its
-    /// completion, keyed before `until`, the engine computes the chain's
-    /// next completions instead of popping them, with the trace events
-    /// their pops would have emitted, for as long as each would be the
-    /// next event to pop. The completion where it stops goes back under
-    /// its reserved key, so the run stays bit-identical. The caller
-    /// passes the first instant at which it has work of its own, such as
-    /// a request arrival.
+    /// that program's queue, and its completion key sorts below the event
+    /// heap's top and before `until`, the engine computes the chain's next
+    /// completions instead of taking them one step each, with the trace
+    /// events those steps would have emitted, for as long as each would be
+    /// the next event. The completion where it stops becomes the queue's
+    /// key under its reserved `seq`, so the run stays bit-identical. The
+    /// caller passes the first instant at which it has work of its own,
+    /// such as a request arrival.
     ///
     /// Untraced, with launch units of one kernel, the chain advances in
     /// *jumps*: the instants, busy SM·ns and keys of a run of completions
@@ -1552,19 +1656,20 @@ impl Gpu {
     /// run stops, in O(log n + window) rather than O(n) (see `Gpu::jump`).
     /// The rest of a stretch is computed completion by completion.
     pub fn step_within(&mut self, until: SimTime) -> Option<StepOutput> {
-        let Some((t, seq, ev)) = self.events.pop_keyed() else {
+        let Some(((t, seq), completion)) = self.next_event() else {
             self.account_arrivals_through(SimTime::MAX);
             return None;
         };
-        if let DevEv::Complete { slot, epoch } = ev {
-            let inst = &self.instances[slot];
-            if epoch != inst.event_epoch || inst.state != InstState::Running {
-                // A stale prediction: the kernel's rate changed after it was
-                // pushed, or the kernel is gone. It replays no arrival and
-                // settles nothing; the next event does both.
-                return None;
-            }
+        if let Some(q) = completion {
+            let slot = self.queues[q].running;
+            debug_assert!(slot.is_some(), "a completion key belongs to a running head");
+            self.set_completion(q, NO_KEY);
+            self.enter_event(t, seq);
+            return slot.and_then(|slot| self.complete(slot, until));
         }
+        let Some((_, _, ev)) = self.events.pop_keyed() else {
+            return None; // Unreachable: the top was just peeked.
+        };
         self.enter_event(t, seq);
         match ev {
             DevEv::Arrive { slot } => {
@@ -1585,7 +1690,6 @@ impl Gpu {
                 }
                 None
             }
-            DevEv::Complete { slot, .. } => self.complete(slot, until),
             DevEv::HostWake { token } => Some(StepOutput::HostWake { token }),
             DevEv::Poke => {
                 // Pokes only exist for compute dispatch gaps; DMA rates
@@ -1634,13 +1738,13 @@ impl Gpu {
         self.now = t;
     }
 
-    /// Handles a popped, current `Complete` event; a silent one may go on
-    /// into a closed-form stretch (see [`Gpu::step_within`]).
+    /// Handles the completion of the running head in `slot`, whose key was
+    /// just taken; a silent one may go on into a closed-form stretch (see
+    /// [`Gpu::step_within`]).
     fn complete(&mut self, slot: usize, until: SimTime) -> Option<StepOutput> {
         // Guard against float residue: if rounding left real work behind,
-        // reschedule the completion instead of dropping it (a dropped
-        // matching-epoch event would strand the kernel until some
-        // unrelated reallocation).
+        // reschedule the completion instead of dropping it (a dropped key
+        // would strand the kernel until some unrelated reallocation).
         if self.instances[slot].remaining > 1e-6 {
             #[cfg(debug_assertions)]
             self.count_residue(slot);
@@ -1695,9 +1799,10 @@ impl Gpu {
         self.lone_exact && self.fault.is_none() && self.recycle_slots
     }
 
-    /// Advances the chain of program queue `q` in closed form from the
-    /// event queue's top, its running head's completion, after a silent
-    /// completion's refill; pushes the completion where it stops.
+    /// Advances the chain of program queue `q` in closed form from its
+    /// running head's completion key, when that key sorts below the event
+    /// heap's top, after a silent completion's refill; the completion
+    /// where it stops becomes the queue's key.
     ///
     /// Each step is what popping that completion would do, computed
     /// rather than replayed: the head completes at its instant; the next
@@ -1724,17 +1829,21 @@ impl Gpu {
     /// settle intervals can move a bit. A step runs only when that holds
     /// for its kernels (whole work and grant, a completion that leaves no
     /// residue, the busy total below 2^53) and when its completion would
-    /// be the next event popped: keyed below the heap's top and `until`,
-    /// silent, with a next kernel that is a compute kernel and has
-    /// arrived. Anything else stops the closed form and leaves the rest to
-    /// the event loop.
+    /// be the next event: keyed below the heap's top (no other head runs,
+    /// so no other key is pending) and `until`, silent, with a next kernel
+    /// that is a compute kernel and has arrived. Anything else stops the
+    /// closed form and leaves the rest to the event loop.
     ///
     /// Untraced, with launch units of one kernel, [`Gpu::jump`] takes runs
     /// of steps at once wherever it applies; the loop steps only the rest.
     fn closed_stretch<const TRACED: bool>(&mut self, q: usize, until: SimTime) {
-        let Some((at, seq, &DevEv::Complete { slot, epoch })) = self.events.peek() else {
+        let (key, Some(slot)) = (self.completions[q], self.queues[q].running) else {
             return;
         };
+        if key == NO_KEY {
+            return; // A starved head: no completion to start from.
+        }
+        let (at, seq) = unpack(key);
         let Some(program) = self.programs[q].as_ref().filter(|p| !p.stopped) else {
             return;
         };
@@ -1742,8 +1851,7 @@ impl Gpu {
         let first_dt = at.duration_since(self.now).as_nanos() as f64;
         let premise = self.running_compute == 1
             && self.running_dma == 0
-            && self.queues[q].running == Some(slot)
-            && head.event_epoch == epoch
+            && self.events.peek_key().is_none_or(|top| key < pack(top))
             && at < until
             && head.rate == head.alloc_sms
             && head.rate > 0.0
@@ -1768,7 +1876,6 @@ impl Gpu {
             alloc: head_alloc,
             started: self.now,
             key: (at, seq),
-            epoch,
             started_kernel: None,
             last: (self.now, 0),
             busy: self.busy_sm_integral,
@@ -1803,7 +1910,7 @@ impl Gpu {
                 compute: inst.shape.kind.is_compute(),
             }
         }));
-        self.events.pop_keyed();
+        self.set_completion(q, NO_KEY);
         let top = self.events.peek_key();
         let before_bound = |key: (SimTime, u64)| key.0 < until && top.is_none_or(|t| key < t);
         // Every key a stretch reserves sorts after the top's, so a later
@@ -1851,9 +1958,8 @@ impl Gpu {
             self.free_slots.push(s.slot);
             s.in_flight -= 1;
             s.completed += 1;
-            // ...the front starts under the next epoch...
+            // ...the front starts...
             chain.pop_front();
-            self.epoch += 1;
             s.started_kernel = Some((front, self.next_run_seq));
             self.next_run_seq += 1;
             if TRACED {
@@ -1869,9 +1975,9 @@ impl Gpu {
                 }
                 head_trace = front.trace_seq;
             }
-            (s.slot, s.alloc, s.started, s.epoch) = (front.slot, g, self.now, self.epoch);
+            (s.slot, s.alloc, s.started) = (front.slot, g, self.now);
             s.key = (
-                self.now + SimDuration::from_nanos(eta as u64),
+                self.now + SimDuration::from_nanos(eta),
                 self.events.reserve_seq(),
             );
             // ...and the program refills its window.
@@ -1945,7 +2051,6 @@ impl Gpu {
             inst.started_at = Some(self.now);
             inst.alloc_sms = s.alloc;
             inst.rate = s.alloc;
-            inst.event_epoch = s.epoch;
             self.queues[q].running = Some(s.slot);
             self.queues[q].waiting.clear();
             for c in &chain {
@@ -1961,14 +2066,7 @@ impl Gpu {
             }
         }
         self.chain = chain;
-        self.events.push_reserved(
-            s.key.0,
-            s.key.1,
-            DevEv::Complete {
-                slot: s.slot,
-                epoch: s.epoch,
-            },
-        );
+        self.set_completion(q, pack(s.key));
     }
 
     /// Whether a closed-form stretch may jump (see [`Gpu::jump`]).
@@ -1995,7 +2093,7 @@ impl Gpu {
     /// if a kernel is left to launch, the host is idle at `c_0` with the
     /// queue's last arrival no later than `c_0 + L` (`L` the launch
     /// charge). Then step `t` completes the head at `c_{t-1}` and starts
-    /// kernel `K_t` under the next epoch and `run_seq`, reserving the next
+    /// kernel `K_t` under the next `run_seq`, reserving the next
     /// `seq` for its completion. While the range lasts it also launches one
     /// kernel, arriving at `c_{t-1} + L` under the `seq` after that, into
     /// the slot just freed (the free list is LIFO); after that the freed
@@ -2149,8 +2247,7 @@ impl Gpu {
         s.key = (time(n), completion_seq(n));
         s.started_kernel = Some((head, self.next_run_seq + n as u64 - 1));
         self.next_run_seq += n as u64;
-        self.epoch += n as u64;
-        (s.slot, s.alloc, s.started, s.epoch) = (head.slot, grant(head.max_sms), prev, self.epoch);
+        (s.slot, s.alloc, s.started) = (head.slot, grant(head.max_sms), prev);
         s.busy = done as f64;
         self.now = prev;
         if launches > 0 {
@@ -2243,19 +2340,24 @@ impl Gpu {
     }
 
     /// Counts a residue re-push of the completion of the kernel in `slot`
-    /// and panics when it re-pushes without end under one event epoch: a
-    /// `settle` that never advances it would otherwise loop forever.
+    /// and panics when it re-pushes without end at one rate: a `settle`
+    /// that never advances it would otherwise loop forever.
     #[cfg(debug_assertions)]
     fn count_residue(&mut self, slot: usize) {
         const MAX_RESIDUE_PUSHES: u32 = 100;
         let inst = &mut self.instances[slot];
-        let (epoch, n) = inst.residue_pushes;
-        let n = if epoch == inst.event_epoch { n + 1 } else { 1 };
-        inst.residue_pushes = (inst.event_epoch, n);
+        let (rate, n) = inst.residue_pushes;
+        let n = if rate == inst.rate.to_bits() {
+            n + 1
+        } else {
+            1
+        };
+        inst.residue_pushes = (inst.rate.to_bits(), n);
         assert!(
             n <= MAX_RESIDUE_PUSHES,
-            "kernel in slot {slot} re-pushed its completion {n} times in epoch {epoch}: \
-             settle does not advance it"
+            "kernel in slot {slot} re-pushed its completion {n} times at rate {}: \
+             settle does not advance it",
+            inst.rate
         );
     }
 
@@ -2320,6 +2422,7 @@ impl Gpu {
             .map(|slot| self.kill(slot).0)
             .collect();
         self.events.clear();
+        debug_assert_eq!(self.next_completion.0, NO_KEY, "every head was killed");
         self.unposted.clear();
         self.programs.fill(None);
         DeviceCheckpoint {
@@ -2390,14 +2493,16 @@ impl Gpu {
         (failed, opened)
     }
 
-    /// Runs the device until no events remain, discarding outputs, popping
-    /// at most `max_events` events. Useful in tests and for solo-run
-    /// profiling where the driver does not react to completions.
+    /// Runs the device until no events remain, discarding outputs, taking
+    /// at most `max_events` events (one [`Gpu::step`] each). Every event
+    /// taken is current, so no stale completion spends the budget. Useful
+    /// in tests and for solo-run profiling where the driver does not react
+    /// to completions.
     ///
     /// # Errors
     ///
     /// [`GpuError::EventBudgetExhausted`] when events remain after
-    /// `max_events` pops, naming the kernel of the next one: a kernel that
+    /// `max_events` steps, naming the kernel of the next one: a kernel that
     /// never finishes fails the run instead of hanging it.
     pub fn drain(&mut self, max_events: u64) -> Result<(), GpuError> {
         self.drain_with(max_events, |_| {})
@@ -2426,20 +2531,20 @@ impl Gpu {
         mut sink: impl FnMut((SimTime, StepOutput)),
     ) -> Result<(), GpuError> {
         for _ in 0..max_events {
-            if self.events.is_empty() {
+            if self.next_event().is_none() {
                 break;
             }
             if let Some(o) = self.step() {
                 sink((self.now, o));
             }
         }
-        if let Some((_, _, ev)) = self.events.peek() {
-            let stuck = match *ev {
-                DevEv::Arrive { slot } | DevEv::Complete { slot, .. } => {
-                    Some((slot, self.instances[slot].queue))
-                }
+        if let Some((_, completion)) = self.next_event() {
+            let slot = match (completion, self.events.peek()) {
+                (Some(q), _) => self.queues[q].running,
+                (None, Some((_, _, &DevEv::Arrive { slot }))) => Some(slot),
                 _ => None,
             };
+            let stuck = slot.map(|slot| (slot, self.instances[slot].queue));
             return Err(GpuError::EventBudgetExhausted {
                 events: max_events,
                 stuck,
@@ -2482,6 +2587,7 @@ impl Gpu {
     /// Makes `slot` the running head of queue `q`.
     fn set_running(&mut self, q: usize, slot: usize) {
         self.queues[q].running = Some(slot);
+        self.running_queues.insert(q);
         if self.instances[slot].shape.kind.is_compute() {
             self.running_compute += 1;
         } else {
@@ -2492,9 +2598,12 @@ impl Gpu {
         }
     }
 
-    /// Clears queue `q`'s running head, a compute kernel or a memcpy.
+    /// Clears queue `q`'s running head, a compute kernel or a memcpy, and
+    /// its completion key.
     fn clear_running(&mut self, q: usize, compute: bool) {
         self.queues[q].running = None;
+        self.running_queues.remove(q);
+        self.set_completion(q, NO_KEY);
         if compute {
             self.running_compute -= 1;
         } else {
@@ -2502,10 +2611,43 @@ impl Gpu {
         }
         if self.running_compute + self.running_dma == 1 {
             // 2 → 1: the survivor may run on any queue.
-            if let Some(lone) = self.queues.iter().position(|queue| queue.running.is_some()) {
+            if let Some(lone) = self.running_queues.first() {
                 self.lone_queue = lone;
             }
         }
+    }
+
+    /// Sets queue `q`'s packed completion key ([`NO_KEY`] for none) and
+    /// keeps `next_completion` the least key: a key that falls below it
+    /// takes its place, and only when the cached key itself grows or goes
+    /// away are the running queues walked for the new least.
+    #[inline]
+    fn set_completion(&mut self, q: usize, key: u128) {
+        self.completions[q] = key;
+        let (least, cached) = self.next_completion;
+        if key < least {
+            self.next_completion = (key, q);
+        } else if cached == q && key != least {
+            self.next_completion = self.least_completion();
+        }
+    }
+
+    /// The least completion key of the running queues, with its queue.
+    /// Keys are packed, a head with none holding [`NO_KEY`], so the walk
+    /// selects without a data-dependent branch. Out of line, so that the
+    /// inlined fast path of [`Gpu::set_completion`] stays small.
+    #[inline(never)]
+    fn least_completion(&self) -> (u128, usize) {
+        let mut least = (NO_KEY, 0);
+        for i in 0..self.running_queues.words() {
+            for q in self.running_queues.word(i) {
+                let key = self.completions[q];
+                let less = key < least.0;
+                least.0 = if less { key } else { least.0 };
+                least.1 = if less { q } else { least.1 };
+            }
+        }
+        least
     }
 
     /// The queue of the only running head, if exactly one runs.
@@ -2643,9 +2785,11 @@ impl Gpu {
                 self.settle_head(slot, dt);
             }
         } else {
-            for q in 0..self.queues.len() {
-                if let Some(slot) = self.queues[q].running {
-                    self.settle_head(slot, dt);
+            for i in 0..self.running_queues.words() {
+                for q in self.running_queues.word(i) {
+                    if let Some(slot) = self.queues[q].running {
+                        self.settle_head(slot, dt);
+                    }
                 }
             }
         }
@@ -2691,7 +2835,6 @@ impl Gpu {
         // scoping, so skipping stays bit-identical there.
         let do_compute = do_compute || (do_dma && self.spec.channel_model.couples_dma_to_compute());
         self.settle(self.now);
-        self.epoch += 1;
 
         // One compute kernel and no memcpy: its slowdown is exactly 1, so
         // the queue walk, the traffic sums and the channel model are
@@ -2716,8 +2859,8 @@ impl Gpu {
         compute.clear();
         h2d.clear();
         d2h.clear();
-        for q in &self.queues {
-            if let Some(slot) = q.running {
+        for q in (0..self.running_queues.words()).flat_map(|i| self.running_queues.word(i)) {
+            if let Some(slot) = self.queues[q].running {
                 match self.instances[slot].shape.kind {
                     KernelKind::Compute { .. } => {
                         if do_compute {
@@ -2744,7 +2887,7 @@ impl Gpu {
             // SM allocation for compute kernels, per the hardware policy.
             // A lone kernel under the greedy policy takes the closed form;
             // the running set, never a setting, picks the path.
-            let mut groups = std::mem::take(&mut self.scratch.groups);
+            let groups = std::mem::take(&mut self.groups);
             let mut alloc = std::mem::take(&mut self.scratch.alloc);
             match (self.spec.hw_policy, compute.as_slice()) {
                 (HwPolicy::GreedySticky, &[slot]) => {
@@ -2752,11 +2895,9 @@ impl Gpu {
                     alloc.push(self.lone_sticky_grant(slot));
                 }
                 (HwPolicy::GreedySticky, _) => {
-                    self.ctx_groups_into(&mut groups);
                     self.sticky_allocate(&compute, &groups, &mut alloc);
                 }
                 (HwPolicy::FairShare, _) => {
-                    self.ctx_groups_into(&mut groups);
                     let mut demands = std::mem::take(&mut self.scratch.demands);
                     demands.clear();
                     demands.extend(compute.iter().map(|&slot| {
@@ -2829,7 +2970,7 @@ impl Gpu {
                     }
                 }
             }
-            self.scratch.groups = groups;
+            self.groups = groups;
             self.scratch.alloc = alloc;
         }
 
@@ -2893,15 +3034,6 @@ impl Gpu {
                 });
             }
         }
-    }
-
-    /// Fills `groups` with one [`CtxGroup`] per context, in context order.
-    fn ctx_groups_into(&self, groups: &mut Vec<CtxGroup>) {
-        groups.clear();
-        groups.extend(self.contexts.iter().map(|c| CtxGroup {
-            pool: c.pool,
-            sm_cap: c.sm_cap(),
-        }));
     }
 
     /// [`Gpu::sticky_allocate`] for exactly one running compute kernel,
@@ -2991,23 +3123,22 @@ impl Gpu {
         // them, so its block waves launch there immediately. Unrestricted
         // co-runners reserve nothing structurally — they contend for the
         // whole pool, and dispatch-order alternation decides (Fig. 7a).
+        // The caps are whole SM counts, so their sum is exact in any order
+        // and the walk stays O(running kernels), not O(contexts).
         let mut ctx_has_runnable = std::mem::take(&mut self.scratch.ctx_runnable);
         ctx_has_runnable.clear();
         ctx_has_runnable.resize(groups.len(), false);
-        for &slot in compute {
-            let ctx = self.queues[self.instances[slot].queue.0 as usize].ctx.0 as usize;
-            ctx_has_runnable[ctx] = true;
-        }
         let mut finite_cap_reserved = std::mem::take(&mut self.scratch.reserved);
         finite_cap_reserved.clear();
-        finite_cap_reserved.extend((0..self.pool_capacity.len()).map(|pool| {
-            groups
-                .iter()
-                .enumerate()
-                .filter(|&(c, g)| g.pool == pool && ctx_has_runnable[c] && g.sm_cap.is_finite())
-                .map(|(_, g)| g.sm_cap)
-                .sum::<f64>()
-        }));
+        finite_cap_reserved.resize(n_pools, 0.0);
+        for &slot in compute {
+            let ctx = self.queues[self.instances[slot].queue.0 as usize].ctx.0 as usize;
+            let group = &groups[ctx];
+            if !ctx_has_runnable[ctx] && group.sm_cap.is_finite() {
+                finite_cap_reserved[group.pool] += group.sm_cap;
+            }
+            ctx_has_runnable[ctx] = true;
+        }
 
         // Phase 2: grow/start in dispatch order.
         let mut pokes = std::mem::take(&mut self.scratch.pokes);
@@ -3081,22 +3212,24 @@ impl Gpu {
         self.scratch.pokes = pokes;
     }
 
-    /// Schedules `slot`'s completion under the current epoch.
+    /// Sets the completion key of the running head in `slot` from its
+    /// remaining work and rate, with the next `seq`; a starved head holds
+    /// no key until its allocation changes.
     fn push_completion(&mut self, slot: usize) {
-        self.instances[slot].event_epoch = self.epoch;
         let inst = &self.instances[slot];
+        let q = inst.queue.0 as usize;
         let at = if inst.remaining <= 1e-6 {
             // Already done (e.g. settled to zero just as its allocation
             // was clamped away): complete now regardless of rate.
             self.now
         } else if inst.rate <= 0.0 {
-            return; // Starved: no completion until the allocation changes.
+            self.set_completion(q, NO_KEY);
+            return;
         } else {
-            let eta_ns = (inst.remaining / inst.rate).ceil().max(0.0);
-            self.now + SimDuration::from_nanos(eta_ns as u64)
+            self.now + SimDuration::from_nanos(ceil_ns(inst.remaining / inst.rate))
         };
-        let epoch = self.epoch;
-        self.events.push(at, DevEv::Complete { slot, epoch });
+        let key = pack((at, self.events.reserve_seq()));
+        self.set_completion(q, key);
     }
 
     /// Every piece of engine state a later call can read, as text, so that
@@ -3112,13 +3245,12 @@ impl Gpu {
         let running = self.running_compute + self.running_dma;
         let _ = writeln!(
             s,
-            "now {:?} host_free {:?} settled {:?} busy {:#x} epoch {} run_seq {} \
+            "now {:?} host_free {:?} settled {:?} busy {:#x} run_seq {} \
              launch_seq {} event_seq {} live {} running {}+{} lone {:?}",
             self.now,
             self.host_free,
             self.last_settle,
             self.busy_sm_integral.to_bits(),
-            self.epoch,
             self.next_run_seq,
             self.next_launch_seq,
             self.events.next_seq(),
@@ -3134,8 +3266,28 @@ impl Gpu {
                 let _ = writeln!(s, "{slot}: {:?} gen {}", inst.state, inst.generation);
             }
         }
-        let mut events: Vec<_> = self.events.iter().collect();
+        let mut events: Vec<_> = self
+            .events
+            .iter()
+            .map(|(at, seq, ev)| (at, seq, format!("{ev:?}")))
+            .chain(
+                self.queues
+                    .iter()
+                    .zip(&self.completions)
+                    .filter(|&(_, &key)| key != NO_KEY)
+                    .map(|(queue, &key)| {
+                        let (at, seq) = unpack(key);
+                        (at, seq, format!("Complete {{ slot: {:?} }}", queue.running))
+                    }),
+            )
+            .collect();
         events.sort_by_key(|&(at, seq, _)| (at, seq));
+        let next = self.next_completion;
+        let _ = writeln!(
+            s,
+            "next completion {:?}",
+            (next.0 != NO_KEY).then(|| (unpack(next.0), next.1))
+        );
         let _ = writeln!(s, "free {:?}", self.free_slots);
         let _ = writeln!(s, "queues {:?}", self.queues);
         let _ = writeln!(s, "unposted {:?}", self.unposted);
@@ -4018,7 +4170,7 @@ mod tests {
         let o1 = put(&mut gpu, qo, k(100), encode_tag(other as usize, 0));
         let mut crash_seen = None;
         for pops in 0.. {
-            if gpu.events.is_empty() {
+            if gpu.peek_event_time().is_none() {
                 break;
             }
             assert!(pops < EVENT_BUDGET, "event budget spent at {:?}", gpu.now());
@@ -4192,8 +4344,7 @@ mod tests {
             };
 
             let lone = gpu.lone_sticky_grant(slot);
-            let mut groups = Vec::new();
-            gpu.ctx_groups_into(&mut groups);
+            let groups = gpu.groups.clone();
             let events = gpu.events.len();
             let ready = gpu.instances[slot].dispatch_ready;
             let mut alloc = Vec::new();
@@ -4218,6 +4369,45 @@ mod tests {
     // ------------------------------------------------------------------
 
     use sim_core::trace::BufferSink;
+
+    /// Panics unless the completion keys are consistent: only a running
+    /// head holds one, every head with a positive rate holds one, and
+    /// `next_completion` is the least of them (found here by a walk over
+    /// every queue, not the running-queue bitset).
+    fn check_completion_keys(gpu: &Gpu) {
+        for (q, (queue, &key)) in gpu.queues.iter().zip(&gpu.completions).enumerate() {
+            let rate = queue.running.map(|slot| gpu.instances[slot].rate);
+            assert!(
+                key == NO_KEY || rate.is_some(),
+                "queue {q} holds key {:?} with no running head",
+                unpack(key)
+            );
+            assert!(
+                key != NO_KEY || !rate.is_some_and(|r| r > 0.0),
+                "queue {q}'s head runs at {rate:?} with no key"
+            );
+            let member = gpu
+                .running_queues
+                .0
+                .get(q / 64)
+                .is_some_and(|w| w >> (q % 64) & 1 == 1);
+            assert_eq!(
+                queue.running.is_some(),
+                member,
+                "queue {q} in the running set"
+            );
+        }
+        let least = (0..gpu.queues.len())
+            .map(|q| (gpu.completions[q], q))
+            .filter(|&(key, _)| key != NO_KEY)
+            .min();
+        let cached = gpu.next_completion;
+        assert_eq!(
+            (cached.0 != NO_KEY).then_some(cached),
+            least,
+            "the cached least key"
+        );
+    }
 
     /// Everything a run exposes to a driver or a report.
     #[derive(Debug, Default, PartialEq)]
@@ -4247,13 +4437,15 @@ mod tests {
     impl Recorder {
         /// Processes one event (or, with none left, whatever is owed).
         fn step(&mut self, gpu: &mut Gpu) {
-            self.pops += usize::from(!gpu.events.is_empty());
+            self.pops += usize::from(gpu.peek_event_time().is_some());
             assert!(
                 self.pops <= EVENT_BUDGET,
                 "event budget spent at {:?}: the run does not converge",
                 gpu.now()
             );
-            match gpu.step() {
+            let out = gpu.step();
+            check_completion_keys(gpu);
+            match out {
                 Some(StepOutput::ContextCrash { app }) => {
                     let mut failed = Vec::new();
                     gpu.take_failed_into(&mut failed);
@@ -4267,12 +4459,18 @@ mod tests {
             }
         }
 
-        /// Steps until the next visible output (or until no event is left).
-        /// Unlike a bare step, this means the same thing whether or not
-        /// arrivals are posted as events.
+        /// Steps until the next visible output or, when none comes, until
+        /// no event is left and what is owed is accounted, as
+        /// [`Recorder::drain`] ends. Unlike a bare step, this means the
+        /// same thing whether or not arrivals are posted as events: a
+        /// posted arrival pops as an event where a deferred one is only
+        /// owed.
         fn next_output(&mut self, gpu: &mut Gpu) {
             let seen = self.t.outputs.len();
-            while self.t.outputs.len() == seen && !gpu.events.is_empty() {
+            while self.t.outputs.len() == seen && gpu.peek_event_time().is_some() {
+                self.step(gpu);
+            }
+            if self.t.outputs.len() == seen {
                 self.step(gpu);
             }
         }
@@ -4288,7 +4486,7 @@ mod tests {
         }
 
         fn drain(&mut self, gpu: &mut Gpu) {
-            while !gpu.events.is_empty() {
+            while gpu.peek_event_time().is_some() {
                 self.step(gpu);
             }
             self.step(gpu);
@@ -4561,7 +4759,7 @@ mod tests {
                     ckpt.abandoned.iter().map(|f| f.handle).collect();
                 assert_eq!(launch_order, handles);
                 rec.t.casualties.extend(ckpt.abandoned);
-                assert!(gpu.events.is_empty() && gpu.unposted.is_empty());
+                assert!(gpu.peek_event_time().is_none() && gpu.unposted.is_empty());
                 assert!(gpu.is_device_idle());
                 rec.drain(gpu);
                 handles
@@ -4661,7 +4859,7 @@ mod tests {
             let sink = BufferSink::new();
             gpu.set_trace_sink(Box::new(sink.clone()));
             let mut steps = 0;
-            while !gpu.events.is_empty() {
+            while gpu.peek_event_time().is_some() {
                 assert!(
                     steps < EVENT_BUDGET,
                     "event budget spent at {:?}",
@@ -4758,17 +4956,146 @@ mod tests {
         );
     }
 
+    /// The three [`twin_runs`] of one random raw-engine schedule: several
+    /// queues over default, MPS-capped and MIG contexts, delayed launches,
+    /// graph launches, crashes, DMA stalls and stragglers, run output by
+    /// output and advanced in the order `ops` gives (see
+    /// `prop_deferred_arrivals_match_posting_every_arrival`).
+    fn schedule_twins(
+        seed: u64,
+        layout: u8,
+        paper_costs: bool,
+        per_resource: bool,
+        fair_share: bool,
+        ops: &[(u8, usize, u64)],
+    ) -> [(Transcript, usize); 3] {
+        let mut spec = if per_resource {
+            GpuSpec::a100_per_resource()
+        } else {
+            GpuSpec::a100()
+        };
+        if fair_share {
+            // Non-dyadic shares make busy-time bits sensitive to every
+            // settle point.
+            spec.hw_policy = HwPolicy::FairShare;
+            spec.num_sms = 100;
+        }
+        let costs = if paper_costs {
+            HostCosts::paper()
+        } else {
+            HostCosts::free()
+        };
+        let faults = FaultSpec {
+            num_apps: 3,
+            straggler_prob: 0.1,
+            straggler_factor: 2.0,
+            crash_count: (seed % 3) as u32,
+            crash_window: (SimTime::ZERO, SimTime::from_micros(400)),
+            dma_stall_count: (seed / 3 % 2) as u32,
+            dma_stall_window: (SimTime::ZERO, SimTime::from_micros(300)),
+            dma_stall_len: SimDuration::from_micros(60),
+            dma_slow_factor: 3.0,
+            ..FaultSpec::default()
+        };
+        let plan = FaultPlan::build(seed, &faults);
+        let table: Arc<[KernelDesc]> = Arc::from(vec![
+            compute(12, 108, 0.1),
+            compute(30, 54, 0.8),
+            compute(7, 20, 0.5),
+            compute(50, 90, 0.3),
+            KernelDesc::memcpy_h2d(200_000),
+            KernelDesc::memcpy_d2h(120_000),
+            compute(3, 108, 0.9),
+        ]);
+        let script = |gpu: &mut Gpu, rec: &mut Recorder| {
+            let table_id = gpu.register_kernel_table(table.clone());
+            let mut ctxs = vec![gpu.create_context(CtxKind::Default).unwrap()];
+            if layout & 1 != 0 {
+                ctxs.push(
+                    gpu.create_context(CtxKind::MpsAffinity { sm_cap: 40 })
+                        .unwrap(),
+                );
+            }
+            if layout & 2 != 0 {
+                ctxs.push(
+                    gpu.create_context(CtxKind::MigPartition { sm_count: 28 })
+                        .unwrap(),
+                );
+            }
+            let queues: Vec<QueueId> = (0..4)
+                .map(|i| gpu.create_queue(ctxs[i % ctxs.len()]).unwrap())
+                .collect();
+            let mut handles = Vec::new();
+            for (n, &(op, a, b)) in ops.iter().enumerate() {
+                let q = queues[a % queues.len()];
+                let index = a / queues.len() % table.len();
+                let tag = encode_tag(a % 3, n);
+                match op {
+                    0 | 1 => handles.push(gpu.launch(q, table_id, index, tag).unwrap()),
+                    2 => {
+                        let extra = SimDuration::from_micros(b % 60);
+                        handles.push(gpu.launch_delayed(q, table_id, index, tag, extra).unwrap());
+                    }
+                    3 => {
+                        let end = (index + 1 + (b as usize) % 3).min(table.len());
+                        gpu.launch_graph(q, table_id, index..end, |k| encode_tag(a % 3, n + k))
+                            .unwrap();
+                    }
+                    4 => rec.advance(gpu, gpu.now() + SimDuration::from_micros(b)),
+                    _ => {
+                        for _ in 0..b % 4 {
+                            rec.next_output(gpu);
+                        }
+                    }
+                }
+            }
+            rec.drain(gpu);
+            rec.probe(gpu);
+            handles
+        };
+        twin_runs(&spec, costs, &plan, script)
+    }
+
+    /// Case 1438 of `prop_deferred_arrivals_match_posting_every_arrival`:
+    /// after a context crash the script asks for outputs that never come.
+    /// `Recorder::next_output` then stops on an empty heap, and unless it
+    /// accounts the arrivals still owed, as `Recorder::drain` does, the
+    /// deferred run settles them later than the twin that popped them as
+    /// events, and its next kernel completes at 96 µs instead of 98 µs.
+    #[test]
+    fn next_output_accounts_owed_arrivals_when_no_output_comes() {
+        #[rustfmt::skip]
+        let ops = [
+            (1, 1, 76), (4, 25, 79), (2, 59, 0), (1, 23, 25), (5, 32, 62), (5, 17, 6),
+            (4, 25, 2), (5, 25, 61), (5, 44, 31), (1, 45, 38), (5, 1, 77), (5, 8, 21),
+            (5, 24, 71), (1, 28, 79), (0, 29, 55), (4, 16, 67), (1, 29, 40), (1, 41, 46),
+            (2, 21, 3), (3, 48, 23), (2, 6, 60), (4, 55, 73), (1, 47, 36), (0, 19, 27),
+            (0, 2, 5), (3, 63, 29), (3, 9, 56), (1, 31, 74), (1, 49, 74), (1, 52, 64),
+            (2, 60, 74), (4, 11, 7), (0, 1, 1), (5, 20, 32), (3, 50, 3), (1, 7, 48),
+            (2, 38, 39), (2, 33, 52), (1, 58, 71), (0, 30, 73), (3, 42, 19), (1, 10, 72),
+            (5, 0, 32), (0, 3, 29), (2, 26, 64), (2, 46, 17), (1, 63, 42), (4, 14, 59),
+            (1, 37, 46), (0, 60, 16), (2, 50, 13), (3, 32, 49),
+        ];
+        let [(deferred, fewer), (posted, every), (general, _)] =
+            schedule_twins(12_128_155_649_117_265_547, 3, true, false, false, &ops);
+        assert!(
+            !deferred.casualties.is_empty(),
+            "the schedule crashes a context"
+        );
+        assert_eq!(deferred, posted);
+        assert_eq!(deferred, general);
+        assert!(fewer <= every);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
-        /// Differential twin: random raw-engine schedules — several queues
-        /// over default, MPS-capped and MIG contexts, delayed launches,
-        /// graph launches, crashes, DMA stalls and stragglers, run output
-        /// by output and advanced in random order — expose identical
-        /// outputs, busy-time bits, fault counters, casualties and trace
-        /// streams whether arrivals behind a busy queue are deferred or
-        /// posted, and whether a lone running head takes the shortcut or
-        /// the general reallocation and settle walk.
+        /// Differential twin: random raw-engine schedules (see
+        /// [`schedule_twins`]) expose identical outputs, busy-time bits,
+        /// fault counters, casualties and trace streams whether arrivals
+        /// behind a busy queue are deferred or posted, and whether a lone
+        /// running head takes the shortcut or the general reallocation and
+        /// settle walk.
         #[test]
         fn prop_deferred_arrivals_match_posting_every_arrival(
             seed in proptest::prelude::any::<u64>(),
@@ -4778,76 +5105,8 @@ mod tests {
             fair_share in proptest::prelude::any::<bool>(),
             ops in proptest::collection::vec((0u8..6, 0usize..64, 0u64..80), 1..60),
         ) {
-            let mut spec = if per_resource { GpuSpec::a100_per_resource() } else { GpuSpec::a100() };
-            if fair_share {
-                // Non-dyadic shares make busy-time bits sensitive to every
-                // settle point.
-                spec.hw_policy = HwPolicy::FairShare;
-                spec.num_sms = 100;
-            }
-            let costs = if paper_costs { HostCosts::paper() } else { HostCosts::free() };
-            let faults = FaultSpec {
-                num_apps: 3,
-                straggler_prob: 0.1,
-                straggler_factor: 2.0,
-                crash_count: (seed % 3) as u32,
-                crash_window: (SimTime::ZERO, SimTime::from_micros(400)),
-                dma_stall_count: (seed / 3 % 2) as u32,
-                dma_stall_window: (SimTime::ZERO, SimTime::from_micros(300)),
-                dma_stall_len: SimDuration::from_micros(60),
-                dma_slow_factor: 3.0,
-                ..FaultSpec::default()
-            };
-            let plan = FaultPlan::build(seed, &faults);
-            let table: Arc<[KernelDesc]> = Arc::from(vec![
-                compute(12, 108, 0.1),
-                compute(30, 54, 0.8),
-                compute(7, 20, 0.5),
-                compute(50, 90, 0.3),
-                KernelDesc::memcpy_h2d(200_000),
-                KernelDesc::memcpy_d2h(120_000),
-                compute(3, 108, 0.9),
-            ]);
-            let script = |gpu: &mut Gpu, rec: &mut Recorder| {
-                let table_id = gpu.register_kernel_table(table.clone());
-                let mut ctxs = vec![gpu.create_context(CtxKind::Default).unwrap()];
-                if layout & 1 != 0 {
-                    ctxs.push(gpu.create_context(CtxKind::MpsAffinity { sm_cap: 40 }).unwrap());
-                }
-                if layout & 2 != 0 {
-                    ctxs.push(gpu.create_context(CtxKind::MigPartition { sm_count: 28 }).unwrap());
-                }
-                let queues: Vec<QueueId> =
-                    (0..4).map(|i| gpu.create_queue(ctxs[i % ctxs.len()]).unwrap()).collect();
-                let mut handles = Vec::new();
-                for (n, &(op, a, b)) in ops.iter().enumerate() {
-                    let q = queues[a % queues.len()];
-                    let index = a / queues.len() % table.len();
-                    let tag = encode_tag(a % 3, n);
-                    match op {
-                        0 | 1 => handles.push(gpu.launch(q, table_id, index, tag).unwrap()),
-                        2 => {
-                            let extra = SimDuration::from_micros(b % 60);
-                            handles.push(gpu.launch_delayed(q, table_id, index, tag, extra).unwrap());
-                        }
-                        3 => {
-                            let end = (index + 1 + (b as usize) % 3).min(table.len());
-                            gpu.launch_graph(q, table_id, index..end, |k| encode_tag(a % 3, n + k)).unwrap();
-                        }
-                        4 => rec.advance(gpu, gpu.now() + SimDuration::from_micros(b)),
-                        _ => {
-                            for _ in 0..b % 4 {
-                                rec.next_output(gpu);
-                            }
-                        }
-                    }
-                }
-                rec.drain(gpu);
-                rec.probe(gpu);
-                handles
-            };
             let [(deferred, fewer), (posted, every), (general, _)] =
-                twin_runs(&spec, costs, &plan, script);
+                schedule_twins(seed, layout, paper_costs, per_resource, fair_share, &ops);
             proptest::prop_assert_eq!(&deferred, &posted);
             proptest::prop_assert_eq!(deferred, general, "lone-head shortcut");
             proptest::prop_assert!(fewer <= every);

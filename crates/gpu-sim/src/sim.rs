@@ -92,7 +92,8 @@ pub enum RunOutcome {
     /// The event budget was exhausted (runaway driver protection). The
     /// budget counts loop iterations — request deliveries and device
     /// steps. A launch that lands behind a busy queue posts no device
-    /// event, so it spends none, and a closed-form stretch (see
+    /// event, so it spends none, a completion is one step (no stale
+    /// prediction is ever taken), and a closed-form stretch (see
     /// [`Gpu::step_within`]) is one step however many completions it
     /// covers.
     EventBudgetExhausted,
@@ -322,7 +323,7 @@ impl<D: HostDriver> Simulation<D> {
                     self.failed_buf = failed;
                     self.process_notices();
                 }
-                None => {} // Stale completion; keep going.
+                None => {} // An arrival, a poke or a silent completion.
             }
         }
     }

@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use dnn_models::AppModel;
 use gpu_sim::{CtxKind, Gpu, GpuSpec, HostCosts, KernelDesc};
+use sim_core::time::round_ns;
 use sim_core::{SimDuration, SimTime};
 
 /// Number of SM partitions the profiler measures (paper: `N = 18` on an
@@ -178,7 +179,7 @@ impl ProfiledApp {
             // inverse-proportional scaling.
             let d0 = self.kernel_durations[0][kernel].as_nanos() as f64;
             let scaled = d0 * (first / sms.max(1.0));
-            return SimDuration::from_nanos(scaled.round() as u64);
+            return SimDuration::from_nanos(round_ns(scaled));
         }
         let last_idx = self.partition_sms.len() - 1;
         if sms >= self.partition_sms[last_idx] as f64 {
@@ -197,7 +198,7 @@ impl ProfiledApp {
             self.kernel_durations[hi][kernel].as_nanos() as f64,
         );
         let frac = (sms - s0) / (s1 - s0);
-        SimDuration::from_nanos((d0 + (d1 - d0) * frac).round() as u64)
+        SimDuration::from_nanos(round_ns(d0 + (d1 - d0) * frac))
     }
 
     /// Mean compute-kernel duration at the largest partition (used by the

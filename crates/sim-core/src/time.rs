@@ -9,6 +9,40 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
+/// 2^63: below it (and from 0 up) a float truncates to `i64` and back in
+/// one instruction each; from it up every float is whole.
+const I64_LIMIT: f64 = 9_223_372_036_854_775_808.0;
+
+/// `x.round() as u64`, bit for bit, without a libm call: negatives and NaN
+/// give 0 and values from 2^64 up give `u64::MAX`, as the saturating cast
+/// does. The default x86-64 target has no SSE4.1 rounding instruction, so
+/// `f64::round` is a software call. Below 2^63 the truncation `t` and
+/// `x - t` are exact, so comparing `x - t` with one half rounds halves away
+/// from zero as `round` does; from 2^63 up `x` is whole and the cast alone
+/// is exact.
+#[inline]
+pub fn round_ns(x: f64) -> u64 {
+    if (0.0..I64_LIMIT).contains(&x) {
+        let t = x as i64;
+        (t + i64::from(x - t as f64 >= 0.5)) as u64
+    } else {
+        x as u64
+    }
+}
+
+/// `x.ceil() as u64`, bit for bit, without a libm call (see
+/// [`round_ns`]): negatives and NaN give 0, values above `u64::MAX` give
+/// `u64::MAX`.
+#[inline]
+pub fn ceil_ns(x: f64) -> u64 {
+    if (0.0..I64_LIMIT).contains(&x) {
+        let t = x as i64;
+        (t + i64::from((t as f64) < x)) as u64
+    } else {
+        x as u64
+    }
+}
+
 /// An absolute instant on the simulation clock, in nanoseconds since start.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
@@ -64,6 +98,7 @@ impl SimTime {
     ///
     /// Panics if `earlier` is later than `self`; simulation clocks never run
     /// backwards, so this indicates a logic error.
+    #[inline]
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         match self.0.checked_sub(earlier.0) {
             Some(ns) => SimDuration(ns),
@@ -72,11 +107,13 @@ impl SimTime {
     }
 
     /// The duration since `earlier`, or zero if `earlier` is in the future.
+    #[inline]
     pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
     /// Adds a duration, saturating at [`SimTime::MAX`].
+    #[inline]
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
     }
@@ -116,7 +153,7 @@ impl SimDuration {
         if !s.is_finite() || s <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((s * 1e9).round().min(u64::MAX as f64) as u64)
+        SimDuration(round_ns(s * 1e9))
     }
 
     /// Builds a duration from fractional milliseconds (clamping like
@@ -182,6 +219,7 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         match self.0.checked_add(rhs.0) {
             Some(ns) => SimTime(ns),
@@ -198,6 +236,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         self.duration_since(rhs)
     }
@@ -205,6 +244,7 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         match self.0.checked_add(rhs.0) {
             Some(ns) => SimDuration(ns),
@@ -221,6 +261,7 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         match self.0.checked_sub(rhs.0) {
             Some(ns) => SimDuration(ns),
@@ -335,6 +376,80 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(1.5e-9).as_nanos(), 2);
+    }
+
+    /// The libm results [`round_ns`] and [`ceil_ns`] replace, as their
+    /// callers cast them: `round` bare or, for all but NaN (which
+    /// `SimDuration::from_secs_f64` turns away first), clamped to
+    /// `u64::MAX`; `ceil` clamped at zero.
+    fn libm(x: f64) -> (u64, u64) {
+        let round = x.round() as u64;
+        if !x.is_nan() {
+            assert_eq!(round, x.round().min(u64::MAX as f64) as u64, "{x:e}");
+        }
+        (round, x.ceil().max(0.0) as u64)
+    }
+
+    #[test]
+    fn integer_rounding_matches_libm_on_edge_cases() {
+        let two = |e: i32| 2f64.powi(e);
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            -0.5,
+            -1.5,
+            -1e300,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            u64::MAX as f64,
+        ];
+        for e in [52, 53, 63, 64, 65, 1000] {
+            for x in [
+                two(e),
+                two(e) + 0.5,
+                two(e) - 0.5,
+                two(e) + 1.0,
+                two(e) - 1.0,
+            ] {
+                edges.extend([
+                    x,
+                    -x,
+                    f64::from_bits(x.to_bits() + 1),
+                    f64::from_bits(x.to_bits() - 1),
+                ]);
+            }
+        }
+        for x in edges {
+            assert_eq!((round_ns(x), ceil_ns(x)), libm(x), "{x:e}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// Random magnitudes from 2^-40 to 2^70 of either sign, halves and
+        /// raw bit patterns (NaNs and infinities among them).
+        #[test]
+        fn prop_integer_rounding_matches_libm(
+            bits in proptest::prelude::any::<u64>(),
+            mantissa in proptest::prelude::any::<f64>(),
+            exp in -40i32..70,
+            whole in proptest::prelude::any::<u64>(),
+        ) {
+            let scaled = mantissa * 2f64.powi(exp);
+            let half = (whole >> (whole % 64)) as f64 + 0.5;
+            for x in [f64::from_bits(bits), scaled, -scaled, half, -half] {
+                proptest::prop_assert_eq!((round_ns(x), ceil_ns(x)), libm(x), "{:e}", x);
+            }
+        }
     }
 
     #[test]
