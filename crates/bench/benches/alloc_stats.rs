@@ -51,7 +51,6 @@ fn engine_setup() -> (Gpu, Vec<QueueId>, KernelTableId) {
 /// reuses the same harness).
 fn engine_setup_with(spec: GpuSpec) -> (Gpu, Vec<QueueId>, KernelTableId) {
     let mut gpu = Gpu::new(spec, HostCosts::free());
-    gpu.set_slot_recycling(true);
     let queues: Vec<QueueId> = (0..2)
         .map(|_| {
             let ctx = gpu.create_context(CtxKind::Default).expect("ctx");

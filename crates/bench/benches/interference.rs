@@ -40,7 +40,6 @@ impl Engine {
     /// An engine under `spec`, warmed by one 4096-kernel batch.
     fn warmed(spec: GpuSpec) -> Self {
         let mut gpu = Gpu::new(spec, HostCosts::free());
-        gpu.set_slot_recycling(true);
         let queues: Vec<QueueId> = (0..2)
             .map(|_| {
                 let ctx = gpu.create_context(CtxKind::Default).expect("ctx");

@@ -45,9 +45,13 @@ pub fn channel_aggressor(sms: u32, demand: ChannelDemand) -> KernelDesc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{CtxKind, Gpu, GpuSpec, HostCosts};
+    use gpu_sim::{CtxKind, Gpu, GpuSpec, HostCosts, StepOutput};
     use sim_core::SimTime;
     use std::sync::Arc;
+
+    /// Events one pair run may pop before the victim finishes: it takes a
+    /// handful, so running out means a kernel that never finishes.
+    const EVENT_BUDGET: u64 = 1_000;
 
     /// Runs victim+aggressor concurrently and returns the victim slowdown.
     fn slowdown(victim_mem: f64, aggressor_mem: f64) -> f64 {
@@ -60,13 +64,17 @@ mod tests {
         let table = gpu.register_kernel_table(Arc::from(pair));
         let v = gpu.launch(q1, table, 0, 0).unwrap();
         gpu.launch(q2, table, 1, 1).unwrap();
-        while gpu.kernel_finished_at(v).is_none() {
-            if gpu.step().is_none() && gpu.peek_event_time().is_none() {
-                panic!("victim never finished");
+        for _ in 0..EVENT_BUDGET {
+            match gpu.step() {
+                Some(StepOutput::KernelDone { handle, .. }) if handle == v => {
+                    let t = gpu.now().duration_since(SimTime::ZERO);
+                    return t.as_nanos() as f64 / base.as_nanos() as f64;
+                }
+                None if gpu.peek_event_time().is_none() => panic!("victim never finished"),
+                _ => {}
             }
         }
-        let t = gpu.kernel_finished_at(v).unwrap();
-        t.duration_since(SimTime::ZERO).as_nanos() as f64 / base.as_nanos() as f64
+        panic!("victim still running after {EVENT_BUDGET} events")
     }
 
     #[test]

@@ -44,7 +44,11 @@ pub struct CtxId(pub u32);
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueueId(pub u32);
 
-/// Handle of one launched kernel instance.
+/// Handle of one launched kernel: its launch number on the device, counted
+/// from 0 in launch order (launch programs and the closed form included).
+/// It names the same kernel whatever instance slot the kernel occupies, and
+/// no two launches share one; a kernel's completion
+/// ([`StepOutput::KernelDone`]) or crash ([`FailedKernel`]) reports it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct KernelHandle(pub u64);
 
@@ -143,14 +147,14 @@ impl std::error::Error for GpuError {}
 
 /// Lifecycle state of a kernel instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InstState {
+enum InstState {
     /// Launched on the host; in flight to the device.
     InFlight,
     /// In its device queue, waiting to reach the head.
     Queued,
     /// Executing (possibly at rate 0 if starved of SMs).
     Running,
-    /// Finished.
+    /// Finished; its slot is on the free list.
     Done,
     /// Killed by an injected context crash before completing; the host must
     /// re-submit it (reported through [`Gpu::take_failed_into`]).
@@ -307,23 +311,22 @@ struct Instance {
     alloc_sms: f64,
     /// Dispatch order among running kernels (greedy-sticky priority).
     run_seq: u64,
-    /// Launch order; crash and drain casualties are taken in it, so they
-    /// never depend on which slot recycling placed a kernel in.
+    /// Launch order, and the kernel's [`KernelHandle`]; crash and drain
+    /// casualties are taken in it, so they never depend on which slot
+    /// recycling placed a kernel in.
     launch_seq: u64,
     /// Reserved event key `(at, seq)` of an arrival not yet accounted
     /// for: neither posted to the event queue nor replayed from
     /// [`Gpu::unposted`]. `None` once either happened, or when the
     /// arrival was posted at launch.
     unposted_arrival: Option<(SimTime, u64)>,
-    /// Generation of this slot; bumped every time the slot is recycled so
-    /// stale [`KernelHandle`]s are detectable.
-    generation: u32,
     /// Earliest instant the kernel may begin when paying the contended
     /// dispatch gap (unrestricted context with co-resident tenants).
     /// Set once: a kernel never pays the arbitration gap twice.
     dispatch_ready: Option<SimTime>,
-    started_at: Option<SimTime>,
-    finished_at: Option<SimTime>,
+    /// When the kernel started running, reported with its completion;
+    /// meaningless before it starts.
+    started: SimTime,
     /// Unique launch sequence number for the trace stream; 0 when the
     /// launch happened with tracing disabled.
     trace_seq: u64,
@@ -335,7 +338,7 @@ struct Instance {
 
 impl Instance {
     /// A kernel just launched: in flight, `remaining` work to do, its
-    /// arrival not yet accounted for, in generation 0.
+    /// arrival not yet accounted for.
     fn launched(
         shape: KernelShape,
         queue: QueueId,
@@ -355,10 +358,8 @@ impl Instance {
             run_seq: u64::MAX,
             launch_seq,
             unposted_arrival: None,
-            generation: 0,
             dispatch_ready: None,
-            started_at: None,
-            finished_at: None,
+            started: SimTime::ZERO,
             trace_seq,
             #[cfg(debug_assertions)]
             residue_pushes: (0, 0),
@@ -597,12 +598,14 @@ enum DevEv {
 pub enum StepOutput {
     /// A kernel finished.
     KernelDone {
-        /// The finished instance.
+        /// The finished kernel.
         handle: KernelHandle,
         /// Queue it ran on.
         queue: QueueId,
         /// Driver-assigned tag.
         tag: u64,
+        /// When it started running; it finished at the step's instant.
+        started: SimTime,
     },
     /// A host wakeup fired.
     HostWake {
@@ -622,7 +625,8 @@ pub enum StepOutput {
 /// driver for re-submission.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FailedKernel {
-    /// Handle of the killed instance (now in [`InstState::Failed`]).
+    /// Handle of the killed kernel, which never completes: no
+    /// [`StepOutput::KernelDone`] reports it.
     pub handle: KernelHandle,
     /// The queue it was launched into (re-submit to the same queue to
     /// preserve per-queue FIFO ordering).
@@ -695,8 +699,7 @@ pub struct Gpu {
     #[cfg(test)]
     pub(crate) post_every_arrival: bool,
     /// Test-only twin switch: no lone-head shortcut, so every
-    /// reallocation takes the general path and every settle walks every
-    /// queue.
+    /// reallocation takes the general path.
     #[cfg(test)]
     pub(crate) no_lone: bool,
     /// Test-only twin switch: lone chains advance kernel by kernel,
@@ -732,10 +735,6 @@ pub struct Gpu {
     /// when none): re-found only when that key grows or goes away (see
     /// [`Gpu::set_completion`]).
     next_completion: (u128, usize),
-    /// The queue of the only running head, compute or memcpy, while
-    /// exactly one runs; stale otherwise. `set_running` sets it on a
-    /// 0 → 1 transition and `clear_running` re-finds it on a 2 → 1 one.
-    lone_queue: usize,
     /// Whether a lone running compute kernel's slowdown is exactly 1
     /// under this spec, so [`Gpu::reallocate_scoped`] may skip the
     /// interference model for it (see [`Gpu::lone_is_exact`]).
@@ -765,12 +764,8 @@ pub struct Gpu {
     notices: Vec<u64>,
     next_run_seq: u64,
     next_launch_seq: u64,
-    /// Completed slots available for reuse (only fed when
-    /// `recycle_slots` is on).
+    /// Completed slots available for reuse, the most recently freed last.
     free_slots: Vec<usize>,
-    /// Whether reported-complete instances are recycled through the
-    /// free-list (see [`Gpu::set_slot_recycling`]).
-    recycle_slots: bool,
     /// Fault-injection state; `None` unless a non-trivial plan is
     /// installed (see [`Gpu::set_fault_plan`]).
     fault: Option<FaultState>,
@@ -839,7 +834,6 @@ impl Gpu {
             running_queues: QueueSet::default(),
             completions: Vec::new(),
             next_completion: (NO_KEY, 0),
-            lone_queue: 0,
             lone_exact,
             chain: VecDeque::new(),
             jump_tables: Vec::new(),
@@ -855,7 +849,6 @@ impl Gpu {
             next_run_seq: 0,
             next_launch_seq: 0,
             free_slots: Vec::new(),
-            recycle_slots: false,
             fault: None,
             trace: None,
             next_trace_seq: 1,
@@ -959,19 +952,12 @@ impl Gpu {
         self.fault.as_ref().map(|f| f.counters).unwrap_or_default()
     }
 
-    /// Enables (or disables) recycling of completed instance slots through
-    /// a free-list, bounding `instances` growth on long traces.
-    ///
-    /// Handles are generation-tagged, so a stale handle to a recycled slot
-    /// reports `Done` / `None` rather than another kernel's data — but
-    /// callers that introspect kernels *after* their completion was
-    /// reported (e.g. the profiler, which queries every handle post-drain)
-    /// must leave recycling off. Off by default; [`crate::Simulation::new`]
-    /// turns it on, since that loop hands drivers completions only as
-    /// tags. Slot reuse never changes scheduling order, so results are
-    /// bit-identical either way.
+    /// Does nothing: completed slots are always recycled. Kept only for
+    /// the benchmark crate's two calls (`benchmark/src/colocate.rs` and
+    /// `serve.rs`), which ROADMAP item 12 step 2 removes with this stub.
+    #[doc(hidden)]
     pub fn set_slot_recycling(&mut self, on: bool) {
-        self.recycle_slots = on;
+        assert!(on, "completed slots are always recycled");
     }
 
     /// Creates an A100 with the paper's host costs.
@@ -1201,7 +1187,7 @@ impl Gpu {
         );
         self.next_launch_seq += 1;
         let slot = self.take_slot();
-        self.place(slot, inst);
+        self.instances[slot] = inst;
         self.live_instances += 1;
         let seq = self.events.reserve_seq();
         let q = &mut self.queues[queue.0 as usize];
@@ -1215,11 +1201,11 @@ impl Gpu {
         } else {
             self.list_unposted(slot, (arrive_at, seq));
         }
-        Self::handle_for(slot, self.instances[slot].generation)
+        KernelHandle(self.instances[slot].launch_seq)
     }
 
     /// A slot for a new launch: the most recently freed one, or a new
-    /// one holding a finished placeholder until [`Gpu::place`] fills it.
+    /// one holding a finished placeholder until the launch fills it.
     fn take_slot(&mut self) -> usize {
         self.free_slots.pop().unwrap_or_else(|| {
             debug_assert!(self.instances.len() < u32::MAX as usize);
@@ -1235,13 +1221,6 @@ impl Gpu {
             self.instances.push(placeholder);
             self.instances.len() - 1
         })
-    }
-
-    /// Writes `inst` into `slot`, which keeps its generation so stale
-    /// handles from a previous occupant stay detectable.
-    fn place(&mut self, slot: usize, inst: Instance) {
-        let generation = self.instances[slot].generation;
-        self.instances[slot] = Instance { generation, ..inst };
     }
 
     /// Lists the arrival of the kernel in `slot`, keyed `key`, as not yet
@@ -1262,22 +1241,6 @@ impl Gpu {
                 .map_or(0, |i| i + 1);
             self.unposted.insert(pos, (arrive_at, seq, slot));
         }
-    }
-
-    /// Packs a slot index and its generation into a handle. Generation 0
-    /// handles are numerically equal to their slot index, so recycling-off
-    /// behaviour (the default) is unchanged.
-    fn handle_for(slot: usize, generation: u32) -> KernelHandle {
-        KernelHandle(((generation as u64) << 32) | slot as u64)
-    }
-
-    /// Resolves a handle to its instance, or `None` if the slot has since
-    /// been recycled (the handle's kernel necessarily completed).
-    fn resolve(&self, h: KernelHandle) -> Option<&Instance> {
-        let slot = (h.0 & 0xFFFF_FFFF) as usize;
-        let generation = (h.0 >> 32) as u32;
-        let inst = self.instances.get(slot)?;
-        (inst.generation == generation).then_some(inst)
     }
 
     /// Interns a kernel table: an `Arc` slice of descriptors (typically
@@ -1519,27 +1482,11 @@ impl Gpu {
     // Introspection
     // ------------------------------------------------------------------
 
-    /// Lifecycle state of an instance. A recycled slot's stale handle
-    /// reports `Done` (the only state a slot can be recycled from).
-    pub fn kernel_state(&self, h: KernelHandle) -> InstState {
-        self.resolve(h).map_or(InstState::Done, |i| i.state)
-    }
-
-    /// When the instance finished, if it has. `None` for stale handles to
-    /// recycled slots (their timestamps were dropped with the slot).
-    pub fn kernel_finished_at(&self, h: KernelHandle) -> Option<SimTime> {
-        self.resolve(h).and_then(|i| i.finished_at)
-    }
-
-    /// When the instance started running, if it has (`None` for stale
-    /// handles to recycled slots).
-    pub fn kernel_started_at(&self, h: KernelHandle) -> Option<SimTime> {
-        self.resolve(h).and_then(|i| i.started_at)
-    }
-
     /// Capacity currently devoted to instance bookkeeping (slots in use or
-    /// on the free-list); with recycling on this stays bounded by the peak
-    /// number of concurrently live kernels.
+    /// on the free-list). A completed or killed kernel's slot goes back on
+    /// the free list, so this stays bounded by the peak number of live
+    /// kernels (a kernel killed in flight holds its slot until its arrival
+    /// is accounted).
     pub fn instance_slots(&self) -> usize {
         self.instances.len()
     }
@@ -1675,7 +1622,10 @@ impl Gpu {
             DevEv::Arrive { slot } => {
                 if self.instances[slot].state != InstState::InFlight {
                     // The launch was killed in flight by a context crash:
-                    // the kernel never reaches its device queue.
+                    // the kernel never reaches its device queue, and
+                    // nothing refers to its slot any more.
+                    debug_assert_eq!(self.instances[slot].state, InstState::Failed);
+                    self.free_slots.push(slot);
                     return None;
                 }
                 self.instances[slot].state = InstState::Queued;
@@ -1761,17 +1711,14 @@ impl Gpu {
         self.finish(slot);
         let inst = &self.instances[slot];
         let out = StepOutput::KernelDone {
-            handle: Self::handle_for(slot, inst.generation),
+            handle: KernelHandle(inst.launch_seq),
             queue: inst.queue,
             tag: inst.tag,
+            started: inst.started,
         };
-        if self.recycle_slots {
-            // The completion is reported (or silently refilled) right now;
-            // after that the slot may be reused. Bump the generation so the
-            // kernel's handle turns stale.
-            self.instances[slot].generation = self.instances[slot].generation.wrapping_add(1);
-            self.free_slots.push(slot);
-        }
+        // The completion is reported (or silently refilled) right now; after
+        // that the slot takes the next launch.
+        self.free_slots.push(slot);
         if !silent {
             return Some(out);
         }
@@ -1788,15 +1735,14 @@ impl Gpu {
 
     /// Whether a lone chain may advance in closed form (see
     /// [`Gpu::closed_stretch`]): greedy-sticky with a lone kernel's
-    /// slowdown exactly 1, no fault plan (work is never scaled) and slot
-    /// recycling on (a finished kernel's slot is only a free-list entry).
+    /// slowdown exactly 1 and no fault plan (work is never scaled).
     #[inline]
     fn closed_form_enabled(&self) -> bool {
         #[cfg(test)]
         if self.no_closed_form || self.no_lone || self.post_every_arrival {
             return false;
         }
-        self.lone_exact && self.fault.is_none() && self.recycle_slots
+        self.lone_exact && self.fault.is_none()
     }
 
     /// Advances the chain of program queue `q` in closed form from its
@@ -1952,9 +1898,7 @@ impl Gpu {
             s.busy += add;
             self.now = s.key.0;
             s.last = s.key;
-            let inst = &mut self.instances[s.slot];
-            inst.state = InstState::Done;
-            inst.generation = inst.generation.wrapping_add(1);
+            self.instances[s.slot].state = InstState::Done;
             self.free_slots.push(s.slot);
             s.in_flight -= 1;
             s.completed += 1;
@@ -2048,7 +1992,7 @@ impl Gpu {
             inst.state = InstState::Running;
             inst.unposted_arrival = None;
             inst.run_seq = run_seq;
-            inst.started_at = Some(self.now);
+            inst.started = self.now;
             inst.alloc_sms = s.alloc;
             inst.rate = s.alloc;
             self.queues[q].running = Some(s.slot);
@@ -2102,7 +2046,7 @@ impl Gpu {
     /// lands strictly before the completion it waits for, `window - 1 >= 1`
     /// completions later (a refill landing on the instant of the completion
     /// before it would sort after it). So the window's slots rotate, and
-    /// instants, busy SM·ns, seqs and generations are sums: over the chain
+    /// instants, busy SM·ns and seqs are sums: over the chain
     /// for its `window - 1` kernels, then differences of the table's
     /// [`JumpPrefix`] sums, whose stop a binary search finds. Only the
     /// chain is rewritten; the write-back after the loop writes the
@@ -2211,9 +2155,7 @@ impl Gpu {
             _ => chain[i - 1].slot,
         };
         for i in 0..w.min(n) {
-            let inst = &mut self.instances[slot_of(chain, i)];
-            inst.state = InstState::Done;
-            inst.generation = inst.generation.wrapping_add(((n - 1 - i) / w + 1) as u32);
+            self.instances[slot_of(chain, i)].state = InstState::Done;
         }
         for t in launches + 1..=n {
             self.free_slots.push(slot_of(chain, (t - 1) % w));
@@ -2335,7 +2277,7 @@ impl Gpu {
                 c.launch_seq,
                 c.trace_seq,
             );
-            self.place(c.slot, inst);
+            self.instances[c.slot] = inst;
         }
     }
 
@@ -2449,17 +2391,19 @@ impl Gpu {
     /// progress. Returns the casualty and whether it opened its queue's
     /// front — it was the running head, or the in-flight front of a queue
     /// with no head — so the caller should let the next kernel in with
-    /// [`Gpu::try_start_head`]. Failed slots are never recycled, so their
-    /// handles and any stale arrivals stay valid.
+    /// [`Gpu::try_start_head`]. The slot is freed at once for a kernel
+    /// that had reached its queue. One killed in flight keeps its slot
+    /// until its arrival is accounted: a posted `Arrive` must find the slot
+    /// failed, and an unposted arrival its key, which still settles at its
+    /// instant.
     fn kill(&mut self, slot: usize) -> (FailedKernel, bool) {
         let inst = &mut self.instances[slot];
         let state = inst.state;
         inst.state = InstState::Failed;
         inst.rate = 0.0;
         inst.alloc_sms = 0.0;
-        inst.finished_at = None;
         let failed = FailedKernel {
-            handle: Self::handle_for(slot, inst.generation),
+            handle: KernelHandle(inst.launch_seq),
             queue: inst.queue,
             tag: inst.tag,
         };
@@ -2482,6 +2426,9 @@ impl Gpu {
             }
             InstState::Done | InstState::Failed => unreachable!("only live kernels are killed"),
         };
+        if state != InstState::InFlight {
+            self.free_slots.push(slot);
+        }
         self.live_instances -= 1;
         if self.trace.is_some() && seq != 0 {
             self.trace_emit(TraceEvent::KernelFailed {
@@ -2560,7 +2507,6 @@ impl Gpu {
         inst.remaining = 0.0;
         inst.rate = 0.0;
         inst.alloc_sms = 0.0;
-        inst.finished_at = Some(self.now);
         let finished_compute = inst.shape.kind.is_compute();
         let q = inst.queue.0 as usize;
         let seq = inst.trace_seq;
@@ -2593,9 +2539,6 @@ impl Gpu {
         } else {
             self.running_dma += 1;
         }
-        if self.running_compute + self.running_dma == 1 {
-            self.lone_queue = q;
-        }
     }
 
     /// Clears queue `q`'s running head, a compute kernel or a memcpy, and
@@ -2608,12 +2551,6 @@ impl Gpu {
             self.running_compute -= 1;
         } else {
             self.running_dma -= 1;
-        }
-        if self.running_compute + self.running_dma == 1 {
-            // 2 → 1: the survivor may run on any queue.
-            if let Some(lone) = self.running_queues.first() {
-                self.lone_queue = lone;
-            }
         }
     }
 
@@ -2650,16 +2587,6 @@ impl Gpu {
         least
     }
 
-    /// The queue of the only running head, if exactly one runs.
-    #[inline]
-    fn lone_head_queue(&self) -> Option<usize> {
-        #[cfg(test)]
-        if self.no_lone {
-            return None;
-        }
-        (self.running_compute + self.running_dma == 1).then_some(self.lone_queue)
-    }
-
     /// The slot of the only running kernel, if it is a compute kernel
     /// whose slowdown is exactly 1 (see [`Gpu::lone_is_exact`]).
     #[inline]
@@ -2671,7 +2598,7 @@ impl Gpu {
         if !(self.lone_exact && self.running_compute == 1 && self.running_dma == 0) {
             return None;
         }
-        self.queues[self.lone_queue].running
+        self.queues[self.running_queues.first()?].running
     }
 
     /// Whether [`Gpu::reallocate_scoped`] may give a lone running compute
@@ -2717,7 +2644,7 @@ impl Gpu {
         inst.state = InstState::Running;
         inst.run_seq = self.next_run_seq;
         self.next_run_seq += 1;
-        inst.started_at = Some(self.now);
+        inst.started = self.now;
         if self.trace.is_some() {
             let seq = self.instances[slot].trace_seq;
             if seq != 0 {
@@ -2734,8 +2661,8 @@ impl Gpu {
     /// Accounts every unposted arrival keyed before `key`, in key order,
     /// with the float operations its `Arrive` event would have made:
     /// settle to its instant, then move the kernel to `Queued` (a killed
-    /// one only settles). Such a kernel always waits behind a running head
-    /// or an earlier launch, so none starts here.
+    /// one only settles, and frees its slot). Such a kernel always waits
+    /// behind a running head or an earlier launch, so none starts here.
     #[inline]
     fn replay_arrivals_before(&mut self, key: (SimTime, u64)) {
         while let Some(&(at, seq, slot)) = self.unposted.front() {
@@ -2755,6 +2682,10 @@ impl Gpu {
                     queue.running.is_some() || queue.waiting.front() != Some(&slot),
                     "a headless queue's front must have its arrival posted"
                 );
+            } else {
+                // Killed in flight: the arrival was the last reference.
+                debug_assert_eq!(inst.state, InstState::Failed);
+                self.free_slots.push(slot);
             }
             debug_assert!(at >= self.now, "arrivals replay in time order");
             self.settle(at);
@@ -2777,19 +2708,10 @@ impl Gpu {
             return;
         }
         let dt = t.duration_since(self.last_settle).as_nanos() as f64;
-        if let Some(q) = self.lone_head_queue() {
-            // The walk below would find this one head and nothing else.
-            let slot = self.queues[q].running;
-            debug_assert!(slot.is_some(), "lone_queue names the only running head");
-            if let Some(slot) = slot {
-                self.settle_head(slot, dt);
-            }
-        } else {
-            for i in 0..self.running_queues.words() {
-                for q in self.running_queues.word(i) {
-                    if let Some(slot) = self.queues[q].running {
-                        self.settle_head(slot, dt);
-                    }
+        for i in 0..self.running_queues.words() {
+            for q in self.running_queues.word(i) {
+                if let Some(slot) = self.queues[q].running {
+                    self.settle_head(slot, dt);
                 }
             }
         }
@@ -3235,18 +3157,17 @@ impl Gpu {
     /// Every piece of engine state a later call can read, as text, so that
     /// twins can be required to leave the device in the same state: the
     /// clocks and counters, the busy bits, every live instance with its
-    /// keys, each slot's state and generation, the free list, the queues,
+    /// keys, each other slot's state, the free list, the queues,
     /// the unposted arrivals, the pending events in pop order and the
     /// programs.
     #[cfg(test)]
     pub(crate) fn fingerprint(&self) -> String {
         use std::fmt::Write;
         let mut s = String::new();
-        let running = self.running_compute + self.running_dma;
         let _ = writeln!(
             s,
             "now {:?} host_free {:?} settled {:?} busy {:#x} run_seq {} \
-             launch_seq {} event_seq {} live {} running {}+{} lone {:?}",
+             launch_seq {} event_seq {} live {} running {}+{} queues {:?}",
             self.now,
             self.host_free,
             self.last_settle,
@@ -3257,13 +3178,13 @@ impl Gpu {
             self.live_instances,
             self.running_compute,
             self.running_dma,
-            (running == 1).then_some(self.lone_queue),
+            self.running_queues,
         );
         for (slot, inst) in self.instances.iter().enumerate() {
             if inst.is_live() {
                 let _ = writeln!(s, "{slot}: {inst:?}");
             } else {
-                let _ = writeln!(s, "{slot}: {:?} gen {}", inst.state, inst.generation);
+                let _ = writeln!(s, "{slot}: {:?}", inst.state);
             }
         }
         let mut events: Vec<_> = self
@@ -3336,14 +3257,53 @@ mod tests {
         out
     }
 
-    fn run_all(gpu: &mut Gpu) -> Vec<(SimTime, KernelHandle)> {
-        drain_outputs(gpu)
-            .into_iter()
-            .filter_map(|(at, o)| match o {
-                StepOutput::KernelDone { handle, .. } => Some((at, handle)),
-                _ => None,
-            })
-            .collect()
+    /// Every kernel a run reported done, as `(handle, started, finished)`,
+    /// in completion order.
+    struct Done(Vec<(KernelHandle, SimTime, SimTime)>);
+
+    impl Done {
+        /// The kernels `outputs` report done.
+        fn of(outputs: &[(SimTime, StepOutput)]) -> Self {
+            Done(
+                outputs
+                    .iter()
+                    .filter_map(|&(at, o)| match o {
+                        StepOutput::KernelDone {
+                            handle, started, ..
+                        } => Some((handle, started, at)),
+                        _ => None,
+                    })
+                    .collect(),
+            )
+        }
+
+        fn get(&self, h: KernelHandle) -> Option<&(KernelHandle, SimTime, SimTime)> {
+            self.0.iter().find(|d| d.0 == h)
+        }
+
+        /// When `h` started, if it was reported done.
+        fn started(&self, h: KernelHandle) -> Option<SimTime> {
+            self.get(h).map(|d| d.1)
+        }
+
+        /// When `h` finished, if it was reported done.
+        fn finished(&self, h: KernelHandle) -> Option<SimTime> {
+            self.get(h).map(|d| d.2)
+        }
+    }
+
+    /// The kernels a run to idle within [`EVENT_BUDGET`] pops reports done.
+    fn run_all(gpu: &mut Gpu) -> Done {
+        Done::of(&drain_outputs(gpu))
+    }
+
+    /// Pins the size of the struct every settle and reallocation walks,
+    /// so that growing it takes a deliberate edit here. Release builds on
+    /// x86-64 only: debug builds add a residue counter to it.
+    #[cfg(all(not(debug_assertions), target_arch = "x86_64"))]
+    #[test]
+    fn instance_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<Instance>(), 184);
     }
 
     #[test]
@@ -3434,9 +3394,7 @@ mod tests {
         let k = KernelDesc::compute(SimDuration::from_micros(100), 108, 0.2);
         let h = put(&mut gpu, q, k, 0);
         let done = run_all(&mut gpu);
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].1, h);
-        assert_eq!(gpu.kernel_finished_at(h), Some(SimTime::from_micros(100)));
+        assert_eq!(done.0, vec![(h, SimTime::ZERO, SimTime::from_micros(100))]);
         assert!(gpu.is_device_idle());
     }
 
@@ -3447,8 +3405,8 @@ mod tests {
         let q = gpu.create_queue(ctx).unwrap();
         let k = KernelDesc::compute(SimDuration::from_micros(10), 108, 0.0);
         let h = put(&mut gpu, q, k, 0);
-        run_all(&mut gpu);
-        assert_eq!(gpu.kernel_finished_at(h), Some(SimTime::from_micros(13)));
+        let done = run_all(&mut gpu);
+        assert_eq!(done.finished(h), Some(SimTime::from_micros(13)));
     }
 
     #[test]
@@ -3468,10 +3426,10 @@ mod tests {
             KernelDesc::compute(SimDuration::from_micros(5), 108, 0.0),
             1,
         );
-        run_all(&mut gpu);
+        let done = run_all(&mut gpu);
         // Same queue: b waits for a even though it is shorter.
-        assert_eq!(gpu.kernel_finished_at(a), Some(SimTime::from_micros(10)));
-        assert_eq!(gpu.kernel_finished_at(b), Some(SimTime::from_micros(15)));
+        assert_eq!(done.finished(a), Some(SimTime::from_micros(10)));
+        assert_eq!(done.finished(b), Some(SimTime::from_micros(15)));
     }
 
     #[test]
@@ -3495,9 +3453,9 @@ mod tests {
             KernelDesc::compute(SimDuration::from_micros(100), 108, 0.0),
             1,
         );
-        run_all(&mut gpu);
-        assert_eq!(gpu.kernel_finished_at(a), Some(SimTime::from_micros(100)));
-        assert_eq!(gpu.kernel_finished_at(b), Some(SimTime::from_micros(200)));
+        let done = run_all(&mut gpu);
+        assert_eq!(done.finished(a), Some(SimTime::from_micros(100)));
+        assert_eq!(done.finished(b), Some(SimTime::from_micros(200)));
     }
 
     #[test]
@@ -3521,9 +3479,9 @@ mod tests {
             KernelDesc::compute(SimDuration::from_micros(100), 108, 0.0),
             1,
         );
-        run_all(&mut gpu);
-        assert_eq!(gpu.kernel_finished_at(a), Some(SimTime::from_micros(200)));
-        assert_eq!(gpu.kernel_finished_at(b), Some(SimTime::from_micros(200)));
+        let done = run_all(&mut gpu);
+        assert_eq!(done.finished(a), Some(SimTime::from_micros(200)));
+        assert_eq!(done.finished(b), Some(SimTime::from_micros(200)));
     }
 
     #[test]
@@ -3547,9 +3505,9 @@ mod tests {
             KernelDesc::compute(SimDuration::from_micros(100), 100, 0.0),
             1,
         );
-        run_all(&mut gpu);
-        assert_eq!(gpu.kernel_finished_at(a), Some(SimTime::from_micros(100)));
-        assert_eq!(gpu.kernel_finished_at(b), Some(SimTime::from_micros(200)));
+        let done = run_all(&mut gpu);
+        assert_eq!(done.finished(a), Some(SimTime::from_micros(100)));
+        assert_eq!(done.finished(b), Some(SimTime::from_micros(200)));
     }
 
     #[test]
@@ -3575,10 +3533,10 @@ mod tests {
             KernelDesc::compute(SimDuration::from_micros(100), 108, 0.0),
             1,
         );
-        run_all(&mut gpu);
-        assert_eq!(gpu.kernel_finished_at(a), Some(SimTime::from_micros(100)));
+        let done = run_all(&mut gpu);
+        assert_eq!(done.finished(a), Some(SimTime::from_micros(100)));
         // b: 96us at 54 SMs then (10800-5184)/108 = 52us at 108 -> 152us.
-        assert_eq!(gpu.kernel_finished_at(b), Some(SimTime::from_micros(152)));
+        assert_eq!(done.finished(b), Some(SimTime::from_micros(152)));
     }
 
     #[test]
@@ -3604,12 +3562,12 @@ mod tests {
             KernelDesc::compute(SimDuration::from_micros(100), 108, 0.0),
             1,
         );
-        run_all(&mut gpu);
+        let done = run_all(&mut gpu);
         // a (50us x 108 work) at 54 SMs: 100us. b pays the 4us contended
         // dispatch gap, then starts at 54 (the cap is structural) and
         // grows to 108 when a finishes: 96us x 54 + 52us x 108 = work.
-        assert_eq!(gpu.kernel_finished_at(a), Some(SimTime::from_micros(100)));
-        let b_done = gpu.kernel_finished_at(b).unwrap().as_millis_f64() * 1000.0;
+        assert_eq!(done.finished(a), Some(SimTime::from_micros(100)));
+        let b_done = done.finished(b).unwrap().as_millis_f64() * 1000.0;
         assert!((b_done - 152.0).abs() < 1.0, "b finished at {b_done}us");
     }
 
@@ -3626,9 +3584,9 @@ mod tests {
             KernelDesc::compute(SimDuration::from_micros(100), 108, 0.0),
             0,
         );
-        run_all(&mut gpu);
+        let done = run_all(&mut gpu);
         // 108-SM kernel on 27 SMs: 4x duration.
-        assert_eq!(gpu.kernel_finished_at(h), Some(SimTime::from_micros(400)));
+        assert_eq!(done.finished(h), Some(SimTime::from_micros(400)));
     }
 
     #[test]
@@ -3658,9 +3616,9 @@ mod tests {
             KernelDesc::compute(SimDuration::from_micros(80), 108, 0.0),
             0,
         );
-        run_all(&mut gpu);
+        let done = run_all(&mut gpu);
         // work = 80us * 108 SMs; on 80 SMs -> 108 us.
-        assert_eq!(gpu.kernel_finished_at(h), Some(SimTime::from_micros(108)));
+        assert_eq!(done.finished(h), Some(SimTime::from_micros(108)));
         // And the small partition still works.
         let h2 = put(
             &mut gpu,
@@ -3668,11 +3626,11 @@ mod tests {
             KernelDesc::compute(SimDuration::from_micros(28), 28, 0.0),
             0,
         );
-        run_all(&mut gpu);
+        let done = run_all(&mut gpu);
         assert_eq!(
-            gpu.kernel_finished_at(h2)
+            done.finished(h2)
                 .unwrap()
-                .duration_since(gpu.kernel_started_at(h2).unwrap()),
+                .duration_since(done.started(h2).unwrap()),
             SimDuration::from_micros(28)
         );
     }
@@ -3703,9 +3661,9 @@ mod tests {
         // 25 MB at 25 GB/s = 1 ms alone; two concurrent H2Ds share -> 2 ms.
         let a = put(&mut gpu, q1, KernelDesc::memcpy_h2d(25_000_000), 0);
         let b = put(&mut gpu, q2, KernelDesc::memcpy_h2d(25_000_000), 1);
-        run_all(&mut gpu);
-        assert_eq!(gpu.kernel_finished_at(a), Some(SimTime::from_millis(2)));
-        assert_eq!(gpu.kernel_finished_at(b), Some(SimTime::from_millis(2)));
+        let done = run_all(&mut gpu);
+        assert_eq!(done.finished(a), Some(SimTime::from_millis(2)));
+        assert_eq!(done.finished(b), Some(SimTime::from_millis(2)));
     }
 
     #[test]
@@ -3716,9 +3674,9 @@ mod tests {
         let q2 = gpu.create_queue(ctx).unwrap();
         let a = put(&mut gpu, q1, KernelDesc::memcpy_h2d(25_000_000), 0);
         let b = put(&mut gpu, q2, KernelDesc::memcpy_d2h(25_000_000), 1);
-        run_all(&mut gpu);
-        assert_eq!(gpu.kernel_finished_at(a), Some(SimTime::from_millis(1)));
-        assert_eq!(gpu.kernel_finished_at(b), Some(SimTime::from_millis(1)));
+        let done = run_all(&mut gpu);
+        assert_eq!(done.finished(a), Some(SimTime::from_millis(1)));
+        assert_eq!(done.finished(b), Some(SimTime::from_millis(1)));
     }
 
     #[test]
@@ -3741,9 +3699,9 @@ mod tests {
             KernelDesc::compute(SimDuration::from_micros(100), 54, 0.9),
             1,
         );
-        run_all(&mut gpu);
-        let fa = gpu.kernel_finished_at(a).unwrap();
-        let fb = gpu.kernel_finished_at(b).unwrap();
+        let done = run_all(&mut gpu);
+        let fa = done.finished(a).unwrap();
+        let fb = done.finished(b).unwrap();
         // Pin the exact scalar-model value so refactors can't drift it:
         // own traffic = 0.9·(54/108) = 0.45, pressure = 0.45,
         // sensitivity = 0.30 + 0.70·0.9 = 0.93, so the slowdown is
@@ -3776,15 +3734,9 @@ mod tests {
             KernelDesc::compute(SimDuration::from_micros(100), 54, 0.9),
             1,
         );
-        run_all(&mut gpu);
-        assert_eq!(
-            gpu.kernel_finished_at(a),
-            Some(SimTime::from_nanos(162_775))
-        );
-        assert_eq!(
-            gpu.kernel_finished_at(b),
-            Some(SimTime::from_nanos(162_775))
-        );
+        let done = run_all(&mut gpu);
+        assert_eq!(done.finished(a), Some(SimTime::from_nanos(162_775)));
+        assert_eq!(done.finished(b), Some(SimTime::from_nanos(162_775)));
     }
 
     #[test]
@@ -3803,8 +3755,8 @@ mod tests {
             let b = KernelDesc::compute(SimDuration::from_micros(100), 54, 0.9).with_demand(db);
             let a = put(&mut gpu, q1, a, 0);
             put(&mut gpu, q2, b, 1);
-            run_all(&mut gpu);
-            gpu.kernel_finished_at(a).unwrap()
+            let done = run_all(&mut gpu);
+            done.finished(a).unwrap()
         };
         let on = |ch| crate::ChannelDemand::collapsed(ch, 0.9);
         let same_channel = pair(on(crate::Channel::DramBw), on(crate::Channel::DramBw));
@@ -3838,8 +3790,8 @@ mod tests {
             let a = put(&mut gpu, q1, kernel.clone(), 0);
             // 5 MB at 25 GB/s = 200 us: the transfer outlives the kernel.
             put(&mut gpu, q2, KernelDesc::memcpy_h2d(5_000_000), 1);
-            run_all(&mut gpu);
-            gpu.kernel_finished_at(a).unwrap()
+            let done = run_all(&mut gpu);
+            done.finished(a).unwrap()
         };
         let scalar = run(GpuSpec::a100());
         let per_resource = run(GpuSpec::a100_per_resource());
@@ -3865,9 +3817,9 @@ mod tests {
             KernelDesc::compute(SimDuration::from_micros(100), 54, 0.0),
             1,
         );
-        run_all(&mut gpu);
-        assert_eq!(gpu.kernel_finished_at(a), Some(SimTime::from_micros(100)));
-        assert_eq!(gpu.kernel_finished_at(b), Some(SimTime::from_micros(100)));
+        let done = run_all(&mut gpu);
+        assert_eq!(done.finished(a), Some(SimTime::from_micros(100)));
+        assert_eq!(done.finished(b), Some(SimTime::from_micros(100)));
     }
 
     #[test]
@@ -3917,9 +3869,9 @@ mod tests {
             KernelDesc::compute(SimDuration::from_micros(10), 54, 0.0),
             1,
         );
-        run_all(&mut gpu);
-        assert_eq!(gpu.kernel_finished_at(b), Some(SimTime::from_micros(10)));
-        assert_eq!(gpu.kernel_finished_at(a), Some(SimTime::from_micros(60)));
+        let done = run_all(&mut gpu);
+        assert_eq!(done.finished(b), Some(SimTime::from_micros(10)));
+        assert_eq!(done.finished(a), Some(SimTime::from_micros(60)));
     }
 
     #[test]
@@ -3941,8 +3893,8 @@ mod tests {
         }
         gpu.advance_to(SimTime::from_micros(100));
         gpu.set_mps_cap(ctx, 108).unwrap();
-        run_all(&mut gpu);
-        let fin = gpu.kernel_finished_at(h).unwrap();
+        let done = run_all(&mut gpu);
+        let fin = done.finished(h).unwrap();
         // 100us at 1 SM did 100 SM·us of the 108*108 total; remaining at
         // 108 SMs takes (108*108-100)/108 us ~ 107.07us -> ~207.07us total.
         let expect_us = 100.0 + (108.0 * 108.0 - 100.0) / 108.0;
@@ -4005,7 +3957,6 @@ mod tests {
     #[test]
     fn slot_recycling_bounds_instance_storage() {
         let mut gpu = free_gpu();
-        gpu.set_slot_recycling(true);
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
         for i in 0..1000u64 {
@@ -4016,8 +3967,9 @@ mod tests {
                 i,
             );
             let done = run_all(&mut gpu);
-            assert_eq!(done.len(), 1);
-            assert_eq!(done[0].1, h, "completion reports the launch handle");
+            assert_eq!(done.0.len(), 1);
+            assert_eq!(done.0[0].0, h, "completion reports the launch handle");
+            assert_eq!(h, KernelHandle(i), "handles are launch numbers");
         }
         // 1000 sequential kernels reuse a handful of slots instead of
         // growing the instance table linearly.
@@ -4026,41 +3978,6 @@ mod tests {
             "expected slot reuse, got {} slots",
             gpu.instance_slots()
         );
-    }
-
-    #[test]
-    fn recycled_handles_turn_stale_not_aliased() {
-        let mut gpu = free_gpu();
-        gpu.set_slot_recycling(true);
-        let ctx = gpu.create_context(CtxKind::Default).unwrap();
-        let q = gpu.create_queue(ctx).unwrap();
-        let k = || KernelDesc::compute(SimDuration::from_micros(1), 108, 0.0);
-        let first = put(&mut gpu, q, k(), 0);
-        run_all(&mut gpu);
-        let second = put(&mut gpu, q, k(), 1);
-        // The slot is reused but the generation differs: the old handle
-        // must not observe the new occupant.
-        assert_ne!(first, second);
-        assert_eq!(gpu.kernel_state(first), InstState::Done);
-        assert_eq!(gpu.kernel_started_at(first), None);
-        assert_eq!(gpu.kernel_finished_at(first), None);
-        run_all(&mut gpu);
-        assert!(gpu.is_device_idle());
-    }
-
-    #[test]
-    fn recycling_off_preserves_handle_queries() {
-        // The profiler path relies on querying every handle after drain().
-        let mut gpu = free_gpu();
-        let ctx = gpu.create_context(CtxKind::Default).unwrap();
-        let q = gpu.create_queue(ctx).unwrap();
-        let k = || KernelDesc::compute(SimDuration::from_micros(1), 108, 0.0);
-        let handles: Vec<_> = (0..5).map(|i| put(&mut gpu, q, k(), i)).collect();
-        drain_outputs(&mut gpu);
-        for h in handles {
-            assert!(gpu.kernel_finished_at(h).is_some());
-        }
-        assert_eq!(gpu.instance_slots(), 5);
     }
 
     // ------------------------------------------------------------------
@@ -4082,8 +3999,8 @@ mod tests {
             KernelDesc::compute(SimDuration::from_micros(100), 108, 0.2),
             encode_tag(0, 0),
         );
-        run_all(&mut gpu);
-        assert_eq!(gpu.kernel_finished_at(h), Some(SimTime::from_micros(100)));
+        let done = run_all(&mut gpu);
+        assert_eq!(done.finished(h), Some(SimTime::from_micros(100)));
         assert_eq!(gpu.fault_counters(), FaultCounters::default());
         let mut failed = vec![FailedKernel {
             handle: KernelHandle(9),
@@ -4112,8 +4029,8 @@ mod tests {
             KernelDesc::compute(SimDuration::from_micros(100), 108, 0.0),
             encode_tag(0, 0),
         );
-        run_all(&mut gpu);
-        assert_eq!(gpu.kernel_finished_at(h), Some(SimTime::from_micros(200)));
+        let done = run_all(&mut gpu);
+        assert_eq!(done.finished(h), Some(SimTime::from_micros(200)));
         assert_eq!(gpu.fault_counters().stragglers, 1);
     }
 
@@ -4136,11 +4053,11 @@ mod tests {
                 KernelDesc::compute(SimDuration::from_micros(100), 108, 0.0),
                 encode_tag(0, k as usize),
             );
-            run_all(&mut gpu);
-            let took = gpu
-                .kernel_finished_at(h)
+            let done = run_all(&mut gpu);
+            let took = done
+                .finished(h)
                 .unwrap()
-                .duration_since(gpu.kernel_started_at(h).unwrap());
+                .duration_since(done.started(h).unwrap());
             assert_eq!(took, SimDuration::from_micros(150));
         }
         // Drift alone is systematic mis-prediction, not a straggler.
@@ -4169,33 +4086,38 @@ mod tests {
         let v2 = put(&mut gpu, qv, k(100), encode_tag(victim as usize, 1));
         let o1 = put(&mut gpu, qo, k(100), encode_tag(other as usize, 0));
         let mut crash_seen = None;
+        let mut outputs = Vec::new();
         for pops in 0.. {
             if gpu.peek_event_time().is_none() {
                 break;
             }
             assert!(pops < EVENT_BUDGET, "event budget spent at {:?}", gpu.now());
-            if let Some(StepOutput::ContextCrash { app }) = gpu.step() {
-                let mut failed = Vec::new();
-                gpu.take_failed_into(&mut failed);
-                crash_seen = Some((app, gpu.now(), failed));
+            match gpu.step() {
+                Some(StepOutput::ContextCrash { app }) => {
+                    let mut failed = Vec::new();
+                    gpu.take_failed_into(&mut failed);
+                    crash_seen = Some((app, gpu.now(), failed));
+                }
+                Some(o) => outputs.push((gpu.now(), o)),
+                None => {}
             }
         }
         let (app, at, failed) = crash_seen.expect("crash must fire");
         assert_eq!(app, victim);
         assert_eq!(at, SimTime::from_micros(50));
-        assert_eq!(failed.len(), 2);
+        let killed: Vec<KernelHandle> = failed.iter().map(|f| f.handle).collect();
+        assert_eq!(killed, vec![v1, v2]);
         assert!(failed.iter().all(|f| f.queue == qv));
-        assert_eq!(gpu.kernel_state(v1), InstState::Failed);
-        assert_eq!(gpu.kernel_state(v2), InstState::Failed);
-        assert_eq!(gpu.kernel_state(o1), InstState::Done);
-        assert_eq!(gpu.kernel_finished_at(o1), Some(SimTime::from_micros(100)));
+        // Only the other app's kernel completes.
+        let done = Done::of(&outputs);
+        assert_eq!(done.0, vec![(o1, SimTime::ZERO, SimTime::from_micros(100))]);
         let c = gpu.fault_counters();
         assert_eq!((c.crashes, c.kernels_failed), (1, 2));
         assert!(gpu.is_device_idle());
         // Failed kernels can be re-submitted and then complete normally.
         let retry = put(&mut gpu, qv, k(100), encode_tag(victim as usize, 0));
-        run_all(&mut gpu);
-        assert_eq!(gpu.kernel_state(retry), InstState::Done);
+        let done = run_all(&mut gpu);
+        assert!(done.finished(retry).is_some());
     }
 
     #[test]
@@ -4216,9 +4138,12 @@ mod tests {
             KernelDesc::compute(SimDuration::from_micros(10), 108, 0.0),
             encode_tag(0, 0),
         );
-        run_all(&mut gpu);
+        let done = run_all(&mut gpu);
         // Crash at 1 ns < 3 us arrival: the launch never reaches its queue.
-        assert_eq!(gpu.kernel_state(h), InstState::Failed);
+        assert!(done.0.is_empty());
+        let mut failed = Vec::new();
+        gpu.take_failed_into(&mut failed);
+        assert_eq!(failed.iter().map(|f| f.handle).collect::<Vec<_>>(), [h]);
         assert_eq!(gpu.fault_counters().kernels_failed, 1);
         assert!(gpu.is_device_idle());
     }
@@ -4244,8 +4169,8 @@ mod tests {
             KernelDesc::memcpy_h2d(25_000_000),
             encode_tag(0, 0),
         );
-        run_all(&mut gpu);
-        assert_eq!(gpu.kernel_finished_at(h), Some(SimTime::from_millis(4)));
+        let done = run_all(&mut gpu);
+        assert_eq!(done.finished(h), Some(SimTime::from_millis(4)));
         assert_eq!(gpu.fault_counters().dma_stalls, 1);
     }
 
@@ -4271,8 +4196,8 @@ mod tests {
             KernelDesc::memcpy_h2d(25_000_000),
             encode_tag(0, 0),
         );
-        run_all(&mut gpu);
-        assert_eq!(gpu.kernel_finished_at(h), Some(SimTime::from_micros(1250)));
+        let done = run_all(&mut gpu);
+        assert_eq!(done.finished(h), Some(SimTime::from_micros(1250)));
     }
 
     // ------------------------------------------------------------------
@@ -4327,7 +4252,8 @@ mod tests {
             let q = gpu.create_queue(ctx).unwrap();
             let max_sms = rng.range_inclusive(1, n as u64 + 20) as u32;
             let k = KernelDesc::compute(SimDuration::from_micros(50), max_sms, 0.3);
-            let slot = put(&mut gpu, q, k, 0).0 as usize;
+            put(&mut gpu, q, k, 0);
+            let slot = 0; // The device's first launch.
             gpu.step(); // Arrive: the kernel starts running.
             assert_eq!(gpu.instances[slot].state, InstState::Running);
             if let CtxKind::MpsAffinity { .. } = kind {
@@ -4418,7 +4344,10 @@ mod tests {
         casualties: Vec<FailedKernel>,
         /// `(now, busy_sm_seconds bits)` at the points a script probes.
         probes: Vec<(SimTime, u64)>,
-        /// Final `(state, started, finished)` of every returned handle.
+        /// Final `(state, started, finished)` of every returned handle, as
+        /// the outputs and casualties report it: `Done` with both instants,
+        /// `Failed` with neither, or `InFlight` for a kernel reported
+        /// neither way.
         kernels: Vec<(InstState, Option<SimTime>, Option<SimTime>)>,
         now: SimTime,
         busy_bits: u64,
@@ -4519,14 +4448,17 @@ mod tests {
             let mut rec = Recorder::default();
             let handles = script(&mut gpu, &mut rec);
             let mut t = rec.t;
+            let done = Done::of(&t.outputs);
             t.kernels = handles
                 .iter()
-                .map(|&h| {
-                    (
-                        gpu.kernel_state(h),
-                        gpu.kernel_started_at(h),
-                        gpu.kernel_finished_at(h),
-                    )
+                .map(|&h| match done.get(h) {
+                    Some(&(_, started, finished)) => {
+                        (InstState::Done, Some(started), Some(finished))
+                    }
+                    None if t.casualties.iter().any(|f| f.handle == h) => {
+                        (InstState::Failed, None, None)
+                    }
+                    None => (InstState::InFlight, None, None),
                 })
                 .collect();
             t.now = gpu.now();
@@ -4606,8 +4538,7 @@ mod tests {
         let a_done = {
             let mut gpu = free_gpu();
             let (_, _, a) = setup(&mut gpu);
-            drain_outputs(&mut gpu);
-            gpu.kernel_finished_at(a).unwrap()
+            run_all(&mut gpu).finished(a).unwrap()
         };
         assert!(a_done > SimTime::from_micros(100));
         for arrival_first in [true, false] {
@@ -4669,8 +4600,8 @@ mod tests {
                 rec.drain(gpu);
                 handles
             });
-        // Slots are never recycled here: slot `i` holds the `i`-th launch.
-        let h = |i: usize| Gpu::handle_for(i, 0);
+        // A handle is the launch number.
+        let h = |i: u64| KernelHandle(i);
         let casualties: Vec<KernelHandle> = t.casualties.iter().map(|f| f.handle).collect();
         assert_eq!(casualties, vec![h(0), h(2), h(4)], "launch order");
         let state = |i: usize| t.kernels[i].0;
@@ -4812,7 +4743,6 @@ mod tests {
     /// and the other eight installed as a program, window 2.
     fn program_gpu(closed: bool) -> (Gpu, QueueId) {
         let mut gpu = Gpu::new(GpuSpec::a100(), HostCosts::paper());
-        gpu.set_slot_recycling(true);
         gpu.no_closed_form = !closed;
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();

@@ -51,8 +51,8 @@ pub mod spec;
 
 pub use channel::{Channel, ChannelDemand, ChannelModel, ChannelParams, NUM_CHANNELS};
 pub use engine::{
-    CtxId, CtxKind, DeviceCheckpoint, FailedKernel, FaultCounters, Gpu, GpuError, InstState,
-    KernelHandle, LaunchProgram, ProgramProgress, QueueId, StepOutput,
+    CtxId, CtxKind, DeviceCheckpoint, FailedKernel, FaultCounters, Gpu, GpuError, KernelHandle,
+    LaunchProgram, ProgramProgress, QueueId, StepOutput,
 };
 pub use kernel::{KernelDesc, KernelKind, KernelTableId};
 pub use sim::{

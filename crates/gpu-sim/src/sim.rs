@@ -144,14 +144,10 @@ pub struct Simulation<D: HostDriver> {
 
 impl<D: HostDriver> Simulation<D> {
     /// Creates a simulation over the given arrivals (sorted by time
-    /// internally; ties keep their input order).
-    ///
-    /// Turns on [`Gpu::set_slot_recycling`]: the loop reports completions
-    /// only as [`KernelDone`] and drivers never read a handle after that,
-    /// so the instance arena stays bounded by the peak number of live
-    /// kernels instead of growing by one slot per kernel run.
-    pub fn new(mut gpu: Gpu, driver: D, arrivals: Vec<RequestArrival>) -> Self {
-        gpu.set_slot_recycling(true);
+    /// internally; ties keep their input order). The loop reports each
+    /// completion to the driver as a [`KernelDone`], whose handle is the
+    /// kernel's launch number.
+    pub fn new(gpu: Gpu, driver: D, arrivals: Vec<RequestArrival>) -> Self {
         let mut sorted = arrivals;
         sorted.sort_by_key(|a| a.at);
         let mut q = EventQueue::new();
@@ -301,7 +297,9 @@ impl<D: HostDriver> Simulation<D> {
                 .unwrap_or(SimTime::MAX)
                 .min(horizon.saturating_add(SimDuration::from_nanos(1)));
             match self.gpu.step_within(until) {
-                Some(StepOutput::KernelDone { handle, queue, tag }) => {
+                Some(StepOutput::KernelDone {
+                    handle, queue, tag, ..
+                }) => {
                     let done = KernelDone {
                         handle,
                         queue,

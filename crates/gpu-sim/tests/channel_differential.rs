@@ -145,11 +145,17 @@ fn digest_gpu_outputs(outs: &[(SimTime, StepOutput)]) -> u64 {
     for (at, o) in outs {
         h.write_u64(at.as_nanos());
         match o {
-            StepOutput::KernelDone { handle, queue, tag } => {
+            StepOutput::KernelDone {
+                handle,
+                queue,
+                tag,
+                started,
+            } => {
                 h.write_u64(1);
                 h.write_u64(handle.0);
                 h.write_u64(queue.0 as u64);
                 h.write_u64(*tag);
+                h.write_u64(started.as_nanos());
             }
             StepOutput::HostWake { token } => {
                 h.write_u64(2);

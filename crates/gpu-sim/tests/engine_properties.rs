@@ -5,7 +5,9 @@
 
 use std::sync::Arc;
 
-use gpu_sim::{CtxKind, Gpu, GpuSpec, HostCosts, HwPolicy, KernelDesc, KernelHandle, QueueId};
+use gpu_sim::{
+    CtxKind, Gpu, GpuSpec, HostCosts, HwPolicy, KernelDesc, KernelHandle, QueueId, StepOutput,
+};
 use proptest::prelude::*;
 use sim_core::{SimDuration, SimTime};
 
@@ -24,9 +26,22 @@ fn launch_all(gpu: &mut Gpu, q: QueueId, kernels: Vec<KernelDesc>, base: u64) ->
 /// hanging.
 const EVENT_BUDGET: u64 = 100_000;
 
-/// [`Gpu::drain`] within [`EVENT_BUDGET`] events.
-fn drain(gpu: &mut Gpu) {
-    gpu.drain(EVENT_BUDGET).unwrap();
+/// Runs `gpu` to idle within [`EVENT_BUDGET`] events and returns the
+/// kernels it reported done, as `(handle, finished)` in completion order.
+fn drain(gpu: &mut Gpu) -> Vec<(KernelHandle, SimTime)> {
+    let mut out = Vec::new();
+    gpu.drain_outputs_into(&mut out, EVENT_BUDGET).unwrap();
+    out.into_iter()
+        .filter_map(|(at, o)| match o {
+            StepOutput::KernelDone { handle, .. } => Some((handle, at)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// When `h` finished, if `done` reports it.
+fn finished(done: &[(KernelHandle, SimTime)], h: KernelHandle) -> Option<SimTime> {
+    done.iter().find(|d| d.0 == h).map(|d| d.1)
 }
 
 /// A random compute kernel description.
@@ -35,11 +50,13 @@ fn arb_kernel() -> impl Strategy<Value = (u64, u32, f64)> {
     (5u64..500, 1u32..=108, 0.0f64..1.0)
 }
 
+/// Runs the queues of `kernels` under `caps` to idle; returns the device,
+/// the handles in launch order and what the run reported done.
 fn run_mix(
     policy: HwPolicy,
     caps: Vec<Option<u32>>,
     kernels: Vec<Vec<(u64, u32, f64)>>,
-) -> (Gpu, Vec<gpu_sim::KernelHandle>) {
+) -> (Gpu, Vec<KernelHandle>, Vec<(KernelHandle, SimTime)>) {
     let mut spec = GpuSpec::a100();
     spec.hw_policy = policy;
     let mut gpu = Gpu::new(spec, HostCosts::paper());
@@ -58,8 +75,8 @@ fn run_mix(
             .collect();
         handles.extend(launch_all(&mut gpu, q, descs, 0));
     }
-    drain(&mut gpu);
-    (gpu, handles)
+    let done = drain(&mut gpu);
+    (gpu, handles, done)
 }
 
 proptest! {
@@ -75,15 +92,16 @@ proptest! {
     ) {
         let n = caps.len().min(per_queue.len());
         let policy = if fair { HwPolicy::FairShare } else { HwPolicy::GreedySticky };
-        let (gpu, handles) = run_mix(
+        let (gpu, handles, done) = run_mix(
             policy,
             caps[..n].to_vec(),
             per_queue[..n].to_vec(),
         );
         prop_assert!(gpu.is_device_idle());
-        for h in handles {
-            prop_assert!(gpu.kernel_finished_at(h).is_some());
-        }
+        // Each kernel is reported done exactly once.
+        let mut reported: Vec<KernelHandle> = done.iter().map(|d| d.0).collect();
+        reported.sort_unstable();
+        prop_assert_eq!(reported, handles);
     }
 
     /// Work conservation: total busy SM·time equals the sum of every
@@ -96,7 +114,7 @@ proptest! {
             proptest::collection::vec(arb_kernel(), 1..10), 1..3),
     ) {
         let caps = vec![None; per_queue.len()];
-        let (gpu, _) = run_mix(HwPolicy::GreedySticky, caps, per_queue.clone());
+        let (gpu, _, _) = run_mix(HwPolicy::GreedySticky, caps, per_queue.clone());
         let total_work_sm_s: f64 = per_queue
             .iter()
             .flatten()
@@ -118,10 +136,10 @@ proptest! {
     fn prop_queue_is_fifo(
         ks in proptest::collection::vec(arb_kernel(), 2..15),
     ) {
-        let (gpu, handles) = run_mix(HwPolicy::GreedySticky, vec![None], vec![ks]);
+        let (_, handles, done) = run_mix(HwPolicy::GreedySticky, vec![None], vec![ks]);
         let mut last = SimTime::ZERO;
         for h in handles {
-            let f = gpu.kernel_finished_at(h).unwrap();
+            let f = finished(&done, h).unwrap();
             prop_assert!(f >= last, "completion order violates FIFO");
             last = f;
         }
@@ -134,10 +152,10 @@ proptest! {
         ks in proptest::collection::vec(arb_kernel(), 1..12),
         cap in proptest::option::of(1u32..=108),
     ) {
-        let (g1, h1) = run_mix(HwPolicy::GreedySticky, vec![cap], vec![ks.clone()]);
-        let (g2, h2) = run_mix(HwPolicy::FairShare, vec![cap], vec![ks]);
-        let end1 = h1.iter().map(|&h| g1.kernel_finished_at(h).unwrap()).max();
-        let end2 = h2.iter().map(|&h| g2.kernel_finished_at(h).unwrap()).max();
+        let (_, h1, d1) = run_mix(HwPolicy::GreedySticky, vec![cap], vec![ks.clone()]);
+        let (_, h2, d2) = run_mix(HwPolicy::FairShare, vec![cap], vec![ks]);
+        let end1 = h1.iter().map(|&h| finished(&d1, h).unwrap()).max();
+        let end2 = h2.iter().map(|&h| finished(&d2, h).unwrap()).max();
         prop_assert_eq!(end1, end2);
     }
 
@@ -159,14 +177,14 @@ proptest! {
         let k = || KernelDesc::compute(SimDuration::from_micros(us), 108, 0.0);
         let ha = launch_all(&mut gpu, qa, vec![k()], 0)[0];
         let hb = launch_all(&mut gpu, qb, vec![k()], 1)[0];
-        drain(&mut gpu);
+        let done = drain(&mut gpu);
         // Each kernel's duration = work / partition size, exactly.
         let expect = |sms: u32| {
             SimDuration::from_nanos(
                 ((us * 1000) as f64 * 108.0 / sms as f64).ceil() as u64)
         };
-        let da = gpu.kernel_finished_at(ha).unwrap().duration_since(SimTime::ZERO);
-        let db = gpu.kernel_finished_at(hb).unwrap().duration_since(SimTime::ZERO);
+        let da = finished(&done, ha).unwrap().duration_since(SimTime::ZERO);
+        let db = finished(&done, hb).unwrap().duration_since(SimTime::ZERO);
         let tol = SimDuration::from_nanos(2);
         prop_assert!(da.saturating_sub(expect(sms_a)) <= tol && expect(sms_a).saturating_sub(da) <= tol,
             "partition A: {da} vs {:?}", expect(sms_a));
@@ -176,24 +194,23 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
-// Slot recycling, handle generations, and the drain-into scratch APIs
+// Slot recycling, launch-number handles, and the drain-into scratch APIs
 // (the zero-allocation steady-state machinery).
 // ----------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// With slot recycling on, a retired kernel's slot may be reused by a
-    /// later launch — but the stale handle must never alias the new
-    /// instance: it keeps reporting `Done`, and its timestamps are either
-    /// its own or gone (`None`), never the new kernel's.
+    /// A second batch reuses the slots the first one freed, yet handles
+    /// stay launch numbers: across both batches every handle `launch`
+    /// returned is reported by exactly one `KernelDone`, and no handle
+    /// repeats.
     #[test]
     fn prop_recycled_slots_invalidate_stale_handles(
         first in proptest::collection::vec(arb_kernel(), 1..16),
         second in proptest::collection::vec(arb_kernel(), 1..16),
     ) {
         let mut gpu = Gpu::new(GpuSpec::a100(), HostCosts::free());
-        gpu.set_slot_recycling(true);
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q = gpu.create_queue(ctx).unwrap();
         let launch = |gpu: &mut Gpu, ks: &[(u64, u32, f64)], base: u64| {
@@ -203,36 +220,23 @@ proptest! {
                 .collect();
             launch_all(gpu, q, descs, base)
         };
-        let h1 = launch(&mut gpu, &first, 0);
-        drain(&mut gpu);
-        // With recycling on, a completed kernel's slot is freed (and the
-        // handle turned stale) immediately: `Done` is reported and the
-        // timestamps are dropped with the slot.
-        let finished: Vec<_> = h1.iter().map(|&h| gpu.kernel_finished_at(h)).collect();
-        for &h in &h1 {
-            prop_assert_eq!(gpu.kernel_state(h), gpu_sim::InstState::Done);
+        let mut handles = launch(&mut gpu, &first, 0);
+        let mut done = drain(&mut gpu);
+        let slots = gpu.instance_slots();
+        handles.extend(launch(&mut gpu, &second, first.len() as u64));
+        done.extend(drain(&mut gpu));
+        // The second batch fits in the first one's slots when it is no
+        // larger (a queue holds every launch until it runs).
+        if second.len() <= first.len() {
+            prop_assert_eq!(gpu.instance_slots(), slots);
         }
-
-        // Second batch recycles the freed slots (the free list is LIFO).
-        let h2 = launch(&mut gpu, &second, first.len() as u64);
-        for &h in &h2 {
-            // Generation tagging: a recycled slot's new handle is distinct
-            // from every handle ever issued for that slot.
-            prop_assert!(!h1.contains(&h), "recycled handle must differ from stale one");
-        }
-        for (&h, f) in h1.iter().zip(&finished) {
-            // The stale handle never observes the new (queued/in-flight)
-            // instance: still `Done`, and its completion time is either
-            // preserved (slot not reused) or dropped with the slot.
-            prop_assert_eq!(gpu.kernel_state(h), gpu_sim::InstState::Done);
-            let now = gpu.kernel_finished_at(h);
-            prop_assert!(now.is_none() || now == *f,
-                "stale handle must not alias a new instance's timestamps");
-        }
-        drain(&mut gpu);
-        for &h in &h2 {
-            prop_assert_eq!(gpu.kernel_state(h), gpu_sim::InstState::Done);
-        }
+        let mut issued = handles.clone();
+        issued.sort_unstable();
+        issued.dedup();
+        prop_assert_eq!(issued.len(), handles.len(), "a handle repeats");
+        let mut reported: Vec<KernelHandle> = done.iter().map(|d| d.0).collect();
+        reported.sort_unstable();
+        prop_assert_eq!(reported, issued, "each handle is reported done exactly once");
     }
 
     /// `drain_notices_into` yields exactly the notices posted since the
@@ -270,7 +274,7 @@ proptest! {
 
     /// `take_failed_into` reports every casualty of a crash exactly once:
     /// as many as `fault_counters().kernels_failed`, each a distinct
-    /// launched kernel of the crashed queue, now `Failed`.
+    /// launched kernel of the crashed queue that never completes.
     #[test]
     fn prop_take_failed_into_matches_return(
         seed in any::<u64>(),
@@ -297,7 +301,7 @@ proptest! {
         let launched: Vec<_> = (0..kernels.len())
             .map(|i| (gpu.launch(q, table, i, (i as u64) << 20).unwrap(), (i as u64) << 20))
             .collect();
-        drain(&mut gpu);
+        let done = drain(&mut gpu);
         let mut buf = vec![gpu_sim::FailedKernel {
             // Pre-seed garbage to prove the buffer is cleared first.
             handle: KernelHandle(u64::MAX),
@@ -309,7 +313,7 @@ proptest! {
         for (i, f) in buf.iter().enumerate() {
             prop_assert!(launched.contains(&(f.handle, f.tag)), "{:?} was never launched", f);
             prop_assert_eq!(f.queue, q);
-            prop_assert_eq!(gpu.kernel_state(f.handle), gpu_sim::InstState::Failed);
+            prop_assert!(finished(&done, f.handle).is_none(), "{:?} also completed", f);
             prop_assert!(buf[..i].iter().all(|g| g.handle != f.handle), "{:?} reported twice", f);
         }
         // Drained: a second call comes back empty.

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use dnn_models::micro;
 use dnn_models::{ModelKind, Phase};
-use gpu_sim::{Channel, ChannelDemand, CtxKind, Gpu, GpuSpec, HostCosts};
+use gpu_sim::{Channel, ChannelDemand, CtxKind, Gpu, GpuSpec, HostCosts, KernelDesc, StepOutput};
 use metrics::Table;
 use sim_core::{SimDuration, SimTime};
 use workloads::{pair_workload, PaperWorkload};
@@ -19,28 +19,42 @@ use workloads::{pair_workload, PaperWorkload};
 use crate::cache;
 use crate::runner::{run_system, System};
 
-/// Runs a victim kernel against an aggressor and returns the slowdown.
-fn kernel_slowdown(victim_mem: f64, aggressor_mem: f64, spec: &GpuSpec) -> f64 {
+/// Events a victim/aggressor run may pop before the victim finishes: it
+/// takes a handful, so running out means a kernel that never finishes.
+const PAIR_EVENT_BUDGET: u64 = 1_000;
+
+/// Runs `pair` (victim, aggressor) on two queues of one context and returns
+/// the victim's completion instant over `base`, its solo duration.
+fn victim_slowdown(spec: &GpuSpec, pair: [KernelDesc; 2], base: SimDuration) -> f64 {
     let mut gpu = Gpu::new(spec.clone(), HostCosts::free());
     let ctx = crate::require_ok(gpu.create_context(CtxKind::Default), "create context");
     let q1 = crate::require_ok(gpu.create_queue(ctx), "create queue");
     let q2 = crate::require_ok(gpu.create_queue(ctx), "create queue");
+    let table = gpu.register_kernel_table(Arc::from(pair));
+    let v = crate::require_ok(gpu.launch(q1, table, 0, 0), "launch");
+    crate::require_ok(gpu.launch(q2, table, 1, 1), "launch");
+    for _ in 0..PAIR_EVENT_BUDGET {
+        match gpu.step() {
+            Some(StepOutput::KernelDone { handle, .. }) if handle == v => {
+                let t = gpu.now().duration_since(SimTime::ZERO);
+                return t.as_nanos() as f64 / base.as_nanos() as f64;
+            }
+            None if gpu.peek_event_time().is_none() => panic!("victim never finished"),
+            _ => {}
+        }
+    }
+    panic!("victim still running after {PAIR_EVENT_BUDGET} events")
+}
+
+/// Runs a victim kernel against an aggressor and returns the slowdown.
+fn kernel_slowdown(victim_mem: f64, aggressor_mem: f64, spec: &GpuSpec) -> f64 {
     let base = SimDuration::from_micros(500);
     let half = spec.num_sms / 2;
     let pair = [
         micro::victim(base, half, victim_mem),
         micro::aggressor(half, aggressor_mem),
     ];
-    let table = gpu.register_kernel_table(Arc::from(pair));
-    let v = crate::require_ok(gpu.launch(q1, table, 0, 0), "launch");
-    crate::require_ok(gpu.launch(q2, table, 1, 1), "launch");
-    while gpu.kernel_finished_at(v).is_none() {
-        if gpu.step().is_none() && gpu.peek_event_time().is_none() {
-            break;
-        }
-    }
-    let t = crate::require(gpu.kernel_finished_at(v), "victim finished");
-    t.duration_since(SimTime::ZERO).as_nanos() as f64 / base.as_nanos() as f64
+    victim_slowdown(spec, pair, base)
 }
 
 /// Regenerates Fig. 9(a).
@@ -74,26 +88,13 @@ pub fn channel_kernel_slowdown(
     aggressor: ChannelDemand,
     spec: &GpuSpec,
 ) -> f64 {
-    let mut gpu = Gpu::new(spec.clone(), HostCosts::free());
-    let ctx = crate::require_ok(gpu.create_context(CtxKind::Default), "create context");
-    let q1 = crate::require_ok(gpu.create_queue(ctx), "create queue");
-    let q2 = crate::require_ok(gpu.create_queue(ctx), "create queue");
     let base = SimDuration::from_micros(500);
     let half = spec.num_sms / 2;
     let pair = [
         micro::channel_victim(base, half, victim),
         micro::channel_aggressor(half, aggressor),
     ];
-    let table = gpu.register_kernel_table(Arc::from(pair));
-    let v = crate::require_ok(gpu.launch(q1, table, 0, 0), "launch");
-    crate::require_ok(gpu.launch(q2, table, 1, 1), "launch");
-    while gpu.kernel_finished_at(v).is_none() {
-        if gpu.step().is_none() && gpu.peek_event_time().is_none() {
-            break;
-        }
-    }
-    let t = crate::require(gpu.kernel_finished_at(v), "victim finished");
-    t.duration_since(SimTime::ZERO).as_nanos() as f64 / base.as_nanos() as f64
+    victim_slowdown(spec, pair, base)
 }
 
 /// Regenerates Fig. 9(c): the per-resource decomposition of Fig. 9(a).

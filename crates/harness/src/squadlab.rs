@@ -5,8 +5,10 @@
 //! squad-optimization study (Fig. 17), and the split-ratio sweep
 //! (Fig. 19b).
 
+use std::ops::Range;
+
 use bless::{DeployedApp, ExecConfig, Squad, SquadEntry};
-use gpu_sim::{CtxKind, Gpu, GpuSpec, HostCosts, InstState, KernelHandle};
+use gpu_sim::{CtxKind, Gpu, GpuSpec, HostCosts, QueueId, StepOutput};
 use sim_core::{SimDuration, SimTime};
 
 use crate::require_ok;
@@ -25,6 +27,10 @@ pub enum SquadScheme {
     /// unrestricted for the rear (Fig. 7c). The `f64` is the split ratio.
     SemiSp(f64),
 }
+
+/// Events a squad run may pop per kernel before it is idle: it takes a
+/// few, so running out means a kernel that never finishes.
+const EVENTS_PER_KERNEL: u64 = 1_000;
 
 /// Runs `squad` on a fresh GPU under `scheme` and returns the measured
 /// squad duration (launch of the first kernel to completion of the last).
@@ -45,9 +51,10 @@ pub fn run_squad(
         .map(|a| gpu.register_kernel_table(a.profile.kernels.clone()))
         .collect();
     let num_sms = spec.num_sms;
-    let mut all_handles: Vec<KernelHandle> = Vec::new();
-    // (queue to re-launch tail on, tail kernels, handles of head) per entry.
-    type TailEntry = (gpu_sim::QueueId, Vec<(usize, usize)>, usize);
+    let kernels: usize = squad.entries.iter().map(|e| e.kernels.len()).sum();
+    // (queue to launch the tail on, tail kernels, the head's handles: its
+    // launch numbers, which are consecutive) per entry.
+    type TailEntry = (QueueId, Vec<(usize, usize)>, Range<u64>);
     let mut tails: Vec<TailEntry> = Vec::new();
 
     match scheme {
@@ -56,8 +63,7 @@ pub fn run_squad(
             let q = require_ok(gpu.create_queue(ctx), "create queue");
             for e in &squad.entries {
                 for &k in &e.kernels {
-                    let h = gpu.launch(q, tables[e.app], k, 0);
-                    all_handles.push(require_ok(h, "launch"));
+                    require_ok(gpu.launch(q, tables[e.app], k, 0), "launch");
                 }
             }
         }
@@ -66,8 +72,7 @@ pub fn run_squad(
                 let ctx = require_ok(gpu.create_context(CtxKind::Default), "create context");
                 let q = require_ok(gpu.create_queue(ctx), "create queue");
                 for &k in &e.kernels {
-                    let h = gpu.launch(q, tables[e.app], k, 0);
-                    all_handles.push(require_ok(h, "launch"));
+                    require_ok(gpu.launch(q, tables[e.app], k, 0), "launch");
                 }
             }
         }
@@ -89,13 +94,17 @@ pub fn run_squad(
                 let fq = require_ok(gpu.create_queue(fctx), "create queue");
                 let split_at =
                     ((e.kernels.len() as f64 * split).ceil() as usize).min(e.kernels.len());
-                for &k in &e.kernels[..split_at] {
-                    let h = gpu.launch(rq, tables[e.app], k, 0);
-                    all_handles.push(require_ok(h, "launch"));
+                let mut heads = 0..0;
+                for (n, &k) in e.kernels[..split_at].iter().enumerate() {
+                    let h = require_ok(gpu.launch(rq, tables[e.app], k, 0), "launch");
+                    if n == 0 {
+                        heads.start = h.0;
+                    }
+                    heads.end = h.0 + 1;
                 }
                 let tail: Vec<(usize, usize)> =
                     e.kernels[split_at..].iter().map(|&k| (e.app, k)).collect();
-                tails.push((fq, tail, all_handles.len()));
+                tails.push((fq, tail, heads));
             }
         }
     }
@@ -103,45 +112,37 @@ pub fn run_squad(
     // Drive to completion; for semi-SP, release each entry's tail when its
     // restricted head drains.
     let mut released = vec![false; tails.len()];
-    loop {
-        let progressed = gpu.step().is_some();
+    let mut heads_left: Vec<u64> = tails.iter().map(|t| t.2.end - t.2.start).collect();
+    let mut end = SimTime::ZERO;
+    let budget = EVENTS_PER_KERNEL * (kernels as u64 + 1);
+    for _ in 0..budget {
+        let out = gpu.step();
+        if let Some(StepOutput::KernelDone { handle, .. }) = out {
+            end = end.max(gpu.now());
+            if let Some(ti) = tails.iter().position(|t| t.2.contains(&handle.0)) {
+                heads_left[ti] -= 1;
+            }
+        }
         // Release tails whose heads are done.
         for (ti, (fq, tail, _)) in tails.iter().enumerate() {
             if released[ti] || tail.is_empty() {
-                if !released[ti] && tail.is_empty() {
-                    released[ti] = true;
-                }
+                released[ti] = true;
                 continue;
             }
-            // Head of this entry = handles launched before the tail marker
-            // belonging to this entry's restricted queue. Track by simply
-            // checking all handles so far: the entry's head handles are the
-            // slice preceding its marker that we launched for it.
-            let (_, _, marker) = tails[ti];
-            let head_start = if ti == 0 { 0 } else { tails[ti - 1].2 };
-            let head_done = all_handles[head_start..marker]
-                .iter()
-                .all(|&h| gpu.kernel_state(h) == InstState::Done);
-            if head_done {
+            if heads_left[ti] == 0 {
                 released[ti] = true;
                 let vacuum = gpu.costs().context_switch;
                 for &(app, k) in tail {
                     let h = gpu.launch_delayed(*fq, tables[app], k, 0, vacuum);
-                    all_handles.push(require_ok(h, "launch"));
+                    require_ok(h, "launch");
                 }
             }
         }
-        if !progressed && gpu.peek_event_time().is_none() {
-            break;
+        if out.is_none() && gpu.peek_event_time().is_none() {
+            return end.duration_since(SimTime::ZERO);
         }
     }
-
-    let end = all_handles
-        .iter()
-        .filter_map(|&h| gpu.kernel_finished_at(h))
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    end.duration_since(SimTime::ZERO)
+    panic!("squad still running after {budget} events")
 }
 
 /// Builds a squad slicing `count` consecutive kernels per app starting at

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use dnn_models::AppModel;
-use gpu_sim::{CtxKind, Gpu, GpuSpec, HostCosts, KernelDesc};
+use gpu_sim::{CtxKind, Gpu, GpuSpec, HostCosts, KernelDesc, StepOutput};
 use sim_core::time::round_ns;
 use sim_core::{SimDuration, SimTime};
 
@@ -233,7 +233,8 @@ impl ProfiledApp {
 
 /// Runs the application's `kernels` once, solo, optionally under an MPS
 /// cap, and returns (total latency, per-kernel durations, per-kernel
-/// cumulative completion offsets).
+/// cumulative completion offsets), read from the completions the run
+/// reports: kernel `i` launches with tag `i`.
 fn run_solo(
     kernels: &Arc<[KernelDesc]>,
     spec: &GpuSpec,
@@ -248,24 +249,26 @@ fn run_solo(
     };
     let queue = gpu.create_queue(ctx).expect("queue");
     let table = gpu.register_kernel_table(Arc::clone(kernels));
-    let handles: Vec<_> = (0..kernels.len())
-        .map(|i| gpu.launch(queue, table, i, i as u64).expect("launch"))
-        .collect();
+    for i in 0..kernels.len() {
+        gpu.launch(queue, table, i, i as u64).expect("launch");
+    }
     // A solo run pops a few events per kernel; far more means a kernel
     // that never finishes.
-    gpu.drain(1_000 * (kernels.len() as u64 + 1))
+    let mut outputs = Vec::with_capacity(kernels.len());
+    gpu.drain_outputs_into(&mut outputs, 1_000 * (kernels.len() as u64 + 1))
         .expect("a solo run reaches idle");
     let start = SimTime::ZERO;
-    let mut durs = Vec::with_capacity(handles.len());
-    let mut cums = Vec::with_capacity(handles.len());
+    let mut durs = vec![SimDuration::ZERO; kernels.len()];
+    let mut cums = vec![SimDuration::ZERO; kernels.len()];
     let mut end = SimTime::ZERO;
-    for h in &handles {
-        let s = gpu.kernel_started_at(*h).expect("started");
-        let f = gpu.kernel_finished_at(*h).expect("finished");
-        durs.push(f.duration_since(s));
-        cums.push(f.duration_since(start));
-        end = end.max(f);
+    for &(finish, out) in &outputs {
+        if let StepOutput::KernelDone { tag, started, .. } = out {
+            durs[tag as usize] = finish.duration_since(started);
+            cums[tag as usize] = finish.duration_since(start);
+            end = end.max(finish);
+        }
     }
+    assert_eq!(outputs.len(), kernels.len(), "every kernel completes once");
     (end.duration_since(start), durs, cums)
 }
 

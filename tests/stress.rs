@@ -3,7 +3,9 @@
 
 use bless::{BlessDriver, BlessParams, DeployedApp};
 use dnn_models::{AppModel, ModelKind, Phase};
-use gpu_sim::{BufferSink, CtxKind, Gpu, GpuSpec, HostCosts, KernelDesc, RunOutcome, Simulation};
+use gpu_sim::{
+    BufferSink, CtxKind, Gpu, GpuSpec, HostCosts, KernelDesc, RunOutcome, Simulation, StepOutput,
+};
 use harness::runner::{run_validated, System};
 use metrics::{TraceValidator, ValidatorConfig};
 use sim_core::{SimDuration, SimTime};
@@ -128,11 +130,18 @@ fn memcpy_heavy_queues_complete() {
     let handles: Vec<_> = (0..n)
         .map(|k| gpu.launch(q, table, k, 0).unwrap())
         .collect();
-    gpu.drain(100_000).unwrap();
+    let mut out = Vec::new();
+    gpu.drain_outputs_into(&mut out, 100_000).unwrap();
     assert!(gpu.is_device_idle());
-    for h in handles {
-        assert!(gpu.kernel_finished_at(h).is_some());
-    }
+    // One queue: every kernel completes, in launch order.
+    let done: Vec<_> = out
+        .iter()
+        .filter_map(|&(_, o)| match o {
+            StepOutput::KernelDone { handle, .. } => Some(handle),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(done, handles);
 }
 
 #[test]
