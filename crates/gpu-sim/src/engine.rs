@@ -327,9 +327,6 @@ struct Instance {
     /// When the kernel started running, reported with its completion;
     /// meaningless before it starts.
     started: SimTime,
-    /// Unique launch sequence number for the trace stream; 0 when the
-    /// launch happened with tracing disabled.
-    trace_seq: u64,
     /// Debug-build count of residue re-pushes of this kernel's completion
     /// at one rate, `(rate bits, count)` (see `Gpu::count_residue`).
     #[cfg(debug_assertions)]
@@ -345,7 +342,6 @@ impl Instance {
         tag: u64,
         remaining: f64,
         launch_seq: u64,
-        trace_seq: u64,
     ) -> Self {
         Instance {
             shape,
@@ -360,7 +356,6 @@ impl Instance {
             unposted_arrival: None,
             dispatch_ready: None,
             started: SimTime::ZERO,
-            trace_seq,
             #[cfg(debug_assertions)]
             residue_pushes: (0, 0),
         }
@@ -382,7 +377,6 @@ struct ChainKernel {
     /// ends; `None` for a kernel whose instance already exists.
     index: Option<usize>,
     launch_seq: u64,
-    trace_seq: u64,
     /// The arrival's event key: the kernel may start at a completion
     /// keyed after it. `(ZERO, 0)` for a kernel already `Queued`,
     /// `(MAX, MAX)` for one whose `Arrive` is posted (it never starts
@@ -395,7 +389,7 @@ struct ChainKernel {
 
 impl ChainKernel {
     /// Program kernel `index`, with descriptor `desc`, launched by the
-    /// stretch itself into `slot`, untraced, arriving at `arrival`.
+    /// stretch itself into `slot`, arriving at `arrival`.
     fn launched(
         desc: &KernelDesc,
         index: usize,
@@ -407,7 +401,6 @@ impl ChainKernel {
             slot,
             index: Some(index),
             launch_seq,
-            trace_seq: 0,
             arrival,
             work: desc.work,
             max_sms: desc.max_sms,
@@ -772,9 +765,9 @@ pub struct Gpu {
     /// Structured trace sink; `None` (the default) keeps every emission
     /// point down to one branch (see [`Gpu::set_trace_sink`]).
     trace: Option<Box<dyn TraceSink>>,
-    /// Next launch sequence number for trace events (starts at 1; 0 marks
-    /// untraced launches).
-    next_trace_seq: u64,
+    /// The launch number of the first kernel the trace sink sees (see
+    /// [`Gpu::trace_seq`]).
+    trace_base: u64,
     /// Scratch buffers reused across `reallocate` calls so the per-event
     /// hot path performs no heap allocation in steady state.
     scratch: ReallocScratch,
@@ -851,7 +844,7 @@ impl Gpu {
             free_slots: Vec::new(),
             fault: None,
             trace: None,
-            next_trace_seq: 1,
+            trace_base: 0,
             scratch: ReallocScratch::default(),
             tables: Vec::new(),
         }
@@ -865,8 +858,20 @@ impl Gpu {
     /// decisions, event order, or timing, so traced runs are bit-identical
     /// to untraced ones. With no sink installed (the default) each
     /// emission point costs a single branch.
+    ///
+    /// A kernel's trace `seq` counts launches from 1 at the install;
+    /// kernels launched before it emit nothing.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.trace = Some(sink);
+        self.trace_base = self.next_launch_seq;
+    }
+
+    /// The trace `seq` of the kernel with launch number `launch_seq`: its
+    /// launch number counted from 1 at the sink's install, or 0 (emit
+    /// nothing) for a kernel launched before it.
+    #[inline]
+    fn trace_seq(&self, launch_seq: u64) -> u64 {
+        launch_seq.checked_sub(self.trace_base).map_or(0, |n| n + 1)
     }
 
     /// Removes and returns the installed trace sink (flushing it), if any.
@@ -1156,9 +1161,8 @@ impl Gpu {
                 }
             }
         }
-        let trace_seq = if self.trace.is_some() {
-            let seq = self.next_trace_seq;
-            self.next_trace_seq += 1;
+        if self.trace.is_some() {
+            let seq = self.trace_seq(self.next_launch_seq);
             let (app, kernel) = crate::sim::decode_tag(tag);
             let ctx = self.queues[queue.0 as usize].ctx;
             let restricted = matches!(
@@ -1173,18 +1177,8 @@ impl Gpu {
                 queue: queue.0,
                 restricted,
             });
-            seq
-        } else {
-            0
-        };
-        let inst = Instance::launched(
-            shape,
-            queue,
-            tag,
-            remaining,
-            self.next_launch_seq,
-            trace_seq,
-        );
+        }
+        let inst = Instance::launched(shape, queue, tag, remaining, self.next_launch_seq);
         self.next_launch_seq += 1;
         let slot = self.take_slot();
         self.instances[slot] = inst;
@@ -1214,7 +1208,6 @@ impl Gpu {
                 QueueId(0),
                 0,
                 0.0,
-                0,
                 0,
             );
             placeholder.state = InstState::Done;
@@ -1809,7 +1802,7 @@ impl Gpu {
         if !premise {
             return;
         }
-        let (head_alloc, mut head_trace) = (head.alloc_sms, head.trace_seq);
+        let (head_alloc, mut head_launch) = (head.alloc_sms, head.launch_seq);
         let LaunchProgram {
             table,
             window,
@@ -1845,7 +1838,6 @@ impl Gpu {
                 slot,
                 index: None,
                 launch_seq: inst.launch_seq,
-                trace_seq: inst.trace_seq,
                 arrival: match (inst.state, inst.unposted_arrival) {
                     (InstState::Queued, _) => (SimTime::ZERO, 0),
                     (_, Some(key)) => key,
@@ -1908,16 +1900,16 @@ impl Gpu {
             self.next_run_seq += 1;
             if TRACED {
                 let (at, queue) = (self.now, q as u32);
-                if head_trace != 0 {
-                    let seq = head_trace;
+                let seq = self.trace_seq(head_launch);
+                if seq != 0 {
                     self.trace_emit(TraceEvent::KernelComplete { at, seq, queue });
                 }
-                if front.trace_seq != 0 {
-                    let seq = front.trace_seq;
+                let seq = self.trace_seq(front.launch_seq);
+                if seq != 0 {
                     self.trace_emit(TraceEvent::KernelStart { at, seq, queue });
                     self.trace_emit(TraceEvent::SmAlloc { at, seq, sms: g });
                 }
-                head_trace = front.trace_seq;
+                head_launch = front.launch_seq;
             }
             (s.slot, s.alloc, s.started) = (front.slot, g, self.now);
             s.key = (
@@ -1929,28 +1921,26 @@ impl Gpu {
                 let unit_end = (s.next + graph).min(s.end);
                 let arrive_at = self.charge_launch(q, SimDuration::ZERO);
                 for index in s.next..unit_end {
-                    let trace_seq = if TRACED {
-                        let seq = self.next_trace_seq;
-                        self.next_trace_seq += 1;
+                    if TRACED {
                         self.trace_emit(TraceEvent::KernelLaunch {
                             at: self.now,
-                            seq,
+                            seq: self.trace_seq(self.next_launch_seq),
                             app: app as u32,
                             kernel: index as u32,
                             queue: q as u32,
                             restricted,
                         });
-                        seq
-                    } else {
-                        0
-                    };
+                    }
                     let slot = self.take_slot();
                     let arrival = (arrive_at, self.events.reserve_seq());
                     let desc = &self.tables[table.0 as usize][index];
-                    chain.push_back(ChainKernel {
-                        trace_seq,
-                        ..ChainKernel::launched(desc, index, slot, self.next_launch_seq, arrival)
-                    });
+                    chain.push_back(ChainKernel::launched(
+                        desc,
+                        index,
+                        slot,
+                        self.next_launch_seq,
+                        arrival,
+                    ));
                     self.next_launch_seq += 1;
                 }
                 s.launched += unit_end - s.next;
@@ -2269,14 +2259,7 @@ impl Gpu {
             let shape = KernelShape::of(&self.tables[table.0 as usize][index]);
             let tag = crate::sim::encode_tag(app, index);
             let work = shape.initial_work();
-            let inst = Instance::launched(
-                shape,
-                QueueId(q as u32),
-                tag,
-                work,
-                c.launch_seq,
-                c.trace_seq,
-            );
+            let inst = Instance::launched(shape, QueueId(q as u32), tag, work, c.launch_seq);
             self.instances[c.slot] = inst;
         }
     }
@@ -2407,7 +2390,7 @@ impl Gpu {
             queue: inst.queue,
             tag: inst.tag,
         };
-        let seq = inst.trace_seq;
+        let launch_seq = inst.launch_seq;
         let compute = inst.shape.kind.is_compute();
         let q = failed.queue.0 as usize;
         let queue = &mut self.queues[q];
@@ -2430,6 +2413,7 @@ impl Gpu {
             self.free_slots.push(slot);
         }
         self.live_instances -= 1;
+        let seq = self.trace_seq(launch_seq);
         if self.trace.is_some() && seq != 0 {
             self.trace_emit(TraceEvent::KernelFailed {
                 at: self.now,
@@ -2508,8 +2492,8 @@ impl Gpu {
         inst.rate = 0.0;
         inst.alloc_sms = 0.0;
         let finished_compute = inst.shape.kind.is_compute();
-        let q = inst.queue.0 as usize;
-        let seq = inst.trace_seq;
+        let (q, launch_seq) = (inst.queue.0 as usize, inst.launch_seq);
+        let seq = self.trace_seq(launch_seq);
         if self.trace.is_some() && seq != 0 {
             self.trace_emit(TraceEvent::KernelComplete {
                 at: self.now,
@@ -2646,7 +2630,7 @@ impl Gpu {
         self.next_run_seq += 1;
         inst.started = self.now;
         if self.trace.is_some() {
-            let seq = self.instances[slot].trace_seq;
+            let seq = self.trace_seq(self.instances[slot].launch_seq);
             if seq != 0 {
                 self.trace_emit(TraceEvent::KernelStart {
                     at: self.now,
@@ -2947,7 +2931,7 @@ impl Gpu {
             self.push_completion(slot);
         }
         if alloc_changed && self.trace.is_some() {
-            let seq = self.instances[slot].trace_seq;
+            let seq = self.trace_seq(self.instances[slot].launch_seq);
             if seq != 0 {
                 self.trace_emit(TraceEvent::SmAlloc {
                     at: self.now,
@@ -3303,7 +3287,7 @@ mod tests {
     #[cfg(all(not(debug_assertions), target_arch = "x86_64"))]
     #[test]
     fn instance_size_is_pinned() {
-        assert_eq!(std::mem::size_of::<Instance>(), 184);
+        assert_eq!(std::mem::size_of::<Instance>(), 176);
     }
 
     #[test]
