@@ -1075,7 +1075,7 @@ mod tests {
     }
 
     /// Golden for [`recovery_digest`].
-    const GOLDEN_RECOVERY_DIGEST: u64 = 0x6e6a_8965_7b82_5356;
+    const GOLDEN_RECOVERY_DIGEST: u64 = 0xd686_43f0_f874_1b6d;
 
     #[test]
     fn faults_on_unplaced_devices_are_skipped_with_typed_reason() {

@@ -303,12 +303,15 @@ struct Instance {
     queue: QueueId,
     tag: u64,
     state: InstState,
-    /// Remaining work: SM·ns for compute, bytes for memcpy.
-    remaining: f64,
-    /// Current progress rate: SM (work/ns) for compute, bytes/ns for memcpy.
-    rate: f64,
-    /// Current SM allocation (compute only).
-    alloc_sms: f64,
+    /// Remaining work on the [`GRID`]: in 2^-16 SM·ns for compute, in
+    /// 2^-16 bytes for memcpy.
+    remaining: u64,
+    /// Current progress rate on the [`GRID`]: in 2^-16 SM (SM·ns per ns)
+    /// for compute, in 2^-16 bytes per ns for memcpy.
+    rate: u64,
+    /// Current SM allocation on the [`GRID`] (compute only; 0 for a
+    /// memcpy).
+    alloc: u64,
     /// Dispatch order among running kernels (greedy-sticky priority).
     run_seq: u64,
     /// Launch order, and the kernel's [`KernelHandle`]; crash and drain
@@ -327,20 +330,16 @@ struct Instance {
     /// When the kernel started running, reported with its completion;
     /// meaningless before it starts.
     started: SimTime,
-    /// Debug-build count of residue re-pushes of this kernel's completion
-    /// at one rate, `(rate bits, count)` (see `Gpu::count_residue`).
-    #[cfg(debug_assertions)]
-    residue_pushes: (u64, u32),
 }
 
 impl Instance {
-    /// A kernel just launched: in flight, `remaining` work to do, its
-    /// arrival not yet accounted for.
+    /// A kernel just launched: in flight, `remaining` work to do (on the
+    /// [`GRID`]), its arrival not yet accounted for.
     fn launched(
         shape: KernelShape,
         queue: QueueId,
         tag: u64,
-        remaining: f64,
+        remaining: u64,
         launch_seq: u64,
     ) -> Self {
         Instance {
@@ -349,16 +348,20 @@ impl Instance {
             tag,
             state: InstState::InFlight,
             remaining,
-            rate: 0.0,
-            alloc_sms: 0.0,
+            rate: 0,
+            alloc: 0,
             run_seq: u64::MAX,
             launch_seq,
             unposted_arrival: None,
             dispatch_ready: None,
             started: SimTime::ZERO,
-            #[cfg(debug_assertions)]
-            residue_pushes: (0, 0),
         }
+    }
+
+    /// The SMs the kernel holds.
+    #[inline]
+    fn alloc_sms(&self) -> f64 {
+        self.alloc as f64 / GRID
     }
 
     /// True until the kernel completes or is killed.
@@ -382,7 +385,8 @@ struct ChainKernel {
     /// `(MAX, MAX)` for one whose `Arrive` is posted (it never starts
     /// inside the closed form).
     arrival: (SimTime, u64),
-    work: f64,
+    /// Work on the [`GRID`].
+    work: u64,
     max_sms: u32,
     compute: bool,
 }
@@ -402,7 +406,7 @@ impl ChainKernel {
             index: Some(index),
             launch_seq,
             arrival,
-            work: desc.work,
+            work: to_grid(desc.work),
             max_sms: desc.max_sms,
             compute: desc.kind.is_compute(),
         }
@@ -412,16 +416,18 @@ impl ChainKernel {
 /// The running head of a closed-form stretch and what the stretch did so
 /// far (see [`Gpu::closed_stretch`]).
 struct Stretch {
-    /// The head's slot, grant, start and completion key.
+    /// The head's slot, grant (on the [`GRID`]), start and completion
+    /// key.
     slot: usize,
-    alloc: f64,
+    alloc: u64,
     started: SimTime,
     key: (SimTime, u64),
     /// The kernel the stretch started last, with its `run_seq`.
     started_kernel: Option<(ChainKernel, u64)>,
     /// The key of the last completion processed.
     last: (SimTime, u64),
-    busy: f64,
+    /// The device's busy integral (see [`Gpu::busy_sm_integral`]).
+    busy: u128,
     /// The program's next table index, its end and its kernels in flight.
     next: usize,
     end: usize,
@@ -439,15 +445,16 @@ struct JumpTable {
     /// The table, then `cap.min(pool)` and `pool` as bits: every input of
     /// [`Gpu::lone_grant`] for a fresh kernel but its `max_sms`.
     key: (KernelTableId, u64, u64),
-    /// `lone_grant(.., m, 0.0)` for `m` in `0..=num_sms`; a wider kernel
-    /// gets the last entry, as no pool exceeds `num_sms`.
-    grants: Vec<f64>,
+    /// `lone_grant(.., m, 0.0)` on the [`GRID`] for `m` in
+    /// `0..=num_sms`; a wider kernel gets the last entry, as no pool
+    /// exceeds `num_sms`.
+    grants: Vec<u64>,
     /// `prefix[i]` sums kernels `b + 1..i`, `b` the last break before `i`
     /// (or `-1`), so two entries with no break between them differ by the
     /// sums over the kernels between them.
     prefix: Vec<JumpPrefix>,
     /// The kernels that break a jump, ascending: those [`jump_eta`]
-    /// rejects, and those that would carry a sum past `u32::MAX`.
+    /// rejects, and those that would carry a sum past its type's range.
     breaks: Vec<usize>,
 }
 
@@ -456,40 +463,56 @@ struct JumpTable {
 struct JumpPrefix {
     /// Σ eta_i: the whole ns each kernel runs alone.
     eta: u32,
-    /// Σ g_i · eta_i: the busy SM·ns each kernel adds.
-    busy: u32,
+    /// Σ g_i · eta_i: the busy integral each kernel adds, on the
+    /// [`GRID`].
+    busy: u64,
 }
 
-/// Every integer up to 2^53 is an `f64`, so sums and products of whole
-/// SM and ns counts that stay below it are exact in any grouping.
-const EXACT_INT: f64 = 9_007_199_254_740_992.0;
+/// Grid points per unit: remaining work, rates, allocations and the busy
+/// integral are integers in 2^-16 SM·ns, SM or byte (per ns). A settle
+/// subtracts `rate · dt` and adds `alloc · dt` exactly, so splitting an
+/// interval at any instant leaves the same state, and a completion keyed
+/// at `now + ceil(remaining / rate)` finds no work left.
+const GRID: f64 = 65_536.0;
 
-/// Whether `x` is a whole number of at most 2^52: as work, `grant ·
-/// ceil(x / grant)`, at most `x + grant`, then stays exact (see
-/// [`EXACT_INT`]).
+/// `x` (SMs, SM·ns, bytes or bytes per ns) on the [`GRID`], rounded up:
+/// a positive `x` never rounds to 0, and a rate never falls below the
+/// fluid model's, so a kernel completes no later than its exact instant
+/// rounded up to whole ns.
 #[inline]
-fn whole(x: f64) -> bool {
-    x.fract() == 0.0 && (0.0..=EXACT_INT / 2.0).contains(&x)
+fn to_grid(x: f64) -> u64 {
+    ceil_ns(x * GRID)
 }
 
-/// The whole ns a fresh kernel with `work` SM·ns runs alone under the
-/// whole grant `g`, if its completion then leaves no residue.
+/// `ceil(work / rate)` for a positive `rate`: the whole ns `work` takes.
+/// Below 2^53 both are exact `f64`s and so is every integer, so the
+/// rounded quotient lies between the floor and the ceiling of the exact
+/// one, and one integer multiply picks the ceiling: no 64-bit division
+/// runs on the reallocation path.
 #[inline]
-fn closed_eta(work: f64, g: f64) -> Option<u64> {
-    let eta = if work <= 1e-6 { 0 } else { ceil_ns(work / g) };
-    (g > 0.0 && whole(g) && work - g * eta as f64 <= 0.0).then_some(eta)
-}
-
-/// [`closed_eta`] for a kernel a jump may start: a compute kernel with
-/// whole work that runs longer than the host's `launch` ns, so the host
-/// is idle again when it completes and a refill launched at its start
-/// lands strictly before that completion.
-#[inline]
-fn jump_eta(compute: bool, work: f64, g: f64, launch: u64) -> Option<u64> {
-    if !(compute && whole(work)) {
-        return None;
+fn eta_ns(work: u64, rate: u64) -> u64 {
+    const EXACT: u64 = 1 << 53;
+    if work >= EXACT || rate >= EXACT {
+        return work.div_ceil(rate);
     }
-    closed_eta(work, g).filter(|&eta| eta > launch)
+    let q = (work as f64 / rate as f64) as u64;
+    q + u64::from(q * rate < work)
+}
+
+/// The whole ns a kernel with `work` runs alone under the grant `g` (both
+/// on the [`GRID`]), unless the grant is zero.
+#[inline]
+fn closed_eta(work: u64, g: u64) -> Option<u64> {
+    (g > 0).then(|| eta_ns(work, g))
+}
+
+/// [`closed_eta`] for a kernel a jump may start: a compute kernel that
+/// runs longer than the host's `launch` ns, so the host is idle again when
+/// it completes and a refill launched at its start lands strictly before
+/// that completion.
+#[inline]
+fn jump_eta(compute: bool, work: u64, g: u64, launch: u64) -> Option<u64> {
+    closed_eta(work, g).filter(|&eta| compute && eta > launch)
 }
 
 /// A packed event key that no event has: the completion key of a queue
@@ -748,7 +771,9 @@ pub struct Gpu {
     groups: Vec<CtxGroup>,
     mig_reserved_sms: u32,
     mem_used_mib: u64,
-    busy_sm_integral: f64,
+    /// Busy SM·ns up to `last_settle`, on the [`GRID`]: the sum of every
+    /// running compute kernel's `alloc · dt`.
+    busy_sm_integral: u128,
     last_settle: SimTime,
     /// Count of instances not yet `Done`.
     live_instances: usize,
@@ -835,7 +860,7 @@ impl Gpu {
             groups: Vec::new(),
             mig_reserved_sms: 0,
             mem_used_mib: 0,
-            busy_sm_integral: 0.0,
+            busy_sm_integral: 0,
             last_settle: SimTime::ZERO,
             live_instances: 0,
             notices: Vec::new(),
@@ -1147,7 +1172,7 @@ impl Gpu {
         tag: u64,
         arrive_at: SimTime,
     ) -> KernelHandle {
-        let mut remaining = shape.initial_work();
+        let mut work = shape.initial_work();
         // Injected stragglers / profile drift inflate the *actual* work of
         // compute launches while the driver keeps predicting from the
         // unmodified profile — exactly the mismatch the watchdog must catch.
@@ -1155,7 +1180,7 @@ impl Gpu {
             let app = crate::sim::decode_tag(tag).0 as u32;
             let mult = f.plan.work_multiplier(app);
             if mult != 1.0 {
-                remaining *= mult;
+                work *= mult;
                 if mult > f.plan.drift_factor(app) {
                     f.counters.stragglers += 1;
                 }
@@ -1178,7 +1203,7 @@ impl Gpu {
                 restricted,
             });
         }
-        let inst = Instance::launched(shape, queue, tag, remaining, self.next_launch_seq);
+        let inst = Instance::launched(shape, queue, tag, to_grid(work), self.next_launch_seq);
         self.next_launch_seq += 1;
         let slot = self.take_slot();
         self.instances[slot] = inst;
@@ -1207,7 +1232,7 @@ impl Gpu {
                 KernelShape::of(&KernelDesc::memcpy_h2d(0)),
                 QueueId(0),
                 0,
-                0.0,
+                0,
                 0,
             );
             placeholder.state = InstState::Done;
@@ -1496,13 +1521,13 @@ impl Gpu {
 
     /// Total busy SM·seconds accumulated so far (for utilization metrics).
     pub fn busy_sm_seconds(&self) -> f64 {
-        self.busy_sm_integral / 1e9
+        self.busy_sm_ns() / 1e9
     }
 
     /// Total busy SM·ns accumulated so far: a whole number under
     /// [`HwPolicy::GreedySticky`], whose grants are whole SMs.
     pub fn busy_sm_ns(&self) -> f64 {
-        self.busy_sm_integral
+        self.busy_sm_integral as f64 / GRID
     }
 
     /// Average GPU utilization over `[from, to]` as a fraction of
@@ -1685,15 +1710,12 @@ impl Gpu {
     /// just taken; a silent one may go on into a closed-form stretch (see
     /// [`Gpu::step_within`]).
     fn complete(&mut self, slot: usize, until: SimTime) -> Option<StepOutput> {
-        // Guard against float residue: if rounding left real work behind,
-        // reschedule the completion instead of dropping it (a dropped key
-        // would strand the kernel until some unrelated reallocation).
-        if self.instances[slot].remaining > 1e-6 {
-            #[cfg(debug_assertions)]
-            self.count_residue(slot);
-            self.push_completion(slot);
-            return None;
-        }
+        // The key is `ceil(remaining / rate)` ns after the rate was set, and
+        // the settle to it subtracted exactly `rate` per ns.
+        debug_assert_eq!(
+            self.instances[slot].remaining, 0,
+            "the kernel in slot {slot} completes with work left"
+        );
         let q = self.instances[slot].queue.0 as usize;
         let silent = self.programs[q]
             .as_mut()
@@ -1753,7 +1775,7 @@ impl Gpu {
     /// each step emits what the pop would have, in its order:
     /// `KernelComplete` for the head, `KernelStart` and `SmAlloc` for the
     /// next kernel, then a `KernelLaunch` per refilled kernel, skipping
-    /// kernels launched before the sink was installed (trace `seq` 0). No
+    /// kernels launched before the sink was installed (they emit nothing). No
     /// instance is written, no queue list, unposted arrival or event is
     /// touched and nothing settles until the stretch stops; then the
     /// kernels still live (the head and those behind it) are written
@@ -1761,17 +1783,13 @@ impl Gpu {
     /// the last completion are accounted, and the busy SM·ns are added in
     /// one sum.
     ///
-    /// That sum is exact, not approximate. Under greedy-sticky every grant
-    /// is a whole number of SMs, compute work is `ns × max_sms` and time
-    /// is integer ns, so each `remaining - rate·dt` and `busy += alloc·dt`
-    /// the pops make is an integer below 2^53, and no grouping of the
-    /// settle intervals can move a bit. A step runs only when that holds
-    /// for its kernels (whole work and grant, a completion that leaves no
-    /// residue, the busy total below 2^53) and when its completion would
-    /// be the next event: keyed below the heap's top (no other head runs,
-    /// so no other key is pending) and `until`, silent, with a next kernel
-    /// that is a compute kernel and has arrived. Anything else stops the
-    /// closed form and leaves the rest to the event loop.
+    /// That sum is exact: work, grants and the busy integral are integers
+    /// on the [`GRID`], so no grouping of the settle intervals can move a
+    /// bit. A step runs only when its completion would be the next event:
+    /// keyed below the heap's top (no other head runs, so no other key is
+    /// pending) and `until`, silent, with a next kernel that is a compute
+    /// kernel, has arrived and gets a non-zero grant. Anything else stops
+    /// the closed form and leaves the rest to the event loop.
     ///
     /// Untraced, with launch units of one kernel, [`Gpu::jump`] takes runs
     /// of steps at once wherever it applies; the loop steps only the rest.
@@ -1786,23 +1804,19 @@ impl Gpu {
         let Some(program) = self.programs[q].as_ref().filter(|p| !p.stopped) else {
             return;
         };
+        // The head started at `now`, when the completion before it settled
+        // the device; it runs alone at its grant.
         let head = &self.instances[slot];
-        let first_dt = at.duration_since(self.now).as_nanos() as f64;
         let premise = self.running_compute == 1
             && self.running_dma == 0
             && self.events.peek_key().is_none_or(|top| key < pack(top))
             && at < until
-            && head.rate == head.alloc_sms
-            && head.rate > 0.0
-            && whole(head.rate)
-            && whole(head.remaining)
-            && head.remaining - head.rate * first_dt <= 0.0
-            && self.last_settle == self.now
-            && self.busy_sm_integral.fract() == 0.0;
+            && head.rate == head.alloc
+            && head.rate > 0;
         if !premise {
             return;
         }
-        let (head_alloc, mut head_launch) = (head.alloc_sms, head.launch_seq);
+        let (head_alloc, mut head_launch) = (head.alloc, head.launch_seq);
         let LaunchProgram {
             table,
             window,
@@ -1855,7 +1869,9 @@ impl Gpu {
         // completion is before the bound exactly when its instant is.
         let bound = top.map_or(until, |t| t.0.min(until));
 
-        let mut grant: Option<(u32, f64)> = None;
+        // The last fresh kernel's `max_sms`, its grant, and the grant on
+        // the grid.
+        let mut grant: Option<(u32, f64, u64)> = None;
         let mut try_jump = jumps;
         loop {
             // The completion must be the next event, and silent; the next
@@ -1871,23 +1887,23 @@ impl Gpu {
             }
             try_jump = jumps;
             let Some(&front) = chain.front() else { break };
-            if !(front.arrival < s.key && front.compute && whole(front.work)) {
+            if !(front.arrival < s.key && front.compute) {
                 break;
             }
-            let g = match grant {
-                Some((max_sms, g)) if max_sms == front.max_sms => g,
+            let (g, units) = match grant {
+                Some((max_sms, g, units)) if max_sms == front.max_sms => (g, units),
                 _ => {
                     let g = self.lone_grant(q, front.max_sms, 0.0);
-                    grant = Some((front.max_sms, g));
-                    g
+                    grant = Some((front.max_sms, g, to_grid(g)));
+                    (g, to_grid(g))
                 }
             };
-            let add = s.alloc * s.key.0.duration_since(s.started).as_nanos() as f64;
-            let Some(eta) = closed_eta(front.work, g).filter(|_| s.busy + add <= EXACT_INT) else {
+            let Some(eta) = closed_eta(front.work, units) else {
                 break;
             };
             // The head completes and its slot is recycled...
-            s.busy += add;
+            let ran = s.key.0.duration_since(s.started).as_nanos();
+            s.busy += u128::from(s.alloc) * u128::from(ran);
             self.now = s.key.0;
             s.last = s.key;
             self.instances[s.slot].state = InstState::Done;
@@ -1911,7 +1927,7 @@ impl Gpu {
                 }
                 head_launch = front.launch_seq;
             }
-            (s.slot, s.alloc, s.started) = (front.slot, g, self.now);
+            (s.slot, s.alloc, s.started) = (front.slot, units, self.now);
             s.key = (
                 self.now + SimDuration::from_nanos(eta),
                 self.events.reserve_seq(),
@@ -1983,7 +1999,7 @@ impl Gpu {
             inst.unposted_arrival = None;
             inst.run_seq = run_seq;
             inst.started = self.now;
-            inst.alloc_sms = s.alloc;
+            inst.alloc = s.alloc;
             inst.rate = s.alloc;
             self.queues[q].running = Some(s.slot);
             self.queues[q].waiting.clear();
@@ -2017,8 +2033,8 @@ impl Gpu {
     /// queue `q` (units of one kernel), up to the first that any of these
     /// would stop or change: a completion at or after `bound` (the heap's
     /// top instant or `until`), a completion that is not silent (the
-    /// program's last kernel is reported), a kernel [`jump_eta`] rejects,
-    /// or a busy total above 2^53. Returns whether it took a step. The loop
+    /// program's last kernel is reported), or a kernel [`jump_eta`]
+    /// rejects. Returns whether it took a step. The loop
     /// in [`Gpu::closed_stretch`] goes on from where it stopped, so a run
     /// that jumps is bit-identical to one that steps.
     ///
@@ -2063,24 +2079,20 @@ impl Gpu {
         {
             return false;
         }
-        let Some(mut busy) = (s.alloc as u64)
-            .checked_mul(c0.duration_since(s.started).as_nanos())
-            .and_then(|head| (s.busy as u64).checked_add(head))
-        else {
-            return false;
-        };
+        let head = c0.duration_since(s.started).as_nanos();
+        let mut busy = s.busy + u128::from(s.alloc) * u128::from(head);
         self.jump_table(q, table);
         let jt = &self.jump_tables[0];
         let grant = |max_sms: u32| jt.grants[(max_sms as usize).min(jt.grants.len() - 1)];
-        let (launch, bound, exact) = (launch.as_nanos(), bound.as_nanos(), EXACT_INT as u64);
+        let (launch, bound) = (launch.as_nanos(), bound.as_nanos());
         // Steps over the chain. Before step `n + 1`, `c` is `c_n`, `done`
         // the busy total after step `n` and `busy` the one after `n + 1`.
         let mut times = std::mem::take(&mut self.jump_times);
         times.clear();
         times.push(c0.as_nanos());
-        let (mut n, mut c, mut done) = (0, c0.as_nanos(), s.busy as u64);
+        let (mut n, mut c, mut done) = (0, c0.as_nanos(), s.busy);
         for k in chain.iter() {
-            if (n > 0 && c >= bound) || busy > exact || k.arrival >= s.key {
+            if (n > 0 && c >= bound) || k.arrival >= s.key {
                 break;
             }
             let g = grant(k.max_sms);
@@ -2091,7 +2103,7 @@ impl Gpu {
             c += eta;
             times.push(c);
             done = busy;
-            busy += g as u64 * eta;
+            busy += u128::from(g) * u128::from(eta);
         }
         // Then over the kernels the jump launches, from table index `next`
         // up to the next break: the largest `j` whose steps `m + 1 ..= m +
@@ -2102,7 +2114,6 @@ impl Gpu {
             let holds = |j: usize| {
                 let before = jt.prefix[next + j - 1];
                 c.saturating_add(u64::from(before.eta - p0.eta)) < bound
-                    && busy.saturating_add(u64::from(before.busy - p0.busy)) <= exact
             };
             let breaks = &jt.breaks[jt.breaks.partition_point(|&b| b < next)..];
             let mut hi = most.min(breaks.first().map_or(usize::MAX, |&b| b - next));
@@ -2115,7 +2126,7 @@ impl Gpu {
                 }
             }
             if j > 0 {
-                done = busy + u64::from(jt.prefix[next + j - 1].busy - p0.busy);
+                done = busy + u128::from(jt.prefix[next + j - 1].busy - p0.busy);
             }
         }
         let n = n + j;
@@ -2180,7 +2191,7 @@ impl Gpu {
         s.started_kernel = Some((head, self.next_run_seq + n as u64 - 1));
         self.next_run_seq += n as u64;
         (s.slot, s.alloc, s.started) = (head.slot, grant(head.max_sms), prev);
-        s.busy = done as f64;
+        s.busy = done;
         self.now = prev;
         if launches > 0 {
             self.host_free = time(launches - 1) + SimDuration::from_nanos(launch);
@@ -2226,7 +2237,7 @@ impl Gpu {
         entry.grants.clear();
         entry
             .grants
-            .extend((0..=self.spec.num_sms).map(|m| self.lone_grant(q, m, 0.0)));
+            .extend((0..=self.spec.num_sms).map(|m| to_grid(self.lone_grant(q, m, 0.0))));
         entry.prefix.clear();
         entry.breaks.clear();
         let launch = self.costs.kernel_launch.as_nanos();
@@ -2234,12 +2245,11 @@ impl Gpu {
         entry.prefix.push(sum);
         for (index, desc) in self.tables[table.0 as usize].iter().enumerate() {
             let g = entry.grants[(desc.max_sms as usize).min(entry.grants.len() - 1)];
-            let summed = jump_eta(desc.kind.is_compute(), desc.work, g, launch).and_then(|eta| {
-                let eta = u32::try_from(eta).ok()?;
-                let busy = u32::try_from(g as u64 * u64::from(eta)).ok()?;
+            let work = to_grid(desc.work);
+            let summed = jump_eta(desc.kind.is_compute(), work, g, launch).and_then(|eta| {
                 Some(JumpPrefix {
-                    eta: sum.eta.checked_add(eta)?,
-                    busy: sum.busy.checked_add(busy)?,
+                    eta: sum.eta.checked_add(u32::try_from(eta).ok()?)?,
+                    busy: sum.busy.checked_add(g.checked_mul(eta)?)?,
                 })
             });
             sum = summed.unwrap_or_else(|| {
@@ -2258,32 +2268,10 @@ impl Gpu {
         if let Some(index) = c.index {
             let shape = KernelShape::of(&self.tables[table.0 as usize][index]);
             let tag = crate::sim::encode_tag(app, index);
-            let work = shape.initial_work();
+            let work = to_grid(shape.initial_work());
             let inst = Instance::launched(shape, QueueId(q as u32), tag, work, c.launch_seq);
             self.instances[c.slot] = inst;
         }
-    }
-
-    /// Counts a residue re-push of the completion of the kernel in `slot`
-    /// and panics when it re-pushes without end at one rate: a `settle`
-    /// that never advances it would otherwise loop forever.
-    #[cfg(debug_assertions)]
-    fn count_residue(&mut self, slot: usize) {
-        const MAX_RESIDUE_PUSHES: u32 = 100;
-        let inst = &mut self.instances[slot];
-        let (rate, n) = inst.residue_pushes;
-        let n = if rate == inst.rate.to_bits() {
-            n + 1
-        } else {
-            1
-        };
-        inst.residue_pushes = (inst.rate.to_bits(), n);
-        assert!(
-            n <= MAX_RESIDUE_PUSHES,
-            "kernel in slot {slot} re-pushed its completion {n} times at rate {}: \
-             settle does not advance it",
-            inst.rate
-        );
     }
 
     /// Kills every not-yet-done kernel of `app`: in-flight launches never
@@ -2383,8 +2371,8 @@ impl Gpu {
         let inst = &mut self.instances[slot];
         let state = inst.state;
         inst.state = InstState::Failed;
-        inst.rate = 0.0;
-        inst.alloc_sms = 0.0;
+        inst.rate = 0;
+        inst.alloc = 0;
         let failed = FailedKernel {
             handle: KernelHandle(inst.launch_seq),
             queue: inst.queue,
@@ -2488,9 +2476,9 @@ impl Gpu {
     fn finish(&mut self, slot: usize) {
         let inst = &mut self.instances[slot];
         inst.state = InstState::Done;
-        inst.remaining = 0.0;
-        inst.rate = 0.0;
-        inst.alloc_sms = 0.0;
+        inst.remaining = 0;
+        inst.rate = 0;
+        inst.alloc = 0;
         let finished_compute = inst.shape.kind.is_compute();
         let (q, launch_seq) = (inst.queue.0 as usize, inst.launch_seq);
         let seq = self.trace_seq(launch_seq);
@@ -2643,10 +2631,11 @@ impl Gpu {
     }
 
     /// Accounts every unposted arrival keyed before `key`, in key order,
-    /// with the float operations its `Arrive` event would have made:
-    /// settle to its instant, then move the kernel to `Queued` (a killed
-    /// one only settles, and frees its slot). Such a kernel always waits
-    /// behind a running head or an earlier launch, so none starts here.
+    /// as its `Arrive` event would have: the clock moves to its instant and
+    /// the kernel to `Queued` (a killed one frees its slot). Such a kernel
+    /// always waits behind a running head or an earlier launch, so none
+    /// starts here and no rate changes: the device settles at the next
+    /// event, exactly as if it had settled here too.
     #[inline]
     fn replay_arrivals_before(&mut self, key: (SimTime, u64)) {
         while let Some(&(at, seq, slot)) = self.unposted.front() {
@@ -2672,26 +2661,28 @@ impl Gpu {
                 self.free_slots.push(slot);
             }
             debug_assert!(at >= self.now, "arrivals replay in time order");
-            self.settle(at);
             self.now = at;
         }
     }
 
-    /// Accounts every unposted arrival at or before `t`: the state the
-    /// device would be in had each one popped as an event. Run loops call
-    /// this before they stop with arrivals possibly still owed.
+    /// Accounts every unposted arrival at or before `t`, then settles to
+    /// the clock: the state the device would be in had each one popped as
+    /// an event. Run loops call this before they stop with arrivals
+    /// possibly still owed.
     pub(crate) fn account_arrivals_through(&mut self, t: SimTime) {
         self.replay_arrivals_before((t, u64::MAX));
+        self.settle(self.now);
     }
 
     /// Integrates all running work from `last_settle` to `t`, clamping
     /// remaining work at zero, and adds the busy SM·ns to the device
-    /// integral.
+    /// integral. Every term is an integer on the [`GRID`] and a clamp at
+    /// zero composes, so one settle to `t` leaves what any split does.
     fn settle(&mut self, t: SimTime) {
         if t <= self.last_settle {
             return;
         }
-        let dt = t.duration_since(self.last_settle).as_nanos() as f64;
+        let dt = t.duration_since(self.last_settle).as_nanos();
         for i in 0..self.running_queues.words() {
             for q in self.running_queues.word(i) {
                 if let Some(slot) = self.queues[q].running {
@@ -2702,23 +2693,13 @@ impl Gpu {
         self.last_settle = t;
     }
 
-    /// Integrates the running head in `slot` over `dt` ns.
+    /// Integrates the running head in `slot` over `dt` ns (a memcpy holds
+    /// no SMs, so it adds no busy time).
     #[inline]
-    fn settle_head(&mut self, slot: usize, dt: f64) {
+    fn settle_head(&mut self, slot: usize, dt: u64) {
         let inst = &mut self.instances[slot];
-        if inst.rate > 0.0 {
-            inst.remaining = (inst.remaining - inst.rate * dt).max(0.0);
-        }
-        if inst.shape.kind.is_compute() && inst.alloc_sms > 0.0 {
-            self.busy_sm_integral += inst.alloc_sms * dt;
-            // The closed-form stretch's premise: whole SMs times whole ns.
-            debug_assert!(
-                self.spec.hw_policy != HwPolicy::GreedySticky
-                    || self.busy_sm_integral.fract() == 0.0,
-                "greedy-sticky busy SM·ns must stay whole: {}",
-                self.busy_sm_integral
-            );
-        }
+        inst.remaining = inst.remaining.saturating_sub(inst.rate.saturating_mul(dt));
+        self.busy_sm_integral += u128::from(inst.alloc) * u128::from(dt);
     }
 
     /// Scoped reallocation: recomputes compute-side state (SM shares,
@@ -2890,11 +2871,11 @@ impl Gpu {
                 // fault state the divisor is exactly 1.0 (bit-identical).
                 let slow = self.fault.as_ref().map_or(1.0, |f| f.dma_slow);
                 let per = self.spec.pcie_bytes_per_sec / dir.len() as f64 / 1e9 / slow; // bytes per ns
+                let per = to_grid(per);
                 for &slot in dir.iter() {
-                    let unchanged = (self.instances[slot].rate - per).abs() < 1e-18
-                        && self.instances[slot].rate > 0.0;
                     let inst = &mut self.instances[slot];
-                    inst.alloc_sms = 0.0;
+                    let unchanged = inst.rate == per && per > 0;
+                    inst.alloc = 0;
                     inst.rate = per;
                     if !unchanged {
                         self.push_completion(slot);
@@ -2908,26 +2889,20 @@ impl Gpu {
         self.scratch.d2h = d2h;
     }
 
-    /// Commits one compute kernel's allocation and interference-adjusted
-    /// rate: reschedules its completion when the rate actually changed
-    /// and emits the `SmAlloc` trace event when the allocation moved.
-    /// Shared, op-for-op, by both interference models so the scalar path
-    /// stays bit-identical to the pre-channel engine.
+    /// Commits one compute kernel's allocation `a` and interference-adjusted
+    /// rate, each rounded to the [`GRID`] once here: reschedules its
+    /// completion when the rate changed (or the kernel just started or
+    /// stalled) and emits the `SmAlloc` trace event when the allocation
+    /// moved. Shared, op-for-op, by both interference models and the lone
+    /// head.
     fn apply_compute_rate(&mut self, slot: usize, a: f64, new_rate: f64) {
-        debug_assert!(
-            self.spec.hw_policy != HwPolicy::GreedySticky || a.fract() == 0.0,
-            "greedy-sticky grants whole SMs, not {a}"
-        );
-        let unchanged =
-            (self.instances[slot].rate - new_rate).abs() < 1e-12 && self.instances[slot].rate > 0.0;
+        let (alloc, rate) = (to_grid(a), to_grid(new_rate));
         let inst = &mut self.instances[slot];
-        let alloc_changed = inst.alloc_sms != a;
-        inst.alloc_sms = a;
-        inst.rate = new_rate;
+        let unchanged = inst.rate == rate && rate > 0;
+        let alloc_changed = inst.alloc != alloc;
+        inst.alloc = alloc;
+        inst.rate = rate;
         if !unchanged {
-            // Rate changed (or the kernel just started/stalled):
-            // reschedule its completion. Kernels whose rate is
-            // untouched keep their already-scheduled event.
             self.push_completion(slot);
         }
         if alloc_changed && self.trace.is_some() {
@@ -2953,7 +2928,7 @@ impl Gpu {
     /// are evaluated in the general path's order.
     fn lone_sticky_grant(&self, slot: usize) -> f64 {
         let inst = &self.instances[slot];
-        self.lone_grant(inst.queue.0 as usize, inst.shape.max_sms, inst.alloc_sms)
+        self.lone_grant(inst.queue.0 as usize, inst.shape.max_sms, inst.alloc_sms())
     }
 
     /// [`Gpu::lone_sticky_grant`] for a kernel of queue `q` that may use
@@ -3015,7 +2990,7 @@ impl Gpu {
             let ctx = self.queues[inst.queue.0 as usize].ctx.0 as usize;
             let pool = groups[ctx].pool;
             let keep = inst
-                .alloc_sms
+                .alloc_sms()
                 .min(inst.shape.max_sms as f64)
                 .min((groups[ctx].sm_cap - ctx_used[ctx]).max(0.0))
                 .min((self.pool_capacity[pool] - pool_used[pool]).max(0.0));
@@ -3118,21 +3093,21 @@ impl Gpu {
         self.scratch.pokes = pokes;
     }
 
-    /// Sets the completion key of the running head in `slot` from its
-    /// remaining work and rate, with the next `seq`; a starved head holds
-    /// no key until its allocation changes.
+    /// Sets the completion key of the running head in `slot` at
+    /// `now + ceil(remaining / rate)`, with the next `seq`; a starved head
+    /// holds no key until its allocation changes.
     fn push_completion(&mut self, slot: usize) {
         let inst = &self.instances[slot];
         let q = inst.queue.0 as usize;
-        let at = if inst.remaining <= 1e-6 {
+        let at = if inst.remaining == 0 {
             // Already done (e.g. settled to zero just as its allocation
             // was clamped away): complete now regardless of rate.
             self.now
-        } else if inst.rate <= 0.0 {
+        } else if inst.rate == 0 {
             self.set_completion(q, NO_KEY);
             return;
         } else {
-            self.now + SimDuration::from_nanos(ceil_ns(inst.remaining / inst.rate))
+            self.now + SimDuration::from_nanos(eta_ns(inst.remaining, inst.rate))
         };
         let key = pack((at, self.events.reserve_seq()));
         self.set_completion(q, key);
@@ -3155,7 +3130,7 @@ impl Gpu {
             self.now,
             self.host_free,
             self.last_settle,
-            self.busy_sm_integral.to_bits(),
+            self.busy_sm_integral,
             self.next_run_seq,
             self.next_launch_seq,
             self.events.next_seq(),
@@ -3282,9 +3257,8 @@ mod tests {
     }
 
     /// Pins the size of the struct every settle and reallocation walks,
-    /// so that growing it takes a deliberate edit here. Release builds on
-    /// x86-64 only: debug builds add a residue counter to it.
-    #[cfg(all(not(debug_assertions), target_arch = "x86_64"))]
+    /// so that growing it takes a deliberate edit here (x86-64 only).
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn instance_size_is_pinned() {
         assert_eq!(std::mem::size_of::<Instance>(), 176);
@@ -4247,11 +4221,11 @@ mod tests {
                     gpu.set_mps_cap(ctx, cap).unwrap();
                 }
             }
-            gpu.instances[slot].alloc_sms = match rng.next_below(3) {
+            gpu.instances[slot].alloc = to_grid(match rng.next_below(3) {
                 0 => 0.0,
                 1 => rng.range_inclusive(1, n as u64 + 20) as f64,
                 _ => rng.uniform(0.0, n as f64 + 20.0),
-            };
+            });
 
             let lone = gpu.lone_sticky_grant(slot);
             let groups = gpu.groups.clone();
@@ -4293,7 +4267,7 @@ mod tests {
                 unpack(key)
             );
             assert!(
-                key != NO_KEY || !rate.is_some_and(|r| r > 0.0),
+                key != NO_KEY || rate.is_none_or(|r| r == 0),
                 "queue {q}'s head runs at {rate:?} with no key"
             );
             let member = gpu
@@ -4345,11 +4319,43 @@ mod tests {
         t: Transcript,
         /// Events popped; the only thing allowed to differ between twins.
         pops: usize,
+        /// With a generator, the device also settles at a random instant
+        /// before each event it takes and each advance (see
+        /// [`Recorder::split_settle`]).
+        settles: Option<sim_core::SimRng>,
+        /// The engine fingerprint after each step and advance, when kept.
+        states: Option<Vec<String>>,
     }
 
     impl Recorder {
+        /// With [`Recorder::settles`], settles the device at a random
+        /// instant from its last settle up to the next event and `until`:
+        /// one more split of the interval the next settle integrates.
+        fn split_settle(&mut self, gpu: &mut Gpu, until: Option<SimTime>) {
+            let Some(rng) = self.settles.as_mut() else {
+                return;
+            };
+            let to = match (gpu.peek_event_time(), until) {
+                (Some(next), Some(until)) => next.min(until),
+                (Some(to), None) | (None, Some(to)) => to,
+                (None, None) => return,
+            };
+            if let Some(span) = to.as_nanos().checked_sub(gpu.last_settle.as_nanos()) {
+                let at = gpu.last_settle + SimDuration::from_nanos(rng.next_below(span + 1));
+                gpu.settle(at);
+            }
+        }
+
+        /// Keeps the engine fingerprint, when [`Recorder::states`] does.
+        fn keep_state(&mut self, gpu: &Gpu) {
+            if let Some(states) = self.states.as_mut() {
+                states.push(gpu.fingerprint());
+            }
+        }
+
         /// Processes one event (or, with none left, whatever is owed).
         fn step(&mut self, gpu: &mut Gpu) {
+            self.split_settle(gpu, None);
             self.pops += usize::from(gpu.peek_event_time().is_some());
             assert!(
                 self.pops <= EVENT_BUDGET,
@@ -4370,6 +4376,7 @@ mod tests {
                 Some(o) => self.t.outputs.push((gpu.now(), o)),
                 None => {}
             }
+            self.keep_state(gpu);
         }
 
         /// Steps until the next visible output or, when none comes, until
@@ -4395,7 +4402,9 @@ mod tests {
             while gpu.peek_event_time().is_some_and(|e| e < t) {
                 self.step(gpu);
             }
+            self.split_settle(gpu, Some(t));
             gpu.advance_to(t);
+            self.keep_state(gpu);
         }
 
         fn drain(&mut self, gpu: &mut Gpu) {
@@ -4412,44 +4421,69 @@ mod tests {
         }
     }
 
-    /// Runs `script` on a fresh traced GPU three times — arrivals
-    /// deferred; every arrival posted as an event; arrivals deferred with
-    /// no lone-head shortcut — and returns the transcripts with their
+    /// A raw-engine script: it drives a fresh GPU through a [`Recorder`]
+    /// and returns the handles it launched.
+    trait Script: Fn(&mut Gpu, &mut Recorder) -> Vec<KernelHandle> {}
+
+    impl<F: Fn(&mut Gpu, &mut Recorder) -> Vec<KernelHandle>> Script for F {}
+
+    /// Runs `script` on a fresh traced GPU, every arrival posted as an
+    /// event with `post_every`, without the lone-head shortcut with
+    /// `no_lone`, and settled at random extra instants when `settles`
+    /// seeds them. Returns the transcript, the event-pop count and, with
+    /// `states`, the engine fingerprint after each step and advance.
+    fn record(
+        spec: &GpuSpec,
+        costs: &HostCosts,
+        plan: &FaultPlan,
+        (post_every, no_lone): (bool, bool),
+        (settles, states): (Option<u64>, bool),
+        script: &impl Script,
+    ) -> (Transcript, usize, Option<Vec<String>>) {
+        let mut gpu = Gpu::new(spec.clone(), costs.clone());
+        gpu.post_every_arrival = post_every;
+        gpu.no_lone = no_lone;
+        let sink = BufferSink::new();
+        gpu.set_trace_sink(Box::new(sink.clone()));
+        gpu.set_fault_plan(plan.clone());
+        let mut rec = Recorder {
+            settles: settles.map(sim_core::SimRng::new),
+            states: states.then(Vec::new),
+            ..Recorder::default()
+        };
+        let handles = script(&mut gpu, &mut rec);
+        let mut t = rec.t;
+        let done = Done::of(&t.outputs);
+        t.kernels = handles
+            .iter()
+            .map(|&h| match done.get(h) {
+                Some(&(_, started, finished)) => (InstState::Done, Some(started), Some(finished)),
+                None if t.casualties.iter().any(|f| f.handle == h) => {
+                    (InstState::Failed, None, None)
+                }
+                None => (InstState::InFlight, None, None),
+            })
+            .collect();
+        t.now = gpu.now();
+        t.busy_bits = gpu.busy_sm_seconds().to_bits();
+        t.faults = gpu.fault_counters();
+        t.trace = sink.take();
+        (t, rec.pops, rec.states)
+    }
+
+    /// Runs `script` three times with [`record`] — arrivals deferred;
+    /// every arrival posted as an event; arrivals deferred with no
+    /// lone-head shortcut — and returns the transcripts with their
     /// event-pop counts.
     fn twin_runs(
         spec: &GpuSpec,
         costs: HostCosts,
         plan: &FaultPlan,
-        script: impl Fn(&mut Gpu, &mut Recorder) -> Vec<KernelHandle>,
+        script: impl Script,
     ) -> [(Transcript, usize); 3] {
-        [(false, false), (true, false), (false, true)].map(|(post_every, no_lone)| {
-            let mut gpu = Gpu::new(spec.clone(), costs.clone());
-            gpu.post_every_arrival = post_every;
-            gpu.no_lone = no_lone;
-            let sink = BufferSink::new();
-            gpu.set_trace_sink(Box::new(sink.clone()));
-            gpu.set_fault_plan(plan.clone());
-            let mut rec = Recorder::default();
-            let handles = script(&mut gpu, &mut rec);
-            let mut t = rec.t;
-            let done = Done::of(&t.outputs);
-            t.kernels = handles
-                .iter()
-                .map(|&h| match done.get(h) {
-                    Some(&(_, started, finished)) => {
-                        (InstState::Done, Some(started), Some(finished))
-                    }
-                    None if t.casualties.iter().any(|f| f.handle == h) => {
-                        (InstState::Failed, None, None)
-                    }
-                    None => (InstState::InFlight, None, None),
-                })
-                .collect();
-            t.now = gpu.now();
-            t.busy_bits = gpu.busy_sm_seconds().to_bits();
-            t.faults = gpu.fault_counters();
-            t.trace = sink.take();
-            (t, rec.pops)
+        [(false, false), (true, false), (false, true)].map(|flags| {
+            let (t, pops, _) = record(spec, &costs, plan, flags, (None, false), &script);
+            (t, pops)
         })
     }
 
@@ -4803,28 +4837,36 @@ mod tests {
         assert_eq!(completes(&trace), 8);
     }
 
-    /// The closed form, stepping and jumping, stops where the busy total
-    /// would pass 2^53 and leaves the rest to the event loop.
+    /// The busy integral is an integer, so nothing stops at 2^53 busy
+    /// SM·ns, where an `f64` total stopped being exact: a chain that starts
+    /// just below it runs past it in closed form, stepping and jumping,
+    /// and leaves the event loop's outputs and state.
     #[test]
-    fn closed_form_stops_below_the_exact_busy_bound() {
-        // Each 20 us kernel on 108 SMs adds 2.16e6 busy SM·ns.
-        for (start, bounded) in [(0.0, false), (EXACT_INT - 5e6, true)] {
-            let run = |closed: bool, jump: bool| {
-                let (mut gpu, _) = program_gpu(closed);
-                gpu.no_jump = !jump;
-                gpu.busy_sm_integral = start;
-                let out = drain_outputs(&mut gpu);
-                (out, gpu.fingerprint(), gpu.closed_steps, gpu.jumped_kernels)
-            };
-            let (out, state, _, _) = run(false, false);
-            let (stepped_out, stepped_state, stepped, _) = run(true, false);
-            let (jumped_out, jumped_state, closed, jumped) = run(true, true);
-            assert_eq!((&stepped_out, &jumped_out), (&out, &out));
-            assert_eq!((&stepped_state, &jumped_state), (&state, &state));
-            assert_eq!(stepped, closed);
-            assert!(jumped > 0);
-            assert_eq!(closed < 8, bounded, "{closed} closed-form completions");
-        }
+    fn closed_form_runs_past_two_to_the_53_busy_sm_ns() {
+        const OLD_BOUND: u128 = 1 << 53;
+        // Each 20 us kernel on 108 SMs adds 2.16e6 busy SM·ns; the first
+        // completion is an event, and the closed form takes the next eight.
+        let start = OLD_BOUND - 5_000_000;
+        let run = |closed: bool, jump: bool| {
+            let (mut gpu, _) = program_gpu(closed);
+            gpu.no_jump = !jump;
+            gpu.busy_sm_integral = start << 16;
+            let out = drain_outputs(&mut gpu);
+            let busy = gpu.busy_sm_integral >> 16;
+            let counts = (gpu.closed_steps, gpu.jumped_kernels);
+            (out, gpu.fingerprint(), counts, busy)
+        };
+        let (out, state, none, busy) = run(false, false);
+        let (stepped_out, stepped_state, stepped, _) = run(true, false);
+        let (jumped_out, jumped_state, jumped, _) = run(true, true);
+        assert_eq!((&stepped_out, &jumped_out), (&out, &out));
+        assert_eq!((&stepped_state, &jumped_state), (&state, &state));
+        assert_eq!((none, stepped), ((0, 0), (8, 0)));
+        assert_eq!(busy, start + 10 * 2_160_000);
+        // The jump takes every one of the eight, the second of them already
+        // past the old bound.
+        assert_eq!(jumped, (8, 8));
+        assert!(start + 3 * 2_160_000 > OLD_BOUND);
     }
 
     #[test]
@@ -4870,19 +4912,20 @@ mod tests {
         );
     }
 
-    /// The three [`twin_runs`] of one random raw-engine schedule: several
-    /// queues over default, MPS-capped and MIG contexts, delayed launches,
-    /// graph launches, crashes, DMA stalls and stragglers, run output by
-    /// output and advanced in the order `ops` gives (see
-    /// `prop_deferred_arrivals_match_posting_every_arrival`).
-    fn schedule_twins(
+    /// One random raw-engine schedule: several queues over default,
+    /// MPS-capped and MIG contexts, delayed launches, graph launches,
+    /// crashes, DMA stalls and stragglers, run output by output and
+    /// advanced in the order `ops` gives (see
+    /// `prop_deferred_arrivals_match_posting_every_arrival`). Returns the
+    /// spec, host costs, fault plan and script of the run.
+    fn schedule(
         seed: u64,
         layout: u8,
         paper_costs: bool,
         per_resource: bool,
         fair_share: bool,
         ops: &[(u8, usize, u64)],
-    ) -> [(Transcript, usize); 3] {
+    ) -> (GpuSpec, HostCosts, FaultPlan, impl Script + '_) {
         let mut spec = if per_resource {
             GpuSpec::a100_per_resource()
         } else {
@@ -4921,7 +4964,7 @@ mod tests {
             KernelDesc::memcpy_d2h(120_000),
             compute(3, 108, 0.9),
         ]);
-        let script = |gpu: &mut Gpu, rec: &mut Recorder| {
+        let script = move |gpu: &mut Gpu, rec: &mut Recorder| {
             let table_id = gpu.register_kernel_table(table.clone());
             let mut ctxs = vec![gpu.create_context(CtxKind::Default).unwrap()];
             if layout & 1 != 0 {
@@ -4967,6 +5010,20 @@ mod tests {
             rec.probe(gpu);
             handles
         };
+        (spec, costs, plan, script)
+    }
+
+    /// The three [`twin_runs`] of the [`schedule`] of these arguments.
+    fn schedule_twins(
+        seed: u64,
+        layout: u8,
+        paper_costs: bool,
+        per_resource: bool,
+        fair_share: bool,
+        ops: &[(u8, usize, u64)],
+    ) -> [(Transcript, usize); 3] {
+        let (spec, costs, plan, script) =
+            schedule(seed, layout, paper_costs, per_resource, fair_share, ops);
         twin_runs(&spec, costs, &plan, script)
     }
 
@@ -5024,6 +5081,29 @@ mod tests {
             proptest::prop_assert_eq!(&deferred, &posted);
             proptest::prop_assert_eq!(deferred, general, "lone-head shortcut");
             proptest::prop_assert!(fewer <= every);
+        }
+
+        /// Splitting a settle interval moves no bit: a random raw-engine
+        /// [`schedule`], settled again at a random instant before every
+        /// event it takes and every advance, leaves the engine fingerprint
+        /// of the run without those settles after each step and advance,
+        /// with the same outputs, busy-time bits, casualties and trace.
+        #[test]
+        fn prop_extra_settles_leave_the_fingerprint(
+            seed in proptest::prelude::any::<u64>(),
+            layout in 0u8..4,
+            paper_costs in proptest::prelude::any::<bool>(),
+            per_resource in proptest::prelude::any::<bool>(),
+            fair_share in proptest::prelude::any::<bool>(),
+            ops in proptest::collection::vec((0u8..6, 0usize..64, 0u64..80), 1..60),
+            settles in proptest::prelude::any::<u64>(),
+        ) {
+            let (spec, costs, plan, script) =
+                schedule(seed, layout, paper_costs, per_resource, fair_share, &ops);
+            let [plain, split] = [None, Some(settles)].map(|settles| {
+                record(&spec, &costs, &plan, (false, false), (settles, true), &script)
+            });
+            proptest::prop_assert_eq!(plain, split);
         }
     }
 }

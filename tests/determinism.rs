@@ -108,11 +108,11 @@ fn request_logs_match_golden_digests() {
     }
 }
 
-const GOLDEN_BLESS: u64 = 0x4edd27fa642dd232;
-const GOLDEN_GSLICE: u64 = 0x7619303ead11c49c;
-const GOLDEN_UNBOUND: u64 = 0x85678e3f84712317;
+const GOLDEN_BLESS: u64 = 0xa18bfb7cee3757ca;
+const GOLDEN_GSLICE: u64 = 0x76d9e423df210e54;
+const GOLDEN_UNBOUND: u64 = 0x3dddb8a951d0f6c7;
 const GOLDEN_TEMPORAL: u64 = 0x9e8c7240e6bc9143;
-const GOLDEN_REEF: u64 = 0x01c8aa234f32301b;
+const GOLDEN_REEF: u64 = 0x0a96166aef6826b9;
 
 /// The fault matrix exercised by the fault-determinism tests: every
 /// injector enabled at once.

@@ -18,7 +18,7 @@ use workloads::ArrivalPattern;
 /// path and the daemon at every worker count. Pinned: any change to the
 /// scheduler, the simulator, or the ingest handoff that shifts a single
 /// timestamp shows up here.
-const GOLDEN_SERVE_DIGEST: u64 = 0x942b_d0dd_6a1e_f500;
+const GOLDEN_SERVE_DIGEST: u64 = 0xacef_0d00_8c91_a671;
 
 const TENANTS: usize = 4;
 const CAPACITY_MIB: u64 = 80 * 1024;

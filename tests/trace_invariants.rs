@@ -69,12 +69,12 @@ const BLOCK: usize = 8192;
 /// Regenerate with:
 /// `cargo test --test trace_invariants -- --ignored print_golden_trace_digests --nocapture`
 const GOLDEN_EVENTS: usize = 27735;
-const GOLDEN_TRACE: u64 = 0x57241a777434abe1;
+const GOLDEN_TRACE: u64 = 0x07494867d8b03525;
 const GOLDEN_BLOCKS: &[u64] = &[
-    0xef5614e89cdc6bed,
-    0x8ad1da39db92801d,
-    0x69ce9a2db228c04f,
-    0xfb9c4752361e830f,
+    0xea35136c0a617406,
+    0xb7ada1c410699186,
+    0xb1bafed639ef0e60,
+    0xf119486fe6d431dc,
 ];
 
 fn block_digests(events: &[TraceEvent]) -> Vec<u64> {
