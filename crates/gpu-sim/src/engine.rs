@@ -484,26 +484,11 @@ fn to_grid(x: f64) -> u64 {
     ceil_ns(x * GRID)
 }
 
-/// `ceil(work / rate)` for a positive `rate`: the whole ns `work` takes.
-/// Below 2^53 both are exact `f64`s and so is every integer, so the
-/// rounded quotient lies between the floor and the ceiling of the exact
-/// one, and one integer multiply picks the ceiling: no 64-bit division
-/// runs on the reallocation path.
-#[inline]
-fn eta_ns(work: u64, rate: u64) -> u64 {
-    const EXACT: u64 = 1 << 53;
-    if work >= EXACT || rate >= EXACT {
-        return work.div_ceil(rate);
-    }
-    let q = (work as f64 / rate as f64) as u64;
-    q + u64::from(q * rate < work)
-}
-
 /// The whole ns a kernel with `work` runs alone under the grant `g` (both
 /// on the [`GRID`]), unless the grant is zero.
 #[inline]
 fn closed_eta(work: u64, g: u64) -> Option<u64> {
-    (g > 0).then(|| eta_ns(work, g))
+    (g > 0).then(|| work.div_ceil(g))
 }
 
 /// [`closed_eta`] for a kernel a jump may start: a compute kernel that
@@ -3107,7 +3092,7 @@ impl Gpu {
             self.set_completion(q, NO_KEY);
             return;
         } else {
-            self.now + SimDuration::from_nanos(eta_ns(inst.remaining, inst.rate))
+            self.now + SimDuration::from_nanos(inst.remaining.div_ceil(inst.rate))
         };
         let key = pack((at, self.events.reserve_seq()));
         self.set_completion(q, key);
@@ -4421,38 +4406,26 @@ mod tests {
         }
     }
 
-    /// A raw-engine script: it drives a fresh GPU through a [`Recorder`]
-    /// and returns the handles it launched.
-    trait Script: Fn(&mut Gpu, &mut Recorder) -> Vec<KernelHandle> {}
-
-    impl<F: Fn(&mut Gpu, &mut Recorder) -> Vec<KernelHandle>> Script for F {}
-
-    /// Runs `script` on a fresh traced GPU, every arrival posted as an
-    /// event with `post_every`, without the lone-head shortcut with
-    /// `no_lone`, and settled at random extra instants when `settles`
-    /// seeds them. Returns the transcript, the event-pop count and, with
-    /// `states`, the engine fingerprint after each step and advance.
+    /// Runs `script` through `rec` on a fresh traced GPU, every arrival
+    /// posted as an event with `post_every` and without the lone-head
+    /// shortcut with `no_lone`. Returns the recorder with its transcript
+    /// complete.
     fn record(
         spec: &GpuSpec,
         costs: &HostCosts,
         plan: &FaultPlan,
         (post_every, no_lone): (bool, bool),
-        (settles, states): (Option<u64>, bool),
-        script: &impl Script,
-    ) -> (Transcript, usize, Option<Vec<String>>) {
+        mut rec: Recorder,
+        script: &impl Fn(&mut Gpu, &mut Recorder) -> Vec<KernelHandle>,
+    ) -> Recorder {
         let mut gpu = Gpu::new(spec.clone(), costs.clone());
         gpu.post_every_arrival = post_every;
         gpu.no_lone = no_lone;
         let sink = BufferSink::new();
         gpu.set_trace_sink(Box::new(sink.clone()));
         gpu.set_fault_plan(plan.clone());
-        let mut rec = Recorder {
-            settles: settles.map(sim_core::SimRng::new),
-            states: states.then(Vec::new),
-            ..Recorder::default()
-        };
         let handles = script(&mut gpu, &mut rec);
-        let mut t = rec.t;
+        let t = &mut rec.t;
         let done = Done::of(&t.outputs);
         t.kernels = handles
             .iter()
@@ -4468,7 +4441,7 @@ mod tests {
         t.busy_bits = gpu.busy_sm_seconds().to_bits();
         t.faults = gpu.fault_counters();
         t.trace = sink.take();
-        (t, rec.pops, rec.states)
+        rec
     }
 
     /// Runs `script` three times with [`record`] — arrivals deferred;
@@ -4479,11 +4452,11 @@ mod tests {
         spec: &GpuSpec,
         costs: HostCosts,
         plan: &FaultPlan,
-        script: impl Script,
+        script: impl Fn(&mut Gpu, &mut Recorder) -> Vec<KernelHandle>,
     ) -> [(Transcript, usize); 3] {
         [(false, false), (true, false), (false, true)].map(|flags| {
-            let (t, pops, _) = record(spec, &costs, plan, flags, (None, false), &script);
-            (t, pops)
+            let rec = record(spec, &costs, plan, flags, Recorder::default(), &script);
+            (rec.t, rec.pops)
         })
     }
 
@@ -4925,7 +4898,12 @@ mod tests {
         per_resource: bool,
         fair_share: bool,
         ops: &[(u8, usize, u64)],
-    ) -> (GpuSpec, HostCosts, FaultPlan, impl Script + '_) {
+    ) -> (
+        GpuSpec,
+        HostCosts,
+        FaultPlan,
+        impl Fn(&mut Gpu, &mut Recorder) -> Vec<KernelHandle> + '_,
+    ) {
         let mut spec = if per_resource {
             GpuSpec::a100_per_resource()
         } else {
@@ -5101,7 +5079,13 @@ mod tests {
             let (spec, costs, plan, script) =
                 schedule(seed, layout, paper_costs, per_resource, fair_share, &ops);
             let [plain, split] = [None, Some(settles)].map(|settles| {
-                record(&spec, &costs, &plan, (false, false), (settles, true), &script)
+                let rec = Recorder {
+                    settles: settles.map(sim_core::SimRng::new),
+                    states: Some(Vec::new()),
+                    ..Recorder::default()
+                };
+                let rec = record(&spec, &costs, &plan, (false, false), rec, &script);
+                (rec.t, rec.pops, rec.states)
             });
             proptest::prop_assert_eq!(plain, split);
         }
